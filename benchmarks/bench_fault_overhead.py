@@ -3,8 +3,11 @@
 A scenario without a :class:`~repro.faults.FaultSchedule` must not pay for
 the dynamics machinery it is not using.  The machinery cannot be compiled
 out, though: every packet that crosses a :class:`~repro.sim.link.Link`
-passes the administrative ``up`` flag check (``send`` and ``_tx_done``) and
-the ``jitter is None`` check, and every retransmission-timer arm passes the
+passes the administrative ``up`` flag check in ``send`` and -- on a
+backlogged hop, which keeps the two-event chain -- the ``up`` and ``jitter
+is None`` checks at the end of serialisation (``_finish_tx``; an idle hop
+on a plain link is fused and ``fail()``/``link.jitter = ...`` un-fuse it
+instead), and every retransmission-timer arm passes the
 falsy ``rto_jitter`` / ``stall_threshold`` guards that transport hardening
 hangs off.
 
@@ -25,8 +28,9 @@ from repro.transport.rudp import RudpConnection
 
 #: Fault-path guard points a data packet (and its share of the ACK path)
 #: crosses when no schedule is installed: per link traversal the ``up``
-#: check in ``send``, the ``up`` check in ``_tx_done`` and the
-#: ``jitter is None`` check (3), over ~2 links each way (12), plus the
+#: check in ``send``, the ``up`` check at the end of serialisation and the
+#: ``jitter is None`` check (3; a fused idle hop pays only the first and
+#: one ``_plain`` flag), over ~2 links each way (12), plus the
 #: falsy ``rto_jitter`` / ``stall_threshold`` guards on the timer path.
 #: Deliberately generous -- the estimate below multiplies by it.
 GUARDS_PER_PACKET = 16

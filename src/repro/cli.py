@@ -751,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--seed", type=int, default=1)
     pp.add_argument("--no-burst", action="store_true",
                     help="run on per-packet links instead of the burst "
-                         "tier (bit-identical results, ~10x slower)")
+                         "tier (identical simulated results)")
 
     pf = sub.add_parser(
         "profile",

@@ -1,9 +1,11 @@
 """Burst-level speed tier: coalesced link hot path (``BatchLink``).
 
-The per-packet :class:`~repro.sim.link.Link` costs ~3 engine events per
-datagram -- one serialization completion, one propagation arrival, plus the
-heap traffic both imply.  At population scale (ROADMAP: thousands of
-concurrent sessions) that heap churn *is* the simulation's wall clock.
+The per-packet :class:`~repro.sim.link.Link` costs two engine events per
+backlogged hop -- one serialization completion, one propagation arrival --
+and one per idle hop (it fuses the two when nothing waits behind the
+packet), plus the heap traffic they imply.  At population scale (ROADMAP:
+thousands of concurrent sessions) that heap churn *is* the simulation's
+wall clock.
 
 :class:`BatchLink` removes it without changing a single observable:
 
@@ -100,12 +102,18 @@ class BatchLink(Link):
     it explicitly so they never depend on ambient environment).
     """
 
+    __slots__ = ("_np", "_flight", "_flight_idx", "_arrival_ev",
+                 "_sink_burst")
+
+    # The TX and arrival chains below replace the per-packet link's
+    # single-event transit; a packet in service is always ``_service``.
+    _fuses = False
+
     def __init__(self, sim: Simulator, bandwidth_bps: float, delay_s: float,
                  sink: PacketSink, *, accel: str | None = None, **kw):
         super().__init__(sim, bandwidth_bps, delay_s, sink, **kw)
         mode = accel_mode() if accel is None else accel
         self._np = load_numpy() if mode == "numpy" else None
-        self._service: Packet | None = None
         # In-flight packets: heap of (arrival_time, idx, pkt).  idx is a
         # per-link monotone counter so equal-time arrivals keep send order
         # and the heap never compares Packet objects.
@@ -118,7 +126,7 @@ class BatchLink(Link):
     # TX chain
     # ------------------------------------------------------------------
     def _start_transmission(self) -> None:
-        pkt = self.queue.pop()
+        pkt = self._queue.pop()
         self._busy = True
         self._service = pkt
         self.sim.schedule(self.tx_time(pkt), self._tx_step)
@@ -127,7 +135,7 @@ class BatchLink(Link):
         """Finish the in-service packet, then keep serialising queued
         packets inline while no foreign event intrudes."""
         sim = self.sim
-        queue = self.queue
+        queue = self._queue
         heap = sim._heap
         tried_bulk = False
         while True:
@@ -139,7 +147,7 @@ class BatchLink(Link):
             # requires no earlier in-flight deliveries).
             if (not tried_bulk and len(queue) >= _BULK_MIN
                     and self._sink_burst is not None and self.up
-                    and type(self.loss) is LossModel and self.jitter is None
+                    and type(self._loss) is LossModel and self._jitter is None
                     and not self.trace.enabled and not self._flight):
                 tried_bulk = True
                 if self._tx_burst():
@@ -184,7 +192,7 @@ class BatchLink(Link):
         foreign event.
         """
         sim = self.sim
-        queue = self.queue
+        queue = self._queue
         bw = self.bandwidth_bps
         delay = self.delay_s
         service = self._service
@@ -229,8 +237,8 @@ class BatchLink(Link):
         pkts = queue.pop_all()
         pkts.insert(0, service)
         arrivals.insert(0, sim._now + delay)
-        self.bytes_sent += wire_bytes
-        self.packets_sent += len(pkts)
+        self._bytes_sent += wire_bytes
+        self._packets_sent += len(pkts)
         sim._now = last_arrival
         self._sink_burst(pkts, arrivals)
         self._service = None

@@ -8,6 +8,8 @@ between the dumbbell routers.
 
 from __future__ import annotations
 
+from math import inf
+from operator import attrgetter
 from typing import Callable, Protocol
 
 from ..obs.events import LINK_FAIL, LINK_RECOVER, PACKET_DROP
@@ -121,6 +123,14 @@ class DelayJitter:
         return r.random() * self.max_extra_s
 
 
+#: For pickling: fields that die with the event heap or are derived, and the
+#: public names property-backed fields are stored under.
+_TRANSIENT = frozenset(("_busy", "_service", "_arrival", "_free_at", "_plain"))
+_PUBLIC = {"_queue": "queue", "_loss": "loss", "_jitter": "jitter",
+           "_bytes_sent": "bytes_sent", "_packets_sent": "packets_sent"}
+_PRIVATE = {public: private for private, public in _PUBLIC.items()}
+
+
 class Link:
     """Unidirectional link: egress FIFO -> serialization -> propagation.
 
@@ -130,7 +140,28 @@ class Link:
         ``20e6``).
     delay_s : one-way propagation delay in seconds.
     queue_bytes : drop-tail buffer budget at the egress.
+
+    Single-event transit: on a *plain* link (drop-tail queue, base
+    :class:`LossModel`, no jitter) nothing can happen to a packet between
+    the end of serialisation and the far end of the wire, so an idle
+    serialiser *fuses* the two -- :meth:`send` schedules the arrival at
+    ``(now + tx) + delay`` and records ``_free_at``, when the serialiser
+    frees up.  The completion event (:meth:`_tx_done`) exists only once a
+    second packet queues up behind it; whatever would have met the packet
+    at the end of serialisation first :meth:`_unfuse`-s it back into the
+    two-event chain that backlogged and stochastic links use throughout.
+    DESIGN.md section 2 has the full rule.
     """
+
+    # Slotted: a population holds thousands of links.
+    __slots__ = ("sim", "bandwidth_bps", "delay_s", "sink", "name", "trace",
+                 "flight", "spans", "up", "packets_lost_wire",
+                 "_queue", "_loss", "_jitter", "_plain", "_busy", "_service",
+                 "_arrival", "_free_at", "_bytes_sent", "_packets_sent")
+
+    #: Whether idle sends may fuse; :class:`~repro.sim.batch.BatchLink`
+    #: coalesces its own TX/arrival chains instead.
+    _fuses = True
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, delay_s: float,
                  sink: PacketSink, *, queue_bytes: int = 64 * 1440,
@@ -152,19 +183,64 @@ class Link:
         # (``push_all``) drop inside the queue, not here.
         self.flight = getattr(sim, "flight", None)
         self.spans = getattr(sim, "spans", None)
-        self.queue = DropTailQueue(queue_bytes, on_drop=on_drop)
-        self.queue.trace = self.trace
-        self.queue.name = name
-        self.queue.flight = self.flight
-        self.queue.spans = self.spans
-        self.loss = loss or LossModel()
-        self.jitter: DelayJitter | None = None
-        self._busy = False
+        queue = DropTailQueue(queue_bytes, on_drop=on_drop)
+        queue.trace = self.trace
+        queue.name = name
+        queue.flight = self.flight
+        queue.spans = self.spans
+        self._queue = queue
+        self._loss = loss or LossModel()
+        self._jitter: DelayJitter | None = None
+        self._refresh_plain()
+        self._busy = False      # a completion event (_tx_done) is pending
+        # The packet _tx_done still has to account and deliver (None while
+        # the one on the serialiser is fused); the fused packet's arrival
+        # event; the instant the serialiser frees up.  The last two go
+        # stale: readers compare the clock against ``_free_at`` first.
+        self._service: Packet | None = None
+        self._arrival = None
+        self._free_at = -inf
         self.up = True
-        # Wire counters for utilisation / fairness accounting.
-        self.bytes_sent = 0
-        self.packets_sent = 0
+        # Wire counters for utilisation / fairness accounting.  A fused
+        # packet is counted when sent; the public properties hold it back
+        # until ``_free_at``, when its completion would have fired.
+        self._bytes_sent = 0
+        self._packets_sent = 0
         self.packets_lost_wire = 0
+
+    # What decides a packet's fate at the end of serialisation is a
+    # property: swapping it mid-run un-fuses the packet it would have met
+    # and re-evaluates whether the link is still plain.
+    def _refresh_plain(self) -> None:
+        self._plain = (self._fuses and type(self._loss) is LossModel
+                       and self._jitter is None
+                       and type(self._queue) is DropTailQueue)
+
+    def _swap(self, slot: str, part) -> None:
+        self._unfuse()
+        setattr(self, slot, part)
+        self._refresh_plain()
+
+    queue = property(attrgetter("_queue"), lambda s, q: s._swap("_queue", q))
+    loss = property(attrgetter("_loss"), lambda s, m: s._swap("_loss", m))
+    jitter = property(attrgetter("_jitter"),
+                      lambda s, j: s._swap("_jitter", j))
+
+    def _serialising(self) -> Packet | None:
+        """The fused packet while its completion has not "fired" yet."""
+        ev = self._arrival
+        if ev is not None and self.sim._now < self._free_at:
+            return ev.args[0]
+        return None
+
+    @property
+    def bytes_sent(self) -> int:
+        pkt = self._serialising()
+        return self._bytes_sent - (pkt.wire_size if pkt is not None else 0)
+
+    @property
+    def packets_sent(self) -> int:
+        return self._packets_sent - (self._serialising() is not None)
 
     # ------------------------------------------------------------------
     def tx_time(self, pkt: Packet) -> float:
@@ -188,17 +264,46 @@ class Link:
                 tr.emit("net", PACKET_DROP, link=self.name, kind="down",
                         flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
             return False
-        if not self.queue.push(pkt):
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", PACKET_DROP, link=self.name, kind="queue",
-                        flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size,
-                        queued_pkts=len(self.queue),
-                        queued_bytes=self.queue.bytes)
-            return False
+        queue = self._queue
+        # Ties resolve as busy: an arrival (priority -1) at ``_free_at``
+        # precedes the completion (priority 0) at the same instant.
+        if (self._plain and not self._busy
+                and (now := self.sim._now) > self._free_at):
+            wire = pkt.wire_size
+            st = queue.stats
+            if st.peak_packets and wire <= queue.capacity_bytes:
+                # The queue is empty and the packet leaves it at once: fold
+                # push + pop into their counters (the one-packet occupancy
+                # peak, and its trace event, came with an earlier push).
+                st.arrivals += 1
+                st.departures += 1
+                st.bytes_in += wire
+                if wire > st.peak_bytes:
+                    st.peak_bytes = wire
+            elif queue.push(pkt):
+                queue.pop()
+            else:
+                return self._queue_dropped(pkt)
+            self._bytes_sent += wire
+            self._packets_sent += 1
+            self._free_at = free_at = now + wire * 8.0 / self.bandwidth_bps
+            self._arrival = self.sim.at(free_at + self.delay_s,
+                                        self.sink.receive, pkt, priority=-1)
+            return True
+        if not queue.push(pkt):
+            return self._queue_dropped(pkt)
         if not self._busy:
-            self._start_transmission()
+            self._kick()
         return True
+
+    def _queue_dropped(self, pkt: Packet) -> bool:
+        tr = self.trace
+        if tr.enabled:
+            queue = self._queue
+            tr.emit("net", PACKET_DROP, link=self.name, kind="queue",
+                    flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size,
+                    queued_pkts=len(queue), queued_bytes=queue.bytes)
+        return False
 
     def send_burst(self, pkts: "list[Packet]") -> int:
         """Offer a back-to-back burst; returns the number accepted.
@@ -222,24 +327,38 @@ class Link:
             # per-packet send -- this keeps overflow drops identical.
             ok += self.send(pkts[0])
             pkts = pkts[1:]
-        return ok + self.queue.push_all(pkts)
+        ok += self._queue.push_all(pkts)
+        if not self._busy and self._queue._q:
+            # The head was fused; the rest now wait behind it.
+            self._kick()
+        return ok
 
     # ------------------------------------------------------------------
+    def _kick(self) -> None:
+        """Give a newly backlogged queue its completion event: at
+        ``_free_at`` while a fused packet holds the serialiser, else now."""
+        if self.sim._now <= self._free_at:
+            self._busy = True
+            self.sim.at(self._free_at, self._tx_done)
+        else:
+            self._start_transmission()
+
     def _start_transmission(self) -> None:
-        pkt = self.queue.pop()
+        pkt = self._queue.pop()
         self._busy = True
-        self.sim.schedule(self.tx_time(pkt), self._tx_done, pkt)
+        self._service = pkt
+        self.sim.schedule(self.tx_time(pkt), self._tx_done)
 
     def _finish_tx(self, pkt: Packet) -> None:
         """Account one packet leaving the serialiser at the current instant
         and hand it to propagation (or the wire-loss drop path).  Shared by
         the per-packet chain here and the coalesced chain in
         :class:`repro.sim.batch.BatchLink`."""
-        self.bytes_sent += pkt.wire_size
-        self.packets_sent += 1
-        if self.up and not self.loss.drops(pkt):
+        self._bytes_sent += pkt.wire_size
+        self._packets_sent += 1
+        if self.up and not self._loss.drops(pkt):
             delay = self.delay_s
-            jit = self.jitter
+            jit = self._jitter
             if jit is not None:
                 delay += jit.extra()
             self._deliver(pkt, delay)
@@ -262,12 +381,36 @@ class Link:
         # arrivals at an instant precede timers at the same instant.
         self.sim.schedule(delay, self.sink.receive, pkt, priority=-1)
 
-    def _tx_done(self, pkt: Packet) -> None:
-        self._finish_tx(pkt)
-        if not self.queue.empty:
+    def _tx_done(self) -> None:
+        pkt = self._service
+        if pkt is None:
+            # A fused packet held the serialiser: it was counted and sent
+            # on its way by ``send``; only the backlog is left to serve.
+            self._arrival = None
+        else:
+            self._finish_tx(pkt)
+        if self._queue._q:
             self._start_transmission()
         else:
             self._busy = False
+            self._service = None
+
+    def _unfuse(self) -> None:
+        """Put a fused packet that is still serialising back on the
+        two-event chain: cancel its arrival and let a real completion at
+        ``_free_at`` decide its fate under what the caller changes next."""
+        ev = self._arrival
+        if ev is None or self.sim._now > self._free_at or not ev.alive:
+            return
+        ev.cancel()
+        pkt = ev.args[0]
+        self._arrival = None
+        self._service = pkt
+        self._bytes_sent -= pkt.wire_size
+        self._packets_sent -= 1
+        if not self._busy:
+            self._busy = True
+            self.sim.at(self._free_at, self._tx_done)
 
     # ------------------------------------------------------------------
     # Dynamics (failure injection, handover ramps)
@@ -277,8 +420,9 @@ class Link:
         Idempotent -- failing a down link is a no-op."""
         if not self.up:
             return
+        self._unfuse()
         self.up = False
-        flushed = self.queue.flush()
+        flushed = self._queue.flush()
         self.packets_lost_wire += flushed
         fl = self.flight
         if fl is not None:
@@ -311,6 +455,7 @@ class Link:
         the boundary -- exactly what a real path change does."""
         if delay_s < 0:
             raise ValueError("propagation delay cannot be negative")
+        self._unfuse()
         self.delay_s = delay_s
 
     def telemetry_probe(self) -> dict[str, float]:
@@ -321,18 +466,47 @@ class Link:
                 "packets_lost_wire": float(self.packets_lost_wire),
                 "up": 1.0 if self.up else 0.0}
 
+    def _in_service(self) -> bool:
+        """A packet holds the serialiser: one awaiting ``_tx_done``, or a
+        fused one until ``_free_at``."""
+        return self._service is not None or self.sim._now < self._free_at
+
     def accounting_violation(self) -> str | None:
         """Wire accounting at this link: every queue departure must either
-        have finished serialising (``packets_sent``) or still be on the
-        wire (``_busy``).  Returns a description, or None when sane."""
-        st = self.queue.stats
-        in_service = 1 if self._busy else 0
-        if st.departures != self.packets_sent + in_service:
+        have finished serialising (``packets_sent``) or still hold the
+        serialiser -- fused (until ``_free_at``) or awaiting ``_tx_done``.
+        Returns a description, or None when sane."""
+        st = self._queue.stats
+        in_service = int(self._in_service())
+        packets_sent = self.packets_sent
+        if st.departures != packets_sent + in_service:
             return (f"link accounting: queue departures={st.departures} != "
-                    f"packets_sent={self.packets_sent} + "
+                    f"packets_sent={packets_sent} + "
                     f"in_service={in_service}")
         return None
 
+    # A pickled link (``ScenarioResult.detach``) keeps its books, not its
+    # traffic: the heap is drained, so the completion event, the packet on
+    # the serialiser and its arrival go, and ``_free_at = inf`` stands in
+    # for that packet in the accounting.  Property-backed fields are read
+    # through the property: counters as an observer sees them.
+    def __getstate__(self) -> dict:
+        names = (_PUBLIC.get(name, name) for cls in type(self).__mro__
+                 for name in getattr(cls, "__slots__", ())
+                 if name not in _TRANSIENT)
+        state = {name: getattr(self, name) for name in names}
+        if self._in_service():
+            state["_free_at"] = inf
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self._busy = False
+        self._service = self._arrival = None
+        self._free_at = -inf
+        for name, value in state.items():
+            setattr(self, _PRIVATE.get(name, name), value)
+        self._refresh_plain()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} {self.bandwidth_bps/1e6:.1f}Mbps "
-                f"{self.delay_s*1e3:.1f}ms q={len(self.queue)}>")
+                f"{self.delay_s*1e3:.1f}ms q={len(self._queue)}>")

@@ -1,12 +1,16 @@
 """Unit tests for links: serialization, propagation, queueing, failures."""
 
+import pickle
 import random
 
 import pytest
 
+from repro.invariants.checks import CHECK_PRIORITY
 from repro.sim.engine import Simulator
-from repro.sim.link import BernoulliLoss, Link
+from repro.sim.link import (BernoulliLoss, DelayJitter, GilbertElliottLoss,
+                            Link, LossModel)
 from repro.sim.packet import Packet
+from repro.sim.queues import DropTailQueue
 
 
 class Sink:
@@ -108,7 +112,8 @@ def test_link_failure_flushes_queue_and_drops_sends():
     assert not link.send(mkpkt())
     sim.run()
     # Only the packet already on the transmitter may have been counted;
-    # it is lost at _tx_done because the link is down.
+    # it is lost at the end of serialisation because the link is down
+    # (fail() un-fused it, so its completion event decides its fate).
     assert sink.got == []
     assert link.packets_lost_wire >= 5
 
@@ -152,3 +157,331 @@ def test_wire_counters():
     sim.run()
     assert link.packets_sent == 1
     assert link.bytes_sent == 140
+
+
+# ----------------------------------------------------------------------
+# Single-event transit: an idle hop on a plain link is one engine event;
+# everything observable must match the two-event chain it replaced.
+# ----------------------------------------------------------------------
+class TwoEventLink:
+    """The link as it was before fusion, kept here as the reference: every
+    hop is a completion event at the end of serialisation, which accounts
+    the packet and then schedules its arrival."""
+
+    def __init__(self, sim, bandwidth_bps, delay_s, sink, *, queue_bytes):
+        self.sim, self.sink = sim, sink
+        self.bandwidth_bps, self.delay_s = bandwidth_bps, delay_s
+        self.queue = DropTailQueue(queue_bytes)
+        self.loss, self.jitter = LossModel(), None
+        self.up, self._busy = True, False
+        self.bytes_sent = self.packets_sent = self.packets_lost_wire = 0
+
+    def send(self, pkt):
+        if not self.up:
+            self.packets_lost_wire += 1
+            return False
+        if not self.queue.push(pkt):
+            return False
+        if not self._busy:
+            self._start()
+        return True
+
+    def send_burst(self, pkts):
+        return sum([self.send(p) for p in pkts])
+
+    def _start(self):
+        pkt = self.queue.pop()
+        self._busy = True
+        self.sim.schedule(pkt.wire_size * 8.0 / self.bandwidth_bps,
+                          self._tx_done, pkt)
+
+    def _tx_done(self, pkt):
+        self.bytes_sent += pkt.wire_size
+        self.packets_sent += 1
+        if self.up and not self.loss.drops(pkt):
+            extra = self.jitter.extra() if self.jitter is not None else 0.0
+            self.sim.schedule(self.delay_s + extra, self.sink.receive, pkt,
+                              priority=-1)
+        else:
+            self.packets_lost_wire += 1
+        if self.queue.empty:
+            self._busy = False
+        else:
+            self._start()
+
+    def fail(self):
+        if self.up:
+            self.up = False
+            self.packets_lost_wire += self.queue.flush()
+
+    def recover(self):
+        self.up = True
+
+    def set_delay(self, delay_s):
+        self.delay_s = delay_s
+
+    def set_bandwidth(self, bandwidth_bps):
+        self.bandwidth_bps = bandwidth_bps
+
+    def accounting_violation(self):
+        if self.queue.stats.departures != self.packets_sent + self._busy:
+            return "link accounting"
+        return None
+
+
+#: tx of a 1000-byte wire packet at this rate is exactly 1.0 s, so the
+#: tests below can hit ``_free_at`` with exact float times.
+_SLOW_BPS = 8e3
+
+
+def _wire(n=1000, seq=0):
+    return Packet(flow_id=1, size=n - 40, seq=seq)
+
+
+def _apply(link, rng, op, arg):
+    if op == "send":
+        link.send(arg)
+    elif op == "burst":
+        link.send_burst(list(arg))
+    elif op == "loss":
+        link.loss = GilbertElliottLoss(p_gb=0.3, p_bg=0.4, rng=rng)
+    elif op == "plain":
+        link.loss = LossModel()
+    elif op == "jitter":
+        link.jitter = DelayJitter(max_extra_s=arg, rng=rng)
+    elif op == "calm":
+        link.jitter = None
+    else:  # fail / recover / set_delay / set_bandwidth
+        getattr(link, op)(*(() if arg is None else (arg,)))
+
+
+def _replay(cls, script, *, bandwidth_bps=_SLOW_BPS, delay_s=0.25,
+            queue_bytes=4000, seed=0):
+    """Drive ``script`` -- ``(time, op, arg)`` rows -- through one link.
+    Returns (arrivals, snapshots, events fired); a snapshot is every
+    counter an observer can read, taken right after each operation and
+    again, like the invariant checker, after all work at that instant."""
+    sim = Simulator()
+    sink = TimedSink(sim)
+    link = cls(sim, bandwidth_bps, delay_s, sink, queue_bytes=queue_bytes)
+    rng = random.Random(seed)
+    snaps = []
+
+    def snapshot(when="settled"):
+        st = link.queue.stats
+        snaps.append((when, sim.now,
+                      tuple(getattr(st, f) for f in st.__slots__),
+                      len(link.queue), link.queue.bytes, link.bytes_sent,
+                      link.packets_sent, link.packets_lost_wire, link.up,
+                      link.accounting_violation()))
+
+    def step(op, arg):
+        _apply(link, rng, op, arg)
+        snapshot("mid-instant")
+
+    for t, op, arg in script:
+        sim.at(t, step, op, arg)
+        sim.at(t, snapshot, priority=CHECK_PRIORITY)
+    fired = sim.run() - 2 * len(script)
+    snapshot()
+    return [(t, p.seq) for t, p in sink.arrivals], snaps, fired
+
+
+def _same_as_reference(script, *, mid_instant=True, **kw):
+    """``mid_instant=False`` for scripts that act at exactly ``_free_at``:
+    there the wire counters read mid-instant depend on whether the reader
+    runs before or after the completion event of the same instant, which
+    only the reference has; after all work at the instant they agree."""
+    got = _replay(Link, script, **kw)
+    want = _replay(TwoEventLink, script, **kw)
+    assert got[0] == want[0]          # arrival instants, exact floats
+    if not mid_instant:
+        got, want = ((run[0], [s for s in run[1] if s[0] == "settled"],
+                      run[2]) for run in (got, want))
+    assert got[1] == want[1]          # QueueStats, wire counters, accounting
+    assert all(snap[-1] is None for snap in got[1])
+    return got[2], want[2]
+
+
+def test_idle_hop_is_one_event_at_the_same_instant():
+    sim = Simulator()
+    sink = TimedSink(sim)
+    link = Link(sim, 20e6, 0.015, sink)
+    for i in range(3):              # spaced wider than tx: always idle
+        sim.at(i * 0.01, link.send, mkpkt(700 + i))
+    assert sim.run() == 3 + 3       # the three sends, one arrival each
+    assert [t for t, _ in sink.arrivals] == [
+        (i * 0.01 + (740 + i) * 8.0 / 20e6) + 0.015 for i in range(3)]
+    assert link.packets_sent == 3
+    assert link.bytes_sent == 740 + 741 + 742
+    assert link.accounting_violation() is None
+
+
+def test_back_to_back_train_fires_as_many_events_as_before():
+    script = [(0.0, "send", _wire(seq=i)) for i in range(5)]
+    new, old = _same_as_reference(script, queue_bytes=1 << 20)
+    assert new == old == 2 * 5
+
+
+def test_lazy_completion_exists_only_behind_a_second_packet():
+    sim = Simulator()
+    link = Link(sim, _SLOW_BPS, 0.25, Sink())
+    link.send(_wire())
+    assert sim.pending() == 1       # the arrival; no completion event
+    sim.run(until=0.5)
+    assert link.packets_sent == 0   # still serialising
+    link.send(_wire())
+    assert sim.pending() == 2       # + the completion, now that it matters
+    sim.run(until=1.0)
+    assert link.packets_sent == 1
+    assert link.accounting_violation() is None
+    assert sim.run() == 3           # arrival, second tx_done, second arrival
+
+
+@pytest.mark.parametrize("op,arg", [
+    ("fail", None), ("set_delay", 0.75), ("loss", None), ("jitter", 0.5),
+    ("set_bandwidth", 16e3)])
+@pytest.mark.parametrize("behind", [0, 2])
+def test_mutation_mid_serialisation_matches_two_event_chain(op, arg, behind):
+    # Packet 0 is fused at t=0 and serialises until t=1.0; ``behind``
+    # packets queue up after it; the mutation lands at t=0.5.
+    script = [(0.0, "send", _wire(seq=0))]
+    script += [(0.125, "send", _wire(seq=1 + i)) for i in range(behind)]
+    script += [(0.5, op, arg), (0.625, "send", _wire(seq=7)),
+               (0.75, "recover", None), (0.875, "send", _wire(seq=8)),
+               (5.0, "plain", None), (5.0, "calm", None),
+               (5.5, "send", _wire(seq=9))]
+    for seed in range(5):           # seeds vary the loss/jitter draws
+        _same_as_reference(script, seed=seed)
+
+
+def test_mutation_after_serialisation_leaves_the_packet_alone():
+    # At t=1.125 packet 0 is on the wire (arrives 1.25): failing the link
+    # or moving its delay must not touch it.
+    for op, arg in (("fail", None), ("set_delay", 5.0)):
+        script = [(0.0, "send", _wire(seq=0)), (1.125, op, arg)]
+        _same_as_reference(script)
+        arrivals, _, _ = _replay(Link, script)
+        assert arrivals == [(1.25, 0)]
+
+
+def test_send_at_free_at_tie_resolves_as_busy():
+    # Upstream hop: tx 0.5 s + 0.5 s delay puts packet 1 at the slow link
+    # at exactly t=1.0 == _free_at of packet 0, as an arrival (priority
+    # -1), i.e. before the completion the two-event chain fires there.
+    def run(cls):
+        sim = Simulator()
+        sink = TimedSink(sim)
+        slow = cls(sim, _SLOW_BPS, 0.25, sink, queue_bytes=4000)
+
+        class Hop:
+            receive = staticmethod(slow.send)
+
+        feeder = cls(sim, 2 * _SLOW_BPS, 0.5, Hop, queue_bytes=4000)
+        slow.send(_wire(seq=0))
+        feeder.send(_wire(seq=1))
+        fired = sim.run()
+        st = slow.queue.stats
+        return ([(t, p.seq) for t, p in sink.arrivals], fired,
+                [getattr(st, f) for f in st.__slots__],
+                slow.bytes_sent, slow.packets_sent,
+                slow.accounting_violation())
+
+    new, old = run(Link), run(TwoEventLink)
+    assert new[0] == old[0] == [(1.25, 0), (2.25, 1)]
+    assert new[2:] == old[2:]
+    # Only the feeder's idle hop saves its completion; the slow link ran
+    # the full chain once packet 1 queued up behind packet 0.
+    assert new[1] == 5 and old[1] == 6
+
+
+def test_send_burst_behind_a_packet_in_transit_drains():
+    for at in (0.0, 0.5, 1.0, 1.5):     # idle, mid-transit, tie, idle again
+        script = [(0.0, "send", _wire(seq=0)),
+                  (at, "burst", [_wire(seq=1 + i) for i in range(3)])]
+        _same_as_reference(script, mid_instant=at != 1.0)
+        arrivals, _, _ = _replay(Link, script)
+        assert [seq for _, seq in arrivals] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_differential_against_two_event_reference(seed):
+    """Random arrival patterns, sizes and mid-flight mutations: the fused
+    link and the two-event reference agree on every arrival float and on
+    every counter at every step."""
+    r = random.Random(1000 + seed)
+    t, script, seq = 0.0, [], 0
+    for _ in range(300):
+        # Gaps: same instant, inside one serialisation, or long idle.
+        t += r.choice((0.0, 0.0, r.uniform(0, 0.4), r.uniform(0, 0.4),
+                       r.uniform(0.5, 3.0)))
+        roll = r.random()
+        if roll < 0.70:
+            script.append((t, "send", _wire(r.randint(40, 1440), seq)))
+            seq += 1
+        elif roll < 0.76:
+            n = r.randint(0, 4)
+            script.append((t, "burst", [_wire(r.randint(40, 1440), seq + i)
+                                        for i in range(n)]))
+            seq += n
+        else:
+            op = r.choice(("fail", "recover", "recover", "set_delay",
+                           "set_bandwidth", "loss", "plain", "jitter",
+                           "calm"))
+            arg = {"set_delay": r.uniform(0.0, 1.0),
+                   "set_bandwidth": r.choice((4e3, 8e3, 64e3)),
+                   "jitter": r.uniform(0.01, 0.5)}.get(op)
+            script.append((t, op, arg))
+    new, old = _same_as_reference(script, seed=seed)
+    assert new <= old
+
+
+class Blackhole:
+    def receive(self, pkt):
+        pass
+
+
+def test_pickled_link_drops_transit_state_but_not_its_books():
+    for mid, behind in ((0.5, 0), (0.5, 2), (1.5, 2), (9.0, 2)):
+        sim = Simulator()
+        link = Link(sim, _SLOW_BPS, 0.25, Blackhole())
+        for i in range(1 + behind):
+            link.send(_wire(seq=i))
+        sim.run(until=mid)
+        sim.drain()                 # what ScenarioResult.detach() does
+        blob = pickle.dumps(link)
+        # Only queued packets may ride along, never the one in transit.
+        assert (b"Packet" in blob) == bool(len(link.queue))
+        clone = pickle.loads(blob)
+        assert clone._arrival is None and clone._service is None
+        assert (clone.bytes_sent, clone.packets_sent) == \
+               (link.bytes_sent, link.packets_sent)
+        assert clone.accounting_violation() is None
+        assert link.accounting_violation() is None
+
+
+def test_unpickled_result_reports_the_same_wire_counters():
+    """A scenario cut off mid-transfer (time cap) leaves packets on the
+    serialisers; the detached, pickled result still reads the same."""
+    from repro.experiments.common import ScenarioConfig, run_scenario
+
+    def links(res):
+        net = res.net
+        return [net.forward, net.backward, *net.left._routes.values(),
+                *net.right._routes.values(),
+                *(host._uplink for host in net._hosts)]
+
+    def books(res):
+        return [(l.name, l.bytes_sent, l.packets_sent, l.packets_lost_wire,
+                 l.accounting_violation()) for l in links(res)]
+
+    res = run_scenario(ScenarioConfig(transport="iq", workload="greedy",
+                                      n_frames=5000, cbr_bps=16e6, seed=1,
+                                      time_cap=0.7))
+    assert any(l.sim.now < l._free_at for l in links(res))   # mid-flight
+    before = books(res)
+    clone = pickle.loads(pickle.dumps(res.detach()))
+    assert books(clone) == before
+    assert all(row[-1] is None for row in before)
+    assert all(l._arrival is None and l._service is None
+               for l in links(clone))

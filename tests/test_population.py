@@ -42,13 +42,14 @@ def test_population_seed_changes_outcome():
 
 
 def test_burst_tier_identical_modulo_event_count():
-    """Burst batching coalesces engine events but must not move a single
-    packet: every summary metric except ``events`` matches per-packet."""
+    """Burst batching schedules engine events differently but must not
+    move a single packet: every summary metric except ``events`` matches
+    per-packet.  (Which tier fires fewer events is not a contract: since
+    the per-packet link's single-event transit it is the per-packet one.)"""
     fast = run_population(**_SMALL, burst=True).summary
     slow = run_population(**_SMALL, burst=False).summary
     assert {k: v for k, v in fast.items() if k != "events"} == \
            {k: v for k, v in slow.items() if k != "events"}
-    assert fast["events"] <= slow["events"]
 
 
 def test_mix_validation():
