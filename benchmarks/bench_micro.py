@@ -85,90 +85,6 @@ def bench_engine_cancel_churn(benchmark, perf_record):
     assert benchmark(run) < 4096
 
 
-def bench_engine_burst_rate(benchmark, perf_record):
-    """Throughput of the coalesced burst path (repro.sim.batch).
-
-    A 50k-packet back-to-back burst enters a :class:`BatchLink` via the
-    bulk ``send_burst`` API and drains into a terminal ``receive_burst``
-    sink, so the whole run costs O(1) engine events instead of ~3 per
-    packet.  The recorded rate counts 3 per-packet-equivalent events per
-    packet (serialization completion + propagation arrival + their heap
-    traffic), making it directly comparable to ``engine_event_rate``; the
-    ISSUE acceptance bar is >= 10x the per-packet rate, asserted against
-    a same-host, same-run, same-workload measurement: the identical blast
-    through the plain per-packet :class:`Link`.  Same host and same work
-    on both sides, so the ratio is host-speed independent and measures
-    exactly what the tier replaces.
-    """
-    from repro.sim.batch import BatchLink, load_numpy
-    from repro.sim.link import Link
-    from repro.sim.packet import Packet
-
-    class TerminalSink:
-        """Terminal-sink contract twin of UdpSink: schedules nothing,
-        reads nothing but its arguments."""
-        __slots__ = ("packets_received", "bytes_received")
-
-        def __init__(self):
-            self.packets_received = 0
-            self.bytes_received = 0
-
-        def receive(self, pkt):
-            self.packets_received += 1
-            self.bytes_received += pkt.size
-
-        def receive_burst(self, pkts, times):
-            self.packets_received += len(pkts)
-            self.bytes_received += sum(p.size for p in pkts)
-
-    n_pkts = 50_000
-    pkts = [Packet(flow_id=1, seq=i, size=1400) for i in range(n_pkts)]
-
-    def run_burst(accel):
-        sim = Simulator()
-        sink = TerminalSink()
-        link = BatchLink(sim, 1e9, 0.001, sink, accel=accel,
-                         queue_bytes=10**9)
-        sim.at(0.0, link.send_burst, pkts)
-        sim.run()
-        assert sink.packets_received == n_pkts
-        return sink.packets_received
-
-    def run_per_packet():
-        # Same-host, same-workload reference: the identical blast through
-        # the plain per-packet Link (the path the burst tier replaces).
-        sim = Simulator()
-        sink = TerminalSink()
-        link = Link(sim, 1e9, 0.001, sink, queue_bytes=10**9)
-
-        def feed():
-            send = link.send
-            for p in pkts:
-                send(p)
-
-        sim.at(0.0, feed)
-        sim.run()
-        assert sink.packets_received == n_pkts
-        return sink.packets_received
-
-    pure_rate = _best_rate(lambda: run_burst(""), 3 * n_pkts)
-    numpy_rate = (pure_rate if load_numpy() is None
-                  else _best_rate(lambda: run_burst("numpy"), 3 * n_pkts))
-    per_packet_rate = _best_rate(run_per_packet, 3 * n_pkts)
-    speedup = max(pure_rate, numpy_rate) / per_packet_rate
-
-    perf_record("engine_burst_rate",
-                events_per_s=pure_rate,
-                numpy_events_per_s=numpy_rate,
-                per_packet_events_per_s=per_packet_rate,
-                speedup_vs_per_packet=round(speedup, 2),
-                numpy_available=load_numpy() is not None)
-    assert speedup >= 10.0, (
-        f"burst path is only {speedup:.1f}x the per-packet event rate "
-        "(acceptance bar: 10x)")
-    assert benchmark(lambda: run_burst("")) == n_pkts
-
-
 def bench_rudp_transfer_rate(benchmark, perf_record):
     """Full-stack packet cost: a 5k-packet RUDP transfer on the dumbbell."""
 

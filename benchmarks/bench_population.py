@@ -1,10 +1,10 @@
 """Population-scale wall-clock budget: 1,000 concurrent flows under 60 s.
 
-The two-level speed tier exists so the harness can run population studies
-(ROADMAP: thousands of concurrent adaptive sessions) on a laptop: every
-foreground flow is a real windowed transport on burst-coalescing links
-(:mod:`repro.sim.batch`), the background aggregate is a tick-coupled
-:class:`~repro.sim.fluid.FluidSource`.  This bench runs the default
+Population studies (ROADMAP: thousands of concurrent adaptive sessions)
+have to run on a laptop: every foreground flow is a real windowed transport
+on per-packet single-event links (:mod:`repro.sim.link`), the background
+aggregate is a tick-coupled :class:`~repro.sim.fluid.FluidSource`.  This
+bench runs the default
 :func:`~repro.experiments.population.run_population` scenario -- 1,000
 flows, mixed iq/rudp/tcp, 50 Mbps fluid cross traffic on a 200 Mbps
 bottleneck -- and gates:

@@ -15,7 +15,7 @@ Examples
     python -m repro scenario --transport iq --workload greedy \
         --cbr 16e6 --frames 4000 --adaptation resolution
     python -m repro scenario --telemetry 0.1 --save a.pkl   # sampled series
-    python -m repro population --flows 1000  # burst/fluid population run
+    python -m repro population --flows 1000  # 1k flows + fluid background
     python -m repro profile --cbr 16e6     # engine self-profile for one run
     python -m repro compare a.pkl b.pkl    # run diff (exit 1 on divergence)
     python -m repro metrics a.pkl          # Prometheus text exposition
@@ -241,8 +241,7 @@ def _run_population_cmd(args) -> str:
         n_flows=args.flows, frames_per_flow=args.frames,
         frame_bytes=args.frame_size, bottleneck_bps=args.bottleneck,
         fluid_bps=args.fluid, rtt_s=args.rtt, seed=args.seed,
-        arrival_window_s=args.window, time_cap=args.time_cap,
-        burst=not args.no_burst)
+        arrival_window_s=args.window, time_cap=args.time_cap)
     rows = [(k, round(v, 4)) for k, v in sorted(res.summary.items())]
     return _rt(("metric", "value"), rows,
                title=f"population: {args.flows} flows")
@@ -731,7 +730,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser(
         "population",
-        help="run a population scenario on the burst/fluid speed tier: "
+        help="run a population scenario: "
              "many concurrent foreground transports with fluid aggregate "
              "cross traffic (see EXPERIMENTS.md, 'Scale tiers')")
     pp.add_argument("--flows", type=int, default=1000, metavar="N",
@@ -743,15 +742,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bottleneck rate in bps (default 200e6)")
     pp.add_argument("--fluid", type=float, default=50e6, metavar="BPS",
                     help="fluid background aggregate rate in bps; 0 "
-                         "disables the macro tier (default 50e6)")
+                         "disables it (default 50e6)")
     pp.add_argument("--rtt", type=float, default=0.030)
     pp.add_argument("--window", type=float, default=2.0, metavar="S",
                     help="flow arrival window in seconds (default 2.0)")
     pp.add_argument("--time-cap", type=float, default=60.0)
     pp.add_argument("--seed", type=int, default=1)
-    pp.add_argument("--no-burst", action="store_true",
-                    help="run on per-packet links instead of the burst "
-                         "tier (identical simulated results)")
 
     pf = sub.add_parser(
         "profile",
@@ -991,7 +987,7 @@ def main(argv: list[str] | None = None) -> int:
             print("reliability scenarios:",
                   ", ".join(reliability.SCENARIOS))
             print("plus: scenario (custom runs), population "
-                  "(burst/fluid scale tier); see --help")
+                  "(many flows, fluid background); see --help")
         elif args.command == "dynamics":
             print(_run_dynamics(args))
         elif args.command == "reliability":

@@ -19,8 +19,8 @@ Table 8   :mod:`.granularity`         :func:`.granularity.run_table8`
 ========  ==========================  ==============================
 
 The population scenario family is an extension beyond the paper's tables:
-1k+ concurrent flows on the burst/fluid speed tier (see EXPERIMENTS.md,
-"Scale tiers").
+1k+ concurrent flows over a fluid background aggregate (see
+EXPERIMENTS.md, "Scale tiers").
 """
 
 from .common import TRANSPORTS, ScenarioConfig, ScenarioResult, run_scenario

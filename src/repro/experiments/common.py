@@ -110,6 +110,13 @@ class ScenarioConfig:
                                                     TelemetryConfig):
             raise TypeError(f"telemetry must be a TelemetryConfig or None, "
                             f"got {type(telemetry).__name__}")
+        # Accepted and not stored, so it is no field: the burst tier went
+        # in PR 13, but benchmarks/e2e/workloads.py still passes
+        # ``burst=False`` and that PR could not edit the benchmark.  Drop
+        # the parameter once the benchmark drops the argument.
+        if burst:
+            raise ValueError("burst=True: the burst link tier was removed "
+                             "in PR 13; there is one per-packet Link")
         if fluid_bps < 0:
             raise ValueError("fluid_bps must be non-negative")
         fec = FecConfig.parse(fec)
@@ -145,15 +152,9 @@ class ScenarioConfig:
         self.faults = faults
         self.invariants = invariants
         self.telemetry = telemetry
-        # Speed tiers (repro.sim.batch / repro.sim.fluid).  ``burst``
-        # coalesces the link hot path with bit-identical results; it is
-        # part of the config (and the cache key) purely for transparency --
-        # burst and per-packet runs of the same scenario produce the same
-        # summary (enforced by tests and the fuzzer's burst differential).
-        # ``fluid_bps`` adds fluid background traffic on the forward
-        # bottleneck; unlike ``burst`` it is a *model* choice and changes
-        # results vs per-packet cross traffic.
-        self.burst = bool(burst)
+        # Fluid background traffic on the forward bottleneck
+        # (repro.sim.fluid): a *model* choice that changes results vs
+        # per-packet cross traffic.
         self.fluid_bps = float(fluid_bps)
         # Causal frame-lineage spans (repro.obs.spans).  Purely passive --
         # armed summaries are bit-identical to disarmed ones -- but the
@@ -365,12 +366,6 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         sim = CheckedSimulator() if armed else Simulator()
     if trace_sink is not None:
         sim.bus = TraceBus(sim, sinks=[trace_sink])
-    # Burst speed tier: the Dumbbell reads this flag and builds BatchLink
-    # everywhere.  REPRO_BURST is a process-wide opt-in (like
-    # REPRO_INVARIANTS); safe outside the config key because burst runs
-    # are bit-identical to per-packet runs.
-    if cfg.burst or bool(os.environ.get("REPRO_BURST")):
-        sim.burst = True
     # Forensics: the flight recorder and (when armed) the span recorder
     # must hang off the simulator *before* topology construction -- links
     # cache ``sim.flight``/``sim.spans`` at build time.

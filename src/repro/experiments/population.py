@@ -3,14 +3,13 @@
 The paper's evaluation runs a handful of flows; the ROADMAP's north star
 (handover studies in the style of Mehani et al., PAPERS.md) needs thousands
 of concurrent adaptive sessions to say anything about populations.  This
-module is the scenario family that exercises the two-level speed tier end
-to end:
+module is that scenario family:
 
-* every flow under test is a real windowed transport (micro tier, burst
-  links coalescing the per-packet hot path -- :mod:`repro.sim.batch`);
-* background traffic is a :class:`~repro.sim.fluid.FluidSource` (macro
-  tier), so the aggregate exerts congestion pressure at tick cost instead
-  of per-packet cost.
+* every flow under test is a real windowed transport over per-packet
+  :class:`~repro.sim.link.Link` hops (one engine event per idle hop);
+* background traffic is a :class:`~repro.sim.fluid.FluidSource`, so the
+  aggregate exerts congestion pressure at tick cost instead of per-packet
+  cost.
 
 Determinism contract: a :class:`PopulationResult` summary is a pure
 function of the keyword arguments -- flow start times, transport choices
@@ -77,8 +76,7 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
                    queue_pkts: int = 256, mss: int = 1400,
                    fluid_bps: float = 50e6,
                    arrival_window_s: float = 2.0,
-                   time_cap: float = 60.0, seed: int = 1,
-                   burst: bool = True) -> PopulationResult:
+                   time_cap: float = 60.0, seed: int = 1) -> PopulationResult:
     """Run ``n_flows`` concurrent transfers with fluid background traffic.
 
     Each flow submits its whole transfer (``frames_per_flow`` frames of
@@ -89,6 +87,10 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
     """
     if n_flows <= 0:
         raise ValueError("n_flows must be positive")
+    if frames_per_flow <= 0:
+        raise ValueError("frames_per_flow must be positive")
+    if frame_bytes <= 0:
+        raise ValueError("frame_bytes must be positive")
     for name, weight in transport_mix:
         if name not in TRANSPORTS:
             raise ValueError(f"unknown transport {name!r} in mix")
@@ -104,8 +106,6 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
                     for _ in range(n_flows))
 
     sim = Simulator()
-    if burst:
-        sim.burst = True
     net = Dumbbell(sim, bottleneck_bps=bottleneck_bps, rtt_s=rtt_s,
                    mss=mss, queue_pkts=queue_pkts)
     fluid = None
@@ -128,8 +128,9 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
             done[0] += 1
 
         conn.sender.on_complete = _complete
-        conn.sender.submit_burst([frame_bytes] * frames_per_flow,
-                                 first_frame_id=0)
+        submit = conn.sender.submit
+        for frame_id in range(frames_per_flow):
+            submit(frame_bytes, frame_id=frame_id)
         conn.finish()
 
     for i, t0 in enumerate(starts):

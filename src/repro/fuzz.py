@@ -3,7 +3,7 @@
 Generates ``budget`` random-but-bounded :class:`ScenarioConfig`\\ s (random
 transports, workloads, adaptation strategies, cross traffic and
 :class:`FaultSchedule`\\ s) from one ``random.Random(seed)`` stream -- the
-case list is a pure function of ``--seed`` -- and runs them through five
+case list is a pure function of ``--seed`` -- and runs them through four
 passes whose results must agree exactly:
 
 A. **reference**: serial (``jobs=1``), invariants armed, fresh cache.
@@ -13,10 +13,6 @@ C. **cache-hit**: re-run against pass A's cache -- every case must hit,
    and a deserialised result must equal the fresh one.
 D. **disarmed**: a sample of cases with ``invariants=False`` -- the
    checker must be purely observational.
-E. **burst-flipped**: a sample of cases re-run with the burst speed tier
-   toggled (``burst=not burst``) -- coalesced links must be bit-identical
-   to per-packet links (~30% of generated cases arm ``burst`` natively,
-   so both flip directions occur).
 
 Every pass runs under the resilient batch path (crash isolation +
 per-case timeout), so one insane generated case is a reported failure
@@ -130,17 +126,12 @@ def sample_config(rng: random.Random) -> ScenarioConfig:
         # identical across jobs=1/N and cache hit/miss like summaries are.
         kw["telemetry"] = TelemetryConfig(
             cadence_s=rng.choice((0.05, 0.1)))
-    if rng.random() < 0.3:
-        # Burst speed tier (repro.sim.batch): contractually bit-identical
-        # to per-packet links, so burst cases flow through every
-        # differential pass unchanged; pass E flips the flag explicitly.
-        kw["burst"] = True
     if transport != "tcp" and rng.random() < 0.3:
         # FEC repair tier (repro.transport.fec): armed cases exercise
         # generation flush, recovery injection and the redundancy
         # controller through the same differential passes -- recovery is
         # a deterministic function of which datagrams arrive, so armed
-        # summaries must agree across jobs/cache/burst too.
+        # summaries must agree across jobs/cache too.
         k = rng.choice((4, 8))
         kw["fec"] = FecConfig(k=k, r=rng.randint(1, 2),
                               adaptive=rng.random() < 0.7)
@@ -312,16 +303,6 @@ def run_fuzz(*, budget: int = 25, seed: int = 4, jobs: int = 2,
         for j, i in enumerate(sample_idx):
             _compare(report, "invariant differential", i, cfgs[i],
                      ref[i], disarmed[j])
-
-        log("[fuzz] pass E: burst tier flipped sample (speed-tier purity)")
-        burst_idx = list(range(1, budget, max(budget // 8, 1)))
-        flipped = run_batch([cfgs[i].replace(burst=not cfgs[i].burst)
-                             for i in burst_idx],
-                            jobs=1, cache=False, on_error="capture",
-                            timeout=timeout)
-        for j, i in enumerate(burst_idx):
-            _compare(report, "burst differential", i, cfgs[i],
-                     ref[i], flipped[j])
 
     for line in report.failures + report.mismatches:
         log(f"[fuzz] FAIL {line}")

@@ -1,8 +1,8 @@
 """Always-on bounded flight recorder: the last N causal events of a run.
 
 A failed or divergent scenario used to leave behind only a traceback; the
-trace bus captures everything but is opt-in (and disables the burst fast
-path), so the one run you actually needed evidence from never had it armed.
+trace bus captures everything but is opt-in, so the one run you actually
+needed evidence from never had it armed.
 The flight recorder closes that gap: a deterministic, O(1)-append ring of
 the last :data:`DEFAULT_CAPACITY` *cold-path* events -- retransmissions,
 RTOs, stall transitions, coordination actions, drops, fault phases,
@@ -26,7 +26,7 @@ Design constraints, in order:
 2. **Determinism.**  Timestamps come from the simulation clock and event
    ids from a monotone per-recorder counter that survives ring eviction, so
    the dump is a pure function of the ``ScenarioConfig`` -- byte-identical
-   across ``--jobs N``, cache hit/miss, and ``burst=True`` -- and a
+   across ``--jobs N`` and cache hit/miss -- and a
    first-divergence id between two runs of the same config is meaningful.
 
 3. **Serialisability.**  :meth:`FlightRecorder.dump` returns plain dicts

@@ -31,8 +31,7 @@ Design constraints mirror the rest of :mod:`repro.obs`:
 3. **Determinism.**  Everything is keyed on simulation-derived values
    (frame ids, ``(flow_id, seq)``, the sim clock), so :meth:`finalize`'s
    output is a pure function of the ``ScenarioConfig`` -- byte-identical
-   across ``--jobs N``, cache hit/miss, and ``burst=True`` (all hook sites
-   sit on paths the burst fast path degrades out of or never fuses).
+   across ``--jobs N`` and cache hit/miss.
 4. **Serialisable.**  :meth:`finalize` returns plain dicts/lists that ride
    ``ScenarioResult.spans`` through pickling and the persistent cache.
 """

@@ -37,7 +37,6 @@ Design notes
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import inf
 from typing import Any, Callable, Iterator
 
 from ..obs.bus import NULL_BUS
@@ -140,12 +139,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._dead = 0   # cancelled entries not yet popped/compacted
-        # Inline-coalescing bound (see repro.sim.batch): while run() is
-        # active this is the largest virtual time a component may advance
-        # the clock to *without* going through the heap.  -inf outside
-        # run() and under max_events, so inlining is only ever legal in
-        # plain bounded/drain runs.
-        self._inline_until = -inf
         # Trace bus; components cache this at construction, so replace it
         # (with an enabled repro.obs TraceBus) before building topology.
         self.bus = NULL_BUS
@@ -249,12 +242,6 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stopped = False
-        # Batched components may only fast-forward the clock inline when no
-        # event budget is in force (an inlined sub-step is invisible to
-        # ``max_events`` accounting, so step()-driven runs stay per-event).
-        self._inline_until = (
-            -inf if max_events is not None else
-            inf if until is None else until)
         # Local bindings: every lookup in these loops is per-event cost.
         heap = self._heap
         pop = heappop
@@ -296,7 +283,6 @@ class Simulator:
                     fired += 1
         finally:
             self._running = False
-            self._inline_until = -inf
         if until is not None and self._now < until and not self._stopped:
             self._now = until
         return fired
@@ -323,24 +309,6 @@ class Simulator:
             heappop(heap)
             self._dead -= 1
         return heap[0][0] if heap else None
-
-    def next_event_key(self) -> tuple[float, int] | None:
-        """``(time, priority)`` of the next live event, or None when idle.
-
-        Pops dead heap entries on the way (like :meth:`peek`), so a freshly
-        cancelled timer at the head never masks the real next event.  This
-        is the intrusion guard for :mod:`repro.sim.batch`: a component may
-        process its own future sub-step inline only while that sub-step's
-        key sorts strictly before the key returned here.
-        """
-        heap = self._heap
-        while heap and not heap[0][3]._alive:
-            heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        entry = heap[0]
-        return (entry[0], entry[1])
 
     def drain(self) -> None:
         """Discard every queued event (live and dead).

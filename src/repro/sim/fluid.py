@@ -1,4 +1,4 @@
-"""Fluid background traffic: the macro half of the two-level speed tier.
+"""Fluid background traffic: aggregate cross traffic at tick cost.
 
 Population scenarios (1k+ concurrent foreground flows) cannot afford
 per-packet cross traffic: a 16 Mbps CBR source alone is ~1.4k datagrams --
@@ -29,7 +29,7 @@ fluid limit.  Determinism: the coupling is a pure function of tick times
 and the rate profile -- no RNG -- so summaries remain a pure function of
 the scenario config.
 
-The tier is an *approximation by construction* (that is the point); it is
+The model is an *approximation by construction* (that is the point); it is
 exercised by `tests/test_fluid.py` against its packet-level counterpart
 :class:`~repro.traffic.cbr.CbrSource` for pressure equivalence, not for
 bit-identity.

@@ -159,10 +159,6 @@ class Link:
                  "_queue", "_loss", "_jitter", "_plain", "_busy", "_service",
                  "_arrival", "_free_at", "_bytes_sent", "_packets_sent")
 
-    #: Whether idle sends may fuse; :class:`~repro.sim.batch.BatchLink`
-    #: coalesces its own TX/arrival chains instead.
-    _fuses = True
-
     def __init__(self, sim: Simulator, bandwidth_bps: float, delay_s: float,
                  sink: PacketSink, *, queue_bytes: int = 64 * 1440,
                  name: str = "link", loss: LossModel | None = None,
@@ -179,8 +175,8 @@ class Link:
         self.trace = sim.bus
         # Forensics hooks (repro.obs.flight / repro.obs.spans): cached from
         # the simulator so every drop site pays one ``is None`` check.  The
-        # queue gets the same references because burst enqueues
-        # (``push_all``) drop inside the queue, not here.
+        # queue gets the same references: it is where a queue drop is
+        # decided, and records it before ``push`` returns False.
         self.flight = getattr(sim, "flight", None)
         self.spans = getattr(sim, "spans", None)
         queue = DropTailQueue(queue_bytes, on_drop=on_drop)
@@ -212,7 +208,7 @@ class Link:
     # property: swapping it mid-run un-fuses the packet it would have met
     # and re-evaluates whether the link is still plain.
     def _refresh_plain(self) -> None:
-        self._plain = (self._fuses and type(self._loss) is LossModel
+        self._plain = (type(self._loss) is LossModel
                        and self._jitter is None
                        and type(self._queue) is DropTailQueue)
 
@@ -305,34 +301,6 @@ class Link:
                     queued_pkts=len(queue), queued_bytes=queue.bytes)
         return False
 
-    def send_burst(self, pkts: "list[Packet]") -> int:
-        """Offer a back-to-back burst; returns the number accepted.
-
-        Exactly equivalent to calling :meth:`send` per packet -- the only
-        shortcut is the queue's bulk enqueue, and the transmitter is
-        kicked once instead of per packet.  Down links and traced runs
-        degrade to the per-packet path so drop accounting and trace
-        events stay identical.
-        """
-        if not self.up or self.trace.enabled:
-            ok = 0
-            send = self.send
-            for p in pkts:
-                ok += send(p)
-            return ok
-        ok = 0
-        if not self._busy and pkts:
-            # The head packet starts serialising immediately (vacating its
-            # queue slot before the rest arrive), exactly as under
-            # per-packet send -- this keeps overflow drops identical.
-            ok += self.send(pkts[0])
-            pkts = pkts[1:]
-        ok += self._queue.push_all(pkts)
-        if not self._busy and self._queue._q:
-            # The head was fused; the rest now wait behind it.
-            self._kick()
-        return ok
-
     # ------------------------------------------------------------------
     def _kick(self) -> None:
         """Give a newly backlogged queue its completion event: at
@@ -351,9 +319,7 @@ class Link:
 
     def _finish_tx(self, pkt: Packet) -> None:
         """Account one packet leaving the serialiser at the current instant
-        and hand it to propagation (or the wire-loss drop path).  Shared by
-        the per-packet chain here and the coalesced chain in
-        :class:`repro.sim.batch.BatchLink`."""
+        and hand it to propagation (or the wire-loss drop path)."""
         self._bytes_sent += pkt.wire_size
         self._packets_sent += 1
         if self.up and not self._loss.drops(pkt):
@@ -361,7 +327,9 @@ class Link:
             jit = self._jitter
             if jit is not None:
                 delay += jit.extra()
-            self._deliver(pkt, delay)
+            # priority=-1 makes arrivals at an instant precede timers at
+            # the same instant.
+            self.sim.schedule(delay, self.sink.receive, pkt, priority=-1)
         else:
             self.packets_lost_wire += 1
             fl = self.flight
@@ -375,11 +343,6 @@ class Link:
             if tr.enabled:
                 tr.emit("net", PACKET_DROP, link=self.name, kind="wire",
                         flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
-
-    def _deliver(self, pkt: Packet, delay: float) -> None:
-        # Propagation: deliver after the flight time.  priority=-1 makes
-        # arrivals at an instant precede timers at the same instant.
-        self.sim.schedule(delay, self.sink.receive, pkt, priority=-1)
 
     def _tx_done(self) -> None:
         pkt = self._service
@@ -491,8 +454,7 @@ class Link:
     # for that packet in the accounting.  Property-backed fields are read
     # through the property: counters as an observer sees them.
     def __getstate__(self) -> dict:
-        names = (_PUBLIC.get(name, name) for cls in type(self).__mro__
-                 for name in getattr(cls, "__slots__", ())
+        names = (_PUBLIC.get(name, name) for name in self.__slots__
                  if name not in _TRANSIENT)
         state = {name: getattr(self, name) for name in names}
         if self._in_service():

@@ -68,10 +68,8 @@ class DropTailQueue:
         self.trace = NULL_BUS
         self.name = "queue"
         # Forensics hooks, rebound by the owning Link.  They live here (not
-        # only on the Link) because burst enqueues drop inside
-        # :meth:`push_all`'s per-packet degradation, which never returns
-        # through Link.send -- noting at the queue keeps the flight/span
-        # record byte-identical between burst and per-packet paths.
+        # only on the Link) because the drop is decided here, RED's early
+        # drops included, so it is noted once, before ``on_drop`` runs.
         self.flight = None
         self.spans = None
 
@@ -123,60 +121,12 @@ class DropTailQueue:
                         capacity=self.capacity_bytes)
         return True
 
-    def push_all(self, pkts: "list[Packet]") -> int:
-        """Enqueue a burst; returns the number accepted.
-
-        Accounting is exactly ``len(pkts)`` repeated :meth:`push` calls.
-        The one-extend fast path applies when the whole burst fits and no
-        trace sink is attached (per-push occupancy peaks are monotone
-        within a pure extend, so only the final peak is observable);
-        otherwise it degrades to per-packet pushes, keeping drop order,
-        ``on_drop`` callbacks and peak trace events identical.
-        """
-        total = 0
-        for p in pkts:
-            total += p.wire_size
-        new_bytes = self._bytes + total
-        if new_bytes > self.capacity_bytes or self.trace.enabled:
-            ok = 0
-            push = self.push
-            for p in pkts:
-                ok += push(p)
-            return ok
-        st = self.stats
-        n = len(pkts)
-        q = self._q
-        q.extend(pkts)
-        self._bytes = new_bytes
-        st.arrivals += n
-        st.bytes_in += total
-        if new_bytes > st.peak_bytes:
-            st.peak_bytes = new_bytes
-        if len(q) > st.peak_packets:
-            st.peak_packets = len(q)
-        return n
-
     def pop(self) -> Packet:
         """Dequeue the head-of-line packet."""
         pkt = self._q.popleft()
         self._bytes -= pkt.wire_size
         self.stats.departures += 1
         return pkt
-
-    def pop_all(self) -> list[Packet]:
-        """Dequeue every queued packet in FIFO order in one step.
-
-        Byte/departure accounting is exactly ``len(result)`` repeated
-        :meth:`pop` calls (peaks are recorded on push, so popping in bulk
-        is unobservable).  This is the array-level drain used by the burst
-        fast path in :mod:`repro.sim.batch`.
-        """
-        q = self._q
-        out = list(q)
-        q.clear()
-        self._bytes = 0
-        self.stats.departures += len(out)
-        return out
 
     def set_capacity(self, capacity_bytes: int) -> None:
         """Resize the buffer mid-run (router reconfiguration / handover to
@@ -273,12 +223,3 @@ class REDQueue(DropTailQueue):
                 self.on_drop(pkt)
             return False
         return super().push(pkt)
-
-    def push_all(self, pkts: "list[Packet]") -> int:
-        """RED draws per-packet randomness, so bursts never take the
-        drop-tail extend fast path -- every packet walks :meth:`push`."""
-        ok = 0
-        push = self.push
-        for p in pkts:
-            ok += push(p)
-        return ok

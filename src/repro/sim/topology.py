@@ -16,7 +16,6 @@ the path RTT and loss behaviour, exactly as on the emulated testbed.
 
 from __future__ import annotations
 
-from .batch import BatchLink
 from .engine import Simulator
 from .link import Link
 from .node import Host, Router
@@ -54,19 +53,12 @@ class Dumbbell:
         one_way = max(rtt_s / 2.0 - 2 * self.ACCESS_DELAY_S, 0.0)
         qbytes = queue_pkts * (mss + 40)
 
-        # Burst speed tier (repro.sim.batch): scenarios arm it by setting
-        # ``sim.burst = True`` before building topology; every link then
-        # coalesces back-to-back packets with bit-identical results.
-        self._link_cls = BatchLink if getattr(sim, "burst", False) else Link
-
         self.left = Router(sim, address=1, name="L")
         self.right = Router(sim, address=2, name="R")
-        self.forward = self._link_cls(
-            sim, bottleneck_bps, one_way, self.right,
-            queue_bytes=qbytes, name="bottleneck-fwd")
-        self.backward = self._link_cls(
-            sim, bottleneck_bps, one_way, self.left,
-            queue_bytes=qbytes, name="bottleneck-bwd")
+        self.forward = Link(sim, bottleneck_bps, one_way, self.right,
+                            queue_bytes=qbytes, name="bottleneck-fwd")
+        self.backward = Link(sim, bottleneck_bps, one_way, self.left,
+                             queue_bytes=qbytes, name="bottleneck-bwd")
         self._next_addr = 10
         self._hosts: list[Host] = []
 
@@ -81,15 +73,14 @@ class Dumbbell:
         receiver = Host(self.sim, self._next_addr + 1, name=f"{name}-rcv")
         self._next_addr += 2
 
-        link_cls = self._link_cls
-        up = link_cls(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S,
-                      self.left, name=f"{sender.name}-up")
-        down = link_cls(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S,
-                        receiver, name=f"{receiver.name}-down")
-        r_up = link_cls(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S,
-                        self.right, name=f"{receiver.name}-up")
-        s_down = link_cls(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S,
-                          sender, name=f"{sender.name}-down")
+        up = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, self.left,
+                  name=f"{sender.name}-up")
+        down = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, receiver,
+                    name=f"{receiver.name}-down")
+        r_up = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, self.right,
+                    name=f"{receiver.name}-up")
+        s_down = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, sender,
+                      name=f"{sender.name}-down")
 
         sender.attach_uplink(up)
         receiver.attach_uplink(r_up)

@@ -297,57 +297,6 @@ class WindowedSender:
         self._pump()
         return nseg
 
-    def submit_burst(self, sizes, *, marked: bool = True,
-                     tagged: bool = False, first_frame_id: int = -1) -> int:
-        """Enqueue many application datagrams in one call (burst hot path).
-
-        Equivalent to consecutive :meth:`submit` calls at the same instant,
-        except the window pump (and any resulting ``on_space`` re-entry)
-        runs once after the whole batch instead of once per datagram --
-        which is the point: population workloads submit their entire
-        transfer up front, and per-datagram pumping is quadratic noise
-        there.  ``first_frame_id >= 0`` numbers frames consecutively from
-        it; -1 leaves frames unnumbered.  Returns total segments queued.
-        """
-        if self._finished:
-            raise RuntimeError("submit after finish()")
-        mss = self.mss
-        now = self.sim.now
-        pending = self._pending
-        st = self.stats
-        flow_id = self.flow_id
-        src = self.host.address
-        dst = self.peer_addr
-        sport = self.port
-        dport = self.peer_port
-        sp = self.spans
-        total_seg = 0
-        for n, size in enumerate(sizes):
-            if size <= 0:
-                raise ValueError("datagram size must be positive")
-            self.last_frame_size = size
-            frame_id = first_frame_id + n if first_frame_id >= 0 else -1
-            nseg = (size + mss - 1) // mss
-            remaining = size
-            for i in range(nseg):
-                seg = min(mss, remaining)
-                remaining -= seg
-                pkt = Packet(flow_id=flow_id, kind=PacketKind.DATA,
-                             size=seg, src=src, dst=dst, sport=sport,
-                             dport=dport, created_at=now, marked=marked,
-                             tagged=tagged, frame_id=frame_id)
-                pkt.last_of_frame = (i == nseg - 1)
-                if sp is not None:
-                    sp.on_segment(pkt)
-                pending.append(pkt)
-                self.backlog_bytes += seg
-            st.submitted_msgs += 1
-            st.submitted_bytes += size
-            st.submitted_segments += nseg
-            total_seg += nseg
-        self._pump()
-        return total_seg
-
     def finish(self) -> None:
         """Declare end of application data; ``on_complete`` fires once all
         submitted data is acknowledged (or locally discarded/skipped)."""

@@ -87,35 +87,6 @@ class UdpSink:
         if self.on_deliver is not None:
             self.on_deliver(pkt, self.sim.now)
 
-    def receive_burst(self, pkts: list[Packet], times: list[float]) -> None:
-        """Array-level delivery: equivalent to ``receive(pkts[i])`` with the
-        clock at ``times[i]``, for every ``i`` in order.
-
-        Advertising this method is a contract with
-        :class:`repro.sim.batch.BatchLink`: a terminal sink schedules no
-        events and reads nothing but its arguments, so a whole back-to-back
-        burst can be delivered in one engine step.
-        """
-        if self.flow_id is not None:
-            fid = self.flow_id
-            kept = [i for i, p in enumerate(pkts) if p.flow_id == fid]
-            if len(kept) != len(pkts):
-                pkts = [pkts[i] for i in kept]
-                times = [times[i] for i in kept]
-            if not pkts:
-                return
-        self.packets_received += len(pkts)
-        self.bytes_received += sum(p.size for p in pkts)
-        hi = self.highest_seq
-        for p in pkts:
-            if p.seq > hi:
-                hi = p.seq
-        self.highest_seq = hi
-        cb = self.on_deliver
-        if cb is not None:
-            for p, t in zip(pkts, times):
-                cb(p, t)
-
     @property
     def loss_ratio(self) -> float:
         """Fraction of the sequence space never seen (in-order estimate)."""

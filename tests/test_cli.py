@@ -58,3 +58,13 @@ def test_experiment_seeds_default_correctly():
     assert p.parse_args(["table1"]).seed == 1
     assert p.parse_args(["table6"]).seed == 2
     assert p.parse_args(["table6", "--seed", "9"]).seed == 9
+
+
+def test_removed_burst_switches_exit_2_naming_the_flag_or_field(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["population", "--no-burst"])
+    assert exc.value.code == 2
+    assert "--no-burst" in capsys.readouterr().err
+    assert main(["scenario", "--set", "burst=True"]) == 2
+    assert "unknown ScenarioConfig field(s): 'burst'" in \
+        capsys.readouterr().err

@@ -83,6 +83,13 @@ def test_unknown_workload_rejected():
         ScenarioConfig(workload="torrent")
 
 
+def test_burst_keyword_is_accepted_unstored_and_rejected_when_true():
+    # benchmarks/e2e still passes burst=False; the tier itself is gone.
+    assert "burst" not in vars(ScenarioConfig(burst=False))
+    with pytest.raises(ValueError, match="burst"):
+        ScenarioConfig(burst=True)
+
+
 def test_replace_creates_modified_copy():
     cfg = small(transport="rudp")
     cfg2 = cfg.replace(transport="iq", cbr_bps=5e6)

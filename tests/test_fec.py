@@ -4,10 +4,10 @@ deadline-aware frame scheduling (:mod:`repro.transport.fec`).
 Contracts under test:
 
 * **Disarmed purity** -- with ``fec=None`` every transport's summary is
-  identical across jobs=1/4, cache hit/miss and the burst speed tier,
-  and carries none of the armed-only FEC/deadline keys.
+  identical across jobs=1/4 and cache hit/miss, and carries none of the
+  armed-only FEC/deadline keys.
 * **Armed determinism** -- an armed run is a pure function of its
-  config: re-running it (serial, parallel, burst) reproduces summaries
+  config: re-running it (serial, parallel) reproduces summaries
   and traces byte-for-byte.
 * **Recovery without retransmission** -- single in-generation losses are
   rebuilt from XOR repair datagrams; unrecoverable generations fall back
@@ -94,9 +94,9 @@ def test_tcp_rejects_fec():
 
 
 # ----------------------------------------------------------------------
-# Disarmed purity: every transport, jobs/cache/burst
+# Disarmed purity: every transport, jobs/cache
 # ----------------------------------------------------------------------
-def test_disarmed_summaries_identical_across_jobs_cache_burst(tmp_path):
+def test_disarmed_summaries_identical_across_jobs_cache(tmp_path):
     cfgs = {tp: _small(tp) for tp in TRANSPORTS}
     serial = run_batch(cfgs, jobs=1, cache=False)
     parallel = run_batch(cfgs, jobs=4, cache=False)
@@ -110,10 +110,6 @@ def test_disarmed_summaries_identical_across_jobs_cache_burst(tmp_path):
         for key in ARMED_KEYS:
             assert key not in serial[tp].summary, (
                 f"disarmed {tp} run leaked armed-only key {key}")
-    # Burst speed tier stays bit-identical with the new guards in place.
-    for tp in ("rudp", "iq"):
-        assert run_scenario(_small(tp, burst=True)).summary == \
-            serial[tp].summary, tp
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Fluid background tier (repro.sim.fluid): coupling, limits, determinism.
 
-FluidSource is an approximation by construction, so unlike the burst tier
-it is tested for *correct pressure*, not bit-identity: the under-load
+FluidSource is an approximation by construction, so it is tested for
+*correct pressure*, not bit-identity: the under-load
 steady state must reduce to the residual-capacity limit, overload must pin
 the link at its guaranteed packet share and shrink the drop-tail budget,
 and stop()/profile transitions must restore the nominal operating point.

@@ -186,9 +186,6 @@ class TwoEventLink:
             self._start()
         return True
 
-    def send_burst(self, pkts):
-        return sum([self.send(p) for p in pkts])
-
     def _start(self):
         pkt = self.queue.pop()
         self._busy = True
@@ -241,8 +238,9 @@ def _wire(n=1000, seq=0):
 def _apply(link, rng, op, arg):
     if op == "send":
         link.send(arg)
-    elif op == "burst":
-        link.send_burst(list(arg))
+    elif op == "burst":         # a same-instant train of sends
+        for pkt in arg:
+            link.send(pkt)
     elif op == "loss":
         link.loss = GilbertElliottLoss(p_gb=0.3, p_bg=0.4, rng=rng)
     elif op == "plain":
@@ -395,7 +393,7 @@ def test_send_at_free_at_tie_resolves_as_busy():
     assert new[1] == 5 and old[1] == 6
 
 
-def test_send_burst_behind_a_packet_in_transit_drains():
+def test_burst_behind_a_packet_in_transit_drains():
     for at in (0.0, 0.5, 1.0, 1.5):     # idle, mid-transit, tie, idle again
         script = [(0.0, "send", _wire(seq=0)),
                   (at, "burst", [_wire(seq=1 + i) for i in range(3)])]

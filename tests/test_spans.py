@@ -2,7 +2,7 @@
 
 The contract: ``ScenarioConfig(spans=True)`` yields a lineage artifact
 that is a pure function of the config -- byte-identical across worker
-counts, cache hit/miss and the burst speed tier -- whose frame accounting
+counts and cache hit/miss -- whose frame accounting
 reconciles exactly with the delivery log, and whose decision chain pairs
 every attribute exchange with the coordination action(s) it caused.
 Arming it must not perturb the summary by a single bit.
@@ -68,7 +68,7 @@ def test_arming_spans_does_not_perturb_summary():
 
 
 # ----------------------------------------------------------------------
-# Purity: jobs / cache / burst
+# Purity: jobs / cache
 # ----------------------------------------------------------------------
 def test_lineage_byte_identical_across_worker_counts():
     cfgs = [_cfg(t, seed=2) for t in TRANSPORTS]
@@ -86,14 +86,6 @@ def test_lineage_byte_identical_across_cache_hit(tmp_path):
     hit = run_batch(cfgs, jobs=1, cache=store)
     for m, h in zip(miss, hit):
         assert _lineage_bytes(m) == _lineage_bytes(h)
-
-
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_lineage_byte_identical_across_burst_tier(transport):
-    plain = run_scenario(_cfg(transport, seed=4, burst=False))
-    burst = run_scenario(_cfg(transport, seed=4, burst=True))
-    assert pickle.dumps(plain.summary) == pickle.dumps(burst.summary)
-    assert _lineage_bytes(plain) == _lineage_bytes(burst)
 
 
 # ----------------------------------------------------------------------
