@@ -162,9 +162,10 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    # schedule() and at() build the Event inline (__new__ + slot stores)
+    # schedule() and post() build the Event inline (__new__ + slot stores)
     # rather than calling Event(): they are the hottest allocation site in
     # the whole simulator and the constructor-call frame is measurable.
+    # at() is the checked, variadic front of post().
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  priority: int = 0) -> Event:
@@ -191,6 +192,15 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, now is {self._now!r}")
+        return self.post(time, priority, fn, args)
+
+    def post(self, time: float, priority: int, fn: Callable[..., Any],
+             args: tuple) -> Event:
+        """:meth:`at` for the per-hop path: the caller hands over the
+        argument tuple as is and has already established ``time >= now``
+        (it computed ``time`` by adding non-negative delays to the clock),
+        so neither the ``*args``/keyword packing nor the past-time check
+        is paid again."""
         seq = self._seq
         self._seq = seq + 1
         ev = Event.__new__(Event)

@@ -283,8 +283,8 @@ class Link:
             self._bytes_sent += wire
             self._packets_sent += 1
             self._free_at = free_at = now + wire * 8.0 / self.bandwidth_bps
-            self._arrival = self.sim.at(free_at + self.delay_s,
-                                        self.sink.receive, pkt, priority=-1)
+            self._arrival = self.sim.post(free_at + self.delay_s, -1,
+                                          self.sink.receive, (pkt,))
             return True
         if not queue.push(pkt):
             return self._queue_dropped(pkt)

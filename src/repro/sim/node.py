@@ -86,9 +86,11 @@ class Router:
         self._default = link
 
     def receive(self, pkt: Packet) -> None:
-        link = self._routes.get(pkt.dst, self._default)
+        link = self._routes.get(pkt.dst)
         if link is None:
-            self.no_route_drops += 1
-            return
+            link = self._default
+            if link is None:
+                self.no_route_drops += 1
+                return
         self.forwarded += 1
         link.send(pkt)

@@ -50,9 +50,9 @@ class Packet:
         "last_of_frame", "fec", "deadline",
     )
 
-    _ids = 0
-
-    def __init__(self, *, flow_id: int, kind: PacketKind = PacketKind.DATA,
+    # Keywords work everywhere; the per-packet sites (segmentation, ACKs,
+    # cross traffic) pass positionally, which halves the call's cost.
+    def __init__(self, flow_id: int, kind: PacketKind = PacketKind.DATA,
                  seq: int = 0, ack: int = -1, size: int = 0,
                  src: int = 0, dst: int = 0, sport: int = 0, dport: int = 0,
                  created_at: float = 0.0, marked: bool = True,
@@ -105,14 +105,30 @@ class Packet:
         return self.kind == PacketKind.ACK
 
     def copy(self) -> "Packet":
-        """Shallow duplicate used for retransmissions."""
-        p = Packet(flow_id=self.flow_id, kind=self.kind, seq=self.seq,
-                   ack=self.ack, size=self.size, src=self.src, dst=self.dst,
-                   sport=self.sport, dport=self.dport,
-                   created_at=self.created_at, marked=self.marked,
-                   tagged=self.tagged, frame_id=self.frame_id,
-                   attrs=self.attrs)
+        """Shallow duplicate used for retransmissions: a fresh wire image
+        of the segment (``sent_at``, ``ecn`` and ``sack`` start over, as
+        from the constructor).  Copies slot by slot -- one per transmission,
+        so the constructor's call frame is worth skipping;
+        ``tests/test_packet.py`` fails if a slot is ever left out."""
+        p = object.__new__(Packet)
+        p.flow_id = self.flow_id
+        p.kind = self.kind
+        p.seq = self.seq
+        p.ack = self.ack
+        p.size = size = self.size
+        p.wire_size = size + HEADER_BYTES
+        p.src = self.src
+        p.dst = self.dst
+        p.sport = self.sport
+        p.dport = self.dport
+        p.created_at = p.sent_at = self.created_at
+        p.marked = self.marked
+        p.tagged = self.tagged
+        p.frame_id = self.frame_id
         p.retransmit = self.retransmit
+        p.attrs = self.attrs
+        p.ecn = False
+        p.sack = None
         p.skip = self.skip
         p.last_of_frame = self.last_of_frame
         p.fec = self.fec

@@ -44,6 +44,9 @@ __all__ = ["FlowStats", "WindowedSender", "WindowedReceiver",
 
 DUP_ACK_THRESHOLD = 3
 
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 def make_flow_id(sim) -> int:
     """Flow identifier unique within ``sim``.
 
@@ -185,6 +188,10 @@ class WindowedSender:
         # again one RTT after its last repair (lost repairs retry without
         # waiting for the RTO backstop).
         self._repaired: dict[int, float] = {}
+        # Lazy retransmission timer (DESIGN.md section 2): the deadline is
+        # the truth, the heap entry a wake-up never later than it.  Both
+        # are None exactly when nothing is in flight.
+        self._rto_deadline: float | None = None
         self._rto_event: Event | None = None
         self._finished = False
         self._completed = False
@@ -236,13 +243,8 @@ class WindowedSender:
 
         host.bind(port, self)
         if self.cc.needs_epochs:
-            self.sim.schedule(metric_period, self._noop)  # keep heap warm
             self.sim.schedule(self._epoch_len(), self._epoch_tick)
         self.sim.schedule(metric_period, self._metric_tick)
-
-    @staticmethod
-    def _noop() -> None:
-        pass
 
     # ------------------------------------------------------------------
     # Application interface
@@ -271,29 +273,37 @@ class WindowedSender:
                 tr.emit("transport", ATTR_SENT, flow=self.flow_id,
                         via="cmwritev_attr", attrs=attrs.as_dict())
             self.coordinator.on_send_attrs(attrs)
-        now = self.sim.now
-        nseg = (size + self.mss - 1) // self.mss
+        now = self.sim._now
+        mss = self.mss
+        nseg = (size + mss - 1) // mss
         remaining = size
+        last = nseg - 1
         sp = self.spans
+        flow_id = self.flow_id
+        src = self.host.address
+        dst = self.peer_addr
+        sport = self.port
+        dport = self.peer_port
+        pending = self._pending
         for i in range(nseg):
-            seg = min(self.mss, remaining)
+            seg = mss if mss < remaining else remaining
             remaining -= seg
-            pkt = Packet(flow_id=self.flow_id, kind=PacketKind.DATA,
-                         size=seg, src=self.host.address, dst=self.peer_addr,
-                         sport=self.port, dport=self.peer_port,
-                         created_at=now, marked=marked, tagged=tagged,
-                         frame_id=frame_id)
-            pkt.last_of_frame = (i == nseg - 1)
+            # Positional: flow_id, kind, seq, ack, size, src, dst, sport,
+            # dport, created_at, marked, tagged, frame_id.
+            pkt = Packet(flow_id, _DATA, 0, -1, seg, src, dst, sport, dport,
+                         now, marked, tagged, frame_id)
+            pkt.last_of_frame = (i == last)
             if deadline > 0.0:
                 pkt.deadline = deadline
                 self.deadline_armed = True
             if sp is not None:
                 sp.on_segment(pkt)
-            self._pending.append(pkt)
-            self.backlog_bytes += seg
-        self.stats.submitted_msgs += 1
-        self.stats.submitted_bytes += size
-        self.stats.submitted_segments += nseg
+            pending.append(pkt)
+        self.backlog_bytes += size
+        stats = self.stats
+        stats.submitted_msgs += 1
+        stats.submitted_bytes += size
+        stats.submitted_segments += nseg
         self._pump()
         return nseg
 
@@ -343,12 +353,20 @@ class WindowedSender:
     def _pump(self) -> None:
         """Send as much pending data as the window allows."""
         sent_any = False
-        while self._pending and self.inflight < self.window_limit:
-            pkt = self._pending[0]
+        pending = self._pending
+        cc = self.cc
+        while pending:
+            # inflight < window_limit, read off the fields.
+            limit = int(cc.cwnd)
+            if self.rwnd < limit:
+                limit = self.rwnd
+            if self.snd_nxt - self.snd_una >= limit:
+                break
+            pkt = pending[0]
             if self.discard_unmarked and not pkt.marked:
                 # Conflict-scheme local discard: the datagram never gets a
                 # sequence number and never touches the network.
-                self._pending.popleft()
+                pending.popleft()
                 self.backlog_bytes -= pkt.size
                 self.stats.discarded_msgs += 1
                 self.stats.discarded_bytes += pkt.size
@@ -361,13 +379,13 @@ class WindowedSender:
                             frame=pkt.frame_id, size=pkt.size)
                 continue
             if (pkt.deadline and not pkt.tagged
-                    and self.sim.now > pkt.deadline):
+                    and self.sim._now > pkt.deadline):
                 # Deadline-aware scheduling: the frame is already stale at
                 # the display, so transmitting it (and retransmitting its
                 # losses) would only delay fresher frames.  Like the local
                 # discard above, the segment never gets a sequence number.
                 # Tagged control segments are exempt -- they must arrive.
-                self._pending.popleft()
+                pending.popleft()
                 self.backlog_bytes -= pkt.size
                 self.stats.expired_msgs += 1
                 self.stats.expired_bytes += pkt.size
@@ -385,11 +403,11 @@ class WindowedSender:
                             frame=pkt.frame_id, size=pkt.size,
                             late=self.sim.now - pkt.deadline)
                 continue
-            self._pending.popleft()
+            pending.popleft()
             self.backlog_bytes -= pkt.size
-            pkt.seq = self.snd_nxt
-            self.snd_nxt += 1
-            self._window[pkt.seq] = pkt
+            pkt.seq = seq = self.snd_nxt
+            self.snd_nxt = seq + 1
+            self._window[seq] = pkt
             self._transmit(pkt)
             fx = self.fec_tx
             if fx is not None:
@@ -397,7 +415,7 @@ class WindowedSender:
                 # generation (retransmissions are ARQ's concern).
                 fx.on_data(pkt)
             sent_any = True
-        if sent_any and self._rto_event is None:
+        if sent_any and self._rto_deadline is None:
             self._arm_rto()
         if (self.on_space is not None and not self._finished
                 and self.backlog_bytes < self.low_water_bytes):
@@ -406,9 +424,8 @@ class WindowedSender:
             self._check_complete()
 
     def _transmit(self, pkt: Packet) -> None:
-        pkt.sent_at = self.sim.now
         wire = pkt.copy()
-        wire.sent_at = pkt.sent_at
+        pkt.sent_at = wire.sent_at = self.sim._now
         if wire.skip:
             # A hole-fill segment carries no payload; wire_size is a
             # precomputed slot, so it must be rewritten alongside size.
@@ -423,12 +440,16 @@ class WindowedSender:
                     size=wire.size, marked=pkt.marked, skip=pkt.skip,
                     inflight=self.inflight)
         self.host.send(wire)
-        self.stats.packets_sent += 1
-        self.stats.bytes_sent += wire.size
-        self.metrics.count_sent()
+        stats = self.stats
+        stats.packets_sent += 1
+        stats.bytes_sent += wire.size
+        metrics = self.metrics          # count_sent(), in place
+        metrics._sent += 1
+        metrics.total_sent += 1
         self._epoch_sent += 1
-        if self.inflight > self._epoch_max_inflight:
-            self._epoch_max_inflight = self.inflight
+        inflight = self.snd_nxt - self.snd_una
+        if inflight > self._epoch_max_inflight:
+            self._epoch_max_inflight = inflight
 
     def _retransmit(self, seq: int, *, timeout: bool) -> None:
         pkt = self._window.get(seq)
@@ -459,14 +480,14 @@ class WindowedSender:
     # Receive path (ACKs)
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
-        if pkt.kind != PacketKind.ACK or pkt.flow_id != self.flow_id:
+        if pkt.kind != _ACK or pkt.flow_id != self.flow_id:
             return
         ack = pkt.ack
-        if self.use_eack and pkt.sack:
+        if pkt.sack and self.use_eack:
             self._sacked.update(s for s in pkt.sack if s >= ack)
         if ack > self.snd_una:
             self._on_new_ack(ack)
-        elif ack == self.snd_una and self.inflight > 0:
+        elif ack == self.snd_una and self.snd_nxt > ack:
             self._on_dup_ack()
 
     def _on_new_ack(self, ack: int) -> None:
@@ -486,14 +507,19 @@ class WindowedSender:
                             recoveries=self.stats.stall_recoveries)
                 self.coordinator.on_resume(self.sim.now)
         sample: float | None = None
+        now = self.sim._now
+        window = self._window
+        stats = self.stats
+        metrics = self.metrics
         for s in range(self.snd_una, ack):
-            entry = self._window.pop(s, None)
+            entry = window.pop(s, None)
             if entry is not None:
-                self.stats.acked_packets += 1
-                self.stats.acked_bytes += entry.size
-                self.metrics.count_acked_bytes(entry.size)
+                size = entry.size
+                stats.acked_packets += 1
+                stats.acked_bytes += size
+                metrics._acked_bytes += size    # count_acked_bytes()
                 if entry.retransmit == 0 and not entry.skip:
-                    sample = self.sim.now - entry.sent_at
+                    sample = now - entry.sent_at
         self.snd_una = ack
         self._dup_acks = 0
         if self._sacked:
@@ -575,21 +601,43 @@ class WindowedSender:
     # Timers
     # ------------------------------------------------------------------
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        """Restart the retransmission timer from now (or stop it when
+        nothing is in flight).  Lazy: the pending wake-up stays where it
+        is unless the deadline moved ahead of it -- ``_on_rto`` re-posts
+        itself when it wakes early."""
+        if self.snd_nxt == self.snd_una:
+            self._disarm_rto()
+            return
+        rto = self.rtt.rto
+        if self.rto_jitter:
+            # Deterministic decorrelation: seeded stream, so identical
+            # configs still produce identical schedules/traces.
+            rto *= 1.0 + self.rto_jitter * self._rto_rng.random()
+        sim = self.sim
+        # The float addition ``Simulator.schedule`` would perform.
+        self._rto_deadline = deadline = sim._now + rto
+        ev = self._rto_event
+        if ev is not None:
+            if ev.time <= deadline:
+                return
+            ev.cancel()     # the RTO shrank: wake up sooner
+        self._rto_event = sim.at(deadline, self._on_rto)
+
+    def _disarm_rto(self) -> None:
+        self._rto_deadline = None
+        ev = self._rto_event
+        if ev is not None:
+            ev.cancel()
             self._rto_event = None
-        if self.inflight > 0:
-            rto = self.rtt.rto
-            if self.rto_jitter:
-                # Deterministic decorrelation: seeded stream, so identical
-                # configs still produce identical schedules/traces.
-                rto *= 1.0 + self.rto_jitter * self._rto_rng.random()
-            self._rto_event = self.sim.schedule(rto, self._on_rto)
 
     def _on_rto(self) -> None:
-        self._rto_event = None
-        if self.inflight == 0:
+        deadline = self._rto_deadline
+        if self.sim._now < deadline:
+            # Early wake-up: ACKs moved the deadline on since this entry
+            # was posted.  Not a timeout -- nothing is counted or noted.
+            self._rto_event = self.sim.at(deadline, self._on_rto)
             return
+        self._rto_event = self._rto_deadline = None
         self.rtt.backoff()
         self.cc.on_timeout(self.inflight)
         fl = self.flight
@@ -680,9 +728,7 @@ class WindowedSender:
                 fl.note("transport", "COMPLETE", flow=self.flow_id,
                         acked=self.stats.acked_packets,
                         skips=self.stats.skips_sent)
-            if self._rto_event is not None:
-                self._rto_event.cancel()
-                self._rto_event = None
+            self._disarm_rto()
             if self.on_complete is not None:
                 self.on_complete(self.sim.now)
 
@@ -711,6 +757,18 @@ class WindowedSender:
             bad.append(f"completed with work outstanding: "
                        f"pending={len(self._pending)} "
                        f"unacked={self.inflight}")
+        # Timer liveness: a lazy timer's failure mode is a flow that
+        # silently never times out.
+        deadline = self._rto_deadline
+        if self.snd_nxt > self.snd_una:
+            ev = self._rto_event
+            if (deadline is None or ev is None or not ev.alive
+                    or ev.time > deadline):
+                bad.append(f"rto timer: {self.inflight} packets in flight "
+                           f"but deadline={deadline!r}, wake-up={ev!r}")
+        elif deadline is not None:
+            bad.append(f"rto timer: nothing in flight but "
+                       f"deadline={deadline!r} is set")
         cc_bad = self.cc.bounds_violation()
         if cc_bad is not None:
             bad.append(cc_bad)
@@ -768,7 +826,7 @@ class WindowedReceiver:
 
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
-        if pkt.flow_id != self.flow_id or pkt.kind != PacketKind.DATA:
+        if pkt.flow_id != self.flow_id or pkt.kind != _DATA:
             return
         if pkt.fec is not None:
             # Repair segments live outside the sequence space: decode (or
@@ -777,12 +835,14 @@ class WindowedReceiver:
             if fx is not None:
                 fx.on_repair(pkt)
             return
-        verdict = self.reorder.offer(pkt.seq, pkt)
+        reorder = self.reorder
+        verdict = reorder.offer(pkt.seq, pkt)
         if verdict == "inorder":
             self._consume(pkt)
-            self.reorder.advance()
-            for _seq, buffered in self.reorder.drain():
-                self._consume(buffered)  # type: ignore[arg-type]
+            reorder.rcv_nxt += 1        # advance()
+            if reorder._buf:
+                for _seq, buffered in reorder.drain():
+                    self._consume(buffered)  # type: ignore[arg-type]
         elif verdict == "dup":
             self.stats.duplicates += 1
         if verdict != "dup":
@@ -800,25 +860,29 @@ class WindowedReceiver:
             if sp is not None:
                 sp.on_skip(pkt)
             return
-        self.stats.delivered_packets += 1
-        self.stats.delivered_bytes += pkt.size
+        stats = self.stats
+        stats.delivered_packets += 1
+        stats.delivered_bytes += pkt.size
         if sp is not None:
             sp.on_deliver(pkt)
-        if self.on_deliver is not None:
-            self.on_deliver(pkt, self.sim.now)
+        on_deliver = self.on_deliver
+        if on_deliver is not None:
+            on_deliver(pkt, self.sim._now)
 
     def _send_ack(self) -> None:
-        ack = Packet(flow_id=self.flow_id, kind=PacketKind.ACK,
-                     ack=self.reorder.rcv_nxt, size=0,
-                     src=self.host.address, dst=self.peer_addr,
-                     sport=self.port, dport=self.peer_port,
-                     created_at=self.sim.now)
-        if self.use_eack and len(self.reorder):
+        reorder = self.reorder
+        host = self.host
+        # Positional: flow_id, kind, seq, ack, size, src, dst, sport,
+        # dport, created_at.
+        ack = Packet(self.flow_id, _ACK, 0, reorder.rcv_nxt, 0,
+                     host.address, self.peer_addr, self.port,
+                     self.peer_port, self.sim._now)
+        if reorder._buf and self.use_eack:
             # RUDP's EACK: advertise out-of-sequence arrivals so the sender
             # can repair burst losses in one round trip (draft-ietf-sigtran-
             # reliable-udp, EACK segment).  TCP Reno runs without it.
-            ack.sack = tuple(self.reorder.buffered_seqs()[:self.EACK_LIMIT])
-        self.host.send(ack)
+            ack.sack = tuple(reorder.buffered_seqs()[:self.EACK_LIMIT])
+        host.send(ack)
 
     def invariant_violations(self) -> list[str]:
         """Receive-side sanity (see :mod:`repro.invariants`): the reorder

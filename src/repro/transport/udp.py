@@ -17,6 +17,8 @@ from .base import make_flow_id
 
 __all__ = ["UdpSender", "UdpSink"]
 
+_DATA = PacketKind.DATA
+
 
 class UdpSender:
     """Datagram sender; frames above the MSS are segmented."""
@@ -40,20 +42,23 @@ class UdpSender:
         """Emit one datagram of ``size`` bytes; returns segments sent."""
         if size <= 0:
             raise ValueError("datagram size must be positive")
-        now = self.sim.now
-        nseg = (size + self.mss - 1) // self.mss
+        now = self.sim._now
+        mss = self.mss
+        nseg = (size + mss - 1) // mss
         remaining = size
+        host = self.host
+        last = nseg - 1
         for i in range(nseg):
-            seg = min(self.mss, remaining)
+            seg = mss if mss < remaining else remaining
             remaining -= seg
-            pkt = Packet(flow_id=self.flow_id, kind=PacketKind.DATA,
-                         seq=self._seq, size=seg, src=self.host.address,
-                         dst=self.peer_addr, sport=self.port,
-                         dport=self.peer_port, created_at=now,
-                         frame_id=frame_id)
-            pkt.last_of_frame = (i == nseg - 1)
+            # Positional: flow_id, kind, seq, ack, size, src, dst, sport,
+            # dport, created_at, marked, tagged, frame_id.
+            pkt = Packet(self.flow_id, _DATA, self._seq, -1, seg,
+                         host.address, self.peer_addr, self.port,
+                         self.peer_port, now, True, False, frame_id)
+            pkt.last_of_frame = (i == last)
             self._seq += 1
-            self.host.send(pkt)
+            host.send(pkt)
             self.packets_sent += 1
             self.bytes_sent += seg
         return nseg

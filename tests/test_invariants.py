@@ -148,6 +148,47 @@ def test_sequence_regression_is_caught():
     assert "rcv_nxt" in str(ei.value)
 
 
+def test_silent_rto_timer_is_caught():
+    """Timer liveness: data in flight needs a deadline and a live wake-up
+    at or before it; nothing in flight needs neither."""
+    sim = Simulator()
+    net = Dumbbell(sim)
+    snd, rcv = net.add_flow_hosts("f")
+    conn = RudpConnection(sim, snd, rcv)
+    checker = InvariantChecker(sim)
+    checker.watch_flow(conn, None)
+    for i in range(20):
+        conn.submit(1400, frame_id=i)
+    sender = conn.sender
+    sim.run(until=0.02)
+    assert sender.inflight > 0
+    checker.check_all()  # healthy mid-transfer state passes
+    event, deadline = sender._rto_event, sender._rto_deadline
+
+    def caught():
+        with pytest.raises(InvariantViolation) as ei:
+            checker.check_all()
+        assert ei.value.name == "sender-state"
+        assert "rto timer" in str(ei.value)
+
+    sender._rto_deadline = None                 # the deadline was lost
+    caught()
+    sender._rto_deadline = event.time - 1e-3    # the wake-up is too late
+    caught()
+    sender._rto_deadline = deadline
+    event.cancel()                              # the wake-up is dead
+    caught()
+    sender._rto_event = None
+    sender._arm_rto()
+    checker.check_all()  # re-armed: healthy again
+    conn.finish()
+    sim.run(until=30.0)
+    checker.check_all()  # drained: no deadline, no violation
+    assert sender._rto_deadline is None
+    sender._rto_deadline = 31.0                 # armed with nothing to time
+    caught()
+
+
 def test_frame_accounting_breach_is_caught():
     sim = Simulator()
     net = Dumbbell(sim)
