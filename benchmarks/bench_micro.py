@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate itself (engine event rate, timer-churn
-rate, transport packet rate, parallel batch throughput) -- the knobs that
-bound how large an experiment the harness can simulate per wall-clock
-second.
+rate, transport packet rate, parallel batch throughput, campaign cells per
+second) -- the knobs that bound how large an experiment the harness can
+simulate per wall-clock second.
 
 Each bench also records a machine-readable rate into
 ``benchmarks/results/bench_perf.json`` (via the ``perf_record`` fixture) so
@@ -14,7 +14,9 @@ import time
 
 import pytest
 
-from repro.experiments.common import ScenarioConfig
+from repro.api import Scenario
+from repro.campaign import Campaign, run_campaign
+from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.middleware.receiver import DeliveryLog
 from repro.obs.bus import NULL_BUS, TraceBus
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink
@@ -138,6 +140,38 @@ def bench_parallel_batch_throughput(benchmark, perf_record):
                 cpu_count=os.cpu_count())
     benchmark.pedantic(lambda: run_batch(cfgs, jobs=jobs, cache=False),
                        rounds=1, iterations=1)
+
+
+def bench_campaign_cells(benchmark, perf_record, tmp_path):
+    """What the campaign directory adds to a small cell: 60 cells of 50
+    greedy frames (~1.5 ms of simulation each) through one in-process
+    worker into a fresh directory, against the same cells through bare
+    ``run_scenario``.  The difference per cell is the claim, the pickle,
+    the atomic write, the journal frame and the final collect."""
+    camp = Campaign(Scenario(workload="greedy", n_frames=50),
+                    name="bench-cells",
+                    axes={"transport": ["iq", "rudp", "tcp"]}, seeds=20)
+    cells = camp.cells()
+    passes = [0]
+
+    def cold_pass():
+        passes[0] += 1
+        run = run_campaign(camp, dir=tmp_path / f"camp-{passes[0]}",
+                           workers=1, cache=False, progress=False)
+        assert run.complete and run.report().failed == 0
+        return len(run.results)
+
+    def bare():
+        for cell in cells:
+            run_scenario(cell.config)
+
+    n = len(cells)
+    cells_per_s = _best_rate(cold_pass, n)
+    bare_per_s = _best_rate(bare, n)
+    perf_record("campaign_cells", cells_per_s=cells_per_s,
+                store_overhead_ms_per_cell=round(
+                    1e3 * (1.0 / cells_per_s - 1.0 / bare_per_s), 4))
+    assert benchmark.pedantic(cold_pass, rounds=3, iterations=1) == n
 
 
 #: Trace hook points a data packet crosses on the instrumented fast path

@@ -54,12 +54,12 @@ def flow_summary(log: DeliveryLog, *, submitted_datagrams: int | None = None,
                           compare transports on
     """
     duration = max(log.duration - start_time, 0.0)
-    frame_times = log.message_times()
+    times = log.times  # built from the Python list once, shared below
     frames_done = log.frames_delivered()
-    msg_mean, msg_std = interarrival_stats(frame_times)
-    pkt_mean, pkt_std = interarrival_stats(log.times)
-    tag_mean, tag_std = interarrival_stats(log.tagged_times())
-    owd = log.one_way_delays()
+    msg_mean, msg_std = interarrival_stats(log.message_times(times))
+    pkt_mean, pkt_std = interarrival_stats(times)
+    tag_mean, tag_std = interarrival_stats(log.tagged_times(times))
+    owd = log.one_way_delays(times)
     summary = {
         "duration_s": duration,
         "throughput_kBps": (log.total_bytes / 1e3 / duration

@@ -10,7 +10,9 @@ Two modes, one entry point (:func:`run_campaign`):
   channel.  Each worker loops over the (identically-ordered) cell list,
   skips finished cells, claims one with ``O_CREAT|O_EXCL``, executes it
   under the resilient runner (capture / timeout / retries), stores the
-  result atomically and releases the claim.  ``workers=N`` forks N child
+  result atomically (one pickle, one write), journals the outcome and
+  releases the claim.  The caller keeps what its own worker produced and
+  loads every other finished cell once.  ``workers=N`` forks N child
   processes over the same directory; running the same command on other
   hosts sharing the filesystem adds workers the same way.  A killed worker
   leaves an expiring lease; once it expires any worker (a survivor still
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import pickle
 import signal
 import time
 
@@ -51,7 +52,8 @@ class CampaignRun:
     """Outcome of one :func:`run_campaign` call.
 
     ``results_by_key`` maps cell key to :class:`ScenarioResult` /
-    :class:`FailedResult` (missing keys = interrupted before completion);
+    :class:`FailedResult` (missing keys = interrupted before completion;
+    detached in memory for cells this call ran, unpickled for the rest);
     ``results`` re-keys by cell label in expansion order; ``report()``
     aggregates (see :mod:`.aggregate`).
     """
@@ -166,16 +168,15 @@ def worker_loop(store: CampaignStore,
                     res = run_one(cfg, cache=cache, on_error="capture",
                                   timeout=timeout, retries=retries)
                     store.store_cell(key, res)
+                    failed = isinstance(res, FailedResult)
                     try:
-                        journal.append(key, res)
-                    except (pickle.PicklingError, TypeError, AttributeError,
-                            OSError):
+                        journal.append(key, res.kind if failed else "ok")
+                    except OSError:
                         pass
                     executed += 1
                     progressed = True
                     if hb is not None:
-                        hb.complete(failed=isinstance(res, FailedResult),
-                                    note=_flight_note(res))
+                        hb.complete(failed=failed, note=_flight_note(res))
                     if on_cell is not None:
                         on_cell(key, label, res)
                 finally:
@@ -215,19 +216,24 @@ def _worker_main(root: str, worker: str, lease_s: float,
         pass
 
 
-def _load_results(store: CampaignStore, cells) -> dict:
-    results: dict[str, ScenarioResult | FailedResult] = {}
+def _load_results(store: CampaignStore, cells, results: dict) -> dict:
+    """Load into ``results`` every stored cell it does not hold yet."""
     for cell in cells:
-        res = store.load_cell(cell.key)
-        if res is not None:
-            results[cell.key] = res
+        if cell.key not in results:
+            res = store.load_cell(cell.key)
+            if res is not None:
+                results[cell.key] = res
     return results
 
 
-def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells, *,
-                      cache, timeout: float | None, retries: int
-                      ) -> CampaignRun:
-    """Load the final result set, re-running any torn cell files.
+def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
+                      results: dict, *, cache, timeout: float | None,
+                      retries: int) -> CampaignRun:
+    """Complete the final result set, re-running any torn cell files.
+
+    ``results`` is what this call already holds -- the preload and, with
+    one in-process worker, the cells it executed -- so only the rest is
+    read from disk: no cell is unpickled twice, none this process wrote.
 
     Workers skip cells on file *existence* (``done_keys`` -- cheap enough
     to poll every pass), so a cell whose result file exists but does not
@@ -236,7 +242,7 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells, *,
     healing is a separate inline pass rather than a per-pass unpickle of
     every finished cell.
     """
-    results = _load_results(store, cells)
+    _load_results(store, cells, results)
     torn = [c for c in cells if c.key not in results
             and os.path.exists(store.cell_path(c.key))]
     if torn:
@@ -248,7 +254,7 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells, *,
         worker_loop(store, [(c.key, c.label, c.config) for c in torn],
                     cache=cache, timeout=timeout, retries=retries,
                     heartbeat=False)
-        results = _load_results(store, cells)
+        _load_results(store, torn, results)
     return CampaignRun(campaign, results)
 
 
@@ -286,19 +292,22 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
     store = CampaignStore(dir, lease_s=lease_s)
     store.init(campaign)
     triples = [(c.key, c.label, c.config) for c in cells]
-    already = len(_load_results(store, cells))
+    results = _load_results(store, cells, {})  # the count *and* the collect
+    already = len(results)
 
     if workers == 1:
         bar = SweepProgress(len(cells), cached=already, enabled=progress)
+
+        def on_cell(key, label, res):
+            results[key] = res  # own cells are kept, never read back
+            bar.update(failed=isinstance(res, FailedResult))
         try:
             worker_loop(store, triples, cache=cache, timeout=timeout,
-                        retries=retries,
-                        on_cell=lambda k, l, r: bar.update(
-                            failed=isinstance(r, FailedResult)))
+                        retries=retries, on_cell=on_cell)
         finally:
             bar.finish()
         return _ledgered(
-            _collect_and_heal(store, campaign, cells, cache=cache,
+            _collect_and_heal(store, campaign, cells, results, cache=cache,
                               timeout=timeout, retries=retries),
             time.monotonic() - t0)
 
@@ -339,7 +348,7 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
     finally:
         bar.finish()
     return _ledgered(
-        _collect_and_heal(store, campaign, cells, cache=cache,
+        _collect_and_heal(store, campaign, cells, results, cache=cache,
                           timeout=timeout, retries=retries),
         time.monotonic() - t0)
 

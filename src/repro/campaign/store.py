@@ -9,6 +9,13 @@ with no sockets, no broker and no leader::
     <dir>/claims/<key>.json    lease held by the worker running the cell
     <dir>/journal/<worker>.pkl per-worker completion journal (SweepJournal)
 
+A journal frame is ``(key, "ok" | FailedResult.kind)``, ~50 bytes per cell
+this worker *executed*, flushed as it lands: the zero-duplicate witness
+(:meth:`CampaignStore.journal_counts`), not a second copy of the results --
+those live in ``cells/`` only, and healing re-runs a torn cell, it never
+reads a journal.  Older directories' journals carry whole results; they
+still load and count.
+
 Claim protocol (work stealing)
 ------------------------------
 A worker claims a cell by hard-linking a fully-written lease into
@@ -49,11 +56,20 @@ __all__ = ["CampaignStore", "DEFAULT_LEASE_S"]
 DEFAULT_LEASE_S = 300.0
 
 _RESULT_TYPES = (ScenarioResult, FailedResult)
+_JOURNAL_TYPES = (str, *_RESULT_TYPES)  # outcome, or an older dir's result
+
+
+def _mkstemp(directory: pathlib.Path) -> "tuple[int, str]":
+    """``mkstemp`` in ``directory``, created only if missing (``init`` did)."""
+    try:
+        return tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except FileNotFoundError:
+        directory.mkdir(parents=True, exist_ok=True)
+        return tempfile.mkstemp(dir=directory, suffix=".tmp")
 
 
 def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    fd, tmp = _mkstemp(path.parent)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
@@ -76,7 +92,8 @@ class CampaignStore:
     def __init__(self, root: str | os.PathLike, *, worker: str | None = None,
                  lease_s: float = DEFAULT_LEASE_S):
         self.root = pathlib.Path(root)
-        self.worker = worker or f"{socket.gethostname()}-{os.getpid()}"
+        self._host = socket.gethostname()
+        self.worker = worker or f"{self._host}-{os.getpid()}"
         if lease_s <= 0:
             raise ValueError(f"lease_s must be positive, got {lease_s!r}")
         self.lease_s = float(lease_s)
@@ -164,7 +181,7 @@ class CampaignStore:
         now = time.time()
         return json.dumps({
             "worker": self.worker, "pid": os.getpid(),
-            "host": socket.gethostname(),
+            "host": self._host,
             "claimed_at": now, "expires_at": now + self.lease_s,
             "generation": generation,
         }).encode()
@@ -196,8 +213,7 @@ class CampaignStore:
         most one stealer's lease survives.
         """
         path = self.claim_path(key)
-        self.claims_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.claims_dir, suffix=".tmp")
+        fd, tmp = _mkstemp(self.claims_dir)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(self._lease_payload(generation=1))
@@ -251,7 +267,7 @@ class CampaignStore:
         if self._journal is None:
             self._journal = SweepJournal(
                 self.journal_dir / f"{self.worker}.pkl",
-                expect=_RESULT_TYPES)
+                expect=_JOURNAL_TYPES)
         return self._journal
 
     def journal_counts(self) -> dict[str, int]:
@@ -266,7 +282,7 @@ class CampaignStore:
             if not name.endswith(".pkl"):
                 continue
             journal = SweepJournal(self.journal_dir / name,
-                                   expect=_RESULT_TYPES)
+                                   expect=_JOURNAL_TYPES)
             counts[name[:-4]] = len(journal.load())
         return counts
 

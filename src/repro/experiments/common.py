@@ -541,9 +541,10 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     summary["error_ratio_lifetime"] = conn.sender.metrics.lifetime_error_ratio
     summary["stalls"] = float(conn.sender.stats.stalls)
     summary["stall_recoveries"] = float(conn.sender.stats.stall_recoveries)
-    registry = collect_scenario_metrics(MetricsRegistry(), conn=conn, net=net,
-                                        strategy=strategy, source=source,
-                                        log=log)
+    registry = collect_scenario_metrics(
+        MetricsRegistry(), conn=conn, net=net, strategy=strategy,
+        source=source, log=log,
+        frames_delivered=int(summary["frames_completed"]))
     summary.update(registry.summary(prefix="obs_"))
     res = ScenarioResult(summary=summary, log=log, conn=conn, source=source,
                          strategy=strategy, net=net, sim=sim,

@@ -83,11 +83,13 @@ class DeliveryLog:
         """Time from simulation start to the last delivery."""
         return self.last_time if self.last_time is not None else 0.0
 
-    def message_times(self) -> np.ndarray:
+    def message_times(self, times: np.ndarray | None = None) -> np.ndarray:
         """Completion times of full application messages (frames): the
-        arrival of each frame's last segment."""
+        arrival of each frame's last segment.  ``times`` (here and below)
+        is :attr:`times` when the caller already built it -- every read of
+        the property converts the whole list again."""
         last = np.asarray(self._last, dtype=bool)
-        return self.times[last]
+        return (self.times if times is None else times)[last]
 
     def frames_delivered(self) -> int:
         """Distinct application frames with at least one delivered segment.
@@ -103,17 +105,17 @@ class DeliveryLog:
         ids = ids[ids >= 0]
         return int(np.unique(ids).size)
 
-    def tagged_times(self) -> np.ndarray:
-        return self.times[self.tagged]
+    def tagged_times(self, times: np.ndarray | None = None) -> np.ndarray:
+        return (self.times if times is None else times)[self.tagged]
 
     def interarrivals(self, times: np.ndarray | None = None) -> np.ndarray:
         t = self.times if times is None else times
         return np.diff(t) if t.size > 1 else np.empty(0)
 
-    def one_way_delays(self) -> np.ndarray:
+    def one_way_delays(self, times: np.ndarray | None = None) -> np.ndarray:
         """Source-submit to delivery latency per packet (includes transport
         queueing -- the end-to-end delay the end user experiences)."""
-        return self.times - self.created
+        return (self.times if times is None else times) - self.created
 
     def jitter_series(self) -> np.ndarray:
         """|deviation of inter-arrival from its running mean| per packet --

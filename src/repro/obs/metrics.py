@@ -251,8 +251,9 @@ class MetricsRegistry:
 
 
 def collect_scenario_metrics(registry: MetricsRegistry, *, conn, net=None,
-                             strategy=None, source=None,
-                             log=None) -> MetricsRegistry:
+                             strategy=None, source=None, log=None,
+                             frames_delivered: int | None = None
+                             ) -> MetricsRegistry:
     """Roll one finished scenario's state into ``registry``.
 
     Duck-typed over the connection/network/strategy objects so it works for
@@ -265,6 +266,8 @@ def collect_scenario_metrics(registry: MetricsRegistry, *, conn, net=None,
     versus delivered frames plus the abandonment causes (local conflict
     discards, adaptive-reliability skips) -- derived from state every run
     carries, so armed-span and disarmed runs export identical values.
+    ``frames_delivered`` is ``log.frames_delivered()`` when the caller
+    already counted it (``flow_summary`` does; it is an ``np.unique``).
     """
     sender = getattr(conn, "sender", None)
     if sender is not None:
@@ -309,11 +312,13 @@ def collect_scenario_metrics(registry: MetricsRegistry, *, conn, net=None,
         registry.counter("frames_submitted").inc(
             getattr(source, "submitted_frames", 0))
     if log is not None:
-        registry.counter("frames_delivered").inc(log.frames_delivered())
+        if frames_delivered is None:
+            frames_delivered = log.frames_delivered()
+        registry.counter("frames_delivered").inc(frames_delivered)
         if source is not None:
             registry.counter("frames_undelivered").inc(
                 max(getattr(source, "submitted_frames", 0)
-                    - log.frames_delivered(), 0))
+                    - frames_delivered, 0))
     if sender is not None:
         # Abandonment causes, from counters every transport keeps: frames
         # whose datagrams were discarded locally by the conflict scheme,

@@ -36,11 +36,12 @@ _MAGIC = "v1"
 class SweepJournal:
     """Append-only journal of ``(config key, result)`` completions.
 
-    ``expect`` names the result type(s) a frame may carry; the default
+    ``expect`` names the type(s) a frame's payload may have; the default
     (:class:`ScenarioResult` only) preserves the sweep-checkpoint contract
-    that failures are never journaled.  The campaign layer passes
-    ``expect=(ScenarioResult, FailedResult)`` so a worker's completion
-    journal records deterministic failures too.
+    that failures are never journaled.  The campaign layer journals a
+    cell's *outcome*, not its result -- ``"ok"`` or the failure kind -- and
+    passes ``expect=(str, ScenarioResult, FailedResult)``: the result types
+    only so that journals written with whole results still replay.
     """
 
     def __init__(self, path: str | os.PathLike, *,

@@ -21,7 +21,7 @@ import pytest
 from repro.api import Scenario
 from repro.campaign import (Campaign, CampaignStore, aggregate, cell_key,
                             load_campaign, run_campaign, run_rows)
-from repro.experiments.common import ScenarioConfig
+from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.middleware.adaptation import ADAPTATIONS, resolution_default
 from repro.runner.cache import ResultsCache
 from repro.runner.failures import FailedResult
@@ -359,6 +359,219 @@ def test_live_lease_blocks_and_leaves_campaign_incomplete(tmp_path):
     run = run_campaign(camp, dir=tmp_path / "camp", cache=False)
     assert not run.complete
     assert [c.key for c in run.incomplete] == [cells[0].key]
+
+
+# ----------------------------------------------------------------------
+# What a finished cell costs: one serialisation, one outcome frame, and no
+# read-back of what this process just wrote
+# ----------------------------------------------------------------------
+_RESULTS = (ScenarioResult, FailedResult)
+
+
+class _CountingPickle:
+    """Stands in for the ``pickle`` module as ``campaign.store`` and
+    ``runner.checkpoint`` see it, counting the results that pass through
+    (bare or inside a journal frame)."""
+
+    def __init__(self):
+        self.serialised = self.unpickled = 0
+
+    def __getattr__(self, name):
+        return getattr(pickle, name)
+
+    @staticmethod
+    def _results_in(obj) -> int:
+        return sum(isinstance(x, _RESULTS)
+                   for x in (obj if isinstance(obj, tuple) else (obj,)))
+
+    def dumps(self, obj, *a, **kw):
+        self.serialised += self._results_in(obj)
+        return pickle.dumps(obj, *a, **kw)
+
+    def dump(self, obj, fh, *a, **kw):
+        self.serialised += self._results_in(obj)
+        return pickle.dump(obj, fh, *a, **kw)
+
+    def load(self, fh, *a, **kw):
+        value = pickle.load(fh, *a, **kw)
+        self.unpickled += self._results_in(value)
+        return value
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``(pickle counter, list of executed configs)`` for the campaign
+    layer of this process."""
+    from repro.campaign import exec as exec_mod, store as store_mod
+    from repro.runner import checkpoint as checkpoint_mod
+    counter = _CountingPickle()
+    monkeypatch.setattr(store_mod, "pickle", counter)
+    monkeypatch.setattr(checkpoint_mod, "pickle", counter)
+    executed = []
+    real_run_one = exec_mod.run_one
+
+    def run_one(cfg, **kw):
+        executed.append(cfg)
+        return real_run_one(cfg, **kw)
+    monkeypatch.setattr(exec_mod, "run_one", run_one)
+    return counter, executed
+
+
+def _journal_bytes(root) -> dict:
+    return {p.name: p.read_bytes()
+            for p in sorted((root / "journal").iterdir())}
+
+
+def test_cold_pass_serialises_each_result_once_and_reads_none_back(
+        tmp_path, counted):
+    counter, executed = counted
+    camp = _tiny_campaign(seeds=3)
+    n = len(camp)
+    run = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False)
+    assert run.complete and len(executed) == n
+    assert counter.serialised == n      # cells/ only, not the journal too
+    assert counter.unpickled == 0       # own cells are not read back
+    journal = sum(len(b) for b in _journal_bytes(tmp_path / "camp").values())
+    assert 0 < journal < 1024 * n
+    assert sum(CampaignStore(tmp_path / "camp").journal_counts().values()) == n
+
+
+def test_read_back_unpickles_each_cell_once(tmp_path, counted):
+    counter, executed = counted
+    camp = _tiny_campaign(seeds=3)
+    n = len(camp)
+    cold = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False)
+    counter.serialised = counter.unpickled = 0
+    del executed[:]
+    again = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False)
+    assert again.complete and executed == []
+    assert counter.unpickled == n       # the preload is the collect
+    assert counter.serialised == 0
+    assert again.report().to_json() == cold.report().to_json()
+
+
+def test_fan_out_parent_loads_each_cell_once(tmp_path, counted):
+    """The parent of a ``workers=2`` run executes nothing itself; it loads
+    what the children stored exactly once (resume: the preloaded half is
+    not loaded again by the collect)."""
+    counter, executed = counted
+    camp = _tiny_campaign(seeds=3)
+    cells = camp.cells()
+    store = CampaignStore(tmp_path / "camp", worker="earlier")
+    store.init(camp)
+    from repro.campaign import worker_loop
+    worker_loop(store, [(c.key, c.label, c.config) for c in cells[:3]],
+                cache=False, heartbeat=False)
+    counter.serialised = counter.unpickled = 0
+    run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=False)
+    assert run.complete
+    assert counter.unpickled == len(cells) and counter.serialised == 0
+    counts = CampaignStore(tmp_path / "camp").journal_counts()
+    assert counts["earlier"] == 3 and sum(counts.values()) == len(cells)
+
+
+def test_in_memory_results_equal_read_back(tmp_path):
+    camp = _tiny_campaign(seeds=3)
+    cold = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False)
+    store = CampaignStore(tmp_path / "camp")
+    assert list(cold.results) == [c.label for c in camp.cells()]
+    for cell in camp.cells():
+        stored = store.load_cell(cell.key)
+        assert cold.results[cell.label] is not stored
+        assert cold.results[cell.label].summary == stored.summary
+    reread = run_campaign(camp, dir=tmp_path / "camp", workers=1,
+                          cache=False)
+    forked = run_campaign(camp, dir=tmp_path / "camp2", workers=2,
+                          cache=False)
+    for other in (reread, forked):
+        assert other.report().render() == cold.report().render()
+        assert other.report().to_json() == cold.report().to_json()
+
+
+def test_journal_records_the_outcome_of_each_cell(tmp_path):
+    from repro.runner.checkpoint import SweepJournal
+    camp = Campaign(Scenario(**TINY), name="mixed",
+                    axes={"queue_pkts": [64, 0]}, seeds=2)
+    run = run_campaign(camp, dir=tmp_path / "camp", cache=False)
+    (name,) = _journal_bytes(tmp_path / "camp")
+    frames = SweepJournal(tmp_path / "camp" / "journal" / name,
+                          expect=str).load()
+    assert frames == {
+        c.key: ("error" if c.config.queue_pkts == 0 else "ok")
+        for c in camp.cells()}
+    assert {k: getattr(r, "kind", "ok")
+            for k, r in run.results_by_key.items()} == frames
+
+
+def _parent_format_dir(root, camp, *, journaled):
+    """A campaign directory as the commit before the outcome frames wrote
+    it: the first ``journaled`` cells stored, and worker ``old`` 's journal
+    holding the whole result of each."""
+    from repro.runner.checkpoint import SweepJournal
+    from repro.runner.pool import run_one
+    store = CampaignStore(root, worker="old")
+    store.init(camp)
+    with SweepJournal(store.journal_dir / "old.pkl",
+                      expect=_RESULTS) as journal:
+        for cell in camp.cells()[:journaled]:
+            res = run_one(cell.config, cache=False, on_error="capture")
+            store.store_cell(cell.key, res)
+            journal.append(cell.key, res)
+    return store
+
+
+def test_parent_format_journal_still_counts_and_is_left_alone(
+        tmp_path, capsys, monkeypatch):
+    from repro.cli import main
+    monkeypatch.setenv("REPRO_PROGRESS", "0")
+    camp = _tiny_campaign(seeds=3)
+    n = len(camp)
+    root = tmp_path / "camp"
+    store = _parent_format_dir(root, camp, journaled=n)
+    before = _journal_bytes(root)
+    assert len(before["old.pkl"]) > 1024 * n    # whole results, not outcomes
+    assert store.journal_counts() == {"old": n}
+    assert store.status()["workers"] == {"old": n}
+    resumed = run_campaign(camp, dir=root, cache=False)
+    assert resumed.complete
+    for argv in (["status", str(root)], ["watch", str(root), "--once"],
+                 ["report", str(root)], ["resume", str(root)]):
+        assert main(["campaign", *argv]) == 0
+    capsys.readouterr()
+    # Not truncated as a "torn tail" by a stricter frame check, and nothing
+    # was re-executed into a new journal.
+    assert _journal_bytes(root) == before
+    assert store.journal_counts() == {"old": n}
+
+
+def test_outcome_frames_append_to_a_parent_format_journal(tmp_path):
+    """A worker resuming under the same name appends outcome frames after
+    the full-result frames; both kinds count, once per key."""
+    from repro.campaign import worker_loop
+    camp = _tiny_campaign(seeds=3)
+    cells = camp.cells()
+    root = tmp_path / "camp"
+    _parent_format_dir(root, camp, journaled=2)
+    old_size = (root / "journal" / "old.pkl").stat().st_size
+    done = worker_loop(CampaignStore(root, worker="old"),
+                       [(c.key, c.label, c.config) for c in cells],
+                       cache=False, heartbeat=False)
+    assert done == len(cells) - 2
+    assert CampaignStore(root).journal_counts() == {"old": len(cells)}
+    grown = (root / "journal" / "old.pkl").stat().st_size - old_size
+    assert 0 < grown < 128 * done
+
+
+def test_torn_campaign_journal_tail_is_truncated(tmp_path):
+    camp = _tiny_campaign()
+    run_campaign(camp, dir=tmp_path / "camp", cache=False)
+    (name,) = _journal_bytes(tmp_path / "camp")
+    path = tmp_path / "camp" / "journal" / name
+    whole = path.read_bytes()
+    path.write_bytes(whole + whole[:17])    # a frame cut short by a kill
+    store = CampaignStore(tmp_path / "camp")
+    assert sum(store.journal_counts().values()) == len(camp)
+    assert path.read_bytes() == whole
 
 
 # ----------------------------------------------------------------------
