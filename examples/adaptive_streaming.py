@@ -20,7 +20,7 @@ from repro.sim.engine import Simulator
 from repro.sim.topology import Dumbbell
 from repro.traffic.cbr import CbrSource
 from repro.transport.iq_rudp import IqRudpConnection
-from repro.transport.udp import UdpSender, UdpSink
+from repro.transport.udp import UdpSender
 
 FRAME_RATE = 100.0        # snapshots per second
 BASE_SNAPSHOT = 1200      # bytes at full resolution
@@ -113,10 +113,9 @@ def main() -> None:
     app = StreamingApp(sim, channel)
 
     # Background congestion: a 19.4 Mb blast for the middle of the run.
-    c_snd, c_rcv = net.add_flow_hosts("cross")
-    cbr_tx = UdpSender(sim, c_snd, port=9001, peer_addr=c_rcv.address,
+    cross = net.add_cross_port("cross")
+    cbr_tx = UdpSender(sim, cross, port=9001, peer_addr=cross.peer_address,
                        peer_port=9001)
-    UdpSink(sim, c_rcv, port=9001, flow_id=cbr_tx.flow_id)
     CbrSource(sim, cbr_tx, rate_bps=19.4e6, start=5.0, stop=20.0)
 
     sim.schedule(0.0, app.tick)

@@ -29,7 +29,7 @@ from repro.sim.topology import Dumbbell
 from repro.traffic.cbr import CbrSource
 from repro.transport.iq_rudp import IqRudpConnection
 from repro.transport.rudp import RudpConnection
-from repro.transport.udp import UdpSender, UdpSink
+from repro.transport.udp import UdpSender
 
 BLOCK = 1400
 N_BLOCKS = 6000
@@ -109,10 +109,9 @@ def transfer(coordinated: bool) -> dict:
     ftp = IqFtpSender(sim, conn)
 
     # Congest the path for the middle of the transfer.
-    c_snd, c_rcv = net.add_flow_hosts("bg")
-    tx = UdpSender(sim, c_snd, port=9001, peer_addr=c_rcv.address,
+    bg = net.add_cross_port("bg")
+    tx = UdpSender(sim, bg, port=9001, peer_addr=bg.peer_address,
                    peer_port=9001)
-    UdpSink(sim, c_rcv, port=9001, flow_id=tx.flow_id)
     CbrSource(sim, tx, rate_bps=18e6, start=1.0, stop=12.0)
 
     sim.schedule(0.0, ftp.pump)

@@ -43,7 +43,7 @@ from ..transport.fec import FecConfig
 from ..transport.iq_rudp import IqRudpConnection
 from ..transport.rudp import RudpConnection
 from ..transport.tcp import TcpConnection
-from ..transport.udp import UdpSender, UdpSink
+from ..transport.udp import UdpSender
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario",
            "TRANSPORTS", "make_transport"]
@@ -443,18 +443,19 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         conn.sender.on_space = source.pump
 
     # -- cross traffic --------------------------------------------------------
+    # One-way UDP flows enter at the bottleneck through a cross port and
+    # end at its far side (repro.sim.topology.CrossPort).
+    def cross_sender(name: str, udp_port: int) -> UdpSender:
+        port = net.add_cross_port(name)
+        return UdpSender(sim, port, port=udp_port,
+                         peer_addr=port.peer_address, peer_port=udp_port,
+                         mss=cfg.mss)
+
     if cfg.cbr_bps > 0:
-        c_snd, c_rcv = net.add_flow_hosts("cbr")
-        cbr_tx = UdpSender(sim, c_snd, port=7001, peer_addr=c_rcv.address,
-                           peer_port=7001, mss=cfg.mss)
-        UdpSink(sim, c_rcv, port=7001, flow_id=cbr_tx.flow_id)
-        CbrSource(sim, cbr_tx, rate_bps=cfg.cbr_bps, payload_bytes=cfg.mss,
-                  start=cfg.cbr_start)
+        CbrSource(sim, cross_sender("cbr", 7001), rate_bps=cfg.cbr_bps,
+                  payload_bytes=cfg.mss, start=cfg.cbr_start)
     if cfg.vbr_mean_bps > 0:
-        v_snd, v_rcv = net.add_flow_hosts("vbr")
-        vbr_tx = UdpSender(sim, v_snd, port=7002, peer_addr=v_rcv.address,
-                           peer_port=7002, mss=cfg.mss)
-        UdpSink(sim, v_rcv, port=7002, flow_id=vbr_tx.flow_id)
+        vbr_tx = cross_sender("vbr", 7002)
         # Paper: frame size = trace group size x 2000 B at 500 fps.  The
         # original trace's group-size scale is unknown, so we derive the
         # multiplier from the target mean rate instead (see DESIGN.md) --
@@ -471,12 +472,8 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         # Deterministic "available bandwidth changes": a second UDP source
         # alternating between a low and a high rate every half period.
         low_bps, high_bps, period_s = cfg.step_cross
-        s_snd, s_rcv = net.add_flow_hosts("step")
-        step_tx = UdpSender(sim, s_snd, port=7004, peer_addr=s_rcv.address,
-                            peer_port=7004, mss=cfg.mss)
-        UdpSink(sim, s_rcv, port=7004, flow_id=step_tx.flow_id)
-        step_src = CbrSource(sim, step_tx, rate_bps=low_bps,
-                             payload_bytes=cfg.mss)
+        step_src = CbrSource(sim, cross_sender("step", 7004),
+                             rate_bps=low_bps, payload_bytes=cfg.mss)
 
         def _toggle(high: bool) -> None:
             step_src.set_rate(high_bps if high else low_bps)

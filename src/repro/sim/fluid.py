@@ -2,7 +2,9 @@
 
 Population scenarios (1k+ concurrent foreground flows) cannot afford
 per-packet cross traffic: a 16 Mbps CBR source alone is ~1.4k datagrams --
-several thousand engine events -- per simulated second.  Following the
+2.8k engine events on an idle bottleneck, 4.2k on a backlogged one, now
+that a datagram enters at the bottleneck (5.6k to 7k when it walked the
+access links too) -- per simulated second.  Following the
 fluid/analytic rate-model tradition (Hága et al., PAPERS.md), background
 aggregate traffic does not need per-packet fidelity to exert correct
 congestion *pressure* on the foreground; it needs the right mean rate,
@@ -93,6 +95,7 @@ class FluidSource:
         self.dropped_bytes = 0.0
         self.ticks = 0
         self._running = False
+        self._event = None      # the one pending tick
         self._last_t = start
         sim.at(start, self.start)
 
@@ -101,7 +104,7 @@ class FluidSource:
         if not self._running:
             self._running = True
             self._last_t = self.sim.now
-            self.sim.schedule(self.tick_s, self._tick)
+            self._event = self.sim.schedule(self.tick_s, self._tick)
 
     def stop(self) -> None:
         """Stop the source and release the link back to its nominal
@@ -109,6 +112,7 @@ class FluidSource:
         if not self._running:
             return
         self._running = False
+        self._event.cancel()
         self.dropped_bytes += self.backlog_bits / 8.0
         self.backlog_bits = 0.0
         self.link.set_bandwidth(self.nominal_bps)
@@ -122,8 +126,6 @@ class FluidSource:
 
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        if not self._running:
-            return
         now = self.sim.now
         if self.stop_time is not None and now >= self.stop_time:
             self.stop()
@@ -162,7 +164,7 @@ class FluidSource:
         if cap < self.min_queue_bytes:
             cap = self.min_queue_bytes
         self.link.queue.set_capacity(cap)
-        self.sim.schedule(self.tick_s, self._tick)
+        self._event = self.sim.schedule(self.tick_s, self._tick)
 
     # ------------------------------------------------------------------
     @property

@@ -4,14 +4,27 @@
 traffic at a fixed rate that differs across experiments" (section 3.1).
 iperf's UDP mode emits fixed-size datagrams on a fixed interval; this class
 does exactly that on the simulated clock.
+
+Bound to a plain ``Host`` the source ticks and sends.  Bound to a
+:class:`~repro.sim.topology.CrossPort` it is a *train*: packet ``k`` of a
+CBR flow is fully determined by its nominal send time ``t_k``, so the one
+standing event sits where the packet meets the bottleneck
+(``port.arrival(t_k, wire)``), builds it as ``UdpSender.send`` would have
+at ``t_k``, offers it and posts packet ``k+1`` (DESIGN.md section 2).
 """
 
 from __future__ import annotations
 
+from math import inf
+
 from ..sim.engine import Simulator
+from ..sim.packet import HEADER_BYTES, Packet, PacketKind
+from ..sim.topology import CrossPort
 from ..transport.udp import UdpSender
 
 __all__ = ["CbrSource"]
+
+_DATA = PacketKind.DATA
 
 
 class CbrSource:
@@ -21,24 +34,40 @@ class CbrSource:
     payload rate; the distinction is a constant factor -- we target wire
     rate so "18 Mbps cross traffic on a 20 Mbps link" leaves the 2 Mbps the
     paper's numbers imply).
+
+    On a train, a ``set_rate``, ``stop`` or read of ``datagrams_sent`` at
+    exactly a nominal send time ``t_k`` counts as before it -- what the
+    tick chain does for any event scheduled more than one interval ahead
+    -- and the sender's own ``packets_sent``/``bytes_sent`` follow one
+    access hop (36.52 us) behind ``datagrams_sent``.
     """
 
     def __init__(self, sim: Simulator, sender: UdpSender, *,
                  rate_bps: float, payload_bytes: int = 1400,
                  start: float = 0.0, stop: float | None = None):
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
         if payload_bytes <= 0:
             raise ValueError("payload size must be positive")
         self.sim = sim
         self.sender = sender
-        self.rate_bps = rate_bps
         self.payload_bytes = payload_bytes
         self.stop_time = stop
-        self.interval = (payload_bytes + 40) * 8.0 / rate_bps
-        self.datagrams_sent = 0
+        # A datagram above the MSS leaves as back-to-back segments: ticks.
+        port = sender.host
+        self._port = (port if isinstance(port, CrossPort)
+                      and payload_bytes <= sender.mss else None)
+        self._sent = 0
         self._running = False
+        self._event = None      # the one pending tick / train event
+        # Train: nominal send time of the pending event's packet, and of
+        # the one after it once a rate change has landed in between.
+        self._t = inf
+        self._t_after: float | None = None
+        self.set_rate(rate_bps)
         sim.at(start, self.start)
+
+    @property
+    def datagrams_sent(self) -> int:
+        return self._sent + (self.sim._now > self._t)
 
     def start(self) -> None:
         if not self._running:
@@ -47,20 +76,84 @@ class CbrSource:
 
     def stop(self) -> None:
         self._running = False
+        ev, self._event = self._event, None
+        if ev is not None and ev.alive:
+            ev.cancel()
+            if self.sim._now > self._t:
+                # Its packet is already on the access hop: let it arrive.
+                self.sim.post(ev.time, -1, self._port.link.send,
+                              (self._packet(),))
+            elif self._port is not None:
+                self._port.withdraw()
+        self._t = inf
 
     def _tick(self) -> None:
-        if not self._running:
-            return
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
+        now = self.sim._now
+        if self.stop_time is not None and now >= self.stop_time:
             self._running = False
             return
         self.sender.send(self.payload_bytes)
-        self.datagrams_sent += 1
-        self.sim.schedule(self.interval, self._tick)
+        self._sent += 1
+        if self._port is None:
+            self._event = self.sim.schedule(self.interval, self._tick)
+            return
+        # That first packet went the plain way (same-instant starts keep
+        # their order); the train carries the rest.  Its first event goes
+        # through ``at`` so that whatever watches ``schedule``/``at`` for
+        # callbacks (the benchmark's tracer) meets ``_depart``.
+        at = self._advance(now + self.interval)
+        self._event = (None if at is None
+                       else self.sim.at(at, self._depart, priority=-1))
+
+    def _advance(self, t: float) -> float | None:
+        """Move the train on to the packet nominally sent at ``t``: the
+        instant it meets the bottleneck, or None past ``stop=``."""
+        self._t_after = None
+        if self.stop_time is not None and t >= self.stop_time:
+            # ``_running`` holds until ``t``, as on the tick chain; after
+            # it a ``start()`` sends nothing either way.
+            self._t = inf
+            return None
+        self._t = t
+        return self._port.arrival(t, self.payload_bytes + HEADER_BYTES)
+
+    def _packet(self) -> Packet:
+        """The packet ``UdpSender.send`` would have built at ``_t``."""
+        tx = self.sender
+        size = self.payload_bytes
+        pkt = Packet(tx.flow_id, _DATA, tx._seq, -1, size, tx.host.address,
+                     tx.peer_addr, tx.port, tx.peer_port, self._t, True,
+                     False, -1)
+        tx._seq += 1
+        tx.packets_sent += 1
+        tx.bytes_sent += size
+        self._sent += 1
+        return pkt
+
+    def _depart(self) -> None:
+        self._port.link.send(self._packet())
+        t = self._t_after
+        if t is None:
+            t = self._t + self.interval
+        at = self._advance(t)
+        self._event = (None if at is None
+                       else self.sim.post(at, -1, self._depart, ()))
 
     def set_rate(self, rate_bps: float) -> None:
-        """Change the target rate mid-run (used by step-congestion tests)."""
+        """Change the target rate mid-run (used by step-congestion tests).
+        The interval in force at one send spaces the next."""
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
+        wire = self.payload_bytes + HEADER_BYTES
+        interval = wire * 8.0 / rate_bps
+        port = self._port
+        if port is not None:
+            # The train's one event stands for the one packet in the hop.
+            if interval <= wire * 8.0 / port.access_bps + port.access_delay_s:
+                raise ValueError(f"{rate_bps:g} b/s puts a second "
+                                 f"{wire}-byte packet on the access hop "
+                                 f"before the first has left it")
+            if self._t_after is None and self.sim._now > self._t:
+                self._t_after = self._t + self.interval
         self.rate_bps = rate_bps
-        self.interval = (self.payload_bytes + 40) * 8.0 / rate_bps
+        self.interval = interval

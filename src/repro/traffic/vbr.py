@@ -49,6 +49,7 @@ class VbrSource:
         self.frames_sent = 0
         self._start_time = start
         self._running = False
+        self._event = None      # the one pending tick
         sim.at(start, self.start)
 
     def start(self) -> None:
@@ -59,6 +60,8 @@ class VbrSource:
 
     def stop(self) -> None:
         self._running = False
+        if self._event is not None:
+            self._event.cancel()
 
     def current_size(self) -> int:
         """Frame size for the current trace step (wraps around)."""
@@ -69,11 +72,9 @@ class VbrSource:
         return self.frame_sizes[step % len(self.frame_sizes)]
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         if self.stop_time is not None and self.sim.now >= self.stop_time:
             self._running = False
             return
         self.sender.send(self.current_size(), frame_id=self.frames_sent)
         self.frames_sent += 1
-        self.sim.schedule(self.interval, self._tick)
+        self._event = self.sim.schedule(self.interval, self._tick)

@@ -88,6 +88,24 @@ def test_stop_restores_nominal_operating_point():
     assert link.bandwidth_bps == fl.nominal_bps
 
 
+def test_stop_then_start_keeps_one_tick_chain():
+    """``stop(); start()`` inside one tick period used to leave the old
+    pending tick alive beside the new chain: twice the ticks, half the dt."""
+    sim, link = _rig(nominal_bps=20e6)
+    fl = FluidSource(sim, link, rate_bps=8e6, tick_s=0.010)
+
+    def bounce():
+        fl.stop()
+        fl.start()
+
+    sim.at(1.004, bounce)
+    sim.run(until=1.0045)
+    assert fl.ticks == 100 and sim.pending() == 1
+    sim.run(until=2.0045)
+    assert fl.ticks == 200 and sim.pending() == 1     # 300 and 2
+    assert fl.offered_bytes == pytest.approx(8e6 / 8 * 2.0, rel=1e-9)
+
+
 def test_profile_steps_change_rate():
     sim, link = _rig(nominal_bps=20e6)
     fl = FluidSource(sim, link, rate_bps=5e6,

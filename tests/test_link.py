@@ -460,26 +460,43 @@ def test_pickled_link_drops_transit_state_but_not_its_books():
 
 def test_unpickled_result_reports_the_same_wire_counters():
     """A scenario cut off mid-transfer (time cap) leaves packets on the
-    serialisers; the detached, pickled result still reads the same."""
+    serialisers and a CBR train event pending; the detached, pickled result
+    still reads the same, cross-traffic books included."""
     from repro.experiments.common import ScenarioConfig, run_scenario
+    from repro.traffic.cbr import CbrSource
 
     def links(res):
         net = res.net
-        return [net.forward, net.backward, *net.left._routes.values(),
-                *net.right._routes.values(),
+        routes = (*net.left._routes.values(), *net.right._routes.values())
+        return [net.forward, net.backward,
+                *(r for r in routes if isinstance(r, Link)),
                 *(host._uplink for host in net._hosts)]
 
     def books(res):
         return [(l.name, l.bytes_sent, l.packets_sent, l.packets_lost_wire,
                  l.accounting_violation()) for l in links(res)]
 
+    def cross_books(res, cbr):
+        (port,) = res.net.cross_ports
+        (tx,) = port.senders.values()
+        assert cbr.sender is tx
+        return (port.egress.packets, port.egress.bytes, tx.packets_sent,
+                tx.bytes_sent, cbr.datagrams_sent)
+
     res = run_scenario(ScenarioConfig(transport="iq", workload="greedy",
                                       n_frames=5000, cbr_bps=16e6, seed=1,
                                       time_cap=0.7))
     assert any(l.sim.now < l._free_at for l in links(res))   # mid-flight
-    before = books(res)
-    clone = pickle.loads(pickle.dumps(res.detach()))
+    # The source lives on the heap only: its train event, pending at the cut.
+    (cbr,) = {ev.fn.__self__ for *_, ev in res.sim._heap
+              if ev.alive and isinstance(getattr(ev.fn, "__self__", None),
+                                         CbrSource)}
+    assert cbr._event.alive and cbr._event.time > res.sim.now
+    before, cross_before = books(res), cross_books(res, cbr)
+    assert 0 < cross_before[0] < cross_before[4] == 973
+    clone, cbr_clone = pickle.loads(pickle.dumps((res.detach(), cbr)))
     assert books(clone) == before
+    assert cross_books(clone, cbr_clone) == cross_before
     assert all(row[-1] is None for row in before)
     assert all(l._arrival is None and l._service is None
                for l in links(clone))

@@ -114,6 +114,34 @@ class TestCbr:
         with pytest.raises(ValueError):
             CbrSource(sim, tx, rate_bps=0)
 
+    @pytest.mark.parametrize("on_port", [False, True])
+    def test_stop_then_start_keeps_one_chain(self, on_port):
+        """``stop()`` used to leave the pending tick alive, so a ``start()``
+        inside the same interval ran two chains: 87 datagrams in the first
+        second, 174 in the next, at 1 Mb/s."""
+        sim = Simulator()
+        net = Dumbbell(sim)
+        if on_port:
+            port = net.add_cross_port("x")
+            tx = UdpSender(sim, port, port=7001,
+                           peer_addr=port.peer_address, peer_port=7001)
+        else:
+            tx, _ = udp_pair(sim, net)
+        src = CbrSource(sim, tx, rate_bps=1e6)
+
+        def bounce():
+            src.stop()
+            src.start()
+
+        sim.at(1.001, bounce)
+        sim.run(until=1.0)
+        assert src.datagrams_sent == 87
+        sim.run(until=2.001)
+        assert src.datagrams_sent == 87 + 87
+        src.stop()
+        sim.run(until=3.0)
+        assert src.datagrams_sent == tx.packets_sent == 87 + 87
+
 
 class TestVbr:
     def test_mean_rate_tracks_trace(self):
@@ -152,6 +180,25 @@ class TestVbr:
                         trace_step_s=1.0)
         sim.run(until=5.0)
         assert src.frames_sent == 6  # kept running past trace length
+
+    def test_stop_then_start_keeps_one_chain(self):
+        sim = Simulator()
+        net = Dumbbell(sim)
+        tx, rx = udp_pair(sim, net)
+        src = VbrSource(sim, tx, frame_sizes=[500], frame_rate=100.0)
+
+        def bounce():
+            src.stop()
+            src.start()
+
+        sim.at(1.005, bounce)
+        sim.run(until=1.0)
+        assert src.frames_sent == 100
+        sim.run(until=2.005)
+        assert src.frames_sent == 100 + 1 + 100   # 301 with two chains
+        src.stop()
+        sim.run(until=3.0)
+        assert src.frames_sent == 201 and sim.pending() == 0
 
     def test_validation(self):
         sim = Simulator()
