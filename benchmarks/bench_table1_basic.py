@@ -4,23 +4,13 @@ against 18 Mb CBR cross traffic."""
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.baseline import (PAPER_TABLE1, run_table1,
-                                        table_metrics)
-
-HEADERS = ("Transport Tested", "Time", "Throughput KB/s", "Inter-arrival",
-           "Jitter")
+from repro.experiments.baseline import TABLE1, run_table1, table_metrics
 
 
 def bench_table1_basic_comparison(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table1", run_table1), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE1.items()]
-    measured_rows = [(k, *(round(x, 3) for x in table_metrics(r)))
-                     for k, r in results.items()]
-    report("table1_basic", render_comparison(
-        "Table 1: basic performance comparison", HEADERS, paper_rows,
-        measured_rows))
+    report("table1_basic", TABLE1.render(results))
 
     t = {k: table_metrics(r) for k, r in results.items()}
     tcp, iq = t["TCP(1)"], t["IQ-RUDP(2)"]

@@ -3,29 +3,20 @@ competing against a greedy TCP cross flow on the shared bottleneck."""
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.baseline import (PAPER_TABLE2, run_table2,
-                                        table_metrics)
-
-HEADERS = ("Transport Tested", "Time", "Throughput KB/s", "Inter-arrival",
-           "Jitter")
+from repro.experiments.baseline import TABLE2, run_table2, table_metrics
 
 
 def bench_table2_fairness(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table2", run_table2), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE2.items()]
-    measured_rows = [(k, *(round(x, 4) for x in table_metrics(r)))
-                     for k, r in results.items()]
     # Also report the cross flow's share for context.
     extra = []
     for k, r in results.items():
         xlog = r.tcp_cross.cross_log
         xthr = xlog.total_bytes / 1e3 / max(xlog.duration, 1e-9)
         extra.append(f"{k}: competing TCP flow achieved {xthr:.0f} KB/s")
-    report("table2_fairness", render_comparison(
-        "Table 2: fairness test", HEADERS, paper_rows, measured_rows)
-        + "\n" + "\n".join(extra))
+    report("table2_fairness",
+           TABLE2.render(results) + "\n" + "\n".join(extra))
 
     tcp = table_metrics(results["TCP"])
     iq = table_metrics(results["IQ-RUDP"])

@@ -4,23 +4,13 @@ RUDP keeps sending everything within its window."""
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.conflict import (PAPER_TABLE3, conflict_metrics,
-                                        run_table3)
-
-HEADERS = ("", "Duration(s)", "Mesgs Recvd(%)", "Tagged Delay(ms)",
-           "Tagged Jitter", "Delay(ms)", "Jitter")
+from repro.experiments.conflict import TABLE3, conflict_metrics, run_table3
 
 
 def bench_table3_conflict_changing_app(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table3", run_table3), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE3.items()]
-    measured_rows = [(k, *(round(x, 2) for x in conflict_metrics(r)))
-                     for k, r in results.items()]
-    report("table3_conflict_app", render_comparison(
-        "Table 3: coordination against conflict -- changing application",
-        HEADERS, paper_rows, measured_rows))
+    report("table3_conflict_app", TABLE3.render(results))
 
     iq = conflict_metrics(results["IQ-RUDP"])
     ru = conflict_metrics(results["RUDP"])

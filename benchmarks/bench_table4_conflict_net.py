@@ -3,23 +3,13 @@
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.conflict import (PAPER_TABLE4, conflict_metrics,
-                                        run_table4)
-
-HEADERS = ("", "Duration(s)", "Mesgs Recvd(%)", "Tagged Delay(ms)",
-           "Tagged Jitter", "Delay(ms)", "Jitter")
+from repro.experiments.conflict import TABLE4, conflict_metrics, run_table4
 
 
 def bench_table4_conflict_changing_net(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table4", run_table4), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE4.items()]
-    measured_rows = [(k, *(round(x, 2) for x in conflict_metrics(r)))
-                     for k, r in results.items()]
-    report("table4_conflict_net", render_comparison(
-        "Table 4: coordination against conflict -- changing network",
-        HEADERS, paper_rows, measured_rows))
+    report("table4_conflict_net", TABLE4.render(results))
 
     iq = conflict_metrics(results["IQ-RUDP"])
     ru = conflict_metrics(results["RUDP"])

@@ -3,22 +3,14 @@
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.overreaction import (PAPER_TABLE5,
-                                            overreaction_metrics, run_table5)
-
-HEADERS = ("", "Throughput(KB/s)", "Duration(s)", "Delay(ms)", "Jitter")
+from repro.experiments.overreaction import (TABLE5, overreaction_metrics,
+                                            run_table5)
 
 
 def bench_table5_overreaction_changing_app(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table5", run_table5), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE5.items()]
-    measured_rows = [(k, *(round(x, 2) for x in overreaction_metrics(r)))
-                     for k, r in results.items()]
-    report("table5_overreaction_app", render_comparison(
-        "Table 5: coordination against over-reaction -- changing app",
-        HEADERS, paper_rows, measured_rows))
+    report("table5_overreaction_app", TABLE5.render(results))
 
     iq = overreaction_metrics(results["IQ-RUDP"])
     ru = overreaction_metrics(results["RUDP"])

@@ -3,29 +3,14 @@ iperf cross-traffic sweep (12/16/18 Mbps)."""
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.overreaction import (PAPER_TABLE6,
-                                            overreaction_metrics, run_table6)
-
-HEADERS = ("iperf", "Transport", "Throughput(KB/s)", "Duration(s)",
-           "Delay(ms)", "Jitter")
+from repro.experiments.overreaction import (TABLE6, overreaction_metrics,
+                                            run_table6)
 
 
 def bench_table6_overreaction_changing_net(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table6", run_table6), rounds=1, iterations=1)
-    paper_rows = []
-    measured_rows = []
-    for rate, rows in results.items():
-        for name in ("IQ-RUDP", "RUDP"):
-            paper_rows.append((f"{rate}Mbps", name,
-                               *PAPER_TABLE6[rate][name]))
-            measured_rows.append(
-                (f"{rate}Mbps", name,
-                 *(round(x, 2) for x in overreaction_metrics(rows[name]))))
-    report("table6_overreaction_net", render_comparison(
-        "Table 6: coordination against over-reaction -- changing network",
-        HEADERS, paper_rows, measured_rows))
+    report("table6_overreaction_net", TABLE6.render(results))
 
     # Shape: throughput decays sharply as the cross traffic grows.
     for name in ("IQ-RUDP", "RUDP"):

@@ -4,22 +4,14 @@ adapt at coarse frame boundaries."""
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.granularity import (PAPER_TABLE7, granularity_metrics,
+from repro.experiments.granularity import (TABLE7, granularity_metrics,
                                            run_table7)
-
-HEADERS = ("", "Duration(s)", "Throughput(KB/s)", "Delay(ms)", "Jitter")
 
 
 def bench_table7_granularity_changing_app(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table7", run_table7), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE7.items()]
-    measured_rows = [(k, *(round(x, 2) for x in granularity_metrics(r)))
-                     for k, r in results.items()]
-    report("table7_granularity_app", render_comparison(
-        "Table 7: limited adaptation granularity -- changing app",
-        HEADERS, paper_rows, measured_rows))
+    report("table7_granularity_app", TABLE7.render(results))
 
     iq = granularity_metrics(results["IQ-RUDP w/o ADAPT_COND"])
     ru = granularity_metrics(results["RUDP"])

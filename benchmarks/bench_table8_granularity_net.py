@@ -4,22 +4,14 @@ correction is the paper's headline claim."""
 
 from conftest import cached
 
-from repro.analysis.tables import render_comparison
-from repro.experiments.granularity import (PAPER_TABLE8, granularity_metrics,
+from repro.experiments.granularity import (TABLE8, granularity_metrics,
                                            run_table8)
-
-HEADERS = ("", "Duration(s)", "Throughput(KB/s)", "Delay(ms)", "Jitter")
 
 
 def bench_table8_granularity_changing_net(benchmark, report):
     results = benchmark.pedantic(
         lambda: cached("table8", run_table8), rounds=1, iterations=1)
-    paper_rows = [(k, *v) for k, v in PAPER_TABLE8.items()]
-    measured_rows = [(k, *(round(x, 2) for x in granularity_metrics(r)))
-                     for k, r in results.items()]
-    report("table8_granularity_net", render_comparison(
-        "Table 8: limited adaptation granularity -- changing network",
-        HEADERS, paper_rows, measured_rows))
+    report("table8_granularity_net", TABLE8.render(results))
 
     cond = granularity_metrics(results["IQ-RUDP w/ ADAPT_COND"])
     nocond = granularity_metrics(results["IQ-RUDP w/o ADAPT_COND"])

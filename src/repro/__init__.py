@@ -18,8 +18,8 @@ Layering (bottom-up):
 * :mod:`repro.experiments` / :mod:`repro.analysis` -- the evaluation
   harness regenerating every table and figure.
 * :mod:`repro.runner` -- resilient process-pool batch execution of
-  independent scenarios (crash isolation, timeouts, retries,
-  checkpoint/resume) with a persistent, code-version-salted results cache.
+  independent scenarios (crash isolation, timeouts, retries) with a
+  persistent, code-version-salted results cache.
 * :mod:`repro.invariants` -- runtime correctness checks (conservation,
   monotonicity, bounds) armed per scenario; :mod:`repro.fuzz` drives them
   over seeded random configs with differential oracles (``repro fuzz``).

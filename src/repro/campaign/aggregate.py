@@ -30,7 +30,8 @@ from ..experiments.common import ScenarioResult
 from ..obs.metrics import _prom_name, _prom_value
 from ..obs.report import failures_by_kind
 from ..runner.failures import FailedResult
-from .spec import Campaign, stable_value
+from ..runner.hashing import field_text
+from .spec import Campaign
 
 __all__ = ["CampaignReport", "aggregate", "DEFAULT_METRICS"]
 
@@ -190,7 +191,7 @@ def aggregate(campaign: Campaign,
             for field in axis_fields:
                 if field not in cell.assignment:
                     continue
-                value = stable_value(cell.assignment[field])
+                value = field_text(cell.assignment[field])
                 pool = axis_pools.setdefault(field, {}).setdefault(value, {})
                 for m, v in row["metrics"].items():
                     pool.setdefault(m, []).append(float(v))

@@ -12,9 +12,9 @@ Spec shape (a plain mapping; TOML/YAML/JSON files parse to it)::
 
     name = "table2-grid"
 
-    [template]                  # ScenarioConfig fields, validated through
-    workload = "greedy"         # the repro.api.Scenario facade -- unknown
-    n_frames = 2000             # fields fail with a did-you-mean hint
+    [template]                  # ScenarioConfig fields -- unknown fields
+    workload = "greedy"         # fail with a did-you-mean hint
+    n_frames = 2000
     tcp_cross_bytes = 500000000
 
     [axes]                      # cartesian grid: every combination
@@ -33,53 +33,26 @@ Spec shape (a plain mapping; TOML/YAML/JSON files parse to it)::
     count = 3                   # or: list = [1, 5, 9]
 
 Cell count = ``len(grid product) * len(zip rows) * len(seeds) +
-len(cases) * len(seeds)``.  String values share the CLI ``--set`` dialect
-(parsed as Python literals when they parse, kept as strings otherwise),
-``adaptation`` accepts a registry name from
-:data:`repro.middleware.adaptation.ADAPTATIONS`, and ``faults`` accepts a
-dynamics-scenario name from :data:`repro.experiments.dynamics.SCHEDULES`.
+len(cases) * len(seeds)``.  String values are the CLI's ``--set`` dialect,
+:func:`repro.experiments.common.parse_field`: Python literals when they
+parse, ``adaptation`` / ``faults`` registry names, ``fec`` spec strings.
 """
 
 from __future__ import annotations
 
-import ast
-import difflib
 import hashlib
 import itertools
 import json
 from typing import Any, Iterable, Mapping
 
-from ..api import Scenario
-from ..experiments.common import ScenarioConfig
+from ..experiments.common import ScenarioConfig, did_you_mean, parse_field
 from ..middleware.adaptation import ADAPTATIONS
-from ..runner.hashing import callable_token, config_fingerprint
-from ..transport.fec import FecConfig
+from ..runner.hashing import config_fingerprint, field_text
 
-__all__ = ["Campaign", "CampaignCell", "load_campaign", "cell_key",
-           "stable_value"]
+__all__ = ["Campaign", "CampaignCell", "load_campaign", "cell_key"]
 
 #: Recognised top-level spec keys (anything else is a typo).
 _SPEC_KEYS = ("name", "template", "axes", "zip", "cases", "seeds", "metrics")
-
-
-def _did_you_mean(name: str, valid: Iterable[str]) -> str:
-    close = difflib.get_close_matches(name, list(valid), n=1)
-    return f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else "")
-
-
-def stable_value(value: Any) -> str:
-    """Deterministic text rendering of a config field value.
-
-    ``repr`` everywhere except callables, which render via
-    :func:`~repro.runner.hashing.callable_token` (dotted name) so the text
-    never embeds a memory address.  ``FaultSchedule`` and
-    ``TelemetryConfig`` already define stable parameter-complete reprs.
-    """
-    if callable(value):
-        token = callable_token(value)
-        if token is not None:
-            return token
-    return repr(value)
 
 
 def cell_key(cfg: ScenarioConfig) -> str:
@@ -101,42 +74,8 @@ def cell_key(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(fp.encode()).hexdigest()[:20]
 
 
-def _coerce(field: str, value: Any) -> Any:
-    """Spec-value coercion sharing the CLI ``--set`` dialect.
-
-    Strings parse as Python literals when they parse (``"16e6"`` ->
-    16000000.0, ``"None"`` -> None, ``"(2.0, 1e6, 5.0)"`` -> tuple) and
-    stay strings otherwise (``"greedy"``); ``adaptation`` names resolve
-    through the shared registry and ``faults`` through the dynamics
-    schedule registry, so spec files never need Python callables.
-    """
-    if field == "adaptation" and isinstance(value, str):
-        if value not in ADAPTATIONS:
-            raise ValueError(
-                f"unknown adaptation {_did_you_mean(value, ADAPTATIONS)}; "
-                f"available: {', '.join(sorted(ADAPTATIONS))}")
-        return ADAPTATIONS[value]
-    if field == "faults" and isinstance(value, str):
-        from ..experiments.dynamics import SCHEDULES
-        if value not in SCHEDULES:
-            raise ValueError(
-                f"unknown fault schedule {_did_you_mean(value, SCHEDULES)}; "
-                f"available: {', '.join(sorted(SCHEDULES))}")
-        return SCHEDULES[value]
-    if field == "fec" and isinstance(value, str):
-        # "8/2", "8/2/4", "8/2/static", "none" -- never literal_eval'd
-        # (the "K/R" shape would parse as division).
-        return FecConfig.parse(value)
-    if isinstance(value, str):
-        try:
-            return ast.literal_eval(value)
-        except (ValueError, SyntaxError):
-            return value
-    return value
-
-
 def _coerce_fields(fields: Mapping[str, Any]) -> dict[str, Any]:
-    return {name: _coerce(name, value) for name, value in fields.items()}
+    return {name: parse_field(name, value) for name, value in fields.items()}
 
 
 class CampaignCell:
@@ -157,7 +96,7 @@ class CampaignCell:
 
 
 def _cell_label(assignment: Mapping[str, Any], seed: int) -> str:
-    parts = [f"{name}={stable_value(value)}"
+    parts = [f"{name}={field_text(value)}"
              for name, value in assignment.items()]
     parts.append(f"seed={seed}")
     return ",".join(parts)
@@ -179,7 +118,7 @@ class Campaign:
     expansion; :func:`~repro.campaign.run_campaign` executes it.
     """
 
-    def __init__(self, template: Scenario | ScenarioConfig | None = None, *,
+    def __init__(self, template: ScenarioConfig | None = None, *,
                  name: str = "campaign",
                  axes: Mapping[str, Iterable[Any]] | None = None,
                  zip_axes: Mapping[str, Iterable[Any]] | None = None,
@@ -187,12 +126,10 @@ class Campaign:
                  seeds: int | Iterable[int] | None = None,
                  metrics: Iterable[str] | None = None):
         if template is None:
-            template = Scenario()
-        elif isinstance(template, ScenarioConfig):
-            template = Scenario(**dict(vars(template)))
-        elif not isinstance(template, Scenario):
-            raise TypeError(f"template must be a Scenario (or "
-                            f"ScenarioConfig), got {type(template).__name__}")
+            template = ScenarioConfig()
+        elif not isinstance(template, ScenarioConfig):
+            raise TypeError(f"template must be a Scenario, "
+                            f"got {type(template).__name__}")
         self.name = str(name)
         self.template = template
         self.axes = {str(k): list(v) for k, v in (axes or {}).items()}
@@ -234,8 +171,8 @@ class Campaign:
                 if field == "seed":
                     raise ValueError("'seed' is not an axis; use the "
                                      "'seeds' section for replicates")
-                # Unknown-field rejection routes through the Scenario facade
-                # so there is exactly one error dialect (did-you-mean).
+                # Unknown-field rejection is ScenarioConfig's, so there is
+                # exactly one error dialect (did-you-mean).
                 self.template.replace(**{field: values[0]})
         if self.zip_axes:
             lengths = {field: len(v) for field, v in self.zip_axes.items()}
@@ -262,14 +199,14 @@ class Campaign:
                             f"got {type(mapping).__name__}")
         unknown = sorted(set(mapping) - set(_SPEC_KEYS))
         if unknown:
-            hints = ", ".join(_did_you_mean(k, _SPEC_KEYS) for k in unknown)
+            hints = ", ".join(did_you_mean(k, _SPEC_KEYS) for k in unknown)
             raise ValueError(f"unknown campaign spec key(s): {hints}; "
                              f"valid keys: {', '.join(_SPEC_KEYS)}")
         template_fields = _coerce_fields(mapping.get("template") or {})
-        template = Scenario(**template_fields)
-        axes = {field: [_coerce(field, v) for v in values]
+        template = ScenarioConfig(**template_fields)
+        axes = {field: [parse_field(field, v) for v in values]
                 for field, values in (mapping.get("axes") or {}).items()}
-        zip_axes = {field: [_coerce(field, v) for v in values]
+        zip_axes = {field: [parse_field(field, v) for v in values]
                     for field, values in (mapping.get("zip") or {}).items()}
         cases = [_coerce_fields(case)
                  for case in (mapping.get("cases") or [])]
@@ -299,9 +236,9 @@ class Campaign:
     def from_scenarios(cls, rows, *, name: str = "batch") -> "Campaign":
         """Wrap an already-expanded collection of scenarios as a campaign.
 
-        ``rows`` is a mapping of ``{label: Scenario|ScenarioConfig}`` (or a
-        plain iterable, labelled by index) -- the shape every table bench
-        already builds.  Labels become cell labels verbatim, so a bench
+        ``rows`` is a mapping of ``{label: Scenario}`` (or a plain
+        iterable, labelled by index) -- the shape every experiment's
+        ``configs()`` builds.  Labels become cell labels verbatim, so a bench
         routed through a campaign directory keys its results exactly as
         before.  No template/axes structure exists, so the manifest stores
         no spec and per-axis aggregation is empty.
@@ -310,15 +247,10 @@ class Campaign:
             rows = {str(i): sc for i, sc in enumerate(rows)}
         cells: list[CampaignCell] = []
         seen: dict[str, str] = {}
-        for label, sc in rows.items():
-            if isinstance(sc, Scenario):
-                cfg = sc.config
-            elif isinstance(sc, ScenarioConfig):
-                cfg = sc
-            else:
-                raise TypeError(
-                    f"rows[{label!r}] must be a Scenario or ScenarioConfig, "
-                    f"got {type(sc).__name__}")
+        for label, cfg in rows.items():
+            if not isinstance(cfg, ScenarioConfig):
+                raise TypeError(f"rows[{label!r}] must be a Scenario, "
+                                f"got {type(cfg).__name__}")
             key = cell_key(cfg)
             label = str(label)
             if key in seen:
@@ -345,16 +277,11 @@ class Campaign:
             return self._raw
         if self._cells_only:
             return None
-        template: dict[str, Any] = {}
-        defaults = vars(ScenarioConfig())
+        template = self.template.non_defaults()
         reverse_adapt = {fn: name for name, fn in ADAPTATIONS.items()
                          if fn is not None}
-        for field, value in vars(self.template.config).items():
-            if defaults.get(field) == value:
-                continue
-            if field == "adaptation" and value in reverse_adapt:
-                value = reverse_adapt[value]
-            template[field] = value
+        if template.get("adaptation") in reverse_adapt:
+            template["adaptation"] = reverse_adapt[template["adaptation"]]
         mapping = {"name": self.name, "template": template,
                    "axes": self.axes, "zip": self.zip_axes,
                    "cases": self.cases,
@@ -368,8 +295,10 @@ class Campaign:
         return mapping
 
     def replace_template(self, **overrides: Any) -> "Campaign":
-        """Derive a campaign with template overrides (the CLI ``--set``
-        path); axis values still win over template values per cell."""
+        """Derive a campaign with template overrides -- values, or text
+        in the :func:`parse_field` dialect (the CLI ``--set`` path, which
+        passes what was typed so that the stored spec stays JSON); axis
+        values still win over template values per cell."""
         camp = Campaign(self.template.replace(**_coerce_fields(overrides)),
                         name=self.name, axes=self.axes,
                         zip_axes=self.zip_axes, cases=self.cases,
@@ -406,16 +335,15 @@ class Campaign:
     def cells(self) -> tuple[CampaignCell, ...]:
         """Expand (once) to the full cell tuple, in spec order: grid
         (leftmost axis slowest) x zip row x seed, then explicit cases x
-        seed.  Every cell validates through the Scenario facade; duplicate
-        cells (identical resulting configs) are an error."""
+        seed.  Every cell validates as a ScenarioConfig; duplicate cells
+        (identical resulting configs) are an error."""
         if self._cells is not None:
             return self._cells
         cells: list[CampaignCell] = []
         seen: dict[str, str] = {}
         for assignment in self._assignments():
             for seed in self.seeds:
-                scenario = self.template.replace(**assignment, seed=seed)
-                cfg = scenario.config
+                cfg = self.template.replace(**assignment, seed=seed)
                 key = cell_key(cfg)
                 label = _cell_label(assignment, seed)
                 if key in seen:

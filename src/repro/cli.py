@@ -24,172 +24,85 @@ Examples
     python -m repro forensics failed.pkl   # last-moments flight timeline
 
 The experiment subcommands print the same paper-vs-measured blocks the
-benches write; ``scenario`` runs a one-off configuration (through the
+benches write (each is one :class:`~repro.experiments.grid.Experiment`
+declaration); ``scenario`` runs a one-off configuration (through the
 :mod:`repro.api` facade) and prints the standard metric bundle.  Every
 experiment command accepts repeated ``--set key=value`` overrides that
-patch the underlying ``ScenarioConfig`` (values parse as Python literals;
-unknown keys fail with a close-match suggestion).
+patch the underlying ``ScenarioConfig`` (values parse through
+:func:`~repro.experiments.common.parse_field`; unknown keys fail with a
+close-match suggestion).
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import sys
-from typing import Callable
 
-from .analysis.tables import render_comparison, render_table
+from .analysis.tables import render_table
 from .experiments import (baseline, conflict, dynamics, granularity,
                           overreaction, reliability)
-from .experiments.common import TRANSPORTS
+from .experiments.common import TRANSPORTS, parse_field
+from .experiments.grid import Experiment
 from .middleware.adaptation import ADAPTATIONS
 
 __all__ = ["main", "EXPERIMENTS", "parse_overrides"]
 
+#: Command name -> declaration, for every table and sweep.
+EXPERIMENTS: dict[str, Experiment] = {
+    "table1": baseline.TABLE1, "table2": baseline.TABLE2,
+    "table3": conflict.TABLE3, "table4": conflict.TABLE4,
+    "table5": overreaction.TABLE5, "table6": overreaction.TABLE6,
+    "table7": granularity.TABLE7, "table8": granularity.TABLE8,
+    "dynamics": dynamics.DYNAMICS, "reliability": reliability.RELIABILITY,
+}
 
-def parse_overrides(pairs: "list[str] | None") -> "dict | None":
-    """Parse repeated ``--set KEY=VALUE`` options into config overrides.
 
-    Values are parsed as Python literals (``16e6``, ``0.25``, ``None``,
-    ``(2.0, 1e6, 5.0)``); anything that does not parse stays a string, so
-    ``--set workload=greedy`` works unquoted.  Key validity is *not*
-    checked here -- ``ScenarioConfig.replace`` rejects unknown fields with
-    a did-you-mean hint at application time.
-    """
-    if not pairs:
-        return None
+def _split_overrides(pairs: "list[str] | None") -> "dict[str, str]":
+    """Repeated ``--set KEY=VALUE`` options as ``{key: value text}``."""
     out: dict = {}
-    for item in pairs:
+    for item in pairs or ():
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep or not key:
             raise SystemExit(
                 f"error: --set expects KEY=VALUE, got {item!r}")
-        try:
-            out[key] = ast.literal_eval(raw)
-        except (ValueError, SyntaxError):
-            out[key] = raw
+        out[key] = raw
     return out
 
-def _table(headers, paper, measured, title) -> str:
-    paper_rows = [(k, *v) for k, v in paper.items()]
-    return render_comparison(title, headers, paper_rows, measured)
+
+def parse_overrides(pairs: "list[str] | None") -> "dict | None":
+    """Parse repeated ``--set KEY=VALUE`` options into config overrides.
+
+    Values go through :func:`~repro.experiments.common.parse_field`, the
+    dialect campaign spec files share: Python literals (``16e6``,
+    ``None``, ``(2.0, 1e6, 5.0)``), ``adaptation`` / ``faults`` registry
+    names, ``fec`` spec strings; anything else stays a string, so ``--set
+    workload=greedy`` works unquoted.  Key validity is *not* checked here
+    -- ``ScenarioConfig.replace`` rejects unknown fields with a
+    did-you-mean hint at application time.
+    """
+    return {key: parse_field(key, raw)
+            for key, raw in _split_overrides(pairs).items()} or None
 
 
-def _run_table1(args) -> str:
-    res = baseline.run_table1(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 3) for x in baseline.table_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Time", "Thr KB/s", "IA", "Jitter"),
-                  baseline.PAPER_TABLE1, measured, "Table 1")
-
-
-def _run_table2(args) -> str:
-    res = baseline.run_table2(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 4) for x in baseline.table_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Time", "Thr KB/s", "IA", "Jitter"),
-                  baseline.PAPER_TABLE2, measured, "Table 2")
-
-
-def _run_table3(args) -> str:
-    res = conflict.run_table3(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 2) for x in conflict.conflict_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Dur", "Recv%", "TagDly", "TagJit", "Dly", "Jit"),
-                  conflict.PAPER_TABLE3, measured, "Table 3")
-
-
-def _run_table4(args) -> str:
-    res = conflict.run_table4(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 2) for x in conflict.conflict_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Dur", "Recv%", "TagDly", "TagJit", "Dly", "Jit"),
-                  conflict.PAPER_TABLE4, measured, "Table 4")
-
-
-def _run_table5(args) -> str:
-    res = overreaction.run_table5(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 2)
-                      for x in overreaction.overreaction_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Thr KB/s", "Dur", "Dly", "Jit"),
-                  overreaction.PAPER_TABLE5, measured, "Table 5")
-
-
-def _run_table6(args) -> str:
-    res = overreaction.run_table6(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    rows = []
-    paper_rows = []
-    for rate, by_name in res.items():
-        for name, r in by_name.items():
-            rows.append((f"{rate}M", name, *(round(x, 2) for x in
-                         overreaction.overreaction_metrics(r))))
-            paper_rows.append((f"{rate}M", name,
-                               *overreaction.PAPER_TABLE6[rate][name]))
-    return render_comparison("Table 6",
-                             ("iperf", "row", "Thr KB/s", "Dur", "Dly",
-                              "Jit"), paper_rows, rows)
-
-
-def _run_table7(args) -> str:
-    res = granularity.run_table7(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 2)
-                      for x in granularity.granularity_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Dur", "Thr KB/s", "Dly", "Jit"),
-                  granularity.PAPER_TABLE7, measured, "Table 7")
-
-
-def _run_table8(args) -> str:
-    res = granularity.run_table8(
-        seed=args.seed, jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
-    measured = [(k, *(round(x, 2)
-                      for x in granularity.granularity_metrics(r)))
-                for k, r in res.items()]
-    return _table(("row", "Dur", "Thr KB/s", "Dly", "Jit"),
-                  granularity.PAPER_TABLE8, measured, "Table 8")
-
-
-EXPERIMENTS: dict[str, Callable] = {
-    "table1": _run_table1, "table2": _run_table2, "table3": _run_table3,
-    "table4": _run_table4, "table5": _run_table5, "table6": _run_table6,
-    "table7": _run_table7, "table8": _run_table8,
-}
-
-
-def _run_dynamics(args) -> str:
-    schedules = tuple(args.schedules.split(",")) if args.schedules else None
-    res = dynamics.run_dynamics(
-        schedules=schedules, seed=args.seed, jobs=args.jobs,
-        trace=args.trace, overrides=parse_overrides(args.set),
-        campaign_dir=args.campaign_dir)
-    return dynamics.render_dynamics(res)
-
-
-def _run_reliability(args) -> str:
-    schedules = tuple(args.schedules.split(",")) if args.schedules else None
-    res = reliability.run_reliability(
-        schedules=schedules, n_frames=args.frames, seed=args.seed,
+def _run_experiment(args) -> str:
+    """Every table and sweep command: run the declaration, render it."""
+    exp = EXPERIMENTS[args.command]
+    schedules = getattr(args, "schedules", None)
+    res = exp.run(
+        groups=tuple(schedules.split(",")) if schedules else None,
+        n_frames=getattr(args, "frames", None), seed=args.seed,
         jobs=args.jobs, trace=args.trace,
-        overrides=parse_overrides(args.set),
-        campaign_dir=args.campaign_dir)
-    return reliability.render_reliability(res)
+        overrides=parse_overrides(args.set), campaign_dir=args.campaign_dir)
+    return exp.render(res)
+
+
+def _list_cmd(args) -> None:
+    print("experiments:", ", ".join(EXPERIMENTS))
+    print("dynamics scenarios:", ", ".join(dynamics.SCENARIOS))
+    print("reliability scenarios:", ", ".join(reliability.SCENARIOS))
+    print("plus: scenario (custom runs), population "
+          "(many flows, fluid background); see --help")
 
 
 def _build_scenario(args):
@@ -249,7 +162,7 @@ def _run_population_cmd(args) -> str:
 
 def _run_profile_cmd(args) -> str:
     from .obs.profiler import profile_scenario, render_profile
-    res, profile = profile_scenario(_build_scenario(args).config)
+    res, profile = profile_scenario(_build_scenario(args))
     if args.json:
         import json
         return json.dumps({"summary": res.summary,
@@ -270,12 +183,13 @@ def _run_compare_cmd(args) -> int:
     return report.exit_code
 
 
-def _run_metrics_cmd(args) -> str:
+def _run_metrics_cmd(args) -> None:
     from .api import load_result
     res = load_result(args.path)
     if res.registry is None:
         raise ValueError(f"{args.path} carries no metrics registry")
-    return res.registry.render_prometheus(prefix=args.prefix)
+    # The exposition ends with its own newline.
+    print(res.registry.render_prometheus(prefix=args.prefix), end="")
 
 
 def _run_fuzz_cmd(args) -> int:
@@ -459,7 +373,9 @@ def _execute_campaign(campaign, args) -> int:
 def _run_campaign_cmd(args) -> int:
     from .api import load_campaign
     campaign = load_campaign(args.spec)
-    overrides = parse_overrides(args.set)
+    # As text: the manifest keeps the spec as written, and a resume
+    # re-parses it through the same dialect.
+    overrides = _split_overrides(args.set)
     if overrides:
         campaign = campaign.replace_template(**overrides)
     return _execute_campaign(campaign, args)
@@ -660,48 +576,63 @@ def add_exec_flags(sp, *, seed: int | None = None, jobs: bool = False,
                              "hosts at DIR to help (see 'repro campaign')")
 
 
+def _command(parent, name: str, func, **kw) -> argparse.ArgumentParser:
+    """One subcommand, said once: its parser and the handler :func:`main`
+    calls for it (which returns the text to print, an exit code, or None
+    after printing for itself)."""
+    sp = parent.add_parser(name, **kw)
+    sp.set_defaults(func=func)
+    return sp
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro",
         description="IQ-RUDP (HPDC 2002) reproduction harness")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=f"regenerate the paper's {name}")
-        add_exec_flags(sp, seed=2 if name in ("table5", "table6") else 1,
-                       jobs=True, set_=True, campaign_dir=True,
+    for name, exp in EXPERIMENTS.items():
+        if exp.paper is None:
+            continue  # the two sweeps take their own options, next
+        sp = _command(sub, name, _run_experiment,
+                      help=f"regenerate the paper's {name}")
+        add_exec_flags(sp, seed=exp.seed, jobs=True, set_=True,
+                       campaign_dir=True,
                        trace="write the batch's trace events to PATH "
                              "(.jsonl or .jsonl.gz); view with "
                              "'repro report PATH'")
 
-    dy = sub.add_parser(
-        "dynamics",
+    dy = _command(
+        sub, "dynamics", _run_experiment,
         help="network-dynamics sweeps: coordinated vs uncoordinated under "
              "link flaps, handovers, bursty loss and capacity ramps")
     dy.add_argument("--schedules", metavar="NAMES", default=None,
                     help="comma-separated scenario subset (default: "
                          f"{','.join(dynamics.SCENARIOS)})")
-    add_exec_flags(dy, seed=1, jobs=True, set_=True, campaign_dir=True,
+    add_exec_flags(dy, seed=dynamics.DYNAMICS.seed, jobs=True, set_=True,
+                   campaign_dir=True,
                    trace="write the sweep's trace events to PATH; fault "
                          "phases show up in 'repro report PATH'")
 
-    rl = sub.add_parser(
-        "reliability",
+    rl = _command(
+        sub, "reliability", _run_experiment,
         help="application-tailored reliability sweeps: FEC repair tier vs "
              "ARQ-only IQ-RUDP under bursty loss and handover blackouts")
     rl.add_argument("--schedules", metavar="NAMES", default=None,
                     help="comma-separated scenario subset (default: "
                          f"{','.join(reliability.SCENARIOS)})")
-    rl.add_argument("--frames", type=int, default=250, metavar="N",
-                    help="trace frames offered per cell (default 250; "
-                         "keep >= 150 so every arm is still active when "
-                         "the faults land)")
-    add_exec_flags(rl, seed=1, jobs=True, set_=True, campaign_dir=True,
+    rl.add_argument("--frames", type=int, metavar="N",
+                    default=reliability.RELIABILITY.n_frames,
+                    help="trace frames offered per cell (default "
+                         "%(default)s; keep >= 150 so every arm is still "
+                         "active when the faults land)")
+    add_exec_flags(rl, seed=reliability.RELIABILITY.seed, jobs=True,
+                   set_=True, campaign_dir=True,
                    trace="write the sweep's trace events to PATH; FEC "
                          "repair/recovery events show up in "
                          "'repro report PATH' and 'repro lineage'")
 
-    sub.add_parser("list", help="list experiments")
+    _command(sub, "list", _list_cmd, help="list experiments")
 
     def add_scenario_options(sp):
         sp.add_argument("--transport", choices=TRANSPORTS, default="iq")
@@ -720,7 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--time-cap", type=float, default=600.0)
         add_exec_flags(sp, seed=1, set_=True)
 
-    sc = sub.add_parser("scenario", help="run a custom scenario")
+    sc = _command(sub, "scenario", _run_scenario_cmd,
+                  help="run a custom scenario")
     add_scenario_options(sc)
     add_exec_flags(sc, telemetry=True,
                    trace="write this run's trace events to PATH (forces a "
@@ -728,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
                    save="pickle the (detached) result to PATH for "
                         "'repro compare' / 'repro metrics'")
 
-    pp = sub.add_parser(
-        "population",
+    pp = _command(
+        sub, "population", _run_population_cmd,
         help="run a population scenario: "
              "many concurrent foreground transports with fluid aggregate "
              "cross traffic (see EXPERIMENTS.md, 'Scale tiers')")
@@ -749,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--time-cap", type=float, default=60.0)
     pp.add_argument("--seed", type=int, default=1)
 
-    pf = sub.add_parser(
-        "profile",
+    pf = _command(
+        sub, "profile", _run_profile_cmd,
         help="run one scenario on the self-profiling engine and print "
              "per-callback event counts (deterministic) and wall-time "
              "attribution (advisory)")
@@ -760,8 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--json", action="store_true",
                     help="emit the profile (and run summary) as JSON")
 
-    cp = sub.add_parser(
-        "compare",
+    cp = _command(
+        sub, "compare", _run_compare_cmd,
         help="diff two run artifacts (pickled results from 'scenario "
              "--save' and/or .jsonl[.gz] traces): summary-metric deltas, "
              "per-series first divergence, trace event-count deltas. "
@@ -780,8 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--json", action="store_true",
                     help="emit the structured diff as JSON")
 
-    mt = sub.add_parser(
-        "metrics",
+    mt = _command(
+        sub, "metrics", _run_metrics_cmd,
         help="render a saved result's metrics registry in Prometheus "
              "text exposition format")
     mt.add_argument("path", help="pickled result ('scenario --save' or a "
@@ -789,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     mt.add_argument("--prefix", default="repro_",
                     help="metric name prefix (default repro_)")
 
-    fz = sub.add_parser(
-        "fuzz",
+    fz = _command(
+        sub, "fuzz", _run_fuzz_cmd,
         help="seeded scenario fuzz: random configs + fault schedules run "
              "with invariants armed and differential oracles (jobs=1 vs "
              "jobs=N, cache-hit vs fresh, armed vs disarmed)")
@@ -809,8 +741,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "flight-recorder dumps and the first-divergence "
                          "event id (view with 'repro forensics PATH')")
 
-    ln = sub.add_parser(
-        "lineage",
+    ln = _command(
+        sub, "lineage", _run_lineage_cmd,
         help="run one scenario with causal frame-lineage spans armed and "
              "render the decision chain (attribute exchange -> "
              "coordination action) plus per-frame outcomes and latency "
@@ -829,8 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "instead of running a scenario")
     add_exec_flags(ln, save="pickle the (detached) result to PATH")
 
-    fo = sub.add_parser(
-        "forensics",
+    fo = _command(
+        sub, "forensics", _run_forensics_cmd,
         help="render the last-moments flight-recorder timeline of a "
              "failure artifact: a pickled ScenarioResult/FailedResult, or "
              "a 'repro fuzz --forensics' JSON file")
@@ -856,8 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="extra attempts for transient failures "
                              "(timeout / worker-lost)")
 
-    car = casub.add_parser(
-        "run", help="expand a campaign spec and run (or resume) it")
+    car = _command(
+        casub, "run", _run_campaign_cmd,
+        help="expand a campaign spec and run (or resume) it")
     car.add_argument("spec", help="campaign spec file (.toml/.yaml/.json)")
     car.add_argument("--dir", metavar="DIR", default=None,
                      help="campaign directory holding claims and results; "
@@ -866,23 +799,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_campaign_exec_flags(car)
     add_exec_flags(car, set_=True)
 
-    crs = casub.add_parser(
-        "resume",
+    crs = _command(
+        casub, "resume", _resume_campaign_cmd,
         help="continue an interrupted campaign from its directory's "
              "stored spec (finished cells are never re-executed)")
     crs.add_argument("dir", help="campaign directory")
     add_campaign_exec_flags(crs)
 
-    cst = casub.add_parser("status",
-                           help="progress of a campaign directory, with "
-                                "per-worker heartbeat liveness and lease "
-                                "ages (stale leases flagged)")
+    cst = _command(casub, "status", _status_campaign_cmd,
+                   help="progress of a campaign directory, with "
+                        "per-worker heartbeat liveness and lease "
+                        "ages (stale leases flagged)")
     cst.add_argument("dir", help="campaign directory")
     cst.add_argument("--json", action="store_true",
                      help="emit the status as JSON")
 
-    cwa = casub.add_parser(
-        "watch",
+    cwa = _command(
+        casub, "watch", _watch_campaign_cmd,
         help="live view of a running campaign: per-worker heartbeat rows "
              "plus per-axis aggregates that update incrementally as cells "
              "land (no wait for the final report)")
@@ -898,8 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated summary metrics to stream "
                           "(default: the standard campaign set)")
 
-    crp = casub.add_parser(
-        "report",
+    crp = _command(
+        casub, "report", _report_campaign_cmd,
         help="aggregate a campaign directory: per-axis summary stats and "
              "failures by kind")
     crp.add_argument("dir", help="campaign directory")
@@ -912,8 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
     crp.add_argument("--prom", action="store_true",
                      help="emit Prometheus text exposition instead")
 
-    sv = sub.add_parser(
-        "serve",
+    sv = _command(
+        sub, "serve", _serve_cmd,
         help="expose a campaign directory's live state over HTTP: "
              "/metrics (Prometheus text exposition, pinned formatting), "
              "/ (the watch table) and /healthz")
@@ -926,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="heartbeat staleness window in seconds "
                          "(default: the 300s claim lease)")
 
-    hi = sub.add_parser(
-        "history",
+    hi = _command(
+        sub, "history", _history_cmd,
         help="metric trajectories for one run-ledger key across runs "
              "(requires REPRO_LEDGER_DIR or --ledger-dir)")
     hi.add_argument("key", help="ledger key: a bench name, campaign name "
@@ -943,8 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
     hi.add_argument("--json", action="store_true",
                     help="emit the raw ledger records as JSON")
 
-    se = sub.add_parser(
-        "sentinel",
+    se = _command(
+        sub, "sentinel", _sentinel_cmd,
         help="regression sentinel: judge each ledger key's newest run "
              "against the median of a rolling window of its predecessors; "
              "exit 1 when any directional metric regressed beyond "
@@ -962,9 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--json", action="store_true",
                     help="emit the typed verdicts as JSON")
 
-    rp = sub.add_parser("report",
-                        help="render timeline + coordination audit for a "
-                             "trace file")
+    rp = _command(sub, "report", _run_report_cmd,
+                  help="render timeline + coordination audit for a "
+                       "trace file")
     rp.add_argument("path", help="trace file written with --trace")
     rp.add_argument("--run", default=None,
                     help="only this run label (default: all runs)")
@@ -981,54 +914,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            print("experiments:", ", ".join(EXPERIMENTS))
-            print("dynamics scenarios:", ", ".join(dynamics.SCENARIOS))
-            print("reliability scenarios:",
-                  ", ".join(reliability.SCENARIOS))
-            print("plus: scenario (custom runs), population "
-                  "(many flows, fluid background); see --help")
-        elif args.command == "dynamics":
-            print(_run_dynamics(args))
-        elif args.command == "reliability":
-            print(_run_reliability(args))
-        elif args.command == "scenario":
-            print(_run_scenario_cmd(args))
-        elif args.command == "population":
-            print(_run_population_cmd(args))
-        elif args.command == "fuzz":
-            return _run_fuzz_cmd(args)
-        elif args.command == "lineage":
-            print(_run_lineage_cmd(args))
-        elif args.command == "forensics":
-            print(_run_forensics_cmd(args))
-        elif args.command == "profile":
-            print(_run_profile_cmd(args))
-        elif args.command == "compare":
-            return _run_compare_cmd(args)
-        elif args.command == "metrics":
-            print(_run_metrics_cmd(args), end="")
-        elif args.command == "campaign":
-            if args.action == "run":
-                return _run_campaign_cmd(args)
-            if args.action == "resume":
-                return _resume_campaign_cmd(args)
-            if args.action == "status":
-                print(_status_campaign_cmd(args))
-            elif args.action == "watch":
-                return _watch_campaign_cmd(args)
-            else:
-                print(_report_campaign_cmd(args))
-        elif args.command == "serve":
-            return _serve_cmd(args)
-        elif args.command == "history":
-            return _history_cmd(args)
-        elif args.command == "sentinel":
-            return _sentinel_cmd(args)
-        elif args.command == "report":
-            print(_run_report_cmd(args))
-        else:
-            print(EXPERIMENTS[args.command](args))
+        out = args.func(args)
+        if isinstance(out, str):
+            print(out)
+        elif out is not None:
+            return out
     except BrokenPipeError:
         # Reports are long; ``repro report ... | head`` is normal usage.
         import os

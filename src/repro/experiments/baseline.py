@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from ..middleware.adaptation import ResolutionAdaptation
 from .common import ScenarioConfig, ScenarioResult
+from .grid import Experiment
 
-__all__ = ["TABLE1_ROWS", "PAPER_TABLE1", "run_table1",
-           "TABLE2_ROWS", "PAPER_TABLE2", "run_table2"]
+__all__ = ["TABLE1", "PAPER_TABLE1", "run_table1",
+           "TABLE2", "PAPER_TABLE2", "run_table2", "table_metrics"]
 
 # Paper Table 1 (time s, throughput KB/s, inter-arrival s, jitter s).
 PAPER_TABLE1 = {
@@ -31,14 +32,12 @@ PAPER_TABLE1 = {
     "App adaptation only(3)": (158, 90.0, 0.114, 0.008),
     "IQ-RUDP w/ app adaptation(4)": (144, 95.6, 0.113, 0.058),
 }
-TABLE1_ROWS = tuple(PAPER_TABLE1)
 
 # Paper Table 2 (time s, throughput KB/s, inter-arrival s, jitter s).
 PAPER_TABLE2 = {
     "TCP": (51, 118.0, 0.022, 0.0001),
     "IQ-RUDP": (60, 99.0, 0.024, 0.0001),
 }
-TABLE2_ROWS = tuple(PAPER_TABLE2)
 
 
 def _adaptation() -> ResolutionAdaptation:
@@ -57,51 +56,11 @@ def _table1_config(n_frames: int, seed: int) -> ScenarioConfig:
         trace_step_s=0.2, seed=seed, time_cap=900.0)
 
 
-def run_table1(*, n_frames: int = 250, seed: int = 1, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
-    """Run all four Table 1 rows; returns row-name -> ScenarioResult.
-
-    ``overrides`` are ``ScenarioConfig.replace`` overrides applied to every
-    row (the CLI's ``--set key=value`` path); ``campaign_dir`` routes the
-    rows through a shared campaign directory for claim/resume semantics
-    (see :mod:`repro.campaign`); same for every ``run_table*``.
-    """
-    from ..campaign import run_rows
-    base = _table1_config(n_frames, seed)
-    if overrides:
-        base = base.replace(**overrides)
-    rows = {
-        "TCP(1)": base.replace(transport="tcp"),
-        "IQ-RUDP(2)": base.replace(transport="iq"),
-        "App adaptation only(3)": base.replace(
-            transport="rudp_nocc", adaptation=_adaptation,
-            fixed_window=64.0),
-        "IQ-RUDP w/ app adaptation(4)": base.replace(
-            transport="iq", adaptation=_adaptation),
-    }
-    return run_rows(rows, name="table1", dir=campaign_dir, jobs=jobs,
-                    cache=cache, trace=trace)
-
-
-def run_table2(*, n_frames: int = 8000, seed: int = 1, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
+def _table2_config(n_frames: int, seed: int) -> ScenarioConfig:
     """Fairness: the greedy application against a TCP bulk competitor."""
-    from ..campaign import run_rows
-    base = ScenarioConfig(
+    return ScenarioConfig(
         workload="greedy", n_frames=n_frames, base_frame_size=1400,
         tcp_cross_bytes=500_000_000, seed=seed, time_cap=300.0)
-    if overrides:
-        base = base.replace(**overrides)
-    rows = {
-        "TCP": base.replace(transport="tcp"),
-        "IQ-RUDP": base.replace(transport="iq"),
-    }
-    return run_rows(rows, name="table2", dir=campaign_dir, jobs=jobs,
-                    cache=cache, trace=trace)
 
 
 def table_metrics(res: ScenarioResult) -> tuple[float, float, float, float]:
@@ -110,3 +69,33 @@ def table_metrics(res: ScenarioResult) -> tuple[float, float, float, float]:
     s = res.summary
     return (s["duration_s"], s["throughput_kBps"], s["msg_interarrival_s"],
             s["msg_jitter_s"])
+
+
+_COLUMNS = ("Transport Tested", "Time", "Throughput KB/s", "Inter-arrival",
+            "Jitter")
+
+TABLE1 = Experiment(
+    "table1", title="Table 1: basic performance comparison",
+    base=_table1_config, n_frames=250, paper=PAPER_TABLE1,
+    arms={
+        "TCP(1)": {"transport": "tcp"},
+        "IQ-RUDP(2)": {"transport": "iq"},
+        "App adaptation only(3)": {
+            "transport": "rudp_nocc", "adaptation": _adaptation,
+            "fixed_window": 64.0},
+        "IQ-RUDP w/ app adaptation(4)": {
+            "transport": "iq", "adaptation": _adaptation},
+    },
+    columns=_COLUMNS, metrics=table_metrics, digits=3)
+
+TABLE2 = Experiment(
+    "table2", title="Table 2: fairness test",
+    base=_table2_config, n_frames=8000, paper=PAPER_TABLE2,
+    arms={"TCP": {"transport": "tcp"}, "IQ-RUDP": {"transport": "iq"}},
+    columns=_COLUMNS, metrics=table_metrics, digits=4)
+
+#: ``run_tableN(*, n_frames, seed, overrides, jobs, cache, trace,
+#: campaign_dir)`` -> ``{row name: ScenarioResult}``; see
+#: :meth:`Experiment.run` (same for every ``run_table*``).
+run_table1 = TABLE1.run
+run_table2 = TABLE2.run

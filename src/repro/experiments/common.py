@@ -14,13 +14,17 @@ tables report.  Benches can pass ``n_frames`` to scale up.
 
 from __future__ import annotations
 
+import ast
+import difflib
 import os
-from typing import Any, Callable
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Iterable
 
 from ..analysis.stats import flow_summary
 from ..faults import FaultInjector, FaultSchedule
 from ..invariants import CheckedSimulator, InvariantChecker
-from ..middleware.adaptation import AdaptationStrategy, NullAdaptation
+from ..middleware.adaptation import (ADAPTATIONS, AdaptationStrategy,
+                                     NullAdaptation)
 from ..obs.bus import TraceBus
 from ..obs.flight import flight_from_env
 from ..obs.metrics import MetricsRegistry, collect_scenario_metrics
@@ -46,7 +50,7 @@ from ..transport.tcp import TcpConnection
 from ..transport.udp import UdpSender
 
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario",
-           "TRANSPORTS", "make_transport"]
+           "TRANSPORTS", "make_transport", "parse_field", "did_you_mean"]
 
 #: Transport-under-test factory registry.  Each entry builds a connection
 #: given (sim, sender_host, receiver_host, config kwargs).
@@ -54,8 +58,19 @@ TRANSPORTS = ("tcp", "rudp", "rudp_nocc", "rudp_reno", "iq", "iq_nocond",
               "iq_nodiscard", "iq_noreinflate")
 
 
+def did_you_mean(name: str, valid: Iterable[str]) -> str:
+    """``'nmae'`` or ``'nmae' (did you mean 'name'?)`` -- the one hint
+    dialect for unknown fields, spec keys and registry names."""
+    close = difflib.get_close_matches(name, list(valid), n=1)
+    return f"{name!r}" + (f" (did you mean {close[0]!r}?)" if close else "")
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class ScenarioConfig:
-    """Bag of scenario parameters with paper defaults.
+    """One scenario's parameters with paper defaults: validated at
+    construction, immutable afterwards (derive with :meth:`replace`), and
+    compared by fingerprint (:mod:`repro.runner.hashing`), not by ``==``.
+    :data:`repro.api.Scenario` is this class.
 
     Workload modes (``workload``):
 
@@ -67,109 +82,87 @@ class ScenarioConfig:
       ``frame_rate`` fps.
     """
 
-    def __init__(self, *, transport: str = "iq",
-                 workload: str = "trace_clocked",
-                 adaptation: Callable[[], AdaptationStrategy] | None = None,
-                 n_frames: int = 400,
-                 frame_rate: float = 10.0,
-                 frame_multiplier: int = 3000,
-                 base_frame_size: int = 1400,
-                 bottleneck_bps: float = PAPER_BOTTLENECK_BPS,
-                 rtt_s: float = PAPER_RTT_S,
-                 queue_pkts: int = 64,
-                 mss: int = 1400,
-                 loss_tolerance: float | None = None,
-                 metric_period: float = 0.5,
-                 cbr_bps: float = 0.0,
-                 cbr_start: float = 0.0,
-                 step_cross: tuple[float, float, float] | None = None,
-                 vbr_mean_bps: float = 0.0,
-                 vbr_frame_rate: float = 500.0,
-                 vbr_params=None,
-                 trace_step_s: float = 1.0,
-                 tcp_cross_bytes: int | None = None,
-                 seed: int = 1,
-                 time_cap: float = 600.0,
-                 fixed_window: float = 64.0,
-                 faults: FaultSchedule | None = None,
-                 invariants: bool = False,
-                 telemetry: TelemetryConfig | None = None,
-                 burst: bool = False,
-                 fluid_bps: float = 0.0,
-                 spans: bool = False,
-                 fec: FecConfig | str | None = None,
-                 frame_deadline_s: float = 0.0):
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}")
-        if workload not in ("trace_clocked", "greedy", "fixed_clocked"):
-            raise ValueError(f"unknown workload {workload!r}")
-        if faults is not None and not isinstance(faults, FaultSchedule):
-            raise TypeError(f"faults must be a FaultSchedule or None, "
-                            f"got {type(faults).__name__}")
-        if telemetry is not None and not isinstance(telemetry,
-                                                    TelemetryConfig):
-            raise TypeError(f"telemetry must be a TelemetryConfig or None, "
-                            f"got {type(telemetry).__name__}")
-        # Accepted and not stored, so it is no field: the burst tier went
-        # in PR 13, but benchmarks/e2e/workloads.py still passes
-        # ``burst=False`` and that PR could not edit the benchmark.  Drop
-        # the parameter once the benchmark drops the argument.
+    transport: str = "iq"
+    workload: str = "trace_clocked"
+    adaptation: Callable[[], AdaptationStrategy] | None = None
+    n_frames: int = 400
+    frame_rate: float = 10.0
+    frame_multiplier: int = 3000
+    base_frame_size: int = 1400
+    bottleneck_bps: float = PAPER_BOTTLENECK_BPS
+    rtt_s: float = PAPER_RTT_S
+    queue_pkts: int = 64
+    mss: int = 1400
+    loss_tolerance: float | None = None
+    metric_period: float = 0.5
+    cbr_bps: float = 0.0
+    cbr_start: float = 0.0
+    step_cross: tuple[float, float, float] | None = None
+    vbr_mean_bps: float = 0.0
+    vbr_frame_rate: float = 500.0
+    vbr_params: Any = None
+    trace_step_s: float = 1.0
+    tcp_cross_bytes: int | None = None
+    seed: int = 1
+    time_cap: float = 600.0
+    fixed_window: float = 64.0
+    faults: FaultSchedule | None = None
+    invariants: bool = False
+    telemetry: TelemetryConfig | None = None
+    #: Fluid background traffic on the forward bottleneck
+    #: (repro.sim.fluid): a *model* choice that changes results vs
+    #: per-packet cross traffic.
+    fluid_bps: float = 0.0
+    #: Causal frame-lineage spans (repro.obs.spans).  Purely passive --
+    #: armed summaries are bit-identical to disarmed ones -- but the flag
+    #: is part of the config (and cache key) because the result artifact
+    #: differs: ``ScenarioResult.spans`` carries the lineage.
+    spans: bool = False
+    #: Application-tailored reliability (repro.transport.fec): a FecConfig
+    #: (or its ``"K/R"`` spec string) arms the repair tier on the flow
+    #: under test; the stable repr makes armed configs cache/fingerprint
+    #: cleanly, and None leaves every code path bit-identical to pre-FEC
+    #: behaviour.
+    fec: FecConfig | None = None
+    #: Per-frame delivery budget for deadline-aware scheduling (the
+    #: AdaptiveSource stamps submit-time + this on every segment); 0.0
+    #: disables it.
+    frame_deadline_s: float = 0.0
+
+    def __init__(self, *, burst: bool = False, **kw: Any) -> None:
+        v = {**_DEFAULTS, **kw}
+        if len(v) != len(_DEFAULTS):  # a key that is no field grew it
+            raise _unknown_fields(kw)
+        # ``burst`` is accepted and not stored, so it is no field: the
+        # burst tier went in PR 13, but benchmarks/e2e/workloads.py still
+        # passes ``burst=False`` and no PR since could edit the benchmark.
+        # Drop the parameter once the benchmark drops the argument.
         if burst:
             raise ValueError("burst=True: the burst link tier was removed "
                              "in PR 13; there is one per-packet Link")
-        if fluid_bps < 0:
+        if v["transport"] not in TRANSPORTS:
+            raise ValueError(f"unknown transport {v['transport']!r}")
+        if v["workload"] not in ("trace_clocked", "greedy", "fixed_clocked"):
+            raise ValueError(f"unknown workload {v['workload']!r}")
+        for name, kind in (("faults", FaultSchedule),
+                           ("telemetry", TelemetryConfig)):
+            if v[name] is not None and not isinstance(v[name], kind):
+                raise TypeError(f"{name} must be a {kind.__name__} or None, "
+                                f"got {type(v[name]).__name__}")
+        if v["fluid_bps"] < 0:
             raise ValueError("fluid_bps must be non-negative")
-        fec = FecConfig.parse(fec)
-        if fec is not None and transport == "tcp":
+        v["fec"] = FecConfig.parse(v["fec"])
+        if v["fec"] is not None and v["transport"] == "tcp":
             raise ValueError("TCP has no FEC repair tier (fec requires a "
                              "rudp-family transport)")
-        if frame_deadline_s < 0:
+        if v["frame_deadline_s"] < 0:
             raise ValueError("frame_deadline_s must be non-negative")
-        self.transport = transport
-        self.workload = workload
-        self.adaptation = adaptation
-        self.n_frames = n_frames
-        self.frame_rate = frame_rate
-        self.frame_multiplier = frame_multiplier
-        self.base_frame_size = base_frame_size
-        self.bottleneck_bps = bottleneck_bps
-        self.rtt_s = rtt_s
-        self.queue_pkts = queue_pkts
-        self.mss = mss
-        self.loss_tolerance = loss_tolerance
-        self.metric_period = metric_period
-        self.cbr_bps = cbr_bps
-        self.cbr_start = cbr_start
-        self.step_cross = step_cross
-        self.vbr_mean_bps = vbr_mean_bps
-        self.vbr_frame_rate = vbr_frame_rate
-        self.vbr_params = vbr_params
-        self.trace_step_s = trace_step_s
-        self.tcp_cross_bytes = tcp_cross_bytes
-        self.seed = seed
-        self.time_cap = time_cap
-        self.fixed_window = fixed_window
-        self.faults = faults
-        self.invariants = invariants
-        self.telemetry = telemetry
-        # Fluid background traffic on the forward bottleneck
-        # (repro.sim.fluid): a *model* choice that changes results vs
-        # per-packet cross traffic.
-        self.fluid_bps = float(fluid_bps)
-        # Causal frame-lineage spans (repro.obs.spans).  Purely passive --
-        # armed summaries are bit-identical to disarmed ones -- but the
-        # flag is part of the config (and cache key) because the result
-        # artifact differs: ``ScenarioResult.spans`` carries the lineage.
-        self.spans = bool(spans)
-        # Application-tailored reliability (repro.transport.fec): a
-        # FecConfig arms the repair tier on the flow under test; the
-        # stable repr makes armed configs cache/fingerprint cleanly, and
-        # None leaves every code path bit-identical to pre-FEC behaviour.
-        self.fec = fec
-        # Per-frame delivery budget for deadline-aware scheduling (the
-        # AdaptiveSource stamps submit-time + this on every segment);
-        # 0.0 disables it.
-        self.frame_deadline_s = float(frame_deadline_s)
+        v["fluid_bps"] = float(v["fluid_bps"])
+        v["spans"] = bool(v["spans"])
+        v["frame_deadline_s"] = float(v["frame_deadline_s"])
+        # The instance dict *is* the field set, in declaration order
+        # (fingerprints, ``replace`` and ``vars(cfg)`` read it).
+        vars(self).update(v)
 
     def replace(self, **kw: Any) -> "ScenarioConfig":
         """Copy with overrides (sweep helper).
@@ -178,20 +171,67 @@ class ScenarioConfig:
         in a sweep override must fail loudly, not silently configure
         nothing.
         """
-        unknown = sorted(set(kw) - set(self.__dict__))
-        if unknown:
-            import difflib
-            hints = []
-            for name in unknown:
-                close = difflib.get_close_matches(name, self.__dict__, n=1)
-                hints.append(f"{name!r}" + (f" (did you mean {close[0]!r}?)"
-                                            if close else ""))
-            raise ValueError(
-                f"unknown ScenarioConfig field(s): {', '.join(hints)}; "
-                f"valid fields: {', '.join(sorted(self.__dict__))}")
-        fields = {k: v for k, v in self.__dict__.items()}
-        fields.update(kw)
-        return ScenarioConfig(**fields)
+        v = {**vars(self), **kw}
+        if len(v) != len(_DEFAULTS):  # here too: ``burst`` is no field
+            raise _unknown_fields(kw)
+        return ScenarioConfig(**v)
+
+    def non_defaults(self) -> dict[str, Any]:
+        """The fields that differ from their defaults, in field order."""
+        return {name: value for name, value in vars(self).items()
+                if _DEFAULTS[name] != value}
+
+    def __repr__(self) -> str:
+        from ..runner.hashing import field_text
+        inner = ", ".join(f"{name}={field_text(value)}"
+                          for name, value in self.non_defaults().items())
+        return f"Scenario({inner})"
+
+
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+
+def _unknown_fields(kw: dict[str, Any]) -> ValueError:
+    hints = ", ".join(did_you_mean(name, _DEFAULTS)
+                      for name in sorted(kw.keys() - _DEFAULTS.keys()))
+    return ValueError(f"unknown ScenarioConfig field(s): {hints}; "
+                      f"valid fields: {', '.join(sorted(_DEFAULTS))}")
+
+
+def parse_field(name: str, text: Any) -> Any:
+    """Text -> value for one config field: the one dialect behind
+    ``--set KEY=VALUE``, campaign spec files and ``replace_template``.
+
+    A string parses as a Python literal when it parses (``"16e6"`` ->
+    16000000.0, ``"None"`` -> None, ``"(2.0, 1e6, 5.0)"`` -> tuple) and
+    stays a string otherwise (``"greedy"``).  An ``adaptation`` that is
+    still a string resolves through
+    :data:`~repro.middleware.adaptation.ADAPTATIONS` and a ``faults``
+    string through :data:`repro.experiments.dynamics.SCHEDULES`, so text
+    never needs a Python callable.  ``fec`` goes to
+    :meth:`FecConfig.parse` and is never literal-evaluated (``"8/2"`` is
+    a spec, not a division).  Non-strings pass through; whether ``name``
+    is a field at all is ``ScenarioConfig``'s check, not this one's.
+    """
+    if not isinstance(text, str):
+        return text
+    if name == "fec":
+        return FecConfig.parse(text)
+    try:
+        value = ast.literal_eval(text)
+    except (ValueError, SyntaxError):
+        value = text
+    if isinstance(value, str) and name in ("adaptation", "faults"):
+        if name == "adaptation":
+            kind, registry = "adaptation", ADAPTATIONS
+        else:
+            from .dynamics import SCHEDULES
+            kind, registry = "fault schedule", SCHEDULES
+        if value not in registry:
+            raise ValueError(f"unknown {kind} {did_you_mean(value, registry)}"
+                             f"; available: {', '.join(sorted(registry))}")
+        return registry[value]
+    return value
 
 
 class ScenarioResult:

@@ -29,10 +29,12 @@ Calibration notes (documented deviations; see EXPERIMENTS.md):
 from __future__ import annotations
 
 from ..middleware.adaptation import MarkingAdaptation
+from ..runner import run_batch
 from .common import ScenarioConfig, ScenarioResult
+from .grid import Experiment
 
-__all__ = ["PAPER_TABLE3", "PAPER_TABLE4", "run_table3", "run_table4",
-           "run_figure23", "conflict_metrics"]
+__all__ = ["TABLE3", "TABLE4", "PAPER_TABLE3", "PAPER_TABLE4", "run_table3",
+           "run_table4", "run_figure23", "conflict_metrics"]
 
 # (duration s, msgs recvd %, tagged delay ms, tagged jitter, delay ms, jitter)
 PAPER_TABLE3 = {
@@ -77,52 +79,39 @@ def _changing_net_config(n_frames: int, seed: int) -> ScenarioConfig:
         seed=seed, time_cap=600.0)
 
 
-def run_table3(*, n_frames: int = 250, seed: int = 1, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
-    """Conflict, changing application: IQ-RUDP vs RUDP."""
-    from ..campaign import run_rows
-    base = _changing_app_config(n_frames, seed)
-    if overrides:
-        base = base.replace(**overrides)
-    return run_rows({
-        "IQ-RUDP": base.replace(transport="iq"),
-        "RUDP": base.replace(transport="rudp"),
-    }, name="table3", dir=campaign_dir, jobs=jobs, cache=cache, trace=trace)
-
-
-def run_table4(*, n_frames: int = 6000, seed: int = 1, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
-    """Conflict, changing network: IQ-RUDP vs RUDP."""
-    from ..campaign import run_rows
-    base = _changing_net_config(n_frames, seed)
-    if overrides:
-        base = base.replace(**overrides)
-    return run_rows({
-        "IQ-RUDP": base.replace(transport="iq"),
-        "RUDP": base.replace(transport="rudp"),
-    }, name="table4", dir=campaign_dir, jobs=jobs, cache=cache, trace=trace)
-
-
-def run_figure23(*, n_frames: int = 6000, seed: int = 1, cbr_start: float = 2.0,
-                 jobs: int = 1, cache=None,
-               trace: str | None = None) -> dict[str, ScenarioResult]:
-    """Figures 2/3: per-packet jitter series, cross traffic starting at
-    ``cbr_start`` so the early packets see an idle network."""
-    from ..runner import run_batch
-    base = _changing_net_config(n_frames, seed).replace(cbr_start=cbr_start)
-    return run_batch({
-        "IQ-RUDP": base.replace(transport="iq"),
-        "RUDP": base.replace(transport="rudp"),
-    }, jobs=jobs, cache=cache, trace=trace)
-
-
 def conflict_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """Table 3/4 column set: duration, % received, tagged delay/jitter,
     all-packet delay/jitter (delays are datagram inter-arrivals, ms)."""
     s = res.summary
     return (s["duration_s"], s["pct_received"], s["tagged_delay_ms"],
             s["tagged_jitter_ms"], s["delay_ms"], s["jitter_ms"])
+
+
+_ARMS = {"IQ-RUDP": {"transport": "iq"}, "RUDP": {"transport": "rudp"}}
+_COLUMNS = ("", "Duration(s)", "Mesgs Recvd(%)", "Tagged Delay(ms)",
+            "Tagged Jitter", "Delay(ms)", "Jitter")
+
+TABLE3 = Experiment(
+    "table3",
+    title="Table 3: coordination against conflict -- changing application",
+    base=_changing_app_config, n_frames=250, arms=_ARMS,
+    paper=PAPER_TABLE3, columns=_COLUMNS, metrics=conflict_metrics)
+
+TABLE4 = Experiment(
+    "table4",
+    title="Table 4: coordination against conflict -- changing network",
+    base=_changing_net_config, n_frames=6000, arms=_ARMS,
+    paper=PAPER_TABLE4, columns=_COLUMNS, metrics=conflict_metrics)
+
+run_table3 = TABLE3.run
+run_table4 = TABLE4.run
+
+
+def run_figure23(*, n_frames: int = 6000, seed: int = 1, cbr_start: float = 2.0,
+                 jobs: int = 1, cache=None,
+                 trace: str | None = None) -> dict[str, ScenarioResult]:
+    """Figures 2/3: Table 4's per-packet jitter series, cross traffic
+    starting at ``cbr_start`` so the early packets see an idle network."""
+    rows = TABLE4.configs(n_frames=n_frames, seed=seed,
+                          overrides={"cbr_start": cbr_start})
+    return run_batch(rows, jobs=jobs, cache=cache, trace=trace)

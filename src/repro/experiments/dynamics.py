@@ -36,15 +36,14 @@ Calibration notes (empirical, same spirit as the Table 3 notes in
 
 from __future__ import annotations
 
-from ..analysis.stats import improvement
-from ..analysis.tables import render_grouped
 from ..faults import (BandwidthRamp, Blackout, BurstyLoss, DelayRamp,
                       FaultSchedule, Jitter, LinkFlap)
 from ..middleware.adaptation import MarkingAdaptation
 from .common import ScenarioConfig, ScenarioResult
+from .grid import Experiment
 
-__all__ = ["SCENARIOS", "SCHEDULES", "run_dynamics", "dynamics_metrics",
-           "render_dynamics", "DYNAMICS_TRANSPORTS"]
+__all__ = ["DYNAMICS", "SCENARIOS", "SCHEDULES", "run_dynamics",
+           "dynamics_metrics", "render_dynamics", "DYNAMICS_TRANSPORTS"]
 
 #: Transports each scenario is swept over (coordinated first).
 DYNAMICS_TRANSPORTS = ("iq", "rudp")
@@ -120,43 +119,6 @@ def _dynamics_config(n_frames: int, seed: int) -> ScenarioConfig:
         seed=seed, time_cap=900.0)
 
 
-def run_dynamics(*, schedules: tuple[str, ...] | None = None,
-                 transports: tuple[str, ...] = DYNAMICS_TRANSPORTS,
-                 n_frames: int = 250, seed: int = 1, jobs: int = 1,
-                 cache=None, trace: str | None = None,
-                 overrides: dict | None = None,
-                 campaign_dir: str | None = None
-                 ) -> dict[str, dict[str, ScenarioResult]]:
-    """Run every (scenario, transport) cell; returns
-    ``{scenario: {transport: ScenarioResult}}``.
-
-    ``overrides`` are ``ScenarioConfig.replace`` keyword overrides applied
-    to every cell (the CLI's ``--set key=value`` path); they take
-    precedence over the per-scenario calibration overrides.
-    ``campaign_dir`` routes the sweep through a shared campaign directory
-    for claim/resume semantics (see :mod:`repro.campaign`).
-    """
-    from ..campaign import run_rows
-    names = tuple(schedules) if schedules else tuple(SCENARIOS)
-    for name in names:
-        if name not in SCENARIOS:
-            raise ValueError(f"unknown dynamics scenario {name!r}; "
-                             f"available: {', '.join(SCENARIOS)}")
-    base = _dynamics_config(n_frames, seed)
-    rows = {}
-    for name in names:
-        spec = SCENARIOS[name]
-        cell = base.replace(faults=spec["faults"], **spec["overrides"])
-        if overrides:
-            cell = cell.replace(**overrides)
-        for tp in transports:
-            rows[f"{name}/{tp}"] = cell.replace(transport=tp)
-    flat = run_rows(rows, name="dynamics", dir=campaign_dir, jobs=jobs,
-                    cache=cache, trace=trace)
-    return {name: {tp: flat[f"{name}/{tp}"] for tp in transports}
-            for name in names}
-
-
 def dynamics_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """(goodput fps, received %, duration s, tagged delay ms, stalls)."""
     s = res.summary
@@ -164,24 +126,27 @@ def dynamics_metrics(res: ScenarioResult) -> tuple[float, ...]:
             s["tagged_delay_ms"], s["stalls"])
 
 
-def render_dynamics(results: dict[str, dict[str, ScenarioResult]]) -> str:
-    """Grouped comparison table with a goodput-improvement line per
-    scenario (coordinated = first transport vs each baseline)."""
-    groups: dict[str, list[tuple]] = {}
-    for sched, by_tp in results.items():
-        rows: list[tuple] = []
-        names = list(by_tp)
-        for tp, res in by_tp.items():
-            rows.append((tp, *(round(x, 2) for x in dynamics_metrics(res))))
-        coord = by_tp[names[0]].summary["goodput_fps"]
-        for baseline in names[1:]:
-            gain = improvement(coord,
-                               by_tp[baseline].summary["goodput_fps"])
-            rows.append((f"goodput vs {baseline}", f"{gain:+.1f}%",
-                         "", "", "", ""))
-        groups[sched] = rows
-    return render_grouped(
-        "Dynamics sweeps (coordinated vs uncoordinated under mid-flow "
-        "network changes)",
-        ("transport", "Goodput fps", "Recv%", "Dur s", "TagDly ms",
-         "Stalls"), groups)
+DYNAMICS = Experiment(
+    "dynamics",
+    title="Dynamics sweeps (coordinated vs uncoordinated under mid-flow "
+          "network changes)",
+    base=_dynamics_config, n_frames=250,
+    groups={name: {"faults": spec["faults"], **spec["overrides"]}
+            for name, spec in SCENARIOS.items()},
+    arms={tp: {"transport": tp} for tp in DYNAMICS_TRANSPORTS},
+    columns=("scenario", "transport", "Goodput fps", "Recv%", "Dur s",
+             "TagDly ms", "Stalls"),
+    metrics=dynamics_metrics)
+
+
+def run_dynamics(*, schedules: tuple[str, ...] | None = None, **kw
+                 ) -> dict[str, dict[str, ScenarioResult]]:
+    """Run every (scenario, transport) cell -> ``{scenario: {transport:
+    ScenarioResult}}``; ``schedules`` names a subset of
+    :data:`SCENARIOS`, the rest is :meth:`Experiment.run`'s."""
+    return DYNAMICS.run(groups=schedules, **kw)
+
+
+#: Grouped comparison table with a goodput-improvement line per scenario
+#: (coordinated = first transport vs each baseline).
+render_dynamics = DYNAMICS.render

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from ..middleware.adaptation import DelayedResolutionAdaptation
 from .common import ScenarioConfig, ScenarioResult
+from .grid import Experiment
 
-__all__ = ["PAPER_TABLE7", "PAPER_TABLE8", "run_table7", "run_table8",
-           "granularity_metrics"]
+__all__ = ["TABLE7", "TABLE8", "PAPER_TABLE7", "PAPER_TABLE8", "run_table7",
+           "run_table8", "granularity_metrics"]
 
 # (duration s, throughput KB/s, delay ms, jitter)
 PAPER_TABLE7 = {
@@ -71,43 +72,34 @@ def _changing_net_config(n_frames: int, seed: int) -> ScenarioConfig:
         metric_period=0.25, seed=seed, time_cap=900.0)
 
 
-def run_table7(*, n_frames: int = 8000, seed: int = 1, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
-    """Granularity, changing application: IQ (w/o ADAPT_COND) vs RUDP.
-
-    The paper only runs scheme (2) here because with a changing application
-    "eratio usually does not change a lot" during the delay.
-    """
-    from ..campaign import run_rows
-    base = _changing_app_config(n_frames, seed)
-    if overrides:
-        base = base.replace(**overrides)
-    return run_rows({
-        "IQ-RUDP w/o ADAPT_COND": base.replace(transport="iq_nocond"),
-        "RUDP": base.replace(transport="rudp"),
-    }, name="table7", dir=campaign_dir, jobs=jobs, cache=cache, trace=trace)
-
-
-def run_table8(*, n_frames: int = 6000, seed: int = 1, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
-    """Granularity, changing network: all three schemes on the long path."""
-    from ..campaign import run_rows
-    base = _changing_net_config(n_frames, seed)
-    if overrides:
-        base = base.replace(**overrides)
-    return run_rows({
-        "IQ-RUDP w/ ADAPT_COND": base.replace(transport="iq"),
-        "IQ-RUDP w/o ADAPT_COND": base.replace(transport="iq_nocond"),
-        "RUDP": base.replace(transport="rudp"),
-    }, name="table8", dir=campaign_dir, jobs=jobs, cache=cache, trace=trace)
-
-
 def granularity_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """Table 7/8 column set: duration, throughput, delay, jitter."""
     s = res.summary
     return (s["duration_s"], s["throughput_kBps"], s["delay_ms"],
             s["jitter_ms"])
+
+
+_COLUMNS = ("", "Duration(s)", "Throughput(KB/s)", "Delay(ms)", "Jitter")
+
+#: The paper only runs scheme (2) here because with a changing application
+#: "eratio usually does not change a lot" during the delay.
+TABLE7 = Experiment(
+    "table7",
+    title="Table 7: limited adaptation granularity -- changing app",
+    base=_changing_app_config, n_frames=8000, paper=PAPER_TABLE7,
+    arms={"IQ-RUDP w/o ADAPT_COND": {"transport": "iq_nocond"},
+          "RUDP": {"transport": "rudp"}},
+    columns=_COLUMNS, metrics=granularity_metrics)
+
+#: All three schemes on the long path.
+TABLE8 = Experiment(
+    "table8",
+    title="Table 8: limited adaptation granularity -- changing network",
+    base=_changing_net_config, n_frames=6000, paper=PAPER_TABLE8,
+    arms={"IQ-RUDP w/ ADAPT_COND": {"transport": "iq"},
+          "IQ-RUDP w/o ADAPT_COND": {"transport": "iq_nocond"},
+          "RUDP": {"transport": "rudp"}},
+    columns=_COLUMNS, metrics=granularity_metrics)
+
+run_table7 = TABLE7.run
+run_table8 = TABLE8.run

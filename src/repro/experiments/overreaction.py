@@ -16,11 +16,14 @@ grows with congestion (throughput +6%..+25%, jitter -20%..-76%).
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..middleware.adaptation import ResolutionAdaptation
 from .common import ScenarioConfig, ScenarioResult
+from .grid import Experiment
 
-__all__ = ["PAPER_TABLE5", "PAPER_TABLE6", "run_table5", "run_table6",
-           "overreaction_metrics", "figure4_improvements"]
+__all__ = ["TABLE5", "TABLE6", "PAPER_TABLE5", "PAPER_TABLE6", "run_table5",
+           "run_table6", "overreaction_metrics", "figure4_improvements"]
 
 # (throughput KB/s, duration s, delay ms, jitter)
 PAPER_TABLE5 = {
@@ -75,52 +78,39 @@ def _changing_net_config(cbr_bps: float, n_frames: int, seed: int
         vbr_mean_bps=1.0e6, metric_period=0.5, seed=seed, time_cap=900.0)
 
 
-def run_table5(*, n_frames: int = 8000, seed: int = 2, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None) -> dict[str, ScenarioResult]:
-    from ..campaign import run_rows
-    base = _changing_app_config(n_frames, seed)
-    if overrides:
-        base = base.replace(**overrides)
-    return run_rows({
-        "IQ-RUDP": base.replace(transport="iq"),
-        "RUDP": base.replace(transport="rudp"),
-    }, name="table5", dir=campaign_dir, jobs=jobs, cache=cache, trace=trace)
-
-
-def run_table6(*, rates_mbps: tuple[int, ...] = (12, 16, 18),
-               n_frames: int = 12000, seed: int = 2, jobs: int = 1,
-               cache=None, trace: str | None = None,
-               overrides: dict | None = None,
-               campaign_dir: str | None = None
-               ) -> dict[int, dict[str, ScenarioResult]]:
-    """The congestion sweep; same VBR cross traffic across rates.
-
-    All six (rate, scheme) runs are independent, so the whole sweep fans
-    out as one flat batch before reshaping into the nested table form.
-    """
-    from ..campaign import run_rows
-    configs: dict[tuple[int, str], ScenarioConfig] = {}
-    for rate in rates_mbps:
-        base = _changing_net_config(rate * 1e6, n_frames, seed)
-        if overrides:
-            base = base.replace(**overrides)
-        configs[(rate, "IQ-RUDP")] = base.replace(transport="iq")
-        configs[(rate, "RUDP")] = base.replace(transport="rudp")
-    flat = run_rows(configs, name="table6", dir=campaign_dir, jobs=jobs,
-                    cache=cache, trace=trace)
-    out: dict[int, dict[str, ScenarioResult]] = {}
-    for (rate, name), res in flat.items():
-        out.setdefault(rate, {})[name] = res
-    return out
-
-
 def overreaction_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """Table 5/6 column set: throughput, duration, delay, jitter."""
     s = res.summary
     return (s["throughput_kBps"], s["duration_s"], s["delay_ms"],
             s["jitter_ms"])
+
+
+_ARMS = {"IQ-RUDP": {"transport": "iq"}, "RUDP": {"transport": "rudp"}}
+_COLUMNS = ("Throughput(KB/s)", "Duration(s)", "Delay(ms)", "Jitter")
+
+TABLE5 = Experiment(
+    "table5",
+    title="Table 5: coordination against over-reaction -- changing app",
+    base=_changing_app_config, n_frames=8000, seed=2, arms=_ARMS,
+    paper=PAPER_TABLE5, columns=("", *_COLUMNS),
+    metrics=overreaction_metrics)
+
+#: The congestion sweep: the same VBR cross traffic at every iperf rate
+#: (the group's ``cbr_bps``).  All six (rate, scheme) runs are
+#: independent, so they fan out as one flat batch.
+TABLE6 = Experiment(
+    "table6",
+    title="Table 6: coordination against over-reaction -- changing network",
+    base=partial(_changing_net_config, 0.0), n_frames=12000, seed=2,
+    arms=_ARMS,
+    groups={rate: {"cbr_bps": rate * 1e6} for rate in PAPER_TABLE6},
+    paper=PAPER_TABLE6, columns=("iperf Mbps", "Transport", *_COLUMNS),
+    metrics=overreaction_metrics)
+
+run_table5 = TABLE5.run
+#: -> ``{rate: {row name: ScenarioResult}}``; ``groups=(12,)`` runs a
+#: subset of the rates.
+run_table6 = TABLE6.run
 
 
 def figure4_improvements(table6: dict[int, dict[str, ScenarioResult]]

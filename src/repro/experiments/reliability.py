@@ -41,14 +41,13 @@ Calibration notes (empirical, same spirit as :mod:`.dynamics`):
 
 from __future__ import annotations
 
-from ..analysis.stats import improvement
-from ..analysis.tables import render_grouped
 from ..faults import Blackout, BurstyLoss, FaultSchedule, Jitter
 from ..middleware.adaptation import MarkingAdaptation
 from ..transport.fec import FecConfig
 from .common import ScenarioConfig, ScenarioResult
+from .grid import Experiment
 
-__all__ = ["SCENARIOS", "ARMS", "RELIABILITY_ARMS", "run_reliability",
+__all__ = ["RELIABILITY", "SCENARIOS", "ARMS", "run_reliability",
            "reliability_metrics", "render_reliability"]
 
 #: The repair profile the armed arm runs: 8 data + 1 repair per
@@ -63,8 +62,6 @@ ARMS: dict[str, dict] = {
     "iq+fec": {"transport": "iq", "fec": FEC_PROFILE},
     "iq": {"transport": "iq", "fec": None},
 }
-
-RELIABILITY_ARMS = tuple(ARMS)
 
 #: Named loss-dynamics scenarios (fault schedule + calibration overrides).
 SCENARIOS: dict[str, dict] = {
@@ -101,47 +98,6 @@ def _reliability_config(n_frames: int, seed: int) -> ScenarioConfig:
         seed=seed, time_cap=900.0)
 
 
-def run_reliability(*, schedules: tuple[str, ...] | None = None,
-                    arms: tuple[str, ...] = RELIABILITY_ARMS,
-                    n_frames: int = 250, seed: int = 1, jobs: int = 1,
-                    cache=None, trace: str | None = None,
-                    overrides: dict | None = None,
-                    campaign_dir: str | None = None
-                    ) -> dict[str, dict[str, ScenarioResult]]:
-    """Run every (scenario, arm) cell; returns
-    ``{scenario: {arm: ScenarioResult}}``.
-
-    ``overrides`` are ``ScenarioConfig.replace`` keyword overrides applied
-    to every cell (the CLI's ``--set key=value`` path); they take
-    precedence over both the per-scenario calibration overrides and the
-    per-arm overrides.  ``campaign_dir`` routes the sweep through a shared
-    campaign directory for claim/resume semantics.
-    """
-    from ..campaign import run_rows
-    names = tuple(schedules) if schedules else tuple(SCENARIOS)
-    for name in names:
-        if name not in SCENARIOS:
-            raise ValueError(f"unknown reliability scenario {name!r}; "
-                             f"available: {', '.join(SCENARIOS)}")
-    for arm in arms:
-        if arm not in ARMS:
-            raise ValueError(f"unknown reliability arm {arm!r}; "
-                             f"available: {', '.join(ARMS)}")
-    base = _reliability_config(n_frames, seed)
-    rows = {}
-    for name in names:
-        spec = SCENARIOS[name]
-        cell = base.replace(faults=spec["faults"], **spec["overrides"])
-        if overrides:
-            cell = cell.replace(**overrides)
-        for arm in arms:
-            rows[f"{name}/{arm}"] = cell.replace(**ARMS[arm])
-    flat = run_rows(rows, name="reliability", dir=campaign_dir, jobs=jobs,
-                    cache=cache, trace=trace)
-    return {name: {arm: flat[f"{name}/{arm}"] for arm in arms}
-            for name in names}
-
-
 def reliability_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """(goodput fps, received %, duration s, recovered, repairs sent,
     final redundancy r, stalls).  The FEC columns read the armed-only
@@ -154,26 +110,27 @@ def reliability_metrics(res: ScenarioResult) -> tuple[float, ...]:
             s["stalls"])
 
 
-def render_reliability(results: dict[str, dict[str, ScenarioResult]]
-                       ) -> str:
-    """Grouped comparison table with a goodput-improvement line per
-    scenario (armed = first arm vs each remaining arm)."""
-    groups: dict[str, list[tuple]] = {}
-    for sched, by_arm in results.items():
-        rows: list[tuple] = []
-        names = list(by_arm)
-        for arm, res in by_arm.items():
-            rows.append((arm,
-                         *(round(x, 2) for x in reliability_metrics(res))))
-        armed = by_arm[names[0]].summary["goodput_fps"]
-        for baseline in names[1:]:
-            gain = improvement(armed,
-                               by_arm[baseline].summary["goodput_fps"])
-            rows.append((f"goodput vs {baseline}", f"{gain:+.1f}%",
-                         "", "", "", "", "", ""))
-        groups[sched] = rows
-    return render_grouped(
-        "Reliability sweeps (FEC repair tier vs ARQ-only IQ-RUDP under "
-        "loss dynamics)",
-        ("arm", "Goodput fps", "Recv%", "Dur s", "Recovered", "Repairs",
-         "r final", "Stalls"), groups)
+RELIABILITY = Experiment(
+    "reliability",
+    title="Reliability sweeps (FEC repair tier vs ARQ-only IQ-RUDP under "
+          "loss dynamics)",
+    base=_reliability_config, n_frames=250,
+    groups={name: {"faults": spec["faults"], **spec["overrides"]}
+            for name, spec in SCENARIOS.items()},
+    arms=ARMS,
+    columns=("scenario", "arm", "Goodput fps", "Recv%", "Dur s",
+             "Recovered", "Repairs", "r final", "Stalls"),
+    metrics=reliability_metrics)
+
+
+def run_reliability(*, schedules: tuple[str, ...] | None = None, **kw
+                    ) -> dict[str, dict[str, ScenarioResult]]:
+    """Run every (scenario, arm) cell -> ``{scenario: {arm:
+    ScenarioResult}}``; ``schedules`` names a subset of :data:`SCENARIOS`
+    (``arms`` one of :data:`ARMS`), the rest is :meth:`Experiment.run`'s."""
+    return RELIABILITY.run(groups=schedules, **kw)
+
+
+#: Grouped comparison table with a goodput-improvement line per scenario
+#: (armed = first arm vs each remaining arm).
+render_reliability = RELIABILITY.render

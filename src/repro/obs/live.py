@@ -5,9 +5,8 @@ executed by N coordination-free workers over a shared directory -- and
 until now the only view into a *running* campaign was ``campaign status``
 polling result-file counts.  This module adds the live tier:
 
-* **Heartbeats** -- every worker (campaign workers and ``run_batch`` pool
-  parents) periodically writes one small JSON file into a ``heartbeats/``
-  directory next to the results: claimed cell, cells done/failed, a
+* **Heartbeats** -- every campaign worker periodically writes one small
+  JSON file into a ``heartbeats/`` directory next to the results: claimed cell, cells done/failed, a
   rolling cell rate, the last flight-recorder note and process identity.
   Writes are atomic (tmp + ``os.replace``) and throttled, so a reader
   never sees a torn file and a worker never spends its time painting.
@@ -102,12 +101,10 @@ class HeartbeatWriter:
     """
 
     def __init__(self, directory: "str | os.PathLike", worker: str, *,
-                 total: int | None = None,
                  min_interval_s: float = DEFAULT_BEAT_INTERVAL_S,
                  clock=time.time) -> None:
         self.path = pathlib.Path(directory) / f"{worker}.json"
         self.worker = worker
-        self.total = total
         self.min_interval_s = min_interval_s
         self.clock = clock
         self.done = 0
@@ -130,7 +127,7 @@ class HeartbeatWriter:
 
     def _payload(self, state: str) -> dict[str, Any]:
         now = self.clock()
-        payload = {
+        return {
             "v": 1,
             "worker": self.worker,
             "pid": os.getpid(),
@@ -145,9 +142,6 @@ class HeartbeatWriter:
             "rate_per_s": round(self._rate_per_s(now), 4),
             "note": self.note,
         }
-        if self.total is not None:
-            payload["total"] = self.total
-        return payload
 
     def beat(self, *, force: bool = False, state: str = "running") -> None:
         """Write the heartbeat file (throttled unless ``force``)."""
@@ -181,17 +175,6 @@ class HeartbeatWriter:
         if note is not None:
             self.note = note
         self._completions.append(self.clock())
-        self.beat()
-
-    # -- pool-parent verb ----------------------------------------------
-    def pool_update(self, *, done: int, failed: int) -> None:
-        """Mirror a ``run_batch`` pool's progress counters (the parent is
-        the only process that sees completions, so it beats for the
-        whole pool)."""
-        while self.done < done:
-            self.done += 1
-            self._completions.append(self.clock())
-        self.failed = failed
         self.beat()
 
     def close(self, state: str = "exited") -> None:
@@ -302,11 +285,11 @@ class StreamingAggregator:
             self.failed += 1
             self.failed_kinds.append(getattr(result, "kind", "error"))
             return True
-        from ..campaign.spec import stable_value
+        from ..runner.hashing import field_text
         _label, assignment = self._by_key[key]
         summary = result.summary
         for field, raw in assignment.items():
-            value = stable_value(raw)
+            value = field_text(raw)
             pool = self._axis_pools.setdefault(field, {}).setdefault(value, {})
             for m in self.metrics:
                 if m in summary:

@@ -31,9 +31,10 @@ Environment knobs:
 Resilient execution (PR 4) rides on :func:`run_batch`'s keywords:
 ``on_error="capture"`` isolates per-scenario crashes as
 :class:`FailedResult` rows, ``timeout=S`` kills hung scenarios,
-``retries=N`` re-runs transient losses with exponential backoff, and
-``checkpoint=PATH`` journals completions for byte-identical resume after
-a kill.  See :mod:`.failures`, :mod:`.supervisor`, :mod:`.checkpoint`.
+and ``retries=N`` re-runs transient losses with exponential backoff.  See
+:mod:`.failures` and :mod:`.supervisor`; a batch that must survive a kill
+runs through a campaign directory (:func:`repro.campaign.run_rows`), whose
+per-worker outcome log is :mod:`.checkpoint`'s :class:`SweepJournal`.
 """
 
 from .cache import ResultsCache, cache_enabled, default_cache, memo

@@ -1,23 +1,20 @@
-"""Sweep checkpoint journal: resume an interrupted batch where it stopped.
+"""The campaign outcome journal: an append-only log of pickle frames.
 
-``run_batch(..., checkpoint=PATH)`` appends each successfully completed
-scenario -- keyed by its :func:`~repro.runner.hashing.config_key`, which
-already mixes in the code salt -- to an append-only journal of pickle
-frames.  A re-run of the same batch replays the journal first and only
-executes the configs that are missing, so a sweep killed at scenario 700
-of 1000 restarts at 701, byte-identical to an uninterrupted run.
+Each campaign worker keeps one under ``<campaign dir>/journal/`` and
+appends ``(cell key, "ok" | failure kind)`` as a cell finishes
+(:mod:`repro.campaign.store`); the results themselves live in the
+directory's ``cells/``.  ``status`` counts the frames per worker, and the
+zero-duplicate-execution tests read the same numbers.
 
 Design
 ------
-* **Append-only pickle frames** ``("v1", key, result)``: one frame per
-  completed scenario, flushed per write.  A crash mid-write leaves a torn
-  tail, which :meth:`SweepJournal.load` detects and truncates away -- every
+* **Append-only pickle frames** ``("v1", key, payload)``: one frame per
+  completion, flushed per write.  A crash mid-write leaves a torn tail,
+  which :meth:`SweepJournal.load` detects and truncates away -- every
   frame before the tear is still good.
-* **Code-salted keys**: editing any ``repro`` source changes every key, so
-  a stale journal silently contributes nothing (same invalidation rule as
-  the results cache it composes with).
-* **Failures are not journaled.** Only real :class:`ScenarioResult` values
-  enter the journal; a failed/interrupted scenario re-runs on resume.
+* **Typed payloads**: a frame whose payload is not one of the ``expect``
+  types ends the replay like a tear does, so a foreign or damaged file
+  contributes nothing past that point.
 """
 
 from __future__ import annotations
@@ -34,14 +31,13 @@ _MAGIC = "v1"
 
 
 class SweepJournal:
-    """Append-only journal of ``(config key, result)`` completions.
+    """Append-only journal of ``(key, payload)`` completions.
 
-    ``expect`` names the type(s) a frame's payload may have; the default
-    (:class:`ScenarioResult` only) preserves the sweep-checkpoint contract
-    that failures are never journaled.  The campaign layer journals a
-    cell's *outcome*, not its result -- ``"ok"`` or the failure kind -- and
-    passes ``expect=(str, ScenarioResult, FailedResult)``: the result types
-    only so that journals written with whole results still replay.
+    ``expect`` names the type(s) a frame's payload may have.  The campaign
+    layer journals a cell's *outcome*, not its result -- ``"ok"`` or the
+    failure kind -- and passes ``expect=(str, ScenarioResult,
+    FailedResult)``: the result types only so that journals written with
+    whole results (before PR 15) still replay.
     """
 
     def __init__(self, path: str | os.PathLike, *,

@@ -16,7 +16,8 @@ import hashlib
 import pathlib
 from typing import Any
 
-__all__ = ["code_salt", "callable_token", "config_fingerprint", "config_key"]
+__all__ = ["code_salt", "callable_token", "field_text", "config_fingerprint",
+           "config_key"]
 
 _SALT_CACHE: str | None = None
 
@@ -55,6 +56,24 @@ def callable_token(fn: Any) -> str | None:
     return f"{module}.{qualname}"
 
 
+def field_text(value: Any) -> str:
+    """The one stable text rendering of a config field value: fingerprints,
+    campaign cell labels, per-axis report keys and ``repr(Scenario(...))``.
+
+    ``repr`` everywhere except callables, which render by dotted name
+    (:func:`callable_token`) so the text never embeds a memory address --
+    two processes must print the same scenario identically.
+    ``FaultSchedule``, ``TelemetryConfig`` and ``FecConfig`` define stable
+    parameter-complete reprs.  A lambda has no stable name and keeps its
+    ``repr``; :func:`config_fingerprint` refuses such a config.
+    """
+    if callable(value):
+        token = callable_token(value)
+        if token is not None:
+            return token
+    return repr(value)
+
+
 def config_fingerprint(cfg: Any) -> str | None:
     """Canonical text form of a ``ScenarioConfig``, or None if uncacheable.
 
@@ -63,15 +82,10 @@ def config_fingerprint(cfg: Any) -> str | None:
     direction: old cache entries stop matching).
     """
     parts = []
-    for name in sorted(vars(cfg)):
-        value = vars(cfg)[name]
-        if callable(value):
-            token = callable_token(value)
-            if token is None:
-                return None
-            parts.append(f"{name}={token}")
-        else:
-            parts.append(f"{name}={value!r}")
+    for name, value in sorted(vars(cfg).items()):
+        if callable(value) and callable_token(value) is None:
+            return None
+        parts.append(f"{name}={field_text(value)}")
     return ";".join(parts)
 
 

@@ -22,15 +22,16 @@ Resilient execution
 -------------------
 The legacy contract -- any scenario exception propagates out of
 ``run_batch`` unchanged -- is the default.  Asking for any resilience
-feature (``on_error="capture"``, a ``timeout``, ``retries`` or a
-``checkpoint``) switches the misses onto the supervised one-shot-process
-path (:mod:`.supervisor`): crashes become :class:`FailedResult` rows,
-hangs are killed at the wall-clock budget, transient losses retry with
-exponential backoff, SIGINT drains with partial results, and completed
-scenarios are journaled to the checkpoint for byte-identical resume.
-With ``on_error="raise"`` (still the default) a surviving failure is
-re-raised as :class:`BatchExecutionError` carrying the worker traceback;
-``"capture"`` returns the failures in-place so sweeps can triage.
+feature (``on_error="capture"``, a ``timeout`` or ``retries``) switches
+the misses onto the supervised one-shot-process path (:mod:`.supervisor`):
+crashes become :class:`FailedResult` rows, hangs are killed at the
+wall-clock budget, transient losses retry with exponential backoff and
+SIGINT drains with partial results.  With ``on_error="raise"`` (still the
+default) a surviving failure is re-raised as :class:`BatchExecutionError`
+carrying the worker traceback; ``"capture"`` returns the failures
+in-place so sweeps can triage.  A batch that must outlive its process
+runs through a campaign directory (:func:`repro.campaign.run_rows`,
+``--campaign-dir``): claimed, resumable, shared between processes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from ..experiments.common import ScenarioConfig, ScenarioResult, run_scenario
 from ..obs.ledger import record_run
 from ..obs.sinks import RingBufferSink, write_trace
 from .cache import ResultsCache, cache_enabled, default_cache
-from .checkpoint import SweepJournal
 from .failures import BatchExecutionError, FailedResult
 from .hashing import config_fingerprint, config_key
 from .progress import SweepProgress
@@ -141,32 +141,11 @@ def _capture_inprocess(cfg: ScenarioConfig, worker: Callable
                             flight=getattr(exc, "flight_dump", None))
 
 
-def _pool_heartbeat(checkpoint: str | None, total: int):
-    """A liveness file for this batch's coordinating process, or None.
-
-    Armed by ``REPRO_HEARTBEAT_DIR`` (explicit directory) or implicitly by
-    a checkpointed batch (``<checkpoint>.heartbeats`` next to the
-    journal); ``REPRO_HEARTBEAT=0`` kills it either way.  Plain batches
-    with neither stay exactly as before -- two env lookups.
-    """
-    import os
-
-    from ..obs.live import HeartbeatWriter, heartbeat_enabled
-    if not heartbeat_enabled():
-        return None
-    directory = os.environ.get("REPRO_HEARTBEAT_DIR")
-    if not directory and checkpoint is not None:
-        directory = os.fspath(checkpoint) + ".heartbeats"
-    if not directory:
-        return None
-    return HeartbeatWriter(directory, f"pool-{os.getpid()}", total=total)
-
-
 def run_one(cfg: ScenarioConfig, *,
             cache: ResultsCache | bool | None = None,
             trace: str | None = None, **kw) -> ScenarioResult:
     """Cached single-scenario run (always detached).  Resilience keywords
-    (``on_error``/``timeout``/``retries``/``checkpoint``) pass through to
+    (``on_error``/``timeout``/``retries``) pass through to
     :func:`run_batch`."""
     return run_batch([cfg], cache=cache, trace=trace, **kw)[0]
 
@@ -179,8 +158,7 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
               on_error: str = "raise",
               timeout: float | None = None,
               retries: int = 0,
-              retry_backoff_s: float = 0.05,
-              checkpoint: str | None = None):
+              retry_backoff_s: float = 0.05):
     """Execute a batch of independent scenarios, in parallel when asked.
 
     ``configs`` is either a mapping (returns ``{key: result}``, insertion
@@ -203,10 +181,6 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     retries : extra attempts for *transient* failures (timeout /
         worker-lost) with ``retry_backoff_s * 2**attempt`` backoff.
         Deterministic Python exceptions never retry.
-    checkpoint : path of an append-only journal of completed scenarios;
-        re-running the same batch with the same path resumes, re-executing
-        only what is missing.  Composes with the results cache (both are
-        keyed by the code-salted config key).
     """
     jobs = _validate_jobs(jobs)
     if on_error not in ("raise", "capture"):
@@ -222,33 +196,24 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     cfgs = list(configs.values()) if keyed else list(configs)
     store = _resolve_cache(cache)
     worker = _run_traced if trace is not None else _run_detached
-    resilient = (on_error == "capture" or timeout is not None
-                 or retries > 0 or checkpoint is not None)
-
-    journal = SweepJournal(checkpoint) if checkpoint is not None else None
-    journal_done = journal.load() if journal is not None else {}
+    resilient = on_error == "capture" or timeout is not None or retries > 0
 
     results: list[Any] = [None] * len(cfgs)
     misses: list[int] = []
     keys: list[str | None] = []
-    need_keys = store is not None or journal is not None
     for i, cfg in enumerate(cfgs):
-        key = config_key(cfg) if need_keys else None
+        key = config_key(cfg) if store is not None else None
         keys.append(key)
-        hit = None
-        if key is not None:
-            if store is not None:
-                hit = store.get(key, expect=ScenarioResult)
-            if hit is None:
-                hit = journal_done.get(key)
+        hit = (store.get(key, expect=ScenarioResult)
+               if key is not None else None)
         if hit is not None:
             results[i] = hit
         else:
             misses.append(i)
 
     def _persist(i: int, res: Any) -> None:
-        """Cache + journal + ledger one fresh success (event streams stay
-        out of all three: they are per-run evidence, not results)."""
+        """Cache + ledger one fresh success (event streams stay out of
+        both: they are per-run evidence, not results)."""
         if not isinstance(res, ScenarioResult):
             return
         fp = config_fingerprint(cfgs[i])
@@ -262,24 +227,14 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
         events = res.trace
         res.trace = None
         try:
-            if store is not None:
-                try:
-                    store.put(keys[i], res)
-                except (pickle.PicklingError, TypeError, AttributeError):
-                    pass  # unpicklable payloads just skip persistence
-            if journal is not None:
-                try:
-                    journal.append(keys[i], res)
-                except (pickle.PicklingError, TypeError, AttributeError,
-                        OSError):
-                    pass
+            store.put(keys[i], res)
+        except (pickle.PicklingError, TypeError, AttributeError):
+            pass  # unpicklable payloads just skip persistence
         finally:
             res.trace = events
 
     interrupted = False
-    progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses),
-                             heartbeat=_pool_heartbeat(checkpoint,
-                                                       len(cfgs)))
+    progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses))
     try:
         if misses and not resilient:
             # Legacy fast path: byte-for-byte the pre-resilience behaviour
@@ -322,8 +277,6 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
                     results[i] = got.get(i)
     finally:
         progress.finish()
-        if journal is not None:
-            journal.close()
 
     # Supervisor gaps (only possible on interrupt) become typed rows too.
     for i in misses:

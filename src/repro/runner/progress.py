@@ -46,7 +46,7 @@ class SweepProgress:
 
     def __init__(self, total: int, *, cached: int = 0, stream=None,
                  enabled: bool | None = None,
-                 min_interval_s: float = 0.1, heartbeat=None) -> None:
+                 min_interval_s: float = 0.1) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.enabled = (progress_enabled(self.stream) if enabled is None
                         else enabled)
@@ -55,12 +55,6 @@ class SweepProgress:
         self.fresh_done = 0
         self.failed = 0
         self.min_interval_s = min_interval_s
-        #: Optional :class:`repro.obs.live.HeartbeatWriter` mirroring the
-        #: counters into an on-disk liveness file -- the pool parent is
-        #: the only process that sees completions, so the progress line is
-        #: the natural place to tap them.  Independent of ``enabled``
-        #: (heartbeats serve remote watchers, not this terminal).
-        self.heartbeat = heartbeat
         self._t0 = time.monotonic()
         self._last_draw = 0.0
         self._width = 0
@@ -78,15 +72,11 @@ class SweepProgress:
         self.fresh_done += 1
         if failed:
             self.failed += 1
-        if self.heartbeat is not None:
-            self.heartbeat.pool_update(done=self.done, failed=self.failed)
         if self.enabled:
             self._draw(force=self.done >= self.total)
 
     def finish(self) -> None:
         """Final redraw plus newline so later output starts clean."""
-        if self.heartbeat is not None:
-            self.heartbeat.close()
         if self.enabled and self.total:
             self._draw(force=True)
             self.stream.write("\n")

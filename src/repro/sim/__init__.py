@@ -6,7 +6,6 @@ dumbbell topology the paper's experiments run on.
 
 from .engine import Event, SimulationError, Simulator
 from .link import BernoulliLoss, Link, LossModel
-from .monitor import CountedSeries, PeriodicSampler, Probe
 from .node import Host, Router
 from .packet import ACK_BYTES, HEADER_BYTES, Packet, PacketKind
 from .queues import DropTailQueue, QueueStats, REDQueue
@@ -16,7 +15,6 @@ from .topology import PAPER_BOTTLENECK_BPS, PAPER_MSS, PAPER_RTT_S, Dumbbell
 __all__ = [
     "Event", "SimulationError", "Simulator",
     "BernoulliLoss", "Link", "LossModel",
-    "CountedSeries", "PeriodicSampler", "Probe",
     "Host", "Router",
     "ACK_BYTES", "HEADER_BYTES", "Packet", "PacketKind",
     "DropTailQueue", "QueueStats", "REDQueue",

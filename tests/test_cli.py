@@ -68,3 +68,91 @@ def test_removed_burst_switches_exit_2_naming_the_flag_or_field(capsys):
     assert main(["scenario", "--set", "burst=True"]) == 2
     assert "unknown ScenarioConfig field(s): 'burst'" in \
         capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One --set dialect (repro.experiments.common.parse_field)
+# ----------------------------------------------------------------------
+def test_set_resolves_registry_names_on_every_command(capsys):
+    # Both were tracebacks while --set only knew Python literals.
+    assert main(["scenario", "--frames", "50",
+                 "--set", "adaptation=marking"]) == 0
+    assert main(["table3", "--set", "n_frames=20",
+                 "--set", "faults=flap"]) == 0
+    assert "Table 3" in capsys.readouterr().out
+
+
+def test_set_misspelt_registry_name_exits_2_with_hint(capsys):
+    assert main(["scenario", "--frames", "50",
+                 "--set", "adaptation=markng"]) == 2
+    err = capsys.readouterr().err
+    assert "did you mean 'marking'" in err
+    assert "Traceback" not in err
+    assert main(["table3", "--set", "faults=flapp"]) == 2
+    assert "did you mean 'flap'" in capsys.readouterr().err
+
+
+def test_set_keeps_fec_none_and_bare_strings():
+    from repro.cli import parse_overrides
+    from repro.transport.fec import FecConfig
+    out = parse_overrides(["fec=8/2", "adaptation=None", "workload=greedy"])
+    assert out == {"fec": FecConfig(k=8, r=2), "adaptation": None,
+                   "workload": "greedy"}
+    assert isinstance(out["fec"], FecConfig)
+
+
+@pytest.mark.parametrize("field,text", [
+    ("adaptation", "marking"), ("adaptation", "none"),
+    ("adaptation", "None"), ("faults", "flap"), ("faults", "None"),
+    ("fec", "8/2"), ("fec", "8/1/3/static"), ("fec", "none"),
+    ("cbr_bps", "16e6"), ("n_frames", "20"), ("workload", "greedy"),
+    ("step_cross", "(2.0, 1e6, 5.0)"), ("loss_tolerance", "None"),
+    ("spans", "True"), ("transport", "'rudp'"),
+])
+def test_set_and_campaign_specs_share_one_dialect(field, text):
+    """The same text means the same value on the command line, in a
+    campaign spec file and in ``campaign run --set``."""
+    from repro.campaign import load_campaign
+    from repro.cli import parse_overrides
+    from repro.experiments.common import ScenarioConfig
+    (cli_value,) = parse_overrides([f"{field}={text}"]).values()
+    in_spec = load_campaign({"template": {field: text}}).template
+    via_set = load_campaign({}).replace_template(**{field: text}).template
+    expected = getattr(ScenarioConfig(**{field: cli_value}), field)
+    assert getattr(in_spec, field) == expected
+    assert getattr(via_set, field) == expected
+
+
+# ----------------------------------------------------------------------
+# Commands and experiments are each said once
+# ----------------------------------------------------------------------
+def _leaf_parsers(parser):
+    import argparse
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child)
+
+
+def test_every_subcommand_registers_its_handler():
+    leaves = list(_leaf_parsers(build_parser()))
+    assert len(leaves) == 23 + 5  # top-level commands + campaign actions
+    for leaf in leaves:
+        assert callable(leaf.get_default("func")), leaf.prog
+
+
+def test_experiments_are_the_ten_declarations():
+    from repro.experiments.common import ScenarioConfig
+    from repro.experiments.grid import Experiment
+    assert list(EXPERIMENTS) == [
+        "table1", "table2", "table3", "table4", "table5", "table6",
+        "table7", "table8", "dynamics", "reliability"]
+    for name, exp in EXPERIMENTS.items():
+        assert isinstance(exp, Experiment) and exp.name == name
+        rows = exp.configs(n_frames=5)  # cheap: constructs, runs nothing
+        assert len(rows) == len(exp.arms) * len(exp.groups or [None])
+        assert all(isinstance(cfg, ScenarioConfig) and cfg.n_frames == 5
+                   and cfg.seed == exp.seed for cfg in rows.values())

@@ -153,3 +153,61 @@ def test_marking_scenario_discards_only_on_iq():
 def test_error_ratio_lifetime_exported():
     res = run_scenario(small(transport="rudp", cbr_bps=17e6, n_frames=1500))
     assert 0.0 <= res.summary["error_ratio_lifetime"] < 0.5
+
+
+# ----------------------------------------------------------------------
+# The Experiment declaration (repro.experiments.grid)
+# ----------------------------------------------------------------------
+def _toy_experiment():
+    from repro.experiments.grid import Experiment
+    return Experiment(
+        "toy", title="Toy", n_frames=7, seed=3,
+        base=lambda n_frames, seed: ScenarioConfig(
+            workload="greedy", n_frames=n_frames, seed=seed, cbr_bps=1e6,
+            rtt_s=0.05),
+        groups={"calm": {"cbr_bps": 2e6, "queue_pkts": 32},
+                "busy": {"cbr_bps": 9e6}},
+        arms={"coordinated": {"transport": "iq", "mss": 1000},
+              "plain": {"transport": "rudp"}},
+        columns=("scenario", "arm", "Dur s"),
+        metrics=lambda res: (res.summary["duration_s"],))
+
+
+def test_experiment_configs_expand_groups_by_arms_with_defaults():
+    rows = _toy_experiment().configs()
+    assert list(rows) == ["calm/coordinated", "calm/plain",
+                          "busy/coordinated", "busy/plain"]
+    assert {(c.n_frames, c.seed, c.rtt_s) for c in rows.values()} == \
+        {(7, 3, 0.05)}
+    assert rows["calm/plain"].cbr_bps == 2e6
+    assert rows["calm/plain"].queue_pkts == 32
+    assert rows["busy/plain"].queue_pkts == ScenarioConfig().queue_pkts
+    assert rows["busy/coordinated"].transport == "iq"
+
+
+def test_experiment_precedence_base_group_overrides_arm():
+    rows = _toy_experiment().configs(
+        n_frames=9, seed=5, groups=("busy",),
+        overrides={"cbr_bps": 4e6, "transport": "tcp", "mss": 500,
+                   "rtt_s": 0.1})
+    assert list(rows) == ["busy/coordinated", "busy/plain"]
+    for cfg in rows.values():
+        assert (cfg.n_frames, cfg.seed) == (9, 5)
+        assert cfg.rtt_s == 0.1      # overrides beat the base ...
+        assert cfg.cbr_bps == 4e6    # ... and the group's value,
+    # but an arm's own fields win over the overrides: --set can never
+    # turn one arm into another.
+    assert rows["busy/coordinated"].transport == "iq"
+    assert rows["busy/coordinated"].mss == 1000
+    assert rows["busy/plain"].transport == "rudp"
+    assert rows["busy/plain"].mss == 500  # the arm does not set it
+
+
+def test_experiment_rejects_unknown_group_and_arm_names():
+    toy = _toy_experiment()
+    with pytest.raises(ValueError, match="unknown toy scenario 'bsy'"):
+        toy.configs(groups=("bsy",))
+    with pytest.raises(ValueError, match="unknown toy arm 'tcp'"):
+        toy.configs(arms=("plain", "tcp"))
+    with pytest.raises(ValueError, match="unknown ScenarioConfig field"):
+        toy.configs(overrides={"cbr": 1e6})

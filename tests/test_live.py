@@ -130,20 +130,6 @@ def test_heartbeat_kill_switch(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "camp" / "heartbeats")
 
 
-def test_run_batch_pool_heartbeat(tmp_path, monkeypatch):
-    from repro.experiments.common import ScenarioConfig
-    from repro.runner import run_batch
-    monkeypatch.setenv("REPRO_HEARTBEAT_DIR", str(tmp_path / "hb"))
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_PROGRESS", "0")
-    run_batch([ScenarioConfig(**TINY), ScenarioConfig(**TINY)])
-    (hb,) = read_heartbeats(tmp_path / "hb")
-    assert hb["worker"].startswith("pool-")
-    assert hb["done"] == 2
-    assert hb["failed"] == 0
-    assert hb["state"] == "exited"
-
-
 # ----------------------------------------------------------------------
 # Liveness classification
 # ----------------------------------------------------------------------

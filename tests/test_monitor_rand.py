@@ -1,74 +1,9 @@
-"""Tests for the monitoring probes and seeded RNG streams."""
+"""Tests for the seeded RNG streams (the monitoring probes that shared
+this file went with ``sim/monitor.py``)."""
 
 import numpy as np
-import pytest
 
-from repro.sim.engine import Simulator
-from repro.sim.monitor import CountedSeries, PeriodicSampler, Probe
 from repro.sim.rand import RandomStreams
-
-
-class TestProbe:
-    def test_record_and_arrays(self):
-        p = Probe("x")
-        p.record(1.0, 10.0)
-        p.record(2.0, 20.0)
-        t, v = p.as_arrays()
-        assert np.array_equal(t, [1.0, 2.0])
-        assert np.array_equal(v, [10.0, 20.0])
-        assert len(p) == 2
-
-
-class TestPeriodicSampler:
-    def test_samples_at_period(self):
-        sim = Simulator()
-        clock = PeriodicSampler(sim, 0.5, lambda: sim.now, "t")
-        clock.start()
-        sim.run(until=2.1)
-        t, v = clock.probe.as_arrays()
-        assert np.allclose(t, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert np.allclose(v, t)
-
-    def test_stop_halts_sampling(self):
-        sim = Simulator()
-        s = PeriodicSampler(sim, 0.5, lambda: 1.0)
-        s.start()
-        sim.run(until=1.1)
-        s.stop()
-        sim.run(until=3.0)
-        assert len(s.probe) <= 4
-
-    def test_start_is_idempotent(self):
-        sim = Simulator()
-        s = PeriodicSampler(sim, 1.0, lambda: 1.0)
-        s.start()
-        s.start()
-        sim.run(until=0.5)
-        assert len(s.probe) == 1
-
-    def test_period_validation(self):
-        with pytest.raises(ValueError):
-            PeriodicSampler(Simulator(), 0.0, lambda: 1.0)
-
-
-class TestCountedSeries:
-    def test_summary(self):
-        cs = CountedSeries("jit")
-        for i, v in enumerate((1.0, 2.0, 3.0)):
-            cs.record(i, v)
-        s = cs.summary()
-        assert s["count"] == 3
-        assert s["mean"] == pytest.approx(2.0)
-        assert s["max"] == 3.0
-
-    def test_empty_summary(self):
-        assert CountedSeries().summary()["count"] == 0
-
-    def test_as_arrays(self):
-        cs = CountedSeries()
-        cs.record(5, 1.5)
-        i, v = cs.as_arrays()
-        assert i.dtype == np.int64 and v.dtype == np.float64
 
 
 class TestRandomStreams:

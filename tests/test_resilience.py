@@ -4,8 +4,9 @@ The contract: one insane scenario in a batch becomes one typed
 ``FailedResult`` row -- never a dead batch, never a poisoned cache entry,
 never a silently-averaged number.  Hung workers are killed at the
 per-scenario timeout, transient failures (timeout / worker-lost) retry
-with backoff while deterministic crashes do not, and a checkpoint journal
-makes an interrupted sweep resumable with byte-identical results.
+with backoff while deterministic crashes do not.  (A batch that must
+outlive its process runs through a campaign directory; see
+``tests/test_campaign.py``.)
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ def die_once_adaptation():
     if not os.path.exists(sentinel):
         open(sentinel, "w").close()
         os._exit(3)
-    return MarkingAdaptation()
-
-
-def counting_adaptation():
-    with open(os.environ["REPRO_TEST_RUN_COUNTER"], "a") as fh:
-        fh.write("x\n")
     return MarkingAdaptation()
 
 
@@ -176,64 +171,24 @@ def test_crashed_scenario_never_leaves_a_cache_entry(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Checkpoint / resume
+# The outcome journal's torn-tail safety
 # ----------------------------------------------------------------------
-def test_checkpoint_resume_skips_completed_rows(tmp_path, monkeypatch):
-    counter = tmp_path / "runs"
-    monkeypatch.setenv("REPRO_TEST_RUN_COUNTER", str(counter))
-    ckpt = tmp_path / "sweep.ckpt"
-    cfgs = {"a": _small(seed=1, adaptation=counting_adaptation),
-            "b": _small(seed=2, adaptation=counting_adaptation)}
-
-    first = run_batch(cfgs, jobs=1, cache=False, checkpoint=ckpt)
-    assert counter.read_text().count("x") == 2
-    size_after_first = ckpt.stat().st_size
-    assert size_after_first > 0
-
-    again = run_batch(cfgs, jobs=1, cache=False, checkpoint=ckpt)
-    assert counter.read_text().count("x") == 2  # nothing recomputed
-    assert ckpt.stat().st_size == size_after_first  # nothing re-journaled
-    for label in cfgs:
-        assert again[label].summary == first[label].summary
-        assert pickle.dumps(again[label].summary) == \
-            pickle.dumps(first[label].summary)
-
-
-def test_checkpoint_extends_to_superset_batch(tmp_path, monkeypatch):
-    counter = tmp_path / "runs"
-    monkeypatch.setenv("REPRO_TEST_RUN_COUNTER", str(counter))
-    ckpt = tmp_path / "sweep.ckpt"
-    a, b = (_small(seed=1, adaptation=counting_adaptation),
-            _small(seed=2, adaptation=counting_adaptation))
-    run_batch([a], jobs=1, cache=False, checkpoint=ckpt)
-    out = run_batch([a, b], jobs=1, cache=False, checkpoint=ckpt)
-    assert counter.read_text().count("x") == 2  # only b computed fresh
-    assert all(isinstance(r, ScenarioResult) for r in out)
-
-
 def test_journal_truncates_torn_tail(tmp_path):
-    ckpt = tmp_path / "sweep.ckpt"
-    cfg = _small(seed=5)
-    run_batch([cfg], jobs=1, cache=False, checkpoint=ckpt)
-    good_size = ckpt.stat().st_size
-    with open(ckpt, "ab") as fh:
+    path = tmp_path / "w0.journal"
+    with SweepJournal(path, expect=str) as journal:
+        journal.append("key-a", "ok")
+        journal.append("key-b", "error")
+    good_size = path.stat().st_size
+    with open(path, "ab") as fh:
         fh.write(b"\x80\x05torn-frame-garbage")
-    loaded = SweepJournal(ckpt).load()
-    assert len(loaded) == 1
-    assert ckpt.stat().st_size == good_size  # tail truncated on load
-    key = config_key(cfg)
-    assert isinstance(loaded[key], ScenarioResult)
-
-
-def test_failed_rows_are_not_journaled(tmp_path):
-    ckpt = tmp_path / "sweep.ckpt"
-    cfgs = [_small(seed=1), _small(seed=2, adaptation=boom_adaptation)]
-    out = run_batch(cfgs, jobs=1, cache=False, on_error="capture",
-                    checkpoint=ckpt)
-    assert isinstance(out[1], FailedResult)
-    loaded = SweepJournal(ckpt).load()
-    assert len(loaded) == 1  # only the good row resumes
-    assert all(isinstance(v, ScenarioResult) for v in loaded.values())
+    loaded = SweepJournal(path, expect=str).load()
+    assert loaded == {"key-a": "ok", "key-b": "error"}
+    assert path.stat().st_size == good_size  # tail truncated on load
+    # ... so the next append starts on a frame boundary.
+    with SweepJournal(path, expect=str) as journal:
+        journal.append("key-c", "ok")
+    assert list(SweepJournal(path, expect=str).load()) == \
+        ["key-a", "key-b", "key-c"]
 
 
 # ----------------------------------------------------------------------

@@ -233,7 +233,7 @@ def test_table_helper_parallel_matches_serial(tmp_path):
 
 def test_table6_reshapes_flat_batch(tmp_path):
     from repro.experiments.overreaction import run_table6
-    out = run_table6(rates_mbps=(12,), n_frames=150, jobs=2,
+    out = run_table6(groups=(12,), n_frames=150, jobs=2,
                      cache=ResultsCache(tmp_path))
     assert set(out) == {12}
     assert set(out[12]) == {"IQ-RUDP", "RUDP"}
