@@ -10,8 +10,8 @@ Reads ``benchmarks/results/bench_perf.json`` (produced by running
 ``bench_micro.py``) and ``benchmarks/perf_baseline.json`` (committed).
 Exits nonzero when any *rate* metric (``*_per_s``) drops more than the
 threshold below baseline, or when a metric gated by a ``*_max`` ceiling
-key exceeds it (e.g. baseline ``disabled_overhead_pct_max: 3.0`` fails
-the run if current ``disabled_overhead_pct`` > 3.0 -- ceilings are
+key exceeds it (e.g. baseline ``disarmed_ns_per_pkt_max: 285`` fails
+the run if current ``disarmed_ns_per_pkt`` > 285 -- ceilings are
 absolute budgets, not ratios, so ``--threshold`` does not apply).
 Benches annotated ``"skipped": true`` on either side (e.g.
 ``parallel_batch`` on a single-core host) are exempt entirely.

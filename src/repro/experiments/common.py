@@ -347,12 +347,13 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
                  profile=None) -> ScenarioResult:
     """Build and execute one scenario; see module docstring.
 
+    Components report to ``sim.bus``; the flight ring, the lineage and the
+    telemetry annotations listen.  One :class:`~repro.obs.TraceBus` with
+    whichever of them is armed is bound to the simulator *before*
+    topology/transport construction, so every component caches it.
     ``trace_sink`` (any object with ``append(TraceEvent)``) turns on event
-    tracing for this run: an enabled :class:`~repro.obs.TraceBus` is bound
-    to the simulator *before* topology/transport construction so every
-    component caches the live bus.  Tracing is deliberately not part of
-    ``ScenarioConfig`` -- it never changes results, so it must not change
-    cache keys.
+    tracing as well; it is deliberately not part of ``ScenarioConfig`` --
+    tracing never changes results, so it must not change cache keys.
 
     ``profile`` (an :class:`~repro.obs.profiler.EngineProfile`) swaps in
     the self-profiling engine and records coarse setup/run/collect phase
@@ -404,19 +405,20 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         _t_phase = perf_counter()
     else:
         sim = CheckedSimulator() if armed else Simulator()
-    if trace_sink is not None:
-        sim.bus = TraceBus(sim, sinks=[trace_sink])
-    # Forensics: the flight recorder and (when armed) the span recorder
-    # must hang off the simulator *before* topology construction -- links
-    # cache ``sim.flight``/``sim.spans`` at build time.
-    if flight is not None:
-        flight.bind(sim)
-        sim.flight = flight
-    spans = None
+    # The bus and the lineage's packet hook must hang off the simulator
+    # *before* topology construction -- links and endpoints cache
+    # ``sim.bus`` (and links ``sim.spans``) at build time.
+    spans = recorder = None
     if cfg.spans:
-        spans = SpanRecorder(
+        spans = sim.spans = SpanRecorder(
             sim, scenario=f"{cfg.transport}/{cfg.workload}/seed={cfg.seed}")
-        sim.spans = spans
+    if cfg.telemetry is not None:
+        recorder = TelemetryRecorder(sim, cfg.telemetry)
+    listeners = [x for x in (spans, recorder) if x is not None]
+    if flight is not None or trace_sink is not None or listeners:
+        sim.bus = TraceBus(
+            sim, sinks=() if trace_sink is None else (trace_sink,),
+            ring=flight, listeners=listeners)
     streams = RandomStreams(cfg.seed)
     net = Dumbbell(sim, bottleneck_bps=cfg.bottleneck_bps, rtt_s=cfg.rtt_s,
                    mss=cfg.mss, queue_pkts=cfg.queue_pkts)
@@ -550,9 +552,7 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         checker.arm()
 
     # -- telemetry ----------------------------------------------------------
-    recorder = None
-    if cfg.telemetry is not None:
-        recorder = TelemetryRecorder(sim, cfg.telemetry)
+    if recorder is not None:
         recorder.watch_flow(conn)
         recorder.watch_network(net)
         recorder.arm()

@@ -60,13 +60,9 @@ class FaultInjector:
     def _mark(self, idx: int, phase, state: str, **extra) -> None:
         counter = "phases_begun" if state == "begin" else "phases_ended"
         setattr(self, counter, getattr(self, counter) + 1)
-        fl = getattr(self.sim, "flight", None)
-        if fl is not None:
-            fl.note("net", "FAULT_PHASE", phase=idx,
-                    kind=type(phase).__name__, state=state)
         tr = self.trace
-        if tr.enabled:
-            tr.emit("net", FAULT_PHASE, phase=idx,
+        if tr.recording:
+            tr.cold("net", FAULT_PHASE, phase=idx,
                     kind=type(phase).__name__, state=state,
                     start=phase.start, stop=phase.stop,
                     direction=phase.direction, **extra)

@@ -11,7 +11,7 @@ simulated quarter second; any breach raises a structured
 
 Disarmed runs are byte-identical to the stock engine (the checks live in a
 subclass, not a branch), so the feature costs nothing unless requested --
-gated by ``benchmarks/bench_invariant_overhead.py``.
+asserted by ``benchmarks/bench_obs_overhead.py``.
 """
 
 from .checks import CHECK_PRIORITY, InvariantChecker

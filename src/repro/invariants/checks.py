@@ -108,10 +108,8 @@ class InvariantChecker:
     # The sweep
     # ------------------------------------------------------------------
     def _fail(self, name: str, message: str, **counters) -> None:
-        fl = getattr(self.sim, "flight", None)
-        if fl is not None:
-            fl.note("run", "VIOLATION", name=name, message=message,
-                    checks_run=self.checks_run, **counters)
+        self.sim.bus.note("run", "VIOLATION", name=name, message=message,
+                          checks_run=self.checks_run, **counters)
         raise InvariantViolation(name, message, sim_time=self.sim.now,
                                  scenario=self.scenario, counters=counters)
 

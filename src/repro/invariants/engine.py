@@ -5,8 +5,7 @@ loop is hand-flattened and adding even one comparison per event costs
 measurable throughput on every experiment.  Arming invariants therefore
 swaps in this subclass instead of branching inside the stock loop -- the
 disarmed engine stays byte-identical, so disarmed overhead is exactly
-zero by construction (the ``bench_invariant_overhead`` gate measures the
-residual config-flag cost).
+zero by construction (``bench_obs_overhead`` reports the armed cost).
 
 The checked loop verifies, for every fired event, that the heap never
 hands back an event from the past -- the one engine property everything

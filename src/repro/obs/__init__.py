@@ -5,12 +5,13 @@ The paper's argument is causal -- "loss spike -> callback fired ->
 summary numbers alone cannot show that sequence for a given run.  This
 package provides the run-level evidence chain:
 
-* :mod:`.events` -- typed, ``__slots__`` trace events and the event-type
-  vocabulary (packet life cycle, window changes, callback/attribute flow,
-  coordination actions).
-* :mod:`.bus` -- the per-simulation :class:`~repro.obs.bus.TraceBus` and the
-  :data:`~repro.obs.bus.NULL_BUS` null object; with tracing disabled every
-  hook point costs exactly one attribute check.
+* :mod:`.events` -- typed, ``__slots__`` trace events and the one
+  vocabulary table (each type, its layer, cold or per-packet; the
+  ring-only names).
+* :mod:`.bus` -- the per-simulation :class:`~repro.obs.bus.TraceBus`, the
+  one place components report to (the flight ring, the lineage and the
+  telemetry annotations listen), and the :data:`~repro.obs.bus.NULL_BUS`
+  null object; a disabled site costs exactly one attribute check.
 * :mod:`.sinks` -- JSONL writer (gzip capable, deterministic ordering so
   ``jobs=1`` and ``jobs=N`` produce identical files), bounded ring buffer
   for tests, and the batch trace-file writer with cache-aware run headers.

@@ -1,18 +1,30 @@
-"""The trace bus: where every instrumented component publishes events.
+"""The trace bus: the one place an instrumented component reports to.
+
+A report site is written one of two ways (:mod:`repro.obs.events` says
+which event goes which)::
+
+    tr = self.trace
+    if tr.enabled:          # per-packet: wanted by a trace sink alone
+        tr.emit(...)
+    if tr.recording:        # cold: decisions, drops, faults, retransmissions
+        tr.cold(...)
+
+:meth:`TraceBus.cold` notes the event on the flight ring, hands it to each
+listener (the lineage's decision chain, the telemetry annotations) and,
+when a sink is attached, numbers it into the trace through ``emit`` -- one
+report, one name and one set of fields on every surface.
+``self.trace.note(...)`` is the ring-only breadcrumb (``RTO``, ``STALL``,
+``COMPLETE``, ...), unguarded because its paths are colder still.
 
 Design constraints, in order:
 
-1. **The disabled path must be nearly free.**  Every hook point in the
-   simulator's hot loops is written as::
-
-       tr = self.trace
-       if tr.enabled:
-           tr.emit(...)
-
-   With tracing off, ``trace`` is the shared :data:`NULL_BUS` whose
-   ``enabled`` is a class attribute ``False`` -- the hook costs one
-   attribute check and a branch, nothing is allocated, and ``emit`` is
-   never called.  The micro-bench ``bench_trace_overhead`` gates this.
+1. **The disabled path must be nearly free.**  A bare ``Simulator()``
+   carries the shared :data:`NULL_BUS`, whose ``enabled`` and ``recording``
+   are class attributes ``False``: a site costs one attribute check,
+   nothing is allocated.  A scenario with only the flight ring armed (the
+   default) carries a real bus with ``enabled`` false, so its per-packet
+   sites cost the same.  ``benchmarks/bench_obs_overhead.py`` counts the
+   guard reads per packet and gates their sum.
 
 2. **Determinism.**  The bus draws its timestamps from the simulation
    clock (never the wall clock) and numbers events with a per-bus counter,
@@ -21,9 +33,10 @@ Design constraints, in order:
 
 3. **Serialisability.**  Results that hold a bus (via components that
    cached it) must still pickle for the worker pool and the persistent
-   cache.  A pickled :class:`TraceBus` comes back *inert*: disabled, no
-   sinks, no simulator reference -- the events themselves travel separately
-   as the worker's collected list.
+   cache.  A pickled :class:`TraceBus` comes back *inert*: neither enabled
+   nor recording, no ring, listeners, sinks or simulator -- what it
+   gathered travels separately (the worker's event list,
+   ``ScenarioResult.flight`` / ``.spans`` / ``.telemetry``).
 """
 
 from __future__ import annotations
@@ -38,16 +51,19 @@ __all__ = ["TraceBus", "NullBus", "NULL_BUS"]
 class NullBus:
     """Null object for the disabled path.
 
-    ``enabled`` is a *class* attribute so the hook-point check compiles to
-    a plain attribute load; ``emit`` exists only for code that wants to
-    emit unconditionally (it does nothing and allocates nothing).
+    ``enabled`` and ``recording`` are *class* attributes so the site checks
+    compile to plain attribute loads; the methods exist only for code that
+    reports unconditionally (they do nothing and allocate nothing).
     """
 
     __slots__ = ()
     enabled = False
+    recording = False
 
     def emit(self, layer: str, etype: str, **fields: Any) -> int:
         return -1
+
+    cold = note = emit
 
     def __reduce__(self):
         return (_null_bus, ())  # preserve the singleton across pickling
@@ -65,7 +81,13 @@ def _null_bus() -> NullBus:
 
 
 class TraceBus:
-    """Enabled trace bus bound to one simulator.
+    """The bus of one simulator.
+
+    ``enabled``: per-packet events are wanted (a sink is attached);
+    ``recording``: someone keeps cold events (always, on a live bus).
+    ``ring`` is the run's :class:`~repro.obs.flight.FlightRecorder` or
+    None; a listener is called as ``listener(etype, fields)`` and must not
+    mutate ``fields``.
 
     ``emit`` stamps the event with the simulation clock and a monotonically
     increasing sequence number, fans it out to every sink, and returns the
@@ -73,11 +95,16 @@ class TraceBus:
     ``ATTR_RECEIVED`` -> ``COORD_ACTION`` pairing the audit relies on).
     """
 
-    def __init__(self, sim, sinks=()) -> None:
-        self.enabled = True
+    def __init__(self, sim, sinks=(), *, ring=None, listeners=()) -> None:
+        self.sinks = list(sinks)
+        self.enabled = bool(self.sinks)
+        self.recording = True
+        self.ring = ring
+        if ring is not None:
+            ring.bind(sim)      # the ring keeps this bus's clock
+        self.listeners = list(listeners)
         self._sim = sim
         self._seq = 0
-        self.sinks = list(sinks)
 
     def emit(self, layer: str, etype: str, **fields: Any) -> int:
         seq = self._seq
@@ -87,14 +114,30 @@ class TraceBus:
             sink.append(ev)
         return seq
 
+    def cold(self, layer: str, etype: str, **fields: Any) -> int:
+        """Report one cold event to every surface; returns its trace
+        ``seq``, or -1 when no trace sink is attached."""
+        ring = self.ring
+        if ring is not None:
+            ring.note(layer, etype, **fields)
+        for listener in self.listeners:
+            listener(etype, fields)
+        if self.enabled:
+            return self.emit(layer, etype, **fields)
+        return -1
+
+    def note(self, layer: str, etype: str, **fields: Any) -> None:
+        """Ring-only breadcrumb (a name outside the trace vocabulary)."""
+        ring = self.ring
+        if ring is not None:
+            ring.note(layer, etype, **fields)
+
     @property
     def events_emitted(self) -> int:
         return self._seq
 
     # -- pickling: come back inert (see module docstring) -----------------
     def __getstate__(self):
-        return {"enabled": False, "_sim": None, "_seq": self._seq,
+        return {"enabled": False, "recording": False, "ring": None,
+                "listeners": [], "_sim": None, "_seq": self._seq,
                 "sinks": []}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)

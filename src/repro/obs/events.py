@@ -1,25 +1,19 @@
-"""Trace-event vocabulary and the event record itself.
+"""The event vocabulary -- :data:`VOCABULARY`, one table -- and the record.
 
-Every event names *one* causally meaningful step of a run.  The vocabulary
-deliberately mirrors the paper's two control loops plus the substrate they
-share:
+Every event names *one* causally meaningful step of a run and reaches the
+bus (:mod:`repro.obs.bus`) one of two ways.  A **cold** event (a decision,
+drop, fault or retransmission: never one per packet) goes through
+``cold()`` and lands, under one name with one set of fields, in the flight
+ring, with the bus listeners (lineage, telemetry annotations) and -- when
+a sink is attached -- in the trace.  An **emit** event is wanted by a trace
+alone and goes through ``emit()`` behind ``tr.enabled``.
 
-========================  =================================================
-Packet life cycle         :data:`PACKET_SEND`, :data:`PACKET_DROP`,
-                          :data:`PACKET_ACK`, :data:`PACKET_RETX`
-Transport adaptation      :data:`CWND_CHANGE`, :data:`PERIOD_ROLL`
-Network state             :data:`QUEUE_DEPTH`
-Network dynamics          :data:`FAULT_PHASE`, :data:`LINK_FAIL`,
-                          :data:`LINK_RECOVER`
-Application loop          :data:`CALLBACK_FIRED`, :data:`ADAPT_ACTION`
-Coordination channel      :data:`ATTR_SENT`, :data:`ATTR_RECEIVED`,
-                          :data:`COORD_ACTION`
-========================  =================================================
-
-:data:`ATTR_RECEIVED` events carry the attribute set the coordinator saw;
-each :data:`COORD_ACTION` it produces carries ``attr_seq`` -- the sequence
-number of that ``ATTR_RECEIVED`` event -- so the report's coordination audit
-can pair every attribute exchange with the transport action it caused.
+Each :data:`COORD_ACTION` caused by an :data:`ATTR_RECEIVED` carries
+``attr_seq`` -- that event's trace ``seq``, -1 when no sink is attached
+(listeners pair by the key's presence, never its value) -- so the report's
+audit and the lineage pair every attribute exchange with the transport
+action it caused; transport-initiated actions (stall degrade/recover, the
+redundancy controller) carry none.
 """
 
 from __future__ import annotations
@@ -32,7 +26,8 @@ __all__ = [
     "ATTR_RECEIVED", "COORD_ACTION", "ADAPT_ACTION", "PERIOD_ROLL",
     "FAULT_PHASE", "LINK_FAIL", "LINK_RECOVER",
     "FEC_REPAIR", "FEC_RECOVERED", "FRAME_ABANDONED",
-    "EVENT_TYPES", "LAYERS", "TraceEvent",
+    "VOCABULARY", "EVENT_TYPES", "COLD_TYPES", "COORD_KEYS", "RING_ONLY",
+    "LAYERS", "TraceEvent",
 ]
 
 PACKET_SEND = "PACKET_SEND"
@@ -57,12 +52,42 @@ FEC_RECOVERED = "FEC_RECOVERED"
 # frame's delivery deadline passed.
 FRAME_ABANDONED = "FRAME_ABANDONED"
 
+#: type -> (reporting layer, path, the step it names).
+VOCABULARY = {
+    PACKET_SEND: ("transport", "emit", "a (re)transmission left the sender"),
+    PACKET_ACK: ("transport", "emit", "the cumulative ACK advanced"),
+    PACKET_RETX: ("transport", "cold", "loss declared, repair chosen"),
+    PACKET_DROP: ("net", "cold", "kind = queue | red | wire | down"),
+    QUEUE_DEPTH: ("net", "emit", "a new occupancy peak"),
+    LINK_FAIL: ("net", "cold", "link down, its queue flushed"),
+    LINK_RECOVER: ("net", "cold", "link up again"),
+    FAULT_PHASE: ("net", "cold", "a fault-schedule phase edge"),
+    CWND_CHANGE: ("transport", "emit", "the congestion window moved"),
+    PERIOD_ROLL: ("transport", "emit", "a metric period closed"),
+    CALLBACK_FIRED: ("transport", "emit", "a threshold callback ran"),
+    ATTR_SENT: ("transport", "emit", "attributes handed to the transport"),
+    FRAME_ABANDONED: ("transport", "cold", "a segment expired unsent"),
+    FEC_REPAIR: ("transport", "emit", "a repair segment was sent"),
+    FEC_RECOVERED: ("transport", "cold", "a segment rebuilt from a repair"),
+    ATTR_RECEIVED: ("coord", "cold", "an attribute set reached the law"),
+    COORD_ACTION: ("coord", "cold", "what the law decided"),
+    ADAPT_ACTION: ("app", "emit", "the application adapted"),
+}
+
 #: The closed vocabulary; sinks and the report validate against it.
-EVENT_TYPES = frozenset({
-    PACKET_SEND, PACKET_DROP, PACKET_ACK, PACKET_RETX, CWND_CHANGE,
-    QUEUE_DEPTH, CALLBACK_FIRED, ATTR_SENT, ATTR_RECEIVED, COORD_ACTION,
-    ADAPT_ACTION, PERIOD_ROLL, FAULT_PHASE, LINK_FAIL, LINK_RECOVER,
-    FEC_REPAIR, FEC_RECOVERED, FRAME_ABANDONED,
+EVENT_TYPES = frozenset(VOCABULARY)
+COLD_TYPES = frozenset(t for t, row in VOCABULARY.items() if row[1] == "cold")
+
+#: The :data:`COORD_ACTION` fields that address the record rather than
+#: describe the action (listeners strip them).
+COORD_KEYS = frozenset(("flow", "action", "attr_seq"))
+
+#: Breadcrumbs the flight ring alone keeps, through ``note()``: the run's
+#: ``START`` / ``EXCEPTION`` (noted on the recorder directly, before a bus
+#: exists) and ``VIOLATION``, the rest from the transport.
+RING_ONLY = frozenset({
+    "START", "EXCEPTION", "VIOLATION", "RTO", "STALL", "RESUME", "COMPLETE",
+    "DISCARD", "FEC_GEN", "FEC_SHORT",
 })
 
 #: Emitting layers, in stack order (used by the report for display only).

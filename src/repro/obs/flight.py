@@ -10,18 +10,12 @@ invariant violations -- that every scenario keeps by default.
 
 Design constraints, in order:
 
-1. **Near-zero disarmed delta, tiny armed delta.**  Hook points follow the
-   telemetry idiom::
-
-       fl = self.flight
-       if fl is not None:
-           fl.note(...)
-
-   ``flight`` is ``None`` by default (class attribute), so a disarmed run
-   pays one attribute check.  Armed, each note is a single ``deque.append``
-   of a small tuple, and notes sit only on cold paths (per adaptation, per
-   retransmission, per drop -- never per packet send/ack), which keeps the
-   armed cost inside the ``flight_overhead_pct_max`` ceiling.
+1. **Tiny armed delta.**  No component holds the recorder: it is the
+   ``ring`` of the run's bus (:mod:`repro.obs.bus`) and keeps what sites
+   report through ``cold()`` and ``note()`` -- cold paths only (per
+   adaptation, retransmission, drop; never per packet send/ack).  Each
+   note is one ``deque.append`` of a small tuple, which keeps the
+   default-configuration cost inside ``bench_obs_overhead``'s ceiling.
 
 2. **Determinism.**  Timestamps come from the simulation clock and event
    ids from a monotone per-recorder counter that survives ring eviction, so

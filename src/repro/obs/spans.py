@@ -26,8 +26,10 @@ Design constraints mirror the rest of :mod:`repro.obs`:
    draws randomness or touches transport state, so an armed run's summary
    is bit-identical to a disarmed one (``spans`` *is* part of the config
    and cache key, but behaviour does not depend on it).
-2. **Disarmed cost is one attribute check.**  ``spans`` is a ``None`` class
-   attribute on the sender/receiver; hook points read it once.
+2. **Disarmed cost is one attribute check.**  The packet hooks key on
+   packet identity and stay typed calls behind ``sp is not None``
+   (``spans`` is a ``None`` class attribute on the sender/receiver); the
+   decision chain is heard on the trace bus (:meth:`SpanRecorder.__call__`).
 3. **Determinism.**  Everything is keyed on simulation-derived values
    (frame ids, ``(flow_id, seq)``, the sim clock), so :meth:`finalize`'s
    output is a pure function of the ``ScenarioConfig`` -- byte-identical
@@ -41,6 +43,7 @@ from __future__ import annotations
 from typing import Any
 
 from ..sim.packet import HEADER_BYTES, Packet
+from .events import ATTR_RECEIVED, COORD_ACTION, COORD_KEYS
 
 __all__ = ["SpanRecorder", "FRAME_OUTCOMES"]
 
@@ -54,8 +57,8 @@ class SpanRecorder:
 
     Wire-up (done by ``run_scenario`` when ``cfg.spans`` is set):
 
-    * construct right after the :class:`~repro.sim.engine.Simulator` and
-      assign ``sim.spans = recorder`` so links bind their drop hooks,
+    * construct right after the :class:`~repro.sim.engine.Simulator`, as
+      ``sim.spans`` (links bind their drop hooks) and a listener of its bus,
     * :meth:`watch_network` after the topology exists (captures the nominal
       path for the latency decomposition),
     * :meth:`watch_flow` after the connection exists (installs the
@@ -77,7 +80,6 @@ class SpanRecorder:
         self.actions: list[dict[str, Any]] = []
         self._path_hops: list[tuple[float, float]] = []
         self._flow_id: int | None = None
-        self._conn = None
 
     # ------------------------------------------------------------------
     # Wire-up
@@ -95,7 +97,6 @@ class SpanRecorder:
 
     def watch_flow(self, conn) -> None:
         """Install the sender/receiver hook references on ``conn``."""
-        self._conn = conn
         self._flow_id = conn.sender.flow_id
         conn.sender.spans = self
         conn.receiver.spans = self
@@ -201,23 +202,24 @@ class SpanRecorder:
         seg["t_done"] = self.sim._now
 
     # ------------------------------------------------------------------
-    # Coordination hooks (see repro.core.coordination)
+    # The decision chain: a listener on the trace bus
     # ------------------------------------------------------------------
-    def on_attrs(self, attrs: dict[str, Any]) -> int:
-        """An attribute set reached the coordinator; opens an episode and
-        returns its id for pairing with the actions it causes."""
-        ep = {"id": len(self.episodes), "t": self.sim._now, "attrs": attrs}
-        self.episodes.append(ep)
-        return ep["id"]
-
-    def on_action(self, episode: int | None, action: str,
-                  **fields: Any) -> None:
-        """A coordination action fired; ``episode`` pairs it with the
-        attribute exchange that caused it (None for spontaneous actions
-        such as stall degrade/recover)."""
-        rec = {"t": self.sim._now, "action": action, "episode": episode}
-        rec.update(fields)
-        self.actions.append(rec)
+    def __call__(self, etype: str, fields: dict[str, Any]) -> None:
+        """Bus listener (:meth:`repro.obs.bus.TraceBus.cold`).  An
+        ``ATTR_RECEIVED`` opens an episode; a ``COORD_ACTION`` *carrying*
+        ``attr_seq`` pairs with the open one (the coordinator reports an
+        exchange and its actions back to back), one without is spontaneous."""
+        if etype == COORD_ACTION:
+            rec = {"t": self.sim._now, "action": fields["action"],
+                   "episode": (len(self.episodes) - 1
+                               if "attr_seq" in fields else None)}
+            rec.update((k, v) for k, v in fields.items()
+                       if k not in COORD_KEYS)
+            self.actions.append(rec)
+        elif etype == ATTR_RECEIVED:
+            self.episodes.append({"id": len(self.episodes),
+                                  "t": self.sim._now,
+                                  "attrs": fields["attrs"]})
 
     # ------------------------------------------------------------------
     # Finalisation

@@ -17,10 +17,10 @@ Telemetry is a :class:`~repro.experiments.common.ScenarioConfig` field
 (``telemetry=TelemetryConfig(...)``), so it is part of the cache key: an
 armed run is a different (strictly richer) artifact than a disarmed one.
 Sampling is *pull-based* -- a periodic tick reads transport/queue/link
-state through their ``telemetry_probe()`` methods -- so a disarmed run
-executes **zero** telemetry instructions on the packet path; the only
-disarmed-path cost is one ``sender.telemetry is None`` check per
-coordination action (gated by ``bench_telemetry_overhead``).
+state through their ``telemetry_probe()`` methods -- and annotations are
+heard on the trace bus (the recorder is a listener, see
+:meth:`TelemetryRecorder.__call__`), so no component holds a telemetry
+handle and a disarmed run executes **zero** telemetry instructions.
 
 Determinism
 -----------
@@ -42,9 +42,16 @@ from typing import Any
 #: instant every same-time data/timer event has already fired, so the
 #: probe observes the settled state of that instant.
 from ..invariants.checks import CHECK_PRIORITY as TELEMETRY_PRIORITY
+from .events import COORD_ACTION, COORD_KEYS
 
 __all__ = ["TelemetryConfig", "Series", "Telemetry", "TelemetryRecorder",
-           "TELEMETRY_PRIORITY"]
+           "TELEMETRY_PRIORITY", "ANNOTATED_ACTIONS"]
+
+#: The coordination actions annotated onto the series: those that move
+#: the window, degrade around a stall or change the coding rate.
+ANNOTATED_ACTIONS = frozenset((
+    "window_rescale", "stall_degrade", "stall_recover",
+    "fec_boost", "fec_relax", "fec_redundancy"))
 
 
 class TelemetryConfig:
@@ -274,16 +281,22 @@ class TelemetryRecorder:
         self._bound: tuple[list, list, list] | None = None
 
     # ------------------------------------------------------------------
+    def __call__(self, etype: str, fields: dict[str, Any]) -> None:
+        """Bus listener (:meth:`repro.obs.bus.TraceBus.cold`): pin an
+        action that moved transport state onto the sampled series, so the
+        trajectory shows *why* the window or the coding rate jumped."""
+        if etype == COORD_ACTION and fields["action"] in ANNOTATED_ACTIONS:
+            self.data.annotate(
+                self.sim._now, fields["action"],
+                **{k: v for k, v in fields.items() if k not in COORD_KEYS})
+
     def watch_flow(self, conn, *, prefix: str = "flow") -> None:
         """Sample a connection's sender (cwnd/flightsize/SRTT/RTO/loss)
-        and, when it has one, its receiver (goodput).  Also hands the
-        sender a reference to the telemetry payload so the coordination
-        engine can annotate window rescales onto the series."""
+        and, when it has one, its receiver (goodput)."""
         sender = getattr(conn, "sender", None)
         if sender is None:
             raise TypeError(f"{type(conn).__name__} has no sender to probe")
         receiver = getattr(conn, "receiver", None)
-        sender.telemetry = self.data
         self._flows.append((prefix, sender, receiver,
                             {"delivered_bytes": 0.0}))
         fec_state = getattr(conn, "fec", None)

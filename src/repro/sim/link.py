@@ -155,7 +155,7 @@ class Link:
 
     # Slotted: a population holds thousands of links.
     __slots__ = ("sim", "bandwidth_bps", "delay_s", "sink", "name", "trace",
-                 "flight", "spans", "up", "packets_lost_wire",
+                 "spans", "up", "packets_lost_wire",
                  "_queue", "_loss", "_jitter", "_plain", "_busy", "_service",
                  "_arrival", "_free_at", "_bytes_sent", "_packets_sent")
 
@@ -172,19 +172,11 @@ class Link:
         self.delay_s = delay_s
         self.sink = sink
         self.name = name
+        # Where drops are reported and the lineage's packet hook, cached
+        # from the simulator; the queue is handed the same (``_adopt``).
         self.trace = sim.bus
-        # Forensics hooks (repro.obs.flight / repro.obs.spans): cached from
-        # the simulator so every drop site pays one ``is None`` check.  The
-        # queue gets the same references: it is where a queue drop is
-        # decided, and records it before ``push`` returns False.
-        self.flight = getattr(sim, "flight", None)
         self.spans = getattr(sim, "spans", None)
-        queue = DropTailQueue(queue_bytes, on_drop=on_drop)
-        queue.trace = self.trace
-        queue.name = name
-        queue.flight = self.flight
-        queue.spans = self.spans
-        self._queue = queue
+        self._queue = self._adopt(DropTailQueue(queue_bytes, on_drop=on_drop))
         self._loss = loss or LossModel()
         self._jitter: DelayJitter | None = None
         self._refresh_plain()
@@ -217,7 +209,16 @@ class Link:
         setattr(self, slot, part)
         self._refresh_plain()
 
-    queue = property(attrgetter("_queue"), lambda s, q: s._swap("_queue", q))
+    def _adopt(self, queue: DropTailQueue) -> DropTailQueue:
+        """A queue reports its drops under its link's name, to its link's
+        bus and lineage hook -- one installed mid-run like the first."""
+        queue.trace = self.trace
+        queue.name = self.name
+        queue.spans = self.spans
+        return queue
+
+    queue = property(attrgetter("_queue"),
+                     lambda s, q: s._swap("_queue", s._adopt(q)))
     loss = property(attrgetter("_loss"), lambda s, m: s._swap("_loss", m))
     jitter = property(attrgetter("_jitter"),
                       lambda s, j: s._swap("_jitter", j))
@@ -247,19 +248,7 @@ class Link:
         """Offer ``pkt`` to the link; False when the egress queue drops it
         or the link is administratively down."""
         if not self.up:
-            self.packets_lost_wire += 1
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="down", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "down")
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", PACKET_DROP, link=self.name, kind="down",
-                        flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
-            return False
+            return self._lost(pkt, "down")
         queue = self._queue
         # Ties resolve as busy: an arrival (priority -1) at ``_free_at``
         # precedes the completion (priority 0) at the same instant.
@@ -279,7 +268,7 @@ class Link:
             elif queue.push(pkt):
                 queue.pop()
             else:
-                return self._queue_dropped(pkt)
+                return False
             self._bytes_sent += wire
             self._packets_sent += 1
             self._free_at = free_at = now + wire * 8.0 / self.bandwidth_bps
@@ -287,18 +276,22 @@ class Link:
                                           self.sink.receive, (pkt,))
             return True
         if not queue.push(pkt):
-            return self._queue_dropped(pkt)
+            return False
         if not self._busy:
             self._kick()
         return True
 
-    def _queue_dropped(self, pkt: Packet) -> bool:
+    def _lost(self, pkt: Packet, kind: str) -> bool:
+        """Count and report a packet lost past the queue: on the ``wire``
+        or offered to a link that is ``down``.  Returns False."""
+        self.packets_lost_wire += 1
+        sp = self.spans
+        if sp is not None:
+            sp.on_drop(pkt, self.name, kind)
         tr = self.trace
-        if tr.enabled:
-            queue = self._queue
-            tr.emit("net", PACKET_DROP, link=self.name, kind="queue",
-                    flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size,
-                    queued_pkts=len(queue), queued_bytes=queue.bytes)
+        if tr.recording:
+            tr.cold("net", PACKET_DROP, link=self.name, kind=kind,
+                    flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
         return False
 
     # ------------------------------------------------------------------
@@ -331,18 +324,7 @@ class Link:
             # the same instant.
             self.sim.schedule(delay, self.sink.receive, pkt, priority=-1)
         else:
-            self.packets_lost_wire += 1
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="wire", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "wire")
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", PACKET_DROP, link=self.name, kind="wire",
-                        flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size)
+            self._lost(pkt, "wire")
 
     def _tx_done(self) -> None:
         pkt = self._service
@@ -387,23 +369,17 @@ class Link:
         self.up = False
         flushed = self._queue.flush()
         self.packets_lost_wire += flushed
-        fl = self.flight
-        if fl is not None:
-            fl.note("net", "LINK_FAIL", link=self.name, flushed=flushed)
         tr = self.trace
-        if tr.enabled:
-            tr.emit("net", LINK_FAIL, link=self.name, flushed=flushed)
+        if tr.recording:
+            tr.cold("net", LINK_FAIL, link=self.name, flushed=flushed)
 
     def recover(self) -> None:
         if self.up:
             return
         self.up = True
-        fl = self.flight
-        if fl is not None:
-            fl.note("net", "LINK_RECOVER", link=self.name)
         tr = self.trace
-        if tr.enabled:
-            tr.emit("net", LINK_RECOVER, link=self.name)
+        if tr.recording:
+            tr.cold("net", LINK_RECOVER, link=self.name)
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
         """Change the link rate mid-run (capacity ramp/cliff).  Packets

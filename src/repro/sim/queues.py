@@ -12,7 +12,7 @@ from collections import deque
 from typing import Callable
 
 from ..obs.bus import NULL_BUS
-from ..obs.events import QUEUE_DEPTH
+from ..obs.events import PACKET_DROP, QUEUE_DEPTH
 from .packet import Packet
 
 __all__ = ["DropTailQueue", "REDQueue", "QueueStats"]
@@ -53,7 +53,7 @@ class DropTailQueue:
     """
 
     __slots__ = ("capacity_bytes", "on_drop", "_q", "_bytes", "stats",
-                 "trace", "name", "flight", "spans")
+                 "trace", "name", "spans")
 
     def __init__(self, capacity_bytes: int,
                  on_drop: Callable[[Packet], None] | None = None):
@@ -64,13 +64,10 @@ class DropTailQueue:
         self._q: deque[Packet] = deque()
         self._bytes = 0
         self.stats = QueueStats()
-        # Owning Link rebinds these; standalone queues stay untraced.
+        # The owning Link rebinds these; standalone queues stay unreported.
+        # They live here because a queue drop is decided here, RED's too.
         self.trace = NULL_BUS
         self.name = "queue"
-        # Forensics hooks, rebound by the owning Link.  They live here (not
-        # only on the Link) because the drop is decided here, RED's early
-        # drops included, so it is noted once, before ``on_drop`` runs.
-        self.flight = None
         self.spans = None
 
     def __len__(self) -> int:
@@ -94,16 +91,7 @@ class DropTailQueue:
         if new_bytes > self.capacity_bytes:
             st.drops += 1
             st.bytes_dropped += wire
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="queue", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "queue")
-            if self.on_drop is not None:
-                self.on_drop(pkt)
-            return False
+            return self._dropped(pkt, "queue")
         q = self._q
         q.append(pkt)
         self._bytes = new_bytes
@@ -120,6 +108,22 @@ class DropTailQueue:
                         pkts=len(q), bytes=new_bytes,
                         capacity=self.capacity_bytes)
         return True
+
+    def _dropped(self, pkt: Packet, kind: str) -> bool:
+        """Report a drop once, where it was decided: the lineage's packet
+        hook, the bus, then the ``on_drop`` observer.  Returns False, the
+        verdict ``push`` hands back."""
+        sp = self.spans
+        if sp is not None:
+            sp.on_drop(pkt, self.name, kind)
+        tr = self.trace
+        if tr.recording:
+            tr.cold("net", PACKET_DROP, link=self.name, kind=kind,
+                    flow=pkt.flow_id, pkt=pkt.seq, size=pkt.wire_size,
+                    queued_pkts=len(self._q), queued_bytes=self._bytes)
+        if self.on_drop is not None:
+            self.on_drop(pkt)
+        return False
 
     def pop(self) -> Packet:
         """Dequeue the head-of-line packet."""
@@ -212,14 +216,5 @@ class REDQueue(DropTailQueue):
             st.arrivals += 1
             st.drops += 1
             st.bytes_dropped += pkt.wire_size
-            fl = self.flight
-            if fl is not None:
-                fl.note("net", "DROP", kind="red", link=self.name,
-                        flow=pkt.flow_id, pkt=pkt.seq)
-            sp = self.spans
-            if sp is not None:
-                sp.on_drop(pkt, self.name, "red")
-            if self.on_drop is not None:
-                self.on_drop(pkt)
-            return False
+            return self._dropped(pkt, "red")
         return super().push(pkt)

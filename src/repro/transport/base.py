@@ -105,22 +105,10 @@ class WindowedSender:
         degradation.  0 (the default) disables stall detection.
     """
 
-    #: Telemetry payload reference (:class:`repro.obs.telemetry.Telemetry`)
-    #: set by an armed :class:`~repro.obs.telemetry.TelemetryRecorder`; a
-    #: class attribute so the disarmed path never allocates or writes
-    #: anything -- consumers pay one ``is None`` check, and only on cold
-    #: paths (coordination actions), never per packet.
-    telemetry = None
-
     #: Span recorder (:class:`repro.obs.spans.SpanRecorder`) installed by
-    #: ``watch_flow`` when the scenario arms lineage capture; same
-    #: class-attribute idiom as ``telemetry``.
+    #: ``watch_flow`` when the scenario arms lineage capture; a class
+    #: attribute, so a disarmed packet hook pays one ``is None`` check.
     spans = None
-
-    #: Flight recorder (:class:`repro.obs.flight.FlightRecorder`) inherited
-    #: from the simulator at construction; notes sit only on cold paths
-    #: (retransmissions, RTOs, stalls, discards, completion).
-    flight = None
 
     #: FEC repair coder (:class:`repro.transport.fec.FecSender`) armed by
     #: the connection when a :class:`~repro.transport.fec.FecConfig` is
@@ -224,12 +212,11 @@ class WindowedSender:
         self._epoch_lost = 0
         self._epoch_max_inflight = 0
 
-        # Tracing: cache the bus; with tracing off every hook below is one
+        # Cache the bus; with tracing off every per-packet site below is one
         # attribute check.  The cwnd observer is wired only when tracing is
         # on so the congestion laws keep their zero-overhead default.
         tr = sim.bus
         self.trace = tr
-        self.flight = getattr(sim, "flight", None)
         if tr.enabled:
             self.metrics.trace = tr
             self.metrics.flow = self.flow_id
@@ -373,10 +360,8 @@ class WindowedSender:
                 sp = self.spans
                 if sp is not None:
                     sp.on_discard(pkt)
-                fl = self.flight
-                if fl is not None:
-                    fl.note("transport", "DISCARD", flow=self.flow_id,
-                            frame=pkt.frame_id, size=pkt.size)
+                self.trace.note("transport", "DISCARD", flow=self.flow_id,
+                                frame=pkt.frame_id, size=pkt.size)
                 continue
             if (pkt.deadline and not pkt.tagged
                     and self.sim._now > pkt.deadline):
@@ -392,14 +377,9 @@ class WindowedSender:
                 sp = self.spans
                 if sp is not None:
                     sp.on_expire(pkt)
-                fl = self.flight
-                if fl is not None:
-                    fl.note("transport", "EXPIRE", flow=self.flow_id,
-                            frame=pkt.frame_id, size=pkt.size,
-                            late=self.sim.now - pkt.deadline)
                 tr = self.trace
-                if tr.enabled:
-                    tr.emit("transport", FRAME_ABANDONED, flow=self.flow_id,
+                if tr.recording:
+                    tr.cold("transport", FRAME_ABANDONED, flow=self.flow_id,
                             frame=pkt.frame_id, size=pkt.size,
                             late=self.sim.now - pkt.deadline)
                 continue
@@ -464,13 +444,9 @@ class WindowedSender:
         else:
             pkt.retransmit += 1
             self.stats.retransmissions += 1
-        fl = self.flight
-        if fl is not None:
-            fl.note("transport", "RETX", flow=self.flow_id, pkt=seq,
-                    reason="timeout" if timeout else "fast", skip=pkt.skip)
         tr = self.trace
-        if tr.enabled:
-            tr.emit("transport", PACKET_RETX, flow=self.flow_id, pkt=seq,
+        if tr.recording:
+            tr.cold("transport", PACKET_RETX, flow=self.flow_id, pkt=seq,
                     reason="timeout" if timeout else "fast", skip=pkt.skip)
         self._transmit(pkt)
         if timeout:
@@ -501,10 +477,8 @@ class WindowedSender:
             if self._stalled:
                 self._stalled = False
                 self.stats.stall_recoveries += 1
-                fl = self.flight
-                if fl is not None:
-                    fl.note("transport", "RESUME", flow=self.flow_id,
-                            recoveries=self.stats.stall_recoveries)
+                tr.note("transport", "RESUME", flow=self.flow_id,
+                        recoveries=self.stats.stall_recoveries)
                 self.coordinator.on_resume(self.sim.now)
         sample: float | None = None
         now = self.sim._now
@@ -640,11 +614,9 @@ class WindowedSender:
         self._rto_event = self._rto_deadline = None
         self.rtt.backoff()
         self.cc.on_timeout(self.inflight)
-        fl = self.flight
-        if fl is not None:
-            fl.note("transport", "RTO", flow=self.flow_id,
-                    head=self.snd_una, rto=self.rtt.rto,
-                    inflight=self.inflight)
+        tr = self.trace
+        tr.note("transport", "RTO", flow=self.flow_id, head=self.snd_una,
+                rto=self.rtt.rto, inflight=self.inflight)
         self._in_recovery = False
         self._dup_acks = 0
         self._repaired.clear()
@@ -654,9 +626,8 @@ class WindowedSender:
                     and self._consec_timeouts >= self.stall_threshold):
                 self._stalled = True
                 self.stats.stalls += 1
-                if fl is not None:
-                    fl.note("transport", "STALL", flow=self.flow_id,
-                            consec_timeouts=self._consec_timeouts)
+                tr.note("transport", "STALL", flow=self.flow_id,
+                        consec_timeouts=self._consec_timeouts)
                 self.coordinator.on_stall(self.sim.now)
         self._retransmit(self.snd_una, timeout=True)
         self._arm_rto()
@@ -723,11 +694,9 @@ class WindowedSender:
         if (self._finished and not self._completed and not self._pending
                 and self.snd_una == self.snd_nxt):
             self._completed = True
-            fl = self.flight
-            if fl is not None:
-                fl.note("transport", "COMPLETE", flow=self.flow_id,
-                        acked=self.stats.acked_packets,
-                        skips=self.stats.skips_sent)
+            self.trace.note("transport", "COMPLETE", flow=self.flow_id,
+                            acked=self.stats.acked_packets,
+                            skips=self.stats.skips_sent)
             self._disarm_rto()
             if self.on_complete is not None:
                 self.on_complete(self.sim.now)
@@ -819,9 +788,9 @@ class WindowedReceiver:
         self.use_eack = use_eack
         self.reorder = ReorderBuffer()
         self.stats = FlowStats()
-        # Flight recorder reference for the FEC decoder's cold-path notes;
-        # the ordinary receive path never touches it.
-        self.flight = getattr(sim, "flight", None)
+        # The bus the FEC decoder reports its cold events to; the ordinary
+        # receive path never touches it.
+        self.trace = sim.bus
         host.bind(port, self)
 
     # ------------------------------------------------------------------

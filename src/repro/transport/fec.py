@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from ..obs.events import FEC_RECOVERED, FEC_REPAIR
 from ..sim.packet import Packet, PacketKind
 
 __all__ = ["FecConfig", "FecState", "FecSender", "FecReceiver"]
@@ -225,10 +226,8 @@ class FecSender:
         for stripe in range(n_repair):
             covered = tuple(members[stripe::n_repair])
             self._send_repair(gen_id, stripe, covered)
-        fl = snd.flight
-        if fl is not None:
-            fl.note("transport", "FEC_GEN", flow=snd.flow_id, gen=gen_id,
-                    k=len(members), r=n_repair)
+        snd.trace.note("transport", "FEC_GEN", flow=snd.flow_id, gen=gen_id,
+                       k=len(members), r=n_repair)
 
     def _send_repair(self, gen_id: int, stripe: int, covered: tuple) -> None:
         snd = self.sender
@@ -247,7 +246,6 @@ class FecSender:
         state.repair_bytes += size
         tr = snd.trace
         if tr.enabled:
-            from ..obs.events import FEC_REPAIR
             tr.emit("transport", FEC_REPAIR, flow=snd.flow_id, gen=gen_id,
                     stripe=stripe, size=size,
                     covered=[m[0] for m in covered])
@@ -297,10 +295,9 @@ class FecReceiver:
         # Beyond single-parity reach right now: hold for compound
         # recovery as ARQ fills holes; count the shortfall once.
         self.state.unrecoverable += 1
-        fl = getattr(self.receiver, "flight", None)
-        if fl is not None:
-            fl.note("transport", "FEC_SHORT", flow=self.receiver.flow_id,
-                    gen=gen_id, stripe=stripe, missing=len(missing))
+        self.receiver.trace.note(
+            "transport", "FEC_SHORT", flow=self.receiver.flow_id,
+            gen=gen_id, stripe=stripe, missing=len(missing))
         if len(self.pending) >= self.PENDING_LIMIT:
             self.pending.pop(0)
             self.state.pending_evicted += 1
@@ -357,13 +354,8 @@ class FecReceiver:
         sp = rcv.spans
         if sp is not None:
             sp.on_recover(pkt)
-        fl = getattr(rcv, "flight", None)
-        if fl is not None:
-            fl.note("transport", "FEC_RECOVERED", flow=rcv.flow_id,
-                    gen=gen_id, stripe=stripe, pkt=seq)
-        tr = getattr(rcv.sim, "bus", None)
-        if tr is not None and tr.enabled:
-            from ..obs.events import FEC_RECOVERED
-            tr.emit("transport", FEC_RECOVERED, flow=rcv.flow_id,
+        tr = rcv.trace
+        if tr.recording:
+            tr.cold("transport", FEC_RECOVERED, flow=rcv.flow_id,
                     gen=gen_id, stripe=stripe, pkt=seq, size=size)
         rcv.receive(pkt)

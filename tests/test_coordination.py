@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.core.attributes import (ADAPT_COND, ADAPT_FREQ, ADAPT_MARK,
-                                   ADAPT_PKTSIZE, ADAPT_WHEN, AttributeSet)
+from repro.core.attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ,
+                                   ADAPT_MARK, ADAPT_PKTSIZE, ADAPT_WHEN,
+                                   AttributeSet)
 from repro.core.coordination import IQCoordinator, NullCoordinator
+from repro.core.metrics_export import PeriodMetrics
+from repro.obs.bus import TraceBus
+from repro.obs.events import ATTR_RECEIVED, COORD_ACTION, COORD_KEYS
+from repro.obs.flight import FlightRecorder
+from repro.obs.sinks import RingBufferSink
+from repro.obs.spans import SpanRecorder
+from repro.obs.telemetry import (ANNOTATED_ACTIONS, TelemetryConfig,
+                                 TelemetryRecorder)
+from repro.sim.engine import Simulator
+from repro.transport.fec import FecConfig, FecState
 from repro.transport.lda import LdaCC
 
 
@@ -161,3 +172,108 @@ class TestWhenAndFreq:
         coord = IQCoordinator()
         with pytest.raises(RuntimeError):
             coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
+
+
+class Coder:
+    """The sender's ``fec_tx`` as the coordinator sees it: the state."""
+
+    def __init__(self):
+        self.state = FecState(FecConfig(k=8, r=1, r_max=3, adaptive=True))
+
+
+#: Every action the law can report, in the order ``drive`` fires them
+#: (``fec_redundancy`` twice: attribute-driven, then period-driven).
+ACTIONS = ["pending", "discard", "freq_no_window_change", "fec_redundancy",
+           "window_rescale", "rescale_skipped_large_frame", "fec_boost",
+           "stall_degrade", "fec_relax", "stall_recover", "fec_redundancy",
+           "fec_unavailable"]
+
+
+def drive(*, traced):
+    """Fire all eleven actions on a sender whose bus carries every
+    surface: ring, lineage listener, telemetry listener and (when
+    ``traced``) a sink.  As in ``WindowedSender.__init__``, the
+    coordinator is bound before the sender has its bus."""
+    coord = IQCoordinator()
+    snd = bind(coord, frame_size=700)
+    sim = Simulator()
+    sink = RingBufferSink()
+    spans = SpanRecorder(sim)
+    telemetry = TelemetryRecorder(sim, TelemetryConfig())
+    snd.flow_id = 7
+    snd.MIN_PERIOD_SAMPLES = 8
+    snd.fec_tx = Coder()
+    snd.trace = TraceBus(sim, [sink] if traced else [],
+                         ring=FlightRecorder(capacity=64),
+                         listeners=[spans, telemetry])
+    coord.on_callback_result(AttributeSet({ADAPT_WHEN: "pending"}))
+    coord.on_callback_result(AttributeSet({
+        ADAPT_MARK: 0.4, ADAPT_FREQ: 0.5, ADAPT_FEC: 2, ADAPT_PKTSIZE: 0.5}))
+    snd.last_frame_size = 2800
+    coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
+    sim._now = 1.0
+    coord.on_stall(1.0)
+    coord.on_resume(1.0)
+    snd.fec_tx.state.recovered += 1
+    coord.on_period(PeriodMetrics(1.0, 20, 0, 0, 0.5, 0.03, 10.0))
+    del snd.fec_tx
+    coord.on_send_attrs(AttributeSet({ADAPT_FEC: 2}))
+    return snd.trace, sink, spans, telemetry.data
+
+
+def described(records, *own):
+    """``(action, what the record says about it)`` per record, without
+    the keys that are the surface's own."""
+    drop = COORD_KEYS.union(own)
+    return [(r.get("action", r.get("kind")),
+             {k: v for k, v in r.items() if k not in drop}) for r in records]
+
+
+class TestReporting:
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_each_action_lands_once_on_every_surface_with_equal_fields(
+            self, traced):
+        bus, sink, spans, telemetry = drive(traced=traced)
+        ring = bus.ring.dump()["events"]
+        noted = described([e for e in ring if e["event"] == COORD_ACTION],
+                          "id", "t", "layer", "event")
+        assert [name for name, _ in noted] == ACTIONS
+        assert len(set(ACTIONS)) == 11
+        assert described(spans.actions, "t", "episode") == noted
+        assert described(telemetry.annotations, "t", "kind") \
+            == [rec for rec in noted if rec[0] in ANNOTATED_ACTIONS]
+        # A record is written down once: the ring's copy *is* the trace's.
+        if traced:
+            events = [ev.as_obj() for ev in sink.events]
+            for ev, rec in zip(events, ring, strict=True):
+                del ev["seq"], rec["id"]
+            assert events == ring
+        else:
+            assert bus.events_emitted == 0
+
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_actions_pair_with_the_exchange_that_caused_them(self, traced):
+        bus, sink, spans, _ = drive(traced=traced)
+        ring = bus.ring.dump()["events"]
+        assert len(spans.episodes) == 4 == sum(
+            e["event"] == ATTR_RECEIVED for e in ring)
+        paired = [a["episode"] for a in spans.actions]
+        assert paired == [0, 1, 1, 1, 1, 2, None, None, None, None, None, 3]
+        # The trace pairs by value, the lineage by the key's presence
+        # (its value is -1 when nothing numbers the exchange).
+        seqs = [e["attr_seq"] for e in ring if "attr_seq" in e]
+        if traced:
+            by_seq = [ev.seq for ev in sink.events
+                      if ev.etype == ATTR_RECEIVED]
+            assert seqs == [by_seq[ep] for ep in paired if ep is not None]
+        else:
+            assert set(seqs) == {-1}
+
+    def test_attribute_driven_fec_change_is_annotated(self):
+        """An ``ADAPT_FEC`` exchange moves the coding rate like the period
+        controller does, and is pinned onto the series like it."""
+        _, _, _, telemetry = drive(traced=False)
+        fec = [a for a in telemetry.annotations
+               if a["kind"] == "fec_redundancy"]
+        assert [("requested" in a, a["r_before"], a["r_after"])
+                for a in fec] == [(True, 1, 2), (False, 2, 3)]

@@ -6,11 +6,15 @@ import random
 import pytest
 
 from repro.invariants.checks import CHECK_PRIORITY
+from repro.obs.bus import TraceBus
+from repro.obs.events import PACKET_DROP
+from repro.obs.flight import FlightRecorder
+from repro.obs.sinks import RingBufferSink
 from repro.sim.engine import Simulator
 from repro.sim.link import (BernoulliLoss, DelayJitter, GilbertElliottLoss,
                             Link, LossModel)
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue
+from repro.sim.queues import DropTailQueue, REDQueue
 
 
 class Sink:
@@ -79,6 +83,93 @@ def test_queue_overflow_drops():
     assert sent == [True, True, True, False, False]
     assert len(sink.got) == 3
     assert link.queue.stats.drops == 2
+
+
+class Lineage:
+    """Stands in for the span recorder's drop hook (``sim.spans``)."""
+
+    def __init__(self):
+        self.drops = []
+
+    def on_drop(self, pkt, link, kind):
+        self.drops.append((pkt.seq, link, kind))
+
+
+def reporting_link(**kw):
+    """A link on a traced, ring-armed simulator with a lineage hook."""
+    sim = Simulator()
+    trace = RingBufferSink()
+    sim.bus = TraceBus(sim, [trace], ring=FlightRecorder(capacity=1000))
+    sim.spans = Lineage()
+    link = Link(sim, bandwidth_bps=1e6, delay_s=0.0, sink=Sink(),
+                name="hop", **kw)
+    return sim, link, trace
+
+
+def offer(link, n):
+    sent = []
+    for i in range(n):
+        pkt = mkpkt()
+        pkt.seq = i
+        sent.append(link.send(pkt))
+    return sent
+
+
+def drop_reports(sim, trace):
+    """(trace events, ring records) of the drops, both without their
+    surface's own numbering."""
+    traced = [ev.as_obj() for ev in trace.events if ev.etype == PACKET_DROP]
+    noted = [ev for ev in sim.bus.ring.dump()["events"]
+             if ev["event"] == PACKET_DROP]
+    for ev in traced:
+        del ev["seq"]
+    for ev in noted:
+        del ev["id"]
+    return traced, noted
+
+
+def test_queue_assigned_after_construction_reports_each_drop_once():
+    """``link.queue = REDQueue(...)`` adopts the link's name, bus and
+    lineage hook like the queue ``__init__`` built: every early drop is
+    reported once, under its own kind, to trace, ring and lineage."""
+    sim, link, trace = reporting_link()
+    link.queue = REDQueue(40 * 1440, max_p=0.5, weight=0.5,
+                          rng=random.Random(7))
+    sent = offer(link, 40)
+    dropped = [i for i, ok in enumerate(sent) if not ok]
+    assert dropped and len(dropped) == link.queue.stats.drops
+    traced, noted = drop_reports(sim, trace)
+    assert [ev["pkt"] for ev in traced] == dropped      # once each
+    assert {(ev["kind"], ev["link"]) for ev in traced} == {("red", "hop")}
+    assert noted == traced
+    assert sim.spans.drops == [(i, "hop", "red") for i in dropped]
+
+
+def test_tail_drop_reports_queue_kind_with_occupancy():
+    sim, link, trace = reporting_link(queue_bytes=2 * 1440)
+    assert offer(link, 5) == [True, True, True, False, False]
+    traced, noted = drop_reports(sim, trace)
+    assert traced == noted == [
+        {"t": 0.0, "layer": "net", "event": PACKET_DROP, "link": "hop",
+         "kind": "queue", "flow": 1, "pkt": i, "size": 1440,
+         "queued_pkts": 2, "queued_bytes": 2 * 1440} for i in (3, 4)]
+    assert sim.spans.drops == [(3, "hop", "queue"), (4, "hop", "queue")]
+
+
+def test_wire_and_down_losses_report_once_without_occupancy():
+    sim, link, trace = reporting_link(loss=BernoulliLoss(1.0,
+                                                         random.Random(1)))
+    offer(link, 1)
+    sim.run()
+    link.fail()
+    offer(link, 1)
+    traced, noted = drop_reports(sim, trace)
+    assert traced == noted
+    assert [(ev["kind"], ev["pkt"], sorted(ev)) for ev in traced] == [
+        (kind, 0, ["event", "flow", "kind", "layer", "link", "pkt", "size",
+                   "t"]) for kind in ("wire", "down")]
+    assert sim.spans.drops == [(0, "hop", "wire"), (0, "hop", "down")]
+    assert link.packets_lost_wire == 2
 
 
 def test_tx_time():

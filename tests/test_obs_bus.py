@@ -93,8 +93,22 @@ class TestTraceBus:
                                   "action": "discard", "enabled": True}
 
     def test_untraced_run_emits_nothing(self):
-        """A scenario without a trace sink keeps the null bus end to end."""
+        """A scenario without a trace sink carries a bus that records cold
+        events for the flight ring but wants no per-packet event: nothing
+        is ever numbered into a trace."""
         from repro.experiments.common import ScenarioConfig, run_scenario
+        res = run_scenario(ScenarioConfig(transport="iq", workload="greedy",
+                                          n_frames=50, time_cap=60.0))
+        assert res.completed
+        bus = res.conn.sender.trace
+        assert bus is res.sim.bus
+        assert bus.enabled is False and bus.sinks == []
+        assert bus.events_emitted == 0
+
+    def test_flight_off_and_nothing_armed_keeps_the_null_bus(
+            self, monkeypatch):
+        from repro.experiments.common import ScenarioConfig, run_scenario
+        monkeypatch.setenv("REPRO_FLIGHT", "0")
         res = run_scenario(ScenarioConfig(transport="iq", workload="greedy",
                                           n_frames=50, time_cap=60.0))
         assert res.completed

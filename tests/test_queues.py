@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.bus import TraceBus
+from repro.obs.events import PACKET_DROP
+from repro.obs.flight import FlightRecorder
+from repro.obs.sinks import RingBufferSink
+from repro.sim.engine import Simulator
 from repro.sim.packet import Packet
 from repro.sim.queues import DropTailQueue, REDQueue
 
@@ -119,6 +124,44 @@ class TestRed:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             REDQueue(1000, min_th=0.9, max_th=0.5)
+
+    def test_early_and_tail_drops_share_one_report_path(self):
+        """A drop is reported in the queue, where it is decided: RED's
+        early drop as ``red``, its inherited tail drop as ``queue``, each
+        once, with the occupancy it met, before ``on_drop`` runs."""
+        def reported():
+            return [ev.fields for ev in trace.events
+                    if ev.etype == PACKET_DROP]
+
+        observed = []
+        # A slow average: the buffer fills (tail drops) before RED reacts.
+        q = REDQueue(6 * 1440, weight=0.05, rng=random.Random(7),
+                     on_drop=lambda pkt: observed.append(
+                         (pkt.seq, len(reported()))))
+        trace = RingBufferSink()
+        q.trace = TraceBus(Simulator(), [trace],
+                           ring=FlightRecorder(capacity=100))
+        q.name = "q0"
+        for i in range(60):
+            pkt = mkpkt()
+            pkt.seq = i
+            q.push(pkt)
+        drops = reported()
+        assert len(drops) == q.stats.drops
+        assert {d["kind"] for d in drops} == {"red", "queue"}
+        assert all(d["link"] == "q0" and d["queued_pkts"] <= 6
+                   and d["queued_bytes"] == 1440 * d["queued_pkts"]
+                   for d in drops)
+        # on_drop saw packet i after report i was already in the trace.
+        assert observed == [(d["pkt"], n + 1) for n, d in enumerate(drops)]
+        assert [e["event"] for e in q.trace.ring.dump()["events"]] \
+            == [PACKET_DROP] * len(drops)
+
+    def test_standalone_queue_reports_nowhere(self):
+        q = REDQueue(2 * 1440, rng=random.Random(1))
+        assert not q.trace.recording and q.spans is None
+        assert [q.push(mkpkt()) for _ in range(3)] == [True, True, False]
+        assert q.stats.drops == 1
 
     def test_drops_probabilistically_before_full(self):
         q = REDQueue(40 * 1440, max_p=0.5, weight=0.5,

@@ -117,7 +117,9 @@ class TestRecorderEndToEnd:
     def test_disarmed_run_has_no_recorder_events(self):
         res = run_scenario(_congested(telemetry=None))
         assert res.telemetry is None
-        assert type(res.conn.sender).telemetry is None
+        # Nothing listens for annotations, and no tick was ever scheduled.
+        assert res.sim.bus.listeners == []
+        assert res.conn.sender.trace is res.sim.bus
 
     def test_byte_identical_across_worker_counts(self):
         cfgs = {f"s{seed}": _congested(seed=seed) for seed in (1, 2)}

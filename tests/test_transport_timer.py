@@ -45,11 +45,9 @@ class EagerTimerSender(WindowedSender):
             return
         self.rtt.backoff()
         self.cc.on_timeout(self.inflight)
-        fl = self.flight
-        if fl is not None:
-            fl.note("transport", "RTO", flow=self.flow_id,
-                    head=self.snd_una, rto=self.rtt.rto,
-                    inflight=self.inflight)
+        self.trace.note("transport", "RTO", flow=self.flow_id,
+                        head=self.snd_una, rto=self.rtt.rto,
+                        inflight=self.inflight)
         self._in_recovery = False
         self._dup_acks = 0
         self._repaired.clear()
@@ -59,9 +57,8 @@ class EagerTimerSender(WindowedSender):
                     and self._consec_timeouts >= self.stall_threshold):
                 self._stalled = True
                 self.stats.stalls += 1
-                if fl is not None:
-                    fl.note("transport", "STALL", flow=self.flow_id,
-                            consec_timeouts=self._consec_timeouts)
+                self.trace.note("transport", "STALL", flow=self.flow_id,
+                                consec_timeouts=self._consec_timeouts)
                 self.coordinator.on_stall(self.sim.now)
         self._retransmit(self.snd_una, timeout=True)
         self._arm_rto()
@@ -222,7 +219,7 @@ def test_early_wakeup_is_not_a_timeout(monkeypatch):
 
     def state(s):
         return (s.stats.timeouts, s.stats.retransmissions, s.rtt._backoff,
-                s._consec_timeouts, s._stalled, s.flight.dump())
+                s._consec_timeouts, s._stalled, s.trace.ring.dump())
 
     def watching_on_rto(self):
         if self.sim.now < self._rto_deadline:
