@@ -53,6 +53,12 @@ ADAPTATION_POOL = (ResolutionAdaptation, FrequencyAdaptation,
 #: scenario simulates in well under a wall-clock second.
 CASE_TIME_CAP = 30.0
 
+#: Where a ``DelayRamp`` ends, one way: from below the shortest base delay
+#: (4.95 ms at ``rtt_s=0.010``), so a ramp can shorten the path and let a
+#: later packet overtake an earlier one.  (0.02 before PR 22: ``repro fuzz
+#: --seed N`` draws a different case stream since.)
+DELAY_RAMP_TO_S = (0.002, 0.2)
+
 
 def sample_faults(rng: random.Random) -> FaultSchedule:
     """One to three bounded impairment phases with gaps between them."""
@@ -80,7 +86,7 @@ def sample_faults(rng: random.Random) -> FaultSchedule:
                                         steps=rng.randint(2, 8)))
         elif kind == 4:
             phases.append(DelayRamp(start, stop,
-                                    to_s=rng.uniform(0.02, 0.2),
+                                    to_s=rng.uniform(*DELAY_RAMP_TO_S),
                                     steps=rng.randint(2, 8),
                                     direction=direction))
         else:

@@ -309,7 +309,8 @@ class TelemetryRecorder:
     def watch_network(self, net) -> None:
         """Sample the dumbbell's bottleneck queues and link utilisation."""
         for link in (net.forward, net.backward):
-            self._queues.append((f"queue.{link.name}", link.queue))
+            # The link: reading ``link.queue`` settles a planned backlog.
+            self._queues.append((f"queue.{link.name}", link))
             self._links.append((f"link.{link.name}", link,
                                 {"bytes_sent": 0.0}))
         self._bound = None
@@ -344,11 +345,11 @@ class TelemetryRecorder:
                   else get(f"{prefix}.goodput_bps").add,
                   state)
                  for prefix, sender, receiver, state in self._flows]
-        queues = [(queue.telemetry_probe,
+        queues = [(link,
                    get(f"{prefix}.pkts").add,
                    get(f"{prefix}.bytes").add,
                    get(f"{prefix}.drops").add)
-                  for prefix, queue in self._queues]
+                  for prefix, link in self._queues]
         links = [(link.telemetry_probe,
                   get(f"{prefix}.util").add,
                   link, state)
@@ -383,8 +384,8 @@ class TelemetryRecorder:
                 delta = total - state["delivered_bytes"]
                 state["delivered_bytes"] = total
                 add_goodput(now, delta * 8.0 / cadence)
-        for probe_fn, add_pkts, add_bytes, add_drops in queues:
-            probe = probe_fn()
+        for link, add_pkts, add_bytes, add_drops in queues:
+            probe = link.queue.telemetry_probe()
             add_pkts(now, probe["pkts"])
             add_bytes(now, probe["bytes"])
             add_drops(now, probe["drops"])

@@ -1,10 +1,9 @@
 """Fluid background traffic: aggregate cross traffic at tick cost.
 
 Population scenarios (1k+ concurrent foreground flows) cannot afford
-per-packet cross traffic: a 16 Mbps CBR source alone is ~1.4k datagrams --
-2.8k engine events on an idle bottleneck, 4.2k on a backlogged one, now
-that a datagram enters at the bottleneck (5.6k to 7k when it walked the
-access links too) -- per simulated second.  Following the
+per-packet cross traffic: a 16 Mbps CBR source alone is ~1.4k datagrams,
+one engine event each (four or five when a datagram walked the access
+links), per simulated second.  Following the
 fluid/analytic rate-model tradition (Hága et al., PAPERS.md), background
 aggregate traffic does not need per-packet fidelity to exert correct
 congestion *pressure* on the foreground; it needs the right mean rate,

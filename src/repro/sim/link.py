@@ -8,6 +8,7 @@ between the dumbbell routers.
 
 from __future__ import annotations
 
+from collections import deque
 from math import inf
 from operator import attrgetter
 from typing import Callable, Protocol
@@ -125,7 +126,8 @@ class DelayJitter:
 
 #: For pickling: fields that die with the event heap or are derived, and the
 #: public names property-backed fields are stored under.
-_TRANSIENT = frozenset(("_busy", "_service", "_arrival", "_free_at", "_plain"))
+_TRANSIENT = frozenset(("_busy", "_service", "_arrival", "_free_at", "_plain",
+                        "_plan"))
 _PUBLIC = {"_queue": "queue", "_loss": "loss", "_jitter": "jitter",
            "_bytes_sent": "bytes_sent", "_packets_sent": "packets_sent"}
 _PRIVATE = {public: private for private, public in _PUBLIC.items()}
@@ -140,29 +142,31 @@ class Link:
         ``20e6``).
     delay_s : one-way propagation delay in seconds.
     queue_bytes : drop-tail buffer budget at the egress.
+    ahead : ``sink`` can be asked at departure (``arriving``/``withdraw``).
 
-    Single-event transit: on a *plain* link (drop-tail queue, base
-    :class:`LossModel`, no jitter) nothing can happen to a packet between
-    the end of serialisation and the far end of the wire, so an idle
-    serialiser *fuses* the two -- :meth:`send` schedules the arrival at
-    ``(now + tx) + delay`` and records ``_free_at``, when the serialiser
-    frees up.  The completion event (:meth:`_tx_done`) exists only once a
-    second packet queues up behind it; whatever would have met the packet
-    at the end of serialisation first :meth:`_unfuse`-s it back into the
-    two-event chain that backlogged and stochastic links use throughout.
-    DESIGN.md section 2 has the full rule.
+    Planned transit: on a *plain* link (drop-tail queue, base
+    :class:`LossModel`, no jitter) :meth:`send` decides an accepted
+    packet's whole crossing at once -- service start (now, or ``_free_at``
+    behind a busy serialiser), finish, far end -- and posts its arrival
+    then: one engine event per packet, idle or backlogged.  The books are
+    settled lazily (:meth:`_settle`); whatever could meet an unfinished
+    packet first puts the plan back (:meth:`_unfuse`) onto the two-event
+    chain -- completion, then arrival -- that lossy, jittered and
+    RED-queued links use throughout.  DESIGN.md section 2 has the rule.
     """
 
     # Slotted: a population holds thousands of links.
     __slots__ = ("sim", "bandwidth_bps", "delay_s", "sink", "name", "trace",
                  "spans", "up", "packets_lost_wire",
                  "_queue", "_loss", "_jitter", "_plain", "_busy", "_service",
-                 "_arrival", "_free_at", "_bytes_sent", "_packets_sent")
+                 "_arrival", "_free_at", "_plan", "_ahead", "_bytes_sent",
+                 "_packets_sent")
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, delay_s: float,
                  sink: PacketSink, *, queue_bytes: int = 64 * 1440,
                  name: str = "link", loss: LossModel | None = None,
-                 on_drop: Callable[[Packet], None] | None = None):
+                 on_drop: Callable[[Packet], None] | None = None,
+                 ahead: bool = False):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if delay_s < 0:
@@ -180,24 +184,29 @@ class Link:
         self._loss = loss or LossModel()
         self._jitter: DelayJitter | None = None
         self._refresh_plain()
-        self._busy = False      # a completion event (_tx_done) is pending
-        # The packet _tx_done still has to account and deliver (None while
-        # the one on the serialiser is fused); the fused packet's arrival
-        # event; the instant the serialiser frees up.  The last two go
-        # stale: readers compare the clock against ``_free_at`` first.
+        self._busy = False      # the chain runs: a _tx_done is pending
+        # The packet on the serialiser (planned: counted when it started;
+        # on the chain: _tx_done accounts and delivers it), its arrival
+        # event (None: the sink was asked) and when the serialiser frees
+        # up.  All go stale: readers check the clock against ``_free_at``.
         self._service: Packet | None = None
         self._arrival = None
         self._free_at = -inf
+        # (start, arrival event | None) of every planned packet still in
+        # the queue; no container until a packet first waits.
+        self._plan: deque | None = None
+        # A traced run asks nobody: every hop reports where it always did.
+        self._ahead = (sink.arriving if ahead and not self.trace.enabled
+                       else None)
         self.up = True
-        # Wire counters for utilisation / fairness accounting.  A fused
-        # packet is counted when sent; the public properties hold it back
-        # until ``_free_at``, when its completion would have fired.
+        # Wire counters for utilisation / fairness accounting: a planned
+        # packet counts from its start; the properties hold it back.
         self._bytes_sent = 0
         self._packets_sent = 0
         self.packets_lost_wire = 0
 
     # What decides a packet's fate at the end of serialisation is a
-    # property: swapping it mid-run un-fuses the packet it would have met
+    # property: swapping it mid-run un-plans the packets it would have met
     # and re-evaluates whether the link is still plain.
     def _refresh_plain(self) -> None:
         self._plain = (type(self._loss) is LossModel
@@ -217,18 +226,42 @@ class Link:
         queue.spans = self.spans
         return queue
 
-    queue = property(attrgetter("_queue"),
+    def _settle(self, strict: bool = False) -> None:
+        """Bring the books up to the clock: a planned packet whose start
+        has passed leaves the queue and is counted onto the wire.  A start
+        at exactly ``now`` has happened for a reader but not (``strict``)
+        for an arrival or a mutation, which precede that completion."""
+        plan = self._plan
+        if not plan:
+            return
+        now = self.sim._now
+        queue = self._queue         # ``queue.pop()``, in line: per packet
+        while plan and (plan[0][0] < now or plan[0][0] == now and not strict):
+            self._arrival = plan.popleft()[1]
+            self._service = pkt = queue._q.popleft()
+            queue._bytes -= pkt.wire_size
+            queue.stats.departures += 1
+            self._bytes_sent += pkt.wire_size
+            self._packets_sent += 1
+
+    queue = property(lambda s: s._settle() or s._queue,
                      lambda s, q: s._swap("_queue", s._adopt(q)))
     loss = property(attrgetter("_loss"), lambda s, m: s._swap("_loss", m))
     jitter = property(attrgetter("_jitter"),
                       lambda s, j: s._swap("_jitter", j))
 
+    def _in_service(self) -> bool:
+        """A packet holds the serialiser (call with the books settled): one
+        awaiting ``_tx_done``, or a planned one until its finish."""
+        if self._busy:
+            return self._service is not None
+        return bool(self._plan) or self.sim._now < self._free_at
+
     def _serialising(self) -> Packet | None:
-        """The fused packet while its completion has not "fired" yet."""
-        ev = self._arrival
-        if ev is not None and self.sim._now < self._free_at:
-            return ev.args[0]
-        return None
+        """The planned packet whose completion has not "fired" yet."""
+        self._settle()
+        return (self._service if not self._busy and self._in_service()
+                else None)
 
     @property
     def bytes_sent(self) -> int:
@@ -237,7 +270,8 @@ class Link:
 
     @property
     def packets_sent(self) -> int:
-        return self._packets_sent - (self._serialising() is not None)
+        held = self._serialising() is not None      # settles: read it first
+        return self._packets_sent - held
 
     # ------------------------------------------------------------------
     def tx_time(self, pkt: Packet) -> float:
@@ -250,11 +284,21 @@ class Link:
         if not self.up:
             return self._lost(pkt, "down")
         queue = self._queue
+        if self._busy or not self._plain:
+            if not queue.push(pkt):
+                return False
+            if not self._busy:
+                self._start_transmission()
+            return True
+        now = self.sim._now
+        start = self._free_at
+        wire = pkt.wire_size
+        plan = self._plan
         # Ties resolve as busy: an arrival (priority -1) at ``_free_at``
-        # precedes the completion (priority 0) at the same instant.
-        if (self._plain and not self._busy
-                and (now := self.sim._now) > self._free_at):
-            wire = pkt.wire_size
+        # precedes the completion (priority 0) of the same instant.
+        if now > start:
+            if plan:
+                self._settle()      # all that was planned has started
             st = queue.stats
             if st.peak_packets and wire <= queue.capacity_bytes:
                 # The queue is empty and the packet leaves it at once: fold
@@ -271,14 +315,26 @@ class Link:
                 return False
             self._bytes_sent += wire
             self._packets_sent += 1
-            self._free_at = free_at = now + wire * 8.0 / self.bandwidth_bps
-            self._arrival = self.sim.post(free_at + self.delay_s, -1,
-                                          self.sink.receive, (pkt,))
-            return True
-        if not queue.push(pkt):
-            return False
-        if not self._busy:
-            self._kick()
+            self._service = pkt
+            start = now
+            plan = None             # the plan of length one: ``_arrival``
+        else:
+            if plan is None:
+                plan = self._plan = deque()
+            elif plan and plan[0][0] < now:
+                self._settle(True)
+            if not queue.push(pkt):
+                return False
+        # The chain's float additions in the chain's order.
+        self._free_at = free_at = start + wire * 8.0 / self.bandwidth_bps
+        at = free_at + self.delay_s
+        ahead = self._ahead
+        ev = (None if ahead is not None and ahead(pkt, at)
+              else self.sim.post(at, -1, self.sink.receive, (pkt,)))
+        if plan is None:
+            self._arrival = ev
+        else:
+            plan.append((start, ev))
         return True
 
     def _lost(self, pkt: Packet, kind: str) -> bool:
@@ -295,15 +351,9 @@ class Link:
         return False
 
     # ------------------------------------------------------------------
-    def _kick(self) -> None:
-        """Give a newly backlogged queue its completion event: at
-        ``_free_at`` while a fused packet holds the serialiser, else now."""
-        if self.sim._now <= self._free_at:
-            self._busy = True
-            self.sim.at(self._free_at, self._tx_done)
-        else:
-            self._start_transmission()
-
+    # The two-event chain: lossy, jittered and RED-queued links, and a
+    # plain one from a mutation until its backlog has drained.
+    # ------------------------------------------------------------------
     def _start_transmission(self) -> None:
         pkt = self._queue.pop()
         self._busy = True
@@ -328,11 +378,7 @@ class Link:
 
     def _tx_done(self) -> None:
         pkt = self._service
-        if pkt is None:
-            # A fused packet held the serialiser: it was counted and sent
-            # on its way by ``send``; only the backlog is left to serve.
-            self._arrival = None
-        else:
+        if pkt is not None:
             self._finish_tx(pkt)
         if self._queue._q:
             self._start_transmission()
@@ -341,21 +387,39 @@ class Link:
             self._service = None
 
     def _unfuse(self) -> None:
-        """Put a fused packet that is still serialising back on the
-        two-event chain: cancel its arrival and let a real completion at
-        ``_free_at`` decide its fate under what the caller changes next."""
-        ev = self._arrival
-        if ev is None or self.sim._now > self._free_at or not ev.alive:
+        """Take back every promise not yet kept -- the arrival of the
+        packet still serialising and of each planned one behind it, latest
+        first -- and let a real completion at the former's finish put them
+        on the two-event chain, to meet there what the caller changes."""
+        if self._busy:
             return
-        ev.cancel()
-        pkt = ev.args[0]
+        self._settle(True)
+        plan = self._plan or ()
+        ends = [start for start, _ in plan]     # a start is the finish of
+        ends.append(self._free_at)              # the packet ahead
+        finish, now, delay = ends[0], self.sim._now, self.delay_s
+        if now > finish:
+            return                              # idle: nothing unfinished
+        if self._service is not None and finish + delay <= now:
+            self._service = None                # ... and it has arrived
+        promised = zip((self._service, *self._queue._q),
+                       (self._arrival, *(ev for _, ev in plan)), ends)
+        for pkt, ev, end in reversed(list(promised)):
+            if pkt is None:
+                pass                            # only a backlog to serve
+            elif ev is not None:
+                ev.cancel()
+            else:
+                self.sink.withdraw(pkt, end + delay)
+        if self._service is not None:
+            self._bytes_sent -= self._service.wire_size
+            self._packets_sent -= 1
+        if plan:
+            plan.clear()
         self._arrival = None
-        self._service = pkt
-        self._bytes_sent -= pkt.wire_size
-        self._packets_sent -= 1
-        if not self._busy:
-            self._busy = True
-            self.sim.at(self._free_at, self._tx_done)
+        self._free_at = finish
+        self._busy = True
+        self.sim.at(finish, self._tx_done)
 
     # ------------------------------------------------------------------
     # Dynamics (failure injection, handover ramps)
@@ -382,11 +446,13 @@ class Link:
             tr.cold("net", LINK_RECOVER, link=self.name)
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
-        """Change the link rate mid-run (capacity ramp/cliff).  Packets
-        already serialising keep their old transmission time."""
+        """Change the link rate mid-run (capacity ramp/cliff).  A packet
+        already serialising keeps its old transmission time."""
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
-        self.bandwidth_bps = bandwidth_bps
+        if bandwidth_bps != self.bandwidth_bps:     # else: not a change
+            self._unfuse()
+            self.bandwidth_bps = bandwidth_bps
 
     def set_delay(self, delay_s: float) -> None:
         """Change the propagation delay mid-run (path change).  Packets
@@ -394,8 +460,9 @@ class Link:
         the boundary -- exactly what a real path change does."""
         if delay_s < 0:
             raise ValueError("propagation delay cannot be negative")
-        self._unfuse()
-        self.delay_s = delay_s
+        if delay_s != self.delay_s:
+            self._unfuse()
+            self.delay_s = delay_s
 
     def telemetry_probe(self) -> dict[str, float]:
         """Read-only wire counters for the telemetry recorder (cumulative;
@@ -405,17 +472,12 @@ class Link:
                 "packets_lost_wire": float(self.packets_lost_wire),
                 "up": 1.0 if self.up else 0.0}
 
-    def _in_service(self) -> bool:
-        """A packet holds the serialiser: one awaiting ``_tx_done``, or a
-        fused one until ``_free_at``."""
-        return self._service is not None or self.sim._now < self._free_at
-
     def accounting_violation(self) -> str | None:
         """Wire accounting at this link: every queue departure must either
         have finished serialising (``packets_sent``) or still hold the
-        serialiser -- fused (until ``_free_at``) or awaiting ``_tx_done``.
+        serialiser -- planned (until its finish) or awaiting ``_tx_done``.
         Returns a description, or None when sane."""
-        st = self._queue.stats
+        st = self.queue.stats
         in_service = int(self._in_service())
         packets_sent = self.packets_sent
         if st.departures != packets_sent + in_service:
@@ -425,10 +487,10 @@ class Link:
         return None
 
     # A pickled link (``ScenarioResult.detach``) keeps its books, not its
-    # traffic: the heap is drained, so the completion event, the packet on
-    # the serialiser and its arrival go, and ``_free_at = inf`` stands in
-    # for that packet in the accounting.  Property-backed fields are read
-    # through the property: counters as an observer sees them.
+    # traffic: the heap is drained, so the plan, the completion event, the
+    # packet on the serialiser and its arrival go, and ``_free_at = inf``
+    # stands in for that packet in the accounting.  Property-backed fields
+    # are read through the property: counters as an observer sees them.
     def __getstate__(self) -> dict:
         names = (_PUBLIC.get(name, name) for name in self.__slots__
                  if name not in _TRANSIENT)
@@ -439,7 +501,7 @@ class Link:
 
     def __setstate__(self, state: dict) -> None:
         self._busy = False
-        self._service = self._arrival = None
+        self._service = self._arrival = self._plan = None
         self._free_at = -inf
         for name, value in state.items():
             setattr(self, _PRIVATE.get(name, name), value)
@@ -447,4 +509,4 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} {self.bandwidth_bps/1e6:.1f}Mbps "
-                f"{self.delay_s*1e3:.1f}ms q={len(self._queue)}>")
+                f"{self.delay_s*1e3:.1f}ms q={len(self.queue)}>")

@@ -7,7 +7,7 @@ a dumbbell reproduction needs, and it keeps the per-packet cost low.
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Callable, Protocol
 
 from .engine import Simulator
 from .link import Link
@@ -67,13 +67,20 @@ class Host:
 
 
 class Router:
-    """Static-routing store-and-forward router."""
+    """Static-routing store-and-forward router.
+
+    A link built with ``ahead=True`` asks at departure instead of sending
+    an arrival event: :meth:`arriving` offers packet and arrival instant to
+    a route that can ``book`` it, :meth:`withdraw` takes that back.  A
+    booked packet counts as ``forwarded`` at once.
+    """
 
     def __init__(self, sim: Simulator, address: int, name: str = ""):
         self.sim = sim
         self.address = address
         self.name = name or f"router{address}"
         self._routes: dict[int, Link] = {}
+        self._book: dict[int, Callable[[Packet, float], bool] | None] = {}
         self._default: Link | None = None
         self.forwarded = 0
         self.no_route_drops = 0
@@ -81,6 +88,7 @@ class Router:
     def add_route(self, dst_address: int, link: Link) -> None:
         """Packets destined to ``dst_address`` leave on ``link``."""
         self._routes[dst_address] = link
+        self._book[dst_address] = getattr(link, "book", None)
 
     def set_default_route(self, link: Link) -> None:
         self._default = link
@@ -94,3 +102,17 @@ class Router:
                 return
         self.forwarded += 1
         link.send(pkt)
+
+    def arriving(self, pkt: Packet, at: float) -> bool:
+        """``pkt`` will be here at ``at``: True when its route took that
+        as the arrival, False when it has to arrive for real."""
+        book = self._book.get(pkt.dst)
+        if book is None or not book(pkt, at):
+            return False
+        self.forwarded += 1
+        return True
+
+    def withdraw(self, pkt: Packet, at: float) -> None:
+        """It will not: undo :meth:`arriving`."""
+        self.forwarded -= 1
+        self._routes[pkt.dst].unbook(pkt, at)

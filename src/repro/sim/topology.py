@@ -13,23 +13,30 @@ The dumbbell is::
 Access links are fast and near-zero delay, so the bottleneck link alone sets
 the path RTT and loss behaviour, exactly as on the emulated testbed.
 
-One-way cross traffic only has to occupy the bottleneck queue, so it does
-not walk that path: a :class:`CrossPort` hands each packet to the forward
-bottleneck at the instant the access hop would have, and counts it where it
-leaves (DESIGN.md section 2, "What a cross packet costs").
+Only the bottlenecks and a flow's two uplinks are :class:`Link` objects.
+One-way cross traffic enters through a :class:`CrossPort`, which hands each
+packet to the forward bottleneck at the instant its access hop would have,
+and ends at a counter; a flow host's hop down from its router is a
+:class:`DownHop`.  Both far ends are *asked at departure* by the bottleneck
+(``Link(ahead=True)``), so a packet that leaves it costs one event at most
+(DESIGN.md section 2, "Planned transit").
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import deque
 from math import inf
+from operator import itemgetter
 
+from ..obs.events import QUEUE_DEPTH
 from .engine import SimulationError, Simulator
 from .link import Link
 from .node import Host, Router
 from .packet import Packet
 
-__all__ = ["CrossPort", "Dumbbell", "PAPER_BOTTLENECK_BPS", "PAPER_RTT_S",
-           "PAPER_MSS"]
+__all__ = ["AccessHop", "CrossPort", "DownHop", "Dumbbell",
+           "PAPER_BOTTLENECK_BPS", "PAPER_RTT_S", "PAPER_MSS"]
 
 #: Paper defaults (section 3.1).
 PAPER_BOTTLENECK_BPS = 20e6
@@ -41,49 +48,66 @@ ACCESS_QUEUE_BYTES = 64 * 1440
 
 
 class _Egress:
-    """Router R's route for a cross flow: the packet ends here, counted."""
+    """Router R's route for a cross flow: the packet ends here, counted --
+    booked ahead, once a reader's clock has reached its arrival instant."""
 
-    def __init__(self) -> None:
-        self.packets = 0
-        self.bytes = 0      # payload bytes, as ``UdpSink.bytes_received``
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self._packets = 0
+        self._bytes = 0     # payload bytes, as ``UdpSink.bytes_received``
+        self._due: deque = deque()      # (arrival instant, size), sorted
 
     def send(self, pkt: Packet) -> bool:
-        self.packets += 1
-        self.bytes += pkt.size
+        self._packets += 1
+        self._bytes += pkt.size
         return True
 
+    def book(self, pkt: Packet, at: float) -> bool:
+        due = self._due
+        if due and at < due[-1][0]:
+            return False        # overtakes a booked one: arrive for real
+        if len(due) > 256:
+            self._settled()     # nobody reads: keep what is held back small
+        due.append((at, pkt.size))
+        return True
 
-class CrossPort:
-    """Stands where a one-way flow's sender/receiver host pair stood.
+    def unbook(self, pkt: Packet, at: float) -> None:
+        self._due.remove((at, pkt.size))
 
-    A ``UdpSender`` binds to it as to a ``Host``: :meth:`send` does the
-    access link's arithmetic in the link's order and posts the packet into
-    ``link`` (the forward bottleneck) at the float instant router L would
-    have; ``egress`` is the far end.  The access hop never drops, and that
-    is checked: what its 64-packet queue would have tail-dropped raises.
-    """
+    def _settled(self) -> "_Egress":
+        due = self._due
+        now = self.sim._now
+        while due and due[0][0] <= now:
+            self._packets += 1
+            self._bytes += due.popleft()[1]
+        return self
 
-    def __init__(self, sim: Simulator, address: int, link: Link, *,
-                 access_bps: float, access_delay_s: float, name: str = ""):
+    packets = property(lambda self: self._settled()._packets)
+    bytes = property(lambda self: self._settled()._bytes)
+
+
+class AccessHop:
+    """The arithmetic of an access link that is never congested: a FIFO at
+    ``access_bps`` plus ``access_delay_s``, done in ``Link``'s order.  It
+    never drops, and that is checked: what the link's 64-packet queue would
+    have tail-dropped raises."""
+
+    __slots__ = ("sim", "name", "access_bps", "access_delay_s", "_free_at",
+                 "_undo", "_backlog")
+
+    def __init__(self, sim: Simulator, name: str, access_bps: float,
+                 access_delay_s: float):
         self.sim = sim
-        self.address = address
-        self.peer_address = address + 1
-        self.link = link
+        self.name = name
         self.access_bps = access_bps
         self.access_delay_s = access_delay_s
-        self.name = name or f"port{address}"
-        self.egress = _Egress()
-        self.senders: dict[int, object] = {}
-        self._free_at = self._undo = -inf   # access serialiser falls idle
+        self._free_at = self._undo = -inf   # the serialiser falls idle
         self._backlog = 0       # wire bytes accepted behind a busy one
 
-    def bind(self, port: int, endpoint) -> None:
-        self.senders[port] = endpoint
-
     def arrival(self, t: float, wire: int) -> float:
-        """When a ``wire``-byte packet offered to the access hop at ``t``
-        reaches the bottleneck.  The order of the two additions is
-        ``Link``'s: ``(start + tx) + delay``."""
+        """When a ``wire``-byte packet offered to the hop at ``t`` reaches
+        its far end.  The order of the two additions is ``Link``'s:
+        ``(start + tx) + delay``."""
         start = self._undo = self._free_at
         if t > start:
             start = t
@@ -96,7 +120,7 @@ class CrossPort:
                 raise SimulationError(
                     f"{self.name}: {self._backlog} bytes back to back "
                     f"overflow the access hop's {ACCESS_QUEUE_BYTES}-byte "
-                    f"queue; a cross port never drops")
+                    f"queue; an access hop never drops")
         self._free_at = free_at = start + wire * 8.0 / self.access_bps
         return free_at + self.access_delay_s
 
@@ -105,11 +129,116 @@ class CrossPort:
         time, is not coming after all."""
         self._free_at = self._undo
 
+
+class CrossPort(AccessHop):
+    """Stands where a one-way flow's sender/receiver host pair stood.
+
+    A ``UdpSender`` binds to it as to a ``Host``: :meth:`send` does the
+    access link's arithmetic and posts the packet into ``link`` (the
+    forward bottleneck) at the float instant router L would have;
+    ``egress`` is the far end.
+    """
+
+    def __init__(self, sim: Simulator, address: int, link: Link, *,
+                 access_bps: float, access_delay_s: float, name: str = ""):
+        super().__init__(sim, name or f"port{address}", access_bps,
+                         access_delay_s)
+        self.address = address
+        self.peer_address = address + 1
+        self.link = link
+        self.egress = _Egress(sim)
+        self.senders: dict[int, object] = {}
+
+    def bind(self, port: int, endpoint) -> None:
+        self.senders[port] = endpoint
+
     def send(self, pkt: Packet) -> bool:
         sim = self.sim
         sim.post(self.arrival(sim._now, pkt.wire_size), -1, self.link.send,
                  (pkt,))
         return True
+
+
+class DownHop(AccessHop):
+    """A flow host's access hop from its router: what the ``Link`` that
+    stood here computed, with one event -- ``Host.receive`` at the host.
+
+    :meth:`send` is a packet arriving at the router now; :meth:`book` the
+    bottleneck asking at departure.  The hop is fed by that link alone, so
+    a packet promised for ``at`` goes through the FIFO at once, as long as
+    bookings are made in arrival order.  What breaks that order takes
+    bookings back and lets their packets arrive for real: a packet arriving
+    ahead of booked ones (delay lowered, jitter lifted with jittered
+    packets in flight) and the link un-planning its promise.
+    """
+
+    __slots__ = ("host", "_log", "_last")
+
+    def __init__(self, sim: Simulator, host: Host, *, access_bps: float,
+                 access_delay_s: float):
+        super().__init__(sim, f"{host.name}-down", access_bps,
+                         access_delay_s)
+        self.host = host
+        # Promised packets still to arrive, by arrival instant: (at, event,
+        # _free_at, _backlog) -- booked, with ``Host.receive`` posted and
+        # the state before it; or taken back, with the real arrival posted
+        # and no state.  No list until the first.
+        self._log: list | None = None
+        self._last = -inf   # nothing more is booked to arrive before this
+
+    def send(self, pkt: Packet) -> bool:
+        sim = self.sim
+        now = sim._now
+        log = self._log
+        if log and log[-1][0] > now:    # ahead of packets booked for later
+            self._take_back(bisect_right(log, now, key=itemgetter(0)))
+        tr = sim.bus
+        if tr.enabled and self._free_at == -inf:
+            # The first packet, as the link's queue reported it.
+            tr.emit("net", QUEUE_DEPTH, queue=self.name, pkts=1,
+                    bytes=pkt.wire_size, capacity=ACCESS_QUEUE_BYTES)
+        sim.post(self.arrival(now, pkt.wire_size), -1, self.host.receive,
+                 (pkt,))
+        return True
+
+    def book(self, pkt: Packet, at: float) -> bool:
+        if at < self._last:
+            return False    # overtakes a promised one: ``send`` sorts it out
+        self._last = at
+        log = self._log
+        if log is None:
+            log = self._log = []
+        elif log and log[0][0] < self.sim._now:
+            del log[0]      # has arrived; an entry holds packet and event
+        free_at, backlog = self._free_at, self._backlog
+        log.append((at, self.sim.post(self.arrival(at, pkt.wire_size), -1,
+                                      self.host.receive, (pkt,)),
+                    free_at, backlog))
+        return True
+
+    def _take_back(self, i: int) -> None:
+        """Undo the bookings from ``log[i]`` on, earliest last: their
+        packets arrive for real."""
+        log = self._log
+        for j in range(len(log) - 1, i - 1, -1):
+            at, ev, free_at, backlog = log[j]
+            if free_at is not None:
+                self._free_at, self._backlog = free_at, backlog
+                ev.cancel()
+                log[j] = (at, self.sim.post(at, -1, self.send, ev.args),
+                          None, None)
+
+    def unbook(self, pkt: Packet, at: float) -> None:
+        log = self._log
+        i = next(i for i in reversed(range(len(log)))
+                 if log[i][1].args[0] is pkt)    # the last, as a rule
+        self._take_back(i)
+        log.pop(i)[1].cancel()
+
+    def __getstate__(self):
+        """Promises die with the heap: a pickled hop keeps its books."""
+        return None, {name: None if name == "_log" else getattr(self, name)
+                      for cls in (AccessHop, DownHop) for name in cls.__slots__}
 
 
 class Dumbbell:
@@ -139,10 +268,14 @@ class Dumbbell:
 
         self.left = Router(sim, address=1, name="L")
         self.right = Router(sim, address=2, name="R")
+        # What leaves a bottleneck ends at a counter or crosses a private
+        # access hop: its router is asked at departure.
         self.forward = Link(sim, bottleneck_bps, one_way, self.right,
-                            queue_bytes=qbytes, name="bottleneck-fwd")
+                            queue_bytes=qbytes, name="bottleneck-fwd",
+                            ahead=True)
         self.backward = Link(sim, bottleneck_bps, one_way, self.left,
-                             queue_bytes=qbytes, name="bottleneck-bwd")
+                             queue_bytes=qbytes, name="bottleneck-bwd",
+                             ahead=True)
         self._next_addr = 10
         self._hosts: list[Host] = []
         self.cross_ports: list[CrossPort] = []
@@ -158,14 +291,15 @@ class Dumbbell:
         receiver = Host(self.sim, self._next_addr + 1, name=f"{name}-rcv")
         self._next_addr += 2
 
+        access = dict(access_bps=self.ACCESS_BPS,
+                      access_delay_s=self.ACCESS_DELAY_S)
+        # An uplink is a real link: a window burst can overflow its queue.
         up = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, self.left,
                   name=f"{sender.name}-up")
-        down = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, receiver,
-                    name=f"{receiver.name}-down")
+        down = DownHop(self.sim, receiver, **access)
         r_up = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, self.right,
                     name=f"{receiver.name}-up")
-        s_down = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, sender,
-                      name=f"{sender.name}-down")
+        s_down = DownHop(self.sim, sender, **access)
 
         sender.attach_uplink(up)
         receiver.attach_uplink(r_up)

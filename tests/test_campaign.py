@@ -8,6 +8,7 @@ even the 200+ cell acceptance campaign stays cheap.
 """
 
 import json
+import math
 import os
 import pickle
 import signal
@@ -276,9 +277,37 @@ def test_interrupt_then_resume_is_byte_identical(tmp_path):
     assert resumed.report().to_json() == fresh.report().to_json()
 
 
+#: How often the test below looks for the first finished cell, and how much
+#: work must still be ahead of the campaign when that cell lands, in polls:
+#: the interrupt is late by one poll plus however long this process waits
+#: for a core, and a cell is a few tens of milliseconds.
+SIGINT_POLL_S = 0.005
+SIGINT_REMAINING_POLLS = 200
+
+
 def test_sigint_mid_campaign_then_resume(tmp_path):
     """Real SIGINT against a running campaign process; the resume completes
     and reports byte-identically to an undisturbed campaign."""
+    from repro.runner.pool import run_one
+
+    def campaign(seeds):
+        return Campaign(Scenario(workload="greedy", n_frames=400,
+                                 time_cap=30.0),
+                        name="sig", axes={"transport": ["tcp", "iq"]},
+                        seeds=seeds)
+
+    # Size the campaign from what it measures: time one seed's cells here,
+    # then take enough seeds that the work left after the first cell
+    # outlasts the polls it may take to notice it -- however fast a cell is.
+    probe = campaign(1).cells()
+    started = time.perf_counter()
+    for cell in probe:
+        run_one(cell.config, cache=False)
+    cell_s = (time.perf_counter() - started) / len(probe)
+    remaining_s = SIGINT_REMAINING_POLLS * SIGINT_POLL_S
+    seeds = min(max(6, math.ceil((1 + remaining_s / cell_s) / len(probe))),
+                500)
+
     camp_dir = tmp_path / "camp"
     prog = textwrap.dedent(f"""\
         import sys
@@ -287,7 +316,7 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
         camp = Campaign(Scenario(workload="greedy", n_frames=400,
                                  time_cap=30.0),
                         name="sig", axes={{"transport": ["tcp", "iq"]}},
-                        seeds=6)
+                        seeds={seeds})
         run_campaign(camp, dir={str(camp_dir)!r}, workers=1, cache=False)
         print("DONE")
     """)
@@ -298,7 +327,7 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
     store = CampaignStore(camp_dir)
     deadline = time.time() + 60
     while time.time() < deadline and len(store.done_keys()) < 1:
-        time.sleep(0.02)
+        time.sleep(SIGINT_POLL_S)
         if proc.poll() is not None:
             break
     assert len(store.done_keys()) >= 1, proc.communicate()
@@ -306,9 +335,7 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
     proc.wait(timeout=60)
     assert proc.returncode != 0  # interrupted, not finished
 
-    camp = Campaign(Scenario(workload="greedy", n_frames=400,
-                             time_cap=30.0),
-                    name="sig", axes={"transport": ["tcp", "iq"]}, seeds=6)
+    camp = campaign(seeds)
     assert len(store.done_keys()) < len(camp)  # genuinely partial
     resumed = run_campaign(camp, dir=camp_dir, cache=False)
     fresh = run_campaign(camp, dir=tmp_path / "fresh", cache=False)

@@ -100,6 +100,12 @@ def assert_same(sources, ops=(), until=None, **net_kw):
     differing = [(a, b) for a, b in zip(ref["offered"], got["offered"])
                  if a != b]
     assert not differing, differing[:3]
+    if ("far_ends" in got) != ("far_ends" in ref):
+        # The host pair's far end is one access hop (36.52 us) behind the
+        # port's: a cut inside that hop finds only one of the two drained.
+        for out in (got, ref):
+            out.pop("far_ends", None)
+            out.pop("senders", None)
     assert got == ref
     return got
 
@@ -347,26 +353,38 @@ def cbr_only(wiring, rates, until):
 
 
 def test_a_cbr_datagram_is_two_events_on_an_idle_bottleneck(link_sends):
+    """Two before the far end was asked at departure; one now -- the
+    train's event, which offers the packet.  Its far end is a counter."""
     fired, n, net = cbr_only("port", [16e6], until=1.0)
     assert n == 1389
-    assert fired == 2 * n + 1                 # train + far end; one start
+    assert fired == n + 1                     # the train; one start
     assert link_sends == [("bottleneck-fwd", 1)] * n
     (port,) = net.cross_ports
+    # No event carries the clock to the far end: where the last train
+    # event left it, 15 ms of packets are still on the wire.
+    assert port.egress.packets == n - 22 and port.egress.bytes == (n - 22) * 1400
+    net.sim.run(until=1.1)
     assert (port.egress.packets, port.egress.bytes) == (n, n * 1400)
 
 
 def test_a_cbr_datagram_is_three_events_on_a_backlogged_one(link_sends):
+    """Three before backlogs were planned; one now, as on an idle one."""
     fired, n, net = cbr_only("port", [12e6, 12e6], until=1.0)
     st_ = net.forward.queue.stats
     assert st_.drops > 200
-    assert fired <= 3 * n + 2
+    assert fired == n + 2
     assert len(link_sends) == n
+    net.sim.run(until=1.1)                    # what waited and flew arrives
     assert sum(p.egress.packets for p in net.cross_ports) == n - st_.drops
-    # The host pair: five events and three Link.send calls apiece.
+    # (``link.queue`` is what settles the books: ask it again.)
+    assert (net.forward.queue.stats.departures == net.forward.packets_sent
+            == n - st_.drops)
+    # The host pair: three events (five before) and three Link.send calls
+    # apiece -- two uplinks and the bottleneck post an arrival each.
     del link_sends[:]
     ref_fired, ref_n, _ = cbr_only("hosts", [12e6, 12e6], until=1.0)
     assert ref_n == n
-    assert ref_fired > 4.5 * n and len(link_sends) > 2.8 * n
+    assert 2.8 * n < ref_fired < 3.1 * n and len(link_sends) > 1.8 * n
 
 
 def test_table5_shaped_cell_event_total(link_sends):
@@ -381,10 +399,14 @@ def test_table5_shaped_cell_event_total(link_sends):
     (tx,) = port.senders.values()
     n = tx.packets_sent
     assert n == 8334
-    assert prof.events_fired == 29386         # 46031 on host pairs
-    # One entry event per datagram (the first is posted by ``start``) ...
+    assert prof.events_fired == 12913         # 29386 with far-end events
+    # One event per datagram (the first is posted by ``start``) ...
     assert counts["CbrSource._depart"] + counts["Link.send"] == n
     assert "CbrSource._tick" not in counts
     # ... and one Link.send: nothing of the cross flow meets a second link.
     assert ([name for name, flow in link_sends if flow == tx.flow_id]
             == ["bottleneck-fwd"] * n)
+    # What is left is the flow under test and the timers: four events per
+    # acknowledged datagram, none of them a completion.
+    assert "Link._tx_done" not in counts
+    assert set(counts) >= {"Host.receive", "Router.receive"}

@@ -14,7 +14,7 @@ from repro.sim.engine import Simulator
 from repro.sim.link import (BernoulliLoss, DelayJitter, GilbertElliottLoss,
                             Link, LossModel)
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, REDQueue
+from repro.sim.queues import DropTailQueue, QueueStats, REDQueue
 
 
 class Sink:
@@ -251,13 +251,14 @@ def test_wire_counters():
 
 
 # ----------------------------------------------------------------------
-# Single-event transit: an idle hop on a plain link is one engine event;
-# everything observable must match the two-event chain it replaced.
+# Planned transit: a packet accepted by a plain link is one engine event,
+# idle serialiser or backlog; everything observable must match the
+# two-event chain it replaced.
 # ----------------------------------------------------------------------
 class TwoEventLink:
-    """The link as it was before fusion, kept here as the reference: every
-    hop is a completion event at the end of serialisation, which accounts
-    the packet and then schedules its arrival."""
+    """The link as it was before any look-ahead, kept here as the
+    reference: every hop is a completion event at the end of serialisation,
+    which accounts the packet and then schedules its arrival."""
 
     def __init__(self, sim, bandwidth_bps, delay_s, sink, *, queue_bytes):
         self.sim, self.sink = sim, sink
@@ -321,6 +322,8 @@ class TwoEventLink:
 #: tests below can hit ``_free_at`` with exact float times.
 _SLOW_BPS = 8e3
 
+STAT_SLOTS = QueueStats.__slots__
+
 
 def _wire(n=1000, seq=0):
     return Packet(flow_id=1, size=n - 40, seq=seq)
@@ -340,16 +343,23 @@ def _apply(link, rng, op, arg):
         link.jitter = DelayJitter(max_extra_s=arg, rng=rng)
     elif op == "calm":
         link.jitter = None
+    elif op == "queue":         # swap: what the old one holds is stranded
+        link.queue = DropTailQueue(arg)
+    elif op == "set_capacity":
+        link.queue.set_capacity(arg)
+    elif op == "read":          # nothing but the snapshots of the instant
+        pass
     else:  # fail / recover / set_delay / set_bandwidth
         getattr(link, op)(*(() if arg is None else (arg,)))
 
 
 def _replay(cls, script, *, bandwidth_bps=_SLOW_BPS, delay_s=0.25,
-            queue_bytes=4000, seed=0):
+            queue_bytes=4000, seed=0, mid_instant=True):
     """Drive ``script`` -- ``(time, op, arg)`` rows -- through one link.
     Returns (arrivals, snapshots, events fired); a snapshot is every
-    counter an observer can read, taken right after each operation and
-    again, like the invariant checker, after all work at that instant."""
+    counter an observer can read, taken right after each operation
+    (``mid_instant``) and again, like the invariant checker, after all
+    work at that instant."""
     sim = Simulator()
     sink = TimedSink(sim)
     link = cls(sim, bandwidth_bps, delay_s, sink, queue_bytes=queue_bytes)
@@ -362,11 +372,12 @@ def _replay(cls, script, *, bandwidth_bps=_SLOW_BPS, delay_s=0.25,
                       tuple(getattr(st, f) for f in st.__slots__),
                       len(link.queue), link.queue.bytes, link.bytes_sent,
                       link.packets_sent, link.packets_lost_wire, link.up,
-                      link.accounting_violation()))
+                      link.accounting_violation() is not None))
 
     def step(op, arg):
         _apply(link, rng, op, arg)
-        snapshot("mid-instant")
+        if mid_instant:
+            snapshot("mid-instant")
 
     for t, op, arg in script:
         sim.at(t, step, op, arg)
@@ -376,19 +387,20 @@ def _replay(cls, script, *, bandwidth_bps=_SLOW_BPS, delay_s=0.25,
     return [(t, p.seq) for t, p in sink.arrivals], snaps, fired
 
 
-def _same_as_reference(script, *, mid_instant=True, **kw):
-    """``mid_instant=False`` for scripts that act at exactly ``_free_at``:
-    there the wire counters read mid-instant depend on whether the reader
-    runs before or after the completion event of the same instant, which
-    only the reference has; after all work at the instant they agree."""
-    got = _replay(Link, script, **kw)
-    want = _replay(TwoEventLink, script, **kw)
+def _same_as_reference(script, *, mid_instant=True, sane=True, **kw):
+    """``mid_instant=False`` for scripts that act at exactly a planned
+    start or finish: there what a reader sees mid-instant depends on
+    whether it runs before or after the completion event of the same
+    instant, which only the reference has (and a reader settles the books
+    inclusively: for what follows it in that instant, the start has
+    happened); after all work at the instant they agree.
+    ``sane=False`` where the script itself breaks the books (a queue
+    swapped under a packet in service): then both must break alike."""
+    got = _replay(Link, script, mid_instant=mid_instant, **kw)
+    want = _replay(TwoEventLink, script, mid_instant=mid_instant, **kw)
     assert got[0] == want[0]          # arrival instants, exact floats
-    if not mid_instant:
-        got, want = ((run[0], [s for s in run[1] if s[0] == "settled"],
-                      run[2]) for run in (got, want))
     assert got[1] == want[1]          # QueueStats, wire counters, accounting
-    assert all(snap[-1] is None for snap in got[1])
+    assert not (sane and any(snap[-1] for snap in got[1]))
     return got[2], want[2]
 
 
@@ -407,12 +419,17 @@ def test_idle_hop_is_one_event_at_the_same_instant():
 
 
 def test_back_to_back_train_fires_as_many_events_as_before():
+    """... as before *at the far end*: a train of n is n arrivals, and
+    since the backlog is planned that is all it fires (2n on the chain)."""
     script = [(0.0, "send", _wire(seq=i)) for i in range(5)]
     new, old = _same_as_reference(script, queue_bytes=1 << 20)
-    assert new == old == 2 * 5
+    assert (new, old) == (5, 2 * 5)
 
 
 def test_lazy_completion_exists_only_behind_a_second_packet():
+    """It did, before backlogs were planned; now not even there: the
+    second packet's arrival is posted when it is accepted, and the books
+    say at every instant what the completions would have made them say."""
     sim = Simulator()
     link = Link(sim, _SLOW_BPS, 0.25, Sink())
     link.send(_wire())
@@ -420,11 +437,14 @@ def test_lazy_completion_exists_only_behind_a_second_packet():
     sim.run(until=0.5)
     assert link.packets_sent == 0   # still serialising
     link.send(_wire())
-    assert sim.pending() == 2       # + the completion, now that it matters
-    sim.run(until=1.0)
-    assert link.packets_sent == 1
+    assert sim.pending() == 2       # + the second arrival, nothing else
+    assert (len(link.queue), link.queue.stats.departures) == (1, 1)
+    sim.run(until=1.0)              # the first finishes, the second starts
+    assert (link.packets_sent, len(link.queue)) == (1, 0)
+    assert link.queue.stats.departures == 2
     assert link.accounting_violation() is None
-    assert sim.run() == 3           # arrival, second tx_done, second arrival
+    assert sim.run() == 2           # the two arrivals
+    assert link.packets_sent == 2 and link.accounting_violation() is None
 
 
 @pytest.mark.parametrize("op,arg", [
@@ -442,6 +462,55 @@ def test_mutation_mid_serialisation_matches_two_event_chain(op, arg, behind):
                (5.5, "send", _wire(seq=9))]
     for seed in range(5):           # seeds vary the loss/jitter draws
         _same_as_reference(script, seed=seed)
+
+
+#: Every way to touch a link with a plan pending: ``(op, arg)``.
+_MUTATIONS = [
+    ("fail", None), ("recover", None), ("set_delay", 0.75),
+    ("set_delay", 0.0625), ("set_bandwidth", _SLOW_BPS),
+    ("set_bandwidth", 16e3), ("loss", None), ("jitter", 0.5),
+    ("queue", 3000), ("set_capacity", 1000), ("read", None)]
+
+
+@pytest.mark.parametrize("op,arg", _MUTATIONS,
+                         ids=[f"{op}-{arg}" for op, arg in _MUTATIONS])
+@pytest.mark.parametrize("where", ["before", "at", "after"])
+@pytest.mark.parametrize("planned", [1, 2, 7, 64])
+def test_mutation_with_a_backlog_planned_matches_two_event_chain(
+        planned, where, op, arg):
+    """Packet 0 takes the idle serialiser at t=0 and ``planned`` more are
+    accepted behind it at once: packet k is planned to start at exactly
+    t=k.  The mutation lands half a packet before, exactly at, or half a
+    packet after the start of the middle one, with readers at the planned
+    instants around it; traffic goes on, and the link is plain again (and
+    planning again) well before the end."""
+    k = (planned + 1) // 2
+    when = {"before": k - 0.5, "at": float(k), "after": k + 0.5}[where]
+    unchanged = (op in ("read", "recover", "set_capacity")
+                 or arg == _SLOW_BPS)
+    script = [(0.0, "burst", [_wire(seq=i) for i in range(1 + planned)])]
+    script += [(float(t), "read", None) for t in (k - 1, k, k + 1)]
+    script += [(when, op, arg), (when + 0.25, "send", _wire(seq=100)),
+               (when + 0.75, "recover", None),
+               (when + 1.0, "send", _wire(seq=101)),
+               (when + 1.0, "burst", [_wire(500, seq=102 + i)
+                                      for i in range(3)]),
+               (when + 3.0, "burst", [_wire(seq=110 + i) for i in range(4)]),
+               (planned + 90.0, "burst", [_wire(seq=120 + i)
+                                          for i in range(3)])]
+    if not unchanged:
+        script += [(when + 2.5, "plain", None), (when + 2.5, "calm", None)]
+    script.sort(key=lambda row: row[0])
+    for seed in range(3):           # seeds vary the loss/jitter draws
+        new, old = _same_as_reference(script, seed=seed, mid_instant=False,
+                                      sane=op != "queue",
+                                      queue_bytes=64 * 1000)
+        assert new < old
+    if unchanged:
+        # Not a change: the plan stands and nothing but arrivals fires.
+        arrivals, _, fired = _replay(Link, script, queue_bytes=64 * 1000,
+                                     mid_instant=False)
+        assert fired == len(arrivals)
 
 
 def test_mutation_after_serialisation_leaves_the_packet_alone():
@@ -477,11 +546,14 @@ def test_send_at_free_at_tie_resolves_as_busy():
                 slow.accounting_violation())
 
     new, old = run(Link), run(TwoEventLink)
+    # Busy: packet 1 waits out packet 0's last instant and starts at 1.0;
+    # idle it would have started at 1.0 all the same, so what tells is the
+    # queue -- it was pushed behind packet 0 (a two-byte-budget peak).
     assert new[0] == old[0] == [(1.25, 0), (2.25, 1)]
     assert new[2:] == old[2:]
-    # Only the feeder's idle hop saves its completion; the slow link ran
-    # the full chain once packet 1 queued up behind packet 0.
-    assert new[1] == 5 and old[1] == 6
+    assert new[2][STAT_SLOTS.index("peak_bytes")] == 1000
+    # Three arrivals are all that fires: no completion anywhere.
+    assert new[1] == 3 and old[1] == 6
 
 
 def test_burst_behind_a_packet_in_transit_drains():
@@ -541,8 +613,11 @@ def test_pickled_link_drops_transit_state_but_not_its_books():
         blob = pickle.dumps(link)
         # Only queued packets may ride along, never the one in transit.
         assert (b"Packet" in blob) == bool(len(link.queue))
+        assert bool(link._plan) == bool(len(link.queue))    # a plan pending
         clone = pickle.loads(blob)
         assert clone._arrival is None and clone._service is None
+        assert clone._plan is None
+        assert len(clone.queue) == len(link.queue)
         assert (clone.bytes_sent, clone.packets_sent) == \
                (link.bytes_sent, link.packets_sent)
         assert clone.accounting_violation() is None

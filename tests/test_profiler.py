@@ -85,7 +85,10 @@ class TestProfileScenario:
         text = render_profile(prof, top=5)
         assert "advisory" in text
         assert "config-deterministic" in text
-        assert "Link._tx_done" in text
+        # What fires on a plain path: arrivals at routers and hosts.  No
+        # link completion is among them since transit is planned.
+        assert "Router.receive" in text and "Host.receive" in text
+        assert "Link._tx_done" not in prof.counts()
 
 
 class TestProfileCli:
