@@ -13,11 +13,13 @@ coordinating solely through a shared campaign directory (:mod:`.exec`,
     print(run.report().render())
 """
 
-from .aggregate import DEFAULT_METRICS, CampaignReport, aggregate
+from .aggregate import (DEFAULT_METRICS, Aggregator, CampaignReport,
+                        aggregate)
 from .exec import CampaignRun, run_campaign, run_rows, worker_loop
 from .spec import Campaign, CampaignCell, cell_key, load_campaign
 from .store import CampaignStore
 
-__all__ = ["Campaign", "CampaignCell", "CampaignReport", "CampaignRun",
-           "CampaignStore", "DEFAULT_METRICS", "aggregate", "cell_key",
-           "load_campaign", "run_campaign", "run_rows", "worker_loop"]
+__all__ = ["Aggregator", "Campaign", "CampaignCell", "CampaignReport",
+           "CampaignRun", "CampaignStore", "DEFAULT_METRICS", "aggregate",
+           "cell_key", "load_campaign", "run_campaign", "run_rows",
+           "worker_loop"]

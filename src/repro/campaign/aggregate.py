@@ -1,7 +1,7 @@
-"""Campaign-level aggregation: per-cell, per-axis and failure rollups.
+"""Campaign-level aggregation: the one fold over a campaign's cells.
 
-A finished (or interrupted) campaign is thousands of
-:class:`ScenarioResult`/:class:`FailedResult` rows; :func:`aggregate`
+A finished (or interrupted, or still running) campaign is thousands of
+:class:`ScenarioResult`/:class:`FailedResult` rows; an :class:`Aggregator`
 reduces them to one :class:`CampaignReport`:
 
 * **cells** -- per-cell metric rows (label, seed, state, chosen metrics);
@@ -10,6 +10,15 @@ reduces them to one :class:`CampaignReport`:
   and seeds -- the "what did varying X do" view;
 * **failures** -- count by classified kind
   (:func:`repro.obs.report.failures_by_kind`).
+
+The fold and its order rule: :meth:`Aggregator.fold` takes each finished
+cell once, in whatever order cells land (a dict handed to
+:func:`aggregate`, result files appearing under a running campaign and
+picked up by :meth:`Aggregator.poll`), and keeps only that cell's small
+report row.  :meth:`Aggregator.report` then walks the cells **in expansion
+order** to build pools, stats and rows, so landing order cannot reach a
+float sum: ``campaign report``, ``campaign watch``, ``serve /metrics`` and
+``CampaignRun.report()`` print the same digits for the same cells.
 
 Determinism contract: ``as_dict()`` carries *no wall-clock timestamps or
 host identity* -- it is a pure function of the campaign spec and the
@@ -33,7 +42,7 @@ from ..runner.failures import FailedResult
 from ..runner.hashing import field_text
 from .spec import Campaign
 
-__all__ = ["CampaignReport", "aggregate", "DEFAULT_METRICS"]
+__all__ = ["Aggregator", "CampaignReport", "aggregate", "DEFAULT_METRICS"]
 
 #: Metrics summarised when the spec names none.
 DEFAULT_METRICS = ("duration_s", "throughput_kBps", "msg_interarrival_s",
@@ -99,18 +108,22 @@ class CampaignReport:
             detail = ", ".join(f"{kind}: {n}"
                                for kind, n in self.failures.items())
             lines.append(f"failures by kind: {detail}")
+        return "\n".join(lines + self.render_axes())
+
+    def render_axes(self, note: str = "") -> "list[str]":
+        """One table per axis field with landed cells, a blank line before
+        each; ``note`` is appended to every title."""
+        lines = []
         for field, groups in self.axes.items():
-            rows = []
-            for value, metrics in groups.items():
-                for metric, st in metrics.items():
-                    rows.append([value, metric, st["n"], st["mean"],
-                                 st["min"], st["max"], st["std"]])
+            rows = [[value, metric, st["n"], st["mean"], st["min"],
+                     st["max"], st["std"]]
+                    for value, metrics in groups.items()
+                    for metric, st in metrics.items()]
             if rows:
-                lines.append("")
-                lines.append(render_table(
+                lines += ["", render_table(
                     [field, "metric", "n", "mean", "min", "max", "std"],
-                    rows, title=f"axis: {field}"))
-        return "\n".join(lines)
+                    rows, title=f"axis: {field}{note}")]
+        return lines
 
     def render_prometheus(self, prefix: str = "repro_campaign_") -> str:
         """Prometheus text exposition of the campaign state -- scrapeable
@@ -146,65 +159,106 @@ class CampaignReport:
         return "\n".join(lines) + "\n"
 
 
+class Aggregator:
+    """The fold over one campaign's cells (see module docstring).
+
+    ``cells`` is the expansion as ``(key, label, seed, assignment)`` in
+    expansion order -- a :class:`Campaign`'s cells, or a directory's
+    manifest labels with no seed and no axes
+    (:meth:`CampaignStore.aggregator`).
+    """
+
+    def __init__(self, name: str, cells: Iterable[tuple], *,
+                 metrics: Iterable[str] | None = None) -> None:
+        self.name = name
+        self.cells = [(key, label, seed, dict(assignment))
+                      for key, label, seed, assignment in cells]
+        self.metrics = tuple(metrics) if metrics else DEFAULT_METRICS
+        self._keys = {cell[0] for cell in self.cells}
+        # key -> what the cell's result adds to its report row
+        self._folded: dict[str, dict] = {}
+
+    @classmethod
+    def of(cls, campaign: Campaign, *,
+           metrics: Iterable[str] | None = None) -> "Aggregator":
+        return cls(campaign.name,
+                   [(c.key, c.label, c.seed, c.assignment)
+                    for c in campaign.cells()],
+                   metrics=metrics or campaign.metrics)
+
+    @property
+    def done(self) -> int:
+        return len(self._folded)
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key``'s result has been folded."""
+        return key in self._folded
+
+    def fold(self, key: str, result: "ScenarioResult | FailedResult"
+             ) -> bool:
+        """Take one finished cell, in any order; False (and no change) for
+        a key outside the campaign or one already folded."""
+        if key in self._folded or key not in self._keys:
+            return False
+        if isinstance(result, FailedResult):
+            self._folded[key] = {"state": "failed", "kind": result.kind,
+                                 "detail": result.describe()}
+        else:
+            summary = result.summary
+            self._folded[key] = {"state": "ok", "metrics": {
+                m: summary[m] for m in self.metrics if m in summary}}
+        return True
+
+    def poll(self, store) -> int:
+        """Fold the cells ``store`` has finished since the last poll,
+        reading only their files; returns how many.  A torn file is left
+        for the poll after it heals."""
+        fresh = 0
+        for key in (store.done_keys() & self._keys) - self._folded.keys():
+            result = store.load_cell(key)
+            if result is not None:
+                fresh += self.fold(key, result)
+        return fresh
+
+    def report(self) -> CampaignReport:
+        """The report of what has been folded so far.  Metrics absent from
+        a result's summary are skipped silently (population results, say,
+        have different keys)."""
+        cell_rows: list[dict] = []
+        failed_kinds: list[str] = []
+        # axis field -> rendered value -> metric -> [values]
+        pools: dict[str, dict[str, dict[str, list[float]]]] = {}
+        for key, label, seed, assignment in self.cells:
+            row = {"cell": label, "key": key, "seed": seed,
+                   **self._folded.get(key, {"state": "pending"})}
+            cell_rows.append(row)
+            if row["state"] == "failed":
+                failed_kinds.append(row["kind"])
+            for field, raw in assignment.items():
+                groups = pools.setdefault(field, {})
+                if row["state"] != "ok":
+                    continue
+                pool = groups.setdefault(field_text(raw), {})
+                for m, v in row["metrics"].items():
+                    pool.setdefault(m, []).append(float(v))
+        axes = {field: {value: {m: _stats(vs)
+                                for m, vs in groups[value].items()}
+                        for value in sorted(groups)}
+                for field, groups in pools.items()}
+        return CampaignReport(
+            name=self.name, total=len(self.cells), done=self.done,
+            failed=len(failed_kinds),
+            failures=failures_by_kind(failed_kinds),
+            metrics=self.metrics, cells=cell_rows, axes=axes)
+
+
 def aggregate(campaign: Campaign,
               results_by_key: Mapping[str, "ScenarioResult | FailedResult"],
               *, metrics: Iterable[str] | None = None) -> CampaignReport:
-    """Reduce a campaign's result set to a :class:`CampaignReport`.
-
-    ``metrics`` defaults to the spec's ``metrics`` list, else
-    :data:`DEFAULT_METRICS`; metrics absent from a result's summary are
-    skipped silently (population results, say, have different keys).
-    """
-    if metrics is None:
-        metrics = campaign.metrics or DEFAULT_METRICS
-    metrics = tuple(metrics)
-    cells = campaign.cells()
-
-    cell_rows: list[dict] = []
-    failed_kinds: list[str] = []
-    done = 0
-    # axis field -> rendered value -> metric -> [values]
-    axis_pools: dict[str, dict[str, dict[str, list[float]]]] = {}
-    axis_fields: list[str] = []
-    for cell in cells:
-        for field in cell.assignment:
-            if field not in axis_fields:
-                axis_fields.append(field)
-
-    for cell in cells:
-        res = results_by_key.get(cell.key)
-        row: dict = {"cell": cell.label, "key": cell.key, "seed": cell.seed}
-        if res is None:
-            row["state"] = "pending"
-        elif isinstance(res, FailedResult):
-            done += 1
-            failed_kinds.append(res.kind)
-            row["state"] = "failed"
-            row["kind"] = res.kind
-            row["detail"] = res.describe()
-        else:
-            done += 1
-            row["state"] = "ok"
-            summary = res.summary
-            row["metrics"] = {m: summary[m] for m in metrics
-                              if m in summary}
-            for field in axis_fields:
-                if field not in cell.assignment:
-                    continue
-                value = field_text(cell.assignment[field])
-                pool = axis_pools.setdefault(field, {}).setdefault(value, {})
-                for m, v in row["metrics"].items():
-                    pool.setdefault(m, []).append(float(v))
-        cell_rows.append(row)
-
-    axes: dict[str, dict] = {}
-    for field in axis_fields:
-        groups = axis_pools.get(field, {})
-        axes[field] = {value: {m: _stats(vs)
-                               for m, vs in groups[value].items()}
-                       for value in sorted(groups)}
-
-    return CampaignReport(
-        name=campaign.name, total=len(cells), done=done,
-        failed=len(failed_kinds), failures=failures_by_kind(failed_kinds),
-        metrics=metrics, cells=cell_rows, axes=axes)
+    """Reduce a campaign's result set to a :class:`CampaignReport`: fold
+    all, report.  ``metrics`` defaults to the spec's ``metrics`` list, else
+    :data:`DEFAULT_METRICS`."""
+    agg = Aggregator.of(campaign, metrics=metrics)
+    for key, result in results_by_key.items():
+        agg.fold(key, result)
+    return agg.report()

@@ -36,8 +36,7 @@ import time
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
 from ..obs.ledger import record_run
-from ..obs.live import HeartbeatWriter, heartbeat_enabled
-from ..runner.cache import ResultsCache
+from ..obs.live import HeartbeatWriter, heartbeat_enabled, read_heartbeats
 from ..runner.failures import BatchExecutionError, FailedResult
 from ..runner.pool import run_batch, run_one
 from ..runner.progress import SweepProgress
@@ -82,21 +81,6 @@ class CampaignRun:
     def report(self, *, metrics=None) -> CampaignReport:
         return aggregate(self.campaign, self.results_by_key,
                          metrics=metrics)
-
-
-def _cache_token(cache) -> "str | bool | None":
-    """Reduce a cache argument to something picklable for child workers."""
-    if cache is False or cache is None:
-        return cache
-    if isinstance(cache, ResultsCache):
-        return os.fspath(cache.root)
-    return None if cache is True else cache
-
-
-def _resolve_cache_token(token) -> "ResultsCache | bool | None":
-    if isinstance(token, str):
-        return ResultsCache(token)
-    return token
 
 
 def _flight_note(res) -> "str | None":
@@ -199,7 +183,7 @@ def _raise_interrupt(signum, frame):
 
 def _worker_main(root: str, worker: str, lease_s: float,
                  cells: "list[tuple[str, str, ScenarioConfig]]",
-                 cache_token, timeout: float | None, retries: int) -> None:
+                 cache, timeout: float | None, retries: int) -> None:
     """Child-process entry point for ``workers=N`` fan-out."""
     os.environ["REPRO_PROGRESS"] = "0"  # parent owns the progress line
     # The parent's SIGINT handler terminate()s us with SIGTERM; default
@@ -210,8 +194,8 @@ def _worker_main(root: str, worker: str, lease_s: float,
     signal.signal(signal.SIGTERM, _raise_interrupt)
     store = CampaignStore(root, worker=worker, lease_s=lease_s)
     try:
-        worker_loop(store, cells, cache=_resolve_cache_token(cache_token),
-                    timeout=timeout, retries=retries)
+        worker_loop(store, cells, cache=cache, timeout=timeout,
+                    retries=retries)
     except KeyboardInterrupt:
         pass
 
@@ -313,14 +297,13 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
 
     # Multi-process fan-out: children coordinate purely through the store;
     # the parent only paints progress and handles SIGINT.
-    cache_token = _cache_token(cache)
     ctx = mp.get_context("spawn" if os.name == "nt" else "fork")
     procs = []
     for w in range(workers):
         p = ctx.Process(
             target=_worker_main,
             args=(os.fspath(dir), f"{store.worker}-w{w}", lease_s, triples,
-                  cache_token, timeout, retries),
+                  cache, timeout, retries),
             daemon=False)
         p.start()
         procs.append(p)
@@ -354,7 +337,6 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
 
 
 def _heartbeat_failed(store: CampaignStore) -> int:
-    from ..obs.live import read_heartbeats
     return sum(hb.get("failed", 0) for hb in read_heartbeats(
         store.heartbeat_dir) if isinstance(hb.get("failed"), int))
 

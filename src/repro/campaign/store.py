@@ -4,10 +4,20 @@ The store is the only coordination channel between campaign workers --
 N processes (or N hosts on a shared filesystem) operate on one directory
 with no sockets, no broker and no leader::
 
-    <dir>/manifest.json        campaign identity: spec + ordered cell list
-    <dir>/cells/<key>.pkl      one finished result per cell (atomic write)
-    <dir>/claims/<key>.json    lease held by the worker running the cell
-    <dir>/journal/<worker>.pkl per-worker completion journal (SweepJournal)
+    <dir>/manifest.json          campaign identity: spec + ordered cell list
+    <dir>/cells/<key>.pkl        one finished result per cell
+    <dir>/claims/<key>.json      lease held by the worker running the cell
+    <dir>/journal/<worker>.pkl   per-worker completion journal (SweepJournal)
+    <dir>/heartbeats/<worker>.json   liveness (:mod:`repro.obs.live`)
+
+Every file replaced here goes through
+:func:`~repro.runner.cache.atomic_write` (a failure raises: a cell that
+cannot be stored must not look finished) and a cell is read through
+:func:`~repro.runner.cache.read_pickle` (missing, torn or foreign reads as
+"not done").  The store holds the protocol, not
+the views: :meth:`CampaignStore.aggregator` builds the campaign's one fold
+for a directory, and :func:`repro.obs.live.watch_snapshot` alone reads
+claims, heartbeats and journal counts for display.
 
 A journal frame is ``(key, "ok" | FailedResult.kind)``, ~50 bytes per cell
 this worker *executed*, flushed as it lands: the zero-duplicate witness
@@ -21,17 +31,17 @@ Claim protocol (work stealing)
 A worker claims a cell by hard-linking a fully-written lease into
 ``claims/<key>.json`` -- the filesystem arbitrates, exactly one creator
 wins, and the claim file is born complete (never observable half-written).
-The claim carries a lease deadline; a worker that dies mid-cell simply
-stops renewing, and once the lease expires any other worker *steals* the
+The claim carries a lease deadline; a worker that dies mid-cell leaves it
+to run out, and once the lease expires any other worker *steals* the
 cell by atomically replacing the claim file (``os.replace`` of a fresh
 lease).  Two live workers can therefore never run the same cell; a steal
 race against a not-quite-dead worker is possible in theory but harmless in
 practice because every cell is deterministic and results are written
 atomically -- the two writers produce identical bytes.
 
-Results are idempotent: ``cells/<key>.pkl`` is written via tmp+rename, a
-finished cell is never re-executed (workers check ``done`` before
-claiming), and corrupt/torn files read as "not done" and re-run.
+Results are idempotent: a finished cell is never re-executed (workers
+check ``done`` before claiming), and corrupt/torn files read as "not done"
+and re-run.
 """
 
 from __future__ import annotations
@@ -45,8 +55,10 @@ import tempfile
 import time
 
 from ..experiments.common import ScenarioResult
+from ..runner.cache import atomic_write, read_pickle
 from ..runner.checkpoint import SweepJournal
 from ..runner.failures import FailedResult
+from .aggregate import Aggregator
 from .spec import Campaign
 
 __all__ = ["CampaignStore", "DEFAULT_LEASE_S"]
@@ -57,29 +69,6 @@ DEFAULT_LEASE_S = 300.0
 
 _RESULT_TYPES = (ScenarioResult, FailedResult)
 _JOURNAL_TYPES = (str, *_RESULT_TYPES)  # outcome, or an older dir's result
-
-
-def _mkstemp(directory: pathlib.Path) -> "tuple[int, str]":
-    """``mkstemp`` in ``directory``, created only if missing (``init`` did)."""
-    try:
-        return tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except FileNotFoundError:
-        directory.mkdir(parents=True, exist_ok=True)
-        return tempfile.mkstemp(dir=directory, suffix=".tmp")
-
-
-def _atomic_write_bytes(path: pathlib.Path, payload: bytes) -> None:
-    fd, tmp = _mkstemp(path.parent)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class CampaignStore:
@@ -128,8 +117,8 @@ class CampaignStore:
             "spec": campaign.to_mapping(),
             "cells": cells,
         }
-        _atomic_write_bytes(self.manifest_path,
-                            json.dumps(manifest, indent=1).encode())
+        atomic_write(self.manifest_path,
+                     json.dumps(manifest, indent=1).encode())
         for d in (self.cells_dir, self.claims_dir, self.journal_dir):
             d.mkdir(parents=True, exist_ok=True)
 
@@ -143,6 +132,27 @@ class CampaignStore:
             raise ValueError(f"corrupt campaign manifest "
                              f"{self.manifest_path}: {exc}") from exc
 
+    def manifest(self) -> dict:
+        """The manifest of a directory that must hold a campaign."""
+        manifest = self.read_manifest()
+        if manifest is None:
+            raise FileNotFoundError(
+                f"no campaign manifest in {self.root}; start one with "
+                f"'repro campaign run SPEC --dir {self.root}'")
+        return manifest
+
+    def aggregator(self, *, metrics=None) -> Aggregator:
+        """An empty fold over this directory's cells (``poll`` it with
+        this store): the stored spec re-expanded, else -- a campaign built
+        from rows -- the manifest's labels with no seeds and no axes."""
+        manifest = self.manifest()
+        spec = manifest.get("spec")
+        if spec is not None:
+            return Aggregator.of(Campaign.from_mapping(spec), metrics=metrics)
+        return Aggregator(manifest.get("name"),
+                          [(c["key"], c["label"], None, {})
+                           for c in manifest["cells"]], metrics=metrics)
+
     # -- results -----------------------------------------------------------
     def cell_path(self, key: str) -> pathlib.Path:
         return self.cells_dir / f"{key}.pkl"
@@ -150,19 +160,12 @@ class CampaignStore:
     def store_cell(self, key: str, result: ScenarioResult | FailedResult
                    ) -> None:
         """Persist one finished cell (atomic; idempotent by construction)."""
-        _atomic_write_bytes(self.cell_path(key),
-                            pickle.dumps(result,
-                                         protocol=pickle.HIGHEST_PROTOCOL))
+        atomic_write(self.cell_path(key),
+                     pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
 
     def load_cell(self, key: str) -> ScenarioResult | FailedResult | None:
         """The stored result for ``key``, or None when missing/torn."""
-        try:
-            with open(self.cell_path(key), "rb") as fh:
-                value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            return None
-        return value if isinstance(value, _RESULT_TYPES) else None
+        return read_pickle(self.cell_path(key), _RESULT_TYPES)
 
     def done_keys(self) -> set[str]:
         """Keys with a stored result file (existence check only -- cheap
@@ -213,7 +216,8 @@ class CampaignStore:
         most one stealer's lease survives.
         """
         path = self.claim_path(key)
-        fd, tmp = _mkstemp(self.claims_dir)
+        self.claims_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.claims_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(self._lease_payload(generation=1))
@@ -246,11 +250,6 @@ class CampaignStore:
                     os.unlink(tmp)
                 except OSError:
                     pass
-
-    def renew_claim(self, key: str) -> None:
-        """Push this worker's lease deadline out (call between cells or
-        from a long-running cell's supervisor)."""
-        _atomic_write_bytes(self.claim_path(key), self._lease_payload(1))
 
     def release_claim(self, key: str) -> None:
         """Drop the claim (after the result is stored, or on interrupt so
@@ -290,85 +289,3 @@ class CampaignStore:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-
-    # -- status ------------------------------------------------------------
-    def status(self, *, now: float | None = None) -> dict:
-        """Point-in-time campaign progress from the filesystem alone.
-
-        ``now`` is injectable so lease/heartbeat ages are deterministic in
-        tests.  Besides the aggregate counts, the dict carries per-claim
-        lease detail (``claims``: cell label, holder, lease age, expired)
-        and per-worker heartbeat liveness (``heartbeats``: see
-        :func:`repro.obs.live.read_heartbeats` /
-        :func:`~repro.obs.live.heartbeat_state`).
-        """
-        from ..obs.live import heartbeat_state, read_heartbeats
-        manifest = self.read_manifest()
-        if manifest is None:
-            raise FileNotFoundError(
-                f"no campaign manifest in {self.root}; run "
-                f"'repro campaign run' with a spec first")
-        labels = {c["key"]: c["label"] for c in manifest["cells"]}
-        keys = [c["key"] for c in manifest["cells"]]
-        done = self.done_keys() & set(keys)
-        failed = 0
-        failed_kinds: list[str] = []
-        for key in keys:
-            if key not in done:
-                continue
-            res = self.load_cell(key)
-            if res is None:
-                done.discard(key)
-            elif isinstance(res, FailedResult):
-                failed += 1
-                failed_kinds.append(res.kind)
-        if now is None:
-            now = time.time()
-        claimed = expired = 0
-        claims: list[dict] = []
-        for key in keys:
-            if key in done:
-                continue
-            claim = self.read_claim(key)
-            if claim is None:
-                continue
-            expires = claim.get("expires_at")
-            live = isinstance(expires, (int, float)) and now < expires
-            claimed += live
-            expired += not live
-            claimed_at = claim.get("claimed_at")
-            claims.append({
-                "cell": labels[key],
-                "worker": claim.get("worker", "?"),
-                "age_s": (max(now - claimed_at, 0.0)
-                          if isinstance(claimed_at, (int, float)) else 0.0),
-                "expired": not live,
-            })
-        heartbeats = []
-        for hb in read_heartbeats(self.heartbeat_dir):
-            updated = hb.get("updated_at")
-            heartbeats.append({
-                "worker": hb.get("worker", "?"),
-                "state": heartbeat_state(hb, now=now,
-                                         expiry_s=self.lease_s),
-                "age_s": (max(now - updated, 0.0)
-                          if isinstance(updated, (int, float)) else 0.0),
-                "claimed": hb.get("claimed"),
-                "done": hb.get("done", 0),
-                "failed": hb.get("failed", 0),
-                "rate_per_s": hb.get("rate_per_s", 0.0),
-                "note": hb.get("note"),
-            })
-        return {
-            "name": manifest.get("name"),
-            "total": len(keys),
-            "done": len(done),
-            "failed": failed,
-            "failed_kinds": sorted(failed_kinds),
-            "running": claimed,
-            "stale_claims": expired,
-            "pending": len(keys) - len(done) - claimed,
-            "workers": self.journal_counts(),
-            "claims": claims,
-            "heartbeats": heartbeats,
-        }

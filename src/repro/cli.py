@@ -326,23 +326,6 @@ def _run_report_cmd(args) -> str:
                          types=types)
 
 
-def _campaign_from_dir(dir_path: str):
-    """Rebuild a campaign from a directory's stored manifest spec."""
-    from .campaign import Campaign, CampaignStore
-    store = CampaignStore(dir_path)
-    manifest = store.read_manifest()
-    if manifest is None:
-        raise FileNotFoundError(
-            f"no campaign manifest in {dir_path}; start one with "
-            f"'repro campaign run SPEC --dir {dir_path}'")
-    spec = manifest.get("spec")
-    if spec is None:
-        raise ValueError(
-            f"the campaign in {dir_path} was built programmatically (no "
-            f"stored spec); resume it through its original entry point")
-    return store, Campaign.from_mapping(spec)
-
-
 def _execute_campaign(campaign, args) -> int:
     """Shared run/resume executor: run, report, map outcome to exit code
     (0 clean, 1 failed cells, 130 interrupted with a resume hint)."""
@@ -382,34 +365,26 @@ def _run_campaign_cmd(args) -> int:
 
 
 def _resume_campaign_cmd(args) -> int:
-    _, campaign = _campaign_from_dir(args.dir)
-    return _execute_campaign(campaign, args)
+    from .campaign import Campaign, CampaignStore
+    spec = CampaignStore(args.dir).manifest().get("spec")
+    if spec is None:
+        raise ValueError(
+            f"the campaign in {args.dir} was built programmatically (no "
+            f"stored spec); resume it through its original entry point")
+    return _execute_campaign(Campaign.from_mapping(spec), args)
+
+
+def _metrics_arg(args) -> "tuple[str, ...] | None":
+    return tuple(args.metrics.split(",")) if args.metrics else None
 
 
 def _status_campaign_cmd(args) -> str:
-    from .campaign import CampaignStore
-    status = CampaignStore(args.dir).status()
+    from .obs.live import render_status, watch_snapshot
+    snap = watch_snapshot(args.dir)
     if args.json:
         import json
-        return json.dumps(status, indent=1, sort_keys=True)
-    lines = [f"campaign {status['name']}: {status['done']}/{status['total']}"
-             f" done ({status['failed']} failed), {status['running']} "
-             f"running, {status['pending']} pending"
-             + (f", {status['stale_claims']} stale claim(s)"
-                if status['stale_claims'] else "")]
-    for worker, n in status["workers"].items():
-        lines.append(f"  {worker}: {n} cell(s) executed")
-    for hb in status["heartbeats"]:
-        lines.append(f"  heartbeat {hb['worker']}: {hb['state']}, age "
-                     f"{hb['age_s']:.0f}s, {hb['done']} done "
-                     f"({hb['failed']} failed), {hb['rate_per_s']:.2f} "
-                     f"cells/s"
-                     + (f", on {hb['claimed']!r}" if hb["claimed"] else ""))
-    for claim in status["claims"]:
-        lines.append(f"  lease on {claim['cell']!r}: held by "
-                     f"{claim['worker']} for {claim['age_s']:.0f}s"
-                     + (" -- STALE (stealable)" if claim["expired"] else ""))
-    return "\n".join(lines)
+        return json.dumps(snap, indent=1, sort_keys=True)
+    return render_status(snap)
 
 
 def _watch_campaign_cmd(args) -> int:
@@ -417,33 +392,19 @@ def _watch_campaign_cmd(args) -> int:
     import time
 
     from .campaign import CampaignStore
-    from .obs.live import (StreamingAggregator, _manifest_cells,
-                           render_watch, watch_snapshot)
-    metrics = tuple(args.metrics.split(",")) if args.metrics else None
-    if args.once:
-        snap = watch_snapshot(args.dir, expiry_s=args.expiry,
-                              metrics=metrics)
-        print(render_watch(snap))
-        return 0
-    store = CampaignStore(args.dir)
-    manifest = store.read_manifest()
-    if manifest is None:
-        raise FileNotFoundError(
-            f"no campaign manifest in {args.dir}; start one with "
-            f"'repro campaign run SPEC --dir {args.dir}'")
-    # One aggregator across refreshes: each tick folds only newly landed
-    # cells, so watching a big campaign is O(new) per refresh.
-    agg = StreamingAggregator(_manifest_cells(store, manifest),
-                              metrics=metrics)
+    from .obs.live import render_watch, watch_snapshot
+    # One aggregator across refreshes: each tick reads only newly landed
+    # cells, so watching a big campaign is O(new) file reads per refresh.
+    agg = CampaignStore(args.dir).aggregator(metrics=_metrics_arg(args))
     try:
         while True:
-            snap = watch_snapshot(args.dir, agg=agg, expiry_s=args.expiry,
-                                  metrics=metrics)
-            if sys.stdout.isatty():
+            snap = watch_snapshot(args.dir, agg=agg, expiry_s=args.expiry)
+            if not args.once and sys.stdout.isatty():
                 sys.stdout.write("\x1b[2J\x1b[H")  # clear + home
             print(render_watch(snap))
             sys.stdout.flush()
-            if snap["done"] >= snap["total"] and not snap["running"]:
+            if args.once or (snap["done"] >= snap["total"]
+                             and not snap["running"]):
                 return 0
             time.sleep(args.interval)
     except KeyboardInterrupt:
@@ -494,8 +455,8 @@ def _history_cmd(args) -> int:
         import json
         print(json.dumps(records, indent=1, sort_keys=True))
         return 0
-    metrics = tuple(args.metrics.split(",")) if args.metrics else None
-    print(render_history(records, metrics=metrics, limit=args.limit))
+    print(render_history(records, metrics=_metrics_arg(args),
+                         limit=args.limit))
     return 0
 
 
@@ -519,15 +480,11 @@ def _sentinel_cmd(args) -> int:
 
 
 def _report_campaign_cmd(args) -> str:
-    from .campaign import aggregate
-    store, campaign = _campaign_from_dir(args.dir)
-    results = {}
-    for cell in campaign.cells():
-        res = store.load_cell(cell.key)
-        if res is not None:
-            results[cell.key] = res
-    metrics = tuple(args.metrics.split(",")) if args.metrics else None
-    report = aggregate(campaign, results, metrics=metrics)
+    from .campaign import CampaignStore
+    store = CampaignStore(args.dir)
+    agg = store.aggregator(metrics=_metrics_arg(args))
+    agg.poll(store)
+    report = agg.report()
     if args.json:
         return report.to_json()
     if args.prom:
@@ -812,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "ages (stale leases flagged)")
     cst.add_argument("dir", help="campaign directory")
     cst.add_argument("--json", action="store_true",
-                     help="emit the status as JSON")
+                     help="print the whole snapshot as JSON")
 
     cwa = _command(
         casub, "watch", _watch_campaign_cmd,

@@ -1,40 +1,39 @@
-"""Live campaign observability: worker heartbeats + streaming aggregates.
+"""Live campaign observability: worker heartbeats and the one snapshot.
 
 A work-stealing campaign (:mod:`repro.campaign`) is thousands of cells
-executed by N coordination-free workers over a shared directory -- and
-until now the only view into a *running* campaign was ``campaign status``
-polling result-file counts.  This module adds the live tier:
+executed by N coordination-free workers over a shared directory.  This
+module is the view into one while it runs:
 
 * **Heartbeats** -- every campaign worker periodically writes one small
-  JSON file into a ``heartbeats/`` directory next to the results: claimed cell, cells done/failed, a
-  rolling cell rate, the last flight-recorder note and process identity.
-  Writes are atomic (tmp + ``os.replace``) and throttled, so a reader
+  JSON file into a ``heartbeats/`` directory next to the results: claimed
+  cell, cells done/failed, a rolling cell rate, the last flight-recorder
+  note and process identity.  Writes are atomic
+  (:func:`~repro.runner.cache.atomic_write`) and throttled, so a reader
   never sees a torn file and a worker never spends its time painting.
   ``REPRO_HEARTBEAT=0`` disables the writer entirely (the disarmed path
   is one env-dict lookup at construction).
-* **Streaming aggregation** -- :class:`StreamingAggregator` folds each
-  completed cell's summary into incremental per-axis aggregates *as the
-  result files land*: a poll reads only cells it has not folded yet, so a
-  watcher over a 10k-cell campaign does O(new) work per refresh instead
-  of re-reading the whole directory.
-* **Watch snapshots** -- :func:`watch_snapshot` +
-  :func:`render_watch` produce the ``repro campaign watch`` table; the
-  snapshot is a pure function of the directory contents and the ``now``
-  argument, so ``--once`` output is deterministic and golden-testable.
-* **Prometheus serving** -- :func:`build_metrics_text` renders the same
-  state in Prometheus text exposition (0.0.4), reusing
-  :meth:`~repro.campaign.aggregate.CampaignReport.render_prometheus`'s
-  pinned number formatting; :func:`make_live_server` wraps it in a
+* **The snapshot** -- :func:`watch_snapshot` is the only function that
+  walks a directory's manifest, cells, claims, heartbeats and journal
+  counts for display.  The cells go through the campaign's one fold
+  (:class:`~repro.campaign.aggregate.Aggregator`): a poll reads only the
+  result files it has not folded yet, so a watcher over a 10k-cell
+  campaign does O(new) file reads per refresh, and the per-axis numbers
+  are the final report's, digit for digit.  The snapshot is plain data and
+  a pure function of the directory contents and the ``now`` argument, so
+  ``--once`` output is deterministic and golden-testable.
+* **Renderings** -- :func:`render_watch` (``repro campaign watch``: worker
+  table, stale-claim warnings, per-axis tables), :func:`render_status`
+  (``repro campaign status``: the short form; ``--json`` prints the
+  snapshot itself) and :func:`build_metrics_text` (Prometheus text
+  exposition 0.0.4: the report's own
+  :meth:`~repro.campaign.aggregate.CampaignReport.render_prometheus` text
+  followed by worker gauges), which :func:`make_live_server` wraps in a
   stdlib :class:`http.server.ThreadingHTTPServer` for ``repro serve``.
 
 Heartbeat liveness reuses the campaign lease discipline: a worker whose
 heartbeat has not been renewed within the expiry window (default: the
 claim lease, :data:`DEFAULT_EXPIRY_S`) is reported ``stale`` -- the same
 condition under which its claimed cell becomes stealable.
-
-Module-level imports are stdlib-only on purpose: the campaign store
-imports this module for status reporting, so everything campaign-shaped
-is imported lazily inside the functions that need it.
 """
 
 from __future__ import annotations
@@ -43,15 +42,18 @@ import json
 import os
 import pathlib
 import socket
-import tempfile
 import time
 from collections import deque
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
+
+from ..analysis.tables import render_table
+from ..runner.cache import atomic_write
+from .metrics import _prom_name, _prom_value
 
 __all__ = [
     "HeartbeatWriter", "heartbeat_enabled", "read_heartbeats",
-    "heartbeat_state", "StreamingAggregator", "watch_snapshot",
-    "render_watch", "build_metrics_text", "make_live_server",
+    "heartbeat_state", "watch_snapshot", "render_watch", "render_status",
+    "build_metrics_text", "make_live_server",
     "DEFAULT_EXPIRY_S", "DEFAULT_BEAT_INTERVAL_S",
 ]
 
@@ -72,21 +74,6 @@ RATE_WINDOW_S = 30.0
 def heartbeat_enabled() -> bool:
     """``REPRO_HEARTBEAT=0`` is the kill switch; anything else arms."""
     return os.environ.get("REPRO_HEARTBEAT", "") != "0"
-
-
-def _atomic_write_json(path: pathlib.Path, payload: Mapping[str, Any]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class HeartbeatWriter:
@@ -152,7 +139,8 @@ class HeartbeatWriter:
             return
         self._last_write = mono
         try:
-            _atomic_write_json(self.path, self._payload(state))
+            atomic_write(self.path, json.dumps(
+                self._payload(state), sort_keys=True).encode())
         except OSError:
             self._broken = True
 
@@ -229,203 +217,98 @@ def heartbeat_state(hb: Mapping[str, Any], *, now: float,
 
 
 # ---------------------------------------------------------------------------
-# streaming aggregation
+# the snapshot and its renderings
 
 
-class StreamingAggregator:
-    """Incremental per-axis aggregation over a campaign's landing cells.
-
-    ``cells`` is the expanded cell list as ``(key, label, assignment)``
-    triples (``assignment`` maps axis field -> value; empty for
-    programmatic campaigns with no axis structure).  :meth:`poll` folds
-    every *newly finished* cell from a
-    :class:`~repro.campaign.store.CampaignStore`; :meth:`snapshot`
-    renders the running totals in the same per-axis shape as the batch
-    :func:`~repro.campaign.aggregate.aggregate`, so a watch table over a
-    half-done campaign agrees exactly with the final report's rows for
-    the cells that have landed.
-    """
-
-    def __init__(self, cells: Iterable[tuple], *,
-                 metrics: Iterable[str] | None = None) -> None:
-        from ..campaign.aggregate import DEFAULT_METRICS
-        self.cells = [(key, label, dict(assignment))
-                      for key, label, assignment in cells]
-        self.metrics = tuple(metrics) if metrics else DEFAULT_METRICS
-        self._by_key = {key: (label, assignment)
-                        for key, label, assignment in self.cells}
-        self._folded: set[str] = set()
-        self.done = 0
-        self.failed = 0
-        self.failed_kinds: list[str] = []
-        # axis field -> rendered value -> metric -> [values]
-        self._axis_pools: dict[str, dict[str, dict[str, list[float]]]] = {}
-        self._axis_fields: list[str] = []
-        for _key, _label, assignment in self.cells:
-            for field in assignment:
-                if field not in self._axis_fields:
-                    self._axis_fields.append(field)
-
-    @property
-    def total(self) -> int:
-        return len(self.cells)
-
-    @property
-    def folded(self) -> frozenset:
-        return frozenset(self._folded)
-
-    def fold(self, key: str, result) -> bool:
-        """Fold one finished cell; returns False for unknown/duplicate
-        keys (idempotent, so a re-poll after a torn read is harmless)."""
-        if key in self._folded or key not in self._by_key:
-            return False
-        self._folded.add(key)
-        self.done += 1
-        if getattr(result, "failed", False):
-            self.failed += 1
-            self.failed_kinds.append(getattr(result, "kind", "error"))
-            return True
-        from ..runner.hashing import field_text
-        _label, assignment = self._by_key[key]
-        summary = result.summary
-        for field, raw in assignment.items():
-            value = field_text(raw)
-            pool = self._axis_pools.setdefault(field, {}).setdefault(value, {})
-            for m in self.metrics:
-                if m in summary:
-                    pool.setdefault(m, []).append(float(summary[m]))
-        return True
-
-    def poll(self, store) -> int:
-        """Fold every not-yet-folded finished cell; returns the count of
-        cells folded by this call (O(new), not O(total))."""
-        fresh = 0
-        for key in sorted(store.done_keys() - self._folded):
-            if key not in self._by_key:
-                continue
-            res = store.load_cell(key)
-            if res is None:
-                continue  # torn write: the next poll retries
-            if self.fold(key, res):
-                fresh += 1
-        return fresh
-
-    def axes(self) -> dict[str, dict]:
-        """Per-axis stats in the batch aggregator's exact shape."""
-        from ..campaign.aggregate import _stats
-        out: dict[str, dict] = {}
-        for field in self._axis_fields:
-            groups = self._axis_pools.get(field, {})
-            out[field] = {value: {m: _stats(vs)
-                                  for m, vs in groups[value].items()}
-                          for value in sorted(groups)}
-        return out
-
-    def snapshot(self) -> dict:
-        from ..obs.report import failures_by_kind
-        return {
-            "total": self.total, "done": self.done, "failed": self.failed,
-            "failures": failures_by_kind(self.failed_kinds),
-            "metrics": list(self.metrics), "axes": self.axes(),
-        }
-
-
-def _manifest_cells(store, manifest) -> list[tuple]:
-    """Cell triples for a campaign directory: assignments come from the
-    re-expanded spec when the manifest stores one, else empty (labels
-    still render; there is just no axis structure to aggregate over)."""
-    spec = manifest.get("spec")
-    if spec is not None:
-        from ..campaign.spec import Campaign
-        return [(c.key, c.label, c.assignment)
-                for c in Campaign.from_mapping(spec).cells()]
-    return [(c["key"], c["label"], {}) for c in manifest["cells"]]
-
-
-# ---------------------------------------------------------------------------
-# watch snapshots
+def _age_s(now: float, then: Any) -> float:
+    """Seconds since ``then``; 0 when a foreign file holds no number."""
+    return max(now - then, 0.0) if isinstance(then, (int, float)) else 0.0
 
 
 def watch_snapshot(directory: "str | os.PathLike", *,
-                   agg: StreamingAggregator | None = None,
-                   now: float | None = None,
-                   expiry_s: float = DEFAULT_EXPIRY_S,
-                   metrics: Iterable[str] | None = None) -> dict:
-    """One deterministic-given-inputs view of a running campaign.
+                   agg=None, now: float | None = None,
+                   expiry_s: float = DEFAULT_EXPIRY_S) -> dict:
+    """One deterministic-given-inputs view of a campaign directory.
 
-    Pass a persistent ``agg`` to keep folding incrementally across
-    refreshes (the watch loop does); a fresh one is built otherwise.
-    ``now`` defaults to wall clock and is injectable so goldens can pin
-    worker ages.  Returns a plain dict; render with :func:`render_watch`.
+    Pass a persistent ``agg`` (``CampaignStore(directory).aggregator()``)
+    to keep folding incrementally across refreshes (the watch loop and the
+    server do); a fresh one is built otherwise.  ``now`` defaults to wall
+    clock and is injectable so goldens can pin worker ages.  Returns plain
+    data: the report's fields (``name``, ``total``, ``done``, ``failed``,
+    ``failures`` by kind, ``metrics``, ``axes``), ``running`` / ``pending``
+    / ``stale_claims`` with one ``claims`` row per leased unfinished cell,
+    one ``workers`` row per heartbeat, and ``executed`` -- cells per worker
+    journal, the zero-duplicate witness.
     """
     from ..campaign.store import CampaignStore
     store = CampaignStore(directory)
-    manifest = store.read_manifest()
-    if manifest is None:
-        raise FileNotFoundError(
-            f"no campaign manifest in {directory}; start one with "
-            f"'repro campaign run SPEC --dir {directory}'")
+    if agg is None:
+        agg = store.aggregator()
+    agg.poll(store)
+    report = agg.report()
     if now is None:
         now = time.time()
-    if agg is None:
-        agg = StreamingAggregator(_manifest_cells(store, manifest),
-                                  metrics=metrics)
-    agg.poll(store)
 
-    workers = []
-    for hb in read_heartbeats(store.heartbeat_dir):
-        state = heartbeat_state(hb, now=now, expiry_s=expiry_s)
-        workers.append({
-            "worker": hb.get("worker", "?"),
-            "state": state,
-            "age_s": max(now - hb.get("updated_at", now), 0.0),
-            "claimed": hb.get("claimed"),
-            "done": hb.get("done", 0),
-            "failed": hb.get("failed", 0),
-            "rate_per_s": hb.get("rate_per_s", 0.0),
-            "note": hb.get("note"),
-        })
+    workers = [{
+        "worker": hb.get("worker", "?"),
+        "state": heartbeat_state(hb, now=now, expiry_s=expiry_s),
+        "age_s": _age_s(now, hb.get("updated_at")),
+        "claimed": hb.get("claimed"),
+        "done": hb.get("done", 0),
+        "failed": hb.get("failed", 0),
+        "rate_per_s": hb.get("rate_per_s", 0.0),
+        "note": hb.get("note"),
+    } for hb in read_heartbeats(store.heartbeat_dir)]
 
-    running = stale_claims = 0
     claims = []
-    for cell in manifest["cells"]:
-        key = cell["key"]
-        if key in agg.folded:
-            continue
-        claim = store.read_claim(key)
+    for key, label, _seed, _assignment in agg.cells:
+        claim = None if key in agg else store.read_claim(key)
         if claim is None:
             continue
         expires = claim.get("expires_at")
-        live = isinstance(expires, (int, float)) and now < expires
-        running += live
-        stale_claims += not live
         claims.append({
-            "cell": cell["label"], "worker": claim.get("worker", "?"),
-            "age_s": max(now - claim.get("claimed_at", now), 0.0),
-            "expired": not live,
+            "cell": label, "worker": claim.get("worker", "?"),
+            "age_s": _age_s(now, claim.get("claimed_at")),
+            "expired": not (isinstance(expires, (int, float))
+                            and now < expires),
         })
+    stale_claims = sum(c["expired"] for c in claims)
+    running = len(claims) - stale_claims
 
-    snap = agg.snapshot()
-    snap.update({
-        "name": manifest.get("name"),
-        "pending": agg.total - agg.done - running,
+    return {
+        "name": report.name, "total": report.total, "done": report.done,
+        "failed": report.failed, "failures": report.failures,
+        "metrics": list(report.metrics), "axes": report.axes,
+        "pending": report.total - report.done - running,
         "running": running,
         "stale_claims": stale_claims,
         "workers": workers,
         "claims": claims,
+        "executed": store.journal_counts(),
         "now": now,
-    })
-    return snap
+    }
+
+
+def _report_of(snap: Mapping[str, Any]):
+    """The snapshot's report fields as a report again (no cell rows)."""
+    from ..campaign.aggregate import CampaignReport
+    return CampaignReport(
+        name=str(snap["name"]), total=snap["total"], done=snap["done"],
+        failed=snap["failed"], failures=snap["failures"],
+        metrics=tuple(snap["metrics"]), cells=[], axes=snap["axes"])
+
+
+def _headline(snap: Mapping[str, Any]) -> str:
+    return (f"campaign {snap['name']}: {snap['done']}/{snap['total']} done"
+            f" ({snap['failed']} failed), {snap['running']} running, "
+            f"{snap['pending']} pending"
+            + (f", {snap['stale_claims']} stale claim(s)"
+               if snap["stale_claims"] else ""))
 
 
 def render_watch(snap: Mapping[str, Any]) -> str:
     """Monospace watch table for one :func:`watch_snapshot`."""
-    from ..analysis.tables import render_table
-    lines = [f"campaign {snap['name']}: {snap['done']}/{snap['total']} done"
-             f" ({snap['failed']} failed), {snap['running']} running, "
-             f"{snap['pending']} pending"
-             + (f", {snap['stale_claims']} stale claim(s)"
-                if snap["stale_claims"] else "")]
+    lines = [_headline(snap)]
     if snap["failures"]:
         detail = ", ".join(f"{kind}: {n}"
                            for kind, n in snap["failures"].items())
@@ -445,17 +328,27 @@ def render_watch(snap: Mapping[str, Any]) -> str:
         for c in stale:
             lines.append(f"warning: stale claim on {c['cell']!r} held by "
                          f"{c['worker']} for {c['age_s']:.0f}s (stealable)")
-    for field, groups in snap["axes"].items():
-        rows = []
-        for value, by_metric in groups.items():
-            for metric, st in by_metric.items():
-                rows.append([value, metric, st["n"], st["mean"], st["min"],
-                             st["max"], st["std"]])
-        if rows:
-            lines.append("")
-            lines.append(render_table(
-                (field, "metric", "n", "mean", "min", "max", "std"), rows,
-                title=f"axis: {field} (streaming, {snap['done']} cells in)"))
+    lines += _report_of(snap).render_axes(
+        f" (streaming, {snap['done']} cells in)")
+    return "\n".join(lines)
+
+
+def render_status(snap: Mapping[str, Any]) -> str:
+    """The short form of one :func:`watch_snapshot`: headline, cells
+    executed per worker journal, heartbeats and leases."""
+    lines = [_headline(snap)]
+    for worker, n in snap["executed"].items():
+        lines.append(f"  {worker}: {n} cell(s) executed")
+    for w in snap["workers"]:
+        lines.append(f"  heartbeat {w['worker']}: {w['state']}, age "
+                     f"{w['age_s']:.0f}s, {w['done']} done "
+                     f"({w['failed']} failed), {w['rate_per_s']:.2f} "
+                     f"cells/s"
+                     + (f", on {w['claimed']!r}" if w["claimed"] else ""))
+    for claim in snap["claims"]:
+        lines.append(f"  lease on {claim['cell']!r}: held by "
+                     f"{claim['worker']} for {claim['age_s']:.0f}s"
+                     + (" -- STALE (stealable)" if claim["expired"] else ""))
     return "\n".join(lines)
 
 
@@ -467,25 +360,16 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def build_metrics_text(directory: "str | os.PathLike", *,
-                       agg: StreamingAggregator | None = None,
-                       now: float | None = None,
+                       agg=None, now: float | None = None,
                        expiry_s: float = DEFAULT_EXPIRY_S) -> str:
     """Prometheus text for a campaign directory's live state.
 
-    The cell/failure/per-axis lines come from
-    :meth:`CampaignReport.render_prometheus` -- the same pinned formatting
-    the offline report uses, so scrape output is byte-stable for a given
-    directory state.  Worker-liveness gauges are appended under
-    ``repro_campaign_worker*``.
+    It starts with :meth:`CampaignReport.render_prometheus` of the
+    directory -- byte for byte what ``campaign report --prom`` prints --
+    and appends worker-liveness gauges under ``repro_campaign_worker*``.
     """
-    from ..campaign.aggregate import CampaignReport
-    from ..obs.metrics import _prom_name, _prom_value
     snap = watch_snapshot(directory, agg=agg, now=now, expiry_s=expiry_s)
-    report = CampaignReport(
-        name=str(snap["name"]), total=snap["total"], done=snap["done"],
-        failed=snap["failed"], failures=snap["failures"],
-        metrics=tuple(snap["metrics"]), cells=[], axes=snap["axes"])
-    lines = [report.render_prometheus().rstrip("\n")]
+    lines = [_report_of(snap).render_prometheus().rstrip("\n")]
     esc = lambda s: str(s).replace("\\", r"\\").replace('"', r'\"')
     wname = _prom_name("repro_campaign_", "workers")
     lines.append(f"# TYPE {wname} gauge")
@@ -513,22 +397,16 @@ def make_live_server(directory: "str | os.PathLike", *, port: int = 0,
     """A ready-to-serve :class:`~http.server.ThreadingHTTPServer` exposing
     ``/metrics`` (Prometheus), ``/`` (the watch table) and ``/healthz``.
 
-    The server keeps one :class:`StreamingAggregator` across scrapes (a
-    lock serialises polls), so each request folds only newly landed
-    cells.  ``port=0`` binds an ephemeral port (tests); read it back from
+    The server keeps one aggregator across scrapes (a lock serialises
+    polls), so each request reads only newly landed cells.  ``port=0``
+    binds an ephemeral port (tests); read it back from
     ``server.server_address``.
     """
     import threading
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     from ..campaign.store import CampaignStore
-    store = CampaignStore(directory)
-    manifest = store.read_manifest()
-    if manifest is None:
-        raise FileNotFoundError(
-            f"no campaign manifest in {directory}; start one with "
-            f"'repro campaign run SPEC --dir {directory}'")
-    agg = StreamingAggregator(_manifest_cells(store, manifest))
+    agg = CampaignStore(directory).aggregator()
     lock = threading.Lock()
 
     class Handler(BaseHTTPRequestHandler):

@@ -18,8 +18,8 @@ from typing import Any, Callable
 
 from .hashing import code_salt
 
-__all__ = ["ResultsCache", "cache_enabled", "default_cache", "memo",
-           "detach_tree"]
+__all__ = ["ResultsCache", "atomic_write", "read_pickle", "cache_enabled",
+           "default_cache", "memo", "detach_tree"]
 
 #: Environment variable naming the cache directory.
 ENV_DIR = "REPRO_CACHE_DIR"
@@ -37,6 +37,46 @@ def _default_root() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".cache" / "repro-iq-rudp"
+
+
+#: What unpickling a missing, torn or foreign file raises.
+_UNREADABLE = (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+               ImportError, IndexError)
+
+
+def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
+    """Replace ``path`` with ``payload`` so a reader sees the old bytes or
+    the new, never a part: a tmp file in the target directory (made if
+    missing), then ``os.replace``.  On any failure the tmp file is removed,
+    ``path`` is left as it was and the exception propagates."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def read_pickle(path: str | os.PathLike,
+                expect: type | tuple[type, ...] | None = None) -> Any | None:
+    """The object pickled at ``path``, or None when the file is missing,
+    torn, foreign or holds something that is not an ``expect`` -- a stale
+    or hostile file that happens to unpickle is never returned."""
+    try:
+        with open(path, "rb") as fh:
+            value = pickle.load(fh)
+    except _UNREADABLE:
+        return None
+    if expect is not None and not isinstance(value, expect):
+        return None
+    return value
 
 
 class ResultsCache:
@@ -57,24 +97,13 @@ class ResultsCache:
 
     def get(self, key: str, expect: type | tuple[type, ...] | None = None
             ) -> Any | None:
-        """Stored value for ``key``, or None on miss/corruption.
-
-        ``expect`` names the type(s) the payload must be an instance of;
-        anything else -- a stale or hostile file that happens to unpickle
-        -- is treated exactly like corruption: a miss, never returned.
-        """
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                value = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        """Stored value for ``key``, or None on miss/corruption/wrong type
+        (see :func:`read_pickle`)."""
+        value = read_pickle(self.path_for(key), expect)
+        if value is None:
             self.misses += 1
-            return None
-        if expect is not None and not isinstance(value, expect):
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return value
 
     def put(self, key: str, value: Any) -> None:
@@ -89,32 +118,14 @@ class ResultsCache:
         """
         if self._write_disabled:
             return
-        path = self.path_for(key)
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            atomic_write(self.path_for(key), payload)
         except OSError as exc:
-            self._disable_writes(exc)
-            return
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException as exc:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            if isinstance(exc, OSError):
-                self._disable_writes(exc)
-                return
-            raise
-
-    def _disable_writes(self, exc: OSError) -> None:
-        self._write_disabled = True
-        warnings.warn(
-            f"results cache at {self.root} is not writable ({exc}); "
-            "continuing without caching", RuntimeWarning, stacklevel=4)
+            self._write_disabled = True
+            warnings.warn(
+                f"results cache at {self.root} is not writable ({exc}); "
+                "continuing without caching", RuntimeWarning, stacklevel=3)
 
 
 def default_cache() -> ResultsCache:

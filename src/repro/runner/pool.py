@@ -18,20 +18,28 @@ so the trace file, like the results, is identical for any worker count.
 Cache *hits* are recorded in the trace header as ``"cached": true`` with no
 event stream (the cache stores metrics, not events).
 
-Resilient execution
--------------------
-The legacy contract -- any scenario exception propagates out of
-``run_batch`` unchanged -- is the default.  Asking for any resilience
-feature (``on_error="capture"``, a ``timeout`` or ``retries``) switches
-the misses onto the supervised one-shot-process path (:mod:`.supervisor`):
-crashes become :class:`FailedResult` rows, hangs are killed at the
-wall-clock budget, transient losses retry with exponential backoff and
-SIGINT drains with partial results.  With ``on_error="raise"`` (still the
-default) a surviving failure is re-raised as :class:`BatchExecutionError`
-carrying the worker traceback; ``"capture"`` returns the failures
-in-place so sweeps can triage.  A batch that must outlive its process
-runs through a campaign directory (:func:`repro.campaign.run_rows`,
-``--campaign-dir``): claimed, resumable, shared between processes.
+Three ways to run a miss, one landing
+-------------------------------------
+Cache misses run **here** (in-process, one after the other), in a
+**pool** (``ProcessPoolExecutor``, ``jobs > 1``) or in **supervised
+one-shot children** (:mod:`.supervisor`).  Which one is decided by what
+the caller asked to survive, never by a switch: nothing asked, and a
+scenario exception leaves ``run_batch`` unchanged from the worker, here or
+out of the pool; ``on_error="capture"``, a ``timeout`` or ``retries`` make
+crashes :class:`FailedResult` rows -- in-process when there is no worker to
+lose or kill (``jobs=1``, no timeout), else under the supervisor, where
+hangs are killed at the wall-clock budget, transient losses retry with
+exponential backoff and SIGINT drains with partial results.  With
+``on_error="raise"`` (the default) a surviving failure is re-raised as
+:class:`BatchExecutionError` carrying the worker traceback; ``"capture"``
+returns the failures in-place so sweeps can triage.
+
+Every branch hands each result, as it arrives, to one landing -- keep it,
+cache it, ledger it, count it -- so whatever finished before a later
+scenario raised, or before Ctrl-C, is a cache hit on the next call.  A
+batch that must outlive its process runs through a campaign directory
+(:func:`repro.campaign.run_rows`, ``--campaign-dir``): claimed, resumable,
+shared between processes.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Mapping, Sequence
 
 from ..experiments.common import ScenarioConfig, ScenarioResult, run_scenario
-from ..obs.ledger import record_run
+from ..obs.ledger import ledger_enabled, record_run
 from ..obs.sinks import RingBufferSink, write_trace
 from .cache import ResultsCache, cache_enabled, default_cache
 from .failures import BatchExecutionError, FailedResult
@@ -126,14 +134,16 @@ def _validate_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _capture_inprocess(cfg: ScenarioConfig, worker: Callable
-                       ) -> ScenarioResult | FailedResult:
-    """Serial crash isolation: same classification as the supervisor, no
-    process boundary (used when neither timeouts nor parallelism are
-    requested)."""
+def _run_here(cfg: ScenarioConfig, worker: Callable, capture: bool
+              ) -> ScenarioResult | FailedResult:
+    """Run one scenario in this process.  With ``capture`` a crash becomes
+    a :class:`FailedResult` classified as the supervisor would; without,
+    the worker's own exception propagates unchanged."""
     try:
         return worker(cfg)
     except Exception as exc:
+        if not capture:
+            raise
         return FailedResult(kind=classify_exception(exc),
                             error_type=type(exc).__name__, message=str(exc),
                             traceback=traceback.format_exc(), attempts=1,
@@ -173,8 +183,8 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     Resilience (see module docstring):
 
     on_error : ``"raise"`` (default) propagates the first failure --
-        unchanged from the worker for the legacy path,
-        :class:`BatchExecutionError` for the supervised path.
+        unchanged from the worker when no resilience was asked for,
+        :class:`BatchExecutionError` otherwise.
         ``"capture"`` returns :class:`FailedResult` rows in-place.
     timeout : per-scenario wall-clock budget in seconds; expiry kills the
         worker and classifies the run ``"timeout"``.
@@ -211,70 +221,51 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
         else:
             misses.append(i)
 
-    def _persist(i: int, res: Any) -> None:
-        """Cache + ledger one fresh success (event streams stay out of
-        both: they are per-run evidence, not results)."""
-        if not isinstance(res, ScenarioResult):
-            return
-        fp = config_fingerprint(cfgs[i])
-        digest = (hashlib.sha256(fp.encode()).hexdigest()[:20]
-                  if fp is not None else None)
-        record_run("scenario",
-                   str(names[i]) if keyed else f"cfg:{digest or 'dynamic'}",
-                   res.summary, fingerprint=digest)
-        if keys[i] is None:
-            return
-        events = res.trace
-        res.trace = None
-        try:
-            store.put(keys[i], res)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            pass  # unpicklable payloads just skip persistence
-        finally:
-            res.trace = events
-
     interrupted = False
     progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses))
-    try:
-        if misses and not resilient:
-            # Legacy fast path: byte-for-byte the pre-resilience behaviour
-            # (exceptions propagate unchanged; pool map for parallelism).
-            todo = [cfgs[i] for i in misses]
-            if jobs > 1 and len(todo) > 1:
-                with ProcessPoolExecutor(
-                        max_workers=min(jobs, len(todo))) as ex:
-                    fresh = []
-                    for res in ex.map(worker, todo):
-                        fresh.append(res)
-                        progress.update()
-            else:
-                fresh = []
-                for cfg in todo:
-                    fresh.append(worker(cfg))
-                    progress.update()
-            for i, res in zip(misses, fresh):
-                results[i] = res
-                _persist(i, res)
-        elif misses:
-            if jobs == 1 and timeout is None:
-                # In-process capture: no workers to lose or kill, so
-                # retries have nothing transient to act on.
-                for i in misses:
-                    res = _capture_inprocess(cfgs[i], worker)
-                    results[i] = res
-                    _persist(i, res)
-                    progress.update(failed=isinstance(res, FailedResult))
-            else:
-                def _on_result(i: int, res: Any) -> None:
-                    _persist(i, res)
-                    progress.update(failed=isinstance(res, FailedResult))
 
-                got, interrupted = run_supervised(
-                    [(i, cfgs[i]) for i in misses], worker, jobs=jobs,
-                    timeout=timeout, retries=retries,
-                    retry_backoff_s=retry_backoff_s, on_result=_on_result)
-                for i in misses:
-                    results[i] = got.get(i)
+    def _land(i: int, res: Any) -> None:
+        """Keep, cache, ledger and count one result as it arrives (event
+        streams stay out of cache and ledger: they are per-run evidence,
+        not results)."""
+        results[i] = res
+        if isinstance(res, ScenarioResult):
+            if keys[i] is not None:
+                events = res.trace
+                res.trace = None
+                try:
+                    store.put(keys[i], res)
+                except (pickle.PicklingError, TypeError, AttributeError):
+                    pass  # unpicklable payloads just skip persistence
+                finally:
+                    res.trace = events
+            if ledger_enabled():
+                fp = config_fingerprint(cfgs[i])
+                digest = (hashlib.sha256(fp.encode()).hexdigest()[:20]
+                          if fp is not None else None)
+                record_run(
+                    "scenario",
+                    str(names[i]) if keyed else f"cfg:{digest or 'dynamic'}",
+                    res.summary, fingerprint=digest)
+        progress.update(failed=isinstance(res, FailedResult))
+
+    try:
+        if misses and resilient and (jobs > 1 or timeout is not None):
+            _, interrupted = run_supervised(
+                [(i, cfgs[i]) for i in misses], worker, jobs=jobs,
+                timeout=timeout, retries=retries,
+                retry_backoff_s=retry_backoff_s, on_result=_land)
+        elif jobs > 1 and len(misses) > 1:
+            with ProcessPoolExecutor(
+                    max_workers=min(jobs, len(misses))) as ex:
+                for i, res in zip(misses, ex.map(
+                        worker, [cfgs[i] for i in misses])):
+                    _land(i, res)
+        else:
+            # No worker to lose or kill, so retries have nothing
+            # transient to act on.
+            for i in misses:
+                _land(i, _run_here(cfgs[i], worker, capture=resilient))
     finally:
         progress.finish()
 

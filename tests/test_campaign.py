@@ -24,6 +24,7 @@ from repro.campaign import (Campaign, CampaignStore, aggregate, cell_key,
                             load_campaign, run_campaign, run_rows)
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.middleware.adaptation import ADAPTATIONS, resolution_default
+from repro.obs.live import watch_snapshot
 from repro.runner.cache import ResultsCache
 from repro.runner.failures import FailedResult
 
@@ -396,9 +397,10 @@ _RESULTS = (ScenarioResult, FailedResult)
 
 
 class _CountingPickle:
-    """Stands in for the ``pickle`` module as ``campaign.store`` and
-    ``runner.checkpoint`` see it, counting the results that pass through
-    (bare or inside a journal frame)."""
+    """Stands in for the ``pickle`` module as ``campaign.store`` (which
+    serialises a cell), ``runner.cache`` (whose ``read_pickle`` loads one)
+    and ``runner.checkpoint`` see it, counting the results that pass
+    through (bare or inside a journal frame)."""
 
     def __init__(self):
         self.serialised = self.unpickled = 0
@@ -430,10 +432,10 @@ def counted(monkeypatch):
     """``(pickle counter, list of executed configs)`` for the campaign
     layer of this process."""
     from repro.campaign import exec as exec_mod, store as store_mod
-    from repro.runner import checkpoint as checkpoint_mod
+    from repro.runner import cache as cache_mod, checkpoint as checkpoint_mod
     counter = _CountingPickle()
-    monkeypatch.setattr(store_mod, "pickle", counter)
-    monkeypatch.setattr(checkpoint_mod, "pickle", counter)
+    for mod in (store_mod, cache_mod, checkpoint_mod):
+        monkeypatch.setattr(mod, "pickle", counter)
     executed = []
     real_run_one = exec_mod.run_one
 
@@ -558,7 +560,7 @@ def test_parent_format_journal_still_counts_and_is_left_alone(
     before = _journal_bytes(root)
     assert len(before["old.pkl"]) > 1024 * n    # whole results, not outcomes
     assert store.journal_counts() == {"old": n}
-    assert store.status()["workers"] == {"old": n}
+    assert watch_snapshot(root)["executed"] == {"old": n}
     resumed = run_campaign(camp, dir=root, cache=False)
     assert resumed.complete
     for argv in (["status", str(root)], ["watch", str(root), "--once"],
@@ -652,6 +654,71 @@ def test_report_json_has_no_wallclock(tmp_path):
     assert "claimed_at" not in payload and "expires_at" not in payload
     decoded = json.loads(payload)
     assert decoded["cells"]["total"] == 4
+
+
+def _fold_fixture():
+    """8 cells, 4 seeds per transport: one failed, one pending, and 3 ok
+    cells per axis value whose sum depends on the order it is taken in."""
+    camp = _tiny_campaign(seeds=4)
+    cells = camp.cells()
+    results = {}
+    for n, cell in enumerate(cells[:-1]):       # the last cell is pending
+        value = (0.1, 0.2, 0.3, 0.3)[cell.seed - 1]
+        results[cell.key] = (
+            FailedResult(kind="timeout", scenario=cell.label) if n == 3
+            else ScenarioResult(
+                summary={"duration_s": value, "throughput_kBps": 7 * value},
+                log=[], conn=None, source=None, strategy=None, net=None,
+                sim=None, completed=1))
+    assert len(results) == 7
+    return camp, results
+
+
+def _renderings(report):
+    return report.to_json(), report.render(), report.render_prometheus()
+
+
+def test_fold_is_landing_order_independent(tmp_path):
+    import itertools
+    from repro.campaign.aggregate import Aggregator
+    camp, results = _fold_fixture()
+    want = _renderings(aggregate(camp, results))
+    assert '"pending": 1' in want[0] and "timeout: 1" in want[1]
+    first, *landing = results                   # 6 cells land in any order
+    for order in itertools.permutations(landing):
+        agg = Aggregator.of(camp)
+        for key in (first, *order):
+            assert agg.fold(key, results[key])
+        assert _renderings(agg.report()) == want, order
+    # ... and through a directory filled in two steps.
+    store = CampaignStore(tmp_path / "camp")
+    store.init(camp)
+    agg = store.aggregator()
+    for step in (landing[:2:-1], [first, *landing[:3]]):
+        for key in step:
+            store.store_cell(key, results[key])
+        assert agg.poll(store) == len(step)
+    assert _renderings(agg.report()) == want
+
+
+def test_fold_ignores_unknown_and_repeated_keys_and_waits_for_torn_cells(
+        tmp_path):
+    camp, results = _fold_fixture()
+    store = CampaignStore(tmp_path / "camp")
+    store.init(camp)
+    agg = store.aggregator()
+    key, other = list(results)[:2]
+    assert agg.fold(key, results[key])
+    before = agg.report().to_json()
+    assert not agg.fold(key, results[other])    # repeated
+    assert not agg.fold("f" * 20, results[other])   # not a cell
+    assert agg.report().to_json() == before and agg.done == 1
+    store.cell_path(other).write_bytes(b"\x80\x05torn")
+    store.cell_path("f" * 20).write_bytes(b"not a cell of this campaign")
+    assert agg.poll(store) == 0 and other not in agg
+    store.store_cell(other, results[other])     # the re-run heals it
+    assert agg.poll(store) == 1 and other in agg
+    assert agg.report().done == 2
 
 
 # ----------------------------------------------------------------------

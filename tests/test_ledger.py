@@ -15,7 +15,7 @@ from repro.experiments.common import ScenarioConfig
 from repro.obs.ledger import (RunLedger, ledger_enabled, metric_direction,
                               record_run, render_history, render_sentinel,
                               sentinel_verdicts)
-from repro.runner import run_batch
+from repro.runner import config_fingerprint, run_batch
 
 TINY = dict(workload="greedy", n_frames=5, time_cap=30.0)
 
@@ -208,6 +208,17 @@ def test_run_batch_records_scenario_rows(tmp_path, monkeypatch):
     for r in records:
         assert r["metrics"]["completed"] == 1.0
         assert len(r["fingerprint"]) == 20
+    # Disarmed, nobody keeps the row, so its key is not worked out.
+    from repro.runner import pool as pool_mod
+    fingerprinted = []
+    monkeypatch.setattr(
+        pool_mod, "config_fingerprint",
+        lambda c: fingerprinted.append(c) or config_fingerprint(c))
+    run_batch([cfg])
+    assert len(fingerprinted) == 1
+    monkeypatch.delenv("REPRO_LEDGER_DIR")
+    run_batch([cfg])
+    assert len(fingerprinted) == 1
 
 
 def test_run_campaign_records_campaign_row(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
-"""Tests for :mod:`repro.obs.live`: heartbeat atomicity/expiry, streaming
-aggregation vs the batch aggregator, deterministic ``watch --once``
-goldens, the Prometheus ``serve`` endpoint, and the heartbeat detail in
-``campaign status``.
+"""Tests for :mod:`repro.obs.live`: heartbeat atomicity/expiry, the one
+snapshot (incremental fold vs ``aggregate``, lease and heartbeat detail),
+deterministic ``watch --once`` goldens, the Prometheus ``serve`` endpoint,
+and one directory read through ``status``, ``watch``, ``report`` and
+``/metrics``.
 
 Golden discipline: a watch snapshot is a pure function of the directory
 contents and the injected ``now``, so the goldens here pin exact bytes --
@@ -20,10 +21,11 @@ from repro.api import Scenario
 from repro.campaign import Campaign, CampaignStore, aggregate, run_campaign
 from repro.experiments.common import ScenarioResult
 from repro.obs.live import (DEFAULT_EXPIRY_S, PROM_CONTENT_TYPE,
-                            HeartbeatWriter, StreamingAggregator,
-                            _atomic_write_json, build_metrics_text,
+                            HeartbeatWriter, build_metrics_text,
                             heartbeat_state, make_live_server,
                             read_heartbeats, render_watch, watch_snapshot)
+from repro.runner.cache import atomic_write
+from repro.runner.failures import FailedResult
 
 TINY = dict(workload="greedy", n_frames=5, time_cap=30.0)
 
@@ -33,6 +35,10 @@ SUMMARIES = {
     "iq": {"duration_s": 1.0, "throughput_kBps": 200.0,
            "msg_interarrival_s": 0.005, "msg_jitter_s": 0.001},
 }
+
+
+def _atomic_write_json(path, payload):
+    atomic_write(path, json.dumps(payload, sort_keys=True).encode())
 
 
 def _golden_campaign():
@@ -152,13 +158,15 @@ def test_read_heartbeats_skips_corrupt_files(tmp_path):
 
 def test_dead_worker_reported_stale_after_lease_timeout(golden_dir):
     store = CampaignStore(golden_dir)
-    status = store.status(now=1000.0 + store.lease_s + 1)
-    (hb,) = status["heartbeats"]
+    snap = watch_snapshot(golden_dir, now=1000.0 + store.lease_s + 1,
+                          expiry_s=store.lease_s)
+    (hb,) = snap["workers"]
     assert hb["worker"] == "w1"
     assert hb["state"] == "stale"
     assert hb["age_s"] == pytest.approx(store.lease_s + 1)
     # ... while a just-renewed view of the same file reads live.
-    assert store.status(now=1001.0)["heartbeats"][0]["state"] == "live"
+    assert watch_snapshot(golden_dir, now=1001.0, expiry_s=store.lease_s)[
+        "workers"][0]["state"] == "live"
 
 
 def test_status_reports_stale_lease_detail(tmp_path):
@@ -168,43 +176,56 @@ def test_status_reports_stale_lease_detail(tmp_path):
     cells = camp.cells()
     assert store.try_claim(cells[0].key)
     time.sleep(0.02)  # let the lease expire
-    status = store.status()
-    assert status["stale_claims"] == 1
-    (claim,) = [c for c in status["claims"] if c["expired"]]
+    snap = watch_snapshot(tmp_path, expiry_s=store.lease_s)
+    assert snap["stale_claims"] == 1 and snap["running"] == 0
+    (claim,) = [c for c in snap["claims"] if c["expired"]]
     assert claim["cell"] == cells[0].label
     assert claim["worker"] == store.worker
+    # A foreign claim file with no usable times reads as stale, age 0.
+    store.claim_path(cells[1].key).write_text(
+        '{"worker": "x", "claimed_at": "noon"}')
+    snap = watch_snapshot(tmp_path)
+    assert snap["stale_claims"] == 2
+    assert snap["claims"][1] == {"cell": cells[1].label, "worker": "x",
+                                 "age_s": 0.0, "expired": True}
 
 
 # ----------------------------------------------------------------------
-# Streaming aggregation
+# The fold over a directory that fills up
 # ----------------------------------------------------------------------
 def test_streaming_axes_match_batch_aggregate(golden_dir):
     camp = _golden_campaign()
     store = CampaignStore(golden_dir)
-    agg = StreamingAggregator(
-        [(c.key, c.label, c.assignment) for c in camp.cells()])
+    agg = store.aggregator()
     assert agg.poll(store) == 2
     assert agg.poll(store) == 0  # idempotent: nothing new to fold
     results = {c.key: store.load_cell(c.key) for c in camp.cells()}
     batch = aggregate(camp, results)
-    assert agg.axes() == batch.axes
-    assert agg.snapshot()["failures"] == batch.failures
+    assert agg.report().to_json() == batch.to_json()
+    snap = watch_snapshot(golden_dir, agg=agg, now=1001.0)
+    assert snap["axes"] == batch.axes
+    assert snap["failures"] == batch.failures
 
 
-def test_streaming_fold_is_incremental(golden_dir):
+def test_streaming_fold_is_incremental(golden_dir, monkeypatch):
     camp = _golden_campaign()
     store = CampaignStore(golden_dir)
     cells = camp.cells()
-    agg = StreamingAggregator(
-        [(c.key, c.label, c.assignment) for c in cells])
+    agg = store.aggregator()
     os.unlink(store.cell_path(cells[1].key))
     assert agg.poll(store) == 1
     assert agg.done == 1
+    loaded = []
+    real_load = CampaignStore.load_cell
+    monkeypatch.setattr(
+        CampaignStore, "load_cell",
+        lambda self, key: loaded.append(key) or real_load(self, key))
     # The second cell lands later; only it is folded by the next poll.
     store.store_cell(cells[1].key,
                      _result(SUMMARIES[cells[1].assignment["transport"]]))
     assert agg.poll(store) == 1
     assert agg.done == 2
+    assert loaded == [cells[1].key]  # the folded cell is not read again
     assert not agg.fold(cells[1].key, _result(SUMMARIES["iq"]))
 
 
@@ -322,6 +343,86 @@ def test_serve_endpoint_content_type_and_pinned_bytes(golden_dir):
 def test_serve_refuses_non_campaign_dir(tmp_path):
     with pytest.raises(FileNotFoundError, match="no campaign manifest"):
         make_live_server(tmp_path, port=0)
+
+
+# ----------------------------------------------------------------------
+# One directory, four surfaces: status, watch, report, /metrics
+# ----------------------------------------------------------------------
+ORDER_SENSITIVE = (0.1, 0.2, 0.3, 0.4)  # their float sum depends on order
+
+
+@pytest.fixture()
+def order_dir(tmp_path):
+    """A finished 12-cell directory (one cell failed) whose per-axis sums
+    come out differently in expansion order and in sha-key order."""
+    camp = Campaign(Scenario(**TINY), name="order",
+                    axes={"transport": ["tcp", "iq", "rudp"]}, seeds=4)
+    store = CampaignStore(tmp_path / "camp", worker="w0")
+    store.init(camp)
+    for n, cell in enumerate(camp.cells()):
+        value = ORDER_SENSITIVE[cell.seed - 1]
+        res = (FailedResult(kind="timeout", scenario=cell.label) if n == 1
+               else _result({"duration_s": value,
+                             "throughput_kBps": 3 * value,
+                             "msg_interarrival_s": 7 * value,
+                             "msg_jitter_s": value / 3}))
+        store.store_cell(cell.key, res)
+        store.journal().append(cell.key, getattr(res, "kind", "ok"))
+    store.close()
+    return tmp_path / "camp", camp
+
+
+def _cli(capsys, *argv):
+    from repro.cli import main
+    assert main(["campaign", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_metrics_endpoint_starts_with_report_prom(order_dir, capsys):
+    root, _camp = order_dir
+    report_prom = _cli(capsys, "report", str(root), "--prom")
+    server = make_live_server(root, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        body = urllib.request.urlopen(f"http://{host}:{port}/metrics").read()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert body.decode()[:len(report_prom)] == report_prom
+    assert 'stat="mean"' in report_prom
+
+
+def test_watch_shows_the_axis_rows_of_report(order_dir, capsys):
+    root, _camp = order_dir
+    report = _cli(capsys, "report", str(root)).splitlines()
+    watch = _cli(capsys, "watch", str(root), "--once").splitlines()
+    start = report.index("axis: transport")
+    rows = report[start + 1:]
+    assert len(rows) == 2 + 3 * 4  # header, rule, 3 values x 4 metrics
+    assert watch[-len(rows):] == rows
+    assert watch[-len(rows) - 1] == "axis: transport (streaming, 12 cells in)"
+
+
+def test_status_watch_report_agree_on_counts(order_dir, capsys):
+    root, camp = order_dir
+    status = json.loads(_cli(capsys, "status", str(root), "--json"))
+    report = json.loads(_cli(capsys, "report", str(root), "--json"))
+    watch = _cli(capsys, "watch", str(root), "--once")
+    short = _cli(capsys, "status", str(root))
+    assert status["total"] == report["cells"]["total"] == len(camp) == 12
+    assert status["done"] == report["cells"]["done"] == 12
+    assert status["failed"] == report["cells"]["failed"] == 1
+    assert status["failures"] == report["failures"]["by_kind"] == {
+        "timeout": 1}
+    assert status["axes"] == report["per_axis"]
+    headline = "campaign order: 12/12 done (1 failed), 0 running, 0 pending"
+    assert watch.splitlines()[0] == short.splitlines()[0] == headline
+    assert "failures by kind: timeout: 1" in watch
+    # Zero duplicate executions: every cell sits in exactly one journal.
+    assert status["executed"] == {"w0": 12}
+    assert sum(watch_snapshot(root)["executed"].values()) == len(camp)
 
 
 # ----------------------------------------------------------------------

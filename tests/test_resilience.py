@@ -92,6 +92,50 @@ def test_legacy_raise_path_propagates_original_exception():
         run_batch([_small(adaptation=boom_adaptation)], jobs=1, cache=False)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_results_landed_before_a_raise_are_cache_hits(tmp_path, monkeypatch,
+                                                      jobs):
+    from repro.runner import pool as pool_mod
+    pools = []
+
+    class Pool(pool_mod.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            pools.append(kw)
+            super().__init__(*a, **kw)
+    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Pool)
+    store = ResultsCache(tmp_path)
+    cfgs = [_small(seed=1), _small(seed=2),
+            _small(seed=3, adaptation=boom_adaptation)]
+    with pytest.raises(RuntimeError, match="deliberate scenario crash"):
+        run_batch(cfgs, jobs=jobs, cache=store)
+    assert len(pools) == (jobs > 1)     # nothing resilient asked: the pool
+    assert len(list(tmp_path.glob("*.pkl"))) == 2
+    store.hits = 0
+    assert all(r.completed for r in run_batch(cfgs[:2], cache=store))
+    assert store.hits == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_results_landed_before_ctrl_c_are_cache_hits(tmp_path, monkeypatch,
+                                                     jobs):
+    from repro.runner import pool as pool_mod
+    updates = []
+
+    def update(self, *, failed=False):
+        updates.append(failed)
+        if len(updates) == 2:
+            raise KeyboardInterrupt
+    monkeypatch.setattr(pool_mod.SweepProgress, "update", update)
+    store = ResultsCache(tmp_path)
+    cfgs = [_small(seed=s) for s in (1, 2, 3)]
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(cfgs, jobs=jobs, cache=store)
+    monkeypatch.undo()
+    assert len(list(tmp_path.glob("*.pkl"))) == 2
+    run_batch(cfgs, cache=store)
+    assert (store.hits, len(list(tmp_path.glob("*.pkl")))) == (2, 3)
+
+
 def test_resilient_raise_path_wraps_with_traceback():
     with pytest.raises(BatchExecutionError) as ei:
         run_batch([_small(adaptation=boom_adaptation)], jobs=1,

@@ -167,6 +167,44 @@ def test_unwritable_cache_does_not_kill_the_batch(tmp_path):
     assert res.completed  # computed fresh, uncached
 
 
+def test_atomic_write_failure_keeps_the_old_file_and_no_tmp(tmp_path,
+                                                            monkeypatch):
+    target = tmp_path / "made" / "on" / "demand" / "cell.pkl"
+    cache_mod.atomic_write(target, b"old")      # missing directory created
+    assert target.read_bytes() == b"old"
+
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cache_mod.os, "replace", replace)
+    with pytest.raises(OSError, match="No space left"):
+        cache_mod.atomic_write(target, b"new bytes that never land")
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in target.parent.iterdir()] == ["cell.pkl"]
+
+
+def test_oserror_degrades_the_cache_but_fails_the_campaign_store(
+        tmp_path, monkeypatch):
+    """One writer, two policies: memoising is optional, a cell is not."""
+    import warnings as warnings_mod
+    from repro.campaign import CampaignStore
+    res = run_one(_small(seed=22), cache=False)
+
+    def replace(src, dst):
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cache_mod.os, "replace", replace)
+    cache = ResultsCache(tmp_path / "cache")
+    with pytest.warns(RuntimeWarning, match="not writable"):
+        cache.put("a" * 40, res)
+    with warnings_mod.catch_warnings():
+        warnings_mod.simplefilter("error")
+        cache.put("b" * 40, res)                # read-only now: silent
+    with pytest.raises(OSError, match="No space left"):
+        CampaignStore(tmp_path / "camp").store_cell("c" * 20, res)
+    monkeypatch.undo()
+    left = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert left == []                           # neither entry nor litter
+
+
 def test_cache_put_unpicklable_payload_still_raises(tmp_path):
     store = ResultsCache(tmp_path)
     with pytest.raises((pickle.PicklingError, TypeError, AttributeError)):
