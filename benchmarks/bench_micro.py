@@ -1,12 +1,12 @@
-"""Micro-benchmarks of the substrate itself (engine event rate, timer-churn
-rate, transport packet rate, parallel batch throughput, campaign cells per
-second) -- the knobs that bound how large an experiment the harness can
-simulate per wall-clock second.
+"""Micro-benchmarks of what the end-to-end benchmark cannot see: the bare
+engine's event rate, timer churn against a bounded heap, worker-count
+determinism of a parallel batch, and trace emit throughput.
 
-Each bench also records a machine-readable rate into
-``benchmarks/results/bench_perf.json`` (via the ``perf_record`` fixture) so
-``check_regression.py`` can compare runs against the committed baseline and
-future PRs inherit a performance trajectory.
+Each bench prints its rate and asserts what must hold on any host (the
+event count, the heap bound, equal summaries).  A datagram's full-stack
+cost and a campaign cell's are ``transport_blast`` and
+``campaign_small_cells`` in ``benchmarks/e2e/``, scaled to a reference
+host there.
 """
 
 import os
@@ -14,16 +14,14 @@ import time
 
 import pytest
 
-from repro.api import Scenario
-from repro.campaign import Campaign, run_campaign
-from repro.experiments.common import ScenarioConfig, run_scenario
-from repro.middleware.receiver import DeliveryLog
+from repro.experiments.common import ScenarioConfig
 from repro.obs.bus import TraceBus
 from repro.obs.sinks import JsonlTraceSink, RingBufferSink
 from repro.runner import run_batch
 from repro.sim.engine import Simulator
-from repro.sim.topology import Dumbbell
-from repro.transport.rudp import RudpConnection
+
+#: The lazy-deletion heap must absorb 100k cancelled timers below this.
+HEAP_BOUND = 4096
 
 
 def _best_rate(fn, work_units: int, repeats: int = 3) -> float:
@@ -36,7 +34,7 @@ def _best_rate(fn, work_units: int, repeats: int = 3) -> float:
     return work_units / best
 
 
-def bench_engine_event_rate(benchmark, perf_record):
+def bench_engine_event_rate(benchmark):
     """Schedule+fire cost of the event loop (100k events per round)."""
 
     def run():
@@ -52,11 +50,11 @@ def bench_engine_event_rate(benchmark, perf_record):
         sim.run()
         return count[0]
 
-    perf_record("engine_event_rate", events_per_s=_best_rate(run, 100_000))
+    print(f"\nengine: {_best_rate(run, 100_000):,.0f} events/s")
     assert benchmark(run) == 100_000
 
 
-def bench_engine_cancel_churn(benchmark, perf_record):
+def bench_engine_cancel_churn(benchmark):
     """Retransmission-timer pattern: schedule a timer, cancel it, repeat.
 
     Cancellations dominate firings in every congestion-controlled run; the
@@ -82,41 +80,18 @@ def bench_engine_cancel_churn(benchmark, perf_record):
         return peak
 
     peak = run()
-    assert peak < 4096, f"dead timers accumulated: heap peaked at {peak}"
-    perf_record("engine_cancel_churn", timers_per_s=_best_rate(run, 100_000))
-    assert benchmark(run) < 4096
+    assert peak < HEAP_BOUND, f"dead timers accumulated: heap peaked at {peak}"
+    print(f"\ncancel churn: {_best_rate(run, 100_000):,.0f} timers/s, "
+          f"heap peak {peak}")
+    assert benchmark(run) < HEAP_BOUND
 
 
-def bench_rudp_transfer_rate(benchmark, perf_record):
-    """Full-stack packet cost: a 5k-packet RUDP transfer on the dumbbell."""
-
-    def run():
-        sim = Simulator()
-        net = Dumbbell(sim)
-        snd, rcv = net.add_flow_hosts("m")
-        log = DeliveryLog()
-        conn = RudpConnection(sim, snd, rcv, on_deliver=log.on_deliver)
-        for i in range(5000):
-            conn.submit(1400, frame_id=i)
-        conn.finish()
-        sim.run(until=120.0)
-        assert conn.completed
-        return len(log)
-
-    perf_record("rudp_transfer", packets_per_s=_best_rate(run, 5000))
-    assert benchmark(run) == 5000
-
-
-def bench_parallel_batch_throughput(benchmark, perf_record):
-    """Serial vs process-pool wall clock for a batch of independent runs.
-
-    Records both timings plus the speedup; on a single-core host the
-    parallel path only pays pool overhead, so the bench *skips* there and
-    annotates the JSON (``"skipped": true``), which ``check_regression.py``
-    honours by ignoring the bench entirely.
+def bench_parallel_batch_throughput(benchmark):
+    """Serial vs process-pool wall clock for a batch of independent runs,
+    and equal summaries either way.  On a single-core host the parallel
+    path only pays pool overhead, so the bench skips there.
     """
     if (os.cpu_count() or 1) == 1:
-        perf_record("parallel_batch", skipped=True, cpu_count=1)
         pytest.skip("single-core host: pool speedup is unmeasurable")
     cfgs = [ScenarioConfig(workload="greedy", n_frames=1500, seed=s,
                            cbr_bps=10e6, time_cap=120.0)
@@ -134,50 +109,15 @@ def bench_parallel_batch_throughput(benchmark, perf_record):
     for a, b in zip(serial, parallel):
         assert a.summary == b.summary, "worker count changed results"
 
-    perf_record("parallel_batch", serial_s=round(serial_s, 3),
-                parallel_s=round(parallel_s, 3), jobs=jobs,
-                speedup=round(serial_s / max(parallel_s, 1e-9), 3),
-                cpu_count=os.cpu_count())
+    print(f"\nparallel batch: serial {serial_s:.3f} s, {jobs} jobs "
+          f"{parallel_s:.3f} s (x{serial_s / max(parallel_s, 1e-9):.2f})")
     benchmark.pedantic(lambda: run_batch(cfgs, jobs=jobs, cache=False),
                        rounds=1, iterations=1)
 
 
-def bench_campaign_cells(benchmark, perf_record, tmp_path):
-    """What the campaign directory adds to a small cell: 60 cells of 50
-    greedy frames (~1.5 ms of simulation each) through one in-process
-    worker into a fresh directory, against the same cells through bare
-    ``run_scenario``.  The difference per cell is the claim, the pickle,
-    the atomic write, the journal frame and the final collect."""
-    camp = Campaign(Scenario(workload="greedy", n_frames=50),
-                    name="bench-cells",
-                    axes={"transport": ["iq", "rudp", "tcp"]}, seeds=20)
-    cells = camp.cells()
-    passes = [0]
-
-    def cold_pass():
-        passes[0] += 1
-        run = run_campaign(camp, dir=tmp_path / f"camp-{passes[0]}",
-                           workers=1, cache=False, progress=False)
-        assert run.complete and run.report().failed == 0
-        return len(run.results)
-
-    def bare():
-        for cell in cells:
-            run_scenario(cell.config)
-
-    n = len(cells)
-    cells_per_s = _best_rate(cold_pass, n)
-    bare_per_s = _best_rate(bare, n)
-    perf_record("campaign_cells", cells_per_s=cells_per_s,
-                store_overhead_ms_per_cell=round(
-                    1e3 * (1.0 / cells_per_s - 1.0 / bare_per_s), 4))
-    assert benchmark.pedantic(cold_pass, rounds=3, iterations=1) == n
-
-
-def bench_trace_overhead(benchmark, perf_record, tmp_path):
+def bench_trace_overhead(benchmark, tmp_path):
     """Enabled ``TraceBus.emit`` throughput into the in-memory ring buffer
-    (``emit_ring_events_per_s``) vs the streaming JSONL writer
-    (``emit_jsonl_events_per_s``).  What the *disabled* path costs a packet
+    vs the streaming JSONL writer.  What the *disabled* path costs a packet
     is counted and gated by ``bench_obs_overhead.py``."""
     n_emit = 50_000
 
@@ -198,24 +138,7 @@ def bench_trace_overhead(benchmark, perf_record, tmp_path):
                 emit("transport", "PACKET_SEND", flow=1, pkt=i, size=1400)
         return tr.events_emitted
 
-    perf_record("trace_overhead",
-                emit_ring_events_per_s=_best_rate(emit_ring, n_emit),
-                emit_jsonl_events_per_s=_best_rate(emit_jsonl, n_emit))
+    print(f"\ntrace emit: ring {_best_rate(emit_ring, n_emit):,.0f} "
+          f"events/s, jsonl {_best_rate(emit_jsonl, n_emit):,.0f} events/s")
     assert benchmark(emit_ring) == n_emit
 
-
-@pytest.mark.perf_regression
-def bench_perf_regression_gate():
-    """Opt-in gate (``pytest -m perf_regression benchmarks/bench_micro.py``):
-    fails when bench_perf.json regresses >25% against the committed
-    baseline.  Run the other micro-benches first to produce fresh numbers.
-    ``REPRO_PERF_THRESHOLD`` widens/narrows the tolerance (a fraction,
-    e.g. ``0.4``) so slower or noisier CI hosts can gate without flaking.
-    """
-    import check_regression
-    args = []
-    threshold = os.environ.get("REPRO_PERF_THRESHOLD")
-    if threshold:
-        args = ["--threshold", threshold]
-    rc = check_regression.main(args)
-    assert rc == 0, "performance regression against committed baseline"

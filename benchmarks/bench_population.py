@@ -9,24 +9,24 @@ bench runs the default
 flows, mixed iq/rudp/tcp, 50 Mbps fluid cross traffic on a 200 Mbps
 bottleneck -- and gates:
 
-* the hard ISSUE budget, ``wall_s`` < 60 on a 1-core host (also enforced
-  as a ``wall_s_max`` ceiling in ``perf_baseline.json``);
-* throughput floors ``flows_per_s`` / ``datagrams_per_s`` via
-  ``check_regression.py``;
+* the wall-clock budget, ``wall_s`` < 60 on a 1-core host;
 * scenario sanity: every flow completes, and the summary is a pure
   function of the seed (two runs, identical summaries).
+
+It prints the wall and the rates; ``population_1k`` in ``benchmarks/e2e/``
+is the same scenario per packet, scaled to a reference host.
 """
 
 import time
 
 from repro.experiments.population import run_population
 
-#: Hard wall-clock budget from the ISSUE acceptance criteria (seconds).
+#: Hard wall-clock budget for the default 1,000-flow run (seconds).
 WALL_BUDGET_S = 60.0
 
 
-def bench_population_scale(benchmark, perf_record):
-    """1,000-flow population run: wall budget + determinism + floors."""
+def bench_population_scale(benchmark):
+    """1,000-flow population run: wall budget + determinism."""
     t0 = time.perf_counter()
     res = run_population()
     wall_s = time.perf_counter() - t0
@@ -43,13 +43,8 @@ def bench_population_scale(benchmark, perf_record):
     res2 = run_population()
     assert res2.summary == s, "population summary is not deterministic"
 
-    perf_record("bench_population",
-                wall_s=round(wall_s, 3),
-                flows_per_s=s["flows"] / wall_s,
-                datagrams_per_s=s["datagrams"] / wall_s,
-                flows=s["flows"],
-                completed=s["completed"],
-                duration_s=round(s["duration_s"], 3),
-                events=s["events"],
-                fairness=round(s["fairness"], 4))
+    print(f"\npopulation: {s['flows']:.0f} flows in {wall_s:.2f} s wall "
+          f"(budget {WALL_BUDGET_S:.0f}), {s['flows'] / wall_s:.0f} flows/s, "
+          f"{s['datagrams'] / wall_s:,.0f} datagrams/s, "
+          f"{s['events']:.0f} events, fairness {s['fairness']:.4f}")
     benchmark.pedantic(run_population, rounds=1, iterations=1)

@@ -16,8 +16,6 @@ the cache (default ``~/.cache/repro-iq-rudp``).
 
 from __future__ import annotations
 
-import json
-import os
 import pathlib
 
 import pytest
@@ -25,7 +23,6 @@ import pytest
 from repro.runner import memo
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-PERF_JSON = RESULTS_DIR / "bench_perf.json"
 
 _cache: dict[str, object] = {}
 
@@ -41,33 +38,6 @@ def cached(key: str, fn):
     return _cache[key]
 
 
-def record_perf(name: str, **fields) -> None:
-    """Merge one bench's machine-readable timings into bench_perf.json.
-
-    Accumulates across benches in the same file so a full run leaves one
-    JSON artifact; ``check_regression.py`` compares it to the committed
-    baseline.  When ``REPRO_LEDGER_DIR`` is armed, the same row is also
-    appended to the persistent run ledger -- ``bench_perf.json`` is
-    overwritten on every rerun, the ledger keeps the trajectory
-    (``repro history NAME`` / ``repro sentinel``).
-    """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    data: dict = {}
-    if PERF_JSON.exists():
-        try:
-            data = json.loads(PERF_JSON.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data.setdefault(name, {}).update(fields)
-    # Atomic replace: concurrent/interrupted benches never leave a torn
-    # (half-written) JSON for check_regression.py to choke on.
-    tmp = PERF_JSON.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, PERF_JSON)
-    from repro.obs.ledger import record_run
-    record_run("bench", name, fields)
-
-
 @pytest.fixture()
 def report():
     """Returns a writer: report(name, text) prints and persists a block."""
@@ -79,8 +49,3 @@ def report():
 
     return _write
 
-
-@pytest.fixture()
-def perf_record():
-    """Fixture handle on :func:`record_perf` for the micro-benches."""
-    return record_perf

@@ -35,7 +35,6 @@ import signal
 import time
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
-from ..obs.ledger import record_run
 from ..obs.live import HeartbeatWriter, heartbeat_enabled, read_heartbeats
 from ..runner.failures import BatchExecutionError, FailedResult
 from ..runner.pool import run_batch, run_one
@@ -264,14 +263,12 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
     cells = campaign.cells()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    t0 = time.monotonic()
 
     if dir is None:
         batch = run_batch({c.key: c.config for c in cells}, jobs=workers,
                           cache=cache, on_error="capture", timeout=timeout,
                           retries=retries)
-        return _ledgered(CampaignRun(campaign, dict(batch)),
-                         time.monotonic() - t0)
+        return CampaignRun(campaign, dict(batch))
 
     store = CampaignStore(dir, lease_s=lease_s)
     store.init(campaign)
@@ -290,10 +287,9 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
                         retries=retries, on_cell=on_cell)
         finally:
             bar.finish()
-        return _ledgered(
-            _collect_and_heal(store, campaign, cells, results, cache=cache,
-                              timeout=timeout, retries=retries),
-            time.monotonic() - t0)
+        return _collect_and_heal(store, campaign, cells, results,
+                                 cache=cache, timeout=timeout,
+                                 retries=retries)
 
     # Multi-process fan-out: children coordinate purely through the store;
     # the parent only paints progress and handles SIGINT.
@@ -330,33 +326,13 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
         raise
     finally:
         bar.finish()
-    return _ledgered(
-        _collect_and_heal(store, campaign, cells, results, cache=cache,
-                          timeout=timeout, retries=retries),
-        time.monotonic() - t0)
+    return _collect_and_heal(store, campaign, cells, results, cache=cache,
+                             timeout=timeout, retries=retries)
 
 
 def _heartbeat_failed(store: CampaignStore) -> int:
     return sum(hb.get("failed", 0) for hb in read_heartbeats(
         store.heartbeat_dir) if isinstance(hb.get("failed"), int))
-
-
-def _ledgered(run: CampaignRun, duration_s: float) -> CampaignRun:
-    """Append the finished campaign's summary row to the run ledger
-    (no-op unless ``REPRO_LEDGER_DIR`` is armed)."""
-    import hashlib
-    done = len(run.results_by_key)
-    failed = sum(1 for r in run.results_by_key.values()
-                 if isinstance(r, FailedResult))
-    fingerprint = hashlib.sha256(
-        "\n".join(c.key for c in run.cells).encode()).hexdigest()[:20]
-    record_run("campaign", run.campaign.name, {
-        "cells_total": len(run.cells), "cells_done": done,
-        "cells_failed": failed,
-        "cells_per_s": round(done / duration_s, 4) if duration_s > 0 else 0.0,
-    }, fingerprint=fingerprint,
-        timings={"duration_s": round(duration_s, 4)})
-    return run
 
 
 def run_rows(rows, *, name: str, dir: "str | os.PathLike | None" = None,

@@ -429,56 +429,6 @@ def _serve_cmd(args) -> int:
     return 0
 
 
-def _resolve_ledger(args):
-    """The ledger named by ``--ledger-dir``/env, or None (caller errors)."""
-    from .obs.ledger import RunLedger, ledger_dir
-    root = args.ledger_dir or ledger_dir()
-    if root is None:
-        print("error: no run ledger configured; set REPRO_LEDGER_DIR or "
-              "pass --ledger-dir", file=sys.stderr)
-        return None
-    return RunLedger(root)
-
-
-def _history_cmd(args) -> int:
-    from .obs.ledger import render_history
-    ledger = _resolve_ledger(args)
-    if ledger is None:
-        return 2
-    records = ledger.read(key=args.key)
-    if not records:
-        known = ", ".join(ledger.keys()) or "(ledger is empty)"
-        print(f"error: no ledger records for {args.key!r}; known keys: "
-              f"{known}", file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-        print(json.dumps(records, indent=1, sort_keys=True))
-        return 0
-    print(render_history(records, metrics=_metrics_arg(args),
-                         limit=args.limit))
-    return 0
-
-
-def _sentinel_cmd(args) -> int:
-    from .obs.ledger import render_sentinel, sentinel_verdicts
-    ledger = _resolve_ledger(args)
-    if ledger is None:
-        return 2
-    records = ledger.read()
-    if args.keys:
-        wanted = set(args.keys)
-        records = [r for r in records if r["key"] in wanted]
-    verdicts = sentinel_verdicts(records, window=args.window,
-                                 tolerance=args.tolerance)
-    if args.json:
-        import json
-        print(json.dumps(verdicts, indent=1, sort_keys=True))
-    else:
-        print(render_sentinel(verdicts))
-    return 1 if any(v["verdict"] == "regression" for v in verdicts) else 0
-
-
 def _report_campaign_cmd(args) -> str:
     from .campaign import CampaignStore
     store = CampaignStore(args.dir)
@@ -815,42 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--expiry", type=float, default=300.0, metavar="S",
                     help="heartbeat staleness window in seconds "
                          "(default: the 300s claim lease)")
-
-    hi = _command(
-        sub, "history", _history_cmd,
-        help="metric trajectories for one run-ledger key across runs "
-             "(requires REPRO_LEDGER_DIR or --ledger-dir)")
-    hi.add_argument("key", help="ledger key: a bench name, campaign name "
-                                "or batch row label")
-    hi.add_argument("--metrics", metavar="NAMES", default=None,
-                    help="comma-separated metrics to plot (default: the "
-                         "newest record's directional metrics)")
-    hi.add_argument("--ledger-dir", metavar="DIR", default=None,
-                    help="run-ledger directory (default: "
-                         "$REPRO_LEDGER_DIR)")
-    hi.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="show at most the newest N runs")
-    hi.add_argument("--json", action="store_true",
-                    help="emit the raw ledger records as JSON")
-
-    se = _command(
-        sub, "sentinel", _sentinel_cmd,
-        help="regression sentinel: judge each ledger key's newest run "
-             "against the median of a rolling window of its predecessors; "
-             "exit 1 when any directional metric regressed beyond "
-             "tolerance")
-    se.add_argument("keys", nargs="*",
-                    help="ledger keys to judge (default: every key)")
-    se.add_argument("--window", type=int, default=5, metavar="N",
-                    help="reference runs per key (default 5)")
-    se.add_argument("--tolerance", type=float, default=0.10, metavar="F",
-                    help="fractional drift treated as noise (default "
-                         "0.10 = 10%%)")
-    se.add_argument("--ledger-dir", metavar="DIR", default=None,
-                    help="run-ledger directory (default: "
-                         "$REPRO_LEDGER_DIR)")
-    se.add_argument("--json", action="store_true",
-                    help="emit the typed verdicts as JSON")
 
     rp = _command(sub, "report", _run_report_cmd,
                   help="render timeline + coordination audit for a "

@@ -392,8 +392,10 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     # periodic read-only checker.  Armed and disarmed runs produce
     # bit-identical summaries -- checks observe, never steer -- so the
     # flag deliberately *is* part of the config (and the cache key): a
-    # violation aborts the run, which is a different outcome.
-    armed = cfg.invariants or bool(os.environ.get("REPRO_INVARIANTS"))
+    # violation aborts the run, which is a different outcome.  Like every
+    # other switch, ``REPRO_INVARIANTS`` reads empty and ``0`` as off.
+    armed = cfg.invariants or (
+        os.environ.get("REPRO_INVARIANTS", "") not in ("", "0"))
     if profile is not None:
         if armed:
             raise ValueError(

@@ -30,6 +30,9 @@ package provides the run-level evidence chain:
 * :mod:`.spans` -- causal frame-lineage spans linking application frames
   to datagram attempts, drops and coordination episodes
   (``ScenarioConfig(spans=True)``, ``repro lineage``).
+* :mod:`.live` -- campaign worker heartbeats and the one directory
+  snapshot behind ``campaign status``, ``campaign watch`` and
+  ``repro serve``.
 """
 
 from .bus import NULL_BUS, NullBus, TraceBus

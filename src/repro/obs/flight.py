@@ -28,8 +28,9 @@ Design constraints, in order:
    pickling, the worker pipe and the persistent cache unchanged.
 
 ``REPRO_FLIGHT`` controls the recorder globally: unset or empty keeps the
-default capacity, an integer overrides it, and ``0`` disables recording
-entirely (debugging aid only -- dumps are part of the result artifact).
+default capacity, a positive integer overrides it, and ``0`` disables
+recording entirely (debugging aid only -- dumps are part of the result
+artifact).
 """
 
 from __future__ import annotations
@@ -109,19 +110,17 @@ def flight_from_env() -> FlightRecorder | None:
     """Build the per-run recorder according to ``REPRO_FLIGHT``.
 
     Unset/empty -> default capacity; ``0`` -> disabled (returns None);
-    any other integer -> that capacity.  Invalid values fall back to the
-    default rather than killing the run.
+    a positive integer -> that capacity.  Invalid values (not an integer,
+    or negative) fall back to the default rather than killing the run.
     """
     raw = os.environ.get("REPRO_FLIGHT", "").strip()
-    if not raw:
-        return FlightRecorder()
     try:
         cap = int(raw)
     except ValueError:
         return FlightRecorder()
     if cap == 0:
         return None
-    return FlightRecorder(capacity=cap)
+    return FlightRecorder(capacity=cap if cap > 0 else DEFAULT_CAPACITY)
 
 
 def first_divergence(a: Mapping[str, Any] | None,

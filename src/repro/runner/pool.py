@@ -35,7 +35,7 @@ exponential backoff and SIGINT drains with partial results.  With
 returns the failures in-place so sweeps can triage.
 
 Every branch hands each result, as it arrives, to one landing -- keep it,
-cache it, ledger it, count it -- so whatever finished before a later
+cache it, count it -- so whatever finished before a later
 scenario raised, or before Ctrl-C, is a cache hit on the next call.  A
 batch that must outlive its process runs through a campaign directory
 (:func:`repro.campaign.run_rows`, ``--campaign-dir``): claimed, resumable,
@@ -44,18 +44,16 @@ shared between processes.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Mapping, Sequence
 
 from ..experiments.common import ScenarioConfig, ScenarioResult, run_scenario
-from ..obs.ledger import ledger_enabled, record_run
 from ..obs.sinks import RingBufferSink, write_trace
 from .cache import ResultsCache, cache_enabled, default_cache
 from .failures import BatchExecutionError, FailedResult
-from .hashing import config_fingerprint, config_key
+from .hashing import config_key
 from .progress import SweepProgress
 from .supervisor import classify_exception, describe_config, run_supervised
 
@@ -225,28 +223,18 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses))
 
     def _land(i: int, res: Any) -> None:
-        """Keep, cache, ledger and count one result as it arrives (event
-        streams stay out of cache and ledger: they are per-run evidence,
-        not results)."""
+        """Keep, cache and count one result as it arrives (event streams
+        stay out of the cache: they are per-run evidence, not results)."""
         results[i] = res
-        if isinstance(res, ScenarioResult):
-            if keys[i] is not None:
-                events = res.trace
-                res.trace = None
-                try:
-                    store.put(keys[i], res)
-                except (pickle.PicklingError, TypeError, AttributeError):
-                    pass  # unpicklable payloads just skip persistence
-                finally:
-                    res.trace = events
-            if ledger_enabled():
-                fp = config_fingerprint(cfgs[i])
-                digest = (hashlib.sha256(fp.encode()).hexdigest()[:20]
-                          if fp is not None else None)
-                record_run(
-                    "scenario",
-                    str(names[i]) if keyed else f"cfg:{digest or 'dynamic'}",
-                    res.summary, fingerprint=digest)
+        if isinstance(res, ScenarioResult) and keys[i] is not None:
+            events = res.trace
+            res.trace = None
+            try:
+                store.put(keys[i], res)
+            except (pickle.PicklingError, TypeError, AttributeError):
+                pass  # unpicklable payloads just skip persistence
+            finally:
+                res.trace = events
         progress.update(failed=isinstance(res, FailedResult))
 
     try:

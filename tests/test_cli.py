@@ -139,9 +139,33 @@ def _leaf_parsers(parser):
 
 def test_every_subcommand_registers_its_handler():
     leaves = list(_leaf_parsers(build_parser()))
-    assert len(leaves) == 23 + 5  # top-level commands + campaign actions
+    assert len(leaves) == 21 + 5  # top-level commands + campaign actions
     for leaf in leaves:
         assert callable(leaf.get_default("func")), leaf.prog
+
+
+@pytest.mark.parametrize("argv", [["history", "table2-grid"], ["sentinel"]])
+def test_retired_ledger_commands_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_environment_switch_census():
+    """Every ``REPRO_*`` switch the package reads, by string literal.  A
+    seventh switch means editing this list on purpose."""
+    import ast
+    import pathlib
+    import re
+    import repro
+    found = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.update(re.findall(r"\bREPRO_[A-Z_]+", node.value))
+    assert found == {"REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_PROGRESS",
+                     "REPRO_FLIGHT", "REPRO_INVARIANTS", "REPRO_HEARTBEAT"}
 
 
 def test_experiments_are_the_ten_declarations():

@@ -71,6 +71,14 @@ def test_flight_from_env_semantics(monkeypatch):
     assert flight_from_env().capacity == DEFAULT_CAPACITY
 
 
+def test_negative_repro_flight_keeps_the_run_and_the_default_ring(
+        monkeypatch):
+    monkeypatch.setenv("REPRO_FLIGHT", "-1")
+    assert flight_from_env().capacity == DEFAULT_CAPACITY
+    res = run_scenario(_small(n_frames=20))
+    assert res.flight["capacity"] == DEFAULT_CAPACITY
+
+
 def _dump(n, *, capacity=8):
     fl = FlightRecorder(capacity=capacity)
     for i in range(n):

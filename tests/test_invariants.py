@@ -238,6 +238,17 @@ def test_env_var_arms_invariants(monkeypatch):
     assert res.invariant_checks > 0
 
 
+@pytest.mark.parametrize("value", ["", "0"])
+def test_env_var_zero_or_empty_disarms(monkeypatch, value):
+    # Like REPRO_FLIGHT / REPRO_HEARTBEAT / REPRO_PROGRESS, "0" is off --
+    # which also leaves the (engine-replacing) profiler usable.
+    from repro.obs.profiler import profile_scenario
+    monkeypatch.setenv("REPRO_INVARIANTS", value)
+    assert run_scenario(_armed(invariants=False)).invariant_checks == 0
+    res, prof = profile_scenario(_armed(invariants=False))
+    assert res.invariant_checks == 0 and prof.events_fired > 0
+
+
 def test_armed_run_with_faults_and_cross_traffic():
     from repro.faults.schedule import Blackout, FaultSchedule
     res = run_scenario(_armed(
