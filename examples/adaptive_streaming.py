@@ -19,7 +19,7 @@ from repro.middleware.echo import EventChannel
 from repro.sim.engine import Simulator
 from repro.sim.topology import Dumbbell
 from repro.traffic.cbr import CbrSource
-from repro.transport.iq_rudp import IqRudpConnection
+from repro.transport.rudp import RudpConnection
 from repro.transport.udp import UdpSender
 
 FRAME_RATE = 100.0        # snapshots per second
@@ -104,8 +104,8 @@ def main() -> None:
     def on_deliver(pkt, now):
         channel_holder["ch"].on_deliver(pkt, now)
 
-    conn = IqRudpConnection(sim, snd, rcv, metric_period=0.25,
-                            on_deliver=on_deliver)
+    conn = RudpConnection(sim, snd, rcv, metric_period=0.25,
+                          on_deliver=on_deliver, law="iq")
     channel = EventChannel(sim, conn, name="snapshots")
     channel_holder["ch"] = channel
     channel.subscribe(lambda ev: latencies.append(ev.latency))

@@ -27,7 +27,6 @@ from repro.middleware.receiver import DeliveryLog
 from repro.sim.engine import Simulator
 from repro.sim.topology import Dumbbell
 from repro.traffic.cbr import CbrSource
-from repro.transport.iq_rudp import IqRudpConnection
 from repro.transport.rudp import RudpConnection
 from repro.transport.udp import UdpSender
 
@@ -103,9 +102,9 @@ def transfer(coordinated: bool) -> dict:
     net = Dumbbell(sim)
     snd, rcv = net.add_flow_hosts("ftp")
     log = DeliveryLog()
-    cls = IqRudpConnection if coordinated else RudpConnection
-    conn = cls(sim, snd, rcv, loss_tolerance=0.5, metric_period=0.25,
-               on_deliver=log.on_deliver)
+    conn = RudpConnection(sim, snd, rcv, loss_tolerance=0.5,
+                          metric_period=0.25, on_deliver=log.on_deliver,
+                          law="iq" if coordinated else "rudp")
     ftp = IqFtpSender(sim, conn)
 
     # Congest the path for the middle of the transfer.

@@ -6,7 +6,7 @@ from .attributes import (ADAPT_COND, ADAPT_FREQ, ADAPT_MARK, ADAPT_PKTSIZE,
                          NET_RTT, RELIABILITY_TOLERANCE, AttributeService,
                          AttributeSet)
 from .callbacks import CallbackRegistry, ThresholdCallback
-from .coordination import Coordinator, IQCoordinator, NullCoordinator
+from .coordination import LAWS, RULES, Coordinator
 from .metrics_export import MetricsWindow, PeriodMetrics
 
 __all__ = [
@@ -14,6 +14,6 @@ __all__ = [
     "NET_CWND", "NET_ERROR_RATIO", "NET_RATE", "NET_RTT",
     "RELIABILITY_TOLERANCE", "AttributeService", "AttributeSet",
     "CallbackRegistry", "ThresholdCallback",
-    "Coordinator", "IQCoordinator", "NullCoordinator",
+    "Coordinator", "LAWS", "RULES",
     "MetricsWindow", "PeriodMetrics",
 ]

@@ -42,6 +42,9 @@ the measured Table 8 ordering; we implement the evident intent::
 
 i.e. compensate the frame-size reduction, then scale by how the loss ratio
 drifted while the adaptation was pending.
+
+Each scheme is a rule of :data:`RULES`; a transport names its law, the row
+of :data:`LAWS` it applies (plain RUDP is the empty law).
 """
 
 from __future__ import annotations
@@ -51,62 +54,29 @@ from ..obs.events import ATTR_RECEIVED, COORD_ACTION
 from .attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ, ADAPT_MARK,
                          ADAPT_PKTSIZE, ADAPT_WHEN, AttributeSet)
 
-__all__ = ["Coordinator", "NullCoordinator", "IQCoordinator"]
+__all__ = ["Coordinator", "RULES", "LAWS"]
 
 
 class Coordinator:
-    """Interface the sender drives.  Subclasses implement the schemes."""
+    """The coordination engine the sender drives, under one law.
 
-    def bind(self, sender) -> None:
-        """Attach to a sender (called from the sender's constructor)."""
-        self.sender = sender
-
-    def on_callback_result(self, attrs: AttributeSet) -> None:
-        """Attributes returned by a threshold callback."""
-
-    def on_send_attrs(self, attrs: AttributeSet) -> None:
-        """Attributes piggybacked on a data submit (``cmwritev_attr``)."""
-
-    def on_stall(self, now: float) -> None:
-        """The sender's stall detector declared the path dead (see
-        ``stall_threshold`` in :class:`~repro.transport.base
-        .WindowedSender`).  Default: no reaction."""
-
-    def on_resume(self, now: float) -> None:
-        """Forward progress resumed after a stall.  Default: no reaction."""
-
-    def on_period(self, pm) -> None:
-        """One metric period rolled (the sender's measuring-period tick);
-        ``pm`` is the :class:`~repro.core.metrics_export.PeriodMetrics`
-        snapshot.  Default: no reaction."""
-
-
-class NullCoordinator(Coordinator):
-    """Plain RUDP: application adaptations are invisible to the transport.
-
-    This is the uncoordinated baseline every experiment compares against --
-    the transport still adapts its window to congestion, but knows nothing
-    about what the application is doing.
+    ``law`` names a row of :data:`LAWS`, the :data:`RULES` it applies.
+    ``"rudp"`` is the empty law: plain RUDP still adapts its window to
+    congestion but hears nothing the application says, so it reports
+    nothing and changes nothing.  ``"iq"`` is full IQ-RUDP; each
+    ``iq_no*`` row drops one scheme (Table 8's "w/o ADAPT_COND" is
+    ``"iq_nocond"``).  A rule that reacts to an attribute also owns that
+    concern's transport-initiated half: ``discard`` sheds unmarked backlog
+    through a stall, ``fec`` boosts redundancy around one and runs the
+    per-period redundancy controller.
     """
 
-
-class IQCoordinator(Coordinator):
-    """Full IQ-RUDP coordination.
-
-    Ablation switches:
-
-    * ``discard_unmarked`` -- conflict scheme on/off.
-    * ``reinflate_window`` -- over-reaction scheme on/off.
-    * ``use_adapt_cond`` -- obsolete-information correction on/off
-      (Table 8's "IQ-RUDP w/o ADAPT_COND" sets this False).
-    """
-
-    def __init__(self, *, discard_unmarked: bool = True,
-                 reinflate_window: bool = True,
-                 use_adapt_cond: bool = True):
-        self.enable_discard = discard_unmarked
-        self.enable_reinflate = reinflate_window
-        self.use_adapt_cond = use_adapt_cond
+    def __init__(self, law: str = "rudp"):
+        if law not in LAWS:
+            raise ValueError(f"unknown coordination law {law!r} "
+                             f"(one of {', '.join(LAWS)})")
+        self.law = law
+        self.rules = LAWS[law]
         self.sender = None
         # Introspection counters (used by tests and EXPERIMENTS.md notes).
         self.window_rescales = 0
@@ -114,8 +84,6 @@ class IQCoordinator(Coordinator):
         self.pending_adaptations = 0
         self.cond_corrections = 0
         self.freq_adaptations = 0
-        self.stalls = 0
-        self.stall_recoveries = 0
         self.fec_adaptations = 0
         self.fec_boosts = 0
         self._discard_before_stall: bool | None = None
@@ -127,11 +95,17 @@ class IQCoordinator(Coordinator):
         self._fec_clean_periods = 0
         self._fec_min_rtt: float | None = None
 
+    def bind(self, sender) -> None:
+        """Attach to a sender (called from the sender's constructor)."""
+        self.sender = sender
+
     # ------------------------------------------------------------------
     def on_callback_result(self, attrs: AttributeSet) -> None:
+        """Attributes returned by a threshold callback."""
         self._apply(attrs)
 
     def on_send_attrs(self, attrs: AttributeSet) -> None:
+        """Attributes piggybacked on a data submit (``cmwritev_attr``)."""
         self._apply(attrs)
 
     @property
@@ -154,11 +128,13 @@ class IQCoordinator(Coordinator):
                     action=action, **fields)
 
     # ------------------------------------------------------------------
-    # Stall-driven graceful degradation (network-dynamics hardening).
-    # While the path is believed dead the sender sheds unmarked backlog --
+    # Transport-initiated actions: the sender's stall detector declared
+    # the path dead (see ``stall_threshold`` in :class:`~repro.transport
+    # .base.WindowedSender`), or forward progress resumed.  While the path
+    # is believed dead the ``discard`` rule sheds unmarked backlog --
     # there is no point queueing droppable data behind an outage -- so the
     # data the application cares about goes first the moment the link
-    # returns.  The pre-stall discard policy is restored on resume; these
+    # returns; the pre-stall discard policy is restored on resume.  These
     # actions carry no ``attr_seq`` because no application attribute
     # exchange caused them (the report shows them as transport-initiated).
     # ------------------------------------------------------------------
@@ -166,10 +142,10 @@ class IQCoordinator(Coordinator):
         snd = self.sender
         if snd is None:
             return
-        self._fec_stall_boost(snd)
-        if not self.enable_discard:
+        if "fec" in self.rules:
+            self._fec_stall_boost(snd)
+        if "discard" not in self.rules:
             return
-        self.stalls += 1
         if self._discard_before_stall is None:
             self._discard_before_stall = snd.discard_unmarked
         snd.discard_unmarked = True
@@ -177,13 +153,13 @@ class IQCoordinator(Coordinator):
                   restored_policy=self._discard_before_stall)
 
     def on_resume(self, now: float) -> None:
+        # Only a rule's own ``on_stall`` half leaves state to undo here.
         snd = self.sender
         if snd is None:
             return
         self._fec_stall_relax(snd)
         if self._discard_before_stall is None:
             return
-        self.stall_recoveries += 1
         snd.discard_unmarked = self._discard_before_stall
         self._discard_before_stall = None
         self._act("stall_recover", discard_unmarked=snd.discard_unmarked)
@@ -230,8 +206,11 @@ class IQCoordinator(Coordinator):
             self._act("fec_relax", r_before=r_before, r_after=r_after)
 
     def on_period(self, pm) -> None:
+        """One metric period rolled (the sender's measuring-period tick);
+        ``pm`` is the :class:`~repro.core.metrics_export.PeriodMetrics`
+        snapshot.  The ``fec`` rule's redundancy controller runs here."""
         snd = self.sender
-        if snd is None:
+        if snd is None or "fec" not in self.rules:
             return
         fx = getattr(snd, "fec_tx", None)
         if fx is None or not fx.state.cfg.adaptive:
@@ -287,6 +266,8 @@ class IQCoordinator(Coordinator):
 
     # ------------------------------------------------------------------
     def _apply(self, attrs: AttributeSet) -> None:
+        if not self.rules:
+            return
         snd = self.sender
         if snd is None:
             raise RuntimeError("coordinator not bound to a sender")
@@ -308,65 +289,92 @@ class IQCoordinator(Coordinator):
             self._act("pending", seq)
             return
 
-        if ADAPT_MARK in attrs and self.enable_discard:
-            p = float(attrs[ADAPT_MARK])
-            want = p > 1e-9
-            changed = want != snd.discard_unmarked
-            if changed:
-                self.discard_switches += 1
-            snd.discard_unmarked = want
-            self._act("discard", seq, enabled=want, changed=changed,
-                      unmark_p=p)
+        for attr, rule in _BOUND[self.law]:
+            if attr in attrs:
+                rule(self, snd, attrs[attr], attrs, seq)
 
-        if ADAPT_FREQ in attrs:
-            # Deliberately no window change (see module docstring).
-            self.freq_adaptations += 1
-            self._act("freq_no_window_change", seq,
-                      freq_chg=float(attrs[ADAPT_FREQ]))
+    # ------------------------------------------------------------------
+    # The rules' attribute-driven halves, one method each; ``value`` is
+    # ``attrs[RULES[rule]]``.
+    # ------------------------------------------------------------------
+    def _discard(self, snd, value, attrs, seq) -> None:
+        p = float(value)
+        want = p > 1e-9
+        changed = want != snd.discard_unmarked
+        if changed:
+            self.discard_switches += 1
+        snd.discard_unmarked = want
+        self._act("discard", seq, enabled=want, changed=changed, unmark_p=p)
 
-        if ADAPT_FEC in attrs:
-            requested = int(attrs[ADAPT_FEC])
-            fx = getattr(snd, "fec_tx", None)
-            if fx is not None:
-                state = fx.state
-                r_before = state.r
-                r_after = state.set_redundancy(requested)
-                changed = r_after != r_before
-                if changed:
-                    self.fec_adaptations += 1
-                    self._fec_clean_periods = 0
-                self._act("fec_redundancy", seq, requested=requested,
-                          r_before=r_before, r_after=r_after,
-                          changed=changed)
-            else:
-                # The application asked for coding on a connection with no
-                # FEC tier: record the mismatch, change nothing.
-                self._act("fec_unavailable", seq, requested=requested)
+    def _freq(self, snd, value, attrs, seq) -> None:
+        # Deliberately no window change (see module docstring).
+        self.freq_adaptations += 1
+        self._act("freq_no_window_change", seq, freq_chg=float(value))
 
-        if ADAPT_PKTSIZE in attrs and self.enable_reinflate:
-            rate_chg = float(attrs[ADAPT_PKTSIZE])
-            if rate_chg >= 1.0:
-                raise ValueError(f"ADAPT_PKTSIZE rate_chg {rate_chg} >= 1")
-            if snd.last_frame_size < snd.mss:
-                base_factor = 1.0 / (1.0 - rate_chg)
-                factor = base_factor
-                drift = 1.0
-                cond = attrs.get(ADAPT_COND)
-                if cond is not None and self.use_adapt_cond:
-                    e_old = float(cond.get("error_ratio", 0.0))
-                    e_new = snd.current_error_ratio()
-                    if e_old < 1.0:
-                        drift = (1.0 - e_new) / (1.0 - e_old)
-                        factor *= drift
-                        self.cond_corrections += 1
-                cwnd_before = snd.cc.cwnd
-                snd.cc.scale_window(factor)
-                self.window_rescales += 1
-                self._act("window_rescale", seq, rate_chg=rate_chg,
-                          base_factor=base_factor, drift=drift,
-                          factor=factor, cwnd_before=cwnd_before,
-                          cwnd_after=snd.cc.cwnd)
-            else:
-                self._act("rescale_skipped_large_frame", seq,
-                          rate_chg=rate_chg,
-                          last_frame_size=snd.last_frame_size, mss=snd.mss)
+    def _fec(self, snd, value, attrs, seq) -> None:
+        requested = int(value)
+        fx = getattr(snd, "fec_tx", None)
+        if fx is None:
+            # The application asked for coding on a connection with no
+            # FEC tier: record the mismatch, change nothing.
+            self._act("fec_unavailable", seq, requested=requested)
+            return
+        state = fx.state
+        r_before = state.r
+        r_after = state.set_redundancy(requested)
+        changed = r_after != r_before
+        if changed:
+            self.fec_adaptations += 1
+            self._fec_clean_periods = 0
+        self._act("fec_redundancy", seq, requested=requested,
+                  r_before=r_before, r_after=r_after, changed=changed)
+
+    def _reinflate(self, snd, value, attrs, seq) -> None:
+        rate_chg = float(value)
+        if rate_chg >= 1.0:
+            raise ValueError(f"ADAPT_PKTSIZE rate_chg {rate_chg} >= 1")
+        if snd.last_frame_size >= snd.mss:
+            self._act("rescale_skipped_large_frame", seq, rate_chg=rate_chg,
+                      last_frame_size=snd.last_frame_size, mss=snd.mss)
+            return
+        base_factor = 1.0 / (1.0 - rate_chg)
+        factor = base_factor
+        drift = 1.0
+        cond = attrs.get(ADAPT_COND)
+        if cond is not None and "cond" in self.rules:
+            e_old = float(cond.get("error_ratio", 0.0))
+            e_new = snd.current_error_ratio()
+            if e_old < 1.0:
+                drift = (1.0 - e_new) / (1.0 - e_old)
+                factor *= drift
+                self.cond_corrections += 1
+        cwnd_before = snd.cc.cwnd
+        snd.cc.scale_window(factor)
+        self.window_rescales += 1
+        self._act("window_rescale", seq, rate_chg=rate_chg,
+                  base_factor=base_factor, drift=drift, factor=factor,
+                  cwnd_before=cwnd_before, cwnd_after=snd.cc.cwnd)
+
+
+#: The coordination rules in evaluation order: rule -> the attribute it
+#: reacts to.  ``cond`` (section 3.5) reacts to none of its own: it
+#: qualifies ``reinflate`` with Eq. 1's drift.
+RULES = {"discard": ADAPT_MARK, "freq": ADAPT_FREQ, "fec": ADAPT_FEC,
+         "reinflate": ADAPT_PKTSIZE, "cond": None}
+
+#: Coordination law -> the rules it applies.  Plain RUDP is the empty
+#: law; each ``iq_no*`` row is one of the paper's ablations.
+LAWS = {
+    "rudp": frozenset(),
+    "iq": frozenset(RULES),
+    "iq_nocond": frozenset(RULES) - {"cond"},
+    "iq_nodiscard": frozenset(RULES) - {"discard"},
+    "iq_noreinflate": frozenset(RULES) - {"reinflate"},
+}
+
+#: Law -> ``(attribute, rule body)`` in evaluation order, what ``_apply``
+#: walks (a module table, so a pickled coordinator holds names only).
+_BOUND = {law: tuple((attr, getattr(Coordinator, "_" + rule))
+                     for rule, attr in RULES.items()
+                     if rule in rules and attr is not None)
+          for law, rules in LAWS.items()}

@@ -21,6 +21,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable
 
 from ..analysis.stats import flow_summary
+from ..core.coordination import LAWS
 from ..faults import FaultInjector, FaultSchedule
 from ..invariants import CheckedSimulator, InvariantChecker
 from ..middleware.adaptation import (ADAPTATIONS, AdaptationStrategy,
@@ -44,7 +45,6 @@ from ..traffic.mbone import mbone_trace, trace_frame_sizes
 from ..traffic.vbr import VbrSource
 from ..transport.cc import FixedWindowCC, RenoCC
 from ..transport.fec import FecConfig
-from ..transport.iq_rudp import IqRudpConnection
 from ..transport.rudp import RudpConnection
 from ..transport.tcp import TcpConnection
 from ..transport.udp import UdpSender
@@ -52,8 +52,11 @@ from ..transport.udp import UdpSender
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario",
            "TRANSPORTS", "make_transport", "parse_field", "did_you_mean"]
 
-#: Transport-under-test factory registry.  Each entry builds a connection
-#: given (sim, sender_host, receiver_host, config kwargs).
+#: Transport-under-test names (CLI choices and the fuzzer's draw order):
+#: ``tcp`` is its own connection, every other name a :class:`RudpConnection`
+#: under a congestion law and the coordination law of that name
+#: (:data:`~repro.core.coordination.LAWS`, else ``"rudp"``); see
+#: :func:`make_transport`.
 TRANSPORTS = ("tcp", "rudp", "rudp_nocc", "rudp_reno", "iq", "iq_nocond",
               "iq_nodiscard", "iq_noreinflate")
 
@@ -155,6 +158,10 @@ class ScenarioConfig:
         if v["fec"] is not None and v["transport"] == "tcp":
             raise ValueError("TCP has no FEC repair tier (fec requires a "
                              "rudp-family transport)")
+        if (v["adaptation"] not in (None, NullAdaptation)
+                and v["transport"] == "tcp"):
+            raise ValueError("TCP has no adaptation callbacks (an "
+                             "adaptation requires a rudp-family transport)")
         if v["frame_deadline_s"] < 0:
             raise ValueError("frame_deadline_s must be non-negative")
         v["fluid_bps"] = float(v["fluid_bps"])
@@ -309,6 +316,8 @@ def make_transport(name: str, sim: Simulator, snd_host, rcv_host, *,
     runs are bit-identical to the pre-dynamics code path.  ``fec`` arms
     the XOR repair tier on any rudp-family transport (TCP rejects it).
     """
+    if name not in TRANSPORTS:
+        raise ValueError(f"unknown transport {name!r}")
     hard = hardening or {}
     if name == "tcp":
         if fec is not None:
@@ -316,31 +325,16 @@ def make_transport(name: str, sim: Simulator, snd_host, rcv_host, *,
         return TcpConnection(sim, snd_host, rcv_host, mss=mss,
                              metric_period=metric_period,
                              on_deliver=on_deliver, **hard)
-    kw: dict[str, Any] = dict(mss=mss, metric_period=metric_period,
-                              loss_tolerance=loss_tolerance,
-                              on_deliver=on_deliver, **hard)
-    if fec is not None:
-        kw["fec"] = fec
-    if name == "rudp":
-        return RudpConnection(sim, snd_host, rcv_host, **kw)
-    if name == "rudp_nocc":
-        return RudpConnection(sim, snd_host, rcv_host,
-                              cc=FixedWindowCC(fixed_window), **kw)
-    if name == "rudp_reno":
-        # Ablation: RUDP machinery with TCP's halving law instead of LDA.
-        return RudpConnection(sim, snd_host, rcv_host, cc=RenoCC(), **kw)
-    if name == "iq":
-        return IqRudpConnection(sim, snd_host, rcv_host, **kw)
-    if name == "iq_nocond":
-        return IqRudpConnection(sim, snd_host, rcv_host,
-                                use_adapt_cond=False, **kw)
-    if name == "iq_nodiscard":
-        return IqRudpConnection(sim, snd_host, rcv_host,
-                                discard_unmarked=False, **kw)
-    if name == "iq_noreinflate":
-        return IqRudpConnection(sim, snd_host, rcv_host,
-                                reinflate_window=False, **kw)
-    raise ValueError(f"unknown transport {name!r}")
+    # The ``rudp_*`` ablations swap the congestion law: Table 1's
+    # CC-disabled row holds a fixed window, ``rudp_reno`` runs TCP's
+    # halving law; every other name runs LDA.
+    cc = (FixedWindowCC(fixed_window) if name == "rudp_nocc"
+          else RenoCC() if name == "rudp_reno" else None)
+    return RudpConnection(sim, snd_host, rcv_host, mss=mss,
+                          metric_period=metric_period,
+                          loss_tolerance=loss_tolerance,
+                          on_deliver=on_deliver, fec=fec, cc=cc,
+                          law=name if name in LAWS else "rudp", **hard)
 
 
 def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
@@ -454,8 +448,6 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         spans.watch_flow(conn)
 
     strategy = cfg.adaptation() if cfg.adaptation else NullAdaptation()
-    if not isinstance(strategy, NullAdaptation) and cfg.transport == "tcp":
-        raise ValueError("TCP has no adaptation callbacks")
 
     app_rng = streams.get("app")
     if cfg.workload == "trace_clocked":

@@ -27,7 +27,7 @@ import random
 import tempfile
 from typing import Callable
 
-from .experiments.common import ScenarioConfig, ScenarioResult
+from .experiments.common import TRANSPORTS, ScenarioConfig, ScenarioResult
 from .faults.schedule import (BandwidthRamp, Blackout, BurstyLoss, DelayRamp,
                               FaultSchedule, Jitter, LinkFlap)
 from .middleware.adaptation import (FecAdaptation, FrequencyAdaptation,
@@ -39,10 +39,6 @@ from .runner import FailedResult, ResultsCache, run_batch
 from .transport.fec import FecConfig
 
 __all__ = ["sample_config", "sample_faults", "run_fuzz", "FuzzReport"]
-
-#: Transports the fuzzer draws from (all registry entries).
-TRANSPORT_POOL = ("tcp", "rudp", "rudp_nocc", "rudp_reno", "iq",
-                  "iq_nocond", "iq_nodiscard", "iq_noreinflate")
 
 #: Adaptation factories must be module-level names: a lambda would make
 #: the config unhashable (no cache key) and break pass C.
@@ -99,7 +95,7 @@ def sample_faults(rng: random.Random) -> FaultSchedule:
 
 def sample_config(rng: random.Random) -> ScenarioConfig:
     """One bounded random scenario (invariants armed)."""
-    transport = rng.choice(TRANSPORT_POOL)
+    transport = rng.choice(TRANSPORTS)
     adaptation = None
     if transport != "tcp" and rng.random() < 0.5:
         # TCP has no adaptation callbacks (rejected by construction).

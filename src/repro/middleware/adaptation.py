@@ -69,9 +69,9 @@ class AdaptationStrategy:
         self._flow = -1
 
     def bind(self, conn, rng: random.Random) -> None:
-        """Register threshold callbacks on ``conn`` (a Rudp/IqRudp
-        connection).  TCP connections have no callback registry; binding a
-        strategy to one is an error the experiments guard against."""
+        """Register threshold callbacks on ``conn`` (a RUDP connection
+        under any law).  TCP connections have no callback registry;
+        ``ScenarioConfig`` refuses a TCP scenario with an adaptation."""
         self._rng = rng
         self._bind_trace(conn)
         conn.register_callbacks(upper=self.upper, lower=self.lower,

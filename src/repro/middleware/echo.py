@@ -56,9 +56,9 @@ class Event:
 class EventChannel:
     """Bridges an application to a transport connection.
 
-    Construct with an open connection (Tcp/Rudp/IqRudp) whose receiver-side
-    ``on_deliver`` you have pointed at :meth:`on_deliver` (the experiment
-    and example builders in :mod:`repro.experiments.common` wire this).
+    Construct with an open connection (Tcp, or Rudp under any law) whose
+    receiver-side ``on_deliver`` you have pointed at :meth:`on_deliver` (the
+    experiment and example builders in :mod:`repro.experiments.common` do).
     """
 
     def __init__(self, sim: Simulator, conn, name: str = "channel"):

@@ -4,7 +4,6 @@ from .base import (DUP_ACK_THRESHOLD, FlowStats, WindowedReceiver,
                    WindowedSender, make_flow_id)
 from .cc import CongestionControl, FixedWindowCC, RenoCC
 from .fec import FecConfig, FecReceiver, FecSender, FecState
-from .iq_rudp import IqRudpConnection
 from .lda import LdaCC
 from .reliability import (FullReliability, LossTolerantReliability,
                           ReliabilityPolicy)
@@ -19,7 +18,7 @@ __all__ = [
     "make_flow_id",
     "CongestionControl", "FixedWindowCC", "RenoCC", "LdaCC",
     "FecConfig", "FecReceiver", "FecSender", "FecState",
-    "IqRudpConnection", "RudpConnection", "TcpConnection",
+    "RudpConnection", "TcpConnection",
     "FullReliability", "LossTolerantReliability", "ReliabilityPolicy",
     "RttEstimator", "ReorderBuffer", "UdpSender", "UdpSink",
 ]

@@ -3,13 +3,13 @@
 TCP, RUDP and IQ-RUDP all share one sender/receiver skeleton and differ only
 in their pluggable parts:
 
-=================  =====================  ==========================
+=================  =====================  ==============================
 Part               TCP                    RUDP / IQ-RUDP
-=================  =====================  ==========================
+=================  =====================  ==============================
 Congestion law     :class:`RenoCC`        :class:`LdaCC` (epoch based)
 Reliability        full                   loss tolerant (marking/skips)
-Coordinator        --                     Null (RUDP) / IQ (IQ-RUDP)
-=================  =====================  ==========================
+Coordination law   ``"rudp"`` (empty)     ``"rudp"`` / ``"iq"`` (+ ablations)
+=================  =====================  ==============================
 
 The sender is message oriented (the paper's RUDP is datagram based): the
 application submits datagrams/frames of arbitrary size, the transport
@@ -29,7 +29,7 @@ from ..core.callbacks import CallbackRegistry
 from ..obs.events import (ATTR_SENT, CALLBACK_FIRED, CWND_CHANGE,
                           FRAME_ABANDONED, PACKET_ACK, PACKET_RETX,
                           PACKET_SEND)
-from ..core.coordination import Coordinator, NullCoordinator
+from ..core.coordination import Coordinator
 from ..core.metrics_export import MetricsWindow
 from ..sim.engine import Event, Simulator
 from ..sim.node import Host
@@ -86,7 +86,8 @@ class WindowedSender:
     peer_addr, peer_port : destination address/port.
     cc : congestion-control strategy (owns the window).
     reliability : skip policy for lost unmarked packets.
-    coordinator : IQ-RUDP coordination engine (Null for plain RUDP/TCP).
+    law : coordination law, a :data:`~repro.core.coordination.LAWS` row
+        (``"rudp"``, the empty law, for plain RUDP and TCP).
     callbacks : threshold-callback registry evaluated each metric period.
     service : attribute service metrics are exported into.
     metric_period : measurement period for exported metrics/callbacks
@@ -120,7 +121,7 @@ class WindowedSender:
                  peer_addr: int, peer_port: int, cc: CongestionControl,
                  mss: int = 1400,
                  reliability: ReliabilityPolicy | None = None,
-                 coordinator: Coordinator | None = None,
+                 law: str = "rudp",
                  callbacks: CallbackRegistry | None = None,
                  service: AttributeService | None = None,
                  metric_period: float = 0.5,
@@ -151,7 +152,7 @@ class WindowedSender:
         self.rwnd = rwnd
         self.flow_id = flow_id if flow_id is not None else make_flow_id(sim)
         self.reliability = reliability or FullReliability()
-        self.coordinator = coordinator or NullCoordinator()
+        self.coordinator = Coordinator(law)
         self.coordinator.bind(self)
         self.callbacks = (callbacks if callbacks is not None
                           else CallbackRegistry())

@@ -5,8 +5,8 @@ Paper terminology (end of section 2.1): "the term RUDP is used to denote the
 basic reliable and adaptive transport functionality of IQ-RUDP, whereas the
 term IQ-RUDP refers to the coordination schemes".  This module is that
 baseline: the transport exports metrics and fires application callbacks, but
-ignores whatever the application says about its own adaptation (the
-:class:`~repro.core.coordination.NullCoordinator`).
+ignores whatever the application says about its own adaptation: the empty
+coordination law ``"rudp"``.  IQ-RUDP is this connection under ``"iq"``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import Callable
 
 from ..core.attributes import AttributeService
 from ..core.callbacks import CallbackRegistry, ThresholdCallback
-from ..core.coordination import Coordinator, NullCoordinator
 from ..sim.engine import Simulator
 from ..sim.node import Host
 from ..sim.packet import Packet
@@ -38,8 +37,10 @@ class RudpConnection:
         reliability (no skips).
     cc : override the congestion law (e.g. ``FixedWindowCC`` for Table 1's
         CC-disabled row); default LDA.
-    coordinator : plug in :class:`~repro.core.coordination.IQCoordinator`
-        to turn this into IQ-RUDP (used by :mod:`repro.transport.iq_rudp`).
+    law : coordination law, a :data:`~repro.core.coordination.LAWS` row:
+        ``"rudp"`` (the default), ``"iq"`` for IQ-RUDP or an ``iq_no*``
+        ablation.  With ``fec=`` the IQ laws also own the repair redundancy
+        (``ADAPT_FEC``, per-period loss telemetry, stalls).
     fec : a :class:`~repro.transport.fec.FecConfig` arms the block/
         interleaved XOR repair tier on both endpoints (``None``, the
         default, leaves every code path bit-identical to pre-FEC RUDP).
@@ -50,7 +51,7 @@ class RudpConnection:
                  metric_period: float = 0.5,
                  loss_tolerance: float | None = None,
                  cc: CongestionControl | None = None,
-                 coordinator: Coordinator | None = None,
+                 law: str = "rudp",
                  on_deliver: Callable[[Packet, float], None] | None = None,
                  on_complete: Callable[[float], None] | None = None,
                  on_space: Callable[[], None] | None = None,
@@ -73,12 +74,13 @@ class RudpConnection:
             sim, sender_host, port=port, peer_addr=receiver_host.address,
             peer_port=port, cc=cc if cc is not None else LdaCC(),
             mss=mss, reliability=reliability,
-            coordinator=coordinator or NullCoordinator(),
+            law=law,
             callbacks=self.callbacks, service=self.service,
             metric_period=metric_period, rwnd=rwnd, flow_id=flow_id,
             use_eack=True, on_complete=on_complete, on_space=on_space,
             rto_jitter=rto_jitter, rto_rng=rto_rng,
             stall_threshold=stall_threshold)
+        self.coordinator = self.sender.coordinator
         self.fec: FecState | None = None
         if fec is not None:
             fec = FecConfig.parse(fec)

@@ -126,7 +126,7 @@ def test_spec_mapping_coercion_and_adaptation_registry():
     camp = Campaign.from_mapping({
         "name": "coerce",
         "template": {**TINY, "cbr_bps": "8e6", "adaptation": "resolution"},
-        "axes": {"transport": ["tcp", "iq"]},
+        "axes": {"transport": ["rudp", "iq"]},
         "seeds": {"count": 2},
     })
     assert camp.template.cbr_bps == 8e6
@@ -142,7 +142,7 @@ def test_lambda_adaptation_rejected_for_cell_identity():
         cell_key(cfg)
     with pytest.raises(ValueError, match="stably hashable"):
         Campaign(Scenario(**TINY).replace(adaptation=lambda: None),
-                 axes={"transport": ["tcp"]}).cells()
+                 axes={"transport": ["rudp"]}).cells()
 
 
 def test_load_campaign_toml_and_json(tmp_path):
@@ -183,7 +183,7 @@ def test_cell_keys_agree_across_processes():
         camp = Campaign(Scenario(workload="greedy", n_frames=5,
                                  time_cap=30.0,
                                  adaptation=ADAPTATIONS["resolution"]),
-                        axes={"transport": ["tcp", "iq"]}, seeds=2)
+                        axes={"transport": ["rudp", "iq"]}, seeds=2)
         print(",".join(c.key for c in camp.cells()))
     """)
     outs = []

@@ -5,7 +5,7 @@ import pytest
 from repro.core.attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ,
                                    ADAPT_MARK, ADAPT_PKTSIZE, ADAPT_WHEN,
                                    AttributeSet)
-from repro.core.coordination import IQCoordinator, NullCoordinator
+from repro.core.coordination import LAWS, Coordinator
 from repro.core.metrics_export import PeriodMetrics
 from repro.obs.bus import TraceBus
 from repro.obs.events import ATTR_RECEIVED, COORD_ACTION, COORD_KEYS
@@ -39,9 +39,9 @@ def bind(coord, **kw):
     return snd
 
 
-class TestNullCoordinator:
+class TestEmptyLaw:
     def test_ignores_everything(self):
-        coord = NullCoordinator()
+        coord = Coordinator("rudp")
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.5,
                                                ADAPT_PKTSIZE: 0.5}))
@@ -51,14 +51,14 @@ class TestNullCoordinator:
 
 class TestMarking:
     def test_positive_unmark_probability_enables_discard(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         assert snd.discard_unmarked
         assert coord.discard_switches == 1
 
     def test_zero_probability_disables_discard(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.0}))
@@ -66,14 +66,14 @@ class TestMarking:
         assert coord.discard_switches == 2
 
     def test_repeated_same_state_not_counted_as_switch(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.3}))
         assert coord.discard_switches == 1
 
     def test_ablation_switch(self):
-        coord = IQCoordinator(discard_unmarked=False)
+        coord = Coordinator("iq_nodiscard")
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         assert not snd.discard_unmarked
@@ -81,7 +81,7 @@ class TestMarking:
 
 class TestResolution:
     def test_reinflates_window_for_sub_mss_frames(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord, cwnd=20.0, frame_size=700)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == pytest.approx(40.0)
@@ -90,25 +90,25 @@ class TestResolution:
     def test_no_reinflation_for_large_frames(self):
         """Paper: only "if the current application frame is smaller than
         the maximum RUDP segment size"."""
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord, cwnd=20.0, frame_size=2800)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == 20.0
 
     def test_size_increase_deflates(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord, cwnd=22.0, frame_size=770)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: -0.10}))
         assert snd.cc.cwnd == pytest.approx(20.0)
 
     def test_rate_chg_of_one_rejected(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         bind(coord)
         with pytest.raises(ValueError):
             coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 1.0}))
 
     def test_ablation_switch(self):
-        coord = IQCoordinator(reinflate_window=False)
+        coord = Coordinator("iq_noreinflate")
         snd = bind(coord)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == 20.0
@@ -117,7 +117,7 @@ class TestResolution:
 class TestAdaptCond:
     def test_drift_correction_applies_eq1(self):
         """w <- w * 1/(1-rate_chg) * (1-e_new)/(1-e_old)."""
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord, cwnd=20.0, frame_size=700, error_ratio=0.2)
         attrs = AttributeSet({ADAPT_PKTSIZE: 0.5,
                               ADAPT_COND: {"error_ratio": 0.1}})
@@ -127,14 +127,14 @@ class TestAdaptCond:
         assert coord.cond_corrections == 1
 
     def test_without_cond_attribute_no_correction(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord, cwnd=20.0, frame_size=700, error_ratio=0.2)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == pytest.approx(40.0)
         assert coord.cond_corrections == 0
 
-    def test_use_adapt_cond_false_ignores_cond(self):
-        coord = IQCoordinator(use_adapt_cond=False)
+    def test_nocond_law_ignores_cond(self):
+        coord = Coordinator("iq_nocond")
         snd = bind(coord, cwnd=20.0, frame_size=700, error_ratio=0.2)
         attrs = AttributeSet({ADAPT_PKTSIZE: 0.5,
                               ADAPT_COND: {"error_ratio": 0.1}})
@@ -142,7 +142,7 @@ class TestAdaptCond:
         assert snd.cc.cwnd == pytest.approx(40.0)
 
     def test_degenerate_eold_guarded(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord, cwnd=20.0, frame_size=700)
         attrs = AttributeSet({ADAPT_PKTSIZE: 0.5,
                               ADAPT_COND: {"error_ratio": 1.0}})
@@ -152,7 +152,7 @@ class TestAdaptCond:
 
 class TestWhenAndFreq:
     def test_pending_defers_everything(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_WHEN: "pending",
                                                ADAPT_PKTSIZE: 0.5}))
@@ -162,14 +162,14 @@ class TestWhenAndFreq:
     def test_frequency_adaptation_never_rescales(self):
         """Paper: "for a frequency adaptation, IQ-RUDP does not have to
         increase the window size"."""
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_FREQ: 0.5}))
         assert snd.cc.cwnd == 20.0
         assert coord.freq_adaptations == 1
 
     def test_unbound_coordinator_raises(self):
-        coord = IQCoordinator()
+        coord = Coordinator("iq")
         with pytest.raises(RuntimeError):
             coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
 
@@ -189,12 +189,12 @@ ACTIONS = ["pending", "discard", "freq_no_window_change", "fec_redundancy",
            "fec_unavailable"]
 
 
-def drive(*, traced):
-    """Fire all eleven actions on a sender whose bus carries every
-    surface: ring, lineage listener, telemetry listener and (when
-    ``traced``) a sink.  As in ``WindowedSender.__init__``, the
+def drive(*, traced, law="iq"):
+    """Fire all eleven actions (those ``law`` allows) on a sender whose
+    bus carries every surface: ring, lineage listener, telemetry listener
+    and (when ``traced``) a sink.  As in ``WindowedSender.__init__``, the
     coordinator is bound before the sender has its bus."""
-    coord = IQCoordinator()
+    coord = Coordinator(law)
     snd = bind(coord, frame_size=700)
     sim = Simulator()
     sink = RingBufferSink()
@@ -208,7 +208,8 @@ def drive(*, traced):
                          listeners=[spans, telemetry])
     coord.on_callback_result(AttributeSet({ADAPT_WHEN: "pending"}))
     coord.on_callback_result(AttributeSet({
-        ADAPT_MARK: 0.4, ADAPT_FREQ: 0.5, ADAPT_FEC: 2, ADAPT_PKTSIZE: 0.5}))
+        ADAPT_MARK: 0.4, ADAPT_FREQ: 0.5, ADAPT_FEC: 2, ADAPT_PKTSIZE: 0.5,
+        ADAPT_COND: {"error_ratio": 0.2}}))
     snd.last_frame_size = 2800
     coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
     sim._now = 1.0
@@ -277,3 +278,58 @@ class TestReporting:
                if a["kind"] == "fec_redundancy"]
         assert [("requested" in a, a["r_before"], a["r_after"])
                 for a in fec] == [(True, 1, 2), (False, 2, 3)]
+
+
+#: The rule that owns each action (``None``: every non-empty law reports
+#: it).  Written out here, not read from ``RULES``, so a row that moves an
+#: action to the wrong rule fails.
+OWNER = {"pending": None, "discard": "discard",
+         "freq_no_window_change": "freq", "fec_redundancy": "fec",
+         "window_rescale": "reinflate",
+         "rescale_skipped_large_frame": "reinflate", "fec_boost": "fec",
+         "stall_degrade": "discard", "fec_relax": "fec",
+         "stall_recover": "discard", "fec_unavailable": "fec"}
+
+
+class TestLawTable:
+    @staticmethod
+    def emitted(law):
+        bus, _, _, _ = drive(traced=False, law=law)
+        return [e for e in bus.ring.dump()["events"]
+                if e["event"] == COORD_ACTION]
+
+    @pytest.mark.parametrize("law", list(LAWS))
+    def test_each_row_emits_exactly_what_its_rules_allow(self, law):
+        rules = LAWS[law]
+        want = [a for a in ACTIONS
+                if rules and (OWNER[a] is None or OWNER[a] in rules)]
+        assert [e["action"] for e in self.emitted(law)] == want
+
+    def test_rudp_reports_nothing_not_even_the_exchange(self):
+        bus, sink, spans, telemetry = drive(traced=True, law="rudp")
+        assert bus.ring.dump()["events"] == []
+        assert sink.events == [] and spans.episodes == []
+        assert telemetry.annotations == []
+
+    def test_nodiscard_still_boosts_fec_around_a_stall(self):
+        names = [e["action"] for e in self.emitted("iq_nodiscard")]
+        assert {"fec_boost", "fec_relax"} <= set(names)
+        assert not {"discard", "stall_degrade", "stall_recover"} & set(names)
+
+    def test_noreinflate_never_rescales(self):
+        names = [e["action"] for e in self.emitted("iq_noreinflate")]
+        assert "window_rescale" not in names
+        assert "rescale_skipped_large_frame" not in names
+
+    def test_nocond_rescales_without_drift(self):
+        def drift(law):
+            [rescale] = [e for e in self.emitted(law)
+                         if e["action"] == "window_rescale"]
+            return rescale["drift"]
+        assert drift("iq_nocond") == 1.0
+        assert drift("iq") == pytest.approx(1 / 0.8)
+
+    @pytest.mark.parametrize("law", ["IQ", "iq_nofec", "tcp", ""])
+    def test_unknown_law_is_refused_at_construction(self, law):
+        with pytest.raises(ValueError, match="unknown coordination law"):
+            Coordinator(law)

@@ -6,7 +6,7 @@ from repro.core.attributes import ADAPT_PKTSIZE, AttributeSet
 from repro.middleware.echo import EventChannel
 from repro.sim.engine import Simulator
 from repro.sim.topology import Dumbbell
-from repro.transport.iq_rudp import IqRudpConnection
+from repro.transport.rudp import RudpConnection
 
 
 def make_channel():
@@ -14,8 +14,8 @@ def make_channel():
     net = Dumbbell(sim)
     snd, rcv = net.add_flow_hosts("e")
     holder = {}
-    conn = IqRudpConnection(
-        sim, snd, rcv,
+    conn = RudpConnection(
+        sim, snd, rcv, law="iq",
         on_deliver=lambda pkt, now: holder["ch"].on_deliver(pkt, now))
     ch = EventChannel(sim, conn, name="test")
     holder["ch"] = ch

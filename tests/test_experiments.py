@@ -7,6 +7,7 @@ deterministically, and that the coordination invariants hold end to end.
 
 import pytest
 
+from repro.campaign.spec import Campaign
 from repro.experiments.common import (TRANSPORTS, ScenarioConfig,
                                       run_scenario)
 from repro.middleware.adaptation import (MarkingAdaptation,
@@ -71,6 +72,25 @@ def test_tcp_rejects_adaptation():
     with pytest.raises(ValueError):
         run_scenario(small(transport="tcp",
                            adaptation=ResolutionAdaptation))
+
+
+def test_tcp_with_an_adaptation_is_refused_at_construction():
+    """Not at run time: a campaign of such cells is refused when it is
+    read or expands, instead of running every cell to a failure."""
+    refused = pytest.raises(ValueError,
+                            match="TCP has no adaptation callbacks")
+    with refused:
+        ScenarioConfig(transport="tcp", adaptation=ResolutionAdaptation)
+    with refused:
+        Campaign.from_mapping({"template": {"transport": "tcp",
+                                            "adaptation": "marking"},
+                               "seeds": [1, 2, 3]})
+    camp = Campaign.from_mapping({"template": {"adaptation": "marking"},
+                                  "axes": {"transport": ["rudp", "tcp"]},
+                                  "seeds": [1]})
+    with refused:
+        camp.cells()
+    assert ScenarioConfig(transport="tcp", adaptation=None).adaptation is None
 
 
 def test_unknown_transport_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.attributes import (ADAPT_COND, ADAPT_MARK, ADAPT_PKTSIZE,
                                    ADAPT_WHEN, AttributeSet)
-from repro.core.coordination import IQCoordinator
+from repro.core.coordination import Coordinator
 from repro.obs.bus import TraceBus
 from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
                               PACKET_SEND)
@@ -39,7 +39,7 @@ class TracedSender:
 
 
 def drive(snd, *attr_sets):
-    coord = IQCoordinator()
+    coord = Coordinator("iq")
     coord.bind(snd)
     for attrs in attr_sets:
         coord.on_callback_result(attrs)

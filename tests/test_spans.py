@@ -16,12 +16,9 @@ import pytest
 
 from repro.analysis.lineage import (decision_chain, frame_accounting,
                                     render_frame_lineage, render_lineage)
-from repro.experiments.common import ScenarioConfig, run_scenario
+from repro.experiments.common import TRANSPORTS, ScenarioConfig, run_scenario
 from repro.obs.spans import FRAME_OUTCOMES
 from repro.runner import ResultsCache, run_batch
-
-TRANSPORTS = ("tcp", "rudp", "rudp_nocc", "rudp_reno",
-              "iq", "iq_nocond", "iq_nodiscard", "iq_noreinflate")
 
 
 def _cfg(transport="iq", **kw) -> ScenarioConfig:

@@ -1,13 +1,14 @@
 """End-to-end transport tests on the dumbbell: delivery, ordering,
 retransmission, congestion response, skips, EACK."""
 
+from functools import partial
+
 import pytest
 
 from repro.middleware.receiver import DeliveryLog
 from repro.sim.engine import Simulator
 from repro.sim.link import BernoulliLoss
 from repro.sim.topology import Dumbbell
-from repro.transport.iq_rudp import IqRudpConnection
 from repro.transport.rudp import RudpConnection
 from repro.transport.tcp import TcpConnection
 
@@ -22,7 +23,8 @@ def make(conn_cls, *, queue_pkts=64, rtt=0.03, **kw):
 
 
 @pytest.mark.parametrize("cls", [TcpConnection, RudpConnection,
-                                 IqRudpConnection])
+                                 partial(RudpConnection, law="iq")],
+                         ids=["TcpConnection", "RudpConnection", "iq"])
 def test_small_transfer_delivers_everything(cls):
     sim, net, conn, log = make(cls)
     for i in range(20):
@@ -129,7 +131,7 @@ def test_rudp_full_reliability_when_tolerance_none():
 
 
 def test_discard_unmarked_never_transmits():
-    sim, net, conn, log = make(IqRudpConnection, loss_tolerance=0.9)
+    sim, net, conn, log = make(RudpConnection, law="iq", loss_tolerance=0.9)
     conn.sender.discard_unmarked = True
     for i in range(100):
         conn.submit(1000, marked=(i % 2 == 0), frame_id=i)
