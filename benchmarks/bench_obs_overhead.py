@@ -31,7 +31,7 @@ one ceiling on the total (``all_armed_pct``); arming any of them must
 leave the summary bit-identical.
 
 The feature guards are not observability tiers: faults and FEC are
-``bench_feature_guards.py``, the live observatory ``bench_live_overhead.py``.
+``bench_feature_guards.py``.
 """
 
 import gc

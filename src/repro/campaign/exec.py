@@ -35,7 +35,6 @@ import signal
 import time
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
-from ..obs.live import HeartbeatWriter, heartbeat_enabled, read_heartbeats
 from ..runner.failures import BatchExecutionError, FailedResult
 from ..runner.pool import run_batch, run_one
 from ..runner.progress import SweepProgress
@@ -82,25 +81,10 @@ class CampaignRun:
                          metrics=metrics)
 
 
-def _flight_note(res) -> "str | None":
-    """The last flight-recorder event of a result, as ``layer:event`` --
-    the one-line forensic breadcrumb a heartbeat carries."""
-    dump = getattr(res, "flight", None)
-    if isinstance(dump, dict):
-        events = dump.get("events") or []
-        tail = events[-1] if events else None
-        if isinstance(tail, dict) and tail.get("event"):
-            layer = tail.get("layer")
-            return (f"{layer}:{tail['event']}" if layer
-                    else str(tail["event"]))
-    return None
-
-
 def worker_loop(store: CampaignStore,
                 cells: "list[tuple[str, str, ScenarioConfig]]", *,
                 cache=None, timeout: float | None = None,
-                retries: int = 0, on_cell=None,
-                heartbeat: bool = True) -> int:
+                retries: int = 0, on_cell=None) -> int:
     """One worker's pass over the campaign: claim, run, store, release.
 
     ``cells`` is the shared ordered list of ``(key, label, config)``.
@@ -108,15 +92,12 @@ def worker_loop(store: CampaignStore,
     ``KeyboardInterrupt`` through (after releasing the in-flight claim) so
     the caller can report resume instructions.
 
-    With ``heartbeat=True`` (and ``REPRO_HEARTBEAT`` not ``0``) the worker
-    maintains an atomic liveness file under the store's ``heartbeats/``
-    directory -- claimed cell before each run, counters + the result's
-    last flight-recorder note after (see :mod:`repro.obs.live`).
+    The claim is the worker's liveness and its journal its counts: what
+    :func:`repro.obs.live.watch_snapshot` shows of a worker comes from
+    those two files, so the loop writes nothing else.
     """
     executed = 0
     journal = store.journal()
-    hb = (HeartbeatWriter(store.heartbeat_dir, store.worker)
-          if heartbeat and heartbeat_enabled() else None)
     try:
         # Loop until every cell is either done or leased to another live
         # worker.  An expired lease is stolen inside try_claim, so "live
@@ -146,32 +127,24 @@ def worker_loop(store: CampaignStore,
                     store.release_claim(key)
                     continue
                 try:
-                    if hb is not None:
-                        hb.claim(label, key)
                     res = run_one(cfg, cache=cache, on_error="capture",
                                   timeout=timeout, retries=retries)
                     store.store_cell(key, res)
-                    failed = isinstance(res, FailedResult)
                     try:
-                        journal.append(key, res.kind if failed else "ok")
+                        journal.append(key, res.kind if isinstance(
+                            res, FailedResult) else "ok")
                     except OSError:
                         pass
                     executed += 1
                     progressed = True
-                    if hb is not None:
-                        hb.complete(failed=failed, note=_flight_note(res))
                     if on_cell is not None:
                         on_cell(key, label, res)
                 finally:
                     store.release_claim(key)
-            if hb is not None:
-                hb.beat()  # stay live while blocked on others' leases
             if progressed or retry:
                 continue
             break  # done, or the rest is in other workers' hands
     finally:
-        if hb is not None:
-            hb.close()
         store.close()
     return executed
 
@@ -184,7 +157,6 @@ def _worker_main(root: str, worker: str, lease_s: float,
                  cells: "list[tuple[str, str, ScenarioConfig]]",
                  cache, timeout: float | None, retries: int) -> None:
     """Child-process entry point for ``workers=N`` fan-out."""
-    os.environ["REPRO_PROGRESS"] = "0"  # parent owns the progress line
     # The parent's SIGINT handler terminate()s us with SIGTERM; default
     # SIGTERM disposition would kill the process without unwinding, leaking
     # the in-flight claim as a live lease that blocks the next resume.
@@ -199,14 +171,19 @@ def _worker_main(root: str, worker: str, lease_s: float,
         pass
 
 
-def _load_results(store: CampaignStore, cells, results: dict) -> dict:
-    """Load into ``results`` every stored cell it does not hold yet."""
+def _load_results(store: CampaignStore, cells, results: dict) -> list:
+    """Load into ``results`` every stored cell it does not hold yet;
+    returns the results this call loaded.  Only cells with a result file
+    are opened, so a poll over a mostly unfinished campaign stays cheap."""
+    done = store.done_keys()
+    loaded = []
     for cell in cells:
-        if cell.key not in results:
+        if cell.key in done and cell.key not in results:
             res = store.load_cell(cell.key)
             if res is not None:
                 results[cell.key] = res
-    return results
+                loaded.append(res)
+    return loaded
 
 
 def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
@@ -214,9 +191,10 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
                       retries: int) -> CampaignRun:
     """Complete the final result set, re-running any torn cell files.
 
-    ``results`` is what this call already holds -- the preload and, with
-    one in-process worker, the cells it executed -- so only the rest is
-    read from disk: no cell is unpickled twice, none this process wrote.
+    ``results`` is what this call already holds -- the preload, the cells
+    the one in-process worker executed or the fan-out parent loaded as
+    they landed -- so only the rest is read from disk: no cell is
+    unpickled twice, none this process wrote.
 
     Workers skip cells on file *existence* (``done_keys`` -- cheap enough
     to poll every pass), so a cell whose result file exists but does not
@@ -235,8 +213,7 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
             except OSError:
                 pass
         worker_loop(store, [(c.key, c.label, c.config) for c in torn],
-                    cache=cache, timeout=timeout, retries=retries,
-                    heartbeat=False)
+                    cache=cache, timeout=timeout, retries=retries)
         _load_results(store, torn, results)
     return CampaignRun(campaign, results)
 
@@ -273,8 +250,8 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
     store = CampaignStore(dir, lease_s=lease_s)
     store.init(campaign)
     triples = [(c.key, c.label, c.config) for c in cells]
-    results = _load_results(store, cells, {})  # the count *and* the collect
-    already = len(results)
+    results: dict = {}
+    already = len(_load_results(store, cells, results))  # count *and* collect
 
     if workers == 1:
         bar = SweepProgress(len(cells), cached=already, enabled=progress)
@@ -292,7 +269,9 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
                                  retries=retries)
 
     # Multi-process fan-out: children coordinate purely through the store;
-    # the parent only paints progress and handles SIGINT.
+    # the parent paints progress from the cells that land (loading each
+    # once, so the final collect reads only what is left) and handles
+    # SIGINT.
     ctx = mp.get_context("spawn" if os.name == "nt" else "fork")
     procs = []
     for w in range(workers):
@@ -305,16 +284,13 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
         procs.append(p)
 
     bar = SweepProgress(len(cells), cached=already, enabled=progress)
-    seen = already
     try:
-        while any(p.is_alive() for p in procs):
-            done = len(store.done_keys() & {c.key for c in cells})
-            while seen < done:
-                bar.update()
-                seen += 1
-            # Failures live in the workers; their heartbeats are the only
-            # live channel back, so the parent's line folds them in.
-            bar.failed = _heartbeat_failed(store)
+        while True:
+            alive = any(p.is_alive() for p in procs)
+            for res in _load_results(store, cells, results):
+                bar.update(failed=isinstance(res, FailedResult))
+            if not alive:
+                break
             time.sleep(0.05)
         for p in procs:
             p.join()
@@ -328,11 +304,6 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
         bar.finish()
     return _collect_and_heal(store, campaign, cells, results, cache=cache,
                              timeout=timeout, retries=retries)
-
-
-def _heartbeat_failed(store: CampaignStore) -> int:
-    return sum(hb.get("failed", 0) for hb in read_heartbeats(
-        store.heartbeat_dir) if isinstance(hb.get("failed"), int))
 
 
 def run_rows(rows, *, name: str, dir: "str | os.PathLike | None" = None,

@@ -8,7 +8,6 @@ with no sockets, no broker and no leader::
     <dir>/cells/<key>.pkl        one finished result per cell
     <dir>/claims/<key>.json      lease held by the worker running the cell
     <dir>/journal/<worker>.pkl   per-worker completion journal (SweepJournal)
-    <dir>/heartbeats/<worker>.json   liveness (:mod:`repro.obs.live`)
 
 Every file replaced here goes through
 :func:`~repro.runner.cache.atomic_write` (a failure raises: a cell that
@@ -17,7 +16,8 @@ cannot be stored must not look finished) and a cell is read through
 "not done").  The store holds the protocol, not
 the views: :meth:`CampaignStore.aggregator` builds the campaign's one fold
 for a directory, and :func:`repro.obs.live.watch_snapshot` alone reads
-claims, heartbeats and journal counts for display.
+claims and journals for display: a worker's liveness is its lease, its
+counts are its journal.
 
 A journal frame is ``(key, "ok" | FailedResult.kind)``, ~50 bytes per cell
 this worker *executed*, flushed as it lands: the zero-duplicate witness
@@ -89,7 +89,6 @@ class CampaignStore:
         self.cells_dir = self.root / "cells"
         self.claims_dir = self.root / "claims"
         self.journal_dir = self.root / "journal"
-        self.heartbeat_dir = self.root / "heartbeats"
         self.manifest_path = self.root / "manifest.json"
         self._journal: SweepJournal | None = None
 
@@ -189,6 +188,15 @@ class CampaignStore:
             "generation": generation,
         }).encode()
 
+    def claimed_keys(self) -> set[str]:
+        """Keys with a claim file (one ``listdir``; a lease's tmp file is
+        not a claim)."""
+        try:
+            names = os.listdir(self.claims_dir)
+        except OSError:
+            return set()
+        return {n[:-5] for n in names if n.endswith(".json")}
+
     def read_claim(self, key: str) -> dict | None:
         """The current claim for ``key``; a corrupt/torn claim file reads
         as an *expired* claim (stealable), never as a crash."""
@@ -269,21 +277,30 @@ class CampaignStore:
                 expect=_JOURNAL_TYPES)
         return self._journal
 
-    def journal_counts(self) -> dict[str, int]:
-        """Completion count per worker journal -- the zero-duplicate
-        witness: across all journals, every key appears exactly once."""
-        counts: dict[str, int] = {}
+    def journals(self) -> dict[str, dict[str, str]]:
+        """Every worker journal, read once: ``{worker: {key: outcome}}``
+        with outcome ``"ok"`` or the failure kind (an older directory's
+        whole result reads as the outcome it records)."""
+        out: dict[str, dict[str, str]] = {}
         try:
             names = sorted(os.listdir(self.journal_dir))
         except OSError:
-            return counts
+            return out
         for name in names:
             if not name.endswith(".pkl"):
                 continue
-            journal = SweepJournal(self.journal_dir / name,
-                                   expect=_JOURNAL_TYPES)
-            counts[name[:-4]] = len(journal.load())
-        return counts
+            frames = SweepJournal(self.journal_dir / name,
+                                  expect=_JOURNAL_TYPES).load()
+            out[name[:-4]] = {
+                key: (v if isinstance(v, str)
+                      else getattr(v, "kind", "ok"))
+                for key, v in frames.items()}
+        return out
+
+    def journal_counts(self) -> dict[str, int]:
+        """Completion count per worker journal -- the zero-duplicate
+        witness: across all journals, every key appears exactly once."""
+        return {w: len(frames) for w, frames in self.journals().items()}
 
     def close(self) -> None:
         if self._journal is not None:

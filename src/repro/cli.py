@@ -398,7 +398,7 @@ def _watch_campaign_cmd(args) -> int:
     agg = CampaignStore(args.dir).aggregator(metrics=_metrics_arg(args))
     try:
         while True:
-            snap = watch_snapshot(args.dir, agg=agg, expiry_s=args.expiry)
+            snap = watch_snapshot(args.dir, agg=agg)
             if not args.once and sys.stdout.isatty():
                 sys.stdout.write("\x1b[2J\x1b[H")  # clear + home
             print(render_watch(snap))
@@ -415,8 +415,7 @@ def _watch_campaign_cmd(args) -> int:
 def _serve_cmd(args) -> int:
     """Serve a campaign directory's live state over HTTP."""
     from .obs.live import make_live_server
-    server = make_live_server(args.dir, port=args.port, host=args.host,
-                              expiry_s=args.expiry)
+    server = make_live_server(args.dir, port=args.port, host=args.host)
     host, port = server.server_address[:2]
     print(f"serving campaign {args.dir} on http://{host}:{port}/ "
           f"(Prometheus: /metrics; Ctrl-C to stop)", file=sys.stderr)
@@ -714,26 +713,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_campaign_exec_flags(crs)
 
     cst = _command(casub, "status", _status_campaign_cmd,
-                   help="progress of a campaign directory, with "
-                        "per-worker heartbeat liveness and lease "
-                        "ages (stale leases flagged)")
+                   help="progress of a campaign directory, with one "
+                        "row per worker (its claim and its journal) and "
+                        "stale leases flagged")
     cst.add_argument("dir", help="campaign directory")
     cst.add_argument("--json", action="store_true",
                      help="print the whole snapshot as JSON")
 
     cwa = _command(
         casub, "watch", _watch_campaign_cmd,
-        help="live view of a running campaign: per-worker heartbeat rows "
-             "plus per-axis aggregates that update incrementally as cells "
+        help="live view of a running campaign: the status rows plus "
+             "per-axis aggregates that update incrementally as cells "
              "land (no wait for the final report)")
     cwa.add_argument("dir", help="campaign directory")
     cwa.add_argument("--once", action="store_true",
                      help="print one snapshot and exit (tests/CI)")
     cwa.add_argument("--interval", type=float, default=2.0, metavar="S",
                      help="refresh period in seconds (default 2)")
-    cwa.add_argument("--expiry", type=float, default=300.0, metavar="S",
-                     help="heartbeat staleness window in seconds "
-                          "(default: the 300s claim lease)")
     cwa.add_argument("--metrics", metavar="NAMES", default=None,
                      help="comma-separated summary metrics to stream "
                           "(default: the standard campaign set)")
@@ -762,9 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="TCP port to bind (default 9464; 0 = ephemeral)")
     sv.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                     help="bind address (default 127.0.0.1)")
-    sv.add_argument("--expiry", type=float, default=300.0, metavar="S",
-                    help="heartbeat staleness window in seconds "
-                         "(default: the 300s claim lease)")
 
     rp = _command(sub, "report", _run_report_cmd,
                   help="render timeline + coordination audit for a "

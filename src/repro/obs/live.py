@@ -1,223 +1,46 @@
-"""Live campaign observability: worker heartbeats and the one snapshot.
+"""Live campaign observability: the one snapshot and its renderings.
 
 A work-stealing campaign (:mod:`repro.campaign`) is thousands of cells
 executed by N coordination-free workers over a shared directory.  This
 module is the view into one while it runs:
 
-* **Heartbeats** -- every campaign worker periodically writes one small
-  JSON file into a ``heartbeats/`` directory next to the results: claimed
-  cell, cells done/failed, a rolling cell rate, the last flight-recorder
-  note and process identity.  Writes are atomic
-  (:func:`~repro.runner.cache.atomic_write`) and throttled, so a reader
-  never sees a torn file and a worker never spends its time painting.
-  ``REPRO_HEARTBEAT=0`` disables the writer entirely (the disarmed path
-  is one env-dict lookup at construction).
 * **The snapshot** -- :func:`watch_snapshot` is the only function that
-  walks a directory's manifest, cells, claims, heartbeats and journal
-  counts for display.  The cells go through the campaign's one fold
+  walks a directory's manifest, cells, claims and journals for display.
+  The cells go through the campaign's one fold
   (:class:`~repro.campaign.aggregate.Aggregator`): a poll reads only the
   result files it has not folded yet, so a watcher over a 10k-cell
   campaign does O(new) file reads per refresh, and the per-axis numbers
-  are the final report's, digit for digit.  The snapshot is plain data and
-  a pure function of the directory contents and the ``now`` argument, so
-  ``--once`` output is deterministic and golden-testable.
-* **Renderings** -- :func:`render_watch` (``repro campaign watch``: worker
-  table, stale-claim warnings, per-axis tables), :func:`render_status`
-  (``repro campaign status``: the short form; ``--json`` prints the
-  snapshot itself) and :func:`build_metrics_text` (Prometheus text
-  exposition 0.0.4: the report's own
+  are the final report's, digit for digit.  ``claims/`` is listed once and
+  only the claim files that exist are opened.  The snapshot is plain data
+  and a pure function of the directory contents and the ``now`` argument,
+  so ``--once`` output is deterministic and golden-testable.
+* **Worker rows** -- a worker is what the claim protocol already writes
+  about it.  Its journal of ``(key, "ok" | failure kind)`` frames gives
+  its ``done`` and ``failed`` counts; an unexpired claim makes it
+  ``running`` on that cell, an expired one ``stale`` (the cell is
+  stealable: the observation and the recovery trigger are one lease), and
+  a worker holding no claim is ``idle``.
+* **Renderings** -- :func:`render_status` (``repro campaign status``:
+  headline, workers, stale-claim warnings; ``--json`` prints the snapshot
+  itself), :func:`render_watch` (``repro campaign watch``: the status
+  text plus the per-axis tables) and :func:`build_metrics_text`
+  (Prometheus text exposition 0.0.4: the report's own
   :meth:`~repro.campaign.aggregate.CampaignReport.render_prometheus` text
   followed by worker gauges), which :func:`make_live_server` wraps in a
   stdlib :class:`http.server.ThreadingHTTPServer` for ``repro serve``.
-
-Heartbeat liveness reuses the campaign lease discipline: a worker whose
-heartbeat has not been renewed within the expiry window (default: the
-claim lease, :data:`DEFAULT_EXPIRY_S`) is reported ``stale`` -- the same
-condition under which its claimed cell becomes stealable.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import socket
 import time
-from collections import deque
 from typing import Any, Mapping
 
 from ..analysis.tables import render_table
-from ..runner.cache import atomic_write
 from .metrics import _prom_name, _prom_value
 
-__all__ = [
-    "HeartbeatWriter", "heartbeat_enabled", "read_heartbeats",
-    "heartbeat_state", "watch_snapshot", "render_watch", "render_status",
-    "build_metrics_text", "make_live_server",
-    "DEFAULT_EXPIRY_S", "DEFAULT_BEAT_INTERVAL_S",
-]
-
-#: A worker whose heartbeat is older than this is reported ``stale`` --
-#: matches the default claim lease (``store.DEFAULT_LEASE_S``), because a
-#: worker that stopped renewing for a full lease is exactly the worker
-#: whose cells are about to be stolen.
-DEFAULT_EXPIRY_S = 300.0
-
-#: Minimum wall-clock seconds between heartbeat file writes; between
-#: writes a ``beat`` costs one monotonic-clock read and a compare.
-DEFAULT_BEAT_INTERVAL_S = 1.0
-
-#: Completions inside this trailing window feed the rolling cell rate.
-RATE_WINDOW_S = 30.0
-
-
-def heartbeat_enabled() -> bool:
-    """``REPRO_HEARTBEAT=0`` is the kill switch; anything else arms."""
-    return os.environ.get("REPRO_HEARTBEAT", "") != "0"
-
-
-class HeartbeatWriter:
-    """One worker's liveness file, written atomically and throttled.
-
-    The writer never raises out of :meth:`beat`: a full disk or a removed
-    campaign directory silently disables it -- heartbeats are advisory
-    telemetry and must not take the worker down with them.
-
-    ``clock`` is injectable so tests can pin the timestamps that land in
-    the file (throttling still uses the monotonic clock).
-    """
-
-    def __init__(self, directory: "str | os.PathLike", worker: str, *,
-                 min_interval_s: float = DEFAULT_BEAT_INTERVAL_S,
-                 clock=time.time) -> None:
-        self.path = pathlib.Path(directory) / f"{worker}.json"
-        self.worker = worker
-        self.min_interval_s = min_interval_s
-        self.clock = clock
-        self.done = 0
-        self.failed = 0
-        self.claimed: str | None = None
-        self.claimed_key: str | None = None
-        self.note: str | None = None
-        self.started_at = clock()
-        self._completions: deque = deque()
-        self._last_write = float("-inf")
-        self._broken = False
-        self.beat(force=True)
-
-    # ------------------------------------------------------------------
-    def _rate_per_s(self, now: float) -> float:
-        while self._completions and now - self._completions[0] > RATE_WINDOW_S:
-            self._completions.popleft()
-        window = min(max(now - self.started_at, 1e-9), RATE_WINDOW_S)
-        return len(self._completions) / window
-
-    def _payload(self, state: str) -> dict[str, Any]:
-        now = self.clock()
-        return {
-            "v": 1,
-            "worker": self.worker,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "state": state,
-            "started_at": self.started_at,
-            "updated_at": now,
-            "claimed": self.claimed,
-            "claimed_key": self.claimed_key,
-            "done": self.done,
-            "failed": self.failed,
-            "rate_per_s": round(self._rate_per_s(now), 4),
-            "note": self.note,
-        }
-
-    def beat(self, *, force: bool = False, state: str = "running") -> None:
-        """Write the heartbeat file (throttled unless ``force``)."""
-        if self._broken:
-            return
-        mono = time.monotonic()
-        if not force and mono - self._last_write < self.min_interval_s:
-            return
-        self._last_write = mono
-        try:
-            atomic_write(self.path, json.dumps(
-                self._payload(state), sort_keys=True).encode())
-        except OSError:
-            self._broken = True
-
-    # -- campaign-worker verbs -----------------------------------------
-    def claim(self, label: str, key: str | None = None) -> None:
-        """Record the cell this worker is about to execute."""
-        self.claimed = label
-        self.claimed_key = key
-        self.beat()
-
-    def complete(self, *, failed: bool = False,
-                 note: str | None = None) -> None:
-        """Record one finished cell (throttled write; the counters are
-        always current in the next write whenever it happens)."""
-        self.done += 1
-        if failed:
-            self.failed += 1
-        self.claimed = None
-        self.claimed_key = None
-        if note is not None:
-            self.note = note
-        self._completions.append(self.clock())
-        self.beat()
-
-    def close(self, state: str = "exited") -> None:
-        """Final forced write so readers can tell exit from death."""
-        self.claimed = None
-        self.claimed_key = None
-        self.beat(force=True, state=state)
-
-
-# ---------------------------------------------------------------------------
-# reading side
-
-
-def read_heartbeats(directory: "str | os.PathLike") -> list[dict[str, Any]]:
-    """All readable heartbeat files under ``directory``, sorted by worker
-    name.  Corrupt or torn files are skipped (writes are atomic, so a
-    torn file means a foreign artifact, not a crashed worker)."""
-    root = pathlib.Path(directory)
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        return []
-    out: list[dict[str, Any]] = []
-    for name in names:
-        if not name.endswith(".json"):
-            continue
-        try:
-            with open(root / name) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(payload, dict) and "worker" in payload:
-            out.append(payload)
-    return out
-
-
-def heartbeat_state(hb: Mapping[str, Any], *, now: float,
-                    expiry_s: float = DEFAULT_EXPIRY_S) -> str:
-    """Classify one heartbeat: ``live``, ``stale`` or ``exited``.
-
-    ``stale`` means the worker claimed to be running but has not renewed
-    within ``expiry_s`` -- the heartbeat analogue of an expired claim
-    lease, so a stale worker's in-flight cell is exactly the one the
-    store will let another worker steal.
-    """
-    if hb.get("state") == "exited":
-        return "exited"
-    updated = hb.get("updated_at")
-    if not isinstance(updated, (int, float)) or now - updated >= expiry_s:
-        return "stale"
-    return "live"
-
-
-# ---------------------------------------------------------------------------
-# the snapshot and its renderings
+__all__ = ["watch_snapshot", "render_watch", "render_status",
+           "build_metrics_text", "make_live_server"]
 
 
 def _age_s(now: float, then: Any) -> float:
@@ -226,18 +49,18 @@ def _age_s(now: float, then: Any) -> float:
 
 
 def watch_snapshot(directory: "str | os.PathLike", *,
-                   agg=None, now: float | None = None,
-                   expiry_s: float = DEFAULT_EXPIRY_S) -> dict:
+                   agg=None, now: float | None = None) -> dict:
     """One deterministic-given-inputs view of a campaign directory.
 
     Pass a persistent ``agg`` (``CampaignStore(directory).aggregator()``)
     to keep folding incrementally across refreshes (the watch loop and the
     server do); a fresh one is built otherwise.  ``now`` defaults to wall
-    clock and is injectable so goldens can pin worker ages.  Returns plain
-    data: the report's fields (``name``, ``total``, ``done``, ``failed``,
+    clock and is injectable so goldens can pin ages.  Returns plain data:
+    the report's fields (``name``, ``total``, ``done``, ``failed``,
     ``failures`` by kind, ``metrics``, ``axes``), ``running`` / ``pending``
     / ``stale_claims`` with one ``claims`` row per leased unfinished cell,
-    one ``workers`` row per heartbeat, and ``executed`` -- cells per worker
+    one ``workers`` row ``{worker, state, cell, age_s, done, failed}`` per
+    worker with a journal or a claim, and ``executed`` -- cells per worker
     journal, the zero-duplicate witness.
     """
     from ..campaign.store import CampaignStore
@@ -249,21 +72,13 @@ def watch_snapshot(directory: "str | os.PathLike", *,
     if now is None:
         now = time.time()
 
-    workers = [{
-        "worker": hb.get("worker", "?"),
-        "state": heartbeat_state(hb, now=now, expiry_s=expiry_s),
-        "age_s": _age_s(now, hb.get("updated_at")),
-        "claimed": hb.get("claimed"),
-        "done": hb.get("done", 0),
-        "failed": hb.get("failed", 0),
-        "rate_per_s": hb.get("rate_per_s", 0.0),
-        "note": hb.get("note"),
-    } for hb in read_heartbeats(store.heartbeat_dir)]
-
+    claimed = store.claimed_keys()
     claims = []
     for key, label, _seed, _assignment in agg.cells:
-        claim = None if key in agg else store.read_claim(key)
-        if claim is None:
+        if key not in claimed or key in agg:
+            continue
+        claim = store.read_claim(key)
+        if claim is None:  # released since the listing
             continue
         expires = claim.get("expires_at")
         claims.append({
@@ -275,6 +90,24 @@ def watch_snapshot(directory: "str | os.PathLike", *,
     stale_claims = sum(c["expired"] for c in claims)
     running = len(claims) - stale_claims
 
+    journals = store.journals()
+    held: dict[str, dict] = {}  # worker -> the claim it holds
+    for c in claims:
+        held.setdefault(str(c["worker"]), c)
+    workers = []
+    for name in sorted(set(journals) | set(held)):
+        frames = journals.get(name, {})
+        claim = held.get(name, {})
+        workers.append({
+            "worker": name,
+            "state": ("idle" if not claim
+                      else "stale" if claim["expired"] else "running"),
+            "cell": claim.get("cell"),
+            "age_s": claim.get("age_s"),
+            "done": len(frames),
+            "failed": sum(v != "ok" for v in frames.values()),
+        })
+
     return {
         "name": report.name, "total": report.total, "done": report.done,
         "failed": report.failed, "failures": report.failures,
@@ -284,7 +117,7 @@ def watch_snapshot(directory: "str | os.PathLike", *,
         "stale_claims": stale_claims,
         "workers": workers,
         "claims": claims,
-        "executed": store.journal_counts(),
+        "executed": {w: len(frames) for w, frames in journals.items()},
         "now": now,
     }
 
@@ -306,50 +139,37 @@ def _headline(snap: Mapping[str, Any]) -> str:
                if snap["stale_claims"] else ""))
 
 
-def render_watch(snap: Mapping[str, Any]) -> str:
-    """Monospace watch table for one :func:`watch_snapshot`."""
+def render_status(snap: Mapping[str, Any]) -> str:
+    """The short form of one :func:`watch_snapshot`: headline, failures by
+    kind, one row per worker and a warning per stale claim."""
     lines = [_headline(snap)]
     if snap["failures"]:
         detail = ", ".join(f"{kind}: {n}"
                            for kind, n in snap["failures"].items())
         lines.append(f"failures by kind: {detail}")
     if snap["workers"]:
-        rows = [[w["worker"], w["state"], f"{w['age_s']:.0f}s",
-                 w["claimed"] or "-", w["done"], w["failed"],
-                 f"{w['rate_per_s']:.2f}", w["note"] or "-"]
+        rows = [[w["worker"], w["state"],
+                 "-" if w["age_s"] is None else f"{w['age_s']:.0f}s",
+                 w["cell"] or "-", w["done"], w["failed"]]
                 for w in snap["workers"]]
         lines.append("")
         lines.append(render_table(
-            ("worker", "state", "age", "cell", "done", "failed", "cells/s",
-             "last note"), rows, title="workers"))
+            ("worker", "state", "age", "cell", "done", "failed"), rows,
+            title="workers"))
     stale = [c for c in snap["claims"] if c["expired"]]
     if stale:
         lines.append("")
         for c in stale:
             lines.append(f"warning: stale claim on {c['cell']!r} held by "
                          f"{c['worker']} for {c['age_s']:.0f}s (stealable)")
-    lines += _report_of(snap).render_axes(
-        f" (streaming, {snap['done']} cells in)")
     return "\n".join(lines)
 
 
-def render_status(snap: Mapping[str, Any]) -> str:
-    """The short form of one :func:`watch_snapshot`: headline, cells
-    executed per worker journal, heartbeats and leases."""
-    lines = [_headline(snap)]
-    for worker, n in snap["executed"].items():
-        lines.append(f"  {worker}: {n} cell(s) executed")
-    for w in snap["workers"]:
-        lines.append(f"  heartbeat {w['worker']}: {w['state']}, age "
-                     f"{w['age_s']:.0f}s, {w['done']} done "
-                     f"({w['failed']} failed), {w['rate_per_s']:.2f} "
-                     f"cells/s"
-                     + (f", on {w['claimed']!r}" if w["claimed"] else ""))
-    for claim in snap["claims"]:
-        lines.append(f"  lease on {claim['cell']!r}: held by "
-                     f"{claim['worker']} for {claim['age_s']:.0f}s"
-                     + (" -- STALE (stealable)" if claim["expired"] else ""))
-    return "\n".join(lines)
+def render_watch(snap: Mapping[str, Any]) -> str:
+    """The watch view of one :func:`watch_snapshot`: the status text plus
+    the per-axis tables of the cells folded so far."""
+    return "\n".join([render_status(snap), *_report_of(snap).render_axes(
+        f" (streaming, {snap['done']} cells in)")])
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +180,19 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def build_metrics_text(directory: "str | os.PathLike", *,
-                       agg=None, now: float | None = None,
-                       expiry_s: float = DEFAULT_EXPIRY_S) -> str:
+                       agg=None, now: float | None = None) -> str:
     """Prometheus text for a campaign directory's live state.
 
     It starts with :meth:`CampaignReport.render_prometheus` of the
     directory -- byte for byte what ``campaign report --prom`` prints --
-    and appends worker-liveness gauges under ``repro_campaign_worker*``.
+    and appends the worker gauges under ``repro_campaign_worker*``.
     """
-    snap = watch_snapshot(directory, agg=agg, now=now, expiry_s=expiry_s)
+    snap = watch_snapshot(directory, agg=agg, now=now)
     lines = [_report_of(snap).render_prometheus().rstrip("\n")]
     esc = lambda s: str(s).replace("\\", r"\\").replace('"', r'\"')
     wname = _prom_name("repro_campaign_", "workers")
     lines.append(f"# TYPE {wname} gauge")
-    for state in ("live", "stale", "exited"):
+    for state in ("running", "stale", "idle"):
         n = sum(1 for w in snap["workers"] if w["state"] == state)
         lines.append(f'{wname}{{state="{state}"}} {_prom_value(n)}')
     if snap["workers"]:
@@ -383,17 +202,11 @@ def build_metrics_text(directory: "str | os.PathLike", *,
             for state in ("done", "failed"):
                 lines.append(f'{cname}{{worker="{esc(w["worker"])}",'
                              f'state="{state}"}} {_prom_value(w[state])}')
-        rname = _prom_name("repro_campaign_", "worker_rate_cells_per_s")
-        lines.append(f"# TYPE {rname} gauge")
-        for w in snap["workers"]:
-            lines.append(f'{rname}{{worker="{esc(w["worker"])}"}} '
-                         f'{_prom_value(w["rate_per_s"])}')
     return "\n".join(lines) + "\n"
 
 
 def make_live_server(directory: "str | os.PathLike", *, port: int = 0,
-                     host: str = "127.0.0.1",
-                     expiry_s: float = DEFAULT_EXPIRY_S):
+                     host: str = "127.0.0.1"):
     """A ready-to-serve :class:`~http.server.ThreadingHTTPServer` exposing
     ``/metrics`` (Prometheus), ``/`` (the watch table) and ``/healthz``.
 
@@ -423,13 +236,11 @@ def make_live_server(directory: "str | os.PathLike", *, port: int = 0,
             try:
                 if path == "/metrics":
                     with lock:
-                        body = build_metrics_text(directory, agg=agg,
-                                                  expiry_s=expiry_s)
+                        body = build_metrics_text(directory, agg=agg)
                     self._send(body.encode(), PROM_CONTENT_TYPE)
                 elif path == "/":
                     with lock:
-                        snap = watch_snapshot(directory, agg=agg,
-                                              expiry_s=expiry_s)
+                        snap = watch_snapshot(directory, agg=agg)
                     self._send((render_watch(snap) + "\n").encode(),
                                "text/plain; charset=utf-8")
                 elif path == "/healthz":

@@ -26,7 +26,8 @@ Environment knobs:
     write nothing).
 ``REPRO_PROGRESS=1`` / ``=0``
     Force the sweep progress line (stderr) on or off; default is on only
-    when stderr is a terminal.  See :mod:`.progress`.
+    when stderr is a terminal.  A one-scenario batch (``run_one``, a
+    campaign cell) draws none.  See :mod:`.progress`.
 
 Resilient execution (PR 4) rides on :func:`run_batch`'s keywords:
 ``on_error="capture"`` isolates per-scenario crashes as

@@ -220,7 +220,10 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
             misses.append(i)
 
     interrupted = False
-    progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses))
+    # One scenario is not a sweep: a campaign cell (``run_one``) must not
+    # draw a line under the campaign's own.
+    progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses),
+                             enabled=None if len(cfgs) > 1 else False)
 
     def _land(i: int, res: Any) -> None:
         """Keep, cache and count one result as it arrives (event streams

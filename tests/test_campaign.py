@@ -490,13 +490,36 @@ def test_fan_out_parent_loads_each_cell_once(tmp_path, counted):
     store.init(camp)
     from repro.campaign import worker_loop
     worker_loop(store, [(c.key, c.label, c.config) for c in cells[:3]],
-                cache=False, heartbeat=False)
+                cache=False)
     counter.serialised = counter.unpickled = 0
     run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=False)
     assert run.complete
     assert counter.unpickled == len(cells) and counter.serialised == 0
     counts = CampaignStore(tmp_path / "camp").journal_counts()
     assert counts["earlier"] == 3 and sum(counts.values()) == len(cells)
+
+
+def test_campaign_cells_draw_no_progress_line_of_their_own(
+        tmp_path, monkeypatch, capsys):
+    """Each cell runs through ``run_one``; with the campaign's own line
+    off, ``REPRO_PROGRESS=1`` must not paint one ``sweep: 1/1`` per cell."""
+    monkeypatch.setenv("REPRO_PROGRESS", "1")
+    camp = _tiny_campaign(axes={"transport": ["tcp", "iq", "rudp"]})
+    run = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False,
+                       progress=False)
+    assert run.complete and len(camp) == 6
+    assert capsys.readouterr().err == ""
+
+
+def test_fan_out_parent_line_counts_failures_from_results(tmp_path, capsys):
+    # queue_pkts=0 raises at run time -> one deterministic "error" cell.
+    camp = Campaign(Scenario(**TINY), name="mixed",
+                    axes={"queue_pkts": [64, 0]}, seeds=1)
+    run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=False,
+                       progress=True)
+    assert run.complete and run.report().failed == 1
+    line = capsys.readouterr().err.rstrip("\n").split("\r")[-1]
+    assert line.startswith("sweep: 2/2 done  (1 failed)"), line
 
 
 def test_in_memory_results_equal_read_back(tmp_path):
@@ -584,7 +607,7 @@ def test_outcome_frames_append_to_a_parent_format_journal(tmp_path):
     old_size = (root / "journal" / "old.pkl").stat().st_size
     done = worker_loop(CampaignStore(root, worker="old"),
                        [(c.key, c.label, c.config) for c in cells],
-                       cache=False, heartbeat=False)
+                       cache=False)
     assert done == len(cells) - 2
     assert CampaignStore(root).journal_counts() == {"old": len(cells)}
     grown = (root / "journal" / "old.pkl").stat().st_size - old_size

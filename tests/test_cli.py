@@ -154,7 +154,7 @@ def test_retired_ledger_commands_are_argparse_errors(argv, capsys):
 
 def test_environment_switch_census():
     """Every ``REPRO_*`` switch the package reads, by string literal.  A
-    seventh switch means editing this list on purpose."""
+    sixth switch means editing this list on purpose."""
     import ast
     import pathlib
     import re
@@ -165,7 +165,7 @@ def test_environment_switch_census():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found.update(re.findall(r"\bREPRO_[A-Z_]+", node.value))
     assert found == {"REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_PROGRESS",
-                     "REPRO_FLIGHT", "REPRO_INVARIANTS", "REPRO_HEARTBEAT"}
+                     "REPRO_FLIGHT", "REPRO_INVARIANTS"}
 
 
 def test_experiments_are_the_ten_declarations():

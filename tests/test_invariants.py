@@ -240,7 +240,7 @@ def test_env_var_arms_invariants(monkeypatch):
 
 @pytest.mark.parametrize("value", ["", "0"])
 def test_env_var_zero_or_empty_disarms(monkeypatch, value):
-    # Like REPRO_FLIGHT / REPRO_HEARTBEAT / REPRO_PROGRESS, "0" is off --
+    # Like REPRO_FLIGHT / REPRO_PROGRESS, "0" is off --
     # which also leaves the (engine-replacing) profiler usable.
     from repro.obs.profiler import profile_scenario
     monkeypatch.setenv("REPRO_INVARIANTS", value)

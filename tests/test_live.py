@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.obs.live`: heartbeat atomicity/expiry, the one
-snapshot (incremental fold vs ``aggregate``, lease and heartbeat detail),
+"""Tests for :mod:`repro.obs.live`: the one snapshot (incremental fold vs
+``aggregate``, worker rows from claims and journals, lease detail),
 deterministic ``watch --once`` goldens, the Prometheus ``serve`` endpoint,
 and one directory read through ``status``, ``watch``, ``report`` and
 ``/metrics``.
@@ -20,10 +20,8 @@ import pytest
 from repro.api import Scenario
 from repro.campaign import Campaign, CampaignStore, aggregate, run_campaign
 from repro.experiments.common import ScenarioResult
-from repro.obs.live import (DEFAULT_EXPIRY_S, PROM_CONTENT_TYPE,
-                            HeartbeatWriter, build_metrics_text,
-                            heartbeat_state, make_live_server,
-                            read_heartbeats, render_watch, watch_snapshot)
+from repro.obs.live import (PROM_CONTENT_TYPE, build_metrics_text,
+                            make_live_server, render_watch, watch_snapshot)
 from repro.runner.cache import atomic_write
 from repro.runner.failures import FailedResult
 
@@ -37,10 +35,6 @@ SUMMARIES = {
 }
 
 
-def _atomic_write_json(path, payload):
-    atomic_write(path, json.dumps(payload, sort_keys=True).encode())
-
-
 def _golden_campaign():
     return Campaign(Scenario(**TINY), name="golden",
                     axes={"transport": ["tcp", "iq"]}, seeds=1)
@@ -52,121 +46,95 @@ def _result(summary):
                           completed=1)
 
 
-@pytest.fixture()
-def golden_dir(tmp_path):
-    """A finished 2-cell campaign directory with one pinned heartbeat --
-    every byte of it is deterministic (synthetic results, no clocks)."""
-    camp = _golden_campaign()
-    store = CampaignStore(tmp_path / "camp")
-    store.init(camp)
-    for cell in camp.cells():
+def _finish(store, cells):
+    """Store and journal ``cells`` as ``store.worker`` would."""
+    for cell in cells:
         store.store_cell(cell.key,
                          _result(SUMMARIES[cell.assignment["transport"]]))
-    _atomic_write_json(store.heartbeat_dir / "w1.json", {
-        "v": 1, "worker": "w1", "pid": 4242, "host": "testhost",
-        "state": "running", "started_at": 1000.0, "updated_at": 1000.0,
-        "claimed": None, "claimed_key": None, "done": 2, "failed": 0,
-        "rate_per_s": 0.5, "note": "transport:COMPLETE"})
+        store.journal().append(cell.key, "ok")
+    store.close()
+
+
+def _pin_claim(root, cell, worker, *, claimed_at, lease_s=300.0):
+    """The lease ``worker`` took on ``cell`` at ``claimed_at``."""
+    atomic_write(CampaignStore(root).claim_path(cell.key), json.dumps({
+        "worker": worker, "pid": 4242, "host": "testhost",
+        "claimed_at": claimed_at, "expires_at": claimed_at + lease_s,
+        "generation": 1}).encode())
+
+
+@pytest.fixture()
+def golden_dir(tmp_path):
+    """A finished 2-cell campaign directory whose worker ``w1`` journaled
+    both cells -- every byte of it is deterministic (synthetic results,
+    no clocks)."""
+    camp = _golden_campaign()
+    store = CampaignStore(tmp_path / "camp", worker="w1")
+    store.init(camp)
+    _finish(store, camp.cells())
     return tmp_path / "camp"
 
 
-# ----------------------------------------------------------------------
-# Heartbeat writer: atomicity, throttling, failure behaviour
-# ----------------------------------------------------------------------
-def test_heartbeat_write_is_atomic_and_leaves_no_tmp(tmp_path):
-    hb = HeartbeatWriter(tmp_path, "w0", clock=lambda: 1000.0)
-    for _ in range(20):
-        hb.beat(force=True)
-    names = sorted(os.listdir(tmp_path))
-    assert names == ["w0.json"], "only the final renamed file may exist"
-    payload = json.loads((tmp_path / "w0.json").read_text())
-    assert payload["worker"] == "w0"
-    assert payload["updated_at"] == 1000.0
-    assert payload["state"] == "running"
+@pytest.fixture()
+def midrun_dir(tmp_path):
+    """The same campaign caught mid-run: ``w1`` finished the tcp cell and
+    ``w2`` has held the lease on the iq cell since t=1000 s."""
+    camp = _golden_campaign()
+    tcp, iq = camp.cells()
+    store = CampaignStore(tmp_path / "camp", worker="w1")
+    store.init(camp)
+    _finish(store, [tcp])
+    _pin_claim(tmp_path / "camp", iq, "w2", claimed_at=1000.0)
+    return tmp_path / "camp"
 
 
-def test_heartbeat_throttles_unforced_beats(tmp_path):
-    hb = HeartbeatWriter(tmp_path, "w0", min_interval_s=3600.0,
-                         clock=lambda: 1000.0)
-    first = (tmp_path / "w0.json").read_text()
-    hb.done = 99
-    hb.beat()  # throttled: within min_interval of the construction write
-    assert (tmp_path / "w0.json").read_text() == first
-    hb.beat(force=True)
-    assert json.loads((tmp_path / "w0.json").read_text())["done"] == 99
-
-
-def test_heartbeat_counters_and_note(tmp_path):
-    clock_now = [1000.0]
-    hb = HeartbeatWriter(tmp_path, "w0", min_interval_s=0.0,
-                         clock=lambda: clock_now[0])
-    hb.claim("cell-a", "k1")
-    assert json.loads((tmp_path / "w0.json").read_text())["claimed"] == \
-        "cell-a"
-    clock_now[0] = 1001.0
-    hb.complete(note="run:COMPLETE")
-    clock_now[0] = 1002.0
-    hb.complete(failed=True, note="link:DOWN")
-    payload = json.loads((tmp_path / "w0.json").read_text())
-    assert payload["done"] == 2
-    assert payload["failed"] == 1
-    assert payload["claimed"] is None
-    assert payload["note"] == "link:DOWN"
-    assert payload["rate_per_s"] == pytest.approx(1.0)  # 2 in 2s window
-
-
-def test_heartbeat_never_raises_on_broken_directory(tmp_path):
-    hb = HeartbeatWriter(tmp_path / "hb", "w0")
-    # Replace the heartbeat directory with a plain file: every future
-    # write must fail -- silently.
-    os.unlink(hb.path)
-    os.rmdir(tmp_path / "hb")
-    (tmp_path / "hb").write_text("not a directory")
-    hb.beat(force=True)  # flips the writer into broken mode
-    hb.complete()        # and stays silent thereafter
-    hb.close()
-    assert (tmp_path / "hb").read_text() == "not a directory"
-
-
-def test_heartbeat_kill_switch(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_HEARTBEAT", "0")
-    monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_PROGRESS", "0")
-    run_campaign(_golden_campaign(), dir=tmp_path / "camp", workers=1)
-    assert not os.path.exists(tmp_path / "camp" / "heartbeats")
+def _cli(capsys, *argv):
+    from repro.cli import main
+    assert main(["campaign", *argv]) == 0
+    return capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
-# Liveness classification
+# Worker rows: the claim is the liveness, the journal the counts
 # ----------------------------------------------------------------------
-def test_heartbeat_state_expiry_window():
-    hb = {"state": "running", "updated_at": 1000.0}
-    assert heartbeat_state(hb, now=1000.0 + DEFAULT_EXPIRY_S - 1) == "live"
-    assert heartbeat_state(hb, now=1000.0 + DEFAULT_EXPIRY_S) == "stale"
-    assert heartbeat_state({"state": "exited", "updated_at": 1000.0},
-                           now=1000.5) == "exited"
-    assert heartbeat_state({"state": "running"}, now=0.0) == "stale"
+def test_worker_state_comes_from_the_claim_lease(midrun_dir):
+    _tcp, iq = _golden_campaign().cells()
+    rows = lambda now: {w["worker"]: w for w in watch_snapshot(
+        midrun_dir, now=now)["workers"]}
+    live = rows(1000.0 + 300.0 - 1)
+    assert live["w2"] == {"worker": "w2", "state": "running",
+                          "cell": iq.label, "age_s": 299.0,
+                          "done": 0, "failed": 0}
+    assert live["w1"] == {"worker": "w1", "state": "idle", "cell": None,
+                          "age_s": None, "done": 1, "failed": 0}
+    # The lease runs out at expires_at exactly: the cell is stealable
+    # and its holder stale in the same instant.
+    assert rows(1000.0 + 300.0)["w2"]["state"] == "stale"
 
 
-def test_read_heartbeats_skips_corrupt_files(tmp_path):
-    _atomic_write_json(tmp_path / "good.json",
-                       {"worker": "good", "updated_at": 1.0})
-    (tmp_path / "torn.json").write_text('{"worker": "to')
-    (tmp_path / "noise.txt").write_text("ignored")
-    assert [hb["worker"] for hb in read_heartbeats(tmp_path)] == ["good"]
-
-
-def test_dead_worker_reported_stale_after_lease_timeout(golden_dir):
-    store = CampaignStore(golden_dir)
-    snap = watch_snapshot(golden_dir, now=1000.0 + store.lease_s + 1,
-                          expiry_s=store.lease_s)
-    (hb,) = snap["workers"]
-    assert hb["worker"] == "w1"
-    assert hb["state"] == "stale"
-    assert hb["age_s"] == pytest.approx(store.lease_s + 1)
-    # ... while a just-renewed view of the same file reads live.
-    assert watch_snapshot(golden_dir, now=1001.0, expiry_s=store.lease_s)[
-        "workers"][0]["state"] == "live"
+def test_dead_worker_reported_stale_after_lease_timeout(midrun_dir, capsys):
+    _tcp, iq = _golden_campaign().cells()
+    store = CampaignStore(midrun_dir)
+    snap = watch_snapshot(midrun_dir, now=1000.0 + store.lease_s + 1)
+    w2 = next(w for w in snap["workers"] if w["worker"] == "w2")
+    assert w2["state"] == "stale" and w2["cell"] == iq.label
+    assert w2["age_s"] == pytest.approx(store.lease_s + 1)
+    # ... while a view inside the lease reads it running.
+    assert watch_snapshot(midrun_dir, now=1001.0)["workers"][1][
+        "state"] == "running"
+    # The lease was taken at t=1000 s of the epoch: on the wall clock
+    # every surface reads it stale, on its cell.
+    status = json.loads(_cli(capsys, "status", str(midrun_dir), "--json"))
+    assert {(w["worker"], w["state"], w["cell"])
+            for w in status["workers"]} == {("w1", "idle", None),
+                                            ("w2", "stale", iq.label)}
+    watch = _cli(capsys, "watch", str(midrun_dir), "--once")
+    assert f"warning: stale claim on {iq.label!r} held by w2" in watch
+    assert any(line.split()[:2] == ["w2", "stale"]
+               for line in watch.splitlines())
+    metrics = build_metrics_text(midrun_dir)
+    assert 'repro_campaign_workers{state="stale"} 1' in metrics
+    assert 'repro_campaign_workers{state="running"} 0' in metrics
 
 
 def test_status_reports_stale_lease_detail(tmp_path):
@@ -176,7 +144,7 @@ def test_status_reports_stale_lease_detail(tmp_path):
     cells = camp.cells()
     assert store.try_claim(cells[0].key)
     time.sleep(0.02)  # let the lease expire
-    snap = watch_snapshot(tmp_path, expiry_s=store.lease_s)
+    snap = watch_snapshot(tmp_path)
     assert snap["stale_claims"] == 1 and snap["running"] == 0
     (claim,) = [c for c in snap["claims"] if c["expired"]]
     assert claim["cell"] == cells[0].label
@@ -188,6 +156,41 @@ def test_status_reports_stale_lease_detail(tmp_path):
     assert snap["stale_claims"] == 2
     assert snap["claims"][1] == {"cell": cells[1].label, "worker": "x",
                                  "age_s": 0.0, "expired": True}
+
+
+def test_snapshot_opens_only_the_claims_that_exist(tmp_path, monkeypatch):
+    camp = Campaign(Scenario(**TINY), name="wide",
+                    axes={"transport": ["tcp", "iq"]}, seeds=100)
+    cells = camp.cells()
+    store = CampaignStore(tmp_path)
+    store.init(camp)
+    assert store.try_claim(cells[7].key)
+    opened = []
+    real_read = CampaignStore.read_claim
+    monkeypatch.setattr(
+        CampaignStore, "read_claim",
+        lambda self, key: opened.append(key) or real_read(self, key))
+    snap = watch_snapshot(tmp_path)
+    assert len(cells) == 200 and opened == [cells[7].key]
+    assert snap["running"] == 1 and snap["pending"] == 199
+
+
+def test_finished_directory_holds_only_the_protocol_files(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    run_campaign(_golden_campaign(), dir=tmp_path / "camp", workers=1,
+                 progress=False)
+    assert sorted(os.listdir(tmp_path / "camp")) == [
+        "cells", "claims", "journal", "manifest.json"]
+
+
+@pytest.mark.parametrize("argv", [["campaign", "watch"], ["serve"]])
+def test_expiry_flag_is_an_argparse_error(argv, golden_dir, capsys):
+    from repro.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(golden_dir), "--expiry", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --expiry" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -233,20 +236,17 @@ def test_streaming_fold_is_incremental(golden_dir, monkeypatch):
 # watch --once golden
 # ----------------------------------------------------------------------
 GOLDEN_WATCH = """\
-campaign golden: 2/2 done (0 failed), 0 running, 0 pending
+campaign golden: 1/2 done (0 failed), 1 running, 0 pending
 
 workers
-worker  state  age  cell  done  failed  cells/s  last note
-------  -----  ---  ----  ----  ------  -------  ------------------
-w1      live   1s   -     2     0       0.50     transport:COMPLETE
+worker  state    age  cell                   done  failed
+------  -------  ---  ---------------------  ----  ------
+w1      idle     -    -                      1     0
+w2      running  1s   transport='iq',seed=1  0     0
 
-axis: transport (streaming, 2 cells in)
+axis: transport (streaming, 1 cells in)
 transport  metric              n  mean   min    max    std
 ---------  ------------------  -  -----  -----  -----  ---
-'iq'       duration_s          1  1      1      1      0
-'iq'       throughput_kBps     1  200    200    200    0
-'iq'       msg_interarrival_s  1  0.005  0.005  0.005  0
-'iq'       msg_jitter_s        1  0.001  0.001  0.001  0
 'tcp'      duration_s          1  2      2      2      0
 'tcp'      throughput_kBps     1  100    100    100    0
 'tcp'      msg_interarrival_s  1  0.01   0.01   0.01   0
@@ -259,14 +259,14 @@ def _rstripped(text):
     return "\n".join(line.rstrip() for line in text.splitlines())
 
 
-def test_watch_snapshot_golden(golden_dir):
-    snap = watch_snapshot(golden_dir, now=1001.0)
+def test_watch_snapshot_golden(midrun_dir):
+    snap = watch_snapshot(midrun_dir, now=1001.0)
     assert _rstripped(render_watch(snap)) == GOLDEN_WATCH
 
 
-def test_watch_snapshot_is_deterministic_given_now(golden_dir):
-    a = watch_snapshot(golden_dir, now=1001.0)
-    b = watch_snapshot(golden_dir, now=1001.0)
+def test_watch_snapshot_is_deterministic_given_now(midrun_dir):
+    a = watch_snapshot(midrun_dir, now=1001.0)
+    b = watch_snapshot(midrun_dir, now=1001.0)
     assert a == b
 
 
@@ -309,9 +309,9 @@ def test_metrics_text_reuses_pinned_report_formatting(golden_dir):
     results = {c.key: store.load_cell(c.key) for c in camp.cells()}
     report_lines = aggregate(camp, results).render_prometheus().rstrip("\n")
     assert text.startswith(report_lines)
-    assert 'repro_campaign_workers{state="live"} 1' in text
+    assert 'repro_campaign_workers{state="idle"} 1' in text
     assert 'repro_campaign_worker_cells{worker="w1",state="done"} 2' in text
-    assert 'repro_campaign_worker_rate_cells_per_s{worker="w1"} 0.5' in text
+    assert "rate" not in text
 
 
 def test_serve_endpoint_content_type_and_pinned_bytes(golden_dir):
@@ -372,12 +372,6 @@ def order_dir(tmp_path):
     return tmp_path / "camp", camp
 
 
-def _cli(capsys, *argv):
-    from repro.cli import main
-    assert main(["campaign", *argv]) == 0
-    return capsys.readouterr().out
-
-
 def test_metrics_endpoint_starts_with_report_prom(order_dir, capsys):
     root, _camp = order_dir
     report_prom = _cli(capsys, "report", str(root), "--prom")
@@ -422,13 +416,17 @@ def test_status_watch_report_agree_on_counts(order_dir, capsys):
     assert "failures by kind: timeout: 1" in watch
     # Zero duplicate executions: every cell sits in exactly one journal.
     assert status["executed"] == {"w0": 12}
+    # The worker row is that journal: 12 frames, one of them not "ok".
+    assert status["workers"] == [{"worker": "w0", "state": "idle",
+                                  "cell": None, "age_s": None,
+                                  "done": 12, "failed": 1}]
     assert sum(watch_snapshot(root)["executed"].values()) == len(camp)
 
 
 # ----------------------------------------------------------------------
 # Acceptance: a real 2-worker campaign is observable end to end
 # ----------------------------------------------------------------------
-def test_two_worker_campaign_shows_heartbeats_and_aggregates(
+def test_two_worker_campaign_shows_journal_rows_and_aggregates(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_PROGRESS", "0")
@@ -443,13 +441,17 @@ def test_two_worker_campaign_shows_heartbeats_and_aggregates(
     out = capsys.readouterr().out
     assert "campaign accept: 4/4 done" in out
     assert "axis: transport (streaming, 4 cells in)" in out
-    workers = [hb["worker"]
-               for hb in read_heartbeats(tmp_path / "camp" / "heartbeats")]
-    assert len(workers) == 2
-    for worker in workers:
-        assert worker in out
+    snap = watch_snapshot(tmp_path / "camp")
+    assert len(snap["workers"]) == 2
+    assert sum(w["done"] for w in snap["workers"]) == sum(
+        snap["executed"].values()) == 4
+    for w in snap["workers"]:
+        assert w["state"] == "idle" and w["failed"] == 0
+        assert w["done"] == snap["executed"][w["worker"]]
+        assert w["worker"] in out
 
     assert main(["campaign", "status", str(tmp_path / "camp")]) == 0
     status_out = capsys.readouterr().out
-    assert "heartbeat" in status_out
-    assert "exited" in status_out
+    assert status_out.splitlines()[0] == (
+        "campaign accept: 4/4 done (0 failed), 0 running, 0 pending")
+    assert "idle" in status_out and "axis:" not in status_out
