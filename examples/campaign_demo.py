@@ -4,8 +4,8 @@
 A campaign is "one scenario template x named parameter axes x seed
 replicates".  This demo declares a small coordinated-vs-uncoordinated
 grid as a plain dict (the same shape a ``.toml`` spec file takes), runs
-it through a shared campaign directory with two worker processes doing
-filesystem work-stealing, and prints the per-axis aggregate report.
+it through a shared campaign directory with two cells in flight, each in
+a worker process, and prints the per-axis aggregate report.
 
 Everything here scales to thousands of cells and multiple hosts: point
 more ``repro campaign run`` invocations at the same directory and they

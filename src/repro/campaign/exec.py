@@ -7,20 +7,20 @@ Two modes, one entry point (:func:`run_campaign`):
   grids inside one process.
 * **Work-stealing** (``dir=PATH``): the campaign directory
   (:class:`~repro.campaign.store.CampaignStore`) is the only coordination
-  channel.  Each worker loops over the (identically-ordered) cell list,
-  skips finished cells, claims one with ``O_CREAT|O_EXCL``, executes it
-  under the resilient runner (capture / timeout / retries), stores the
-  result atomically (one pickle, one write), journals the outcome and
-  releases the claim.  The caller keeps what its own worker produced and
-  loads every other finished cell once.  ``workers=N`` forks N child
-  processes over the same directory; running the same command on other
-  hosts sharing the filesystem adds workers the same way.  A killed worker
-  leaves an expiring lease; once it expires any worker (a survivor still
-  passing over the cells, or a later ``resume``) steals the cell and the
-  campaign finishes anyway.  Interrupt with SIGINT and ``resume`` later:
-  finished cells are
-  never re-executed, so the completed report is byte-identical to an
-  uninterrupted run.
+  channel.  One claimer (:func:`worker_loop`) walks the
+  (identically-ordered) cell list, skips finished cells, claims one with
+  ``O_CREAT|O_EXCL`` whenever the runner's pool has a free slot, and runs
+  it there under failure capture (timeout / retries); as a cell lands it
+  is stored atomically (one pickle, one write), its outcome journaled and
+  its claim released.  ``workers=N`` is N cells in flight, each in a
+  worker process of that one pool; running the same command on other
+  hosts sharing the filesystem adds claimers the same way.  A killed
+  campaign process leaves expiring leases; once they expire any claimer
+  (another still passing over the cells, or a later ``resume``) steals
+  the cells and the campaign finishes anyway.  Interrupt with SIGINT and
+  ``resume`` later: the cells that were running store nothing and are
+  released, finished cells are never re-executed, so the completed report
+  is byte-identical to an uninterrupted run.
 
 Determinism: every cell derives all randomness from its own seed, so the
 result set is bit-identical for any worker count, any interleaving, and
@@ -29,15 +29,15 @@ any interrupt/resume history.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
-import signal
 import time
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
 from ..runner.failures import BatchExecutionError, FailedResult
-from ..runner.pool import run_batch, run_one
+from ..runner.hashing import config_key
+from ..runner.pool import _cache_put, _resolve_cache, _run_detached, run_batch
 from ..runner.progress import SweepProgress
+from ..runner.supervisor import run_supervised
 from .aggregate import CampaignReport, aggregate
 from .spec import Campaign, CampaignCell
 from .store import DEFAULT_LEASE_S, CampaignStore
@@ -83,92 +83,84 @@ class CampaignRun:
 
 def worker_loop(store: CampaignStore,
                 cells: "list[tuple[str, str, ScenarioConfig]]", *,
-                cache=None, timeout: float | None = None,
+                jobs: int = 1, cache=None, timeout: float | None = None,
                 retries: int = 0, on_cell=None) -> int:
-    """One worker's pass over the campaign: claim, run, store, release.
+    """This process's pass over the campaign: claim, run, store, release.
 
-    ``cells`` is the shared ordered list of ``(key, label, config)``.
-    Returns the number of cells this worker executed.  Raises
-    ``KeyboardInterrupt`` through (after releasing the in-flight claim) so
-    the caller can report resume instructions.
+    ``cells`` is the shared ordered list of ``(key, label, config)``.  One
+    claimer feeds :func:`~repro.runner.supervisor.run_supervised`, up to
+    ``jobs`` cells in flight: a cell is claimed only when a slot is free,
+    a ``cache`` hit lands without being dispatched, and each cell that
+    lands is stored, journaled and released.  Returns the number of cells
+    this call settled.  ``KeyboardInterrupt`` propagates once every claim
+    still held is released: the running cells store nothing.
 
     The claim is the worker's liveness and its journal its counts: what
     :func:`repro.obs.live.watch_snapshot` shows of a worker comes from
     those two files, so the loop writes nothing else.
     """
-    executed = 0
+    cache = _resolve_cache(cache)
     journal = store.journal()
-    try:
-        # Loop until every cell is either done or leased to another live
-        # worker.  An expired lease is stolen inside try_claim, so "live
-        # lease elsewhere" is the only blocked state -- and that holder
-        # (or a later resume, if it died) finishes the cell; waiting here
-        # could outlive the holder's whole campaign, so we exit instead.
+    held: set[str] = set()  # cell keys this call has claimed
+    executed = 0
+
+    def land(i: int, res, fresh: bool = True) -> None:
+        nonlocal executed
+        key, label, cfg = cells[i]
+        if fresh and cache is not None:
+            _cache_put(cache, config_key(cfg), res)
+        store.store_cell(key, res)
+        try:
+            journal.append(key, res.kind if isinstance(
+                res, FailedResult) else "ok")
+        except OSError:
+            pass
+        store.release_claim(key)
+        held.discard(key)
+        executed += 1
+        if on_cell is not None:
+            on_cell(key, label, res)
+
+    def claimed():
+        # Pass until every cell is done, held here or leased to another
+        # live claimer (try_claim steals expired leases); that holder, or
+        # a later resume if it dies, finishes the cell.
         while True:
             progressed = False
-            retry = False    # claim vanished mid-pass: claimable next pass
-            blocked = False  # live lease held by another worker
+            retry = False  # a claim vanished or expired: claimable next pass
             done = store.done_keys()
-            for key, label, cfg in cells:
-                if key in done:
+            for i, (key, _, cfg) in enumerate(cells):
+                if key in done or key in held:
                     continue
                 if not store.try_claim(key):
-                    if store.load_cell(key) is not None:
-                        continue
-                    claim = store.read_claim(key)
-                    expires = (claim or {}).get("expires_at")
-                    if (isinstance(expires, (int, float))
-                            and time.time() < expires):
-                        blocked = True
-                    else:
-                        retry = True
+                    expires = (store.read_claim(key) or {}).get("expires_at")
+                    retry |= (not (isinstance(expires, (int, float))
+                                   and time.time() < expires)
+                              and store.load_cell(key) is None)
                     continue
+                held.add(key)
                 if store.load_cell(key) is not None:
                     store.release_claim(key)
+                    held.discard(key)
                     continue
-                try:
-                    res = run_one(cfg, cache=cache, on_error="capture",
-                                  timeout=timeout, retries=retries)
-                    store.store_cell(key, res)
-                    try:
-                        journal.append(key, res.kind if isinstance(
-                            res, FailedResult) else "ok")
-                    except OSError:
-                        pass
-                    executed += 1
-                    progressed = True
-                    if on_cell is not None:
-                        on_cell(key, label, res)
-                finally:
-                    store.release_claim(key)
-            if progressed or retry:
-                continue
-            break  # done, or the rest is in other workers' hands
+                progressed = True
+                ckey = config_key(cfg) if cache is not None else None
+                hit = ckey and cache.get(ckey, expect=ScenarioResult)
+                if hit is not None:
+                    land(i, hit, fresh=False)
+                else:
+                    yield i, cfg
+            if not (progressed or retry):
+                return
+
+    try:
+        run_supervised(claimed(), _run_detached, jobs=jobs, timeout=timeout,
+                       retries=retries, on_result=land)
     finally:
+        for key in held:
+            store.release_claim(key)
         store.close()
     return executed
-
-
-def _raise_interrupt(signum, frame):
-    raise KeyboardInterrupt
-
-
-def _worker_main(root: str, worker: str, lease_s: float,
-                 cells: "list[tuple[str, str, ScenarioConfig]]",
-                 cache, timeout: float | None, retries: int) -> None:
-    """Child-process entry point for ``workers=N`` fan-out."""
-    # The parent's SIGINT handler terminate()s us with SIGTERM; default
-    # SIGTERM disposition would kill the process without unwinding, leaking
-    # the in-flight claim as a live lease that blocks the next resume.
-    # Translating it into KeyboardInterrupt runs worker_loop's finally
-    # (claim released, journal flushed) before exiting.
-    signal.signal(signal.SIGTERM, _raise_interrupt)
-    store = CampaignStore(root, worker=worker, lease_s=lease_s)
-    try:
-        worker_loop(store, cells, cache=cache, timeout=timeout,
-                    retries=retries)
-    except KeyboardInterrupt:
-        pass
 
 
 def _load_results(store: CampaignStore, cells, results: dict) -> list:
@@ -191,10 +183,10 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
                       retries: int) -> CampaignRun:
     """Complete the final result set, re-running any torn cell files.
 
-    ``results`` is what this call already holds -- the preload, the cells
-    the one in-process worker executed or the fan-out parent loaded as
-    they landed -- so only the rest is read from disk: no cell is
-    unpickled twice, none this process wrote.
+    ``results`` is what this call already holds -- the preload and the
+    cells its claimer settled -- so only the rest (cells other claimers
+    stored) is read from disk: no cell is unpickled twice, none this
+    process wrote.
 
     Workers skip cells on file *existence* (``done_keys`` -- cheap enough
     to poll every pass), so a cell whose result file exists but does not
@@ -229,8 +221,9 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
     a spec-file path (anything :func:`~repro.campaign.load_campaign`
     takes).  With ``dir=None`` the expansion runs in-memory through
     ``run_batch`` (``workers`` = its ``jobs``).  With a directory, state
-    lives on disk: ``workers`` child processes split the cells via the
-    claim/lease protocol, the run survives SIGINT (re-invoke with the same
+    lives on disk: one claimer keeps up to ``workers`` cells in flight,
+    each in a worker process (in this one for ``workers=1`` without a
+    ``timeout``), the run survives SIGINT (re-invoke with the same
     directory to resume) and other hosts pointing at the same directory
     join the same campaign.  Failures are always captured as
     :class:`FailedResult` cells -- inspect ``run.report()``.
@@ -249,57 +242,17 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
 
     store = CampaignStore(dir, lease_s=lease_s)
     store.init(campaign)
-    triples = [(c.key, c.label, c.config) for c in cells]
     results: dict = {}
     already = len(_load_results(store, cells, results))  # count *and* collect
-
-    if workers == 1:
-        bar = SweepProgress(len(cells), cached=already, enabled=progress)
-
-        def on_cell(key, label, res):
-            results[key] = res  # own cells are kept, never read back
-            bar.update(failed=isinstance(res, FailedResult))
-        try:
-            worker_loop(store, triples, cache=cache, timeout=timeout,
-                        retries=retries, on_cell=on_cell)
-        finally:
-            bar.finish()
-        return _collect_and_heal(store, campaign, cells, results,
-                                 cache=cache, timeout=timeout,
-                                 retries=retries)
-
-    # Multi-process fan-out: children coordinate purely through the store;
-    # the parent paints progress from the cells that land (loading each
-    # once, so the final collect reads only what is left) and handles
-    # SIGINT.
-    ctx = mp.get_context("spawn" if os.name == "nt" else "fork")
-    procs = []
-    for w in range(workers):
-        p = ctx.Process(
-            target=_worker_main,
-            args=(os.fspath(dir), f"{store.worker}-w{w}", lease_s, triples,
-                  cache, timeout, retries),
-            daemon=False)
-        p.start()
-        procs.append(p)
-
     bar = SweepProgress(len(cells), cached=already, enabled=progress)
+
+    def on_cell(key, label, res):
+        results[key] = res  # own cells are kept, never read back
+        bar.update(failed=isinstance(res, FailedResult))
     try:
-        while True:
-            alive = any(p.is_alive() for p in procs)
-            for res in _load_results(store, cells, results):
-                bar.update(failed=isinstance(res, FailedResult))
-            if not alive:
-                break
-            time.sleep(0.05)
-        for p in procs:
-            p.join()
-    except KeyboardInterrupt:
-        for p in procs:
-            p.terminate()
-        for p in procs:
-            p.join()
-        raise
+        worker_loop(store, [(c.key, c.label, c.config) for c in cells],
+                    jobs=workers, cache=cache, timeout=timeout,
+                    retries=retries, on_cell=on_cell)
     finally:
         bar.finish()
     return _collect_and_heal(store, campaign, cells, results, cache=cache,

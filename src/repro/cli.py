@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_campaign_exec_flags(sp):
         sp.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes splitting the cell grid "
+                        help="cells in flight, each in a worker process "
                              "(default 1; results identical for any N)")
         sp.add_argument("--timeout", type=float, default=None, metavar="S",
                         help="per-cell wall-clock budget in seconds")

@@ -7,10 +7,10 @@ performance lever for reproducing the paper is fanning those runs out across
 cores and never re-running a configuration whose parameters have not
 changed.  This package supplies both:
 
-* :func:`run_batch` / :func:`run_one` -- execute scenario configs across a
-  ``ProcessPoolExecutor`` (``jobs`` workers) with deterministic per-scenario
-  seeding: results are bit-identical whatever the worker count, because
-  every scenario derives its randomness from its own ``cfg.seed``.
+* :func:`run_batch` / :func:`run_one` -- execute scenario configs on
+  :mod:`.supervisor`'s pool of ``jobs`` reusable worker processes with
+  deterministic per-scenario seeding: results are bit-identical whatever
+  the worker count, as each scenario seeds itself from ``cfg.seed``.
 * :class:`ResultsCache` / :func:`memo` -- pickle results under a key that
   hashes the full :class:`~repro.experiments.common.ScenarioConfig` plus a
   salt over the package's source code, so editing any ``repro`` module

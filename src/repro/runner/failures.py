@@ -18,11 +18,11 @@ Failure kinds
     The per-scenario wall-clock budget expired and the worker was killed.
     Transient (host load can cause it) -- eligible for retry.
 ``"worker-lost"``
-    The worker process died without reporting (OOM kill, crash, pool
-    breakage).  Transient -- eligible for retry.
-``"interrupted"``
-    The batch received SIGINT while this scenario was queued or running;
-    completed scenarios keep their real results.
+    The worker process died without reporting (OOM kill, ``kill -9``,
+    interpreter abort).  Transient -- eligible for retry.
+
+Ctrl-C is no scenario's failure: it propagates as ``KeyboardInterrupt``
+(older stores' ``"interrupted"`` rows still load).
 """
 
 from __future__ import annotations

@@ -18,36 +18,33 @@ so the trace file, like the results, is identical for any worker count.
 Cache *hits* are recorded in the trace header as ``"cached": true`` with no
 event stream (the cache stores metrics, not events).
 
-Three ways to run a miss, one landing
--------------------------------------
-Cache misses run **here** (in-process, one after the other), in a
-**pool** (``ProcessPoolExecutor``, ``jobs > 1``) or in **supervised
-one-shot children** (:mod:`.supervisor`).  Which one is decided by what
-the caller asked to survive, never by a switch: nothing asked, and a
-scenario exception leaves ``run_batch`` unchanged from the worker, here or
-out of the pool; ``on_error="capture"``, a ``timeout`` or ``retries`` make
-crashes :class:`FailedResult` rows -- in-process when there is no worker to
-lose or kill (``jobs=1``, no timeout), else under the supervisor, where
-hangs are killed at the wall-clock budget, transient losses retry with
-exponential backoff and SIGINT drains with partial results.  With
-``on_error="raise"`` (the default) a surviving failure is re-raised as
-:class:`BatchExecutionError` carrying the worker traceback; ``"capture"``
-returns the failures in-place so sweeps can triage.
+One way to run a miss, one landing
+----------------------------------
+Every cache miss goes through :func:`.supervisor.run_supervised`: in this
+process when there is no worker to lose or kill (``jobs=1``, no
+timeout), else on its pool of reusable supervised workers, where hangs
+are killed at the wall-clock budget and transient losses retry with
+exponential backoff.  What the caller asked to survive decides what a
+failure becomes, never a switch: nothing asked, and a scenario exception
+leaves ``run_batch`` unchanged from the worker, here or out of the pool;
+``on_error="capture"``, a ``timeout`` or ``retries`` make crashes
+:class:`FailedResult` rows.  With ``on_error="raise"`` (the default) a
+surviving failure row is re-raised as :class:`BatchExecutionError`
+carrying the worker traceback; ``"capture"`` returns the failures in-place
+so sweeps can triage.
 
-Every branch hands each result, as it arrives, to one landing -- keep it,
-cache it, count it -- so whatever finished before a later
-scenario raised, or before Ctrl-C, is a cache hit on the next call.  A
-batch that must outlive its process runs through a campaign directory
-(:func:`repro.campaign.run_rows`, ``--campaign-dir``): claimed, resumable,
-shared between processes.
+Each result is handed, as it arrives, to one landing -- keep it, cache
+it, count it -- so whatever finished before a later scenario raised, or
+before Ctrl-C (which always propagates as ``KeyboardInterrupt``), is a
+cache hit on the next call.  A batch that must outlive its process runs
+through a campaign directory (:func:`repro.campaign.run_rows`,
+``--campaign-dir``): claimed, resumable, shared between processes.
 """
 
 from __future__ import annotations
 
 import pickle
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..experiments.common import ScenarioConfig, ScenarioResult, run_scenario
 from ..obs.sinks import RingBufferSink, write_trace
@@ -55,7 +52,7 @@ from .cache import ResultsCache, cache_enabled, default_cache
 from .failures import BatchExecutionError, FailedResult
 from .hashing import config_key
 from .progress import SweepProgress
-from .supervisor import classify_exception, describe_config, run_supervised
+from .supervisor import run_supervised
 
 __all__ = ["run_batch", "run_one"]
 
@@ -132,21 +129,18 @@ def _validate_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _run_here(cfg: ScenarioConfig, worker: Callable, capture: bool
-              ) -> ScenarioResult | FailedResult:
-    """Run one scenario in this process.  With ``capture`` a crash becomes
-    a :class:`FailedResult` classified as the supervisor would; without,
-    the worker's own exception propagates unchanged."""
+def _cache_put(store: ResultsCache | None, key: str | None, res) -> None:
+    """Cache one fresh result (event streams stay out of the cache: they
+    are per-run evidence, not results)."""
+    if store is None or key is None or not isinstance(res, ScenarioResult):
+        return
+    events, res.trace = res.trace, None
     try:
-        return worker(cfg)
-    except Exception as exc:
-        if not capture:
-            raise
-        return FailedResult(kind=classify_exception(exc),
-                            error_type=type(exc).__name__, message=str(exc),
-                            traceback=traceback.format_exc(), attempts=1,
-                            scenario=describe_config(cfg),
-                            flight=getattr(exc, "flight_dump", None))
+        store.put(key, res)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        pass  # unpicklable payloads just skip persistence
+    finally:
+        res.trace = events
 
 
 def run_one(cfg: ScenarioConfig, *,
@@ -171,8 +165,9 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
 
     ``configs`` is either a mapping (returns ``{key: result}``, insertion
     order preserved) or a sequence (returns a list).  ``jobs`` is the
-    worker-process count; ``None`` or ``1`` runs in-process, and only
-    cache *misses* are fanned out.  Configs whose fields cannot be stably
+    worker-process count; ``None`` or ``1`` runs in-process unless a
+    ``timeout`` needs a worker to kill, and only cache *misses* are
+    fanned out.  Configs whose fields cannot be stably
     hashed (lambda adaptation factories) always run fresh.
 
     ``trace`` names a JSONL(.gz) file to write the batch's event streams
@@ -219,52 +214,24 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
         else:
             misses.append(i)
 
-    interrupted = False
-    # One scenario is not a sweep: a campaign cell (``run_one``) must not
-    # draw a line under the campaign's own.
+    # One scenario is not a sweep: a single-config call must not draw a
+    # line of its own.
     progress = SweepProgress(len(cfgs), cached=len(cfgs) - len(misses),
                              enabled=None if len(cfgs) > 1 else False)
 
     def _land(i: int, res: Any) -> None:
-        """Keep, cache and count one result as it arrives (event streams
-        stay out of the cache: they are per-run evidence, not results)."""
+        """Keep, cache and count one result as it arrives."""
         results[i] = res
-        if isinstance(res, ScenarioResult) and keys[i] is not None:
-            events = res.trace
-            res.trace = None
-            try:
-                store.put(keys[i], res)
-            except (pickle.PicklingError, TypeError, AttributeError):
-                pass  # unpicklable payloads just skip persistence
-            finally:
-                res.trace = events
+        _cache_put(store, keys[i], res)
         progress.update(failed=isinstance(res, FailedResult))
 
     try:
-        if misses and resilient and (jobs > 1 or timeout is not None):
-            _, interrupted = run_supervised(
-                [(i, cfgs[i]) for i in misses], worker, jobs=jobs,
-                timeout=timeout, retries=retries,
-                retry_backoff_s=retry_backoff_s, on_result=_land)
-        elif jobs > 1 and len(misses) > 1:
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, len(misses))) as ex:
-                for i, res in zip(misses, ex.map(
-                        worker, [cfgs[i] for i in misses])):
-                    _land(i, res)
-        else:
-            # No worker to lose or kill, so retries have nothing
-            # transient to act on.
-            for i in misses:
-                _land(i, _run_here(cfgs[i], worker, capture=resilient))
+        run_supervised(((i, cfgs[i]) for i in misses), worker, jobs=jobs,
+                       timeout=timeout, retries=retries,
+                       retry_backoff_s=retry_backoff_s, capture=resilient,
+                       on_result=_land)
     finally:
         progress.finish()
-
-    # Supervisor gaps (only possible on interrupt) become typed rows too.
-    for i in misses:
-        if results[i] is None:
-            results[i] = FailedResult(kind="interrupted",
-                                      scenario=describe_config(cfgs[i]))
 
     if trace is not None:
         run_entries = []
@@ -280,8 +247,6 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
             })
         write_trace(trace, run_entries)
 
-    if interrupted and on_error == "raise":
-        raise KeyboardInterrupt
     if on_error == "raise":
         for res in results:
             if isinstance(res, FailedResult):

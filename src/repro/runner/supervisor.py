@@ -1,34 +1,37 @@
-"""One-shot worker-process supervision: timeouts, retries, SIGINT draining.
+"""One pool of supervised, reusable workers: timeouts, retries, SIGINT.
 
-``ProcessPoolExecutor`` cannot kill an individual hung worker -- a stuck
-``map`` call wedges the whole batch, and one dead worker poisons the pool.
-The resilient batch path therefore runs each scenario in its own one-shot
-``multiprocessing.Process`` connected by a pipe:
+Every scenario that runs outside this process runs here, the only module
+that starts one.  :func:`run_supervised` keeps up to ``jobs`` children,
+started on demand and alive for one call, each looping over its pipe:
+receive a config, run the worker, send the outcome.
 
-* a scenario that **raises** reports a classified failure message through
-  the pipe (crash isolation);
+* a scenario that **raises** reports a classified failure (crash
+  isolation), and its child takes the next task;
 * a scenario that **hangs** past its wall-clock budget is sent SIGTERM
   (which the child converts to :class:`TimeoutKilled`, giving
-  ``run_scenario`` a moment to report its flight-recorder dump through
-  the pipe), then killed (``SIGKILL``) and classified ``"timeout"``;
-* a worker that **dies silently** (OOM kill, interpreter abort) is
-  detected by pipe EOF and classified ``"worker-lost"``;
+  ``run_scenario`` a moment to send its flight-recorder dump), then
+  killed and classified ``"timeout"``; a fresh child takes the slot;
+* a child that **dies silently** (OOM kill, ``kill -9``) is detected by
+  pipe EOF and classified ``"worker-lost"``;
 * transient kinds are **retried** with exponential backoff, bounded by
-  ``retries``, without blocking the rest of the batch (a backoff is a
-  ready-time in a heap, not a sleep);
-* **SIGINT** drains gracefully: running workers are killed, finished
-  scenarios keep their results, unfinished slots become
-  ``FailedResult(kind="interrupted")``.
+  ``retries`` (a backoff is a ready-time in a heap, not a sleep);
+* **SIGINT** belongs to this process: children ignore it (a terminal
+  Ctrl-C signals the whole process group), and the pool kills them and
+  re-raises ``KeyboardInterrupt``, landing nothing for unfinished tasks.
 
-Scenario results are deterministic functions of their config, so the
-supervisor's scheduling freedom (completion order, retries) can never
-change what a successful batch returns.
+With ``jobs=1`` and no timeout there is no worker to lose or kill, so each
+task runs in this process.  Children are forked after the caller may have
+opened files (a campaign's journal): they never write an inherited handle
+and exit through ``os._exit``, which flushes no inherited buffer.
+Scheduling (completion order, retries) never changes a result.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import multiprocessing as mp
+import pickle
 import signal
 import time as _time
 import traceback
@@ -36,7 +39,7 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable
 
 from ..invariants import InvariantViolation
-from .failures import FailedResult, TRANSIENT_KINDS
+from .failures import BatchExecutionError, FailedResult, TRANSIENT_KINDS
 
 __all__ = ["run_supervised", "describe_config", "classify_exception",
            "TimeoutKilled"]
@@ -69,193 +72,230 @@ def classify_exception(exc: BaseException) -> str:
     return "invariant" if isinstance(exc, InvariantViolation) else "error"
 
 
-def _child_main(conn, worker: Callable, cfg) -> None:
-    """Worker-process entry: run one scenario, report through the pipe.
+def _fields(exc: BaseException) -> tuple:
+    """The exception being handled as failure fields: kind, type name,
+    message, traceback and the flight dump ``run_scenario`` attached."""
+    return (classify_exception(exc), type(exc).__name__, str(exc),
+            traceback.format_exc(), getattr(exc, "flight_dump", None))
 
-    The failure tuple's last element is the flight-recorder dump
-    ``run_scenario`` attached to the exception (None when recording is
-    disabled or the crash happened outside the scenario)."""
+
+def _failed(cfg, fields: tuple, **kw) -> FailedResult:
+    kind, error_type, message, tb, flight = fields
+    return FailedResult(kind=kind, error_type=error_type, message=message,
+                        traceback=tb, scenario=describe_config(cfg),
+                        flight=flight, **kw)
+
+
+def _failure(kind: str, message: str, flight=None) -> tuple:
+    """The outcome message of a failure no exception reported."""
+    return ("fail", (kind, "", message, "", flight), None)
+
+
+def _child_main(conn, parent_end, worker: Callable) -> None:
+    """Pool-child loop: receive a config, run ``worker``, send the outcome
+    -- ``("ok", result)`` or ``("fail", fields, pickled exception)`` --
+    until the parent closes its end of the pipe (or dies)."""
 
     def _on_term(signum, frame):
         raise TimeoutKilled("killed at wall-clock timeout")
 
-    try:
-        signal.signal(signal.SIGTERM, _on_term)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-    try:
-        res = worker(cfg)
-    except BaseException as exc:
-        conn.send(("fail", classify_exception(exc), type(exc).__name__,
-                   str(exc), traceback.format_exc(),
-                   getattr(exc, "flight_dump", None)))
-    else:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, _on_term)
+    parent_end.close()  # else this copy would keep EOF from ever arriving
+    while True:
         try:
-            conn.send(("ok", res))
+            cfg = conn.recv()
+        except EOFError:
+            return
+        try:
+            msg = ("ok", worker(cfg))
+        except BaseException as exc:
+            try:
+                exc_pickle = pickle.dumps(exc)
+            except Exception:
+                exc_pickle = None
+            msg = ("fail", _fields(exc), exc_pickle)
+        try:
+            conn.send(msg)
         except Exception as exc:
             # Result not picklable: report as a deterministic error rather
             # than dying silently (which would read as worker-lost).
-            conn.send(("fail", "error", type(exc).__name__,
-                       f"result not transferable: {exc}",
-                       traceback.format_exc(),
-                       getattr(res, "flight", None)))
-    finally:
-        conn.close()
+            conn.send(_failure("error", f"result not transferable: {exc}",
+                               getattr(msg[1], "flight", None)))
 
 
-class _Job:
-    __slots__ = ("index", "cfg", "attempts")
+def _start_child(worker: Callable):
+    """Start one pool child; returns it and the parent's end of its pipe."""
+    ctx = mp.get_context()
+    ours, theirs = ctx.Pipe()
+    proc = ctx.Process(target=_child_main, args=(theirs, ours, worker),
+                       daemon=True)
+    proc.start()
+    theirs.close()  # the child holds the only copy of its end now
+    return proc, ours
 
-    def __init__(self, index: int, cfg) -> None:
-        self.index = index
-        self.cfg = cfg
-        self.attempts = 0
+
+def _kill(proc, conn) -> None:
+    try:
+        proc.kill()
+    except Exception:
+        pass
+    proc.join()
+    conn.close()
+
+
+def _terminate_collect(proc, conn):
+    """SIGTERM a timed-out worker, give it a grace period to unwind and
+    report its flight dump, then hard-kill regardless.  Returns the dump
+    or None."""
+    flight = None
+    try:
+        proc.terminate()
+        if conn.poll(_TERM_GRACE_S):
+            msg = conn.recv()
+            if msg[0] == "fail":
+                flight = msg[1][4]
+    except Exception:
+        pass  # a worker too wedged to report still gets killed
+    _kill(proc, conn)
+    return flight
 
 
 def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
                    timeout: float | None = None, retries: int = 0,
-                   retry_backoff_s: float = 0.05,
-                   on_result: Callable[[int, Any], None] | None = None,
-                   ) -> tuple[dict[int, Any], bool]:
-    """Run ``tasks`` (an iterable of ``(index, cfg)``) through supervised
-    one-shot worker processes.
+                   retry_backoff_s: float = 0.05, capture: bool = True,
+                   on_result: Callable[[int, Any], None]) -> None:
+    """Run ``tasks`` (an iterable of ``(index, cfg)``, pulled only when a
+    slot is free) and hand each final (non-retried) outcome to
+    ``on_result(index, value)`` as it lands.
 
-    Returns ``(results, interrupted)`` where ``results`` maps each index
-    to a scenario result or :class:`FailedResult` and ``interrupted``
-    flags a SIGINT drain.  ``on_result`` observes each final (non-retried)
-    outcome as it lands -- the checkpoint journal hook.
+    With ``capture`` every failure lands as a :class:`FailedResult`.
+    Without, the first failure stops dispatch, the running tasks land, and
+    the worker's own exception is raised -- :class:`BatchExecutionError`
+    when it cannot cross the pipe, or for a timeout or a lost worker.
+    ``KeyboardInterrupt`` kills the children and propagates; unfinished
+    tasks land nothing.
     """
-    ctx = mp.get_context()
-    results: dict[int, Any] = {}
-    slots = max(int(jobs or 1), 1)
+    tasks = iter(tasks)
+    if jobs == 1 and timeout is None:
+        for index, cfg in tasks:
+            try:
+                value = worker(cfg)
+            except Exception as exc:
+                if not capture:
+                    raise
+                value = _failed(cfg, _fields(exc))
+            on_result(index, value)
+        return
 
-    # Ready heap: (ready_at, tiebreak, job).  Backoffs are future
-    # ready-times, so retrying one scenario never stalls the others.
-    ready: list[tuple[float, int, _Job]] = []
-    order = 0
-    for index, cfg in tasks:
-        heapq.heappush(ready, (0.0, order, _Job(index, cfg)))
-        order += 1
+    idle: list = []  # (process, conn) waiting for a task
+    running: dict = {}  # conn -> (process, task, deadline, started_at)
+    backoff: list = []  # retries waiting: (ready_at, tiebreak, task)
+    attempts: dict[int, int] = {}
+    order = itertools.count()
+    error = None  # first failure without capture: (FailedResult, pickle)
 
-    # conn -> (process, job, deadline, started_at)
-    running: dict[Any, tuple[Any, _Job, float | None, float]] = {}
-
-    def _finish(job: _Job, value: Any) -> None:
-        results[job.index] = value
-        if on_result is not None:
-            on_result(job.index, value)
-
-    def _fail_or_retry(job: _Job, kind: str, message: str,
-                       elapsed: float, flight=None) -> None:
-        nonlocal order
-        if kind in TRANSIENT_KINDS and job.attempts <= retries:
-            delay = retry_backoff_s * (2 ** (job.attempts - 1))
-            heapq.heappush(ready,
-                           (_time.monotonic() + delay, order, job))
-            order += 1
+    def _land(task, msg, elapsed: float) -> None:
+        nonlocal error
+        index, cfg = task
+        if msg[0] == "ok":
+            on_result(index, msg[1])
             return
-        _finish(job, FailedResult(kind=kind, message=message,
-                                  attempts=job.attempts, elapsed_s=elapsed,
-                                  scenario=describe_config(job.cfg),
-                                  flight=flight))
+        _, fields, exc_pickle = msg
+        if fields[0] in TRANSIENT_KINDS and attempts[index] <= retries:
+            delay = retry_backoff_s * (2 ** (attempts[index] - 1))
+            heapq.heappush(backoff, (_time.monotonic() + delay,
+                                     next(order), task))
+            return
+        failed = _failed(cfg, fields, attempts=attempts[index],
+                         elapsed_s=elapsed)
+        if capture:
+            on_result(index, failed)
+        elif error is None:
+            error = (failed, exc_pickle)
 
-    def _kill(proc, conn) -> None:
-        try:
-            proc.kill()
-        except Exception:
-            pass
-        proc.join()
-        conn.close()
-
-    def _terminate_collect(proc, conn):
-        """SIGTERM a timed-out worker, give it a grace period to unwind
-        and report its flight dump, then hard-kill regardless.  Returns
-        the dump or None."""
-        flight = None
-        try:
-            proc.terminate()
-            if conn.poll(_TERM_GRACE_S):
-                msg = conn.recv()
-                if msg and msg[0] == "fail" and len(msg) >= 6:
-                    flight = msg[5]
-        except Exception:
-            pass  # a worker too wedged to report still gets killed
-        _kill(proc, conn)
-        return flight
+    def _dispatch() -> None:
+        """Fill the free slots: retries whose backoff is over first."""
+        while error is None and len(running) < jobs:
+            if backoff and backoff[0][0] <= _time.monotonic():
+                task = heapq.heappop(backoff)[2]
+            elif (task := next(tasks, None)) is None:
+                return
+            proc, conn = idle.pop() if idle else _start_child(worker)
+            attempts[task[0]] = attempts.get(task[0], 0) + 1
+            try:
+                conn.send(task[1])
+            except OSError:
+                pass  # the child died idle: its EOF reads as lost
+            except Exception as exc:  # the config does not pickle
+                idle.append((proc, conn))
+                _land(task, ("fail", _fields(exc), None), 0.0)
+                continue
+            now = _time.monotonic()
+            running[conn] = (proc, task, None if timeout is None
+                             else now + timeout, now)
 
     try:
-        while ready or running:
-            now = _time.monotonic()
-            while ready and len(running) < slots and ready[0][0] <= now:
-                _, _, job = heapq.heappop(ready)
-                job.attempts += 1
-                r_conn, w_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_child_main,
-                                   args=(w_conn, worker, job.cfg),
-                                   daemon=True)
-                proc.start()
-                w_conn.close()  # child holds the only writer now
-                deadline = now + timeout if timeout is not None else None
-                running[r_conn] = (proc, job, deadline, now)
-
+        while True:
+            _dispatch()
             if not running:
-                # Everything left is backing off; sleep to the nearest.
-                _time.sleep(max(ready[0][0] - _time.monotonic(), 0.0))
-                continue
+                if error is None and backoff:
+                    # Everything left is backing off; sleep to the nearest.
+                    _time.sleep(max(backoff[0][0] - _time.monotonic(), 0.0))
+                    continue
+                break
 
             # Wake at the nearest deadline or backoff expiry, whichever
             # comes first; None blocks until some worker reports.
-            nearest: float | None = None
-            for _, _, deadline, _ in running.values():
-                if deadline is not None:
-                    nearest = (deadline if nearest is None
-                               else min(nearest, deadline))
-            if ready and len(running) < slots:
-                nearest = (ready[0][0] if nearest is None
-                           else min(nearest, ready[0][0]))
-            wait_s = (None if nearest is None
-                      else max(nearest - _time.monotonic(), 0.0))
-            done = _conn_wait(list(running), timeout=wait_s)
+            wake = [dl for _, _, dl, _ in running.values() if dl is not None]
+            if backoff and len(running) < jobs:
+                wake.append(backoff[0][0])
+            done = _conn_wait(list(running), timeout=(
+                max(min(wake) - _time.monotonic(), 0.0) if wake else None))
 
             now = _time.monotonic()
             for conn in done:
-                proc, job, _, started = running.pop(conn)
+                proc, task, _, started = running.pop(conn)
                 try:
-                    msg = conn.recv()
-                except Exception:
-                    msg = None  # pipe EOF/garbage: the worker died on us
-                conn.close()
-                proc.join()
-                elapsed = now - started
-                if msg is None:
-                    _fail_or_retry(job, "worker-lost",
-                                   "worker process died without reporting "
-                                   f"(exit code {proc.exitcode})", elapsed)
-                elif msg[0] == "ok":
-                    _finish(job, msg[1])
+                    outcome = conn.recv_bytes()
+                except Exception:  # pipe EOF: the worker died on us
+                    _kill(proc, conn)
+                    msg = _failure("worker-lost", "worker process died "
+                                   f"without reporting (exit code "
+                                   f"{proc.exitcode})")
                 else:
-                    _, kind, etype, emsg, tb, flight = msg
-                    _finish(job, FailedResult(
-                        kind=kind, error_type=etype, message=emsg,
-                        traceback=tb, attempts=job.attempts,
-                        elapsed_s=elapsed,
-                        scenario=describe_config(job.cfg), flight=flight))
+                    idle.append((proc, conn))
+                    _dispatch()  # the child works on while this one lands
+                    try:
+                        msg = pickle.loads(outcome)
+                    except Exception as exc:
+                        msg = ("fail", _fields(exc), None)
+                _land(task, msg, now - started)
 
             for conn in [c for c, (_, _, dl, _) in running.items()
                          if dl is not None and now >= dl]:
-                proc, job, _, started = running.pop(conn)
+                proc, task, _, started = running[conn]
                 flight = _terminate_collect(proc, conn)
-                _fail_or_retry(job, "timeout",
-                               f"exceeded {timeout:g}s wall-clock budget",
-                               now - started, flight=flight)
-    except KeyboardInterrupt:
-        for conn, (proc, job, _, _) in running.items():
+                del running[conn]
+                _land(task, _failure("timeout", f"exceeded {timeout:g}s "
+                                     "wall-clock budget", flight),
+                      now - started)
+    finally:
+        for conn, (proc, _, _, _) in running.items():
             _kill(proc, conn)
-            _finish(job, FailedResult(kind="interrupted", attempts=job.attempts,
-                                      scenario=describe_config(job.cfg)))
-        while ready:
-            _, _, job = heapq.heappop(ready)
-            _finish(job, FailedResult(kind="interrupted", attempts=job.attempts,
-                                      scenario=describe_config(job.cfg)))
-        return results, True
-    return results, False
+        # Close every pipe before joining any child: a child forked later
+        # holds a copy of an earlier child's parent end, so the earlier
+        # one sees EOF only once the later one has exited.
+        for _, conn in idle:
+            conn.close()
+        for proc, _ in idle:
+            proc.join()
+
+    if error is not None:
+        failed, exc_pickle = error
+        try:
+            exc = pickle.loads(exc_pickle)
+        except Exception:
+            raise BatchExecutionError(failed) from None
+        raise exc from BatchExecutionError(failed)
+

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
@@ -344,6 +345,59 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
     assert resumed.report().to_json() == fresh.report().to_json()
 
 
+def held_adaptation():
+    """Hold the cell while the file ``REPRO_TEST_HOLD`` names exists (20 s
+    at most), then adapt as usual."""
+    deadline = time.monotonic() + 20
+    while (os.path.exists(os.environ["REPRO_TEST_HOLD"])
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return resolution_default()
+
+
+def test_ctrl_c_under_timeout_stores_nothing_and_resume_runs_the_cell(
+        tmp_path, monkeypatch):
+    """Ctrl-C while a supervised cell runs: the campaign stops with
+    ``KeyboardInterrupt``, the running cell leaves no result, no journal
+    frame and no claim, and ``resume`` runs it."""
+    hold = tmp_path / "hold"
+    hold.touch()
+    monkeypatch.setenv("REPRO_TEST_HOLD", str(hold))
+    camp = Campaign(Scenario(**TINY).replace(adaptation=held_adaptation),
+                    name="held", seeds=3)
+    first = camp.cells()[0].key
+    root = tmp_path / "camp"
+    store = CampaignStore(root)
+    finished = threading.Event()
+
+    def interrupt():
+        deadline = time.monotonic() + 30
+        while not store.claimed_keys() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.2)
+        if not finished.is_set():
+            os.kill(os.getpid(), signal.SIGINT)
+    thread = threading.Thread(target=interrupt, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(camp, dir=root, workers=1, timeout=60.0,
+                         cache=False, progress=False)
+    finally:
+        finished.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert not store.cell_path(first).exists()
+    assert store.done_keys() == set()
+    assert all(first not in frames for frames in store.journals().values())
+    assert store.claimed_keys() == set()
+
+    hold.unlink()
+    resumed = run_campaign(camp, dir=root, cache=False, progress=False)
+    assert resumed.complete and resumed.results_by_key[first].completed
+    assert sum(store.journal_counts().values()) == len(camp)
+
+
 def test_torn_cell_file_is_healed_on_rerun(tmp_path):
     """A cell result file that exists but does not unpickle (torn write)
     must be re-executed, not skipped-on-existence forever."""
@@ -437,12 +491,12 @@ def counted(monkeypatch):
     for mod in (store_mod, cache_mod, checkpoint_mod):
         monkeypatch.setattr(mod, "pickle", counter)
     executed = []
-    real_run_one = exec_mod.run_one
+    real_run = exec_mod._run_detached
 
-    def run_one(cfg, **kw):
+    def run_detached(cfg):
         executed.append(cfg)
-        return real_run_one(cfg, **kw)
-    monkeypatch.setattr(exec_mod, "run_one", run_one)
+        return real_run(cfg)
+    monkeypatch.setattr(exec_mod, "_run_detached", run_detached)
     return counter, executed
 
 
@@ -480,9 +534,10 @@ def test_read_back_unpickles_each_cell_once(tmp_path, counted):
 
 
 def test_fan_out_parent_loads_each_cell_once(tmp_path, counted):
-    """The parent of a ``workers=2`` run executes nothing itself; it loads
-    what the children stored exactly once (resume: the preloaded half is
-    not loaded again by the collect)."""
+    """The parent of a ``workers=2`` run executes nothing itself: it
+    receives what its pool children ran over their pipes and stores it, so
+    the only cells it unpickles are the preloaded ones, once each (resume:
+    the preloaded half is not loaded again by the collect)."""
     counter, executed = counted
     camp = _tiny_campaign(seeds=3)
     cells = camp.cells()
@@ -492,9 +547,11 @@ def test_fan_out_parent_loads_each_cell_once(tmp_path, counted):
     worker_loop(store, [(c.key, c.label, c.config) for c in cells[:3]],
                 cache=False)
     counter.serialised = counter.unpickled = 0
+    del executed[:]
     run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=False)
-    assert run.complete
-    assert counter.unpickled == len(cells) and counter.serialised == 0
+    assert run.complete and executed == []
+    assert counter.unpickled == 3
+    assert counter.serialised == len(cells) - 3
     counts = CampaignStore(tmp_path / "camp").journal_counts()
     assert counts["earlier"] == 3 and sum(counts.values()) == len(cells)
 

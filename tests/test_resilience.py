@@ -11,8 +11,11 @@ outlive its process runs through a campaign directory; see
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
+import signal
+import threading
 import time
 
 import pytest
@@ -54,6 +57,24 @@ def die_once_adaptation():
     return MarkingAdaptation()
 
 
+def slow_adaptation():
+    time.sleep(1.5)
+    return MarkingAdaptation()
+
+
+def _count_children(monkeypatch) -> list:
+    """Count the processes the supervisor starts from here on."""
+    from repro.runner import supervisor
+    starts = []
+    real = supervisor._start_child
+
+    def start(worker):
+        starts.append(worker)
+        return real(worker)
+    monkeypatch.setattr(supervisor, "_start_child", start)
+    return starts
+
+
 # ----------------------------------------------------------------------
 # Crash isolation
 # ----------------------------------------------------------------------
@@ -93,22 +114,12 @@ def test_legacy_raise_path_propagates_original_exception():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_results_landed_before_a_raise_are_cache_hits(tmp_path, monkeypatch,
-                                                      jobs):
-    from repro.runner import pool as pool_mod
-    pools = []
-
-    class Pool(pool_mod.ProcessPoolExecutor):
-        def __init__(self, *a, **kw):
-            pools.append(kw)
-            super().__init__(*a, **kw)
-    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Pool)
+def test_results_landed_before_a_raise_are_cache_hits(tmp_path, jobs):
     store = ResultsCache(tmp_path)
     cfgs = [_small(seed=1), _small(seed=2),
             _small(seed=3, adaptation=boom_adaptation)]
     with pytest.raises(RuntimeError, match="deliberate scenario crash"):
         run_batch(cfgs, jobs=jobs, cache=store)
-    assert len(pools) == (jobs > 1)     # nothing resilient asked: the pool
     assert len(list(tmp_path.glob("*.pkl"))) == 2
     store.hits = 0
     assert all(r.completed for r in run_batch(cfgs[:2], cache=store))
@@ -134,6 +145,16 @@ def test_results_landed_before_ctrl_c_are_cache_hits(tmp_path, monkeypatch,
     assert len(list(tmp_path.glob("*.pkl"))) == 2
     run_batch(cfgs, cache=store)
     assert (store.hits, len(list(tmp_path.glob("*.pkl")))) == (2, 3)
+
+
+def test_pool_raise_path_surfaces_the_workers_own_exception():
+    cfgs = [_small(seed=1), _small(seed=2, adaptation=boom_adaptation),
+            _small(seed=3)]
+    with pytest.raises(RuntimeError, match="deliberate scenario crash") as ei:
+        run_batch(cfgs, jobs=2, cache=False)
+    assert type(ei.value) is RuntimeError   # not a wrapper...
+    # ...but the worker's traceback rides along as its cause.
+    assert "boom_adaptation" in str(ei.value.__cause__)
 
 
 def test_resilient_raise_path_wraps_with_traceback():
@@ -164,6 +185,19 @@ def test_hung_scenario_is_killed_at_timeout():
     assert out[1].kind == "timeout" and out[1].transient
     assert out[1].elapsed_s >= 1.0
     assert elapsed < 60  # nowhere near the fixture's 300s sleep
+
+
+def test_hung_scenario_child_is_replaced_and_the_rest_complete(
+        monkeypatch):
+    starts = _count_children(monkeypatch)
+    cfgs = [_small(seed=1, adaptation=hang_adaptation)] + [
+        _small(seed=s) for s in (2, 3, 4)]
+    out = run_batch(cfgs, jobs=1, cache=False, on_error="capture",
+                    timeout=1.5)
+    assert out[0].kind == "timeout"
+    assert all(isinstance(r, ScenarioResult) and r.completed
+               for r in out[1:])
+    assert len(starts) == 2     # the killed child, then one replacement
 
 
 def test_worker_lost_is_transient_and_retried(tmp_path, monkeypatch):
@@ -198,6 +232,40 @@ def test_deterministic_crash_is_not_retried():
     assert isinstance(bad, FailedResult)
     assert bad.kind == "error"
     assert bad.attempts == 1  # retry budget is for transients only
+
+
+def test_sigint_to_a_worker_child_is_not_a_failure():
+    """A terminal Ctrl-C signals the whole process group; the children
+    ignore it and only this process decides what an interrupt means."""
+    sent = []
+
+    def interrupt_child():
+        deadline = time.monotonic() + 30
+        while not sent and time.monotonic() < deadline:
+            for child in multiprocessing.active_children():
+                time.sleep(0.3)  # the child is past its signal set-up
+                os.kill(child.pid, signal.SIGINT)
+                sent.append(child.pid)
+                break
+            time.sleep(0.01)
+    thread = threading.Thread(target=interrupt_child, daemon=True)
+    thread.start()
+    [res] = run_batch([_small(adaptation=slow_adaptation)], jobs=1,
+                      cache=False, on_error="capture", timeout=60.0)
+    thread.join(timeout=30)
+    assert not thread.is_alive() and sent
+    assert isinstance(res, ScenarioResult) and res.completed
+
+
+# ----------------------------------------------------------------------
+# The pool: a bounded set of reusable children
+# ----------------------------------------------------------------------
+def test_supervised_batch_reuses_at_most_jobs_children(monkeypatch):
+    starts = _count_children(monkeypatch)
+    cfgs = [_small(seed=s, n_frames=5) for s in range(24)]
+    out = run_batch(cfgs, jobs=2, cache=False, timeout=60.0)
+    assert all(r.completed for r in out)
+    assert 1 <= len(starts) <= 2
 
 
 # ----------------------------------------------------------------------
