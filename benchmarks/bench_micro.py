@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments.common import ScenarioConfig
 from repro.obs.bus import TraceBus
-from repro.obs.sinks import JsonlTraceSink, RingBufferSink
+from repro.obs.sinks import RingBufferSink, write_trace
 from repro.runner import run_batch
 from repro.sim.engine import Simulator
 
@@ -117,28 +117,26 @@ def bench_parallel_batch_throughput(benchmark):
 
 def bench_trace_overhead(benchmark, tmp_path):
     """Enabled ``TraceBus.emit`` throughput into the in-memory ring buffer
-    vs the streaming JSONL writer.  What the *disabled* path costs a packet
-    is counted and gated by ``bench_obs_overhead.py``."""
+    vs emitting into an unbounded ring and writing it with ``write_trace``,
+    the path a traced batch takes.  What the *disabled* path costs a
+    packet is counted and gated by ``bench_obs_overhead.py``."""
     n_emit = 50_000
 
-    def emit_ring():
+    def emit_ring(capacity=1024):
         sim = Simulator()
-        tr = TraceBus(sim, sinks=[RingBufferSink(capacity=1024)])
+        sink = RingBufferSink(capacity=capacity)
+        tr = TraceBus(sim, sinks=[sink])
         emit = tr.emit
         for i in range(n_emit):
             emit("transport", "PACKET_SEND", flow=1, pkt=i, size=1400)
-        return tr.events_emitted
+        return sink
 
     def emit_jsonl():
-        sim = Simulator()
-        with JsonlTraceSink(tmp_path / "bench_trace.jsonl") as sink:
-            tr = TraceBus(sim, sinks=[sink])
-            emit = tr.emit
-            for i in range(n_emit):
-                emit("transport", "PACKET_SEND", flow=1, pkt=i, size=1400)
-        return tr.events_emitted
+        return write_trace(tmp_path / "bench_trace.jsonl",
+                           [{"run": "0", "events": emit_ring(None).events}])
 
     print(f"\ntrace emit: ring {_best_rate(emit_ring, n_emit):,.0f} "
           f"events/s, jsonl {_best_rate(emit_jsonl, n_emit):,.0f} events/s")
-    assert benchmark(emit_ring) == n_emit
+    assert emit_jsonl() == n_emit
+    assert benchmark(emit_ring).appended == n_emit
 

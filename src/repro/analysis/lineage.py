@@ -2,7 +2,7 @@
 
 The span recorder (:mod:`repro.obs.spans`) captures the raw chain --
 frames, datagram attempts, drops, coordination episodes -- and this module
-turns it into the artefacts ``repro lineage`` prints:
+turns it into the artefacts ``repro report RESULT`` prints:
 
 * :func:`frame_accounting` -- outcome counts plus the reconciliation
   anchor (``frames_with_delivery`` must equal the delivery log's frame

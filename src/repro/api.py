@@ -24,13 +24,13 @@ fail with a close-match suggestion instead of silently configuring
 nothing.  :func:`run` and :func:`sweep` go through the batch runner, so
 they share its persistent results cache, process-pool fan-out and JSONL
 tracing.  :func:`load_result` reads a pickled result back (the cache's
-``.pkl`` format, or anything ``pickle.dump``-ed from a ``ScenarioResult``).
+``.pkl`` format, or anything ``pickle.dump``-ed from a ``ScenarioResult``)
+through the one artifact loader ``repro report`` uses.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from typing import Iterable, Mapping
 
 from .campaign import (  # noqa: F401  (re-export: campaigns)
@@ -39,6 +39,7 @@ from .campaign import (  # noqa: F401  (re-export: campaigns)
 from .experiments.common import ScenarioConfig, ScenarioResult
 from .faults import FaultSchedule  # noqa: F401  (re-export: schedules are config)
 from .invariants import InvariantViolation  # noqa: F401  (re-export)
+from .obs.report import load_artifact
 from .obs.telemetry import TelemetryConfig  # noqa: F401  (re-export: config)
 from .runner import run_batch, run_one
 from .runner.failures import (  # noqa: F401  (re-export: resilient sweeps)
@@ -109,17 +110,18 @@ def sweep(scenarios, /, *, jobs: int = 1, cache=None,
 
 def load_result(path: str | os.PathLike) -> ScenarioResult:
     """Load a pickled :class:`ScenarioResult` (e.g. a results-cache
-    ``.pkl`` entry) and type-check it.
+    ``.pkl`` entry) through :func:`repro.obs.report.load_artifact` and
+    type-check it.
 
     Raises ``FileNotFoundError`` for a missing file and ``TypeError`` when
-    the pickle holds something other than a scenario result -- loading an
+    the file holds something other than a scenario result -- loading an
     arbitrary experiment artifact through this accessor is a bug, not a
     result.
     """
-    with open(path, "rb") as fh:
-        value = pickle.load(fh)
+    try:
+        value = load_artifact(path).get("result")
+    except ValueError as exc:
+        raise TypeError(str(exc)) from None
     if not isinstance(value, ScenarioResult):
-        raise TypeError(
-            f"{os.fspath(path)!r} holds {type(value).__name__}, not a "
-            f"ScenarioResult; was it written by the results cache?")
+        raise TypeError(f"{os.fspath(path)!r} holds no ScenarioResult")
     return value

@@ -18,10 +18,10 @@ Examples
     python -m repro population --flows 1000  # 1k flows + fluid background
     python -m repro profile --cbr 16e6     # engine self-profile for one run
     python -m repro compare a.pkl b.pkl    # run diff (exit 1 on divergence)
-    python -m repro metrics a.pkl          # Prometheus text exposition
-    python -m repro lineage --transport iq --workload trace_clocked \
-        --adaptation marking --cbr 18.5e6 --tolerance 0.4   # causal chain
-    python -m repro forensics failed.pkl   # last-moments flight timeline
+    python -m repro scenario --set spans=True --save a.pkl   # lineage armed
+    python -m repro report a.pkl           # flight timeline + causal chain
+    python -m repro report a.pkl --prom    # Prometheus text exposition
+    python -m repro report run.jsonl.gz    # trace timeline + audit
 
 The experiment subcommands print the same paper-vs-measured blocks the
 benches write (each is one :class:`~repro.experiments.grid.Experiment`
@@ -142,7 +142,7 @@ def _run_scenario_cmd(args) -> str:
                        title=f"scenario: {args.transport}/{args.workload}")
     if args.save:
         out += (f"\n\nresult saved to {args.save} "
-                f"(inspect with 'repro metrics {args.save}' or diff two "
+                f"(inspect with 'repro report {args.save}' or diff two "
                 f"saves with 'repro compare A B')")
     return out
 
@@ -183,15 +183,6 @@ def _run_compare_cmd(args) -> int:
     return report.exit_code
 
 
-def _run_metrics_cmd(args) -> None:
-    from .api import load_result
-    res = load_result(args.path)
-    if res.registry is None:
-        raise ValueError(f"{args.path} carries no metrics registry")
-    # The exposition ends with its own newline.
-    print(res.registry.render_prometheus(prefix=args.prefix), end="")
-
-
 def _run_fuzz_cmd(args) -> int:
     from .fuzz import run_fuzz
     report = run_fuzz(budget=args.budget, seed=args.seed, jobs=args.jobs,
@@ -205,125 +196,18 @@ def _run_fuzz_cmd(args) -> int:
                        "forensics": report.forensics}, fh, indent=2)
         print(f"[fuzz] forensics written to {args.forensics} "
               f"({len(report.forensics)} record(s)); view with "
-              f"'repro forensics {args.forensics}'")
+              f"'repro report {args.forensics}'")
     return 0 if report.ok else 1
 
 
-def _run_lineage_cmd(args) -> str:
-    from .analysis.lineage import render_frame_lineage, render_lineage
-    if args.load:
-        import pickle
-        with open(args.load, "rb") as fh:
-            res = pickle.load(fh)
-        spans = getattr(res, "spans", None)
-        if spans is None:
-            raise ValueError(
-                f"{args.load} carries no lineage spans; save it from a "
-                f"run with spans armed (repro lineage ... --save PATH, or "
-                f"ScenarioConfig(spans=True))")
-    else:
-        from .api import run
-        scenario = _build_scenario(args).replace(spans=True)
-        res = run(scenario)
-        spans = res.spans
-    if args.save:
-        import pickle
-        with open(args.save, "wb") as fh:
-            pickle.dump(res, fh)
-    if args.json:
-        import json
-        return json.dumps(spans, indent=2, sort_keys=True)
-    if args.frame is not None:
-        return render_frame_lineage(spans, args.frame)
-    return render_lineage(spans, limit=args.limit)
-
-
-def _render_forensics_record(rec, limit) -> str:
-    from .obs.flight import render_flight
-    parts = [f"== {rec.get('label', '?')}: {rec.get('case', '?')}"]
-    for m in rec.get("mismatches", ()):
-        parts.append(f"   {m}")
-    div = rec.get("first_divergence")
-    if div is not None:
-        parts.append(f"   first divergence at event #{div} "
-                     f"(marked >> below)")
-    parts.append("-- reference run --")
-    parts.append(render_flight(rec.get("ref_flight"), mark_id=div,
-                               limit=limit))
-    if rec.get("other_flight") is not None:
-        parts.append("-- re-run --")
-        parts.append(render_flight(rec.get("other_flight"), mark_id=div,
-                                   limit=limit))
-    return "\n".join(parts)
-
-
-def _run_forensics_cmd(args) -> str:
-    """Render the last-moments timeline of a failure artifact: a pickled
-    ScenarioResult/FailedResult, or a ``repro fuzz --forensics`` JSON."""
-    from .analysis.lineage import render_lineage
-    from .obs.flight import render_flight
-    if args.path.endswith(".json"):
-        import json
-        with open(args.path) as fh:
-            payload = json.load(fh)
-        records = payload.get("forensics", [])
-        parts = [f"fuzz forensics: {len(records)} record(s)"]
-        summary = payload.get("summary")
-        if summary:
-            parts.append(summary)
-        for rec in records:
-            parts.append("")
-            parts.append(_render_forensics_record(rec, args.limit))
-        return "\n".join(parts)
-    import pickle
-
-    from .experiments.common import ScenarioResult
-    from .runner import FailedResult
-    with open(args.path, "rb") as fh:
-        res = pickle.load(fh)
-    if not isinstance(res, (ScenarioResult, FailedResult)):
-        raise ValueError(
-            f"{args.path} holds {type(res).__name__}, not a "
-            f"ScenarioResult/FailedResult (save one with --save, or point "
-            f"at a 'repro fuzz --forensics' JSON)")
-    flight = getattr(res, "flight", None)
-    parts = []
-    if getattr(res, "failed", False):
-        parts.append(f"forensics: FAILED scenario "
-                     f"[{res.kind}{f'/{res.error_type}' if res.error_type else ''}]"
-                     f" {res.scenario}")
-        if res.message:
-            parts.append(f"  {res.message.strip().splitlines()[0]}")
-    else:
-        parts.append(f"forensics: completed={getattr(res, 'completed', '?')}"
-                     f" scenario result {args.path}")
-    parts.append("")
-    parts.append(render_flight(flight, limit=args.limit))
-    spans = getattr(res, "spans", None)
-    if spans is not None:
-        parts.append("")
-        parts.append(render_lineage(spans, limit=args.limit))
-    tb = getattr(res, "traceback", "")
-    if tb:
-        parts.append("")
-        parts.append("--- worker traceback ---")
-        parts.append(tb.rstrip())
-    return "\n".join(parts)
-
-
 def _run_report_cmd(args) -> str:
+    from .obs.report import load_artifact, render_artifact
     types = None
     if args.events:
         types = () if args.events == "all" else tuple(args.events.split(","))
-    if args.json:
-        import json
-        from .obs.report import report_json
-        return json.dumps(report_json(args.path, run=args.run,
-                                      limit=args.limit, types=types),
-                          indent=2, sort_keys=True)
-    from .obs.report import render_report
-    return render_report(args.path, run=args.run, limit=args.limit,
-                         types=types)
+    return render_artifact(load_artifact(args.path), run=args.run,
+                           limit=args.limit, types=types, frame=args.frame,
+                           prom=args.prom, as_json=args.json)
 
 
 def _execute_campaign(campaign, args) -> int:
@@ -443,14 +327,13 @@ def _report_campaign_cmd(args) -> str:
 
 def add_exec_flags(sp, *, seed: int | None = None, jobs: bool = False,
                    trace: str | None = None, set_: bool = False,
-                   telemetry: bool = False, save: str | None = None,
                    campaign_dir: bool = False) -> None:
     """Attach the shared execution flag group to a subparser.
 
-    One definition for the ``--seed/--jobs/--trace/--set/--telemetry/
-    --save/--campaign-dir`` options every runnable command repeats; each
-    flag is opt-in so commands pick the subset they support (``trace`` and
-    ``save`` take the command-specific help text).
+    One definition for the ``--seed/--jobs/--trace/--set/--campaign-dir``
+    options every runnable command repeats; each flag is opt-in so
+    commands pick the subset they support (``trace`` takes the
+    command-specific help text).
     """
     if seed is not None:
         sp.add_argument("--seed", type=int, default=seed)
@@ -466,14 +349,6 @@ def add_exec_flags(sp, *, seed: int | None = None, jobs: bool = False,
                         help="override any ScenarioConfig field for every "
                              "run (repeatable; values parse as Python "
                              "literals, e.g. --set cbr_bps=16e6)")
-    if telemetry:
-        sp.add_argument("--telemetry", type=float, metavar="CADENCE_S",
-                        default=None,
-                        help="sample per-flow/queue/link time series every "
-                             "CADENCE_S sim-seconds (rides in the saved "
-                             "result)")
-    if save is not None:
-        sp.add_argument("--save", metavar="PATH", default=None, help=save)
     if campaign_dir:
         sp.add_argument("--campaign-dir", metavar="DIR", default=None,
                         help="route the rows through a shared campaign "
@@ -536,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    set_=True, campaign_dir=True,
                    trace="write the sweep's trace events to PATH; FEC "
                          "repair/recovery events show up in "
-                         "'repro report PATH' and 'repro lineage'")
+                         "'repro report PATH'")
 
     _command(sub, "list", _list_cmd, help="list experiments")
 
@@ -560,11 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     sc = _command(sub, "scenario", _run_scenario_cmd,
                   help="run a custom scenario")
     add_scenario_options(sc)
-    add_exec_flags(sc, telemetry=True,
-                   trace="write this run's trace events to PATH (forces a "
-                         "fresh, uncached run)",
-                   save="pickle the (detached) result to PATH for "
-                        "'repro compare' / 'repro metrics'")
+    add_exec_flags(sc, trace="write this run's trace events to PATH "
+                             "(forces a fresh, uncached run)")
+    sc.add_argument("--telemetry", type=float, metavar="CADENCE_S",
+                    help="sample per-flow/queue/link time series every "
+                         "CADENCE_S sim-seconds (rides in the saved result)")
+    sc.add_argument("--save", metavar="PATH", help="pickle the (detached) "
+                    "result to PATH for 'repro report' / 'repro compare'")
 
     pp = _command(
         sub, "population", _run_population_cmd,
@@ -618,15 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--json", action="store_true",
                     help="emit the structured diff as JSON")
 
-    mt = _command(
-        sub, "metrics", _run_metrics_cmd,
-        help="render a saved result's metrics registry in Prometheus "
-             "text exposition format")
-    mt.add_argument("path", help="pickled result ('scenario --save' or a "
-                                 "results-cache .pkl)")
-    mt.add_argument("--prefix", default="repro_",
-                    help="metric name prefix (default repro_)")
-
     fz = _command(
         sub, "fuzz", _run_fuzz_cmd,
         help="seeded scenario fuzz: random configs + fault schedules run "
@@ -645,36 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write a JSON forensics file on completion: one "
                          "record per failure/mismatch with both sides' "
                          "flight-recorder dumps and the first-divergence "
-                         "event id (view with 'repro forensics PATH')")
-
-    ln = _command(
-        sub, "lineage", _run_lineage_cmd,
-        help="run one scenario with causal frame-lineage spans armed and "
-             "render the decision chain (attribute exchange -> "
-             "coordination action) plus per-frame outcomes and latency "
-             "decomposition")
-    add_scenario_options(ln)
-    ln.add_argument("--frame", type=int, default=None, metavar="N",
-                    help="show the segment-level story of frame N instead "
-                         "of the full report")
-    ln.add_argument("--limit", type=int, default=20, metavar="N",
-                    help="frame-table rows to show (non-delivered frames "
-                         "always shown; default 20)")
-    ln.add_argument("--json", action="store_true",
-                    help="emit the raw lineage artifact as JSON")
-    ln.add_argument("--load", metavar="PATH", default=None,
-                    help="render lineage from a saved result pickle "
-                         "instead of running a scenario")
-    add_exec_flags(ln, save="pickle the (detached) result to PATH")
-
-    fo = _command(
-        sub, "forensics", _run_forensics_cmd,
-        help="render the last-moments flight-recorder timeline of a "
-             "failure artifact: a pickled ScenarioResult/FailedResult, or "
-             "a 'repro fuzz --forensics' JSON file")
-    fo.add_argument("path", help="pickled result or fuzz forensics JSON")
-    fo.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="show at most the newest N flight events")
+                         "event id (view with 'repro report PATH')")
 
     ca = sub.add_parser(
         "campaign",
@@ -760,18 +599,26 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bind address (default 127.0.0.1)")
 
     rp = _command(sub, "report", _run_report_cmd,
-                  help="render timeline + coordination audit for a "
-                       "trace file")
-    rp.add_argument("path", help="trace file written with --trace")
-    rp.add_argument("--run", default=None,
-                    help="only this run label (default: all runs)")
-    rp.add_argument("--limit", type=int, default=60, metavar="N",
-                    help="show at most the last N timeline rows per run")
-    rp.add_argument("--events", default=None, metavar="TYPES",
-                    help="comma-separated event types for the timeline, or "
-                         "'all' (default: the adaptation/coordination set)")
-    rp.add_argument("--json", action="store_true",
-                    help="emit the report (timeline + audit) as JSON")
+                  help="render a run artifact: a trace (timeline + "
+                       "coordination audit), a saved result (flight ring, "
+                       "lineage, failure) or a fuzz forensics file")
+    rp.add_argument("path", help="--trace output, --save output (or a "
+                                 "cache/campaign .pkl), or fuzz --forensics")
+    rp.add_argument("--run", help="trace: only this run label")
+    rp.add_argument("--limit", type=int, metavar="N",
+                    help="newest N rows: timeline rows per trace run "
+                         "(default 60), flight events and lineage frames "
+                         "of a result (default all)")
+    rp.add_argument("--events", metavar="TYPES",
+                    help="trace: comma-separated event types, or 'all' "
+                         "(default: the adaptation/coordination set)")
+    view = rp.add_mutually_exclusive_group()
+    view.add_argument("--json", action="store_true",
+                      help="emit the data the text renders as JSON")
+    view.add_argument("--frame", type=int, metavar="N",
+                      help="result: frame N's story (needs spans armed)")
+    view.add_argument("--prom", action="store_true",
+                      help="result: its metrics in Prometheus text format")
     return p
 
 

@@ -12,24 +12,25 @@ package provides the run-level evidence chain:
   one place components report to (the flight ring, the lineage and the
   telemetry annotations listen), and the :data:`~repro.obs.bus.NULL_BUS`
   null object; a disabled site costs exactly one attribute check.
-* :mod:`.sinks` -- JSONL writer (gzip capable, deterministic ordering so
-  ``jobs=1`` and ``jobs=N`` produce identical files), bounded ring buffer
-  for tests, and the batch trace-file writer with cache-aware run headers.
+* :mod:`.sinks` -- ring-buffer sink and the trace file writer (gzip
+  capable, deterministic ordering so ``jobs=1`` and ``jobs=N`` produce
+  identical files, cache-aware run headers) and reader.
 * :mod:`.metrics` -- counters/gauges/bounded-reservoir histograms rolled
   per scenario into ``ScenarioResult.summary`` (``obs_*`` keys); survives
   ``detach()`` and the persistent runner cache.
-* :mod:`.report` -- the ``repro report`` renderers: per-run adaptation
-  timeline and the coordination audit pairing every ``ADAPT_*`` attribute
-  exchange with the transport action it produced.
+* :mod:`.report` -- the one run-artifact loader and ``repro report``:
+  a trace's adaptation timeline and coordination audit (every ``ADAPT_*``
+  exchange paired with the transport action it produced), a result's
+  flight ring, lineage, failure and metrics, a fuzz forensics file.
 * :mod:`.telemetry` -- sampled per-flow/queue/link time series
   (``ScenarioConfig(telemetry=...)``) with bounded M4-style downsampling.
 * :mod:`.profiler` -- the engine self-profiler behind ``repro profile``.
 * :mod:`.compare` -- the ``repro compare`` run-diff tooling.
 * :mod:`.flight` -- the always-on bounded flight recorder whose dump is
-  attached to every result and failure (``repro forensics``).
+  attached to every result and failure (``repro report RESULT``).
 * :mod:`.spans` -- causal frame-lineage spans linking application frames
   to datagram attempts, drops and coordination episodes
-  (``ScenarioConfig(spans=True)``, ``repro lineage``).
+  (``ScenarioConfig(spans=True)``, ``repro report RESULT [--frame N]``).
 * :mod:`.live` -- the one campaign-directory snapshot behind
   ``campaign status``, ``campaign watch`` and ``repro serve``; a
   worker's row is read from its claim and its journal.
@@ -43,7 +44,7 @@ from .events import (ADAPT_ACTION, ATTR_RECEIVED, ATTR_SENT, CALLBACK_FIRED,
                      TraceEvent)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       collect_scenario_metrics)
-from .sinks import JsonlTraceSink, RingBufferSink, read_trace, write_trace
+from .sinks import RingBufferSink, read_trace, write_trace
 # Imported after .bus: telemetry reaches repro.invariants, whose checked
 # engine imports repro.sim.engine, which imports .bus -- the order here
 # keeps that cycle resolvable.
@@ -61,7 +62,7 @@ __all__ = [
     "ATTR_RECEIVED", "COORD_ACTION", "ADAPT_ACTION", "PERIOD_ROLL",
     "FEC_REPAIR", "FEC_RECOVERED", "FRAME_ABANDONED",
     "TraceBus", "NullBus", "NULL_BUS",
-    "JsonlTraceSink", "RingBufferSink", "write_trace", "read_trace",
+    "RingBufferSink", "write_trace", "read_trace",
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "collect_scenario_metrics",
     "TelemetryConfig", "Telemetry", "TelemetryRecorder", "Series",

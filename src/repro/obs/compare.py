@@ -3,7 +3,8 @@
 Answers "did this change alter behaviour, and where?" by diffing two run
 artifacts -- pickled :class:`~repro.experiments.common.ScenarioResult`
 files (``repro scenario --save`` / the results cache) or JSONL(.gz) trace
-files (``--trace``) -- along three axes:
+files (``--trace``), both read by :func:`~repro.obs.report.load_artifact`
+-- along three axes:
 
 * **summary metrics**: per-key deltas against configurable relative/
   absolute tolerances (the determinism contract is *exact*, so the default
@@ -23,13 +24,14 @@ summaries; an untelemetered result has no series) and says so in
 from __future__ import annotations
 
 import pathlib
-import pickle
 from typing import Any
 
 from ..analysis.tables import fmt, render_table
 from ..analysis.timeseries import first_divergence
+from .report import load_artifact
+from .sinks import event_obj
 
-__all__ = ["ComparisonReport", "load_artifact", "compare_summaries",
+__all__ = ["ComparisonReport", "compare_summaries",
            "compare_telemetry", "compare_traces", "compare_artifacts",
            "render_comparison_report"]
 
@@ -71,28 +73,6 @@ class ComparisonReport:
                 "differences": self.differences, "summary": self.summary,
                 "series": self.series, "trace": self.trace,
                 "notes": self.notes}
-
-
-def load_artifact(path: str | pathlib.Path) -> dict[str, Any]:
-    """Sniff and load one comparison side.
-
-    ``*.jsonl`` / ``*.jsonl.gz`` load as trace files; anything else is
-    unpickled and must hold a ScenarioResult-shaped object (``summary``
-    attribute).  Returns ``{"kind": "trace"|"result", ...payload}``.
-    """
-    p = pathlib.Path(path)
-    name = p.name
-    if name.endswith(".jsonl") or name.endswith(".jsonl.gz"):
-        from .sinks import read_trace
-        header, runs = read_trace(p)
-        return {"kind": "trace", "path": str(p), "header": header,
-                "runs": runs}
-    with open(p, "rb") as fh:
-        res = pickle.load(fh)
-    if not hasattr(res, "summary"):
-        raise TypeError(f"{p} holds {type(res).__name__}, not a scenario "
-                        f"result (and is not named *.jsonl[.gz])")
-    return {"kind": "result", "path": str(p), "result": res}
 
 
 def compare_summaries(a: dict[str, float], b: dict[str, float], *,
@@ -139,11 +119,8 @@ def compare_telemetry(ta, tb, *, eps: float = 0.0) -> list[dict[str, Any]]:
 
 def _event_counts(events) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for ev in events:
-        if isinstance(ev, dict):
-            key = f"{ev.get('layer')}.{ev.get('event')}"
-        else:
-            key = f"{ev.layer}.{ev.event}"
+    for ev in map(event_obj, events):
+        key = f"{ev.get('layer')}.{ev.get('event')}"
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -167,9 +144,14 @@ def compare_artifacts(path_a: str | pathlib.Path,
                       rtol: float = 0.0, atol: float = 0.0,
                       eps: float = 0.0) -> ComparisonReport:
     """Load two artifacts and diff every axis both sides carry."""
-    a = load_artifact(path_a)
-    b = load_artifact(path_b)
-    report = ComparisonReport(a["path"], b["path"])
+    a, b = load_artifact(path_a), load_artifact(path_b)
+    for art in (a, b):
+        if art["kind"] == "fuzz" or getattr(art.get("result"), "failed",
+                                            False):
+            raise ValueError(f"{art['path']} holds no run to diff; compare "
+                             f"takes traces and completed results")
+    report = ComparisonReport(str(pathlib.Path(path_a)),
+                              str(pathlib.Path(path_b)))
 
     if a["kind"] == "result" and b["kind"] == "result":
         report.summary = compare_summaries(a["result"].summary,

@@ -226,7 +226,7 @@ class MetricsRegistry:
         the deterministic reservoir keeps samples, not fixed buckets.
         Output is sorted by instrument class then name and numeric
         formatting is pinned, so identical registries render
-        byte-identical text -- ``repro metrics`` output can be
+        byte-identical text -- ``repro report RESULT --prom`` output can be
         golden-tested and diffed across runs.
         """
         lines: list[str] = []

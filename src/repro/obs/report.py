@@ -1,6 +1,11 @@
-"""Run reports: the adaptation timeline and the coordination audit.
+"""Run reports: ``repro report PATH`` is the one view of any run artifact.
 
-``repro report trace.jsonl`` renders, per run:
+:func:`load_artifact` is the one reader (``compare`` and
+``api.load_result`` use it too): a trace, a fuzz forensics file or a
+pickled result.  For a result, :func:`render_artifact` shows the flight
+timeline, the causal lineage and a failure's traceback, one frame's
+story (``frame``) or the metrics registry (``prom``); for a fuzz file,
+each record's two flight dumps.  For a trace it renders, per run:
 
 * a **timeline** of the control-loop events (callback firings, attribute
   exchanges, coordination actions, window changes, period rolls, ...) in
@@ -18,16 +23,64 @@ table for any given run.
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
 from typing import Any, Iterable, Sequence
 
+from ..analysis.lineage import render_frame_lineage, render_lineage
 from ..analysis.tables import fmt, render_table
 from .events import (ADAPT_ACTION, ATTR_RECEIVED, ATTR_SENT, CALLBACK_FIRED,
                      COORD_ACTION, CWND_CHANGE, FAULT_PHASE, FEC_RECOVERED,
                      FRAME_ABANDONED, LINK_FAIL, LINK_RECOVER, PERIOD_ROLL)
+from .flight import render_flight
 from .sinks import read_trace
 
-__all__ = ["coordination_audit", "render_timeline", "render_report",
-           "report_json", "failures_by_kind", "TIMELINE_EVENTS"]
+__all__ = ["load_artifact", "render_artifact", "coordination_audit",
+           "render_timeline", "render_report", "report_json",
+           "failures_by_kind", "TIMELINE_EVENTS", "TRACE_LIMIT"]
+
+#: Timeline rows a trace report shows per run unless ``limit`` says.
+TRACE_LIMIT = 60
+
+
+def load_artifact(path: str | os.PathLike) -> dict[str, Any]:
+    """Decide what the run artifact at ``path`` is and load it:
+    ``{"kind": "trace", "header", "runs"}`` for ``*.jsonl[.gz]``,
+    ``{"kind": "fuzz", "payload"}`` for a ``*.json`` fuzz forensics file,
+    else ``{"kind": "result", "result"}`` for a pickled ``ScenarioResult``
+    or ``FailedResult`` (``--save``, a cache entry, a campaign cell); each
+    with its ``"path"``.  Anything else raises ``ValueError`` naming the
+    path and the expected kinds."""
+    from ..experiments.common import ScenarioResult
+    from ..runner.cache import read_pickle
+    from ..runner.failures import FailedResult
+    shown, name = os.fspath(path), pathlib.Path(path).name
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"no such artifact: {shown}")
+    try:
+        if name.endswith((".jsonl", ".jsonl.gz")):
+            header, runs = read_trace(path)
+            return {"kind": "trace", "path": shown, "header": header,
+                    "runs": runs}
+        if name.endswith(".json"):
+            with open(path) as fh:
+                payload = json.load(fh)
+            if isinstance(payload, dict) and "forensics" in payload:
+                return {"kind": "fuzz", "path": shown, "payload": payload}
+            what = "JSON without fuzz forensics records"
+        else:
+            value = read_pickle(path)
+            if isinstance(value, (ScenarioResult, FailedResult)):
+                return {"kind": "result", "path": shown, "result": value}
+            what = ("unreadable pickle" if value is None
+                    else f"holds {type(value).__name__}")
+    except (OSError, ValueError) as exc:
+        what = str(exc)
+    raise ValueError(f"{shown} is not a run artifact ({what}); expected a "
+                     f"trace (*.jsonl[.gz]), a 'repro fuzz --forensics' "
+                     f"file (*.json) or a pickled ScenarioResult/"
+                     f"FailedResult")
 
 
 def failures_by_kind(kinds: Iterable[str]) -> dict[str, int]:
@@ -181,17 +234,24 @@ def render_audit(events: Sequence[dict[str, Any]]) -> str:
                         rows, title=title)
 
 
-def render_report(path, *, run: str | None = None, limit: int | None = 60,
-                  types: Iterable[str] | None = None) -> str:
-    """Full report for a trace file: per-run timeline + coordination audit.
-
-    ``run`` selects one run label; default renders every run in the file.
-    """
-    header, runs = read_trace(path)
+def _runs(trace: dict[str, Any], run: str | None) -> list[dict[str, Any]]:
+    """The trace's runs, or only the one labelled ``run``."""
+    runs = trace["runs"]
     if run is not None:
         runs = [r for r in runs if str(r["run"]) == str(run)]
         if not runs:
-            raise ValueError(f"run {run!r} not found in {path}")
+            raise ValueError(f"run {run!r} not found in {trace['path']}")
+    return runs
+
+
+def render_report(trace: dict[str, Any], *, run: str | None = None,
+                  limit: int | None = TRACE_LIMIT,
+                  types: Iterable[str] | None = None) -> str:
+    """Full report for a :func:`load_artifact` trace: per-run timeline +
+    coordination audit of every run, or only of the one labelled ``run``.
+    """
+    header, path = trace["header"], trace["path"]
+    runs = _runs(trace, run)
     parts = [f"Trace report: {path} "
              f"(format {header.get('format')} v{header.get('version')}, "
              f"{len(runs)} run(s))"]
@@ -253,10 +313,11 @@ def render_report(path, *, run: str | None = None, limit: int | None = 60,
     return "\n".join(parts)
 
 
-def report_json(path, *, run: str | None = None, limit: int | None = None,
+def report_json(trace: dict[str, Any], *, run: str | None = None,
+                limit: int | None = None,
                 types: Iterable[str] | None = None) -> dict[str, Any]:
     """Machine-readable counterpart of :func:`render_report`
-    (``repro report --json``).
+    (``repro report TRACE --json``).
 
     Same selection semantics (``run``/``types``/``limit``); returns a
     ``json.dump``-able dict: the trace header plus, per run, its metadata,
@@ -264,11 +325,8 @@ def report_json(path, *, run: str | None = None, limit: int | None = None,
     attribute exchanges with their actions, plus the unmatched/spontaneous
     buckets -- as flat event dicts straight from the trace file.
     """
-    header, runs = read_trace(path)
-    if run is not None:
-        runs = [r for r in runs if str(r["run"]) == str(run)]
-        if not runs:
-            raise ValueError(f"run {run!r} not found in {path}")
+    header = trace["header"]
+    runs = _runs(trace, run)
     wanted = TIMELINE_EVENTS if types is None else (frozenset(types) or None)
     out_runs = []
     failed_kinds: list[str] = []
@@ -290,9 +348,113 @@ def report_json(path, *, run: str | None = None, limit: int | None = None,
             "timeline": picked,
             "audit": coordination_audit(events),
         })
-    return {"path": str(path),
+    return {"path": trace["path"],
             "format": header.get("format"),
             "version": header.get("version"),
             "failures": {"total": len(failed_kinds),
                          "by_kind": failures_by_kind(failed_kinds)},
             "runs": out_runs}
+
+
+def _render_fuzz(payload: dict[str, Any], *, limit: int | None) -> str:
+    """Each fuzz forensics record: both runs' flight dumps, the first
+    divergent event marked ``>>``."""
+    records = payload.get("forensics", [])
+    parts = [f"fuzz forensics: {len(records)} record(s)"]
+    if payload.get("summary"):
+        parts.append(payload["summary"])
+    for rec in records:
+        div = rec.get("first_divergence")
+        parts += ["", f"== {rec.get('label', '?')}: {rec.get('case', '?')}"]
+        parts += [f"   {m}" for m in rec.get("mismatches", ())]
+        if div is not None:
+            parts.append(f"   first divergence at event #{div} "
+                         f"(marked >> below)")
+        parts.append("-- reference run --")
+        parts.append(render_flight(rec.get("ref_flight"), mark_id=div,
+                                   limit=limit))
+        if rec.get("other_flight") is not None:
+            parts.append("-- re-run --")
+            parts.append(render_flight(rec["other_flight"], mark_id=div,
+                                       limit=limit))
+    return "\n".join(parts)
+
+
+def _render_result(res, path: str, *, limit: int | None) -> str:
+    """A result's last moments: head line, flight timeline, the causal
+    lineage when spans were armed, and a failure's worker traceback."""
+    if res.failed:
+        kind = res.kind + (f"/{res.error_type}" if res.error_type else "")
+        parts = [f"forensics: FAILED scenario [{kind}] {res.scenario}"]
+        if res.message:
+            parts.append(f"  {res.message.strip().splitlines()[0]}")
+    else:
+        parts = [f"forensics: completed={res.completed} scenario result "
+                 f"{path}"]
+    parts += ["", render_flight(res.flight, limit=limit)]
+    if getattr(res, "spans", None) is not None:
+        parts += ["", render_lineage(res.spans, limit=limit)]
+    if getattr(res, "traceback", ""):
+        parts += ["", "--- worker traceback ---", res.traceback.rstrip()]
+    return "\n".join(parts)
+
+
+def _result_json(res) -> dict[str, Any]:
+    """The plain data :func:`_render_result` renders."""
+    failure = None
+    if res.failed:
+        failure = {"kind": res.kind, "error_type": res.error_type,
+                   "error": res.message, "traceback": res.traceback,
+                   "scenario": res.scenario}
+    return {"completed": res.completed, "flight": res.flight,
+            "summary": None if res.failed else res.summary,
+            "lineage": getattr(res, "spans", None), "failure": failure}
+
+
+def render_artifact(art: dict[str, Any], *, run: str | None = None,
+                    limit: int | None = None,
+                    types: Iterable[str] | None = None,
+                    frame: int | None = None, prom: bool = False,
+                    as_json: bool = False) -> str:
+    """``repro report PATH``: the text (``as_json``: JSON) view of what
+    :func:`load_artifact` returned.  ``limit`` keeps the newest N rows:
+    :data:`TRACE_LIMIT` timeline rows of a trace by default, every flight
+    event and lineage frame otherwise.  A selector the artifact has no
+    use for (``run``/``types`` beyond a trace, ``frame``/``prom`` beyond a
+    result) raises ``ValueError``."""
+    kind, path, res = art["kind"], art["path"], art.get("result")
+    fits = {"trace": ("--run", "--events"),
+            "result": ("--frame", "--prom")}.get(kind, ())
+    misfit = [flag for flag, on in (("--run", run is not None),
+                                    ("--events", types is not None),
+                                    ("--frame", frame is not None),
+                                    ("--prom", prom))
+              if on and flag not in fits]
+    if misfit:
+        raise ValueError(f"{misfit[0]} does not apply to {path} "
+                         f"(a {kind} artifact)")
+    if kind == "trace":
+        limit = TRACE_LIMIT if limit is None else limit
+        if not as_json:
+            return render_report(art, run=run, limit=limit, types=types)
+        data = report_json(art, run=run, limit=limit, types=types)
+    elif kind == "fuzz":
+        if not as_json:
+            return _render_fuzz(art["payload"], limit=limit)
+        data = art["payload"]
+    elif prom:
+        if getattr(res, "registry", None) is None:
+            raise ValueError(f"{path} carries no metrics registry")
+        # The exposition ends with its own newline; the caller adds one.
+        return res.registry.render_prometheus().rstrip("\n")
+    elif frame is not None:
+        if getattr(res, "spans", None) is None:
+            raise ValueError(
+                f"{path} carries no lineage spans; save it from a run with "
+                f"spans armed (repro scenario --set spans=True --save PATH)")
+        return render_frame_lineage(res.spans, frame)
+    elif as_json:
+        data = _result_json(res)
+    else:
+        return _render_result(res, path, limit=limit)
+    return json.dumps(data, indent=2, sort_keys=True)

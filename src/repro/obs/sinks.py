@@ -30,8 +30,7 @@ from typing import Any, Iterable
 
 from .events import TraceEvent
 
-__all__ = ["RingBufferSink", "JsonlTraceSink", "write_trace", "read_trace",
-           "event_obj"]
+__all__ = ["RingBufferSink", "write_trace", "read_trace", "event_obj"]
 
 _FORMAT = "repro-trace"
 _VERSION = 1
@@ -86,40 +85,6 @@ def _open_text(path: pathlib.Path, mode: str):
                 else None)
 
 
-class JsonlTraceSink:
-    """Streaming JSONL sink for single-scenario (CLI ``--trace``) runs.
-
-    Accepts :class:`TraceEvent` appends plus explicit meta lines; callers
-    must :meth:`close` (or use as a context manager) to flush.
-    """
-
-    def __init__(self, path: str | pathlib.Path, *, run: str = "0"):
-        self.path = pathlib.Path(path)
-        self.run = run
-        self._fh = _open_text(self.path, "wt")
-        self.events_written = 0
-
-    def write_meta(self, obj: dict[str, Any]) -> None:
-        self._fh.write(_dumps(obj) + "\n")
-
-    def append(self, ev: TraceEvent) -> None:
-        obj = {"type": "event", "run": self.run}
-        obj.update(ev.as_obj())
-        self._fh.write(_dumps(obj) + "\n")
-        self.events_written += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "JsonlTraceSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def write_trace(path: str | pathlib.Path,
                 runs: Iterable[dict[str, Any]]) -> int:
     """Write a complete batch trace file; returns total events written.
@@ -157,37 +122,22 @@ def read_trace(path: str | pathlib.Path
     "events": [flat event dict, ...]}``.  Raises ``ValueError`` on files
     that are not repro traces.
     """
-    header: dict[str, Any] | None = None
     runs: list[dict[str, Any]] = []
-    by_label: dict[str, dict[str, Any]] = {}
     with _open_text(pathlib.Path(path), "rt") as fh:
+        header = json.loads(fh.readline() or "{}")
+        if header.get("type") != "header" or header.get("format") != _FORMAT:
+            raise ValueError(f"not a {_FORMAT} file: {path}")
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
             obj = json.loads(line)
-            kind = obj.get("type")
-            if kind == "header":
-                if obj.get("format") != _FORMAT:
-                    raise ValueError(f"not a {_FORMAT} file: {path}")
-                header = obj
-            elif kind == "run":
+            if obj.get("type") == "run":
                 meta = {k: v for k, v in obj.items()
                         if k not in ("type", "run", "cached", "events")}
-                entry = {"run": obj["run"], "cached": bool(obj.get("cached")),
-                         "meta": meta, "events": []}
-                runs.append(entry)
-                by_label[obj["run"]] = entry
-            elif kind == "event":
-                label = obj.get("run", "0")
-                entry = by_label.get(label)
-                if entry is None:  # tolerate headerless single-run streams
-                    entry = {"run": label, "cached": False, "meta": {},
-                             "events": []}
-                    runs.append(entry)
-                    by_label[label] = entry
-                entry["events"].append(
+                runs.append({"run": obj["run"],
+                             "cached": bool(obj.get("cached")),
+                             "meta": meta, "events": []})
+            elif runs and obj.get("run") == runs[-1]["run"]:
+                runs[-1]["events"].append(
                     {k: v for k, v in obj.items() if k not in ("type", "run")})
-    if header is None:
-        raise ValueError(f"missing trace header in {path}")
+            else:
+                raise ValueError(f"event line outside its run in {path}")
     return header, runs

@@ -50,7 +50,7 @@ class FailedResult:
     invariant_checks = 0
     #: Flight-recorder dump (:mod:`repro.obs.flight`) captured at the
     #: moment of failure -- the last N causal events before the crash,
-    #: violation or timeout kill.  ``repro forensics`` renders it.
+    #: violation or timeout kill.  ``repro report`` renders it.
     flight = None
 
     def __init__(self, *, kind: str, error_type: str = "", message: str = "",

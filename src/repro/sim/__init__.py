@@ -8,7 +8,7 @@ from .engine import Event, SimulationError, Simulator
 from .link import BernoulliLoss, Link, LossModel
 from .node import Host, Router
 from .packet import ACK_BYTES, HEADER_BYTES, Packet, PacketKind
-from .queues import DropTailQueue, QueueStats, REDQueue
+from .queues import DropTailQueue, QueueStats
 from .rand import RandomStreams
 from .topology import PAPER_BOTTLENECK_BPS, PAPER_MSS, PAPER_RTT_S, Dumbbell
 
@@ -17,7 +17,7 @@ __all__ = [
     "BernoulliLoss", "Link", "LossModel",
     "Host", "Router",
     "ACK_BYTES", "HEADER_BYTES", "Packet", "PacketKind",
-    "DropTailQueue", "QueueStats", "REDQueue",
+    "DropTailQueue", "QueueStats",
     "RandomStreams",
     "PAPER_BOTTLENECK_BPS", "PAPER_MSS", "PAPER_RTT_S", "Dumbbell",
 ]

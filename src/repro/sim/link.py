@@ -151,8 +151,8 @@ class Link:
     then: one engine event per packet, idle or backlogged.  The books are
     settled lazily (:meth:`_settle`); whatever could meet an unfinished
     packet first puts the plan back (:meth:`_unfuse`) onto the two-event
-    chain -- completion, then arrival -- that lossy, jittered and
-    RED-queued links use throughout.  DESIGN.md section 2 has the rule.
+    chain -- completion, then arrival -- that lossy and jittered links
+    use throughout.  DESIGN.md section 2 has the rule.
     """
 
     # Slotted: a population holds thousands of links.
@@ -351,8 +351,8 @@ class Link:
         return False
 
     # ------------------------------------------------------------------
-    # The two-event chain: lossy, jittered and RED-queued links, and a
-    # plain one from a mutation until its backlog has drained.
+    # The two-event chain: lossy and jittered links, and a plain one
+    # from a mutation until its backlog has drained.
     # ------------------------------------------------------------------
     def _start_transmission(self) -> None:
         pkt = self._queue.pop()

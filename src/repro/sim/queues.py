@@ -15,7 +15,7 @@ from ..obs.bus import NULL_BUS
 from ..obs.events import PACKET_DROP, QUEUE_DEPTH
 from .packet import Packet
 
-__all__ = ["DropTailQueue", "REDQueue", "QueueStats"]
+__all__ = ["DropTailQueue", "QueueStats"]
 
 
 class QueueStats:
@@ -65,7 +65,7 @@ class DropTailQueue:
         self._bytes = 0
         self.stats = QueueStats()
         # The owning Link rebinds these; standalone queues stay unreported.
-        # They live here because a queue drop is decided here, RED's too.
+        # They live here because a queue drop is decided here.
         self.trace = NULL_BUS
         self.name = "queue"
         self.spans = None
@@ -173,48 +173,3 @@ class DropTailQueue:
         if self._bytes < 0:
             return f"queued byte count negative ({self._bytes})"
         return None
-
-
-class REDQueue(DropTailQueue):
-    """Random Early Detection variant (extension, not used by the paper's
-    Emulab setup, which is drop-tail).
-
-    Implements the gentle-RED drop curve on the EWMA of queue bytes.  Provided
-    so ablation benches can ask whether the coordination wins depend on the
-    drop-tail loss pattern.
-    """
-
-    __slots__ = ("min_bytes", "max_bytes", "max_p", "weight", "_avg", "_rng")
-
-    def __init__(self, capacity_bytes: int, *, min_th: float = 0.25,
-                 max_th: float = 0.75, max_p: float = 0.1, weight: float = 0.002,
-                 rng=None, on_drop: Callable[[Packet], None] | None = None):
-        super().__init__(capacity_bytes, on_drop)
-        if not (0.0 <= min_th < max_th <= 1.0):
-            raise ValueError("need 0 <= min_th < max_th <= 1")
-        self.min_bytes = min_th * capacity_bytes
-        self.max_bytes = max_th * capacity_bytes
-        self.max_p = max_p
-        self.weight = weight
-        self._avg = 0.0
-        if rng is None:  # deterministic fallback
-            import random
-            rng = random.Random(0)
-        self._rng = rng
-
-    def push(self, pkt: Packet) -> bool:
-        self._avg += self.weight * (self._bytes - self._avg)
-        if self._avg > self.max_bytes:
-            p_drop = 1.0
-        elif self._avg > self.min_bytes:
-            p_drop = self.max_p * ((self._avg - self.min_bytes)
-                                   / (self.max_bytes - self.min_bytes))
-        else:
-            p_drop = 0.0
-        if p_drop and self._rng.random() < p_drop:
-            st = self.stats
-            st.arrivals += 1
-            st.drops += 1
-            st.bytes_dropped += pkt.wire_size
-            return self._dropped(pkt, "red")
-        return super().push(pkt)

@@ -139,12 +139,14 @@ def _leaf_parsers(parser):
 
 def test_every_subcommand_registers_its_handler():
     leaves = list(_leaf_parsers(build_parser()))
-    assert len(leaves) == 21 + 5  # top-level commands + campaign actions
+    assert len(leaves) == 18 + 5  # top-level commands + campaign actions
     for leaf in leaves:
         assert callable(leaf.get_default("func")), leaf.prog
 
 
-@pytest.mark.parametrize("argv", [["history", "table2-grid"], ["sentinel"]])
+@pytest.mark.parametrize("argv", [["history", "table2-grid"], ["sentinel"],
+                                  ["forensics", "a.pkl"], ["metrics", "a.pkl"],
+                                  ["lineage", "--load", "a.pkl"]])
 def test_retired_ledger_commands_are_argparse_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)

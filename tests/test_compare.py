@@ -9,7 +9,8 @@ from repro.analysis.timeseries import first_divergence, series_xy
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.obs.compare import (compare_artifacts, compare_summaries,
                                compare_telemetry, compare_traces,
-                               load_artifact, render_comparison_report)
+                               render_comparison_report)
+from repro.obs.report import load_artifact
 from repro.obs.telemetry import Series, TelemetryConfig
 from repro.runner import run_batch
 
@@ -133,6 +134,18 @@ class TestCompareArtifacts:
         run_batch([cfg.replace(n_frames=150)], cache=False, trace=str(pb))
         assert not compare_artifacts(pa, pb).identical
 
+    def test_traced_result_compares_with_its_trace(self, tmp_path):
+        """A result saved from a traced run carries its events as records;
+        compare counts them like a trace file's flat dicts."""
+        cfg = _cfg(telemetry=None, n_frames=100)
+        trace = tmp_path / "t.jsonl"
+        [res] = run_batch([cfg], cache=False, trace=str(trace))
+        saved = tmp_path / "traced.pkl"
+        saved.write_bytes(pickle.dumps(res.detach()))
+        for other in (saved, trace):
+            report = compare_artifacts(saved, other)
+            assert report.identical and report.trace
+
     def test_result_without_telemetry_noted(self, tmp_path):
         a = _save(tmp_path, "a.pkl", _cfg(telemetry=None))
         b = _save(tmp_path, "b.pkl", _cfg(telemetry=None))
@@ -144,7 +157,7 @@ class TestCompareArtifacts:
         p = tmp_path / "junk.pkl"
         with open(p, "wb") as fh:
             pickle.dump({"not": "a result"}, fh)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="junk.pkl"):
             load_artifact(p)
 
     def test_as_dict_is_json_clean(self, tmp_path):

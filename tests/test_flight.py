@@ -188,7 +188,7 @@ class TestForensicsCli:
         path = tmp_path / "bad.pkl"
         with open(path, "wb") as fh:
             pickle.dump(bad, fh)
-        assert main(["forensics", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "FAILED scenario" in out
         assert "flight recorder: last" in out
@@ -201,7 +201,7 @@ class TestForensicsCli:
         path = tmp_path / "ok.pkl"
         with open(path, "wb") as fh:
             pickle.dump(res, fh)
-        assert main(["forensics", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "flight recorder: last" in out
         assert "Causal lineage" in out
@@ -220,7 +220,7 @@ class TestForensicsCli:
         }
         path = tmp_path / "fz.json"
         path.write_text(json.dumps(payload))
-        assert main(["forensics", str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "fuzz forensics: 1 record(s)" in out
         assert "first divergence" in out
@@ -231,4 +231,5 @@ class TestForensicsCli:
         path = tmp_path / "junk.pkl"
         with open(path, "wb") as fh:
             pickle.dump({"not": "a result"}, fh)
-        assert main(["forensics", str(path)]) != 0
+        assert main(["report", str(path)]) == 2
+        assert "junk.pkl" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from repro.sim.engine import Simulator
 from repro.sim.link import (BernoulliLoss, DelayJitter, GilbertElliottLoss,
                             Link, LossModel)
 from repro.sim.packet import Packet
-from repro.sim.queues import DropTailQueue, QueueStats, REDQueue
+from repro.sim.queues import DropTailQueue, QueueStats
 
 
 class Sink:
@@ -129,20 +129,22 @@ def drop_reports(sim, trace):
 
 
 def test_queue_assigned_after_construction_reports_each_drop_once():
-    """``link.queue = REDQueue(...)`` adopts the link's name, bus and
-    lineage hook like the queue ``__init__`` built: every early drop is
-    reported once, under its own kind, to trace, ring and lineage."""
+    """``link.queue = DropTailQueue(...)`` adopts the link's name, bus and
+    lineage hook like the queue ``__init__`` built: every drop is
+    reported once to trace, ring and lineage, before ``on_drop`` runs."""
     sim, link, trace = reporting_link()
-    link.queue = REDQueue(40 * 1440, max_p=0.5, weight=0.5,
-                          rng=random.Random(7))
-    sent = offer(link, 40)
+    observed = []
+    link.queue = DropTailQueue(2 * 1440, on_drop=lambda pkt: observed.append(
+        (pkt.seq, len(drop_reports(sim, trace)[0]))))
+    sent = offer(link, 6)
     dropped = [i for i, ok in enumerate(sent) if not ok]
     assert dropped and len(dropped) == link.queue.stats.drops
+    assert observed == [(i, n + 1) for n, i in enumerate(dropped)]
     traced, noted = drop_reports(sim, trace)
     assert [ev["pkt"] for ev in traced] == dropped      # once each
-    assert {(ev["kind"], ev["link"]) for ev in traced} == {("red", "hop")}
+    assert {(ev["kind"], ev["link"]) for ev in traced} == {("queue", "hop")}
     assert noted == traced
-    assert sim.spans.drops == [(i, "hop", "red") for i in dropped]
+    assert sim.spans.drops == [(i, "hop", "queue") for i in dropped]
 
 
 def test_tail_drop_reports_queue_kind_with_occupancy():

@@ -201,7 +201,7 @@ class TestMetricsCli:
         path = tmp_path / "res.pkl"
         with open(path, "wb") as fh:
             pickle.dump(res, fh)
-        assert main(["metrics", str(path)]) == 0
+        assert main(["report", str(path), "--prom"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_packets_sent counter" in out
         assert out == res.registry.render_prometheus()
@@ -217,5 +217,5 @@ class TestMetricsCli:
         path = tmp_path / "bare.pkl"
         with open(path, "wb") as fh:
             pickle.dump(bare, fh)
-        assert main(["metrics", str(path)]) == 2
+        assert main(["report", str(path), "--prom"]) == 2
         assert "error:" in capsys.readouterr().err

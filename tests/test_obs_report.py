@@ -11,7 +11,8 @@ from repro.obs.bus import TraceBus
 from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
                               PACKET_SEND)
 from repro.obs.report import (TIMELINE_EVENTS, coordination_audit,
-                              render_audit, render_report, render_timeline)
+                              load_artifact, render_audit, render_report,
+                              render_timeline)
 from repro.obs.sinks import RingBufferSink
 from repro.sim.engine import Simulator
 from repro.transport.lda import LdaCC
@@ -179,7 +180,8 @@ def test_render_report_end_to_end(tmp_path):
         adaptation=lambda: ResolutionAdaptation(upper=0.05, lower=0.005),
         seed=2, time_cap=120.0)
     run_batch({"iq-run": cfg}, cache=False, trace=str(path))
-    text = render_report(path)
+    trace = load_artifact(path)
+    text = render_report(trace)
     assert "== run iq-run" in text
     assert "Timeline" in text and "Coordination audit" in text
     assert "exchanges acted on" in text
@@ -192,7 +194,7 @@ def test_render_report_end_to_end(tmp_path):
     assert audit["unmatched_actions"] == []
 
     with pytest.raises(ValueError):
-        render_report(path, run="nope")
+        render_report(trace, run="nope")
 
 
 def test_report_cli(tmp_path, capsys):
@@ -226,7 +228,8 @@ def test_report_json_matches_render_selection(tmp_path):
                              upper=0.05, lower=0.005),
                          seed=2, time_cap=120.0)
     run_batch({"a": cfg}, cache=False, trace=str(path))
-    data = report_json(path)
+    trace = load_artifact(path)
+    data = report_json(trace)
     json.dumps(data)  # must be JSON-clean
     assert data["format"] == "repro-trace"
     (run,) = data["runs"]
@@ -235,13 +238,13 @@ def test_report_json_matches_render_selection(tmp_path):
     assert {"pairs", "unmatched_attrs", "spontaneous",
             "unmatched_actions"} == set(run["audit"])
     # limit keeps the tail, types widens the filter
-    limited = report_json(path, limit=3)
+    limited = report_json(trace, limit=3)
     assert len(limited["runs"][0]["timeline"]) == 3
     assert limited["runs"][0]["timeline"] == run["timeline"][-3:]
-    everything = report_json(path, types=())
+    everything = report_json(trace, types=())
     assert len(everything["runs"][0]["timeline"]) == run["events_total"]
     with pytest.raises(ValueError):
-        report_json(path, run="nope")
+        report_json(trace, run="nope")
 
 
 def test_report_cli_json(tmp_path, capsys):
@@ -259,3 +262,46 @@ def test_report_cli_json(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["format"] == "repro-trace"
     assert len(data["runs"][0]["timeline"]) <= 5
+
+
+def _tiny_trace(tmp_path):
+    from repro.obs.sinks import write_trace
+    path = tmp_path / "ok.jsonl"
+    write_trace(path, [{"run": "0", "events": []}])
+    return path
+
+
+def _wrong_artifact(tmp_path, kind):
+    import pickle
+    path = tmp_path / {"dict": "d.pkl", "json": "plain.json",
+                       "text": "notes.txt", "missing": "gone.pkl"}[kind]
+    if kind == "dict":
+        path.write_bytes(pickle.dumps({"not": "a result"}))
+    elif kind == "json":
+        path.write_text('{"not": "fuzz forensics"}')
+    elif kind == "text":
+        path.write_text("just some notes\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+@pytest.mark.parametrize("kind", ["dict", "json", "text", "missing"])
+def test_wrong_artifact_is_a_user_error(tmp_path, capsys, command, kind):
+    """Every reader of a run artifact goes through one loader: a file that
+    is none of the three kinds exits 2 with one ``error:`` line naming it,
+    never a traceback."""
+    from repro.cli import main
+    bad = _wrong_artifact(tmp_path, kind)
+    argv = (["report", str(bad)] if command == "report"
+            else ["compare", str(_tiny_trace(tmp_path)), str(bad)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and bad.name in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [["--frame", "0"], ["--prom"]])
+def test_report_trace_rejects_result_flags(tmp_path, capsys, flags):
+    from repro.cli import main
+    assert main(["report", str(_tiny_trace(tmp_path)), *flags]) == 2
+    assert "does not apply" in capsys.readouterr().err

@@ -135,6 +135,10 @@ def test_read_trace_rejects_foreign_files(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         read_trace(empty)
+    headerless = tmp_path / "z.jsonl"
+    headerless.write_text('{"type":"event","run":"0","seq":0,"t":0.0}\n')
+    with pytest.raises(ValueError):
+        read_trace(headerless)
 
 
 def test_ring_buffer_bounds():

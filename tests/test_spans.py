@@ -155,13 +155,15 @@ class TestLineageCli:
     def test_lineage_command_runs_and_saves(self, tmp_path, capsys):
         from repro.cli import main
         saved = tmp_path / "lineage.pkl"
-        assert main(["lineage", "--transport", "iq", "--workload",
+        assert main(["scenario", "--transport", "iq", "--workload",
                      "fixed_clocked", "--frames", "30", "--time-cap", "15",
-                     "--save", str(saved)]) == 0
-        out = capsys.readouterr().out
-        assert "Causal lineage: iq/fixed_clocked/seed=1" in out
-        # --load round-trips the saved artifact without re-running.
-        assert main(["lineage", "--load", str(saved), "--frame", "0"]) == 0
+                     "--set", "spans=True", "--save", str(saved)]) == 0
+        capsys.readouterr()  # drop the scenario table
+        # report renders the saved artifact without re-running.
+        assert main(["report", str(saved)]) == 0
+        assert "Causal lineage: iq/fixed_clocked/seed=1" in \
+            capsys.readouterr().out
+        assert main(["report", str(saved), "--frame", "0"]) == 0
         assert capsys.readouterr().out.startswith("Frame 0 [")
 
     def test_lineage_load_without_spans_is_user_error(self, tmp_path,
@@ -174,7 +176,7 @@ class TestLineageCli:
         path = tmp_path / "nospans.pkl"
         with open(path, "wb") as fh:
             pickle.dump(res, fh)
-        assert main(["lineage", "--load", str(path)]) == 2
+        assert main(["report", str(path), "--frame", "0"]) == 2
         assert "no lineage spans" in capsys.readouterr().err
 
 
