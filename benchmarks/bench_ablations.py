@@ -9,12 +9,12 @@
 from conftest import cached
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import run_scenario
 from repro.experiments.conflict import (_changing_net_config,
                                         conflict_metrics)
 from repro.experiments.overreaction import (_changing_net_config as
                                             _over_net_config,
                                             overreaction_metrics)
+from repro.runner import run_batch
 
 
 def bench_ablation_cc_law(benchmark, report):
@@ -22,9 +22,7 @@ def bench_ablation_cc_law(benchmark, report):
     def run():
         base = _over_net_config(16e6, 6000, 2).replace(transport="rudp",
                                                        adaptation=None)
-        lda = run_scenario(base)
-        reno = run_scenario(base.replace(transport="rudp_reno"))
-        return lda, reno
+        return run_batch([base, base.replace(transport="rudp_reno")])
 
     lda, reno = benchmark.pedantic(lambda: cached("ablation_cc", run),
                                    rounds=1, iterations=1)
@@ -44,12 +42,11 @@ def bench_ablation_discard_unmarked(benchmark, report):
     """Conflict scheme with and without the sender-side discard."""
     def run():
         base = _changing_net_config(6000, 1)
-        return {
-            "IQ (discard on)": run_scenario(base.replace(transport="iq")),
-            "IQ (discard off)": run_scenario(
-                base.replace(transport="iq_nodiscard")),
-            "RUDP": run_scenario(base.replace(transport="rudp")),
-        }
+        return run_batch({
+            "IQ (discard on)": base.replace(transport="iq"),
+            "IQ (discard off)": base.replace(transport="iq_nodiscard"),
+            "RUDP": base.replace(transport="rudp"),
+        })
 
     results = benchmark.pedantic(
         lambda: cached("ablation_discard", run), rounds=1, iterations=1)
@@ -72,11 +69,10 @@ def bench_ablation_reinflation(benchmark, report):
     """Over-reaction scheme: window re-inflation on vs off."""
     def run():
         base = _over_net_config(18e6, 12000, 2)
-        return {
-            "IQ (reinflate on)": run_scenario(base.replace(transport="iq")),
-            "IQ (reinflate off)": run_scenario(
-                base.replace(transport="iq_noreinflate")),
-        }
+        return run_batch({
+            "IQ (reinflate on)": base.replace(transport="iq"),
+            "IQ (reinflate off)": base.replace(transport="iq_noreinflate"),
+        })
 
     results = benchmark.pedantic(
         lambda: cached("ablation_reinflate", run), rounds=1, iterations=1)

@@ -12,24 +12,21 @@ coordinator logged the adaptation without rescaling the window.
 from conftest import cached
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import ScenarioConfig, run_scenario
-from repro.middleware.adaptation import FrequencyAdaptation
+from repro.experiments.common import ScenarioConfig
+from repro.middleware.adaptation import frequency_default
+from repro.runner import run_batch
 
 
 def _cfg(transport: str) -> ScenarioConfig:
     return ScenarioConfig(
         transport=transport, workload="fixed_clocked", n_frames=4000,
-        frame_rate=200, base_frame_size=1400,
-        adaptation=lambda: FrequencyAdaptation(upper=0.05, lower=0.005),
+        frame_rate=200, base_frame_size=1400, adaptation=frequency_default,
         cbr_bps=17e6, metric_period=0.5, seed=2, time_cap=600.0)
 
 
 def bench_extension_frequency_adaptation(benchmark, report):
     def run():
-        return {
-            "IQ-RUDP": run_scenario(_cfg("iq")),
-            "RUDP": run_scenario(_cfg("rudp")),
-        }
+        return run_batch({"IQ-RUDP": _cfg("iq"), "RUDP": _cfg("rudp")})
 
     results = benchmark.pedantic(lambda: cached("ext_freq", run),
                                  rounds=1, iterations=1)

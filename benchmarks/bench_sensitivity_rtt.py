@@ -11,23 +11,20 @@ over-reaction scenario and reports the IQ-vs-RUDP duration gap per RTT.
 from conftest import cached
 
 from repro.analysis.tables import render_table
-from repro.experiments.common import run_scenario
 from repro.experiments.overreaction import (_changing_net_config,
                                             overreaction_metrics)
+from repro.runner import run_batch
 
 RTTS = (0.030, 0.120, 0.250)
 
 
 def bench_sensitivity_rtt(benchmark, report):
     def run():
-        out = {}
-        for rtt in RTTS:
-            base = _changing_net_config(16e6, 8000, 2).replace(rtt_s=rtt)
-            out[rtt] = {
-                "iq": run_scenario(base.replace(transport="iq")),
-                "rudp": run_scenario(base.replace(transport="rudp")),
-            }
-        return out
+        base = _changing_net_config(16e6, 8000, 2)
+        flat = run_batch({(rtt, tp): base.replace(rtt_s=rtt, transport=tp)
+                          for rtt in RTTS for tp in ("iq", "rudp")})
+        return {rtt: {tp: flat[rtt, tp] for tp in ("iq", "rudp")}
+                for rtt in RTTS}
 
     results = benchmark.pedantic(lambda: cached("sens_rtt", run),
                                  rounds=1, iterations=1)

@@ -6,12 +6,13 @@ and asserts the robust parts of the expected *shape* (who wins; large
 factors).  Absolute numbers are not compared -- our substrate is a
 simulator, not the authors' 2002 Emulab testbed (see EXPERIMENTS.md).
 
-Expensive experiment runs are memoised twice over: a per-session dict (so
-e.g. the Figure 4 bench reuses the Table 6 sweep within one pytest run)
-backed by the persistent on-disk cache in :mod:`repro.runner` (so a rerun
-with unchanged code and parameters is a cache hit across sessions).  Set
-``REPRO_NO_CACHE=1`` to force fresh runs, ``REPRO_CACHE_DIR`` to relocate
-the cache (default ``~/.cache/repro-iq-rudp``).
+Every scenario a bench runs goes through :mod:`repro.runner`, which stores
+each result once, under its configuration's key, in the persistent cache
+(so a rerun with unchanged code and parameters is a cache hit across
+sessions).  On top of that sits only a per-session dict, :func:`cached`,
+so e.g. the Figure 4 bench reuses the Table 6 sweep within one pytest run.
+Set ``REPRO_NO_CACHE=1`` to force fresh runs, ``REPRO_CACHE_DIR`` to
+relocate the cache (default ``~/.cache/repro-iq-rudp``).
 """
 
 from __future__ import annotations
@@ -20,21 +21,16 @@ import pathlib
 
 import pytest
 
-from repro.runner import memo
-
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 _cache: dict[str, object] = {}
 
 
 def cached(key: str, fn):
-    """Memoise an experiment run for the session *and* across sessions.
-
-    The persistent layer keys on ``key`` plus a digest of the ``repro``
-    sources, so editing any simulator code invalidates stored results.
-    """
+    """Memoise an experiment run for the session (across sessions each
+    scenario is a results-cache hit)."""
     if key not in _cache:
-        _cache[key] = memo(key, fn)
+        _cache[key] = fn()
     return _cache[key]
 
 

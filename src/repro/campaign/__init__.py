@@ -16,10 +16,9 @@ coordinating solely through a shared campaign directory (:mod:`.exec`,
 from .aggregate import (DEFAULT_METRICS, Aggregator, CampaignReport,
                         aggregate)
 from .exec import CampaignRun, run_campaign, run_rows, worker_loop
-from .spec import Campaign, CampaignCell, cell_key, load_campaign
+from .spec import Campaign, CampaignCell, load_campaign
 from .store import CampaignStore
 
 __all__ = ["Aggregator", "Campaign", "CampaignCell", "CampaignReport",
            "CampaignRun", "CampaignStore", "DEFAULT_METRICS", "aggregate",
-           "cell_key", "load_campaign", "run_campaign", "run_rows",
-           "worker_loop"]
+           "load_campaign", "run_campaign", "run_rows", "worker_loop"]

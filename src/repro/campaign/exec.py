@@ -34,7 +34,6 @@ import time
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
 from ..runner.failures import BatchExecutionError, FailedResult
-from ..runner.hashing import config_key
 from ..runner.pool import _cache_put, _resolve_cache, _run_detached, run_batch
 from ..runner.progress import SweepProgress
 from ..runner.supervisor import run_supervised
@@ -106,9 +105,9 @@ def worker_loop(store: CampaignStore,
 
     def land(i: int, res, fresh: bool = True) -> None:
         nonlocal executed
-        key, label, cfg = cells[i]
-        if fresh and cache is not None:
-            _cache_put(cache, config_key(cfg), res)
+        key, label, _ = cells[i]
+        if fresh:
+            _cache_put(cache, key, res)
         store.store_cell(key, res)
         try:
             journal.append(key, res.kind if isinstance(
@@ -144,8 +143,8 @@ def worker_loop(store: CampaignStore,
                     held.discard(key)
                     continue
                 progressed = True
-                ckey = config_key(cfg) if cache is not None else None
-                hit = ckey and cache.get(ckey, expect=ScenarioResult)
+                hit = (cache.get(key, expect=ScenarioResult)
+                       if cache is not None else None)
                 if hit is not None:
                     land(i, hit, fresh=False)
                 else:

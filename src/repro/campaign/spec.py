@@ -40,38 +40,18 @@ parse, ``adaptation`` / ``faults`` registry names, ``fec`` spec strings.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from typing import Any, Iterable, Mapping
 
 from ..experiments.common import ScenarioConfig, did_you_mean, parse_field
 from ..middleware.adaptation import ADAPTATIONS
-from ..runner.hashing import config_fingerprint, field_text
+from ..runner.hashing import config_key, field_text
 
-__all__ = ["Campaign", "CampaignCell", "load_campaign", "cell_key"]
+__all__ = ["Campaign", "CampaignCell", "load_campaign"]
 
 #: Recognised top-level spec keys (anything else is a typo).
 _SPEC_KEYS = ("name", "template", "axes", "zip", "cases", "seeds", "metrics")
-
-
-def cell_key(cfg: ScenarioConfig) -> str:
-    """Stable, filesystem-safe identity of one campaign cell.
-
-    Hashes the full config fingerprint (every field, callables by dotted
-    name) *without* the code salt: a campaign directory is tied to its
-    spec, not to a source snapshot -- the global results cache still salts.
-    Raises for configs that cannot be stably fingerprinted (lambda
-    adaptation factories): such a cell could never be claimed consistently
-    by two workers.
-    """
-    fp = config_fingerprint(cfg)
-    if fp is None:
-        raise ValueError(
-            "campaign cells must be stably hashable; use a module-level "
-            "adaptation factory (e.g. repro.middleware.adaptation."
-            "resolution_default) instead of a lambda or local closure")
-    return hashlib.sha256(fp.encode()).hexdigest()[:20]
 
 
 def _coerce_fields(fields: Mapping[str, Any]) -> dict[str, Any]:
@@ -79,12 +59,27 @@ def _coerce_fields(fields: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class CampaignCell:
-    """One expanded cell: a concrete scenario plus its campaign identity."""
+    """One expanded cell: a concrete scenario plus its campaign identity.
+
+    ``key`` is the config's :func:`~repro.runner.hashing.config_key` --
+    every field, callables by dotted name, no code salt: a campaign
+    directory is tied to its spec, not to a source snapshot.  It names the
+    cell's result in ``cells/`` and in the results cache alike.  A config
+    that cannot be stably fingerprinted (lambda adaptation factory) is
+    refused: such a cell could never be claimed consistently by two
+    workers.
+    """
 
     __slots__ = ("key", "label", "assignment", "seed", "config")
 
-    def __init__(self, *, key: str, label: str, assignment: dict[str, Any],
+    def __init__(self, *, label: str, assignment: dict[str, Any],
                  seed: int, config: ScenarioConfig):
+        key = config_key(config)
+        if key is None:
+            raise ValueError(
+                "campaign cells must be stably hashable; use a module-level "
+                "adaptation factory (e.g. repro.middleware.adaptation."
+                "resolution_default) instead of a lambda or local closure")
         self.key = key
         self.label = label
         self.assignment = assignment
@@ -93,6 +88,22 @@ class CampaignCell:
 
     def __repr__(self) -> str:
         return f"CampaignCell({self.label!r}, key={self.key!r})"
+
+
+def _unique(cells: list[CampaignCell], empty: str
+            ) -> tuple[CampaignCell, ...]:
+    """``cells`` as a tuple; two cells with one key (the same
+    configuration) or no cell at all (``empty`` says why) is an error."""
+    seen: dict[str, str] = {}
+    for cell in cells:
+        if cell.key in seen:
+            raise ValueError(f"duplicate campaign cell: {cell.label!r} and "
+                             f"{seen[cell.key]!r} hold the same "
+                             f"configuration")
+        seen[cell.key] = cell.label
+    if not cells:
+        raise ValueError(empty)
+    return tuple(cells)
 
 
 def _cell_label(assignment: Mapping[str, Any], seed: int) -> str:
@@ -246,23 +257,15 @@ class Campaign:
         if not isinstance(rows, Mapping):
             rows = {str(i): sc for i, sc in enumerate(rows)}
         cells: list[CampaignCell] = []
-        seen: dict[str, str] = {}
         for label, cfg in rows.items():
             if not isinstance(cfg, ScenarioConfig):
                 raise TypeError(f"rows[{label!r}] must be a Scenario, "
                                 f"got {type(cfg).__name__}")
-            key = cell_key(cfg)
-            label = str(label)
-            if key in seen:
-                raise ValueError(f"duplicate cell: rows {label!r} and "
-                                 f"{seen[key]!r} hold the same configuration")
-            seen[key] = label
-            cells.append(CampaignCell(key=key, label=label, assignment={},
+            cells.append(CampaignCell(label=str(label), assignment={},
                                       seed=cfg.seed, config=cfg))
-        if not cells:
-            raise ValueError("cannot build a campaign from zero scenarios")
         camp = cls(name=name)
-        camp._cells = tuple(cells)
+        camp._cells = _unique(cells, "cannot build a campaign from zero "
+                                     "scenarios")
         camp._cells_only = True
         return camp
 
@@ -337,26 +340,15 @@ class Campaign:
         (leftmost axis slowest) x zip row x seed, then explicit cases x
         seed.  Every cell validates as a ScenarioConfig; duplicate cells
         (identical resulting configs) are an error."""
-        if self._cells is not None:
-            return self._cells
-        cells: list[CampaignCell] = []
-        seen: dict[str, str] = {}
-        for assignment in self._assignments():
-            for seed in self.seeds:
-                cfg = self.template.replace(**assignment, seed=seed)
-                key = cell_key(cfg)
-                label = _cell_label(assignment, seed)
-                if key in seen:
-                    raise ValueError(
-                        f"duplicate campaign cell: {label!r} and "
-                        f"{seen[key]!r} expand to the same configuration")
-                seen[key] = label
-                cells.append(CampaignCell(key=key, label=label,
-                                          assignment=assignment, seed=seed,
-                                          config=cfg))
-        if not cells:
-            raise ValueError("campaign expands to zero cells")
-        self._cells = tuple(cells)
+        if self._cells is None:
+            self._cells = _unique(
+                [CampaignCell(label=_cell_label(assignment, seed),
+                              assignment=assignment, seed=seed,
+                              config=self.template.replace(**assignment,
+                                                           seed=seed))
+                 for assignment in self._assignments()
+                 for seed in self.seeds],
+                "campaign expands to zero cells")
         return self._cells
 
     def __len__(self) -> int:

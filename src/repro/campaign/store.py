@@ -9,6 +9,10 @@ with no sockets, no broker and no leader::
     <dir>/claims/<key>.json      lease held by the worker running the cell
     <dir>/journal/<worker>.pkl   per-worker completion journal (SweepJournal)
 
+``<key>`` is the cell config's :func:`~repro.runner.hashing.config_key`,
+the name a results cache stores the same result under, so a cell file and
+a cache entry for one configuration are interchangeable.
+
 Every file replaced here goes through
 :func:`~repro.runner.cache.atomic_write` (a failure raises: a cell that
 cannot be stored must not look finished) and a cell is read through

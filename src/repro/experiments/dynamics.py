@@ -7,7 +7,8 @@ conditions that change *while the flow runs* -- link flaps, handovers
 regime FlEC and the heterogeneous-handover literature evaluate (PAPERS.md).
 
 Every scenario runs the changing-application conflict workload (marking
-adaptation, 40% receiver loss tolerance) in the Table 3 overload regime, so
+adaptation, 40% receiver loss tolerance) in the Table 3 overload regime --
+Table 3's own base config, :func:`.conflict._changing_app_config` -- so
 the marking adaptation is live when the dynamics hit, and compares
 **delivered-frame goodput** (``goodput_fps``: distinct frames that reached
 the receiver, per second).  That metric is deliberate: under per-datagram
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 from ..faults import (BandwidthRamp, Blackout, BurstyLoss, DelayRamp,
                       FaultSchedule, Jitter, LinkFlap)
-from ..middleware.adaptation import MarkingAdaptation
-from .common import ScenarioConfig, ScenarioResult
+from .common import ScenarioResult
+from .conflict import _changing_app_config
 from .grid import Experiment
 
 __all__ = ["DYNAMICS", "SCENARIOS", "SCHEDULES", "run_dynamics",
@@ -102,23 +103,6 @@ SCHEDULES: dict[str, FaultSchedule] = {
     name: spec["faults"] for name, spec in SCENARIOS.items()}
 
 
-def _dynamics_strategy() -> MarkingAdaptation:
-    """Conflict-style marking adaptation, thresholds as in Table 3 (see
-    the calibration notes in :mod:`repro.experiments.conflict`)."""
-    return MarkingAdaptation(upper=0.05, lower=0.01, backoff=0.10)
-
-
-def _dynamics_config(n_frames: int, seed: int) -> ScenarioConfig:
-    """Table 3's changing-application regime: 25 fps trace frames against
-    CBR cross traffic that leaves less than the offered rate, so the
-    marking adaptation is active when the faults arrive."""
-    return ScenarioConfig(
-        workload="trace_clocked", n_frames=n_frames, frame_rate=25,
-        frame_multiplier=3000, adaptation=_dynamics_strategy,
-        loss_tolerance=0.40, cbr_bps=18.5e6, metric_period=0.25,
-        seed=seed, time_cap=900.0)
-
-
 def dynamics_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """(goodput fps, received %, duration s, tagged delay ms, stalls)."""
     s = res.summary
@@ -130,7 +114,7 @@ DYNAMICS = Experiment(
     "dynamics",
     title="Dynamics sweeps (coordinated vs uncoordinated under mid-flow "
           "network changes)",
-    base=_dynamics_config, n_frames=250,
+    base=_changing_app_config, n_frames=250,
     groups={name: {"faults": spec["faults"], **spec["overrides"]}
             for name, spec in SCENARIOS.items()},
     arms={tp: {"transport": tp} for tp in DYNAMICS_TRANSPORTS},

@@ -13,10 +13,11 @@ that drives the paper's application adaptations.
 
 Each scenario here runs the changing-application conflict workload
 (marking adaptation, 40% receiver loss tolerance) in the Table 3
-overload regime -- the same base regime as :mod:`.dynamics` -- and
-compares **delivered-frame goodput** (``goodput_fps``) across arms of
-the *same* coordinated transport: IQ-RUDP with the FEC tier armed
-against ARQ-only IQ-RUDP.  The claim under test is narrow and falsifiable:
+overload regime -- the same base config as :mod:`.dynamics`,
+:func:`.conflict._changing_app_config` -- and compares
+**delivered-frame goodput** (``goodput_fps``) across arms of the *same*
+coordinated transport: IQ-RUDP with the FEC tier armed against ARQ-only
+IQ-RUDP.  The claim under test is narrow and falsifiable:
 where retransmission stalls, proactive redundancy buys strictly more
 delivered frames per second than it costs in repair overhead.
 
@@ -42,9 +43,9 @@ Calibration notes (empirical, same spirit as :mod:`.dynamics`):
 from __future__ import annotations
 
 from ..faults import Blackout, BurstyLoss, FaultSchedule, Jitter
-from ..middleware.adaptation import MarkingAdaptation
 from ..transport.fec import FecConfig
-from .common import ScenarioConfig, ScenarioResult
+from .common import ScenarioResult
+from .conflict import _changing_app_config
 from .grid import Experiment
 
 __all__ = ["RELIABILITY", "SCENARIOS", "ARMS", "run_reliability",
@@ -84,20 +85,6 @@ SCENARIOS: dict[str, dict] = {
 }
 
 
-def _reliability_strategy() -> MarkingAdaptation:
-    """Conflict-style marking adaptation, thresholds as in Table 3."""
-    return MarkingAdaptation(upper=0.05, lower=0.01, backoff=0.10)
-
-
-def _reliability_config(n_frames: int, seed: int) -> ScenarioConfig:
-    """Table 3's changing-application regime (see :mod:`.dynamics`)."""
-    return ScenarioConfig(
-        workload="trace_clocked", n_frames=n_frames, frame_rate=25,
-        frame_multiplier=3000, adaptation=_reliability_strategy,
-        loss_tolerance=0.40, cbr_bps=18.5e6, metric_period=0.25,
-        seed=seed, time_cap=900.0)
-
-
 def reliability_metrics(res: ScenarioResult) -> tuple[float, ...]:
     """(goodput fps, received %, duration s, recovered, repairs sent,
     final redundancy r, stalls).  The FEC columns read the armed-only
@@ -114,7 +101,7 @@ RELIABILITY = Experiment(
     "reliability",
     title="Reliability sweeps (FEC repair tier vs ARQ-only IQ-RUDP under "
           "loss dynamics)",
-    base=_reliability_config, n_frames=250,
+    base=_changing_app_config, n_frames=250,
     groups={name: {"faults": spec["faults"], **spec["overrides"]}
             for name, spec in SCENARIOS.items()},
     arms=ARMS,

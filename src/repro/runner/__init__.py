@@ -11,16 +11,19 @@ changed.  This package supplies both:
   :mod:`.supervisor`'s pool of ``jobs`` reusable worker processes with
   deterministic per-scenario seeding: results are bit-identical whatever
   the worker count, as each scenario seeds itself from ``cfg.seed``.
-* :class:`ResultsCache` / :func:`memo` -- pickle results under a key that
-  hashes the full :class:`~repro.experiments.common.ScenarioConfig` plus a
-  salt over the package's source code, so editing any ``repro`` module
-  invalidates every cached result while a parameter-identical rerun is a
-  pure cache hit.
+* :class:`ResultsCache` -- pickle each result once, under
+  :func:`config_key`, the hash of the full
+  :class:`~repro.experiments.common.ScenarioConfig` that also names a
+  campaign's cells.  The default cache lives in a subdirectory named by
+  a salt over the package's source code, so editing any ``repro`` module
+  misses every cached result while a parameter-identical rerun is a pure
+  cache hit.
 
 Environment knobs:
 
 ``REPRO_CACHE_DIR``
-    Cache directory (default ``~/.cache/repro-iq-rudp``).
+    Cache directory (default ``~/.cache/repro-iq-rudp``); entries live in
+    its ``<code salt>/`` subdirectory.
 ``REPRO_NO_CACHE=1``
     Disable the persistent cache entirely (compute everything fresh,
     write nothing).
@@ -38,7 +41,7 @@ runs through a campaign directory (:func:`repro.campaign.run_rows`), whose
 per-worker outcome log is :mod:`.checkpoint`'s :class:`SweepJournal`.
 """
 
-from .cache import ResultsCache, cache_enabled, default_cache, memo
+from .cache import ResultsCache, cache_enabled, default_cache
 from .checkpoint import SweepJournal
 from .failures import BatchExecutionError, FailedResult
 from .hashing import code_salt, config_fingerprint, config_key
@@ -46,7 +49,7 @@ from .pool import run_batch, run_one
 from .progress import SweepProgress
 
 __all__ = [
-    "ResultsCache", "cache_enabled", "default_cache", "memo",
+    "ResultsCache", "cache_enabled", "default_cache",
     "code_salt", "config_fingerprint", "config_key",
     "run_batch", "run_one", "SweepProgress",
     "FailedResult", "BatchExecutionError", "SweepJournal",

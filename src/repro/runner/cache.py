@@ -1,25 +1,27 @@
 """Persistent on-disk results cache.
 
-Entries are pickles written atomically (tmp file + rename) under a content
-key from :mod:`.hashing`, so concurrent workers and interrupted runs can
-never leave a torn entry.  Any unreadable entry is treated as a miss and
-overwritten -- the cache is always safe to delete wholesale.
+Entries are pickles written atomically (tmp file + rename) under the
+config's key from :mod:`.hashing` -- the same name a campaign stores the
+cell under -- so concurrent workers and interrupted runs can never leave a
+torn entry.  Any unreadable entry is treated as a miss and overwritten --
+the cache is always safe to delete wholesale.  A :class:`ResultsCache` is
+exactly the directory it is given; :func:`default_cache` puts the code
+salt in that directory's name.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pathlib
 import pickle
 import tempfile
 import warnings
-from typing import Any, Callable
+from typing import Any
 
 from .hashing import code_salt
 
 __all__ = ["ResultsCache", "atomic_write", "read_pickle", "cache_enabled",
-           "default_cache", "memo", "detach_tree"]
+           "default_cache"]
 
 #: Environment variable naming the cache directory.
 ENV_DIR = "REPRO_CACHE_DIR"
@@ -32,16 +34,10 @@ def cache_enabled() -> bool:
     return not os.environ.get(ENV_OFF)
 
 
-def _default_root() -> pathlib.Path:
-    env = os.environ.get(ENV_DIR)
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro-iq-rudp"
-
-
-#: What unpickling a missing, torn or foreign file raises.
+#: What unpickling a missing, torn or foreign file raises (malformed
+#: opcodes raise ``ValueError``, ``UnicodeDecodeError`` or ``TypeError``).
 _UNREADABLE = (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-               ImportError, IndexError)
+               ImportError, IndexError, ValueError, TypeError)
 
 
 def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
@@ -80,14 +76,13 @@ def read_pickle(path: str | os.PathLike,
 
 
 class ResultsCache:
-    """Keyed pickle store with hit/miss accounting.
+    """Keyed pickle store with hit/miss accounting: ``root/KEY.pkl``.
 
-    ``root`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-iq-rudp``.
     The directory is created lazily on first write.
     """
 
-    def __init__(self, root: str | os.PathLike | None = None):
-        self.root = pathlib.Path(root) if root is not None else _default_root()
+    def __init__(self, root: str | os.PathLike):
+        self.root = pathlib.Path(root)
         self.hits = 0
         self.misses = 0
         self._write_disabled = False
@@ -129,49 +124,11 @@ class ResultsCache:
 
 
 def default_cache() -> ResultsCache:
-    """A cache on the default (environment-configured) directory."""
-    return ResultsCache()
-
-
-def detach_tree(obj: Any) -> Any:
-    """Recursively ``detach()`` every scenario result in a container.
-
-    Experiment helpers return results nested in dicts/lists/tuples
-    (e.g. Table 6's ``{rate: {row: result}}``); this walks those shapes so
-    an arbitrary experiment payload can be pickled.  Returns ``obj``.
-    """
-    detach = getattr(obj, "detach", None)
-    if callable(detach):
-        detach()
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            detach_tree(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            detach_tree(v)
-    return obj
-
-
-def memo(key: str, fn: Callable[[], Any], *,
-         cache: ResultsCache | None = None) -> Any:
-    """Persistent memoisation of a named experiment run.
-
-    The effective key mixes the caller's name with the code salt, so cached
-    artifacts survive across sessions but never across code edits.  With
-    the cache disabled (``REPRO_NO_CACHE``) this is just ``fn()``.
-    """
-    if not cache_enabled():
-        return fn()
-    if cache is None:
-        cache = default_cache()
-    digest = hashlib.sha256(
-        (code_salt() + "\0" + key).encode()).hexdigest()[:40]
-    value = cache.get(digest)
-    if value is None:
-        value = detach_tree(fn())
-        try:
-            cache.put(digest, value)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # Unpicklable payloads simply skip persistence.
-            pass
-    return value
+    """The cache in ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro-iq-rudp``),
+    in the subdirectory named by the code salt's first 16 characters: a
+    code edit opens an empty directory, so no entry outlives the sources
+    that computed it."""
+    env = os.environ.get(ENV_DIR)
+    base = (pathlib.Path(env) if env
+            else pathlib.Path.home() / ".cache" / "repro-iq-rudp")
+    return ResultsCache(base / code_salt()[:16])

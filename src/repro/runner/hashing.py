@@ -1,13 +1,17 @@
-"""Stable cache keys for scenario configurations.
+"""The one key of a scenario configuration.
 
 A key must be (a) identical across processes and sessions for the same
 parameters -- so it cannot use ``hash()`` or object identity -- and (b)
-different whenever a rerun could produce a different result.  Two inputs
-matter: the full :class:`ScenarioConfig` field set, and the simulator code
-itself.  The latter is folded in as a *code salt*: a digest over every
-``repro`` source file, recomputed once per process, so any code edit
-invalidates the whole cache rather than serving results from a stale
-implementation.
+different whenever the parameters differ.  :func:`config_key` hashes the
+full :class:`ScenarioConfig` field set and names a result everywhere it is
+stored: a campaign's ``cells/KEY.pkl`` and a results cache's ``KEY.pkl``.
+
+The simulator code is the other input a result depends on.  It is not in
+the key: :func:`code_salt`, a digest over every ``repro`` source file,
+names the default cache's directory instead
+(:func:`repro.runner.cache.default_cache`), so any code edit misses the
+whole default cache rather than serving results from a stale
+implementation, while a campaign directory stays tied to its spec.
 """
 
 from __future__ import annotations
@@ -90,12 +94,9 @@ def config_fingerprint(cfg: Any) -> str | None:
 
 
 def config_key(cfg: Any) -> str | None:
-    """Cache key for a config (fingerprint + code salt), or None."""
+    """Stable, filesystem-safe key of a config, or None when it cannot be
+    fingerprinted (a lambda adaptation factory)."""
     fp = config_fingerprint(cfg)
     if fp is None:
         return None
-    h = hashlib.sha256()
-    h.update(code_salt().encode())
-    h.update(b"\0")
-    h.update(fp.encode())
-    return h.hexdigest()[:40]
+    return hashlib.sha256(fp.encode()).hexdigest()[:20]

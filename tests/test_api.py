@@ -17,6 +17,7 @@ from repro.api import FaultSchedule, Scenario, load_result, run, sweep
 from repro.cli import parse_overrides
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.faults import Blackout
+from repro.runner import config_fingerprint, config_key
 
 
 def _small(**kw) -> Scenario:
@@ -241,11 +242,9 @@ def _armed_config() -> ScenarioConfig:
 
 
 def test_pinned_fingerprints_and_field_order():
-    from repro.campaign import cell_key
-    from repro.runner import config_fingerprint
     assert config_fingerprint(ScenarioConfig()) == _FP_DEFAULT
     assert config_fingerprint(_armed_config()) == _FP_ARMED
-    assert cell_key(_armed_config()) == '51fbbb7ba833e1afe929'
+    assert config_key(_armed_config()) == '51fbbb7ba833e1afe929'
     assert list(vars(ScenarioConfig())) == [
         "transport", "workload", "adaptation", "n_frames", "frame_rate",
         "frame_multiplier", "base_frame_size", "bottleneck_bps", "rtt_s",
@@ -266,11 +265,12 @@ def test_pinned_cell_keys_labels_and_manifest_of_a_text_spec():
         "axes": {"transport": ["iq", "rudp"]},
         "zip": {"faults": ["flap", "cliff"]},
         "seeds": {"list": [3]}})
-    assert [(c.key, c.label) for c in camp.cells()] == [
+    assert [(config_key(c.config), c.label) for c in camp.cells()] == [
         ('b1d7a4b79d37e2713c14', f"transport='iq',faults={_FLAP},seed=3"),
         ('a5e4af9a9182cc18b749', f"transport='iq',faults={_CLIFF},seed=3"),
         ('630bfe416c0a1caa9ecc', f"transport='rudp',faults={_FLAP},seed=3"),
         ('f986c1972fa176097b6d', f"transport='rudp',faults={_CLIFF},seed=3")]
+    assert all(c.key == config_key(c.config) for c in camp.cells())
     assert json.dumps(camp.to_mapping(), sort_keys=True) == (
         '{"axes": {"transport": ["iq", "rudp"]}, "name": "pin", '
         '"seeds": {"list": [3]}, "template": {"adaptation": "marking", '
@@ -287,11 +287,12 @@ def test_pinned_cell_keys_and_manifest_of_a_programmatic_campaign():
                  cbr_bps=8e6, spans=True),
         name="prog2", axes={"transport": ["rudp", "iq"]}, seeds=[4, 5],
         metrics=["duration_s"])
-    assert [(c.key, c.label) for c in camp.cells()] == [
+    assert [(config_key(c.config), c.label) for c in camp.cells()] == [
         ('37f8e859757506b7acdd', "transport='rudp',seed=4"),
         ('0c9470bf9e86a472ae16', "transport='rudp',seed=5"),
         ('499b6a3378686ba65d26', "transport='iq',seed=4"),
         ('6bba5b485a3520c05b80', "transport='iq',seed=5")]
+    assert all(c.key == config_key(c.config) for c in camp.cells())
     # The non-default fields, adaptation by its registry name.
     assert json.dumps(camp.to_mapping(), sort_keys=True) == (
         '{"axes": {"transport": ["rudp", "iq"]}, "cases": [], '

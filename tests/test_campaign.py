@@ -21,11 +21,12 @@ import time
 import pytest
 
 from repro.api import Scenario
-from repro.campaign import (Campaign, CampaignStore, aggregate, cell_key,
+from repro.campaign import (Campaign, CampaignStore, aggregate,
                             load_campaign, run_campaign, run_rows)
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.middleware.adaptation import ADAPTATIONS, resolution_default
 from repro.obs.live import watch_snapshot
+from repro.runner import config_key, run_batch
 from repro.runner.cache import ResultsCache
 from repro.runner.failures import FailedResult
 
@@ -139,8 +140,9 @@ def test_spec_mapping_coercion_and_adaptation_registry():
 
 def test_lambda_adaptation_rejected_for_cell_identity():
     cfg = ScenarioConfig(**TINY).replace(adaptation=lambda: None)
+    assert config_key(cfg) is None
     with pytest.raises(ValueError, match="stably hashable"):
-        cell_key(cfg)
+        Campaign.from_scenarios([cfg])
     with pytest.raises(ValueError, match="stably hashable"):
         Campaign(Scenario(**TINY).replace(adaptation=lambda: None),
                  axes={"transport": ["rudp"]}).cells()
@@ -409,6 +411,42 @@ def test_torn_cell_file_is_healed_on_rerun(tmp_path):
     r2 = run_campaign(camp, dir=tmp_path / "camp", cache=False)
     assert r2.complete
     assert r1.report().to_json() == r2.report().to_json()
+
+
+#: Malformed pickles whose load raises ValueError (an unknown protocol),
+#: UnicodeDecodeError and TypeError rather than UnpicklingError.
+MALFORMED = (b"\x80\x09abc", b"X\x02\x00\x00\x00\xff\xff.", b"K\x01)R.")
+
+
+@pytest.mark.parametrize("junk", MALFORMED)
+def test_malformed_cache_entry_and_cell_read_as_missing(tmp_path, capsys,
+                                                        junk):
+    """Whatever ``pickle.load`` raises on a malformed file, a cache entry
+    is a miss that is recomputed and rewritten, a campaign cell re-runs on
+    resume, and ``repro report`` names the file in one ``error:`` line."""
+    from repro.cli import main
+    camp = _tiny_campaign()
+    cell = camp.cells()[0]
+    cache = ResultsCache(tmp_path / "cache")
+    cache.path_for(cell.key).parent.mkdir()
+    cache.path_for(cell.key).write_bytes(junk)
+    assert cache.get(cell.key) is None
+    res = run_batch([cell.config], cache=cache)[0]
+    assert cache.get(cell.key, expect=ScenarioResult).summary == res.summary
+
+    run_campaign(camp, dir=tmp_path / "camp", cache=False, progress=False)
+    store = CampaignStore(tmp_path / "camp")
+    path = store.cell_path(cell.key)
+    path.write_bytes(junk)
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert len(err.strip().splitlines()) == 1
+    resumed = run_campaign(camp, dir=tmp_path / "camp", cache=False,
+                           progress=False)
+    assert resumed.complete
+    assert resumed.results_by_key[cell.key].summary == res.summary
+    assert store.load_cell(cell.key).summary == res.summary  # re-ran, stored
 
 
 def test_dead_worker_lease_is_reclaimed(tmp_path):
@@ -884,3 +922,16 @@ def test_acceptance_200_cell_campaign_two_workers(tmp_path):
     assert rerun.complete
     assert cache2.hits >= 216
     assert run.report().to_json() == rerun.report().to_json()
+
+
+def test_campaign_and_cache_store_a_result_under_one_key(tmp_path):
+    """A cell's name in ``cells/`` is its results-cache key: a campaign
+    run with a cache leaves ``cache.path_for(cell.key)`` for every cell,
+    so both directories list the same file names."""
+    camp = _tiny_campaign()
+    cache = ResultsCache(tmp_path / "cache")
+    run_campaign(camp, dir=tmp_path / "camp", cache=cache, progress=False)
+    for cell in camp.cells():
+        assert cache.path_for(cell.key).is_file(), cell
+    assert (sorted(os.listdir(tmp_path / "cache"))
+            == sorted(os.listdir(tmp_path / "camp" / "cells")))

@@ -12,9 +12,10 @@ import random
 import pytest
 
 from repro.core.metrics_export import MetricsWindow
+from repro.experiments.conflict import _changing_app_config
 from repro.experiments.dynamics import (SCENARIOS, SCHEDULES,
                                         dynamics_metrics, render_dynamics,
-                                        run_dynamics, _dynamics_config)
+                                        run_dynamics)
 from repro.faults import FaultSchedule, LinkFlap
 from repro.middleware.receiver import DeliveryLog
 from repro.runner import config_key
@@ -77,7 +78,7 @@ def test_jobs_do_not_change_results_or_traces(flap_sweep):
 # Cache keying
 # ----------------------------------------------------------------------
 def test_cache_key_reacts_to_schedule_changes():
-    base = _dynamics_config(250, 1)
+    base = _changing_app_config(250, 1)
     flap = base.replace(faults=SCHEDULES["flap"])
     tweaked = base.replace(faults=FaultSchedule(
         LinkFlap(start=5.0, stop=16.0, down_s=0.8, up_s=1.3,
@@ -88,7 +89,7 @@ def test_cache_key_reacts_to_schedule_changes():
 
 
 def test_every_scenario_declares_faults_and_valid_overrides():
-    base = _dynamics_config(250, 1)
+    base = _changing_app_config(250, 1)
     for name, spec in SCENARIOS.items():
         assert isinstance(spec["faults"], FaultSchedule), name
         # Overrides must be real config fields (replace validates).

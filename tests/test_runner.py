@@ -2,8 +2,8 @@
 
 The contract under test: worker count never changes results (bit-identical
 metrics for a fixed seed), cache hits are indistinguishable from fresh
-runs, and cache keys react to exactly the inputs that could change a
-result (config fields, code version) and nothing else.
+runs, and cache keys react to exactly the config fields and nothing else
+(the code version names the default cache's directory instead).
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import pytest
 from repro.experiments.common import ScenarioConfig
 from repro.middleware.adaptation import MarkingAdaptation
 from repro.runner import (ResultsCache, code_salt, config_fingerprint,
-                          config_key, memo, run_batch, run_one)
+                          config_key, default_cache, run_batch, run_one)
 from repro.runner import cache as cache_mod
+from repro.runner import hashing
 
 
 def _small(**kw) -> ScenarioConfig:
@@ -119,15 +120,32 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 
 def test_env_dir_and_no_cache_opt_out(tmp_path, monkeypatch):
     monkeypatch.setenv(cache_mod.ENV_DIR, str(tmp_path / "envcache"))
+    salted = tmp_path / "envcache" / code_salt()[:16]
     cfg = _small(seed=11)
     run_batch([cfg])
-    files = list((tmp_path / "envcache").glob("*.pkl"))
-    assert len(files) == 1
+    assert [p.name for p in salted.glob("*.pkl")] == [
+        f"{config_key(cfg)}.pkl"]
 
     monkeypatch.setenv(cache_mod.ENV_OFF, "1")
     other = _small(seed=12)
     run_batch([other])
-    assert len(list((tmp_path / "envcache").glob("*.pkl"))) == 1  # unchanged
+    assert len(list(salted.glob("*.pkl"))) == 1  # unchanged
+
+
+def test_code_salt_names_the_default_cache_directory(tmp_path, monkeypatch):
+    """The key carries no code version; the default cache's directory
+    does, so an entry stored under one salt is a miss under another."""
+    monkeypatch.setenv(cache_mod.ENV_DIR, str(tmp_path))
+    roots = []
+    for salt in ("a" * 64, "b" * 64):
+        monkeypatch.setattr(hashing, "_SALT_CACHE", salt)
+        roots.append(default_cache().root)
+        assert roots[-1] == tmp_path / salt[:16]
+    monkeypatch.setattr(hashing, "_SALT_CACHE", "a" * 64)
+    default_cache().put("k", 1)
+    assert default_cache().get("k") == 1
+    monkeypatch.setattr(hashing, "_SALT_CACHE", "b" * 64)
+    assert default_cache().get("k") is None
 
 
 def test_cache_get_type_mismatch_is_a_miss(tmp_path):
@@ -210,51 +228,6 @@ def test_cache_put_unpicklable_payload_still_raises(tmp_path):
     with pytest.raises((pickle.PicklingError, TypeError, AttributeError)):
         store.put("c" * 40, lambda: None)  # caller bug, not environment
     assert not list(tmp_path.glob("*.tmp"))  # no litter left behind
-
-
-# ----------------------------------------------------------------------
-# memo() -- the bench-conftest entry point
-# ----------------------------------------------------------------------
-def test_memo_runs_once_across_sessions(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_DIR, str(tmp_path))
-    calls = []
-
-    def fn():
-        calls.append(1)
-        return {"rows": (1, 2, 3)}
-
-    assert memo("tkey", fn) == {"rows": (1, 2, 3)}
-    # Fresh call with no in-memory state: must come from disk.
-    assert memo("tkey", fn) == {"rows": (1, 2, 3)}
-    assert len(calls) == 1
-
-
-def test_memo_detaches_nested_results(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_DIR, str(tmp_path))
-
-    def fn():
-        from repro.experiments.common import run_scenario
-        return {"row": run_scenario(_small(seed=13))}
-
-    out = memo("nested", fn)
-    assert out["row"].sim.pending() == 0  # detached
-    again = memo("nested", lambda: pytest.fail("should be cached"))
-    assert again["row"].summary == out["row"].summary
-
-
-def test_memo_respects_no_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.ENV_DIR, str(tmp_path))
-    monkeypatch.setenv(cache_mod.ENV_OFF, "1")
-    calls = []
-
-    def fn():
-        calls.append(1)
-        return 42
-
-    assert memo("off", fn) == 42
-    assert memo("off", fn) == 42
-    assert len(calls) == 2
-    assert not list(tmp_path.glob("*.pkl"))
 
 
 # ----------------------------------------------------------------------
