@@ -24,8 +24,8 @@ Determinism contract: ``as_dict()`` carries *no wall-clock timestamps or
 host identity* -- it is a pure function of the campaign spec and the
 result set, so an interrupted-then-resumed campaign reports byte-identical
 JSON to an uninterrupted one (CI asserts exactly this).  Prometheus output
-reuses :mod:`repro.obs.metrics`' pinned number formatting for the same
-reason.
+goes through :func:`repro.obs.metrics.render_prometheus`, whose number
+formatting is pinned for the same reason.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 from ..analysis.tables import render_table
 from ..experiments.common import ScenarioResult
-from ..obs.metrics import _prom_name, _prom_value
+from ..obs.metrics import render_prometheus
 from ..obs.report import failures_by_kind
 from ..runner.failures import FailedResult
 from ..runner.hashing import field_text
@@ -125,38 +125,25 @@ class CampaignReport:
                     rows, title=f"axis: {field}{note}")]
         return lines
 
-    def render_prometheus(self, prefix: str = "repro_campaign_") -> str:
+    def render_prometheus(self) -> str:
         """Prometheus text exposition of the campaign state -- scrapeable
         from a cron wrapper, byte-stable for goldens."""
-        esc = lambda s: str(s).replace("\\", r"\\").replace('"', r'\"')
-        lines: list[str] = []
-        cname = _prom_name(prefix, "cells")
-        lines.append(f"# TYPE {cname} gauge")
-        for state, count in (("total", self.total), ("done", self.done),
-                             ("ok", self.done - self.failed),
-                             ("failed", self.failed),
-                             ("pending", self.total - self.done)):
-            lines.append(f'{cname}{{state="{state}"}} {_prom_value(count)}')
-        if self.failures:
-            fname = _prom_name(prefix, "failures")
-            lines.append(f"# TYPE {fname} gauge")
-            for kind, n in self.failures.items():
-                lines.append(f'{fname}{{kind="{esc(kind)}"}} '
-                             f'{_prom_value(n)}')
-        mname = _prom_name(prefix, "metric")
-        header_done = False
-        for field, groups in self.axes.items():
-            for value, metrics in groups.items():
-                for metric, st in metrics.items():
-                    for stat in ("n", "mean", "min", "max", "std"):
-                        if not header_done:
-                            lines.append(f"# TYPE {mname} gauge")
-                            header_done = True
-                        lines.append(
-                            f'{mname}{{axis="{esc(field)}",'
-                            f'value="{esc(value)}",metric="{esc(metric)}",'
-                            f'stat="{stat}"}} {_prom_value(st[stat])}')
-        return "\n".join(lines) + "\n"
+        cells = [("", {"state": state}, n) for state, n in (
+            ("total", self.total), ("done", self.done),
+            ("ok", self.done - self.failed), ("failed", self.failed),
+            ("pending", self.total - self.done))]
+        failures = [("", {"kind": kind}, n)
+                    for kind, n in self.failures.items()]
+        metric = [("", {"axis": field, "value": value, "metric": name,
+                        "stat": stat}, st[stat])
+                  for field, groups in self.axes.items()
+                  for value, metrics in groups.items()
+                  for name, st in metrics.items()
+                  for stat in ("n", "mean", "min", "max", "std")]
+        return render_prometheus([("cells", "gauge", cells),
+                                  ("failures", "gauge", failures),
+                                  ("metric", "gauge", metric)],
+                                 "repro_campaign_")
 
 
 class Aggregator:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ast
 import difflib
-import os
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable
 
@@ -28,7 +27,7 @@ from ..middleware.adaptation import (ADAPTATIONS, AdaptationStrategy,
                                      NullAdaptation)
 from ..obs.bus import TraceBus
 from ..obs.flight import flight_from_env
-from ..obs.metrics import MetricsRegistry, collect_scenario_metrics
+from ..obs.metrics import collect_scenario_metrics
 from ..obs.spans import SpanRecorder
 from ..obs.telemetry import TelemetryConfig, TelemetryRecorder
 from ..middleware.application import AdaptiveSource
@@ -269,8 +268,7 @@ class ScenarioResult:
                  conn, source: AdaptiveSource | None,
                  strategy: AdaptationStrategy,
                  net: Dumbbell, sim: Simulator, completed: bool,
-                 tcp_cross=None, registry: MetricsRegistry | None = None,
-                 injector=None):
+                 tcp_cross=None, injector=None):
         self.summary = summary
         self.log = log
         self.conn = conn
@@ -280,7 +278,6 @@ class ScenarioResult:
         self.sim = sim
         self.completed = completed
         self.tcp_cross = tcp_cross
-        self.registry = registry
         self.injector = injector
         # Populated by the traced batch path: the run's TraceEvent list.
         self.trace = None
@@ -361,6 +358,10 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
     dump, which is attached to the raised exception as ``flight_dump``
     (the runner moves it onto :class:`~repro.runner.FailedResult`) and to
     ``ScenarioResult.flight`` on success.
+
+    The summary's ``obs_*`` keys are computed from the run's own ``conn``,
+    ``net``, ``strategy``, ``source`` and ``log``, which the result keeps;
+    ``repro report RESULT --prom`` renders from the same state.
     """
     flight = flight_from_env()
     if flight is not None:
@@ -386,12 +387,9 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     # periodic read-only checker.  Armed and disarmed runs produce
     # bit-identical summaries -- checks observe, never steer -- so the
     # flag deliberately *is* part of the config (and the cache key): a
-    # violation aborts the run, which is a different outcome.  Like every
-    # other switch, ``REPRO_INVARIANTS`` reads empty and ``0`` as off.
-    armed = cfg.invariants or (
-        os.environ.get("REPRO_INVARIANTS", "") not in ("", "0"))
+    # violation aborts the run, which is a different outcome.
     if profile is not None:
-        if armed:
+        if cfg.invariants:
             raise ValueError(
                 "profiling and armed invariants are mutually exclusive "
                 "(both replace the engine run loop)")
@@ -400,7 +398,7 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         sim = ProfiledSimulator(profile)
         _t_phase = perf_counter()
     else:
-        sim = CheckedSimulator() if armed else Simulator()
+        sim = CheckedSimulator() if cfg.invariants else Simulator()
     # The bus and the lineage's packet hook must hang off the simulator
     # *before* topology construction -- links and endpoints cache
     # ``sim.bus`` (and links ``sim.spans``) at build time.
@@ -536,7 +534,7 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
 
     # -- invariants ---------------------------------------------------------
     checker = None
-    if armed:
+    if cfg.invariants:
         checker = InvariantChecker(
             sim, scenario=f"{cfg.transport}/{cfg.workload}/seed={cfg.seed}")
         checker.watch_network(net)
@@ -572,15 +570,13 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     summary["error_ratio_lifetime"] = conn.sender.metrics.lifetime_error_ratio
     summary["stalls"] = float(conn.sender.stats.stalls)
     summary["stall_recoveries"] = float(conn.sender.stats.stall_recoveries)
-    registry = collect_scenario_metrics(
-        MetricsRegistry(), conn=conn, net=net, strategy=strategy,
-        source=source, log=log,
-        frames_delivered=int(summary["frames_completed"]))
-    summary.update(registry.summary(prefix="obs_"))
+    summary.update(collect_scenario_metrics(
+        conn=conn, net=net, strategy=strategy, source=source, log=log,
+        frames_delivered=int(summary["frames_completed"])))
     res = ScenarioResult(summary=summary, log=log, conn=conn, source=source,
                          strategy=strategy, net=net, sim=sim,
                          completed=conn.completed, tcp_cross=tcp_cross,
-                         registry=registry, injector=injector)
+                         injector=injector)
     if fluid is not None:
         res.fluid = fluid
     if checker is not None:

@@ -1,8 +1,8 @@
 """Runtime invariant checking (``repro.invariants``).
 
 Cheap, read-only correctness checks armed per scenario via
-``ScenarioConfig(invariants=True)`` (or the ``REPRO_INVARIANTS``
-environment variable).  Armed runs execute on a :class:`CheckedSimulator`
+``ScenarioConfig(invariants=True)`` (part of the cache key, like every
+field).  Armed runs execute on a :class:`CheckedSimulator`
 and carry an :class:`InvariantChecker` sweeping conservation laws,
 sequence monotonicity, window bounds and delivery-log consistency every
 simulated quarter second; any breach raises a structured

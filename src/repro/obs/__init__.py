@@ -1,4 +1,4 @@
-"""Observability subsystem: trace bus, metrics registry, sinks and reports.
+"""Observability subsystem: trace bus, scenario metrics, sinks and reports.
 
 The paper's argument is causal -- "loss spike -> callback fired ->
 ``ADAPT_WHEN``/``ADAPT_COND`` sent -> coordinator re-inflated cwnd" -- yet
@@ -15,9 +15,9 @@ package provides the run-level evidence chain:
 * :mod:`.sinks` -- ring-buffer sink and the trace file writer (gzip
   capable, deterministic ordering so ``jobs=1`` and ``jobs=N`` produce
   identical files, cache-aware run headers) and reader.
-* :mod:`.metrics` -- counters/gauges/bounded-reservoir histograms rolled
-  per scenario into ``ScenarioResult.summary`` (``obs_*`` keys); survives
-  ``detach()`` and the persistent runner cache.
+* :mod:`.metrics` -- a finished run's ``obs_*`` summary keys and their
+  Prometheus text, both computed from the result's own state; the one
+  Prometheus writer.
 * :mod:`.report` -- the one run-artifact loader and ``repro report``:
   a trace's adaptation timeline and coordination audit (every ``ADAPT_*``
   exchange paired with the transport action it produced), a result's
@@ -42,8 +42,7 @@ from .events import (ADAPT_ACTION, ATTR_RECEIVED, ATTR_SENT, CALLBACK_FIRED,
                      FEC_REPAIR, FRAME_ABANDONED, PACKET_ACK, PACKET_DROP,
                      PACKET_RETX, PACKET_SEND, PERIOD_ROLL, QUEUE_DEPTH,
                      TraceEvent)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      collect_scenario_metrics)
+from .metrics import collect_scenario_metrics
 from .sinks import RingBufferSink, read_trace, write_trace
 # Imported after .bus: telemetry reaches repro.invariants, whose checked
 # engine imports repro.sim.engine, which imports .bus -- the order here
@@ -63,7 +62,6 @@ __all__ = [
     "FEC_REPAIR", "FEC_RECOVERED", "FRAME_ABANDONED",
     "TraceBus", "NullBus", "NULL_BUS",
     "RingBufferSink", "write_trace", "read_trace",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "collect_scenario_metrics",
     "TelemetryConfig", "Telemetry", "TelemetryRecorder", "Series",
     "EngineProfile", "ProfiledSimulator", "profile_scenario",

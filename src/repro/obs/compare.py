@@ -16,9 +16,11 @@ files (``--trace``), both read by :func:`~repro.obs.report.load_artifact`
 
 The comparison only diffs axes both artifacts carry (two traces have no
 summaries; an untelemetered result has no series) and says so in
-``notes`` rather than silently passing.  ``compare_artifacts`` returns a
-:class:`ComparisonReport` whose ``exit_code`` follows diff(1) convention:
-0 identical-within-tolerance, 1 diverged.
+``notes`` rather than silently passing; a pair that shares no axis at all
+(a trace against a result saved without one) is a ``ValueError``.
+``compare_artifacts`` returns a :class:`ComparisonReport` whose
+``exit_code`` follows diff(1) convention: 0 identical-within-tolerance, 1
+diverged.
 """
 
 from __future__ import annotations
@@ -173,6 +175,9 @@ def compare_artifacts(path_a: str | pathlib.Path,
     ea, eb = _trace_events(a), _trace_events(b)
     if ea is not None and eb is not None:
         report.trace = compare_traces(ea, eb)
+    elif a["kind"] != "result" or b["kind"] != "result":
+        raise ValueError(f"{a['path']} and {b['path']} share nothing to "
+                         f"compare: not two results, not two event streams")
     else:
         report.notes.append("trace: no event stream on "
                             + ("either side" if ea is None and eb is None

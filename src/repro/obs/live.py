@@ -37,7 +37,7 @@ import time
 from typing import Any, Mapping
 
 from ..analysis.tables import render_table
-from .metrics import _prom_name, _prom_value
+from .metrics import render_prometheus
 
 __all__ = ["watch_snapshot", "render_watch", "render_status",
            "build_metrics_text", "make_live_server"]
@@ -181,28 +181,18 @@ PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 def build_metrics_text(directory: "str | os.PathLike", *,
                        agg=None, now: float | None = None) -> str:
-    """Prometheus text for a campaign directory's live state.
-
-    It starts with :meth:`CampaignReport.render_prometheus` of the
-    directory -- byte for byte what ``campaign report --prom`` prints --
-    and appends the worker gauges under ``repro_campaign_worker*``.
-    """
+    """Prometheus text for a campaign directory's live state: byte for byte
+    what ``campaign report --prom`` prints, then the worker gauges under
+    ``repro_campaign_worker*``."""
     snap = watch_snapshot(directory, agg=agg, now=now)
-    lines = [_report_of(snap).render_prometheus().rstrip("\n")]
-    esc = lambda s: str(s).replace("\\", r"\\").replace('"', r'\"')
-    wname = _prom_name("repro_campaign_", "workers")
-    lines.append(f"# TYPE {wname} gauge")
-    for state in ("running", "stale", "idle"):
-        n = sum(1 for w in snap["workers"] if w["state"] == state)
-        lines.append(f'{wname}{{state="{state}"}} {_prom_value(n)}')
-    if snap["workers"]:
-        cname = _prom_name("repro_campaign_", "worker_cells")
-        lines.append(f"# TYPE {cname} gauge")
-        for w in snap["workers"]:
-            for state in ("done", "failed"):
-                lines.append(f'{cname}{{worker="{esc(w["worker"])}",'
-                             f'state="{state}"}} {_prom_value(w[state])}')
-    return "\n".join(lines) + "\n"
+    workers = [("", {"state": state},
+                sum(1 for w in snap["workers"] if w["state"] == state))
+               for state in ("running", "stale", "idle")]
+    cells = [("", {"worker": w["worker"], "state": state}, w[state])
+             for w in snap["workers"] for state in ("done", "failed")]
+    return _report_of(snap).render_prometheus() + render_prometheus(
+        [("workers", "gauge", workers), ("worker_cells", "gauge", cells)],
+        "repro_campaign_")
 
 
 def make_live_server(directory: "str | os.PathLike", *, port: int = 0,

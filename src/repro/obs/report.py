@@ -4,8 +4,8 @@
 ``api.load_result`` use it too): a trace, a fuzz forensics file or a
 pickled result.  For a result, :func:`render_artifact` shows the flight
 timeline, the causal lineage and a failure's traceback, one frame's
-story (``frame``) or the metrics registry (``prom``); for a fuzz file,
-each record's two flight dumps.  For a trace it renders, per run:
+story (``frame``) or its metrics as Prometheus text (``prom``); for a
+fuzz file, each record's two flight dumps.  For a trace it renders, per run:
 
 * a **timeline** of the control-loop events (callback firings, attribute
   exchanges, coordination actions, window changes, period rolls, ...) in
@@ -34,6 +34,7 @@ from .events import (ADAPT_ACTION, ATTR_RECEIVED, ATTR_SENT, CALLBACK_FIRED,
                      COORD_ACTION, CWND_CHANGE, FAULT_PHASE, FEC_RECOVERED,
                      FRAME_ABANDONED, LINK_FAIL, LINK_RECOVER, PERIOD_ROLL)
 from .flight import render_flight
+from .metrics import scenario_prometheus
 from .sinks import read_trace
 
 __all__ = ["load_artifact", "render_artifact", "coordination_audit",
@@ -443,10 +444,10 @@ def render_artifact(art: dict[str, Any], *, run: str | None = None,
             return _render_fuzz(art["payload"], limit=limit)
         data = art["payload"]
     elif prom:
-        if getattr(res, "registry", None) is None:
-            raise ValueError(f"{path} carries no metrics registry")
+        if getattr(res, "conn", None) is None:
+            raise ValueError(f"{path} carries no run state for --prom")
         # The exposition ends with its own newline; the caller adds one.
-        return res.registry.render_prometheus().rstrip("\n")
+        return scenario_prometheus(res).rstrip("\n")
     elif frame is not None:
         if getattr(res, "spans", None) is None:
             raise ValueError(

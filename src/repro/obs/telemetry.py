@@ -30,7 +30,7 @@ Sample ticks ride the event heap at :data:`~repro.invariants.checks
 -- the same observer-purity contract the invariant checker honours, and
 the same oracle the fuzzer enforces.  Bucket compaction (merge adjacent
 pairs, double the bucket width) is a deterministic function of the sample
-sequence, mirroring :class:`~repro.obs.metrics.Histogram`'s reservoir
+sequence, mirroring :func:`~repro.obs.metrics.reservoir`'s
 decimation.
 """
 

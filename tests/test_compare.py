@@ -189,6 +189,23 @@ class TestCompareCli:
         data = json.loads(capsys.readouterr().out)
         assert data["identical"] is True
 
+    def test_nothing_shared_is_user_error(self, tmp_path, capsys):
+        """A trace against a result saved without one shares no axis:
+        an error naming both paths, never IDENTICAL."""
+        from repro.cli import main
+        trace = tmp_path / "t.jsonl"
+        run_batch([_cfg(telemetry=None, n_frames=100)], cache=False,
+                  trace=str(trace))
+        saved = _save(tmp_path, "a.pkl", _cfg(telemetry=None, n_frames=100))
+        with pytest.raises(ValueError, match="share nothing"):
+            compare_artifacts(trace, saved)
+        assert main(["compare", str(trace), saved]) == 2
+        captured = capsys.readouterr()
+        assert "IDENTICAL" not in captured.out
+        assert captured.err.startswith("error:")
+        assert str(trace) in captured.err and saved in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_missing_file_is_user_error(self, tmp_path, capsys):
         from repro.cli import main
         assert main(["compare", str(tmp_path / "no.pkl"),

@@ -232,16 +232,24 @@ def test_armed_scenario_runs_checks_and_matches_disarmed(transport):
     assert armed.summary == disarmed.summary
 
 
-def test_env_var_arms_invariants(monkeypatch):
+def test_only_the_config_arms_invariants(monkeypatch, tmp_path):
+    """Arming is part of the config, hence of the cache key, so a fresh run
+    and a cache hit agree on it; the environment is not a second switch."""
+    from repro.runner import ResultsCache, run_one
     monkeypatch.setenv("REPRO_INVARIANTS", "1")
-    res = run_scenario(_armed(invariants=False))
-    assert res.invariant_checks > 0
+    cache = ResultsCache(tmp_path)
+    for armed in (False, True):
+        cfg = _armed(invariants=armed)
+        fresh = run_scenario(cfg).invariant_checks
+        assert (fresh > 0) is armed
+        run_one(cfg, cache=cache)
+        assert run_one(cfg, cache=cache).invariant_checks == fresh
 
 
 @pytest.mark.parametrize("value", ["", "0"])
 def test_env_var_zero_or_empty_disarms(monkeypatch, value):
-    # Like REPRO_FLIGHT / REPRO_PROGRESS, "0" is off --
-    # which also leaves the (engine-replacing) profiler usable.
+    # The environment never arms the checker, which also leaves the
+    # (engine-replacing) profiler usable.
     from repro.obs.profiler import profile_scenario
     monkeypatch.setenv("REPRO_INVARIANTS", value)
     assert run_scenario(_armed(invariants=False)).invariant_checks == 0
