@@ -5,8 +5,9 @@ A scenario without a :class:`~repro.faults.FaultSchedule` or a
 not using.  That machinery cannot be compiled out: it hangs off guards on
 the per-packet path.  :data:`GUARD_SITES` names each one a datagram and
 its ACK pass on a clean RUDP transfer over the dumbbell, where the two
-cross four :class:`~repro.sim.link.Link` hops (sender uplink, forward
-bottleneck, receiver uplink, backward bottleneck) and two
+cross two :class:`~repro.sim.link.Link` hops (the bottlenecks, each booked
+by the up hop that alone feeds it) and two
+:class:`~repro.sim.topology.UpHop` and two
 :class:`~repro.sim.topology.DownHop` hops, which carry no fault state.
 
 The overhead is estimated compositionally -- the measured cost of one
@@ -27,10 +28,9 @@ from repro.transport.rudp import RudpConnection
 #: tier off, by site; a datagram is one data packet and its ACK.
 GUARD_SITES = {
     "fault": {
-        # Two reads: what a fault installs (loss, jitter, a mutation that
-        # puts the link back on the two-event chain) clears the plan.
-        "Link.send: `up`, 4 links": 4,
-        "Link.send: `_busy or not _plain`, 4 links": 8,
+        # What a fault installs (loss, jitter, a mutation that puts the
+        # link back on the two-event chain, an outage) refuses bookings.
+        "Link.book: `_busy`, `_plain`, `up`, 2 links": 6,
         "WindowedSender._arm_rto: `rto_jitter`, once per ACK": 1,
         "WindowedSender._on_new_ack: `_consec_timeouts` (stall), per ACK": 1,
     },

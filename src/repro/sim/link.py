@@ -127,7 +127,7 @@ class DelayJitter:
 #: For pickling: fields that die with the event heap or are derived, and the
 #: public names property-backed fields are stored under.
 _TRANSIENT = frozenset(("_busy", "_service", "_arrival", "_free_at", "_plain",
-                        "_plan"))
+                        "_plan", "_held", "_last"))
 _PUBLIC = {"_queue": "queue", "_loss": "loss", "_jitter": "jitter",
            "_bytes_sent": "bytes_sent", "_packets_sent": "packets_sent"}
 _PRIVATE = {public: private for private, public in _PUBLIC.items()}
@@ -152,15 +152,16 @@ class Link:
     settled lazily (:meth:`_settle`); whatever could meet an unfinished
     packet first puts the plan back (:meth:`_unfuse`) onto the two-event
     chain -- completion, then arrival -- that lossy and jittered links
-    use throughout.  DESIGN.md section 2 has the rule.
+    use throughout.  A link that one hop alone feeds (``feeders``) can be
+    *booked* (:meth:`book`) when that hop's host sends.  DESIGN.md section
+    2 has the rules.
     """
 
-    # Slotted: a population holds thousands of links.
     __slots__ = ("sim", "bandwidth_bps", "delay_s", "sink", "name", "trace",
-                 "spans", "up", "packets_lost_wire",
+                 "spans", "up", "packets_lost_wire", "feeders",
                  "_queue", "_loss", "_jitter", "_plain", "_busy", "_service",
-                 "_arrival", "_free_at", "_plan", "_ahead", "_bytes_sent",
-                 "_packets_sent")
+                 "_arrival", "_free_at", "_plan", "_held", "_last", "_ahead",
+                 "_bytes_sent", "_packets_sent")
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, delay_s: float,
                  sink: PacketSink, *, queue_bytes: int = 64 * 1440,
@@ -192,9 +193,13 @@ class Link:
         self._service: Packet | None = None
         self._arrival = None
         self._free_at = -inf
-        # (start, arrival event | None) of every planned packet still in
-        # the queue; no container until a packet first waits.
-        self._plan: deque | None = None
+        # (start, arrival event | None) of each planned packet still queued.
+        self._plan: deque = deque()
+        # Bookings held back from the books, by arrival instant: (at, packet,
+        # arrival event | None, prior _free_at, what ``push`` would queue).
+        self._held: deque = deque()
+        self._last = -inf   # a real arrival is known to come until then
+        self.feeders = 0    # hops that send into the link
         # A traced run asks nobody: every hop reports where it always did.
         self._ahead = (sink.arriving if ahead and not self.trace.enabled
                        else None)
@@ -224,25 +229,56 @@ class Link:
         queue.trace = self.trace
         queue.name = self.name
         queue.spans = self.spans
+        queue.link = self
         return queue
 
     def _settle(self, strict: bool = False) -> None:
-        """Bring the books up to the clock: a planned packet whose start
-        has passed leaves the queue and is counted onto the wire.  A start
-        at exactly ``now`` has happened for a reader but not (``strict``)
-        for an arrival or a mutation, which precede that completion."""
+        """Bring the books up to the clock, in instant order (an arrival
+        first): a booked packet whose arrival has come enters them, and a
+        planned packet whose start has passed leaves the queue and is counted
+        onto the wire.  A start at exactly ``now`` has happened for a reader
+        but not (``strict``) for an arrival or a mutation, which precede
+        that completion."""
         plan = self._plan
-        if not plan:
+        held = self._held
+        if not (plan or held):
             return
         now = self.sim._now
         queue = self._queue         # ``queue.pop()``, in line: per packet
-        while plan and (plan[0][0] < now or plan[0][0] == now and not strict):
-            self._arrival = plan.popleft()[1]
-            self._service = pkt = queue._q.popleft()
-            queue._bytes -= pkt.wire_size
-            queue.stats.departures += 1
-            self._bytes_sent += pkt.wire_size
-            self._packets_sent += 1
+        upto = held[0][0] if held else inf
+        st = queue.stats
+        while True:
+            if plan and plan[0][0] < upto and (
+                    plan[0][0] < now or plan[0][0] == now and not strict):
+                self._arrival = plan.popleft()[1]
+                self._service = pkt = queue._q.popleft()
+                queue._bytes -= pkt.wire_size
+                st.departures += 1
+                self._bytes_sent += pkt.wire_size
+                self._packets_sent += 1
+            elif upto <= now:
+                # A booked arrival, counted as ``push`` would have counted it.
+                _, pkt, ev, free_at, pkts, queued = held.popleft()
+                wire = pkt.wire_size
+                st.arrivals += 1
+                st.bytes_in += wire
+                if queued > st.peak_bytes:
+                    st.peak_bytes = queued
+                if pkts > st.peak_packets:
+                    st.peak_packets = pkts
+                if upto > free_at or not plan and (
+                        free_at < now or free_at == now and not strict):
+                    st.departures += 1      # ... and started since
+                    self._bytes_sent += wire
+                    self._packets_sent += 1
+                    self._service, self._arrival = pkt, ev
+                else:
+                    queue._q.append(pkt)
+                    queue._bytes += wire
+                    plan.append((free_at, ev))
+                upto = held[0][0] if held else inf
+            else:
+                return
 
     queue = property(lambda s: s._settle() or s._queue,
                      lambda s, q: s._swap("_queue", s._adopt(q)))
@@ -255,7 +291,9 @@ class Link:
         awaiting ``_tx_done``, or a planned one until its finish."""
         if self._busy:
             return self._service is not None
-        return bool(self._plan) or self.sim._now < self._free_at
+        held = self._held   # its first entry holds the books' ``_free_at``
+        return bool(self._plan) or self.sim._now < (held[0][3] if held
+                                                    else self._free_at)
 
     def _serialising(self) -> Packet | None:
         """The planned packet whose completion has not "fired" yet."""
@@ -291,6 +329,9 @@ class Link:
                 self._start_transmission()
             return True
         now = self.sim._now
+        if self._held:      # it may arrive ahead of booked ones
+            self._take_back()
+            self._settle(True)
         start = self._free_at
         wire = pkt.wire_size
         plan = self._plan
@@ -319,9 +360,7 @@ class Link:
             start = now
             plan = None             # the plan of length one: ``_arrival``
         else:
-            if plan is None:
-                plan = self._plan = deque()
-            elif plan and plan[0][0] < now:
+            if plan and plan[0][0] < now:
                 self._settle(True)
             if not queue.push(pkt):
                 return False
@@ -336,6 +375,61 @@ class Link:
         else:
             plan.append((start, ev))
         return True
+
+    def book(self, pkt: Packet, at: float) -> bool:
+        """``pkt``, from the hop that alone feeds the link, arrives at
+        ``at``: decide now what :meth:`send` would then.  False -- it
+        arrives for real -- unless the link is plain, off the chain and up,
+        no real arrival is still to come and the queue takes it."""
+        held = self._held
+        if not (self._busy or not self._plain or not self.up
+                or self.sim._now <= self._last):
+            self._settle(True)
+            queue = self._queue
+            wire = pkt.wire_size
+            # The queue at ``at``: less what starts before, plus bookings.
+            pkts, queued = len(queue._q) + 1, queue._bytes + wire
+            plan = self._plan
+            if plan and plan[0][0] < at:
+                for (start, _), waiting in zip(plan, queue._q):
+                    if start >= at:
+                        break
+                    pkts -= 1
+                    queued -= waiting.wire_size
+            for entry in held:
+                if entry[3] >= at:      # waits: ``_free_at`` was its start
+                    pkts += 1
+                    queued += entry[1].wire_size
+            if queued <= queue.capacity_bytes:
+                free_at = self._free_at
+                far = self._free_at = ((at if at > free_at else free_at)
+                                       + wire * 8.0 / self.bandwidth_bps)
+                far += self.delay_s
+                ahead = self._ahead
+                ev = (None if ahead is not None and ahead(pkt, far)
+                      else self.sim.post(far, -1, self.sink.receive, (pkt,)))
+                held.append((at, pkt, ev, free_at, pkts, queued))
+                return True
+        self._last = max(self._last, at)    # no booking until it arrives
+        return False
+
+    def _take_back(self) -> None:
+        """Take back every booking still to arrive, latest first -- its
+        far end, its place on the serialiser -- and let it arrive for real."""
+        held = self._held
+        while held and held[-1][0] > self.sim._now:
+            at, pkt, ev, free_at, _, _ = held.pop()
+            if ev is None:
+                self.sink.withdraw(pkt, self._free_at + self.delay_s)
+            else:
+                ev.cancel()
+            self._free_at, self._last = free_at, max(self._last, at)
+            self.sim.post(at, -1, self.send, (pkt,))
+
+    def add_feeder(self) -> None:
+        """One more hop sends into the link: its packets may overtake."""
+        self._take_back()
+        self.feeders += 1
 
     def _lost(self, pkt: Packet, kind: str) -> bool:
         """Count and report a packet lost past the queue: on the ``wire``
@@ -393,8 +487,9 @@ class Link:
         on the two-event chain, to meet there what the caller changes."""
         if self._busy:
             return
+        self._take_back()
         self._settle(True)
-        plan = self._plan or ()
+        plan = self._plan
         ends = [start for start, _ in plan]     # a start is the finish of
         ends.append(self._free_at)              # the packet ahead
         finish, now, delay = ends[0], self.sim._now, self.delay_s
@@ -497,15 +592,20 @@ class Link:
         state = {name: getattr(self, name) for name in names}
         if self._in_service():
             state["_free_at"] = inf
+        elif self._held:
+            state["_free_at"] = self._held[0][3]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self._busy = False
-        self._service = self._arrival = self._plan = None
-        self._free_at = -inf
+        self._service = self._arrival = None
+        self._plan, self._held = deque(), deque()
+        self._free_at = self._last = -inf
+        self.feeders = 0        # pickled before feeders were counted
         for name, value in state.items():
             setattr(self, _PRIVATE.get(name, name), value)
         self._refresh_plain()
+        self._queue.link = self
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Link {self.name} {self.bandwidth_bps/1e6:.1f}Mbps "

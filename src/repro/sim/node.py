@@ -30,13 +30,13 @@ class Host:
         self.address = address
         self.name = name or f"host{address}"
         self._ports: dict[int, Endpoint] = {}
-        self._uplink: Link | None = None
+        self._uplink = None     # a hop: ``send(pkt) -> bool``
         self.packets_received = 0
         self.no_route_drops = 0
 
     # ------------------------------------------------------------------
-    def attach_uplink(self, link: Link) -> None:
-        """Set the (single) egress link toward the network."""
+    def attach_uplink(self, link) -> None:
+        """Set the (single) egress hop toward the network."""
         self._uplink = link
 
     def bind(self, port: int, endpoint: Endpoint) -> None:

@@ -53,7 +53,7 @@ class DropTailQueue:
     """
 
     __slots__ = ("capacity_bytes", "on_drop", "_q", "_bytes", "stats",
-                 "trace", "name", "spans")
+                 "trace", "name", "spans", "link")
 
     def __init__(self, capacity_bytes: int,
                  on_drop: Callable[[Packet], None] | None = None):
@@ -69,6 +69,7 @@ class DropTailQueue:
         self.trace = NULL_BUS
         self.name = "queue"
         self.spans = None
+        self.link = None
 
     def __len__(self) -> int:
         return len(self._q)
@@ -139,6 +140,8 @@ class DropTailQueue:
         below the new budget."""
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
+        if capacity_bytes < self.capacity_bytes and self.link is not None:
+            self.link._take_back()      # booked against the larger budget
         self.capacity_bytes = capacity_bytes
 
     def clear(self) -> None:

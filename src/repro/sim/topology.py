@@ -13,13 +13,13 @@ The dumbbell is::
 Access links are fast and near-zero delay, so the bottleneck link alone sets
 the path RTT and loss behaviour, exactly as on the emulated testbed.
 
-Only the bottlenecks and a flow's two uplinks are :class:`Link` objects.
-One-way cross traffic enters through a :class:`CrossPort`, which hands each
-packet to the forward bottleneck at the instant its access hop would have,
-and ends at a counter; a flow host's hop down from its router is a
-:class:`DownHop`.  Both far ends are *asked at departure* by the bottleneck
-(``Link(ahead=True)``), so a packet that leaves it costs one event at most
-(DESIGN.md section 2, "Planned transit").
+Only the two bottlenecks are :class:`Link` objects.  One-way cross traffic
+enters through a :class:`CrossPort`, which hands each packet to the forward
+bottleneck at the instant its access hop would have, and ends at a counter;
+a flow host's hops to and from its router are an :class:`UpHop` and a
+:class:`DownHop`.  Far ends are *asked at departure* (``Link(ahead=True)``)
+and a bottleneck that one up hop alone feeds is *booked when the host
+sends*: a datagram costs one event (DESIGN.md section 2, "Planned transit").
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from collections import deque
 from math import inf
 from operator import itemgetter
 
-from ..obs.events import QUEUE_DEPTH
+from ..obs.events import PACKET_DROP, QUEUE_DEPTH
 from .engine import SimulationError, Simulator
 from .link import Link
 from .node import Host, Router
 from .packet import Packet
+from .queues import QueueStats
 
-__all__ = ["AccessHop", "CrossPort", "DownHop", "Dumbbell",
+__all__ = ["AccessHop", "CrossPort", "DownHop", "Dumbbell", "UpHop",
            "PAPER_BOTTLENECK_BPS", "PAPER_RTT_S", "PAPER_MSS"]
 
 #: Paper defaults (section 3.1).
@@ -87,10 +88,9 @@ class _Egress:
 
 
 class AccessHop:
-    """The arithmetic of an access link that is never congested: a FIFO at
-    ``access_bps`` plus ``access_delay_s``, done in ``Link``'s order.  It
-    never drops, and that is checked: what the link's 64-packet queue would
-    have tail-dropped raises."""
+    """An access link's arithmetic: a FIFO at ``access_bps`` plus
+    ``access_delay_s`` in ``Link``'s order, its 64-packet queue counted from
+    planned starts.  :meth:`arrival` raises where that queue would drop."""
 
     __slots__ = ("sim", "name", "access_bps", "access_delay_s", "_free_at",
                  "_undo", "_backlog")
@@ -102,32 +102,102 @@ class AccessHop:
         self.access_bps = access_bps
         self.access_delay_s = access_delay_s
         self._free_at = self._undo = -inf   # the serialiser falls idle
-        self._backlog = 0       # wire bytes accepted behind a busy one
+        # (start, wire bytes) of each packet that waited for the serialiser:
+        # a tuple replaced, never changed, so a saved one stays valid.
+        self._backlog = ()
+
+    def _occupancy(self, t: float, wire: int) -> tuple[int, int]:
+        """Packets and bytes queued at ``t`` with a ``wire``-byte arrival (a
+        start at ``t`` still waits: the arrival precedes the completion)."""
+        backlog = self._backlog
+        if backlog and backlog[0][0] < t:
+            self._backlog = backlog = tuple(e for e in backlog if e[0] >= t)
+        return len(backlog) + 1, sum(w for _, w in backlog) + wire
 
     def arrival(self, t: float, wire: int) -> float:
-        """When a ``wire``-byte packet offered to the hop at ``t`` reaches
-        its far end.  The order of the two additions is ``Link``'s:
-        ``(start + tx) + delay``."""
+        """When a ``wire``-byte packet offered at ``t`` reaches the far end.
+        The order of the two additions is ``Link``'s: ``(start + tx) +
+        delay``."""
         start = self._undo = self._free_at
         if t > start:
             start = t
-            self._backlog = 0
         else:
-            # Every byte since the serialiser was last idle: at least what
-            # the access queue would have held.
-            self._backlog += wire
-            if self._backlog > ACCESS_QUEUE_BYTES:
+            queued = self._occupancy(t, wire)[1]
+            if queued > ACCESS_QUEUE_BYTES:
                 raise SimulationError(
-                    f"{self.name}: {self._backlog} bytes back to back "
-                    f"overflow the access hop's {ACCESS_QUEUE_BYTES}-byte "
-                    f"queue; an access hop never drops")
+                    f"{self.name}: {queued} bytes queued overflow the "
+                    f"access hop's {ACCESS_QUEUE_BYTES}-byte queue; an "
+                    f"access hop never drops")
+            self._backlog += ((start, wire),)
         self._free_at = free_at = start + wire * 8.0 / self.access_bps
         return free_at + self.access_delay_s
 
     def withdraw(self) -> None:
         """Undo the last :meth:`arrival`: its packet, asked about ahead of
         time, is not coming after all."""
-        self._free_at = self._undo
+        self._free_at = start = self._undo
+        if self._backlog and self._backlog[-1][0] == start:
+            self._backlog = self._backlog[:-1]      # it had waited
+
+
+class UpHop(AccessHop):
+    """A flow host's access hop to its router: what the uplink ``Link``
+    that stood here did, drops and ``stats`` included (``departures`` counts
+    a packet as it is accepted), but the arrival is booked at ``feeds``,
+    the bottleneck past the router, while this hop alone feeds it."""
+
+    __slots__ = ("router", "feeds", "stats")
+
+    def __init__(self, sim: Simulator, host: Host, router: Router,
+                 feeds: Link, *, access_bps: float, access_delay_s: float):
+        super().__init__(sim, f"{host.name}-up", access_bps, access_delay_s)
+        self.router = router
+        # A traced run asks nobody: every hop reports where it always did.
+        self.feeds = None if sim.bus.enabled else feeds
+        self.stats = QueueStats()
+
+    def send(self, pkt: Packet) -> bool:
+        sim = self.sim
+        now = sim._now
+        wire = pkt.wire_size
+        st = self.stats
+        st.arrivals += 1
+        pkts, queued = (self._occupancy(now, wire) if self._backlog
+                        else (1, wire))
+        if queued > ACCESS_QUEUE_BYTES:
+            st.drops += 1
+            st.bytes_dropped += wire
+            if getattr(sim, "spans", None) is not None:
+                sim.spans.on_drop(pkt, self.name, "queue")
+            if sim.bus.recording:
+                sim.bus.cold("net", PACKET_DROP, link=self.name, kind="queue",
+                             flow=pkt.flow_id, pkt=pkt.seq, size=wire,
+                             queued_pkts=pkts - 1, queued_bytes=queued - wire)
+            return False
+        st.departures += 1
+        st.bytes_in += wire
+        if queued > st.peak_bytes:
+            st.peak_bytes = queued
+        if pkts > st.peak_packets:
+            st.peak_packets = pkts
+            if sim.bus.enabled:
+                sim.bus.emit("net", QUEUE_DEPTH, queue=self.name, pkts=pkts,
+                             bytes=queued, capacity=ACCESS_QUEUE_BYTES)
+        start = self._free_at   # ``arrival``, in line: per packet
+        if now > start:
+            start = now
+        else:
+            self._backlog += ((start, wire),)
+        self._free_at = at = start + wire * 8.0 / self.access_bps
+        at += self.access_delay_s
+        feeds = self.feeds
+        router = self.router    # ``Router.arriving``, in line
+        if (feeds is not None and feeds.feeders == 1
+                and router._routes.get(pkt.dst) is feeds and feeds.book(pkt, at)):
+            router.forwarded += 1
+        else:
+            sim.post(at, -1, router.receive, (pkt,))
+        return True
 
 
 class CrossPort(AccessHop):
@@ -172,7 +242,7 @@ class DownHop(AccessHop):
     packets in flight) and the link un-planning its promise.
     """
 
-    __slots__ = ("host", "_log", "_last")
+    __slots__ = ("host", "_log", "_last", "_peak")
 
     def __init__(self, sim: Simulator, host: Host, *, access_bps: float,
                  access_delay_s: float):
@@ -185,6 +255,7 @@ class DownHop(AccessHop):
         # and no state.  No list until the first.
         self._log: list | None = None
         self._last = -inf   # nothing more is booked to arrive before this
+        self._peak = 0      # the queue's packet peak, on a traced run
 
     def send(self, pkt: Packet) -> bool:
         sim = self.sim
@@ -192,13 +263,15 @@ class DownHop(AccessHop):
         log = self._log
         if log and log[-1][0] > now:    # ahead of packets booked for later
             self._take_back(bisect_right(log, now, key=itemgetter(0)))
+        wire = pkt.wire_size
         tr = sim.bus
-        if tr.enabled and self._free_at == -inf:
-            # The first packet, as the link's queue reported it.
-            tr.emit("net", QUEUE_DEPTH, queue=self.name, pkts=1,
-                    bytes=pkt.wire_size, capacity=ACCESS_QUEUE_BYTES)
-        sim.post(self.arrival(now, pkt.wire_size), -1, self.host.receive,
-                 (pkt,))
+        if tr.enabled:      # each new peak, as the link's queue reported
+            pkts, queued = self._occupancy(now, wire)
+            if pkts > self._peak:
+                self._peak = pkts
+                tr.emit("net", QUEUE_DEPTH, queue=self.name, pkts=pkts,
+                        bytes=queued, capacity=ACCESS_QUEUE_BYTES)
+        sim.post(self.arrival(now, wire), -1, self.host.receive, (pkt,))
         return True
 
     def book(self, pkt: Packet, at: float) -> bool:
@@ -211,8 +284,12 @@ class DownHop(AccessHop):
         elif log and log[0][0] < self.sim._now:
             del log[0]      # has arrived; an entry holds packet and event
         free_at, backlog = self._free_at, self._backlog
-        log.append((at, self.sim.post(self.arrival(at, pkt.wire_size), -1,
-                                      self.host.receive, (pkt,)),
+        if at > free_at:        # ``arrival``, in line: per packet
+            self._free_at = t = at + pkt.wire_size * 8.0 / self.access_bps
+            t += self.access_delay_s
+        else:
+            t = self.arrival(at, pkt.wire_size)
+        log.append((at, self.sim.post(t, -1, self.host.receive, (pkt,)),
                     free_at, backlog))
         return True
 
@@ -236,8 +313,9 @@ class DownHop(AccessHop):
         log.pop(i)[1].cancel()
 
     def __getstate__(self):
-        """Promises die with the heap: a pickled hop keeps its books."""
-        return None, {name: None if name == "_log" else getattr(self, name)
+        """Promises die with the heap: a pickled hop keeps its books.  (One
+        pickled before ``_peak`` and ``_backlog``'s tuple has an int.)"""
+        return None, {name: None if name == "_log" else getattr(self, name, 0)
                       for cls in (AccessHop, DownHop) for name in cls.__slots__}
 
 
@@ -293,22 +371,20 @@ class Dumbbell:
 
         access = dict(access_bps=self.ACCESS_BPS,
                       access_delay_s=self.ACCESS_DELAY_S)
-        # An uplink is a real link: a window burst can overflow its queue.
-        up = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, self.left,
-                  name=f"{sender.name}-up")
+        sender.attach_uplink(UpHop(self.sim, sender, self.left, self.forward,
+                                   **access))
+        receiver.attach_uplink(UpHop(self.sim, receiver, self.right,
+                                     self.backward, **access))
         down = DownHop(self.sim, receiver, **access)
-        r_up = Link(self.sim, self.ACCESS_BPS, self.ACCESS_DELAY_S, self.right,
-                    name=f"{receiver.name}-up")
         s_down = DownHop(self.sim, sender, **access)
-
-        sender.attach_uplink(up)
-        receiver.attach_uplink(r_up)
         # Left router: traffic to the receiver crosses the bottleneck;
         # traffic back to the sender exits on its access link.
         self.left.add_route(receiver.address, self.forward)
         self.left.add_route(sender.address, s_down)
         self.right.add_route(sender.address, self.backward)
         self.right.add_route(receiver.address, down)
+        self.forward.add_feeder()
+        self.backward.add_feeder()
 
         self._hosts.extend((sender, receiver))
         return sender, receiver
@@ -322,6 +398,7 @@ class Dumbbell:
                          access_delay_s=self.ACCESS_DELAY_S, name=name)
         self._next_addr += 2
         self.right.add_route(port.peer_address, port.egress)
+        self.forward.add_feeder()
         self.cross_ports.append(port)
         return port
 
