@@ -20,8 +20,9 @@ engine class.
 packet -- counted on the same transfer squeezed by 17 Mb/s of CBR, where
 drops and retransmissions fire -- x the measured cost of one ``cold()``
 into a ring, plus the final ``dump()`` spread over the run; same ceiling.
-The timed delta against ``REPRO_FLIGHT=0`` (interleaved, best of nine) is
-printed beside it and not gated: on a shared host, best-of-N walls of the
+The timed delta against a run without the ring (``run_scenario``'s
+``FlightRecorder`` swapped for ``lambda: None``; interleaved, best of
+nine) is printed beside it and not gated: on a shared host, best-of-N walls of the
 *same* configuration differ by +-0.3-1 us per packet, several times the
 ceiling.
 
@@ -35,10 +36,10 @@ The feature guards are not observability tiers: faults and FEC are
 """
 
 import gc
-import os
 import sys
 import time
 
+from repro.experiments import common
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.obs.bus import NULL_BUS, NullBus, TraceBus
 from repro.obs.flight import FlightRecorder
@@ -101,20 +102,18 @@ class CountingNone:
 
 
 def run(*, flight=True, traced=False, **fields):
-    """One transfer; ``flight=False`` is ``REPRO_FLIGHT=0``.  Returns the
-    wall time and the result."""
-    saved = os.environ.pop("REPRO_FLIGHT", None)
+    """One transfer; ``flight=False`` runs it without the ring (the
+    scenario builds no bus unless traced).  Returns the wall time and the
+    result."""
     if not flight:
-        os.environ["REPRO_FLIGHT"] = "0"
+        common.FlightRecorder = lambda: None
     try:
         sink = RingBufferSink(capacity=1024) if traced else None
         t0 = time.perf_counter()
         res = run_scenario(CFG.replace(**fields), trace_sink=sink)
         wall = time.perf_counter() - t0
     finally:
-        os.environ.pop("REPRO_FLIGHT", None)
-        if saved is not None:
-            os.environ["REPRO_FLIGHT"] = saved
+        common.FlightRecorder = FlightRecorder
     assert res.completed
     return wall, res
 
@@ -181,7 +180,7 @@ def guard_ns():
 
 def cold_ns():
     """Cost of reporting one cold event -- a queue drop, the widest --
-    through a bus whose only listener is the flight ring."""
+    through a bus that feeds the flight ring alone."""
     tr = TraceBus(Simulator(), ring=FlightRecorder())
 
     def body(n):

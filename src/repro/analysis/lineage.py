@@ -126,7 +126,8 @@ def render_lineage(spans: Mapping[str, Any], *,
     if limit is not None and len(frames) > limit:
         # Non-delivered frames are the interesting ones; always keep them.
         keep = [f for f in frames if f["outcome"] != "delivered"]
-        tail = [f for f in frames[-limit:] if f["outcome"] == "delivered"]
+        tail = [f for f in frames[len(frames) - limit:]
+                if f["outcome"] == "delivered"]
         shown = sorted(keep + tail, key=lambda f: f["frame_id"])
     rows = []
     for fr in shown:

@@ -69,7 +69,16 @@ class Coordinator:
     concern's transport-initiated half: ``discard`` sheds unmarked backlog
     through a stall, ``fec`` boosts redundancy around one and runs the
     per-period redundancy controller.
+
+    It writes down what it decided, on every run: ``exchanges`` holds
+    ``{"id", "t", "attrs"}`` per attribute set the law heard, ``actions``
+    ``{"t", "action", "episode", **fields}`` per action, ``episode`` being
+    the ``id`` of the exchange that caused it (None: transport-initiated).
     """
+
+    #: The record's class defaults: a coordinator pickled before the record
+    #: existed loads with an empty one.
+    exchanges = actions = ()
 
     def __init__(self, law: str = "rudp"):
         if law not in LAWS:
@@ -86,6 +95,8 @@ class Coordinator:
         self.freq_adaptations = 0
         self.fec_adaptations = 0
         self.fec_boosts = 0
+        self.exchanges: list[dict] = []
+        self.actions: list[dict] = []
         self._discard_before_stall: bool | None = None
         # Redundancy-controller state (inert unless the sender's FEC tier
         # is armed and adaptive).
@@ -114,16 +125,20 @@ class Coordinator:
         before the sender has one (and a test double may have none)."""
         return getattr(self.sender, "trace", NULL_BUS)
 
-    def _act(self, action: str, attr_seq: int | None = None,
+    def _act(self, action: str, cause: tuple[int, int] | None = None,
              **fields) -> None:
-        """Report one coordination action: the audit record's one emit
-        point.  ``attr_seq`` (the trace ``seq`` of the ``ATTR_RECEIVED``
-        that caused it, -1 when untraced) marks an attribute-driven
-        action; transport-initiated ones carry none."""
+        """Record one coordination action and report it.  ``cause`` is
+        ``(episode, attr_seq)`` for an attribute-driven action: the index
+        of its exchange in :attr:`exchanges` and the trace ``seq`` of that
+        exchange's ``ATTR_RECEIVED`` (-1 when untraced).  Transport-initiated
+        actions have none."""
+        self.actions.append({"t": self.sender.sim._now, "action": action,
+                             "episode": None if cause is None else cause[0],
+                             **fields})
         tr = self._trace
         if tr.recording:
-            if attr_seq is not None:
-                fields = {"attr_seq": attr_seq, **fields}
+            if cause is not None:
+                fields = {"attr_seq": cause[1], **fields}
             tr.cold("coord", COORD_ACTION, flow=self.sender.flow_id,
                     action=action, **fields)
 
@@ -135,8 +150,8 @@ class Coordinator:
     # there is no point queueing droppable data behind an outage -- so the
     # data the application cares about goes first the moment the link
     # returns; the pre-stall discard policy is restored on resume.  These
-    # actions carry no ``attr_seq`` because no application attribute
-    # exchange caused them (the report shows them as transport-initiated).
+    # actions have no cause because no application attribute exchange
+    # caused them (the report shows them as transport-initiated).
     # ------------------------------------------------------------------
     def on_stall(self, now: float) -> None:
         snd = self.sender
@@ -272,52 +287,56 @@ class Coordinator:
         if snd is None:
             raise RuntimeError("coordinator not bound to a sender")
 
-        # Report the exchange; every action below back-references its
-        # trace ``seq`` so the report's audit (and the lineage's episode)
-        # can pair attribute -> transport action.
+        # Record and report the exchange; every action below cites it, by
+        # index in the record and by trace ``seq`` in the report's audit.
+        episode = len(self.exchanges)
+        heard = attrs.as_dict()
+        self.exchanges.append({"id": episode, "t": snd.sim._now,
+                               "attrs": heard})
         seq = -1
         tr = self._trace
         if tr.recording:
             seq = tr.cold("coord", ATTR_RECEIVED, flow=snd.flow_id,
-                          attrs=attrs.as_dict())
+                          attrs=heard)
+        cause = (episode, seq)
 
         when = attrs.get(ADAPT_WHEN)
         if when == "pending":
             # The application will adapt later (limited granularity).  The
             # transport keeps adapting on its own; nothing to change now.
             self.pending_adaptations += 1
-            self._act("pending", seq)
+            self._act("pending", cause)
             return
 
         for attr, rule in _BOUND[self.law]:
             if attr in attrs:
-                rule(self, snd, attrs[attr], attrs, seq)
+                rule(self, snd, attrs[attr], attrs, cause)
 
     # ------------------------------------------------------------------
     # The rules' attribute-driven halves, one method each; ``value`` is
-    # ``attrs[RULES[rule]]``.
+    # ``attrs[RULES[rule]]`` and ``cause`` the exchange, for ``_act``.
     # ------------------------------------------------------------------
-    def _discard(self, snd, value, attrs, seq) -> None:
+    def _discard(self, snd, value, attrs, cause) -> None:
         p = float(value)
         want = p > 1e-9
         changed = want != snd.discard_unmarked
         if changed:
             self.discard_switches += 1
         snd.discard_unmarked = want
-        self._act("discard", seq, enabled=want, changed=changed, unmark_p=p)
+        self._act("discard", cause, enabled=want, changed=changed, unmark_p=p)
 
-    def _freq(self, snd, value, attrs, seq) -> None:
+    def _freq(self, snd, value, attrs, cause) -> None:
         # Deliberately no window change (see module docstring).
         self.freq_adaptations += 1
-        self._act("freq_no_window_change", seq, freq_chg=float(value))
+        self._act("freq_no_window_change", cause, freq_chg=float(value))
 
-    def _fec(self, snd, value, attrs, seq) -> None:
+    def _fec(self, snd, value, attrs, cause) -> None:
         requested = int(value)
         fx = getattr(snd, "fec_tx", None)
         if fx is None:
             # The application asked for coding on a connection with no
             # FEC tier: record the mismatch, change nothing.
-            self._act("fec_unavailable", seq, requested=requested)
+            self._act("fec_unavailable", cause, requested=requested)
             return
         state = fx.state
         r_before = state.r
@@ -326,15 +345,15 @@ class Coordinator:
         if changed:
             self.fec_adaptations += 1
             self._fec_clean_periods = 0
-        self._act("fec_redundancy", seq, requested=requested,
+        self._act("fec_redundancy", cause, requested=requested,
                   r_before=r_before, r_after=r_after, changed=changed)
 
-    def _reinflate(self, snd, value, attrs, seq) -> None:
+    def _reinflate(self, snd, value, attrs, cause) -> None:
         rate_chg = float(value)
         if rate_chg >= 1.0:
             raise ValueError(f"ADAPT_PKTSIZE rate_chg {rate_chg} >= 1")
         if snd.last_frame_size >= snd.mss:
-            self._act("rescale_skipped_large_frame", seq, rate_chg=rate_chg,
+            self._act("rescale_skipped_large_frame", cause, rate_chg=rate_chg,
                       last_frame_size=snd.last_frame_size, mss=snd.mss)
             return
         base_factor = 1.0 / (1.0 - rate_chg)
@@ -351,7 +370,7 @@ class Coordinator:
         cwnd_before = snd.cc.cwnd
         snd.cc.scale_window(factor)
         self.window_rescales += 1
-        self._act("window_rescale", seq, rate_chg=rate_chg,
+        self._act("window_rescale", cause, rate_chg=rate_chg,
                   base_factor=base_factor, drift=drift, factor=factor,
                   cwnd_before=cwnd_before, cwnd_after=snd.cc.cwnd)
 

@@ -26,7 +26,7 @@ from ..invariants import CheckedSimulator, InvariantChecker
 from ..middleware.adaptation import (ADAPTATIONS, AdaptationStrategy,
                                      NullAdaptation)
 from ..obs.bus import TraceBus
-from ..obs.flight import flight_from_env
+from ..obs.flight import FlightRecorder
 from ..obs.metrics import collect_scenario_metrics
 from ..obs.spans import SpanRecorder
 from ..obs.telemetry import TelemetryConfig, TelemetryRecorder
@@ -261,7 +261,7 @@ class ScenarioResult:
     #: finalize` output) when ``ScenarioConfig(spans=True)``; else None.
     spans = None
     #: Flight-recorder dump (:meth:`repro.obs.flight.FlightRecorder.dump`)
-    #: -- populated on every run unless ``REPRO_FLIGHT=0`` disabled it.
+    #: -- populated on every run.
     flight = None
 
     def __init__(self, *, summary: dict[str, float], log: DeliveryLog,
@@ -338,13 +338,13 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
                  profile=None) -> ScenarioResult:
     """Build and execute one scenario; see module docstring.
 
-    Components report to ``sim.bus``; the flight ring, the lineage and the
-    telemetry annotations listen.  One :class:`~repro.obs.TraceBus` with
-    whichever of them is armed is bound to the simulator *before*
-    topology/transport construction, so every component caches it.
-    ``trace_sink`` (any object with ``append(TraceEvent)``) turns on event
-    tracing as well; it is deliberately not part of ``ScenarioConfig`` --
-    tracing never changes results, so it must not change cache keys.
+    Components report to ``sim.bus``, one :class:`~repro.obs.TraceBus`
+    feeding the flight ring and ``trace_sink`` (any object with
+    ``append(TraceEvent)``), bound before topology/transport construction
+    so every component caches it.  The trace is not part of
+    ``ScenarioConfig``: tracing never changes results, so it must not
+    change cache keys.  The lineage and the telemetry annotations copy
+    the coordinator's decision record when the run ends.
 
     ``profile`` (an :class:`~repro.obs.profiler.EngineProfile`) swaps in
     the self-profiling engine and records coarse setup/run/collect phase
@@ -353,17 +353,19 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
     (both claim the engine run loop by subclassing).
 
     Every run additionally carries an always-on flight recorder
-    (:mod:`repro.obs.flight`, disable with ``REPRO_FLIGHT=0``): created
-    *before* any scenario construction so even a setup crash leaves a
-    dump, which is attached to the raised exception as ``flight_dump``
-    (the runner moves it onto :class:`~repro.runner.FailedResult`) and to
-    ``ScenarioResult.flight`` on success.
+    (:mod:`repro.obs.flight`): created *before* any scenario
+    construction so even a setup crash leaves a dump, which is attached
+    to the raised exception as ``flight_dump`` (the runner moves it onto
+    :class:`~repro.runner.FailedResult`) and to ``ScenarioResult.flight``
+    on success.
 
     The summary's ``obs_*`` keys are computed from the run's own ``conn``,
     ``net``, ``strategy``, ``source`` and ``log``, which the result keeps;
     ``repro report RESULT --prom`` renders from the same state.
     """
-    flight = flight_from_env()
+    # None only where a measurement swaps this module's ``FlightRecorder``
+    # for a factory returning None: the reference run without a ring.
+    flight = FlightRecorder()
     if flight is not None:
         flight.note("run", "START",
                     scenario=f"{cfg.transport}/{cfg.workload}"
@@ -402,17 +404,14 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     # The bus and the lineage's packet hook must hang off the simulator
     # *before* topology construction -- links and endpoints cache
     # ``sim.bus`` (and links ``sim.spans``) at build time.
-    spans = recorder = None
+    spans = None
     if cfg.spans:
         spans = sim.spans = SpanRecorder(
             sim, scenario=f"{cfg.transport}/{cfg.workload}/seed={cfg.seed}")
-    if cfg.telemetry is not None:
-        recorder = TelemetryRecorder(sim, cfg.telemetry)
-    listeners = [x for x in (spans, recorder) if x is not None]
-    if flight is not None or trace_sink is not None or listeners:
+    if flight is not None or trace_sink is not None:
         sim.bus = TraceBus(
             sim, sinks=() if trace_sink is None else (trace_sink,),
-            ring=flight, listeners=listeners)
+            ring=flight)
     streams = RandomStreams(cfg.seed)
     net = Dumbbell(sim, bottleneck_bps=cfg.bottleneck_bps, rtt_s=cfg.rtt_s,
                    mss=cfg.mss, queue_pkts=cfg.queue_pkts)
@@ -544,7 +543,9 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         checker.arm()
 
     # -- telemetry ----------------------------------------------------------
-    if recorder is not None:
+    recorder = None
+    if cfg.telemetry is not None:
+        recorder = TelemetryRecorder(sim, cfg.telemetry)
         recorder.watch_flow(conn)
         recorder.watch_network(net)
         recorder.arm()
@@ -587,6 +588,7 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     if recorder is not None:
         # Rides the result through pickling and the cache (the batch
         # persister strips only ``trace``), so sweeps get series for free.
+        recorder.annotate_actions()
         res.telemetry = recorder.data
     if flight is not None:
         res.flight = flight.dump()

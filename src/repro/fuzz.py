@@ -14,6 +14,8 @@ C. **cache-hit**: re-run against pass A's cache -- every case must hit,
 D. **disarmed**: a sample of cases with ``invariants=False`` -- the
    checker must be purely observational.
 
+B-D compare summaries, the coordinator's record and any telemetry.
+
 Every pass runs under the resilient batch path (crash isolation +
 per-case timeout), so one insane generated case is a reported failure
 row, not a dead fuzz run.  An incomplete scenario (``completed == 0``
@@ -224,6 +226,12 @@ def _compare_inner(report: FuzzReport, label: str, i: int,
         report.mismatches.append(
             f"{label}: {_case_label(i, cfg)}: summaries differ in "
             f"{bad[:6]}")
+    coords = ref.conn.sender.coordinator, other.conn.sender.coordinator
+    for part in ("exchanges", "actions"):
+        if getattr(coords[0], part) != getattr(coords[1], part):
+            report.mismatches.append(
+                f"{label}: {_case_label(i, cfg)}: coordination {part} "
+                f"differ")
     ref_tm = getattr(ref, "telemetry", None)
     other_tm = getattr(other, "telemetry", None)
     if (ref_tm is None) != (other_tm is None):

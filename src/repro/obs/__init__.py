@@ -9,9 +9,9 @@ package provides the run-level evidence chain:
   vocabulary table (each type, its layer, cold or per-packet; the
   ring-only names).
 * :mod:`.bus` -- the per-simulation :class:`~repro.obs.bus.TraceBus`, the
-  one place components report to (the flight ring, the lineage and the
-  telemetry annotations listen), and the :data:`~repro.obs.bus.NULL_BUS`
-  null object; a disabled site costs exactly one attribute check.
+  one place components report to (it feeds the flight ring and a trace
+  sink), and the :data:`~repro.obs.bus.NULL_BUS` null object; a disabled
+  site costs exactly one attribute check.
 * :mod:`.sinks` -- ring-buffer sink and the trace file writer (gzip
   capable, deterministic ordering so ``jobs=1`` and ``jobs=N`` produce
   identical files, cache-aware run headers) and reader.
@@ -23,13 +23,15 @@ package provides the run-level evidence chain:
   exchange paired with the transport action it produced), a result's
   flight ring, lineage, failure and metrics, a fuzz forensics file.
 * :mod:`.telemetry` -- sampled per-flow/queue/link time series
-  (``ScenarioConfig(telemetry=...)``) with bounded M4-style downsampling.
+  (``ScenarioConfig(telemetry=...)``) with bounded M4-style downsampling,
+  annotated with the coordinator's recorded actions.
 * :mod:`.profiler` -- the engine self-profiler behind ``repro profile``.
 * :mod:`.compare` -- the ``repro compare`` run-diff tooling.
 * :mod:`.flight` -- the always-on bounded flight recorder whose dump is
   attached to every result and failure (``repro report RESULT``).
 * :mod:`.spans` -- causal frame-lineage spans linking application frames
-  to datagram attempts, drops and coordination episodes
+  to datagram attempts, drops and coordination episodes, the last copied
+  from the coordinator's decision record
   (``ScenarioConfig(spans=True)``, ``repro report RESULT [--frame N]``).
 * :mod:`.live` -- the one campaign-directory snapshot behind
   ``campaign status``, ``campaign watch`` and ``repro serve``; a
@@ -49,7 +51,7 @@ from .sinks import RingBufferSink, read_trace, write_trace
 # keeps that cycle resolvable.
 from .compare import ComparisonReport, compare_artifacts
 from .flight import (DEFAULT_CAPACITY, FlightRecorder, first_divergence,
-                     flight_from_env, render_flight)
+                     render_flight)
 from .profiler import EngineProfile, ProfiledSimulator, profile_scenario
 from .spans import FRAME_OUTCOMES, SpanRecorder
 from .telemetry import Series, Telemetry, TelemetryConfig, TelemetryRecorder
@@ -66,7 +68,7 @@ __all__ = [
     "TelemetryConfig", "Telemetry", "TelemetryRecorder", "Series",
     "EngineProfile", "ProfiledSimulator", "profile_scenario",
     "ComparisonReport", "compare_artifacts",
-    "FlightRecorder", "flight_from_env", "first_divergence",
+    "FlightRecorder", "first_divergence",
     "render_flight", "DEFAULT_CAPACITY",
     "SpanRecorder", "FRAME_OUTCOMES",
 ]

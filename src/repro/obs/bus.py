@@ -9,10 +9,11 @@ which event goes which)::
     if tr.recording:        # cold: decisions, drops, faults, retransmissions
         tr.cold(...)
 
-:meth:`TraceBus.cold` notes the event on the flight ring, hands it to each
-listener (the lineage's decision chain, the telemetry annotations) and,
-when a sink is attached, numbers it into the trace through ``emit`` -- one
-report, one name and one set of fields on every surface.
+:meth:`TraceBus.cold` notes the event on the flight ring and, when a sink
+is attached, numbers it into the trace through ``emit`` -- one report, one
+name and one set of fields on both surfaces.  The bus keeps no decision
+record: the coordinator writes its own
+(:attr:`~repro.core.coordination.Coordinator.actions`).
 ``self.trace.note(...)`` is the ring-only breadcrumb (``RTO``, ``STALL``,
 ``COMPLETE``, ...), unguarded because its paths are colder still.
 
@@ -34,7 +35,7 @@ Design constraints, in order:
 3. **Serialisability.**  Results that hold a bus (via components that
    cached it) must still pickle for the worker pool and the persistent
    cache.  A pickled :class:`TraceBus` comes back *inert*: neither enabled
-   nor recording, no ring, listeners, sinks or simulator -- what it
+   nor recording, no ring, sinks or simulator -- what it
    gathered travels separately (the worker's event list,
    ``ScenarioResult.flight`` / ``.spans`` / ``.telemetry``).
 """
@@ -86,8 +87,7 @@ class TraceBus:
     ``enabled``: per-packet events are wanted (a sink is attached);
     ``recording``: someone keeps cold events (always, on a live bus).
     ``ring`` is the run's :class:`~repro.obs.flight.FlightRecorder` or
-    None; a listener is called as ``listener(etype, fields)`` and must not
-    mutate ``fields``.
+    None.
 
     ``emit`` stamps the event with the simulation clock and a monotonically
     increasing sequence number, fans it out to every sink, and returns the
@@ -95,14 +95,13 @@ class TraceBus:
     ``ATTR_RECEIVED`` -> ``COORD_ACTION`` pairing the audit relies on).
     """
 
-    def __init__(self, sim, sinks=(), *, ring=None, listeners=()) -> None:
+    def __init__(self, sim, sinks=(), *, ring=None) -> None:
         self.sinks = list(sinks)
         self.enabled = bool(self.sinks)
         self.recording = True
         self.ring = ring
         if ring is not None:
             ring.bind(sim)      # the ring keeps this bus's clock
-        self.listeners = list(listeners)
         self._sim = sim
         self._seq = 0
 
@@ -115,13 +114,11 @@ class TraceBus:
         return seq
 
     def cold(self, layer: str, etype: str, **fields: Any) -> int:
-        """Report one cold event to every surface; returns its trace
-        ``seq``, or -1 when no trace sink is attached."""
+        """Report one cold event to the ring and the trace; returns its
+        trace ``seq``, or -1 when no trace sink is attached."""
         ring = self.ring
         if ring is not None:
             ring.note(layer, etype, **fields)
-        for listener in self.listeners:
-            listener(etype, fields)
         if self.enabled:
             return self.emit(layer, etype, **fields)
         return -1
@@ -139,5 +136,4 @@ class TraceBus:
     # -- pickling: come back inert (see module docstring) -----------------
     def __getstate__(self):
         return {"enabled": False, "recording": False, "ring": None,
-                "listeners": [], "_sim": None, "_seq": self._seq,
-                "sinks": []}
+                "_sim": None, "_seq": self._seq, "sinks": []}

@@ -4,16 +4,16 @@ Every event names *one* causally meaningful step of a run and reaches the
 bus (:mod:`repro.obs.bus`) one of two ways.  A **cold** event (a decision,
 drop, fault or retransmission: never one per packet) goes through
 ``cold()`` and lands, under one name with one set of fields, in the flight
-ring, with the bus listeners (lineage, telemetry annotations) and -- when
-a sink is attached -- in the trace.  An **emit** event is wanted by a trace
-alone and goes through ``emit()`` behind ``tr.enabled``.
+ring and -- when a sink is attached -- in the trace.  An **emit** event is
+wanted by a trace alone and goes through ``emit()`` behind ``tr.enabled``.
 
 Each :data:`COORD_ACTION` caused by an :data:`ATTR_RECEIVED` carries
-``attr_seq`` -- that event's trace ``seq``, -1 when no sink is attached
-(listeners pair by the key's presence, never its value) -- so the report's
-audit and the lineage pair every attribute exchange with the transport
-action it caused; transport-initiated actions (stall degrade/recover, the
-redundancy controller) carry none.
+``attr_seq`` -- that event's trace ``seq``, -1 when no sink is attached --
+so the report's audit pairs every attribute exchange in a trace with the
+transport action it caused; transport-initiated actions (stall
+degrade/recover, the redundancy controller) carry none.  A result needs no
+pairing: the coordinator's own record cites each action's exchange
+(:attr:`~repro.core.coordination.Coordinator.actions`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = [
     "ATTR_RECEIVED", "COORD_ACTION", "ADAPT_ACTION", "PERIOD_ROLL",
     "FAULT_PHASE", "LINK_FAIL", "LINK_RECOVER",
     "FEC_REPAIR", "FEC_RECOVERED", "FRAME_ABANDONED",
-    "VOCABULARY", "EVENT_TYPES", "COLD_TYPES", "COORD_KEYS", "RING_ONLY",
+    "VOCABULARY", "EVENT_TYPES", "COLD_TYPES", "RING_ONLY",
     "LAYERS", "TraceEvent",
 ]
 
@@ -77,10 +77,6 @@ VOCABULARY = {
 #: The closed vocabulary; sinks and the report validate against it.
 EVENT_TYPES = frozenset(VOCABULARY)
 COLD_TYPES = frozenset(t for t, row in VOCABULARY.items() if row[1] == "cold")
-
-#: The :data:`COORD_ACTION` fields that address the record rather than
-#: describe the action (listeners strip them).
-COORD_KEYS = frozenset(("flow", "action", "attr_seq"))
 
 #: Breadcrumbs the flight ring alone keeps, through ``note()``: the run's
 #: ``START`` / ``EXCEPTION`` (noted on the recorder directly, before a bus

@@ -27,20 +27,17 @@ Design constraints, in order:
    and lists; the dump rides ``ScenarioResult``/``FailedResult`` through
    pickling, the worker pipe and the persistent cache unchanged.
 
-``REPRO_FLIGHT`` controls the recorder globally: unset or empty keeps the
-default capacity, a positive integer overrides it, and ``0`` disables
-recording entirely (debugging aid only -- dumps are part of the result
-artifact).
+The ring is part of the result artifact, so nothing outside the config
+sizes or disables it: every run keeps :data:`DEFAULT_CAPACITY` events.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import Any, Mapping
 
 __all__ = [
-    "FlightRecorder", "flight_from_env", "first_divergence",
+    "FlightRecorder", "first_divergence",
     "render_flight", "DEFAULT_CAPACITY",
 ]
 
@@ -106,23 +103,6 @@ class FlightRecorder:
                 f"noted={self._next_id}>")
 
 
-def flight_from_env() -> FlightRecorder | None:
-    """Build the per-run recorder according to ``REPRO_FLIGHT``.
-
-    Unset/empty -> default capacity; ``0`` -> disabled (returns None);
-    a positive integer -> that capacity.  Invalid values (not an integer,
-    or negative) fall back to the default rather than killing the run.
-    """
-    raw = os.environ.get("REPRO_FLIGHT", "").strip()
-    try:
-        cap = int(raw)
-    except ValueError:
-        return FlightRecorder()
-    if cap == 0:
-        return None
-    return FlightRecorder(capacity=cap if cap > 0 else DEFAULT_CAPACITY)
-
-
 def first_divergence(a: Mapping[str, Any] | None,
                      b: Mapping[str, Any] | None) -> int | None:
     """First event id at which two flight dumps disagree, or None.
@@ -158,8 +138,9 @@ def render_flight(dump: Mapping[str, Any] | None, *,
                   mark_id: int | None = None) -> str:
     """Human-readable last-moments timeline of one flight dump.
 
-    ``limit`` keeps only the newest events; ``mark_id`` prefixes the named
-    event with ``>>`` (the fuzzer's first-divergence marker).
+    ``limit`` keeps only the newest events (``0``: none); ``mark_id``
+    prefixes the named event with ``>>`` (the fuzzer's first-divergence
+    marker).
     """
     if not dump or not dump.get("events"):
         return "(flight recorder empty)"
@@ -170,7 +151,7 @@ def render_flight(dump: Mapping[str, Any] | None, *,
              + (f" ({dropped} older evicted)" if dropped > 0 else "")]
     if limit is not None and len(events) > limit:
         lines.append(f"  ... {len(events) - limit} earlier events elided")
-        events = events[-limit:]
+        events = events[len(events) - limit:]
     for ev in events:
         extra = " ".join(
             f"{k}={v}" for k, v in ev.items()

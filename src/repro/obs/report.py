@@ -128,12 +128,13 @@ def render_timeline(events: Sequence[dict[str, Any]], *,
     ``types`` restricts to an event-type subset (default
     :data:`TIMELINE_EVENTS`); ``types=()`` or any falsy non-None iterable
     means "all types".  ``limit`` keeps the *last* N rows, where the
-    adaptation endgame lives.
+    adaptation endgame lives (``0``: none).
     """
     wanted = TIMELINE_EVENTS if types is None else (frozenset(types) or None)
     picked = [ev for ev in events
               if wanted is None or ev.get("event") in wanted]
-    shown = picked if limit is None or len(picked) <= limit else picked[-limit:]
+    shown = (picked if limit is None or len(picked) <= limit
+             else picked[len(picked) - limit:])
     rows = [[ev.get("seq", ""), f"{ev.get('t', 0.0):.6f}",
              ev.get("layer", "?"), ev.get("event", "?"), _details(ev)]
             for ev in shown]
@@ -340,7 +341,7 @@ def report_json(trace: dict[str, Any], *, run: str | None = None,
         picked = [ev for ev in events
                   if wanted is None or ev.get("event") in wanted]
         if limit is not None and len(picked) > limit:
-            picked = picked[-limit:]
+            picked = picked[len(picked) - limit:]
         out_runs.append({
             "run": entry["run"],
             "cached": entry["cached"],
@@ -422,8 +423,10 @@ def render_artifact(art: dict[str, Any], *, run: str | None = None,
     :data:`TRACE_LIMIT` timeline rows of a trace by default, every flight
     event and lineage frame otherwise.  A selector the artifact has no
     use for (``run``/``types`` beyond a trace, ``frame``/``prom`` beyond a
-    result) raises ``ValueError``."""
+    result), or a negative ``limit``, raises ``ValueError``."""
     kind, path, res = art["kind"], art["path"], art.get("result")
+    if limit is not None and limit < 0:
+        raise ValueError(f"--limit {limit} is negative (0 shows no rows)")
     fits = {"trace": ("--run", "--events"),
             "result": ("--frame", "--prom")}.get(kind, ())
     misfit = [flag for flag, on in (("--run", run is not None),

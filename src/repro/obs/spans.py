@@ -11,7 +11,9 @@ application frame to:
   attempt (with the skip re-inflation flag),
 * every queue/wire/down drop the segment suffered on the way,
 * the coordination episodes (attribute exchange -> coordination actions,
-  stall degrade/recover) running concurrently,
+  stall degrade/recover) running concurrently -- a copy of the
+  coordinator's own record (:attr:`~repro.core.coordination.Coordinator
+  .exchanges` / ``.actions``),
 * the segment's final fate -- delivered, recovered (rebuilt by the FEC
   repair tier without a retransmission round trip), skipped, locally
   discarded, expired (abandoned unsent past its delivery deadline), or
@@ -29,7 +31,7 @@ Design constraints mirror the rest of :mod:`repro.obs`:
 2. **Disarmed cost is one attribute check.**  The packet hooks key on
    packet identity and stay typed calls behind ``sp is not None``
    (``spans`` is a ``None`` class attribute on the sender/receiver); the
-   decision chain is heard on the trace bus (:meth:`SpanRecorder.__call__`).
+   decision chain costs nothing here, the coordinator records it anyway.
 3. **Determinism.**  Everything is keyed on simulation-derived values
    (frame ids, ``(flow_id, seq)``, the sim clock), so :meth:`finalize`'s
    output is a pure function of the ``ScenarioConfig`` -- byte-identical
@@ -43,7 +45,6 @@ from __future__ import annotations
 from typing import Any
 
 from ..sim.packet import HEADER_BYTES, Packet
-from .events import ATTR_RECEIVED, COORD_ACTION, COORD_KEYS
 
 __all__ = ["SpanRecorder", "FRAME_OUTCOMES"]
 
@@ -58,11 +59,11 @@ class SpanRecorder:
     Wire-up (done by ``run_scenario`` when ``cfg.spans`` is set):
 
     * construct right after the :class:`~repro.sim.engine.Simulator`, as
-      ``sim.spans`` (links bind their drop hooks) and a listener of its bus,
+      ``sim.spans`` (links bind their drop hooks),
     * :meth:`watch_network` after the topology exists (captures the nominal
       path for the latency decomposition),
     * :meth:`watch_flow` after the connection exists (installs the
-      sender/receiver hooks),
+      sender/receiver hooks and keeps the coordinator),
     * :meth:`finalize` after the run loop.
     """
 
@@ -76,8 +77,7 @@ class SpanRecorder:
         # both the retransmission and the receiver-side hooks resolve.
         self._by_pkt: dict[int, dict[str, Any]] = {}
         self._by_key: dict[tuple[int, int], dict[str, Any]] = {}
-        self.episodes: list[dict[str, Any]] = []
-        self.actions: list[dict[str, Any]] = []
+        self._coordinator = None
         self._path_hops: list[tuple[float, float]] = []
         self._flow_id: int | None = None
 
@@ -96,8 +96,10 @@ class SpanRecorder:
         ]
 
     def watch_flow(self, conn) -> None:
-        """Install the sender/receiver hook references on ``conn``."""
+        """Install the sender/receiver hook references on ``conn`` and keep
+        its coordinator, whose record is the lineage's decision chain."""
         self._flow_id = conn.sender.flow_id
+        self._coordinator = conn.sender.coordinator
         conn.sender.spans = self
         conn.receiver.spans = self
 
@@ -202,26 +204,6 @@ class SpanRecorder:
         seg["t_done"] = self.sim._now
 
     # ------------------------------------------------------------------
-    # The decision chain: a listener on the trace bus
-    # ------------------------------------------------------------------
-    def __call__(self, etype: str, fields: dict[str, Any]) -> None:
-        """Bus listener (:meth:`repro.obs.bus.TraceBus.cold`).  An
-        ``ATTR_RECEIVED`` opens an episode; a ``COORD_ACTION`` *carrying*
-        ``attr_seq`` pairs with the open one (the coordinator reports an
-        exchange and its actions back to back), one without is spontaneous."""
-        if etype == COORD_ACTION:
-            rec = {"t": self.sim._now, "action": fields["action"],
-                   "episode": (len(self.episodes) - 1
-                               if "attr_seq" in fields else None)}
-            rec.update((k, v) for k, v in fields.items()
-                       if k not in COORD_KEYS)
-            self.actions.append(rec)
-        elif etype == ATTR_RECEIVED:
-            self.episodes.append({"id": len(self.episodes),
-                                  "t": self.sim._now,
-                                  "attrs": fields["attrs"]})
-
-    # ------------------------------------------------------------------
     # Finalisation
     # ------------------------------------------------------------------
     def _classify(self, fr: dict[str, Any]) -> str:
@@ -282,8 +264,10 @@ class SpanRecorder:
         ``frames_with_delivery`` is the reconciliation anchor: it must
         equal ``DeliveryLog.frames_delivered()`` exactly (a frame counts
         once it has at least one delivered payload segment -- the same
-        predicate the delivery log applies).
+        predicate the delivery log applies).  ``episodes`` and ``actions``
+        copy the watched coordinator's record.
         """
+        coord = self._coordinator
         frames = []
         counts = {k: 0 for k in FRAME_OUTCOMES}
         frames_with_delivery = 0
@@ -311,8 +295,8 @@ class SpanRecorder:
             "flow": self._flow_id,
             "path": {"hops": [[bw, d] for bw, d in self._path_hops]},
             "frames": frames,
-            "episodes": self.episodes,
-            "actions": self.actions,
+            "episodes": list(coord.exchanges),
+            "actions": list(coord.actions),
             "counts": counts,
             "frames_with_delivery": frames_with_delivery,
         }

@@ -18,9 +18,10 @@ Telemetry is a :class:`~repro.experiments.common.ScenarioConfig` field
 armed run is a different (strictly richer) artifact than a disarmed one.
 Sampling is *pull-based* -- a periodic tick reads transport/queue/link
 state through their ``telemetry_probe()`` methods -- and annotations are
-heard on the trace bus (the recorder is a listener, see
-:meth:`TelemetryRecorder.__call__`), so no component holds a telemetry
-handle and a disarmed run executes **zero** telemetry instructions.
+copied from the coordinator's decision record when the run ends
+(:meth:`TelemetryRecorder.annotate_actions`), so no component holds a
+telemetry handle and a disarmed run executes **zero** telemetry
+instructions.
 
 Determinism
 -----------
@@ -42,7 +43,6 @@ from typing import Any
 #: instant every same-time data/timer event has already fired, so the
 #: probe observes the settled state of that instant.
 from ..invariants.checks import CHECK_PRIORITY as TELEMETRY_PRIORITY
-from .events import COORD_ACTION, COORD_KEYS
 
 __all__ = ["TelemetryConfig", "Series", "Telemetry", "TelemetryRecorder",
            "TELEMETRY_PRIORITY", "ANNOTATED_ACTIONS"]
@@ -267,6 +267,8 @@ class TelemetryRecorder:
         self.sim = sim
         self.config = config
         self.data = Telemetry(config)
+        # The watched flows' coordinators, whose actions are annotated.
+        self._coordinators: list[Any] = []
         # (prefix, sender, receiver-or-None, mutable delta state)
         self._flows: list[tuple[str, Any, Any, dict[str, float]]] = []
         # (prefix, FecState, mutable delta state); only populated for
@@ -281,15 +283,6 @@ class TelemetryRecorder:
         self._bound: tuple[list, list, list] | None = None
 
     # ------------------------------------------------------------------
-    def __call__(self, etype: str, fields: dict[str, Any]) -> None:
-        """Bus listener (:meth:`repro.obs.bus.TraceBus.cold`): pin an
-        action that moved transport state onto the sampled series, so the
-        trajectory shows *why* the window or the coding rate jumped."""
-        if etype == COORD_ACTION and fields["action"] in ANNOTATED_ACTIONS:
-            self.data.annotate(
-                self.sim._now, fields["action"],
-                **{k: v for k, v in fields.items() if k not in COORD_KEYS})
-
     def watch_flow(self, conn, *, prefix: str = "flow") -> None:
         """Sample a connection's sender (cwnd/flightsize/SRTT/RTO/loss)
         and, when it has one, its receiver (goodput)."""
@@ -297,6 +290,7 @@ class TelemetryRecorder:
         if sender is None:
             raise TypeError(f"{type(conn).__name__} has no sender to probe")
         receiver = getattr(conn, "receiver", None)
+        self._coordinators.append(sender.coordinator)
         self._flows.append((prefix, sender, receiver,
                             {"delivered_bytes": 0.0}))
         fec_state = getattr(conn, "fec", None)
@@ -314,6 +308,19 @@ class TelemetryRecorder:
             self._links.append((f"link.{link.name}", link,
                                 {"bytes_sent": 0.0}))
         self._bound = None
+
+    def annotate_actions(self) -> None:
+        """Pin each recorded action that moved transport state onto the
+        sampled series (flow by flow, in the order taken), so the
+        trajectory shows *why* the window or the coding rate jumped.
+        Called once, when the run ends."""
+        for coord in self._coordinators:
+            for act in coord.actions:
+                if act["action"] in ANNOTATED_ACTIONS:
+                    self.data.annotate(
+                        act["t"], act["action"],
+                        **{k: v for k, v in act.items()
+                           if k not in ("t", "action", "episode")})
 
     def arm(self) -> None:
         if self._armed:

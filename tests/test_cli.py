@@ -156,7 +156,7 @@ def test_retired_ledger_commands_are_argparse_errors(argv, capsys):
 
 def test_environment_switch_census():
     """Every ``REPRO_*`` switch the package reads, by string literal.  A
-    fifth switch means editing this list on purpose."""
+    fourth switch means editing this list on purpose."""
     import ast
     import pathlib
     import re
@@ -166,8 +166,7 @@ def test_environment_switch_census():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 found.update(re.findall(r"\bREPRO_[A-Z_]+", node.value))
-    assert found == {"REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_PROGRESS",
-                     "REPRO_FLIGHT"}
+    assert found == {"REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_PROGRESS"}
 
 
 def test_experiments_are_the_ten_declarations():

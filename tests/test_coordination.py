@@ -1,14 +1,18 @@
 """Unit tests for the IQ-RUDP coordination engine."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ,
                                    ADAPT_MARK, ADAPT_PKTSIZE, ADAPT_WHEN,
                                    AttributeSet)
 from repro.core.coordination import LAWS, Coordinator
 from repro.core.metrics_export import PeriodMetrics
-from repro.obs.bus import TraceBus
-from repro.obs.events import ATTR_RECEIVED, COORD_ACTION, COORD_KEYS
+from repro.obs.bus import NULL_BUS, TraceBus
+from repro.obs.events import ATTR_RECEIVED, COORD_ACTION
 from repro.obs.flight import FlightRecorder
 from repro.obs.sinks import RingBufferSink
 from repro.obs.spans import SpanRecorder
@@ -23,6 +27,7 @@ class FakeSender:
     """Just enough sender surface for the coordinator."""
 
     def __init__(self, *, cwnd=20.0, frame_size=700, error_ratio=0.0):
+        self.sim = Simulator()
         self.cc = LdaCC(initial_cwnd=cwnd, initial_ssthresh=4)
         self.mss = 1400
         self.last_frame_size = frame_size
@@ -35,6 +40,7 @@ class FakeSender:
 
 def bind(coord, **kw):
     snd = FakeSender(**kw)
+    snd.coordinator = coord
     coord.bind(snd)
     return snd
 
@@ -189,23 +195,22 @@ ACTIONS = ["pending", "discard", "freq_no_window_change", "fec_redundancy",
            "fec_unavailable"]
 
 
-def drive(*, traced, law="iq"):
+def drive(*, traced, law="iq", bus=True):
     """Fire all eleven actions (those ``law`` allows) on a sender whose
-    bus carries every surface: ring, lineage listener, telemetry listener
-    and (when ``traced``) a sink.  As in ``WindowedSender.__init__``, the
-    coordinator is bound before the sender has its bus."""
+    bus carries the ring and (when ``traced``) a sink; with ``bus=False``
+    the sender has none.  As in ``WindowedSender.__init__``, the
+    coordinator is bound before the sender has its bus.  Returns the
+    sender's bus, the sink and the coordinator."""
     coord = Coordinator(law)
     snd = bind(coord, frame_size=700)
-    sim = Simulator()
+    sim = snd.sim
     sink = RingBufferSink()
-    spans = SpanRecorder(sim)
-    telemetry = TelemetryRecorder(sim, TelemetryConfig())
     snd.flow_id = 7
     snd.MIN_PERIOD_SAMPLES = 8
     snd.fec_tx = Coder()
-    snd.trace = TraceBus(sim, [sink] if traced else [],
-                         ring=FlightRecorder(capacity=64),
-                         listeners=[spans, telemetry])
+    if bus:
+        snd.trace = TraceBus(sim, [sink] if traced else [],
+                             ring=FlightRecorder(capacity=64))
     coord.on_callback_result(AttributeSet({ADAPT_WHEN: "pending"}))
     coord.on_callback_result(AttributeSet({
         ADAPT_MARK: 0.4, ADAPT_FREQ: 0.5, ADAPT_FEC: 2, ADAPT_PKTSIZE: 0.5,
@@ -219,30 +224,52 @@ def drive(*, traced, law="iq"):
     coord.on_period(PeriodMetrics(1.0, 20, 0, 0, 0.5, 0.03, 10.0))
     del snd.fec_tx
     coord.on_send_attrs(AttributeSet({ADAPT_FEC: 2}))
-    return snd.trace, sink, spans, telemetry.data
+    return getattr(snd, "trace", NULL_BUS), sink, coord
+
+
+def views(coord):
+    """The lineage's and the telemetry's copies of ``coord``'s record."""
+    sim = coord.sender.sim
+    conn = SimpleNamespace(sender=coord.sender, receiver=SimpleNamespace())
+    spans = SpanRecorder(sim)
+    spans.watch_flow(conn)
+    telemetry = TelemetryRecorder(sim, TelemetryConfig())
+    telemetry.watch_flow(conn)
+    telemetry.annotate_actions()
+    return spans.finalize(), telemetry.data
 
 
 def described(records, *own):
     """``(action, what the record says about it)`` per record, without
     the keys that are the surface's own."""
-    drop = COORD_KEYS.union(own)
+    drop = {"action", "kind", *own}
     return [(r.get("action", r.get("kind")),
              {k: v for k, v in r.items() if k not in drop}) for r in records]
+
+
+#: The keys a ring record adds to what the decision record says.
+RING_KEYS = ("id", "t", "layer", "event", "flow", "attr_seq")
 
 
 class TestReporting:
     @pytest.mark.parametrize("traced", [True, False])
     def test_each_action_lands_once_on_every_surface_with_equal_fields(
             self, traced):
-        bus, sink, spans, telemetry = drive(traced=traced)
+        bus, sink, coord = drive(traced=traced)
         ring = bus.ring.dump()["events"]
         noted = described([e for e in ring if e["event"] == COORD_ACTION],
-                          "id", "t", "layer", "event")
+                          *RING_KEYS)
         assert [name for name, _ in noted] == ACTIONS
         assert len(set(ACTIONS)) == 11
-        assert described(spans.actions, "t", "episode") == noted
-        assert described(telemetry.annotations, "t", "kind") \
-            == [rec for rec in noted if rec[0] in ANNOTATED_ACTIONS]
+        assert described(coord.actions, "t", "episode") == noted
+        assert [a["t"] for a in coord.actions] == [
+            e["t"] for e in ring if e["event"] == COORD_ACTION]
+        spans, telemetry = views(coord)
+        assert spans["actions"] == coord.actions
+        assert spans["episodes"] == coord.exchanges
+        assert described(telemetry.annotations, "t") \
+            == [rec for rec in described(coord.actions, "t", "episode")
+                if rec[0] in ANNOTATED_ACTIONS]
         # A record is written down once: the ring's copy *is* the trace's.
         if traced:
             events = [ev.as_obj() for ev in sink.events]
@@ -254,14 +281,17 @@ class TestReporting:
 
     @pytest.mark.parametrize("traced", [True, False])
     def test_actions_pair_with_the_exchange_that_caused_them(self, traced):
-        bus, sink, spans, _ = drive(traced=traced)
+        bus, sink, coord = drive(traced=traced)
         ring = bus.ring.dump()["events"]
-        assert len(spans.episodes) == 4 == sum(
+        assert len(coord.exchanges) == 4 == sum(
             e["event"] == ATTR_RECEIVED for e in ring)
-        paired = [a["episode"] for a in spans.actions]
+        assert [ex["id"] for ex in coord.exchanges] == [0, 1, 2, 3]
+        assert [ex["attrs"] for ex in coord.exchanges] == [
+            e["attrs"] for e in ring if e["event"] == ATTR_RECEIVED]
+        paired = [a["episode"] for a in coord.actions]
         assert paired == [0, 1, 1, 1, 1, 2, None, None, None, None, None, 3]
-        # The trace pairs by value, the lineage by the key's presence
-        # (its value is -1 when nothing numbers the exchange).
+        # The trace pairs by value; its value is -1 when nothing numbers
+        # the exchange.
         seqs = [e["attr_seq"] for e in ring if "attr_seq" in e]
         if traced:
             by_seq = [ev.seq for ev in sink.events
@@ -270,10 +300,19 @@ class TestReporting:
         else:
             assert set(seqs) == {-1}
 
+    def test_the_record_needs_no_bus(self):
+        """A sender without a bus still gets the record, equal to the one
+        written beside a ring and a sink."""
+        bus, _, coord = drive(traced=False, bus=False)
+        _, _, reported = drive(traced=True)
+        assert bus is NULL_BUS
+        assert coord.exchanges == reported.exchanges
+        assert coord.actions == reported.actions
+
     def test_attribute_driven_fec_change_is_annotated(self):
         """An ``ADAPT_FEC`` exchange moves the coding rate like the period
         controller does, and is pinned onto the series like it."""
-        _, _, _, telemetry = drive(traced=False)
+        _, telemetry = views(drive(traced=False)[2])
         fec = [a for a in telemetry.annotations
                if a["kind"] == "fec_redundancy"]
         assert [("requested" in a, a["r_before"], a["r_after"])
@@ -294,7 +333,7 @@ OWNER = {"pending": None, "discard": "discard",
 class TestLawTable:
     @staticmethod
     def emitted(law):
-        bus, _, _, _ = drive(traced=False, law=law)
+        bus, _, _ = drive(traced=False, law=law)
         return [e for e in bus.ring.dump()["events"]
                 if e["event"] == COORD_ACTION]
 
@@ -306,10 +345,10 @@ class TestLawTable:
         assert [e["action"] for e in self.emitted(law)] == want
 
     def test_rudp_reports_nothing_not_even_the_exchange(self):
-        bus, sink, spans, telemetry = drive(traced=True, law="rudp")
+        bus, sink, coord = drive(traced=True, law="rudp")
         assert bus.ring.dump()["events"] == []
-        assert sink.events == [] and spans.episodes == []
-        assert telemetry.annotations == []
+        assert sink.events == []
+        assert coord.exchanges == [] and coord.actions == []
 
     def test_nodiscard_still_boosts_fec_around_a_stall(self):
         names = [e["action"] for e in self.emitted("iq_nodiscard")]
@@ -333,3 +372,109 @@ class TestLawTable:
     def test_unknown_law_is_refused_at_construction(self, law):
         with pytest.raises(ValueError, match="unknown coordination law"):
             Coordinator(law)
+
+
+# -- The coordination identities, read from the record -----------------------
+#: One step a sender puts the coordinator through: an attribute exchange
+#: (with the sender state it meets) or a transport-initiated event.
+_exchange = st.fixed_dictionaries({
+    "cwnd": st.floats(2.0, 2000.0),
+    "frame_size": st.integers(1, 3000),
+    "error_ratio": st.floats(0.0, 0.99),
+    "attrs": st.fixed_dictionaries({}, optional={
+        ADAPT_MARK: st.floats(0.0, 1.0),
+        ADAPT_FREQ: st.floats(-0.5, 0.9),
+        ADAPT_FEC: st.integers(0, 5),
+        ADAPT_PKTSIZE: st.floats(-1.0, 0.95),
+        ADAPT_COND: st.fixed_dictionaries(
+            {"error_ratio": st.one_of(st.floats(0.0, 0.99), st.just(1.0))}),
+        ADAPT_WHEN: st.sampled_from(["now", "pending", "never"]),
+    }),
+})
+_step = st.one_of(_exchange, st.sampled_from(["stall", "resume", "period"]))
+
+
+class TestIdentities:
+    """What each action says follows from the exchange that caused it and
+    the state it met, and the counters are counts over the record."""
+
+    @given(law=st.sampled_from(list(LAWS)), fec=st.booleans(),
+           steps=st.lists(_step, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_the_record_obeys_the_coordination_identities(self, law, fec,
+                                                          steps):
+        coord = Coordinator(law)
+        snd = bind(coord)
+        snd.flow_id = 1
+        snd.MIN_PERIOD_SAMPLES = 8
+        if fec:
+            snd.fec_tx = Coder()
+        for step in steps:
+            taken = len(coord.actions)
+            if step == "stall":
+                coord.on_stall(snd.sim._now)
+            elif step == "resume":
+                coord.on_resume(snd.sim._now)
+            elif step == "period":
+                if fec:
+                    snd.fec_tx.state.recovered += 1
+                coord.on_period(PeriodMetrics(0.0, 20, 1, 0, 0.5, 0.03, 10.0))
+            else:
+                self.exchange(coord, snd, step, taken)
+                continue
+            assert all(a["episode"] is None
+                       for a in coord.actions[taken:])
+            snd.sim._now += 0.5
+
+        def count(action, **where):
+            return sum(a["action"] == action
+                       and all(a[k] == v for k, v in where.items())
+                       for a in coord.actions)
+
+        fec_moves = sum(a["action"] == "fec_redundancy"
+                        and a["r_after"] != a["r_before"]
+                        for a in coord.actions)
+        assert coord.window_rescales == count("window_rescale")
+        assert coord.discard_switches == count("discard", changed=True)
+        assert coord.pending_adaptations == count("pending")
+        assert coord.freq_adaptations == count("freq_no_window_change")
+        assert coord.fec_adaptations == fec_moves
+        assert coord.fec_boosts == count("fec_boost")
+
+    @staticmethod
+    def exchange(coord, snd, step, taken):
+        """One attribute exchange; check what it recorded."""
+        attrs = AttributeSet(step["attrs"])
+        snd.cc.cwnd = step["cwnd"]
+        snd.last_frame_size = step["frame_size"]
+        snd._eratio = step["error_ratio"]
+        coord.on_send_attrs(attrs)
+        rules = LAWS[coord.law]
+        if not rules:
+            assert coord.exchanges == [] and coord.actions == []
+            return
+        episode = len(coord.exchanges) - 1
+        assert coord.exchanges[episode] == {
+            "id": episode, "t": snd.sim._now, "attrs": attrs.as_dict()}
+        new = coord.actions[taken:]
+        assert all(a["episode"] == episode for a in new)
+        for act in new:
+            if act["action"] != "window_rescale":
+                continue
+            rate_chg = attrs[ADAPT_PKTSIZE]
+            assert act["rate_chg"] == rate_chg
+            assert act["base_factor"] == 1.0 / (1.0 - rate_chg)
+            cond = attrs.get(ADAPT_COND)
+            if (cond is not None and "cond" in rules
+                    and cond["error_ratio"] < 1.0):
+                assert act["drift"] == ((1.0 - step["error_ratio"])
+                                        / (1.0 - cond["error_ratio"]))
+            else:
+                assert act["drift"] == 1.0
+            assert act["factor"] == act["base_factor"] * act["drift"]
+            assert act["cwnd_before"] == step["cwnd"]
+            clamped = min(max(act["factor"], 0.25), 4.0)
+            assert act["cwnd_after"] == min(
+                max(step["cwnd"] * clamped, snd.cc.min_cwnd),
+                snd.cc.max_cwnd)
+

@@ -15,12 +15,12 @@ import time
 
 import pytest
 
+from repro.experiments import common
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.invariants import InvariantViolation
 from repro.obs.flight import (DEFAULT_CAPACITY, FlightRecorder,
-                              first_divergence, flight_from_env,
-                              render_flight)
-from repro.runner import FailedResult, run_batch
+                              first_divergence, render_flight)
+from repro.runner import FailedResult, ResultsCache, run_batch, run_one
 
 
 def _small(**kw) -> ScenarioConfig:
@@ -58,25 +58,19 @@ def test_ring_evicts_oldest_and_keeps_monotone_ids():
     assert [ev["i"] for ev in dump["events"]] == [6, 7, 8, 9]
 
 
-def test_flight_from_env_semantics(monkeypatch):
-    monkeypatch.delenv("REPRO_FLIGHT", raising=False)
-    assert flight_from_env().capacity == DEFAULT_CAPACITY
-    monkeypatch.setenv("REPRO_FLIGHT", "")
-    assert flight_from_env().capacity == DEFAULT_CAPACITY
+def test_the_environment_does_not_change_what_a_cached_result_holds(
+        tmp_path, monkeypatch):
+    """The ring is part of the result, and the cache key is the config:
+    a variable that once disabled the ring changes neither."""
+    cfg = ScenarioConfig(workload="greedy", n_frames=30)
+    cache = ResultsCache(tmp_path)
     monkeypatch.setenv("REPRO_FLIGHT", "0")
-    assert flight_from_env() is None
-    monkeypatch.setenv("REPRO_FLIGHT", "64")
-    assert flight_from_env().capacity == 64
-    monkeypatch.setenv("REPRO_FLIGHT", "not-a-number")
-    assert flight_from_env().capacity == DEFAULT_CAPACITY
-
-
-def test_negative_repro_flight_keeps_the_run_and_the_default_ring(
-        monkeypatch):
-    monkeypatch.setenv("REPRO_FLIGHT", "-1")
-    assert flight_from_env().capacity == DEFAULT_CAPACITY
-    res = run_scenario(_small(n_frames=20))
-    assert res.flight["capacity"] == DEFAULT_CAPACITY
+    first = run_one(cfg, cache=cache)
+    monkeypatch.delenv("REPRO_FLIGHT")
+    second = run_one(cfg, cache=cache)
+    assert cache.hits == 1
+    assert first.flight["capacity"] == DEFAULT_CAPACITY
+    assert second.flight == first.flight == run_scenario(cfg).flight
 
 
 def _dump(n, *, capacity=8):
@@ -107,6 +101,12 @@ def test_render_flight_marker_and_empty():
     assert "(flight recorder empty)" in render_flight(_dump(0))
 
 
+def test_render_flight_limit_zero_shows_no_event():
+    text = render_flight(_dump(3), limit=0)
+    assert "3 earlier events elided" in text
+    assert "#" not in text
+
+
 # ----------------------------------------------------------------------
 # Always-on capture
 # ----------------------------------------------------------------------
@@ -118,15 +118,9 @@ def test_flight_rides_every_successful_result():
     assert "COMPLETE" in events
 
 
-def test_repro_flight_zero_disarms(monkeypatch):
-    monkeypatch.setenv("REPRO_FLIGHT", "0")
-    res = run_scenario(_small())
-    assert res.flight is None
-
-
 def test_disarming_does_not_perturb_summary(monkeypatch):
     armed = run_scenario(_small(seed=3)).summary
-    monkeypatch.setenv("REPRO_FLIGHT", "0")
+    monkeypatch.setattr(common, "FlightRecorder", lambda: None)
     disarmed = run_scenario(_small(seed=3)).summary
     assert pickle.dumps(armed) == pickle.dumps(disarmed)
 

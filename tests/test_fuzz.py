@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.coordination import Coordinator
 from repro.fuzz import (FuzzReport, _compare, run_fuzz, sample_config,
                         sample_faults)
 from repro.runner import config_fingerprint
@@ -166,7 +167,9 @@ def test_cases_reproduce_what_they_produced_at_the_parent(seed, monkeypatch):
 # The differential oracle
 # ----------------------------------------------------------------------
 def _result(**summary):
-    return SimpleNamespace(summary=summary)
+    sender = SimpleNamespace(coordinator=Coordinator("iq"))
+    return SimpleNamespace(summary=summary,
+                           conn=SimpleNamespace(sender=sender))
 
 
 def _failed(kind):
@@ -194,6 +197,22 @@ def test_compare_flags_summary_divergence():
     assert not report.ok
     assert "jobs differential" in report.mismatches[0]
     assert "'y'" in report.mismatches[0]
+
+
+def test_compare_flags_a_decision_record_that_differs_in_one_field():
+    report = _fresh_report()
+    cfg = sample_config(random.Random(0))
+    ref, other = _result(x=1.0), _result(x=1.0)
+    for res, drift in ((ref, 1.0), (other, 1.25)):
+        coord = res.conn.sender.coordinator
+        coord.exchanges.append({"id": 0, "t": 0.5, "attrs": {}})
+        coord.actions.append({"t": 0.5, "action": "window_rescale",
+                              "episode": 0, "drift": drift})
+    _compare(report, "cache differential", 0, cfg, ref, other)
+    assert len(report.mismatches) == 1
+    assert "coordination actions differ" in report.mismatches[0]
+    assert len(report.forensics) == 1
+    assert report.forensics[0]["mismatches"] == report.mismatches
 
 
 def test_compare_flags_failure_asymmetry_and_kind_mismatch():

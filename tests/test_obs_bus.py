@@ -107,8 +107,9 @@ class TestTraceBus:
 
     def test_flight_off_and_nothing_armed_keeps_the_null_bus(
             self, monkeypatch):
+        from repro.experiments import common
         from repro.experiments.common import ScenarioConfig, run_scenario
-        monkeypatch.setenv("REPRO_FLIGHT", "0")
+        monkeypatch.setattr(common, "FlightRecorder", lambda: None)
         res = run_scenario(ScenarioConfig(transport="iq", workload="greedy",
                                           n_frames=50, time_cap=60.0))
         assert res.completed

@@ -256,6 +256,13 @@ class TestParentFixture:
         fresh = run_scenario(FIXTURE_CFG).summary
         assert list(fresh.items()) == list(_load_fixture().summary.items())
 
+    def test_loads_with_an_empty_decision_record(self):
+        """Its coordinator was pickled before it kept a record; its
+        ``report --prom`` bytes are pinned by :class:`TestMetricsCli`."""
+        coord = _load_fixture().conn.sender.coordinator
+        assert "exchanges" not in vars(coord)
+        assert list(coord.exchanges) == [] == list(coord.actions)
+
 
 class TestMetricsCli:
     def test_metrics_command_renders_scenario_registry(self, tmp_path,

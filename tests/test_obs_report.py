@@ -11,8 +11,8 @@ from repro.obs.bus import TraceBus
 from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
                               PACKET_SEND)
 from repro.obs.report import (TIMELINE_EVENTS, coordination_audit,
-                              load_artifact, render_audit, render_report,
-                              render_timeline)
+                              load_artifact, render_artifact, render_audit,
+                              render_report, render_timeline, report_json)
 from repro.obs.sinks import RingBufferSink
 from repro.sim.engine import Simulator
 from repro.transport.lda import LdaCC
@@ -28,8 +28,9 @@ class TracedSender:
         self.discard_unmarked = False
         self.flow_id = 1
         self._eratio = error_ratio
+        self.sim = Simulator()
         self.sink = RingBufferSink()
-        self.trace = TraceBus(Simulator(), sinks=[self.sink])
+        self.trace = TraceBus(self.sim, sinks=[self.sink])
 
     def current_error_ratio(self):
         return self._eratio
@@ -159,6 +160,24 @@ class TestTimeline:
         text = render_timeline(self.EVENTS, types=(), limit=1)
         assert "COORD_ACTION" in text and "PACKET_SEND" not in text
         assert "(1/3 events shown)" in text
+
+    def test_limit_zero_shows_no_row(self):
+        text = render_timeline(self.EVENTS, types=(), limit=0)
+        assert "(0/3 events shown)" in text
+        assert "COORD_ACTION" not in text and "PACKET_SEND" not in text
+
+    def trace(self):
+        return {"kind": "trace", "path": "t.jsonl", "header": {},
+                "runs": [{"run": "0", "cached": False, "meta": {},
+                          "events": self.EVENTS}]}
+
+    def test_json_limit_zero_keeps_no_timeline_row(self):
+        (run,) = report_json(self.trace(), limit=0, types=())["runs"]
+        assert run["timeline"] == [] and run["events_total"] == 3
+
+    def test_a_negative_limit_is_refused(self):
+        with pytest.raises(ValueError, match="--limit -2 is negative"):
+            render_artifact(self.trace(), limit=-2)
 
     def test_no_matches(self):
         assert "no matching events" in render_timeline(

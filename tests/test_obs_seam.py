@@ -1,5 +1,6 @@
-"""The instrumentation seam: components report to the trace bus; the flight
-ring, the lineage's decision chain and the telemetry annotations listen.
+"""The instrumentation seam: components report to the trace bus, which
+feeds the flight ring and the trace; the lineage's decision chain and the
+telemetry annotations copy the coordinator's record.
 
 (a) pins that moving the reports onto the seam moved no byte of any
 artifact (literals recorded at the commit before it); (b)-(d) are the
@@ -19,6 +20,7 @@ import pytest
 
 import repro
 from repro.cli import EXPERIMENTS
+from repro.experiments import common
 from repro.experiments.common import run_scenario
 from repro.obs import events as vocabulary
 from repro.obs.bus import TraceBus
@@ -26,8 +28,7 @@ from repro.obs.events import (COLD_TYPES, EVENT_TYPES, LAYERS, RING_ONLY,
                               VOCABULARY)
 from repro.obs.flight import FlightRecorder
 from repro.obs.sinks import RingBufferSink
-from repro.obs.spans import SpanRecorder
-from repro.obs.telemetry import TelemetryConfig, TelemetryRecorder
+from repro.obs.telemetry import TelemetryConfig
 from repro.runner import run_batch
 from repro.sim.engine import Simulator
 
@@ -88,7 +89,8 @@ def armed_run(name, traced=True):
     deep enough to keep every note; returns ``(artifacts, trace events)``."""
     sink = RingBufferSink() if traced else None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_FLIGHT", "100000")
+        mp.setattr(common, "FlightRecorder",
+                   lambda: FlightRecorder(capacity=100000))
         res = run_scenario(config(name), trace_sink=sink)
     return (Artifacts(res.summary, res.spans, res.telemetry, res.flight),
             [ev.as_obj() for ev in sink.events] if traced else [])
@@ -180,16 +182,14 @@ def test_every_report_site_speaks_the_vocabulary():
 
 
 # -- (e) pickling and the worker pool ---------------------------------------
-def test_pickled_bus_with_ring_and_listeners_comes_back_inert():
+def test_pickled_bus_with_ring_and_sink_comes_back_inert():
     sim = Simulator()
-    bus = TraceBus(sim, [RingBufferSink()], ring=FlightRecorder(),
-                   listeners=[SpanRecorder(sim),
-                              TelemetryRecorder(sim, TelemetryConfig())])
+    bus = TraceBus(sim, [RingBufferSink()], ring=FlightRecorder())
     assert bus.enabled and bus.recording
     bus.cold("net", "LINK_RECOVER", link="hop")
     clone = pickle.loads(pickle.dumps(bus))
-    assert (clone.enabled, clone.recording, clone.ring, clone.listeners,
-            clone.sinks) == (False, False, None, [], [])
+    assert (clone.enabled, clone.recording, clone.ring,
+            clone.sinks) == (False, False, None, [])
     assert clone.events_emitted == 1
     # Both idioms on the revived object are harmless no-ops.
     assert clone.cold("net", "LINK_RECOVER", link="hop") == -1

@@ -11,11 +11,13 @@ Arming it must not perturb the summary by a single bit.
 from __future__ import annotations
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.lineage import (decision_chain, frame_accounting,
                                     render_frame_lineage, render_lineage)
+from repro.core.coordination import Coordinator
 from repro.experiments.common import TRANSPORTS, ScenarioConfig, run_scenario
 from repro.obs.spans import FRAME_OUTCOMES
 from repro.runner import ResultsCache, run_batch
@@ -151,6 +153,15 @@ def test_render_lineage_and_frame_lineage():
         render_frame_lineage(res.spans, 999)
 
 
+def test_render_lineage_limit_zero_keeps_only_the_undelivered_frames():
+    spans = run_scenario(_conflict_cfg()).spans
+    frames = spans["frames"]
+    undelivered = [f for f in frames if f["outcome"] != "delivered"]
+    assert 0 < len(undelivered) < len(frames)
+    text = render_lineage(spans, limit=0)
+    assert f"Frames ({len(undelivered)}/{len(frames)} shown)" in text
+
+
 class TestLineageCli:
     def test_lineage_command_runs_and_saves(self, tmp_path, capsys):
         from repro.cli import main
@@ -183,12 +194,17 @@ class TestLineageCli:
 # ----------------------------------------------------------------------
 # Fuzz forensics records
 # ----------------------------------------------------------------------
+#: A connection whose coordinator heard nothing, for the fake results.
+_CONN = SimpleNamespace(sender=SimpleNamespace(coordinator=Coordinator("iq")))
+
+
 def test_fuzz_compare_emits_forensics_record_on_mismatch():
     from repro.fuzz import FuzzReport, _compare
     from repro.obs.flight import FlightRecorder
 
     class _Res:
         telemetry = None
+        conn = _CONN
 
         def __init__(self, dur, flight):
             self.summary = {"duration_s": dur}
@@ -219,6 +235,7 @@ def test_fuzz_compare_identical_runs_emit_no_forensics():
         telemetry = None
         flight = None
         summary = {"duration_s": 1.0}
+        conn = _CONN
 
     report = FuzzReport(budget=1, seed=1)
     _compare(report, "unit", 0, _cfg("iq"), _Res(), _Res())

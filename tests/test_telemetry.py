@@ -117,8 +117,6 @@ class TestRecorderEndToEnd:
     def test_disarmed_run_has_no_recorder_events(self):
         res = run_scenario(_congested(telemetry=None))
         assert res.telemetry is None
-        # Nothing listens for annotations, and no tick was ever scheduled.
-        assert res.sim.bus.listeners == []
         assert res.conn.sender.trace is res.sim.bus
 
     def test_byte_identical_across_worker_counts(self):

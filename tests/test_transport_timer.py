@@ -15,6 +15,7 @@ from repro.experiments import common
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.faults import (Blackout, BurstyLoss, DelayRamp, FaultSchedule,
                           LinkFlap)
+from repro.obs.flight import FlightRecorder
 from repro.sim.engine import Event, Simulator
 from repro.transport import rudp as rudp_mod
 from repro.transport import tcp as tcp_mod
@@ -93,7 +94,8 @@ def _run(monkeypatch, sender_cls, script, transport, seed, jitter, stall):
     so the TCP rows may end at ``time_cap`` -- on both timers alike.)"""
     monkeypatch.setattr(rudp_mod, "WindowedSender", sender_cls)
     monkeypatch.setattr(tcp_mod, "WindowedSender", sender_cls)
-    monkeypatch.setenv("REPRO_FLIGHT", "100000")    # keep every note
+    monkeypatch.setattr(common, "FlightRecorder",   # keep every note
+                        lambda: FlightRecorder(capacity=100000))
     expiries = []
     cancels = [0]
 
