@@ -84,8 +84,8 @@ def bench_ablation_reinflation(benchmark, report):
               "(18 Mb cross traffic)"))
     on = results["IQ (reinflate on)"]
     off = results["IQ (reinflate off)"]
-    assert on.conn.coordinator.window_rescales > 0
-    assert off.conn.coordinator.window_rescales == 0
+    assert on.conn.coordinator.count("window_rescale") > 0
+    assert off.conn.coordinator.count("window_rescale") == 0
 
 
 def bench_ablation_loss_tolerance(benchmark, report):

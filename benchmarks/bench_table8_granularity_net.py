@@ -22,6 +22,6 @@ def bench_table8_granularity_changing_net(benchmark, report):
     assert cond[0] <= nocond[0] * 1.05
     # And the correction actually fired.
     assert results["IQ-RUDP w/ ADAPT_COND"].conn.coordinator \
-        .cond_corrections > 0
+        .count("window_rescale", cond=True) > 0
     assert results["IQ-RUDP w/o ADAPT_COND"].conn.coordinator \
-        .cond_corrections == 0
+        .count("window_rescale", cond=True) == 0

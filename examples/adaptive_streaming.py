@@ -134,7 +134,7 @@ def main() -> None:
         print(f"snapshot latency median  : {mid * 1e3:.1f} ms")
         print(f"snapshot latency p99     : {p99 * 1e3:.1f} ms")
     print(f"window re-scales         : "
-          f"{conn.coordinator.window_rescales}")
+          f"{conn.coordinator.count('window_rescale')}")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def main() -> None:
     print(f"final resolution   : {res.strategy.scale:.2f} x")
 
     coord = res.conn.coordinator
-    print(f"window re-scales   : {coord.window_rescales} "
+    print(f"window re-scales   : {coord.count('window_rescale')} "
           f"(coordinated adaptations)")
     print(f"exported error rate: "
           f"{res.conn.query_metric(NET_ERROR_RATIO):.3f}")

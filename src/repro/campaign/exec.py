@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Mapping
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
 from ..runner.failures import BatchExecutionError, FailedResult
@@ -268,7 +269,8 @@ def run_rows(rows, *, name: str, dir: "str | os.PathLike | None" = None,
     the same rows inherit claim/resume semantics -- interrupt the bench,
     re-run the same command, and only missing rows execute.
 
-    Returns results keyed like ``rows``.  An incomplete campaign-backed
+    Returns results keyed like ``rows``: a dict for a mapping, a list in
+    row order for any other iterable.  An incomplete campaign-backed
     run (interrupt before every row finished) raises ``KeyboardInterrupt``
     after persisting what completed; a failed row raises
     :class:`BatchExecutionError` exactly like ``on_error="raise"``.
@@ -280,16 +282,13 @@ def run_rows(rows, *, name: str, dir: "str | os.PathLike | None" = None,
             "trace capture is per-process and cannot compose with a shared "
             "campaign directory; drop --campaign-dir or --trace")
     campaign = Campaign.from_scenarios(rows, name=name)
-    cells = campaign.cells()
     run = run_campaign(campaign, dir=dir, workers=jobs, cache=cache)
-    keys = list(rows.keys())
-    missing = [c.label for c in run.incomplete]
-    if missing:
+    if run.incomplete:
         raise KeyboardInterrupt
-    results = {}
-    for orig_key, cell in zip(keys, cells):
+    results = []
+    for cell in campaign.cells():
         res = run.results_by_key[cell.key]
         if isinstance(res, FailedResult):
             raise BatchExecutionError(res)
-        results[orig_key] = res
-    return results
+        results.append(res)
+    return dict(zip(rows, results)) if isinstance(rows, Mapping) else results

@@ -74,6 +74,8 @@ class Coordinator:
     ``{"id", "t", "attrs"}`` per attribute set the law heard, ``actions``
     ``{"t", "action", "episode", **fields}`` per action, ``episode`` being
     the ``id`` of the exchange that caused it (None: transport-initiated).
+    The record is the only account of coordination: :meth:`count` counts
+    over it, and the ``obs_coord_*`` summary keys are such counts.
     """
 
     #: The record's class defaults: a coordinator pickled before the record
@@ -87,14 +89,6 @@ class Coordinator:
         self.law = law
         self.rules = LAWS[law]
         self.sender = None
-        # Introspection counters (used by tests and EXPERIMENTS.md notes).
-        self.window_rescales = 0
-        self.discard_switches = 0
-        self.pending_adaptations = 0
-        self.cond_corrections = 0
-        self.freq_adaptations = 0
-        self.fec_adaptations = 0
-        self.fec_boosts = 0
         self.exchanges: list[dict] = []
         self.actions: list[dict] = []
         self._discard_before_stall: bool | None = None
@@ -109,6 +103,13 @@ class Coordinator:
     def bind(self, sender) -> None:
         """Attach to a sender (called from the sender's constructor)."""
         self.sender = sender
+
+    def count(self, action: str, **where) -> int:
+        """How many recorded actions are named ``action`` and carry
+        ``where``'s fields with those values."""
+        return sum(a["action"] == action
+                   and all(k in a and a[k] == v for k, v in where.items())
+                   for a in self.actions)
 
     # ------------------------------------------------------------------
     def on_callback_result(self, attrs: AttributeSet) -> None:
@@ -197,7 +198,6 @@ class Coordinator:
         r_before = state.r
         r_after = state.set_redundancy(state.cfg.r_max)
         if r_after != r_before:
-            self.fec_boosts += 1
             self._act("fec_boost", r_before=r_before, r_after=r_after)
 
     def _fec_stall_relax(self, snd) -> None:
@@ -274,7 +274,6 @@ class Coordinator:
         else:
             r_after = r_before
         if r_after != r_before:
-            self.fec_adaptations += 1
             self._act("fec_redundancy", r_before=r_before, r_after=r_after,
                       error_ratio=eratio, recovered=recovered_delta,
                       congested=congested)
@@ -304,7 +303,6 @@ class Coordinator:
         if when == "pending":
             # The application will adapt later (limited granularity).  The
             # transport keeps adapting on its own; nothing to change now.
-            self.pending_adaptations += 1
             self._act("pending", cause)
             return
 
@@ -320,14 +318,11 @@ class Coordinator:
         p = float(value)
         want = p > 1e-9
         changed = want != snd.discard_unmarked
-        if changed:
-            self.discard_switches += 1
         snd.discard_unmarked = want
         self._act("discard", cause, enabled=want, changed=changed, unmark_p=p)
 
     def _freq(self, snd, value, attrs, cause) -> None:
         # Deliberately no window change (see module docstring).
-        self.freq_adaptations += 1
         self._act("freq_no_window_change", cause, freq_chg=float(value))
 
     def _fec(self, snd, value, attrs, cause) -> None:
@@ -343,7 +338,6 @@ class Coordinator:
         r_after = state.set_redundancy(requested)
         changed = r_after != r_before
         if changed:
-            self.fec_adaptations += 1
             self._fec_clean_periods = 0
         self._act("fec_redundancy", cause, requested=requested,
                   r_before=r_before, r_after=r_after, changed=changed)
@@ -359,6 +353,7 @@ class Coordinator:
         base_factor = 1.0 / (1.0 - rate_chg)
         factor = base_factor
         drift = 1.0
+        applied = False  # ADAPT_COND's drift applied (it may be 1.0)
         cond = attrs.get(ADAPT_COND)
         if cond is not None and "cond" in self.rules:
             e_old = float(cond.get("error_ratio", 0.0))
@@ -366,13 +361,13 @@ class Coordinator:
             if e_old < 1.0:
                 drift = (1.0 - e_new) / (1.0 - e_old)
                 factor *= drift
-                self.cond_corrections += 1
+                applied = True
         cwnd_before = snd.cc.cwnd
         snd.cc.scale_window(factor)
-        self.window_rescales += 1
         self._act("window_rescale", cause, rate_chg=rate_chg,
-                  base_factor=base_factor, drift=drift, factor=factor,
-                  cwnd_before=cwnd_before, cwnd_after=snd.cc.cwnd)
+                  base_factor=base_factor, drift=drift, cond=applied,
+                  factor=factor, cwnd_before=cwnd_before,
+                  cwnd_after=snd.cc.cwnd)
 
 
 #: The coordination rules in evaluation order: rule -> the attribute it

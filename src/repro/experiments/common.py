@@ -343,8 +343,9 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
     ``append(TraceEvent)``), bound before topology/transport construction
     so every component caches it.  The trace is not part of
     ``ScenarioConfig``: tracing never changes results, so it must not
-    change cache keys.  The lineage and the telemetry annotations copy
-    the coordinator's decision record when the run ends.
+    change cache keys.  The coordinator's decision record, on every
+    result, is the one account of coordination; the lineage copies it
+    when the run ends and the telemetry's series share its clock.
 
     ``profile`` (an :class:`~repro.obs.profiler.EngineProfile`) swaps in
     the self-profiling engine and records coarse setup/run/collect phase
@@ -588,7 +589,6 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
     if recorder is not None:
         # Rides the result through pickling and the cache (the batch
         # persister strips only ``trace``), so sweeps get series for free.
-        recorder.annotate_actions()
         res.telemetry = recorder.data
     if flight is not None:
         res.flight = flight.dump()

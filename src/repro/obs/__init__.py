@@ -16,15 +16,16 @@ package provides the run-level evidence chain:
   capable, deterministic ordering so ``jobs=1`` and ``jobs=N`` produce
   identical files, cache-aware run headers) and reader.
 * :mod:`.metrics` -- a finished run's ``obs_*`` summary keys and their
-  Prometheus text, both computed from the result's own state; the one
-  Prometheus writer.
+  Prometheus text, both computed from the result's own state (the
+  ``obs_coord_*`` keys count over the coordinator's decision record); the
+  one Prometheus writer.
 * :mod:`.report` -- the one run-artifact loader and ``repro report``:
   a trace's adaptation timeline and coordination audit (every ``ADAPT_*``
   exchange paired with the transport action it produced), a result's
   flight ring, lineage, failure and metrics, a fuzz forensics file.
 * :mod:`.telemetry` -- sampled per-flow/queue/link time series
   (``ScenarioConfig(telemetry=...)``) with bounded M4-style downsampling,
-  annotated with the coordinator's recorded actions.
+  on the same clock as the coordinator's decision record.
 * :mod:`.profiler` -- the engine self-profiler behind ``repro profile``.
 * :mod:`.compare` -- the ``repro compare`` run-diff tooling.
 * :mod:`.flight` -- the always-on bounded flight recorder whose dump is

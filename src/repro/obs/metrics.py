@@ -19,8 +19,9 @@ from __future__ import annotations
 import re
 from typing import Any, Iterable, Sequence
 
-__all__ = ["collect_scenario_metrics", "scenario_prometheus",
-           "render_prometheus", "reservoir", "percentile"]
+__all__ = ["collect_scenario_metrics", "coordination_counts",
+           "scenario_prometheus", "render_prometheus", "reservoir",
+           "percentile"]
 
 #: Prometheus metric names allow ``[a-zA-Z_:][a-zA-Z0-9_:]*``.
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
@@ -107,6 +108,39 @@ def _series_stats(values: Iterable[float]) -> dict[str, float]:
             "max": max(xs, default=0.0), "sum": total}
 
 
+#: ``obs_coord_*`` key (without ``obs_``) -> the counter a coordinator
+#: pickled while it kept counters beside its decision record kept for it.
+_KEPT_COUNTERS = {"coord_window_rescales": "window_rescales",
+                  "coord_discard_switches": "discard_switches",
+                  "coord_pending": "pending_adaptations",
+                  "coord_cond_corrections": "cond_corrections",
+                  "coord_freq_adaptations": "freq_adaptations",
+                  "coord_fec_adaptations": "fec_adaptations",
+                  "coord_fec_boosts": "fec_boosts"}
+
+
+def coordination_counts(coord) -> dict[str, int]:
+    """The ``coord_*`` counters: counts over the coordinator's decision
+    record, 0 without a coordinator.  A coordinator pickled while it
+    still kept counters reports those, as its record may lack a field
+    the counts read (``cond``)."""
+    if coord is None:
+        return dict.fromkeys(_KEPT_COUNTERS, 0)
+    kept = vars(coord)
+    if "window_rescales" in kept:
+        return {name: kept[attr] for name, attr in _KEPT_COUNTERS.items()}
+    count = coord.count
+    return {"coord_window_rescales": count("window_rescale"),
+            "coord_discard_switches": count("discard", changed=True),
+            "coord_pending": count("pending"),
+            "coord_cond_corrections": count("window_rescale", cond=True),
+            "coord_freq_adaptations": count("freq_no_window_change"),
+            "coord_fec_adaptations": sum(
+                a["action"] == "fec_redundancy"
+                and a["r_after"] != a["r_before"] for a in coord.actions),
+            "coord_fec_boosts": count("fec_boost")}
+
+
 def _instruments(conn, net, strategy, source, log, frames_delivered):
     """One finished scenario's ``(name, type, value)`` rows: sorted
     counters, sorted gauges, then each per-period series by name as a
@@ -138,12 +172,10 @@ def _instruments(conn, net, strategy, source, log, frames_delivered):
             counters["callbacks_lower"] = callbacks.fired_lower
         # Zero-default so the summary schema is identical across transports
         # (an IQ run with no adaptation must equal a plain RUDP run).
-        for attr, name in (("window_rescales", "coord_window_rescales"),
-                           ("discard_switches", "coord_discard_switches"),
-                           ("pending_adaptations", "coord_pending"),
-                           ("cond_corrections", "coord_cond_corrections"),
-                           ("freq_adaptations", "coord_freq_adaptations")):
-            counters[name] = getattr(coordinator, attr, 0)
+        coord_counts = coordination_counts(coordinator)
+        for name, value in coord_counts.items():
+            if not name.startswith("coord_fec_"):
+                counters[name] = value
         history = getattr(getattr(sender, "metrics", None), "history", None)
         if history:
             series["period_error_ratio"] = [pm.error_ratio for pm in history]
@@ -175,8 +207,8 @@ def _instruments(conn, net, strategy, source, log, frames_delivered):
             counters[f"fec_{name}"] = getattr(fec, name)
         gauges["fec_redundancy_final"] = fec.r
         if sender is not None:
-            for name in ("fec_adaptations", "fec_boosts"):
-                counters[f"coord_{name}"] = getattr(coordinator, name, 0)
+            for name in ("coord_fec_adaptations", "coord_fec_boosts"):
+                counters[name] = coord_counts[name]
     if strategy is not None:
         for name in ("scale", "freq_scale"):
             gauges[f"adapt_{name}_final"] = getattr(strategy, name, 1.0)

@@ -17,11 +17,12 @@ Telemetry is a :class:`~repro.experiments.common.ScenarioConfig` field
 (``telemetry=TelemetryConfig(...)``), so it is part of the cache key: an
 armed run is a different (strictly richer) artifact than a disarmed one.
 Sampling is *pull-based* -- a periodic tick reads transport/queue/link
-state through their ``telemetry_probe()`` methods -- and annotations are
-copied from the coordinator's decision record when the run ends
-(:meth:`TelemetryRecorder.annotate_actions`), so no component holds a
-telemetry handle and a disarmed run executes **zero** telemetry
-instructions.
+state through their ``telemetry_probe()`` methods -- so no component holds
+a telemetry handle and a disarmed run executes **zero** telemetry
+instructions.  The coordinator's decision record
+(``res.conn.sender.coordinator.actions``) stamps each action with ``t`` on
+the same simulation clock as the series, so a cwnd step pairs with its
+``window_rescale`` by time.
 
 Determinism
 -----------
@@ -37,6 +38,7 @@ decimation.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 #: Sampling ticks share the invariant checker's priority: at any sampled
@@ -45,55 +47,45 @@ from typing import Any
 from ..invariants.checks import CHECK_PRIORITY as TELEMETRY_PRIORITY
 
 __all__ = ["TelemetryConfig", "Series", "Telemetry", "TelemetryRecorder",
-           "TELEMETRY_PRIORITY", "ANNOTATED_ACTIONS"]
+           "TELEMETRY_PRIORITY", "BUCKETS"]
 
-#: The coordination actions annotated onto the series: those that move
-#: the window, degrade around a stall or change the coding rate.
-ANNOTATED_ACTIONS = frozenset((
-    "window_rescale", "stall_degrade", "stall_recover",
-    "fec_boost", "fec_relax", "fec_redundancy"))
+#: Per-series bucket budget: when a run outgrows it, adjacent buckets
+#: merge pairwise and the bucket width doubles (memory stays O(BUCKETS),
+#: early samples keep count/sum/min/max fidelity).
+BUCKETS = 256
+
+#: The shortest sampling period accepted (callers sample every 50 ms or
+#: slower): a tick too short to move the clock would refire forever.
+_MIN_CADENCE_S = 1e-3
 
 
 class TelemetryConfig:
-    """Arming knobs for the recorder.
+    """Arming knob for the recorder: ``cadence_s``, the simulation-time
+    sampling period in seconds (finite, at least 1 ms).
 
     Instances are scenario-config values, so they must be picklable and
     carry a *stable* ``repr`` -- the runner's ``config_fingerprint`` hashes
     config fields via ``repr`` and two equal configs must produce the same
     cache key.
-
-    Parameters
-    ----------
-    cadence_s : simulation-time sampling period in seconds.
-    buckets : per-series bucket budget; when a run outgrows it, adjacent
-        buckets merge pairwise and the bucket width doubles (memory stays
-        O(buckets), early samples keep count/sum/min/max fidelity).
-    annotations_max : bound on recorded coordination annotations.
     """
 
-    def __init__(self, *, cadence_s: float = 0.1, buckets: int = 256,
-                 annotations_max: int = 256):
-        if cadence_s <= 0:
-            raise ValueError("telemetry cadence_s must be positive")
-        if buckets < 8:
-            raise ValueError("telemetry needs at least 8 buckets")
-        if annotations_max < 0:
-            raise ValueError("annotations_max cannot be negative")
-        self.cadence_s = float(cadence_s)
-        self.buckets = int(buckets)
-        self.annotations_max = int(annotations_max)
+    def __init__(self, *, cadence_s: float = 0.1):
+        cadence_s = float(cadence_s)
+        if not (math.isfinite(cadence_s) and cadence_s >= _MIN_CADENCE_S):
+            raise ValueError(f"telemetry cadence_s must be a finite number "
+                             f"of seconds >= {_MIN_CADENCE_S:g}, got "
+                             f"{cadence_s!r}")
+        self.cadence_s = cadence_s
 
     def __repr__(self) -> str:
-        return (f"TelemetryConfig(cadence_s={self.cadence_s!r}, "
-                f"buckets={self.buckets!r}, "
-                f"annotations_max={self.annotations_max!r})")
+        return f"TelemetryConfig(cadence_s={self.cadence_s!r})"
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TelemetryConfig)
-                and self.__dict__ == other.__dict__)
+                and self.cadence_s == other.cadence_s)
 
     def __hash__(self) -> int:
-        return hash((self.cadence_s, self.buckets, self.annotations_max))
+        return hash(self.cadence_s)
 
 
 class Series:
@@ -201,8 +193,7 @@ class Series:
 
 
 class Telemetry:
-    """The picklable payload a recorder produces: named series plus a
-    bounded list of coordination annotations.
+    """The picklable payload a recorder produces: named series.
 
     Rides inside :class:`~repro.experiments.common.ScenarioResult`
     (``res.telemetry``), survives ``detach()``, the pool's pickle
@@ -212,8 +203,6 @@ class Telemetry:
     def __init__(self, config: TelemetryConfig):
         self.config = config
         self.series: dict[str, Series] = {}
-        self.annotations: list[dict[str, Any]] = []
-        self.dropped_annotations = 0
         self.ticks = 0
 
     def get_series(self, name: str) -> Series:
@@ -221,18 +210,8 @@ class Telemetry:
         s = self.series.get(name)
         if s is None:
             s = self.series[name] = Series(
-                name, bucket_s=self.config.cadence_s,
-                maxlen=self.config.buckets)
+                name, bucket_s=self.config.cadence_s, maxlen=BUCKETS)
         return s
-
-    def annotate(self, t: float, kind: str, **fields: Any) -> None:
-        """Record one coordination-layer annotation (bounded)."""
-        if len(self.annotations) >= self.config.annotations_max:
-            self.dropped_annotations += 1
-            return
-        note: dict[str, Any] = {"t": t, "kind": kind}
-        note.update(fields)
-        self.annotations.append(note)
 
     def names(self) -> list[str]:
         return sorted(self.series)
@@ -241,15 +220,12 @@ class Telemetry:
         return {"cadence_s": self.config.cadence_s,
                 "ticks": self.ticks,
                 "series": {name: self.series[name].as_dict()
-                           for name in sorted(self.series)},
-                "annotations": list(self.annotations),
-                "dropped_annotations": self.dropped_annotations}
+                           for name in sorted(self.series)}}
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Telemetry)
                 and self.config == other.config
                 and self.series == other.series
-                and self.annotations == other.annotations
                 and self.ticks == other.ticks)
 
 
@@ -267,8 +243,6 @@ class TelemetryRecorder:
         self.sim = sim
         self.config = config
         self.data = Telemetry(config)
-        # The watched flows' coordinators, whose actions are annotated.
-        self._coordinators: list[Any] = []
         # (prefix, sender, receiver-or-None, mutable delta state)
         self._flows: list[tuple[str, Any, Any, dict[str, float]]] = []
         # (prefix, FecState, mutable delta state); only populated for
@@ -290,7 +264,6 @@ class TelemetryRecorder:
         if sender is None:
             raise TypeError(f"{type(conn).__name__} has no sender to probe")
         receiver = getattr(conn, "receiver", None)
-        self._coordinators.append(sender.coordinator)
         self._flows.append((prefix, sender, receiver,
                             {"delivered_bytes": 0.0}))
         fec_state = getattr(conn, "fec", None)
@@ -308,19 +281,6 @@ class TelemetryRecorder:
             self._links.append((f"link.{link.name}", link,
                                 {"bytes_sent": 0.0}))
         self._bound = None
-
-    def annotate_actions(self) -> None:
-        """Pin each recorded action that moved transport state onto the
-        sampled series (flow by flow, in the order taken), so the
-        trajectory shows *why* the window or the coding rate jumped.
-        Called once, when the run ends."""
-        for coord in self._coordinators:
-            for act in coord.actions:
-                if act["action"] in ANNOTATED_ACTIONS:
-                    self.data.annotate(
-                        act["t"], act["action"],
-                        **{k: v for k, v in act.items()
-                           if k not in ("t", "action", "episode")})
 
     def arm(self) -> None:
         if self._armed:

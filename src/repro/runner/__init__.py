@@ -27,10 +27,10 @@ Environment knobs:
 ``REPRO_NO_CACHE=1``
     Disable the persistent cache entirely (compute everything fresh,
     write nothing).
-``REPRO_PROGRESS=1`` / ``=0``
-    Force the sweep progress line (stderr) on or off; default is on only
-    when stderr is a terminal.  A one-scenario batch (``run_one``, a
-    campaign cell) draws none.  See :mod:`.progress`.
+
+The sweep progress line (stderr) is drawn only when stderr is a terminal;
+a one-scenario batch (``run_one``, a campaign cell) draws none.  See
+:mod:`.progress`.
 
 Resilient execution (PR 4) rides on :func:`run_batch`'s keywords:
 ``on_error="capture"`` isolates per-scenario crashes as

@@ -10,9 +10,9 @@ Design constraints:
 
 * **stdout stays clean** -- benches pipe their tables; progress goes to
   stderr only.
-* **off by default when not a terminal** -- enabled when stderr is a TTY,
-  forced on with ``REPRO_PROGRESS=1`` (CI logs) or off with
-  ``REPRO_PROGRESS=0``; a disabled instance is a near-free no-op so
+* **off when not a terminal** -- drawn when stderr is a TTY, unless the
+  caller passes ``enabled=`` (``run_campaign`` passes its ``progress``);
+  a disabled instance is a near-free no-op so
   :func:`~repro.runner.run_batch` always threads one through.
 * **throttled** -- redraws at most every ``min_interval_s`` of wall time
   (plus always the first and last), so thousand-run cache-hot sweeps do
@@ -23,7 +23,6 @@ Design constraints:
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 
@@ -31,10 +30,7 @@ __all__ = ["SweepProgress", "progress_enabled"]
 
 
 def progress_enabled(stream) -> bool:
-    """Resolve the enable knob: ``REPRO_PROGRESS`` wins, else TTY-ness."""
-    env = os.environ.get("REPRO_PROGRESS")
-    if env is not None:
-        return env not in ("", "0")
+    """Whether to draw on ``stream`` by default: it is a terminal."""
     try:
         return bool(stream.isatty())
     except (AttributeError, ValueError):

@@ -28,6 +28,7 @@ from repro.middleware.adaptation import ADAPTATIONS, resolution_default
 from repro.obs.live import watch_snapshot
 from repro.runner import config_key, run_batch
 from repro.runner.cache import ResultsCache
+from repro.runner import progress
 from repro.runner.failures import FailedResult
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -324,7 +325,7 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
         run_campaign(camp, dir={str(camp_dir)!r}, workers=1, cache=False)
         print("DONE")
     """)
-    env = dict(os.environ, PYTHONPATH=SRC, REPRO_PROGRESS="0")
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen([sys.executable, "-c", prog], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     # Wait until at least one cell result landed, then interrupt.
@@ -597,8 +598,8 @@ def test_fan_out_parent_loads_each_cell_once(tmp_path, counted):
 def test_campaign_cells_draw_no_progress_line_of_their_own(
         tmp_path, monkeypatch, capsys):
     """Each cell runs through ``run_one``; with the campaign's own line
-    off, ``REPRO_PROGRESS=1`` must not paint one ``sweep: 1/1`` per cell."""
-    monkeypatch.setenv("REPRO_PROGRESS", "1")
+    off, a terminal must not get one ``sweep: 1/1`` per cell."""
+    monkeypatch.setattr(progress, "progress_enabled", lambda stream: True)
     camp = _tiny_campaign(axes={"transport": ["tcp", "iq", "rudp"]})
     run = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=False,
                        progress=False)
@@ -670,7 +671,6 @@ def _parent_format_dir(root, camp, *, journaled):
 def test_parent_format_journal_still_counts_and_is_left_alone(
         tmp_path, capsys, monkeypatch):
     from repro.cli import main
-    monkeypatch.setenv("REPRO_PROGRESS", "0")
     camp = _tiny_campaign(seeds=3)
     n = len(camp)
     root = tmp_path / "camp"
@@ -746,6 +746,19 @@ def test_run_rows_with_dir_keys_results_like_legacy(tmp_path):
     counts2 = CampaignStore(tmp_path / "camp").journal_counts()
     assert sum(counts2.values()) == 2
     assert again["tcp"].summary == got["tcp"].summary
+
+
+def test_run_rows_with_dir_returns_a_list_for_a_sequence(tmp_path):
+    """Like ``run_batch``: a sequence of rows comes back as a list, in row
+    order, with or without a campaign directory."""
+    rows = [ScenarioConfig(**TINY).replace(transport=t)
+            for t in ("tcp", "iq")]
+    got = run_rows(rows, name="t", dir=tmp_path / "camp", cache=False)
+    want = run_rows(rows, name="t", cache=False)
+    assert isinstance(got, list) and isinstance(want, list)
+    assert [r.summary for r in got] == [r.summary for r in want]
+    assert [type(r.conn).__name__ for r in got] == ["TcpConnection",
+                                                    "RudpConnection"]
 
 
 def test_run_rows_rejects_trace_with_dir(tmp_path):
@@ -861,7 +874,6 @@ def _write_spec(tmp_path):
 def test_campaign_cli_run_status_report(tmp_path, capsys, monkeypatch):
     from repro.cli import main
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_PROGRESS", "0")
     spec = _write_spec(tmp_path)
     camp_dir = str(tmp_path / "camp")
     assert main(["campaign", "run", str(spec), "--dir", camp_dir]) == 0
@@ -886,7 +898,6 @@ def test_campaign_cli_run_status_report(tmp_path, capsys, monkeypatch):
 def test_campaign_cli_set_overrides_template(tmp_path, capsys, monkeypatch):
     from repro.cli import main
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_PROGRESS", "0")
     spec = _write_spec(tmp_path)
     assert main(["campaign", "run", str(spec), "--set", "n_frames=3"]) == 0
     assert "4/4 cells done" in capsys.readouterr().out

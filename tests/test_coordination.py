@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.attributes import (ADAPT_COND, ADAPT_FEC, ADAPT_FREQ,
@@ -14,10 +14,9 @@ from repro.core.metrics_export import PeriodMetrics
 from repro.obs.bus import NULL_BUS, TraceBus
 from repro.obs.events import ATTR_RECEIVED, COORD_ACTION
 from repro.obs.flight import FlightRecorder
+from repro.obs.metrics import coordination_counts
 from repro.obs.sinks import RingBufferSink
 from repro.obs.spans import SpanRecorder
-from repro.obs.telemetry import (ANNOTATED_ACTIONS, TelemetryConfig,
-                                 TelemetryRecorder)
 from repro.sim.engine import Simulator
 from repro.transport.fec import FecConfig, FecState
 from repro.transport.lda import LdaCC
@@ -61,7 +60,7 @@ class TestMarking:
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         assert snd.discard_unmarked
-        assert coord.discard_switches == 1
+        assert coord.count("discard", changed=True) == 1
 
     def test_zero_probability_disables_discard(self):
         coord = Coordinator("iq")
@@ -69,14 +68,14 @@ class TestMarking:
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.0}))
         assert not snd.discard_unmarked
-        assert coord.discard_switches == 2
+        assert coord.count("discard", changed=True) == 2
 
     def test_repeated_same_state_not_counted_as_switch(self):
         coord = Coordinator("iq")
         bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.4}))
         coord.on_callback_result(AttributeSet({ADAPT_MARK: 0.3}))
-        assert coord.discard_switches == 1
+        assert coord.count("discard", changed=True) == 1
 
     def test_ablation_switch(self):
         coord = Coordinator("iq_nodiscard")
@@ -91,7 +90,7 @@ class TestResolution:
         snd = bind(coord, cwnd=20.0, frame_size=700)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == pytest.approx(40.0)
-        assert coord.window_rescales == 1
+        assert coord.count("window_rescale") == 1
 
     def test_no_reinflation_for_large_frames(self):
         """Paper: only "if the current application frame is smaller than
@@ -130,14 +129,14 @@ class TestAdaptCond:
         coord.on_send_attrs(attrs)
         expected = 20.0 * (1 / 0.5) * (0.8 / 0.9)
         assert snd.cc.cwnd == pytest.approx(expected)
-        assert coord.cond_corrections == 1
+        assert coord.count("window_rescale", cond=True) == 1
 
     def test_without_cond_attribute_no_correction(self):
         coord = Coordinator("iq")
         snd = bind(coord, cwnd=20.0, frame_size=700, error_ratio=0.2)
         coord.on_send_attrs(AttributeSet({ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == pytest.approx(40.0)
-        assert coord.cond_corrections == 0
+        assert coord.count("window_rescale", cond=True) == 0
 
     def test_nocond_law_ignores_cond(self):
         coord = Coordinator("iq_nocond")
@@ -163,7 +162,7 @@ class TestWhenAndFreq:
         coord.on_callback_result(AttributeSet({ADAPT_WHEN: "pending",
                                                ADAPT_PKTSIZE: 0.5}))
         assert snd.cc.cwnd == 20.0
-        assert coord.pending_adaptations == 1
+        assert coord.count("pending") == 1
 
     def test_frequency_adaptation_never_rescales(self):
         """Paper: "for a frequency adaptation, IQ-RUDP does not have to
@@ -172,7 +171,7 @@ class TestWhenAndFreq:
         snd = bind(coord)
         coord.on_callback_result(AttributeSet({ADAPT_FREQ: 0.5}))
         assert snd.cc.cwnd == 20.0
-        assert coord.freq_adaptations == 1
+        assert coord.count("freq_no_window_change") == 1
 
     def test_unbound_coordinator_raises(self):
         coord = Coordinator("iq")
@@ -227,16 +226,12 @@ def drive(*, traced, law="iq", bus=True):
     return getattr(snd, "trace", NULL_BUS), sink, coord
 
 
-def views(coord):
-    """The lineage's and the telemetry's copies of ``coord``'s record."""
-    sim = coord.sender.sim
+def lineage(coord):
+    """The lineage's copy of ``coord``'s record."""
     conn = SimpleNamespace(sender=coord.sender, receiver=SimpleNamespace())
-    spans = SpanRecorder(sim)
+    spans = SpanRecorder(coord.sender.sim)
     spans.watch_flow(conn)
-    telemetry = TelemetryRecorder(sim, TelemetryConfig())
-    telemetry.watch_flow(conn)
-    telemetry.annotate_actions()
-    return spans.finalize(), telemetry.data
+    return spans.finalize()
 
 
 def described(records, *own):
@@ -264,12 +259,9 @@ class TestReporting:
         assert described(coord.actions, "t", "episode") == noted
         assert [a["t"] for a in coord.actions] == [
             e["t"] for e in ring if e["event"] == COORD_ACTION]
-        spans, telemetry = views(coord)
+        spans = lineage(coord)
         assert spans["actions"] == coord.actions
         assert spans["episodes"] == coord.exchanges
-        assert described(telemetry.annotations, "t") \
-            == [rec for rec in described(coord.actions, "t", "episode")
-                if rec[0] in ANNOTATED_ACTIONS]
         # A record is written down once: the ring's copy *is* the trace's.
         if traced:
             events = [ev.as_obj() for ev in sink.events]
@@ -311,12 +303,12 @@ class TestReporting:
 
     def test_attribute_driven_fec_change_is_annotated(self):
         """An ``ADAPT_FEC`` exchange moves the coding rate like the period
-        controller does, and is pinned onto the series like it."""
-        _, telemetry = views(drive(traced=False)[2])
-        fec = [a for a in telemetry.annotations
-               if a["kind"] == "fec_redundancy"]
-        assert [("requested" in a, a["r_before"], a["r_after"])
-                for a in fec] == [(True, 1, 2), (False, 2, 3)]
+        controller does, and is recorded like it, on the series' clock."""
+        coord = drive(traced=False)[2]
+        fec = [a for a in coord.actions if a["action"] == "fec_redundancy"]
+        assert [("requested" in a, a["t"], a["r_before"], a["r_after"])
+                for a in fec] == [(True, 0.0, 1, 2), (False, 1.0, 2, 3)]
+        assert coordination_counts(coord)["coord_fec_adaptations"] == 2
 
 
 #: The rule that owns each action (``None``: every non-empty law reports
@@ -375,19 +367,24 @@ class TestLawTable:
 
 
 # -- The coordination identities, read from the record -----------------------
+#: An error ratio, often one of a few shared values: a sender's ratio then
+#: often equals the one ``ADAPT_COND`` carried, so Eq. 1 applies a drift
+#: of exactly 1.0.
+_eratio = st.one_of(st.sampled_from([0.0, 0.25]), st.floats(0.0, 0.99))
+
 #: One step a sender puts the coordinator through: an attribute exchange
 #: (with the sender state it meets) or a transport-initiated event.
 _exchange = st.fixed_dictionaries({
     "cwnd": st.floats(2.0, 2000.0),
     "frame_size": st.integers(1, 3000),
-    "error_ratio": st.floats(0.0, 0.99),
+    "error_ratio": _eratio,
     "attrs": st.fixed_dictionaries({}, optional={
         ADAPT_MARK: st.floats(0.0, 1.0),
         ADAPT_FREQ: st.floats(-0.5, 0.9),
         ADAPT_FEC: st.integers(0, 5),
         ADAPT_PKTSIZE: st.floats(-1.0, 0.95),
         ADAPT_COND: st.fixed_dictionaries(
-            {"error_ratio": st.one_of(st.floats(0.0, 0.99), st.just(1.0))}),
+            {"error_ratio": st.one_of(_eratio, st.just(1.0))}),
         ADAPT_WHEN: st.sampled_from(["now", "pending", "never"]),
     }),
 })
@@ -396,10 +393,14 @@ _step = st.one_of(_exchange, st.sampled_from(["stall", "resume", "period"]))
 
 class TestIdentities:
     """What each action says follows from the exchange that caused it and
-    the state it met, and the counters are counts over the record."""
+    the state it met, and the ``obs_coord_*`` counters are counts over the
+    record."""
 
     @given(law=st.sampled_from(list(LAWS)), fec=st.booleans(),
            steps=st.lists(_step, max_size=12))
+    @example(law="iq", fec=False, steps=[{
+        "cwnd": 20.0, "frame_size": 700, "error_ratio": 0.25,
+        "attrs": {ADAPT_PKTSIZE: 0.5, ADAPT_COND: {"error_ratio": 0.25}}}])
     @settings(max_examples=150, deadline=None)
     def test_the_record_obeys_the_coordination_identities(self, law, fec,
                                                           steps):
@@ -434,12 +435,14 @@ class TestIdentities:
         fec_moves = sum(a["action"] == "fec_redundancy"
                         and a["r_after"] != a["r_before"]
                         for a in coord.actions)
-        assert coord.window_rescales == count("window_rescale")
-        assert coord.discard_switches == count("discard", changed=True)
-        assert coord.pending_adaptations == count("pending")
-        assert coord.freq_adaptations == count("freq_no_window_change")
-        assert coord.fec_adaptations == fec_moves
-        assert coord.fec_boosts == count("fec_boost")
+        assert coordination_counts(coord) == {
+            "coord_window_rescales": count("window_rescale"),
+            "coord_discard_switches": count("discard", changed=True),
+            "coord_pending": count("pending"),
+            "coord_cond_corrections": count("window_rescale", cond=True),
+            "coord_freq_adaptations": count("freq_no_window_change"),
+            "coord_fec_adaptations": fec_moves,
+            "coord_fec_boosts": count("fec_boost")}
 
     @staticmethod
     def exchange(coord, snd, step, taken):
@@ -465,8 +468,10 @@ class TestIdentities:
             assert act["rate_chg"] == rate_chg
             assert act["base_factor"] == 1.0 / (1.0 - rate_chg)
             cond = attrs.get(ADAPT_COND)
-            if (cond is not None and "cond" in rules
-                    and cond["error_ratio"] < 1.0):
+            applied = (cond is not None and "cond" in rules
+                       and cond["error_ratio"] < 1.0)
+            assert act["cond"] is applied
+            if applied:
                 assert act["drift"] == ((1.0 - step["error_ratio"])
                                         / (1.0 - cond["error_ratio"]))
             else:

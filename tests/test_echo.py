@@ -71,7 +71,7 @@ def test_cmwritev_attr_reaches_coordinator():
     # A sub-MSS event carrying a resolution attribute triggers the
     # over-reaction coordination.
     ch.cmwritev_attr(700, AttributeSet({ADAPT_PKTSIZE: 0.5}))
-    assert conn.coordinator.window_rescales == 1
+    assert conn.coordinator.count("window_rescale") == 1
 
 
 def test_multiple_subscribers():

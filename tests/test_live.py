@@ -429,7 +429,6 @@ def test_status_watch_report_agree_on_counts(order_dir, capsys):
 def test_two_worker_campaign_shows_journal_rows_and_aggregates(
         tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    monkeypatch.setenv("REPRO_PROGRESS", "0")
     camp = Campaign(Scenario(**TINY), name="accept",
                     axes={"transport": ["tcp", "iq"]}, seeds=2)
     run = run_campaign(camp, dir=tmp_path / "camp", workers=2)

@@ -263,6 +263,26 @@ class TestParentFixture:
         assert "exchanges" not in vars(coord)
         assert list(coord.exchanges) == [] == list(coord.actions)
 
+    def test_kept_counters_outrank_the_record(self):
+        """A coordinator pickled while it kept counters beside its record
+        reports its counters: its ``window_rescale`` actions carry no
+        ``cond`` field, yet ADAPT_COND's drift applied in three of them."""
+        from repro.core.coordination import Coordinator
+        coord = Coordinator("iq")
+        vars(coord).update(dict.fromkeys((
+            "discard_switches", "pending_adaptations", "freq_adaptations",
+            "fec_adaptations", "fec_boosts"), 0),
+            window_rescales=3, cond_corrections=3)
+        coord.actions = [{"t": 0.5 * i, "action": "window_rescale",
+                          "episode": i, "drift": 1.0} for i in range(3)]
+        coord = pickle.loads(pickle.dumps(coord))
+        run = _fake_run()
+        run["conn"].sender.coordinator = coord
+        out = collect_scenario_metrics(**run)
+        assert out["obs_coord_cond_corrections"] == 3.0
+        assert out["obs_coord_window_rescales"] == 3.0
+        assert coord.count("window_rescale", cond=True) == 0
+
 
 class TestMetricsCli:
     def test_metrics_command_renders_scenario_registry(self, tmp_path,

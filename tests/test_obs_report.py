@@ -108,8 +108,8 @@ class TestAuditPaperCases:
         drift = (1.0 - 0.05) / (1.0 - 0.1)
         assert act["drift"] == pytest.approx(drift)
         assert act["factor"] == pytest.approx(1.0 / (1.0 - 0.2) * drift)
-        assert coord.pending_adaptations == 1
-        assert coord.cond_corrections == 1
+        assert coord.count("pending") == 1
+        assert coord.count("window_rescale", cond=True) == 1
         audit = coordination_audit(events)
         assert len(audit["pairs"]) == 2  # both exchanges acted on
         assert audit["unmatched_actions"] == []

@@ -1,6 +1,6 @@
 """The instrumentation seam: components report to the trace bus, which
-feeds the flight ring and the trace; the lineage's decision chain and the
-telemetry annotations copy the coordinator's record.
+feeds the flight ring and the trace; the lineage's decision chain copies
+the coordinator's record.
 
 (a) pins that moving the reports onto the seam moved no byte of any
 artifact (literals recorded at the commit before it); (b)-(d) are the
@@ -35,33 +35,36 @@ from repro.sim.engine import Simulator
 #: ``experiment:label`` -> frames, then what the fully armed, traced run
 #: produced at the parent commit: trace events, digests of the trace event
 #: list, ``res.spans``, ``res.telemetry.as_dict()`` and ``res.summary``,
-#: and the flight ring's ``events_noted``.  Between them the nine fire
-#: ``discard``, ``pending``, ``window_rescale``,
-#: ``rescale_skipped_large_frame``, ``stall_degrade``, ``stall_recover``,
-#: ``fec_boost``, ``fec_relax`` and ``fec_redundancy``.
+#: and the flight ring's ``events_noted``.  The telemetry digests, and the
+#: trace and lineage digests of the two rows that rescale the window, were
+#: recorded again when the telemetry stopped copying the record and each
+#: ``window_rescale`` gained its ``cond`` field; every summary digest is the
+#: parent's.  Between them the nine fire ``discard``, ``pending``,
+#: ``window_rescale``, ``rescale_skipped_large_frame``, ``stall_degrade``,
+#: ``stall_recover``, ``fec_boost``, ``fec_relax`` and ``fec_redundancy``.
 RECORDED = {
     "table3:IQ-RUDP": (120, 4795, "870bec7f4ef1d012", "fa7048a73c232762",
-                       "6582b13a49abc552", "f8f2ae6dbeaf4038", 640),
-    "table5:IQ-RUDP": (1500, 4406, "84742148ffb03b49", "14026f797f1c6065",
-                       "29c02185d39f8ae8", "3eaa667e56d16c7c", 428),
+                       "46f681566b943a92", "f8f2ae6dbeaf4038", 640),
+    "table5:IQ-RUDP": (1500, 4406, "8b61bb47283e0c57", "d7e699e2d4a6f9d9",
+                       "1cb10bed0baf9e4f", "3eaa667e56d16c7c", 428),
     "table7:IQ-RUDP w/o ADAPT_COND": (
-        1500, 3715, "a3806059d9a4a6d0", "439a7d2c7f2c6c54",
-        "6127ff2cd942f5dd", "4b42c2f548bda2bb", 328),
+        1500, 3715, "c0dae150d94afba2", "433b2c9d3207013c",
+        "ef965211732e9a25", "4b42c2f548bda2bb", 328),
     "table8:IQ-RUDP w/ ADAPT_COND": (
         1500, 3446, "4383087dbd7353bd", "296f33ed696ca7ab",
-        "c133af93192f2365", "7350e21b3db1f0bb", 303),
+        "338fe1c2efe6604b", "7350e21b3db1f0bb", 303),
     "table6:16/IQ-RUDP": (800, 1692, "e2be95dc9def998e", "79de5ddd8b86b79a",
-                          "c7cab1a95ce898b5", "007de5d8346e4ee2", 2),
+                          "fbcc6760f7c23556", "007de5d8346e4ee2", 2),
     "dynamics:flap/iq": (250, 14189, "b33c90ea7ad98679", "b37bb7d58afd5120",
-                         "e01a9182eb322509", "a6c10836a1417dfb", 7639),
+                         "818e00571ac213a1", "a6c10836a1417dfb", 7639),
     "dynamics:cliff/iq": (250, 6995, "d9ca144af9093331", "7ad349901de9fd13",
-                          "7cf308d44d15fcb1", "724e3145e355bcfe", 583),
+                          "d0534d416058fca8", "724e3145e355bcfe", 583),
     "reliability:blackout/iq+fec": (
         250, 9268, "747d8cd1940fc07e", "2c8b6c3ee1abdd2d",
-        "d4ff563c7a4f6c03", "e705086972b9fa7b", 2919),
+        "00af8a5fa4bf6356", "e705086972b9fa7b", 2919),
     "reliability:burst/iq+fec": (
         250, 8392, "fd1bb9f3e7637ae2", "3debbe7eb468e173",
-        "c6ffe5cb47371654", "ebe365f79de8038c", 2173),
+        "ef94c66ffcb48b58", "ebe365f79de8038c", 2173),
 }
 
 scenarios = pytest.mark.parametrize("name", list(RECORDED))

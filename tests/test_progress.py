@@ -13,14 +13,8 @@ class TTYString(io.StringIO):
 
 
 class TestEnableKnob:
-    def test_env_wins_over_tty(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROGRESS", "0")
-        assert not progress_enabled(TTYString())
-        monkeypatch.setenv("REPRO_PROGRESS", "1")
-        assert progress_enabled(io.StringIO())
-
-    def test_tty_sniff_when_env_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+    def test_tty_sniff_when_env_unset(self):
+        """No environment switch: the stream being a terminal decides."""
         assert progress_enabled(TTYString())
         assert not progress_enabled(io.StringIO())
         assert not progress_enabled(object())  # no isatty at all
@@ -78,7 +72,8 @@ class TestStatusLine:
 
 def test_run_batch_progress_keeps_stdout_clean(capsys, monkeypatch):
     from repro.experiments.common import ScenarioConfig
-    monkeypatch.setenv("REPRO_PROGRESS", "1")
+    from repro.runner import progress
+    monkeypatch.setattr(progress, "progress_enabled", lambda stream: True)
     cfgs = [ScenarioConfig(transport="rudp", workload="greedy", n_frames=30,
                            time_cap=30.0, seed=s) for s in (1, 2)]
     run_batch(cfgs, cache=False)

@@ -1,14 +1,16 @@
 """Telemetry tests: series downsampling determinism and memory bounds,
 recorder wiring, no-perturbation of summaries, byte-identity across worker
-counts and cache hit/miss, and annotation capture on coordination actions."""
+counts and cache hit/miss, and the coordinator's record on the series'
+clock."""
 
+import math
 import pickle
 
 import pytest
 
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.middleware.adaptation import ResolutionAdaptation
-from repro.obs.telemetry import Series, Telemetry, TelemetryConfig
+from repro.obs.telemetry import BUCKETS, Series, TelemetryConfig
 from repro.runner import ResultsCache, config_fingerprint, run_batch
 
 
@@ -18,7 +20,7 @@ def _resolution():
 
 def _congested(seed=2, **kw):
     """Congested IQ scenario (same shape as the trace tests): adaptation
-    fires, so coordination annotations land on the sampled series."""
+    fires, so the coordinator records actions beside the sampled series."""
     defaults = dict(transport="iq", workload="greedy", n_frames=800,
                     base_frame_size=700, cbr_bps=17.5e6, vbr_mean_bps=1e6,
                     metric_period=0.1, adaptation=_resolution, seed=seed,
@@ -32,10 +34,19 @@ class TestTelemetryConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TelemetryConfig(cadence_s=0.0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(buckets=4)
-        with pytest.raises(ValueError):
-            TelemetryConfig(annotations_max=-1)
+        # One knob: the bucket budget is the module's, annotations are gone.
+        for knob in ("buckets", "annotations_max"):
+            with pytest.raises(TypeError):
+                TelemetryConfig(**{knob: 8})
+        assert repr(TelemetryConfig()) == "TelemetryConfig(cadence_s=0.1)"
+
+    @pytest.mark.parametrize("cadence", [math.nan, math.inf, 1e-300])
+    def test_rejects_a_cadence_that_cannot_sample(self, cadence):
+        """A NaN cadence crashed the run mid-way, an infinite one recorded
+        nothing, and one too small to move the clock hung it."""
+        with pytest.raises(ValueError, match="cadence_s"):
+            TelemetryConfig(cadence_s=cadence)
+        assert TelemetryConfig(cadence_s=1e-3).cadence_s == 1e-3
 
     def test_repr_is_stable_for_cache_keys(self):
         # config_fingerprint uses repr(value); equal configs must produce
@@ -100,11 +111,18 @@ class TestRecorderEndToEnd:
                        "link.bottleneck-fwd.util"):
             assert expect in names
         assert tm.ticks > 0
-        assert len(tm.series["flow.cwnd"]) > 0
-        # Congestion + resolution adaptation => window rescales, each
-        # annotated onto the series.
-        kinds = {a["kind"] for a in tm.annotations}
-        assert "window_rescale" in kinds
+        cwnd = tm.series["flow.cwnd"]
+        assert 0 < len(cwnd) <= BUCKETS
+        # Congestion + resolution adaptation => window rescales, which the
+        # coordinator records on the series' clock: each lands in a
+        # sampled cwnd bucket.
+        rescales = [a["t"] for a in res.conn.sender.coordinator.actions
+                    if a["action"] == "window_rescale"]
+        assert rescales
+        counts = cwnd.counts()
+        for t in rescales:
+            idx = int(t / cwnd.bucket_s)
+            assert idx < len(counts) and counts[idx] > 0
         util = tm.series["link.bottleneck-fwd.util"].maxs()
         assert max(v for v in util if v is not None) <= 1.5
 
@@ -136,11 +154,3 @@ class TestRecorderEndToEnd:
         assert cache.hits == 1
         assert hit.telemetry is not None
         assert pickle.dumps(fresh.telemetry) == pickle.dumps(hit.telemetry)
-
-    def test_annotations_bounded(self):
-        tm = Telemetry(TelemetryConfig(annotations_max=2))
-        tm.annotate(0.1, "a")
-        tm.annotate(0.2, "b")
-        tm.annotate(0.3, "c")
-        assert len(tm.annotations) == 2
-        assert tm.dropped_annotations == 1
