@@ -104,6 +104,10 @@ class TraceBus:
             ring.bind(sim)      # the ring keeps this bus's clock
         self._sim = sim
         self._seq = 0
+        # A link reading cross-traffic trains admits their packets only
+        # when asked: it is asked before every note, so the ring keeps
+        # instant order (asked while it reads, it does not start again).
+        self.settlers: list = []
 
     def emit(self, layer: str, etype: str, **fields: Any) -> int:
         seq = self._seq
@@ -118,6 +122,8 @@ class TraceBus:
         trace ``seq``, or -1 when no trace sink is attached."""
         ring = self.ring
         if ring is not None:
+            for settle in self.settlers:
+                settle()
             ring.note(layer, etype, **fields)
         if self.enabled:
             return self.emit(layer, etype, **fields)
@@ -127,6 +133,8 @@ class TraceBus:
         """Ring-only breadcrumb (a name outside the trace vocabulary)."""
         ring = self.ring
         if ring is not None:
+            for settle in self.settlers:
+                settle()
             ring.note(layer, etype, **fields)
 
     @property
@@ -136,4 +144,4 @@ class TraceBus:
     # -- pickling: come back inert (see module docstring) -----------------
     def __getstate__(self):
         return {"enabled": False, "recording": False, "ring": None,
-                "_sim": None, "_seq": self._seq, "sinks": []}
+                "_sim": None, "_seq": self._seq, "sinks": [], "settlers": []}

@@ -9,6 +9,7 @@ between the dumbbell routers.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapify, heappop, heappush, heapreplace
 from math import inf
 from operator import attrgetter
 from typing import Callable, Protocol
@@ -127,7 +128,8 @@ class DelayJitter:
 #: For pickling: fields that die with the event heap or are derived, and the
 #: public names property-backed fields are stored under.
 _TRANSIENT = frozenset(("_busy", "_service", "_arrival", "_free_at", "_plain",
-                        "_plan", "_held", "_last"))
+                        "_plan", "_held", "_last", "_trains", "_tseq",
+                        "_reading"))
 _PUBLIC = {"_queue": "queue", "_loss": "loss", "_jitter": "jitter",
            "_bytes_sent": "bytes_sent", "_packets_sent": "packets_sent"}
 _PRIVATE = {public: private for private, public in _PUBLIC.items()}
@@ -152,15 +154,22 @@ class Link:
     settled lazily (:meth:`_settle`); whatever could meet an unfinished
     packet first puts the plan back (:meth:`_unfuse`) onto the two-event
     chain -- completion, then arrival -- that lossy and jittered links
-    use throughout.  A link that one hop alone feeds (``feeders``) can be
-    *booked* (:meth:`book`) when that hop's host sends.  DESIGN.md section
-    2 has the rules.
+    use throughout, until a completion finds the link plain and up again
+    and plans what is queued.  A link that one hop alone feeds
+    (``feeders``) can be *booked* (:meth:`book`) when that hop's host
+    sends.  A cross-traffic train (:class:`~repro.traffic.cbr.CbrSource`,
+    :class:`~repro.traffic.vbr.VbrSource` on a cross port) is *read*: while
+    the link can plan and asks its far end, it holds each train's next
+    arrival instant and admits the train's packets (:meth:`_admit`, what
+    :meth:`send` decides) in instant order whenever anything settles the
+    books.  DESIGN.md section 2 has the rules.
     """
 
     __slots__ = ("sim", "bandwidth_bps", "delay_s", "sink", "name", "trace",
                  "spans", "up", "packets_lost_wire", "feeders",
                  "_queue", "_loss", "_jitter", "_plain", "_busy", "_service",
                  "_arrival", "_free_at", "_plan", "_held", "_last", "_ahead",
+                 "_trains", "_tseq", "_reading",
                  "_bytes_sent", "_packets_sent")
 
     def __init__(self, sim: Simulator, bandwidth_bps: float, delay_s: float,
@@ -203,6 +212,12 @@ class Link:
         # A traced run asks nobody: every hop reports where it always did.
         self._ahead = (sink.arriving if ahead and not self.trace.enabled
                        else None)
+        # Trains read lazily, by their next packet's arrival: (instant, and
+        # when and at what priority its event would have been posted, a
+        # counter, train) -- the engine's order, replayed.
+        self._trains: list = []
+        self._tseq = 0
+        self._reading = False   # admitting train packets: no re-entry
         self.up = True
         # Wire counters for utilisation / fairness accounting: a planned
         # packet counts from its start; the properties hold it back.
@@ -233,7 +248,14 @@ class Link:
         return queue
 
     def _settle(self, strict: bool = False) -> None:
-        """Bring the books up to the clock, in instant order (an arrival
+        """Bring the books up to the clock: every train packet that has
+        arrived, then what :meth:`_books` admits."""
+        if self._trains:
+            self._read_trains()
+        self._books(self.sim._now, strict)
+
+    def _books(self, now: float, strict: bool = False) -> None:
+        """Bring the books up to ``now``, in instant order (an arrival
         first): a booked packet whose arrival has come enters them, and a
         planned packet whose start has passed leaves the queue and is counted
         onto the wire.  A start at exactly ``now`` has happened for a reader
@@ -243,7 +265,6 @@ class Link:
         held = self._held
         if not (plan or held):
             return
-        now = self.sim._now
         queue = self._queue         # ``queue.pop()``, in line: per packet
         upto = held[0][0] if held else inf
         st = queue.stats
@@ -321,17 +342,25 @@ class Link:
         or the link is administratively down."""
         if not self.up:
             return self._lost(pkt, "down")
-        queue = self._queue
         if self._busy or not self._plain:
-            if not queue.push(pkt):
+            if not self._queue.push(pkt):
                 return False
             if not self._busy:
                 self._start_transmission()
             return True
+        if self._trains:    # train packets of this instant came first
+            self._read_trains()
         now = self.sim._now
         if self._held:      # it may arrive ahead of booked ones
             self._take_back()
-            self._settle(True)
+            self._books(now, True)
+        return self._admit(pkt, now)
+
+    def _admit(self, pkt: Packet, now: float) -> bool:
+        """What a plain link off the chain, up, decides for ``pkt`` arriving
+        at ``now`` -- a real arrival's instant or a train packet's: drop or
+        accept, start, finish and far end."""
+        queue = self._queue
         start = self._free_at
         wire = pkt.wire_size
         plan = self._plan
@@ -339,7 +368,7 @@ class Link:
         # precedes the completion (priority 0) of the same instant.
         if now > start:
             if plan:
-                self._settle()      # all that was planned has started
+                self._books(now)    # all that was planned has started
             st = queue.stats
             if st.peak_packets and wire <= queue.capacity_bytes:
                 # The queue is empty and the packet leaves it at once: fold
@@ -361,7 +390,7 @@ class Link:
             plan = None             # the plan of length one: ``_arrival``
         else:
             if plan and plan[0][0] < now:
-                self._settle(True)
+                self._books(now, True)
             if not queue.push(pkt):
                 return False
         # The chain's float additions in the chain's order.
@@ -380,11 +409,13 @@ class Link:
         """``pkt``, from the hop that alone feeds the link, arrives at
         ``at``: decide now what :meth:`send` would then.  False -- it
         arrives for real -- unless the link is plain, off the chain and up,
-        no real arrival is still to come and the queue takes it."""
+        reads no train, no real arrival is still to come and the queue
+        takes it."""
         held = self._held
+        now = self.sim._now
         if not (self._busy or not self._plain or not self.up
-                or self.sim._now <= self._last):
-            self._settle(True)
+                or now <= self._last or self._trains):
+            self._books(now, True)
             queue = self._queue
             wire = pkt.wire_size
             # The queue at ``at``: less what starts before, plus bookings.
@@ -431,6 +462,75 @@ class Link:
         self._take_back()
         self.feeders += 1
 
+    # ------------------------------------------------------------------
+    # Trains read, not fired
+    # ------------------------------------------------------------------
+    def _reads(self) -> bool:
+        """Trains can be read: the link is plain, off the chain and up, and
+        asks its far end (an untraced run), so an admission posts nothing."""
+        return (self._plain and not self._busy and self.up
+                and self._ahead is not None)
+
+    def _carry(self, train) -> bool:
+        """Hold ``train``'s pending packet -- arriving at ``train._at``,
+        its event posted at ``_posted`` by one of ``_priority`` -- and admit
+        it there.  False, and the train posts its event, unless
+        :meth:`_reads`."""
+        if not self._reads():
+            return False
+        self._read_trains()     # what arrived before this instant goes first
+        if self._held:
+            self._take_back()   # a cross port feeds it: nothing is booked
+        heappush(self._trains, (train._at, train._posted, train._priority,
+                                self._tseq, train))
+        self._tseq += 1
+        hooks = getattr(self.trace, "settlers", None)
+        if hooks is not None and self._read_trains not in hooks:
+            hooks.append(self._read_trains)     # notes come after drops
+        return True
+
+    def _read_trains(self) -> None:
+        """Admit every train packet that has arrived by now, in instant
+        order, each at its instant: the clock reads it while the packet is
+        decided, so a drop is reported then."""
+        trains = self._trains
+        if not trains or self._reading:
+            return
+        sim = self.sim
+        now = sim._now
+        if trains[0][0] > now:
+            return
+        self._reading = True
+        try:
+            while trains and trains[0][0] <= now:
+                at, _, _, _, train = trains[0]
+                sim._now = at
+                pkt = train._emit()
+                nxt = train._at
+                if nxt < inf:
+                    heapreplace(trains, (nxt, train._posted, train._priority,
+                                         self._tseq, train))
+                    self._tseq += 1
+                else:
+                    heappop(trains)
+                self._admit(pkt, at)
+        finally:
+            sim._now = now
+            self._reading = False
+
+    def _release(self) -> None:
+        """Hand every train back to its own event (the link is about to
+        stop planning), in the order the link would have read them."""
+        trains, self._trains = sorted(self._trains), []
+        for *_, train in trains:
+            train._release()
+
+    def _drop_train(self, train) -> None:
+        """``train`` stopped: the link reads it no more."""
+        trains = self._trains
+        trains[:] = [entry for entry in trains if entry[4] is not train]
+        heapify(trains)
+
     def _lost(self, pkt: Packet, kind: str) -> bool:
         """Count and report a packet lost past the queue: on the ``wire``
         or offered to a link that is ``down``.  Returns False."""
@@ -474,21 +574,50 @@ class Link:
         pkt = self._service
         if pkt is not None:
             self._finish_tx(pkt)
-        if self._queue._q:
-            self._start_transmission()
-        else:
+        if not self._queue._q:
             self._busy = False
             self._service = None
+        elif self._plain and self.up:
+            self._replan()
+        else:
+            self._start_transmission()
+
+    def _replan(self) -> None:
+        """Leave the chain: the head of the backlog starts now and every
+        packet behind it is planned, as :meth:`send` would have planned
+        them behind a busy serialiser (the chain's float additions)."""
+        queue = self._queue
+        bw, delay, ahead = self.bandwidth_bps, self.delay_s, self._ahead
+        head = self._service = queue.pop()
+        self._bytes_sent += head.wire_size
+        self._packets_sent += 1
+        plan = self._plan
+        start = self.sim._now
+        for pkt in (head, *queue._q):
+            free_at = start + pkt.wire_size * 8.0 / bw
+            at = free_at + delay
+            ev = (None if ahead is not None and ahead(pkt, at)
+                  else self.sim.post(at, -1, self.sink.receive, (pkt,)))
+            if pkt is head:
+                self._arrival = ev
+            else:
+                plan.append((start, ev))
+            start = free_at
+        self._free_at = start
+        self._busy = False
 
     def _unfuse(self) -> None:
         """Take back every promise not yet kept -- the arrival of the
         packet still serialising and of each planned one behind it, latest
         first -- and let a real completion at the former's finish put them
-        on the two-event chain, to meet there what the caller changes."""
+        on the two-event chain, to meet there what the caller changes.
+        Every train goes back to its own event."""
         if self._busy:
             return
         self._take_back()
         self._settle(True)
+        if self._trains:
+            self._release()
         plan = self._plan
         ends = [start for start, _ in plan]     # a start is the finish of
         ends.append(self._free_at)              # the packet ahead
@@ -597,9 +726,10 @@ class Link:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        self._busy = False
+        self._busy = self._reading = False
         self._service = self._arrival = None
-        self._plan, self._held = deque(), deque()
+        self._plan, self._held, self._trains = deque(), deque(), []
+        self._tseq = 0
         self._free_at = self._last = -inf
         self.feeders = 0        # pickled before feeders were counted
         for name, value in state.items():

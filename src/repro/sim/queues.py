@@ -140,8 +140,11 @@ class DropTailQueue:
         below the new budget."""
         if capacity_bytes <= 0:
             raise ValueError("queue capacity must be positive")
-        if capacity_bytes < self.capacity_bytes and self.link is not None:
-            self.link._take_back()      # booked against the larger budget
+        link = self.link
+        if link is not None:
+            link._read_trains()         # what has arrived met the old budget
+            if capacity_bytes < self.capacity_bytes:
+                link._take_back()       # booked against the larger budget
         self.capacity_bytes = capacity_bytes
 
     def clear(self) -> None:

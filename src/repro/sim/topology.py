@@ -15,7 +15,8 @@ the path RTT and loss behaviour, exactly as on the emulated testbed.
 
 Only the two bottlenecks are :class:`Link` objects.  One-way cross traffic
 enters through a :class:`CrossPort`, which hands each packet to the forward
-bottleneck at the instant its access hop would have, and ends at a counter;
+bottleneck at the instant its access hop would have (or the bottleneck
+reads the packets of a CBR or VBR train itself), and ends at a counter;
 a flow host's hops to and from its router are an :class:`UpHop` and a
 :class:`DownHop`.  Far ends are *asked at departure* (``Link(ahead=True)``)
 and a bottleneck that one up hop alone feeds is *booked when the host
@@ -24,7 +25,7 @@ sends*: a datagram costs one event (DESIGN.md section 2, "Planned transit").
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from math import inf
 from operator import itemgetter
@@ -50,10 +51,15 @@ ACCESS_QUEUE_BYTES = 64 * 1440
 
 class _Egress:
     """Router R's route for a cross flow: the packet ends here, counted --
-    booked ahead, once a reader's clock has reached its arrival instant."""
+    booked ahead, once a reader's clock has reached its arrival instant.
+    It takes every booking, so a link reading trains never posts."""
 
-    def __init__(self, sim: Simulator) -> None:
+    link = None     # the bottleneck whose trains are read first (pickles
+                    # written before trains were read have none)
+
+    def __init__(self, sim: Simulator, link: Link | None = None) -> None:
         self.sim = sim
+        self.link = link
         self._packets = 0
         self._bytes = 0     # payload bytes, as ``UdpSink.bytes_received``
         self._due: deque = deque()      # (arrival instant, size), sorted
@@ -65,11 +71,12 @@ class _Egress:
 
     def book(self, pkt: Packet, at: float) -> bool:
         due = self._due
-        if due and at < due[-1][0]:
-            return False        # overtakes a booked one: arrive for real
         if len(due) > 256:
             self._settled()     # nobody reads: keep what is held back small
-        due.append((at, pkt.size))
+        if due and at < due[-1][0]:
+            insort(due, (at, pkt.size))     # overtakes a booked one
+        else:
+            due.append((at, pkt.size))
         return True
 
     def unbook(self, pkt: Packet, at: float) -> None:
@@ -83,8 +90,13 @@ class _Egress:
             self._bytes += due.popleft()[1]
         return self
 
-    packets = property(lambda self: self._settled()._packets)
-    bytes = property(lambda self: self._settled()._bytes)
+    def _read(self) -> "_Egress":
+        if self.link is not None:
+            self.link._read_trains()    # what has arrived there is booked
+        return self._settled()
+
+    packets = property(lambda self: self._read()._packets)
+    bytes = property(lambda self: self._read()._bytes)
 
 
 class AccessHop:
@@ -131,6 +143,16 @@ class AccessHop:
             self._backlog += ((start, wire),)
         self._free_at = free_at = start + wire * 8.0 / self.access_bps
         return free_at + self.access_delay_s
+
+    def last_arrival(self, offers) -> float:
+        """When the last of ``offers`` -- ``(t, wire)`` pairs, offered after
+        everything so far -- would reach the far end: :meth:`arrival`'s
+        arithmetic run on ahead, without its effects (-inf for none)."""
+        free, last = self._free_at, -inf
+        for t, wire in offers:
+            free = (t if t > free else free) + wire * 8.0 / self.access_bps
+            last = free + self.access_delay_s
+        return last
 
     def withdraw(self) -> None:
         """Undo the last :meth:`arrival`: its packet, asked about ahead of
@@ -206,7 +228,9 @@ class CrossPort(AccessHop):
     A ``UdpSender`` binds to it as to a ``Host``: :meth:`send` does the
     access link's arithmetic and posts the packet into ``link`` (the
     forward bottleneck) at the float instant router L would have;
-    ``egress`` is the far end.
+    ``egress`` is the far end.  A CBR or VBR source bound here is a train:
+    it runs :meth:`~AccessHop.arrival` itself, and ``link`` reads its
+    packets while it can plan (``Link._carry``).
     """
 
     def __init__(self, sim: Simulator, address: int, link: Link, *,
@@ -216,7 +240,7 @@ class CrossPort(AccessHop):
         self.address = address
         self.peer_address = address + 1
         self.link = link
-        self.egress = _Egress(sim)
+        self.egress = _Egress(sim, link)
         self.senders: dict[int, object] = {}
 
     def bind(self, port: int, endpoint) -> None:

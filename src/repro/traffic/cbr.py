@@ -7,10 +7,13 @@ does exactly that on the simulated clock.
 
 Bound to a plain ``Host`` the source ticks and sends.  Bound to a
 :class:`~repro.sim.topology.CrossPort` it is a *train*: packet ``k`` of a
-CBR flow is fully determined by its nominal send time ``t_k``, so the one
-standing event sits where the packet meets the bottleneck
-(``port.arrival(t_k, wire)``), builds it as ``UdpSender.send`` would have
-at ``t_k``, offers it and posts packet ``k+1`` (DESIGN.md section 2).
+CBR flow is fully determined by its nominal send time ``t_k``, so it meets
+the bottleneck at ``port.arrival(t_k, wire)``, built as ``UdpSender.send``
+would have built it at ``t_k``.  While that link can plan, it *reads* the
+train: it holds the next packet's instant and admits each packet there
+itself, and no engine event exists per packet.  Otherwise the train keeps
+one standing event at that instant, which offers the packet and moves on
+(DESIGN.md section 2).
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ class CbrSource:
     exactly a nominal send time ``t_k`` counts as before it -- what the
     tick chain does for any event scheduled more than one interval ahead
     -- and the sender's own ``packets_sent``/``bytes_sent`` follow one
-    access hop (36.52 us) behind ``datagrams_sent``.
+    access hop (36.52 us) behind ``datagrams_sent``, and are brought up to
+    the clock by a read of the link or of ``datagrams_sent``.  A train its
+    link reads keeps one event only when ``stop=`` is finite: at its last
+    packet's arrival, where the clock of a drained run ends.
     """
 
     def __init__(self, sim: Simulator, sender: UdpSender, *,
@@ -58,15 +64,23 @@ class CbrSource:
         self._sent = 0
         self._running = False
         self._event = None      # the one pending tick / train event
-        # Train: nominal send time of the pending event's packet, and of
-        # the one after it once a rate change has landed in between.
-        self._t = inf
+        # Train: nominal send time of the pending packet, and of the one
+        # after it once a rate change has landed in between; when the
+        # pending packet meets the bottleneck, and when and at what priority
+        # its event was (or would have been) posted.  ``_read``: the link
+        # holds it.
+        self._t = self._at = inf
         self._t_after: float | None = None
+        self._posted = 0.0
+        self._priority = -1
+        self._read = False
         self.set_rate(rate_bps)
         sim.at(start, self.start)
 
     @property
     def datagrams_sent(self) -> int:
+        if self._port is not None:
+            self._port.link._read_trains()
         return self._sent + (self.sim._now > self._t)
 
     def start(self) -> None:
@@ -76,16 +90,22 @@ class CbrSource:
 
     def stop(self) -> None:
         self._running = False
+        port = self._port
+        if port is not None:
+            port.link._read_trains()    # what has arrived was sent
         ev, self._event = self._event, None
-        if ev is not None and ev.alive:
+        if ev is not None:
             ev.cancel()
+        if self._at < inf:
+            if self._read:
+                port.link._drop_train(self)
             if self.sim._now > self._t:
                 # Its packet is already on the access hop: let it arrive.
-                self.sim.post(ev.time, -1, self._port.link.send,
-                              (self._packet(),))
-            elif self._port is not None:
-                self._port.withdraw()
-        self._t = inf
+                self.sim.post(self._at, -1, port.link.send, (self._packet(),))
+            else:
+                port.withdraw()
+        self._read = False
+        self._t = self._at = inf
 
     def _tick(self) -> None:
         now = self.sim._now
@@ -98,24 +118,52 @@ class CbrSource:
             self._event = self.sim.schedule(self.interval, self._tick)
             return
         # That first packet went the plain way (same-instant starts keep
-        # their order); the train carries the rest.  Its first event goes
-        # through ``at`` so that whatever watches ``schedule``/``at`` for
-        # callbacks (the benchmark's tracer) meets ``_depart``.
-        at = self._advance(now + self.interval)
-        self._event = (None if at is None
-                       else self.sim.at(at, self._depart, priority=-1))
+        # their order); the train carries the rest.
+        self._posted, self._priority = now, 0
+        self._advance(now + self.interval)
+        self._place()
 
-    def _advance(self, t: float) -> float | None:
-        """Move the train on to the packet nominally sent at ``t``: the
-        instant it meets the bottleneck, or None past ``stop=``."""
+    def _advance(self, t: float) -> None:
+        """Move the train on to the packet nominally sent at ``t``: note
+        the instant it meets the bottleneck (inf past ``stop=``)."""
         self._t_after = None
         if self.stop_time is not None and t >= self.stop_time:
             # ``_running`` holds until ``t``, as on the tick chain; after
             # it a ``start()`` sends nothing either way.
-            self._t = inf
-            return None
+            self._t = self._at = inf
+            return
         self._t = t
-        return self._port.arrival(t, self.payload_bytes + HEADER_BYTES)
+        self._at = self._port.arrival(t, self.payload_bytes + HEADER_BYTES)
+
+    def _place(self) -> None:
+        """Give the pending packet to the link to read, or post its event."""
+        self._event = None
+        if self._at == inf:
+            return
+        if self._port.link._carry(self):
+            self._read = True
+            if self.stop_time is not None:
+                self._event = self.sim.post(self._end(), -1, self._last, ())
+        else:
+            self._event = self.sim.post(self._at, -1, self._depart, ())
+
+    def _end(self) -> float:
+        """When the last packet before ``stop=`` meets the bottleneck."""
+        return max(self._at, self._port.last_arrival(self._rest()))
+
+    def _rest(self):
+        """``(t_k, wire)`` of each packet after the pending one."""
+        t = self._t_after
+        if t is None:
+            t = self._t + self.interval
+        wire = self.payload_bytes + HEADER_BYTES
+        while t < self.stop_time:
+            yield t, wire
+            t += self.interval
+
+    def _last(self) -> None:
+        """The clock has reached the last packet: the link reads it."""
+        self._port.link._read_trains()
 
     def _packet(self) -> Packet:
         """The packet ``UdpSender.send`` would have built at ``_t``."""
@@ -130,14 +178,29 @@ class CbrSource:
         self._sent += 1
         return pkt
 
-    def _depart(self) -> None:
-        self._port.link.send(self._packet())
+    def _emit(self) -> Packet:
+        """The pending packet, built at its arrival; the train moves on to
+        the next, whose event this one's arrival would have posted."""
+        pkt = self._packet()
         t = self._t_after
         if t is None:
             t = self._t + self.interval
-        at = self._advance(t)
-        self._event = (None if at is None
-                       else self.sim.post(at, -1, self._depart, ()))
+        self._posted, self._priority = self._at, -1
+        self._advance(t)
+        return pkt
+
+    def _depart(self) -> None:
+        self._port.link.send(self._emit())
+        self._place()
+
+    def _release(self) -> None:
+        """The link stops reading the train: its packet gets its event --
+        through ``at``, so that whatever watches ``schedule``/``at`` for
+        callbacks (the benchmark's tracer) meets ``_depart``."""
+        self._read = False
+        if self._event is not None:
+            self._event.cancel()
+        self._event = self.sim.at(self._at, self._depart, priority=-1)
 
     def set_rate(self, rate_bps: float) -> None:
         """Change the target rate mid-run (used by step-congestion tests).
@@ -153,7 +216,11 @@ class CbrSource:
                 raise ValueError(f"{rate_bps:g} b/s puts a second "
                                  f"{wire}-byte packet on the access hop "
                                  f"before the first has left it")
+            port.link._read_trains()
             if self._t_after is None and self.sim._now > self._t:
                 self._t_after = self._t + self.interval
         self.rate_bps = rate_bps
         self.interval = interval
+        if self._read and self.stop_time is not None and self._at < inf:
+            self._event.cancel()    # the last packet has moved
+            self._event = self.sim.post(self._end(), -1, self._last, ())

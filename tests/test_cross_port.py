@@ -7,14 +7,20 @@ everything downstream of that call is shared code.
 """
 
 import functools
+import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.bus import TraceBus
+from repro.obs.flight import FlightRecorder
 from repro.sim import topology
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.link import Link
+from repro.sim.link import BernoulliLoss, Link, LossModel
+from repro.sim.packet import Packet, PacketKind
 from repro.sim.topology import CrossPort, Dumbbell
 from repro.traffic.cbr import CbrSource
 from repro.traffic.vbr import VbrSource
@@ -25,23 +31,34 @@ STATS = ("arrivals", "departures", "drops", "bytes_in", "bytes_dropped",
 
 
 class RecordingLink(Link):
-    """The forward bottleneck, noting every packet offered to it."""
+    """The forward bottleneck, noting every packet offered to it: each real
+    arrival, and each train packet it reads, at its instant."""
 
     __slots__ = ("offered",)
 
+    def _note(self, pkt, now):
+        self.offered.append((now, pkt.flow_id, pkt.seq, pkt.wire_size,
+                             pkt.created_at))
+
     def send(self, pkt):
-        self.offered.append((self.sim.now, pkt.flow_id, pkt.seq,
-                             pkt.wire_size, pkt.created_at))
+        self._read_trains()     # what arrived before it is noted first
+        self._note(pkt, self.sim.now)
         return super().send(pkt)
+
+    def _admit(self, pkt, now):
+        if self._reading:
+            self._note(pkt, now)
+        return super()._admit(pkt, now)
 
     def book(self, pkt, at):
         return False        # every packet is offered when it arrives
 
 
-def run_wiring(wiring, sources, ops=(), until=None, **net_kw):
+def run_wiring(wiring, sources, ops=(), until=None, ahead=False, **net_kw):
     """Build ``sources`` on a dumbbell wired the ``"hosts"`` (reference) or
     the ``"port"`` way, apply ``ops`` -- ``(time, name, *args)`` -- and run.
     Returns everything the bottleneck saw and every counter a reader has.
+    With ``ahead`` the bottleneck asks its far end, so it reads the trains.
 
     A source is ``("cbr" | "vbr", kwargs)``; an op is ``set_rate i rate``,
     ``stop i``, ``start i``, ``fail`` or ``recover`` (the last two on the
@@ -51,7 +68,7 @@ def run_wiring(wiring, sources, ops=(), until=None, **net_kw):
     fwd = net.forward
     net.forward = rec = RecordingLink(
         sim, fwd.bandwidth_bps, fwd.delay_s, net.right,
-        queue_bytes=fwd.queue.capacity_bytes, name=fwd.name)
+        queue_bytes=fwd.queue.capacity_bytes, name=fwd.name, ahead=ahead)
     rec.offered = []
     srcs, far_ends, senders = [], [], []
     for i, (kind, kw) in enumerate(sources):
@@ -79,6 +96,12 @@ def run_wiring(wiring, sources, ops=(), until=None, **net_kw):
     for when, *op in ops:
         sim.at(when, apply, *op)
     sim.run(until=until)
+    drained = not sim.pending() and not rec._trains
+    if drained and until is None:
+        # Nothing is left but what the bottleneck planned and a far end
+        # counts ahead of the clock.  A run cut at ``until`` is read there:
+        # a planned packet still serialising posts no event to wait for.
+        sim.run(until=sim.now + 0.1)
     out = {
         "offered": rec.offered,
         "fwd": {k: getattr(rec.queue.stats, k) for k in STATS},
@@ -87,8 +110,8 @@ def run_wiring(wiring, sources, ops=(), until=None, **net_kw):
         "sent": [s.datagrams_sent if isinstance(s, CbrSource)
                  else s.frames_sent for s in srcs],
     }
-    if not sim.pending():
-        # Drained: nothing is between a sender's counters and the far end.
+    if drained:
+        # Nothing is between a sender's counters and the far end.
         out["senders"] = [(tx.packets_sent, tx.bytes_sent) for tx in senders]
         out["far_ends"] = [
             (e.packets_received, e.bytes_received) if wiring == "hosts"
@@ -97,19 +120,24 @@ def run_wiring(wiring, sources, ops=(), until=None, **net_kw):
 
 
 def assert_same(sources, ops=(), until=None, **net_kw):
+    """The port wiring offers the bottleneck what the host pair did, with
+    its trains fired as events and read by the link."""
     ref = run_wiring("hosts", sources, ops, until, **net_kw)
-    got = run_wiring("port", sources, ops, until, **net_kw)
-    assert len(got["offered"]) == len(ref["offered"])
-    differing = [(a, b) for a, b in zip(ref["offered"], got["offered"])
-                 if a != b]
-    assert not differing, differing[:3]
-    if ("far_ends" in got) != ("far_ends" in ref):
-        # The host pair's far end is one access hop (36.52 us) behind the
-        # port's: a cut inside that hop finds only one of the two drained.
-        for out in (got, ref):
-            out.pop("far_ends", None)
-            out.pop("senders", None)
-    assert got == ref
+    for ahead in (False, True):
+        want = dict(ref)
+        got = run_wiring("port", sources, ops, until, ahead, **net_kw)
+        assert len(got["offered"]) == len(want["offered"]), ahead
+        differing = [(a, b) for a, b in zip(want["offered"], got["offered"])
+                     if a != b]
+        assert not differing, (ahead, differing[:3])
+        if ("far_ends" in got) != ("far_ends" in want):
+            # The host pair's far end is one access hop (36.52 us) behind
+            # the port's, and a train the link reads leaves no event after
+            # it: a cut finds only one of the two drained.
+            for out in (got, want):
+                out.pop("far_ends", None)
+                out.pop("senders", None)
+        assert got == want, ahead
     return got
 
 
@@ -355,28 +383,32 @@ def cbr_only(wiring, rates, until):
     return fired, sum(s.datagrams_sent for s in srcs), net
 
 
-def test_a_cbr_datagram_is_two_events_on_an_idle_bottleneck(link_sends):
-    """Two before the far end was asked at departure; one now -- the
-    train's event, which offers the packet.  Its far end is a counter."""
+def test_a_cbr_datagram_is_no_event_on_an_idle_bottleneck(link_sends):
+    """Two before the far end was asked at departure, one before the
+    bottleneck read its trains; none now.  What fires is the start, the
+    first packet's arrival (it goes the plain way) and the train's one
+    event, at its last packet's arrival.  The far end is a counter."""
     fired, n, net = cbr_only("port", [16e6], until=1.0)
     assert n == 1389
-    assert fired == n + 1                     # the train; one start
-    assert link_sends == [("bottleneck-fwd", 1)] * n
+    assert fired == 3
+    assert link_sends == [("bottleneck-fwd", 1)]
+    assert net.forward.queue.stats.arrivals == n
     (port,) = net.cross_ports
-    # No event carries the clock to the far end: where the last train
+    # No event carries the clock to the far end: where the train's last
     # event left it, 15 ms of packets are still on the wire.
     assert port.egress.packets == n - 22 and port.egress.bytes == (n - 22) * 1400
     net.sim.run(until=1.1)
     assert (port.egress.packets, port.egress.bytes) == (n, n * 1400)
 
 
-def test_a_cbr_datagram_is_three_events_on_a_backlogged_one(link_sends):
-    """Three before backlogs were planned; one now, as on an idle one."""
+def test_a_cbr_datagram_is_no_event_on_a_backlogged_one(link_sends):
+    """Three before backlogs were planned, one before trains were read;
+    none now, as on an idle one."""
     fired, n, net = cbr_only("port", [12e6, 12e6], until=1.0)
     st_ = net.forward.queue.stats
     assert st_.drops > 200
-    assert fired == n + 2
-    assert len(link_sends) == n
+    assert fired == 2 * 3
+    assert len(link_sends) == 2 and st_.arrivals == n
     net.sim.run(until=1.1)                    # what waited and flew arrives
     assert sum(p.egress.packets for p in net.cross_ports) == n - st_.drops
     # (``link.queue`` is what settles the books: ask it again.)
@@ -403,16 +435,374 @@ def test_table5_shaped_cell_event_total(link_sends):
     (tx,) = port.senders.values()
     n = tx.packets_sent
     assert n == 8334
-    assert prof.events_fired == 11793         # 12913 with ACKs unbooked
-    # One event per datagram (the first is posted by ``start``) ...
-    assert counts["CbrSource._depart"] + counts["Link.send"] == n
-    assert "CbrSource._tick" not in counts
-    # ... and one Link.send: nothing of the cross flow meets a second link.
-    assert ([name for name, flow in link_sends if flow == tx.flow_id]
-            == ["bottleneck-fwd"] * n)
+    assert prof.events_fired == 3460          # 11793 with a CBR event each
+    # The bottleneck read every datagram but the first, which went the
+    # plain way; the train, without ``stop=``, keeps no event.
+    assert {"CbrSource._depart", "CbrSource._tick",
+            "CbrSource._last"}.isdisjoint(counts)
+    assert counts["Link.send"] == 1
+    cross = [name for name, flow in link_sends if flow == tx.flow_id]
+    assert cross == ["bottleneck-fwd"]
+    flow = sum(name == "bottleneck-fwd" for name, _ in link_sends) - 1
+    assert res.net.forward.queue.stats.arrivals == n + flow
     # What is left is the flow under test and the timers: three events per
     # acknowledged datagram (its ACK is booked when the receiver sends it;
     # the datagram shares the bottleneck with the port), none of them a
     # completion.
     assert "Link._tx_done" not in counts
     assert set(counts) >= {"Host.receive", "Router.receive"}
+
+
+# ----------------------------------------------------------------------
+# Read, not fired: a train its bottleneck reads against the same train
+# firing one event per packet (the link refusing to carry it)
+# ----------------------------------------------------------------------
+#: The dyadic dumbbell of ``tests/test_down_hop.py``: rates, delays and
+#: sizes are powers of two or small integers, so every float sum is exact
+#: and instants tie wherever the arithmetic says.
+DYADIC = dict(bottleneck_bps=2 ** 24, rtt_s=2 * (2 ** -7 + 2 ** -14))
+DYADIC_HOP = 2 ** -17 + 2 ** -15    # a 1024-byte wire packet's access hop
+
+
+@pytest.fixture
+def dyadic(monkeypatch):
+    monkeypatch.setattr(Dumbbell, "ACCESS_BPS", 2 ** 30)
+    monkeypatch.setattr(Dumbbell, "ACCESS_DELAY_S", 2 ** -15)
+    return DYADIC
+
+
+class Deliveries:
+    def __init__(self, sim, host):
+        self.sim, self.got = sim, []
+        host.bind(1, self)
+
+    def receive(self, pkt):
+        self.got.append((self.sim.now, pkt.flow_id, pkt.seq))
+
+
+def books(net, srcs):
+    """Every counter a reader has of the bottleneck and the cross flows,
+    read in an order that leaves the senders' own counters for last.  A
+    VBR sender's are left out: fired, it counts a segment at its frame's
+    tick; read, when the segment meets the bottleneck."""
+    fwd = net.forward
+    st_ = fwd.queue.stats
+    sent = [s.datagrams_sent if isinstance(s, CbrSource) else s.frames_sent
+            for s in srcs]
+    return (tuple(getattr(st_, k) for k in STATS), len(fwd.queue),
+            fwd.queue.bytes, fwd.bytes_sent, fwd.packets_sent,
+            fwd.packets_lost_wire, fwd.accounting_violation(),
+            fwd.telemetry_probe(), sent,
+            [(p.egress.packets, p.egress.bytes) for p in net.cross_ports],
+            [(s.sender.packets_sent, s.sender.bytes_sent) for s in srcs
+             if isinstance(s, CbrSource)])
+
+
+def world(script, sources, *, read, until, **net_kw):
+    """One host pair and ``sources`` on cross ports, an untraced run with a
+    flight ring; with ``read=False`` the link reads no train, so the
+    trains fire their events.  ``script`` rows are ``(time, op, *args)``:
+    ``burst n size`` from the host, ``read``, ``set_rate i r``, ``stop
+    i``, ``start i``, and ``fail``, ``recover``, ``set_delay s``,
+    ``loss``, ``plain``, ``capacity bytes`` on the forward bottleneck.
+    Returns every reading, the deliveries, the ring, the books at the cut
+    and those of a pickle."""
+    sim = Simulator()
+    sim.bus = TraceBus(sim, ring=FlightRecorder(capacity=100_000))
+    net = Dumbbell(sim, **net_kw)
+    snd, rcv = net.add_flow_hosts("f")
+    got = Deliveries(sim, rcv)
+    srcs = []
+    for i, (kind, kw) in enumerate(sources):
+        port = net.add_cross_port(f"x{i}")
+        tx = UdpSender(sim, port, port=7, peer_addr=port.peer_address,
+                       peer_port=7)
+        srcs.append((CbrSource if kind == "cbr" else VbrSource)(sim, tx,
+                                                                **kw))
+    readings, seq = [], [0]
+
+    def apply(op, *args):
+        fwd = net.forward
+        if op == "burst":
+            for _ in range(args[0]):
+                snd.send(Packet(99, PacketKind.DATA, seq[0], size=args[1],
+                                src=snd.address, dst=rcv.address, sport=1,
+                                dport=1, created_at=sim.now))
+                seq[0] += 1
+        elif op == "read":
+            readings.append((sim.now, books(net, srcs)))
+        elif op in ("set_rate", "stop", "start"):
+            getattr(srcs[args[0]], op)(*args[1:])
+        elif op == "loss":
+            fwd.loss = BernoulliLoss(0.3, random.Random(7))
+        elif op == "plain":
+            fwd.loss = LossModel()
+        elif op == "capacity":      # on the queue object: no read first
+            fwd._queue.set_capacity(args[0])
+        else:
+            getattr(fwd, op)(*args)
+
+    for when, *op in script:
+        sim.at(when, apply, *op)
+    original = Link._reads
+    if not read:
+        Link._reads = lambda link: False
+    try:
+        sim.run(until=until)
+        cut = books(net, srcs)
+    finally:
+        Link._reads = original
+    ring = sim.bus.ring.dump()
+    sim.drain()
+    clone = pickle.loads(pickle.dumps((net, srcs)))
+    return readings, got.got, ring, cut, books(*clone)
+
+
+def assert_read_as_fired(script, sources, *, until, **net_kw):
+    fired = world(script, sources, read=False, until=until, **net_kw)
+    read = world(script, sources, read=True, until=until, **net_kw)
+    for name, a, b in zip(("readings", "deliveries", "ring", "cut",
+                           "pickle"), fired, read):
+        assert a == b, name
+    return read
+
+
+def dyadic_script(start, interval, n, offsets):
+    """Around train packet ``k`` (nominally sent at ``start + k *
+    interval``): a host burst offered the same instant, so its first packet
+    reaches router L exactly when the train's does, or ``offsets`` off it,
+    and reads at the train's instants."""
+    script = []
+    for k in range(1, n):
+        t = start + k * interval
+        off = offsets[k % len(offsets)]
+        script += [(t + off, "burst", 1 + k % 3, 984),
+                   (t + DYADIC_HOP, "read"),
+                   (t + DYADIC_HOP + off, "read")]
+    return script
+
+
+#: A CBR train on the grid the host offers on, and a second one tying a
+#: VBR train of one- and three-segment frames half a grid step later.
+GRID = 2 ** -10
+
+
+def dyadic_trains(start, stop=None):
+    return [("cbr", dict(rate_bps=2 ** 23, payload_bytes=984, start=start,
+                         stop=stop)),
+            ("cbr", dict(rate_bps=2 ** 22, payload_bytes=984,
+                         start=start + GRID / 2)),
+            ("vbr", dict(frame_sizes=[984, 2 * 1400 + 600], frame_rate=512,
+                         trace_step_s=2 ** -6, start=start + GRID / 2))]
+
+
+@pytest.mark.parametrize("offsets", [(0.0,), (-2 ** -20,), (2 ** -20,),
+                                     (0.0, 2 ** -20, -2 ** -20)])
+def test_flow_packets_at_and_around_train_instants(dyadic, offsets):
+    """A host packet reaching the bottleneck at, just before or just after
+    a train packet, and train packets tying each other: the link reading
+    the trains decides, reads, notes and pickles what the fired trains
+    did."""
+    start = 2 ** -6
+    script = dyadic_script(start, GRID, 100, offsets)
+    readings, deliveries, ring, *_ = assert_read_as_fired(
+        script, dyadic_trains(start, stop=2 ** -3), until=2 ** -2,
+        queue_pkts=4, **dyadic)
+    drops = [ev for ev in ring["events"] if ev["event"] == "PACKET_DROP"]
+    assert {ev["flow"] for ev in drops} == {1, 2, 3, 99}
+    assert len(deliveries) > 40
+
+
+@pytest.mark.parametrize("op", [("set_rate", 0, 2 ** 22), ("stop", 0),
+                                ("fail",), ("loss",), ("capacity", 2048)])
+@pytest.mark.parametrize("offset", [-2 ** -20, 0.0, DYADIC_HOP / 2])
+def test_changes_between_train_instants(dyadic, op, offset):
+    """A rate change, a stop, a failure, wire loss and a smaller queue, at,
+    just before and inside a train packet's access hop, each undone again
+    later: while the link cannot plan the train fires, then it is read."""
+    start = 2 ** -6
+    sources = dyadic_trains(start, stop=2 ** -3)
+    undo = {"set_rate": ("set_rate", 0, 2 ** 23), "stop": ("start", 0),
+            "fail": ("recover",), "loss": ("plain",),
+            "capacity": ("capacity", 4 * 1440)}[op[0]]
+    # Host packets just off the train instants: at an exact tie, a train
+    # handed back to its event at the change goes behind the host packets
+    # offered before it (caveat (iv), witnessed below).
+    script = dyadic_script(start, GRID, 80, (2 ** -20, -2 ** -20))
+    for k in (20, 41):
+        t = start + k * GRID + offset
+        script += [(t, *op), (t + 7 * GRID, *undo),
+                   (t + 7 * GRID + DYADIC_HOP, "read")]
+    assert_read_as_fired(script, sources, until=0.2, queue_pkts=4, **dyadic)
+
+
+def test_trains_that_tie_go_in_the_fired_order(dyadic):
+    """Train against train at an exact tie: the order the fired trains had,
+    which is the order their events were posted -- a CBR packet's at the
+    previous packet's arrival, a VBR segment's at its frame's tick.  Every
+    VBR tick here ties a packet of each CBR train, and the queue of two
+    packets drops whichever comes third."""
+    start = 2 ** -6
+    sources = [("vbr", dict(frame_sizes=[984, 2 * 1400 + 600, 984],
+                            frame_rate=512, trace_step_s=2 ** -7,
+                            start=start)),
+               ("cbr", dict(rate_bps=2 ** 23, payload_bytes=984,
+                            start=start)),
+               ("cbr", dict(rate_bps=2 ** 22, payload_bytes=984,
+                            start=start))]
+    script = [(start + (k + 0.25) * GRID, "read") for k in range(60)]
+    *_, ring, _, _ = assert_read_as_fired(script, sources, until=0.1,
+                                          queue_pkts=1, **dyadic)
+    dropped = {ev["flow"] for ev in ring["events"]
+               if ev["event"] == "PACKET_DROP"}
+    assert {1, 3} <= dropped        # ties decide who is third
+
+
+@pytest.mark.parametrize("op", [("set_rate", 0, 2 ** 22), ("stop", 0),
+                                ("start", 0), ("fail",), ("recover",),
+                                ("loss",), ("capacity", 2048),
+                                ("set_delay", 2 ** -9), ("burst", 3, 984)])
+def test_a_change_with_nothing_read_since(dyadic, op):
+    """Nothing reads the link for many train packets, then one change --
+    or one real arrival -- lands: the link first admits what arrived before
+    it, under the books as they stood."""
+    start = 2 ** -6
+    script = [(start + 40.25 * GRID, "burst", 2, 984), (0.1, "fail"),
+              (0.1 + 30 * GRID, "recover")]
+    for k in (63, 64, 83):
+        script += [(start + k * GRID + DYADIC_HOP / 2, *op),
+                   (start + (k + 9) * GRID, "read")]
+    assert_read_as_fired(script, dyadic_trains(start), until=0.15,
+                         queue_pkts=4, **dyadic)
+
+
+toggles = st.lists(st.tuples(
+    st.floats(min_value=0.0, max_value=0.12),
+    st.one_of(st.tuples(st.just("set_rate"), st.integers(0, 1), rates),
+              st.tuples(st.sampled_from(["stop", "start"]),
+                        st.integers(0, 2)),
+              st.tuples(st.sampled_from(["fail", "recover", "loss",
+                                         "plain", "read"])),
+              st.tuples(st.just("capacity"),
+                        st.integers(1440, 40 * 1440)),
+              st.tuples(st.just("burst"), st.integers(1, 30),
+                        st.sampled_from([40, 700, 1400])))), max_size=12)
+
+
+@given(rate=rates, rate2=rates,
+       payload=st.integers(min_value=100, max_value=1400),
+       start=st.floats(min_value=0.0, max_value=0.03), toggles=toggles,
+       frames=st.lists(st.integers(min_value=1, max_value=8 * 1400),
+                       min_size=1, max_size=4),
+       stop=st.one_of(st.none(), st.floats(min_value=0.05, max_value=0.2)))
+@settings(max_examples=40, deadline=None)
+def test_generated_mixes_read_as_fired(rate, rate2, payload, start, toggles,
+                                       frames, stop):
+    sources = [("cbr", dict(rate_bps=rate, payload_bytes=payload,
+                            start=start, stop=stop)),
+               ("cbr", dict(rate_bps=rate2, start=start / 3)),
+               ("vbr", dict(frame_sizes=frames, frame_rate=500.0,
+                            trace_step_s=0.004, start=start / 2, stop=stop))]
+    # Off the VBR tick grid: a host packet offered at a tick's instant is
+    # caveat (iv).
+    script = [(when + 1e-7 * math.pi, *op) for when, op in toggles]
+    script += [(k * 0.01, "read") for k in range(15)]
+    assert_read_as_fired(script, sources, until=0.15, queue_pkts=20)
+
+
+def test_every_reader_brings_the_trains_up_to_the_clock():
+    """Each of these reads admits every train packet that has arrived: the
+    link holds nothing at or before the clock once it returns."""
+    readers = {
+        "queue": lambda net, src: net.forward.queue,
+        "bytes_sent": lambda net, src: net.forward.bytes_sent,
+        "packets_sent": lambda net, src: net.forward.packets_sent,
+        "accounting": lambda net, src: net.forward.accounting_violation(),
+        "telemetry": lambda net, src: net.forward.telemetry_probe(),
+        "egress": lambda net, src: net.cross_ports[0].egress.packets,
+        "datagrams_sent": lambda net, src: src.datagrams_sent,
+        "note": lambda net, src: net.sim.bus.note("app", "NOTE"),
+        "cold": lambda net, src: net.sim.bus.cold("net", "LINK_FAIL"),
+        "pickle": lambda net, src: pickle.dumps(net.forward.queue.stats),
+    }
+    for name, reader in readers.items():
+        sim = Simulator()
+        sim.bus = TraceBus(sim, ring=FlightRecorder())
+        net = Dumbbell(sim)
+        port = net.add_cross_port("x")
+        src = CbrSource(sim, UdpSender(sim, port, port=7,
+                                       peer_addr=port.peer_address,
+                                       peer_port=7), rate_bps=16e6)
+        sim.run(until=0.05)
+        (at, *_), = net.forward._trains
+        assert at < sim.now, name           # nothing has read it yet
+        reader(net, src)
+        (at, *_), = net.forward._trains
+        assert at > sim.now, name
+    # Only a note on a bus with a ring waits for the trains.
+    assert sim.bus.settlers == [net.forward._read_trains]
+
+
+def test_a_cross_drop_is_noted_at_its_instant_in_ring_order():
+    """A drop the link decides while reading a train reaches the ring with
+    its own instant, before what is noted later -- a drop is itself a note,
+    and reading does not start again from inside it."""
+    sim = Simulator()
+    sim.bus = TraceBus(sim, ring=FlightRecorder())
+    net = Dumbbell(sim, queue_pkts=2)
+    for i, rate in enumerate((12e6, 12e6)):
+        port = net.add_cross_port(f"x{i}")
+        CbrSource(sim, UdpSender(sim, port, port=7,
+                                 peer_addr=port.peer_address, peer_port=7),
+                  rate_bps=rate, stop=0.1)
+    sim.at(0.05, sim.bus.note, "app", "MIDDLE")
+    sim.run()
+    events = sim.bus.ring.dump()["events"]
+    middle = [ev["event"] for ev in events].index("MIDDLE")
+    drops = [ev["t"] for ev in events if ev["event"] == "PACKET_DROP"]
+    assert len(drops) > 20 and drops == sorted(drops)
+    assert 5 < middle < len(drops) - 5
+    assert all(t <= 0.05 for t in drops[:middle])
+    assert all(t > 0.05 for t in drops[middle:])
+    assert events[middle]["t"] == 0.05
+
+
+@pytest.mark.parametrize("case", ["held_host_packet", "vbr_tick",
+                                  "handed_back"])
+def test_the_order_at_an_exact_tie_with_a_host_packet(dyadic, case):
+    """Caveat (iv), DESIGN.md section 2.  Fired, a train packet and a host
+    packet reaching router L at the same float instant went in the order
+    their events were posted.  Read, the train packet goes first; handed
+    back to its event at a change of the link, it goes behind what was
+    posted before the change.  The two swap places in the queue, and the
+    host packet's delivery moves by one bottleneck transmission:
+
+    * ``held_host_packet``: the 18th packet of a host burst is on its up
+      hop longer than one interval of a 64 Mb/s train;
+    * ``vbr_tick``: a host packet offered at a VBR tick's instant, by an
+      event the tick follows;
+    * ``handed_back``: the delay changes after a host packet is offered at
+      a CBR train's nominal instant."""
+    t = 2 ** -5
+    if case == "held_host_packet":
+        interval = 2 ** -13                 # 16 access hops of 2**-17
+        sources = [("cbr", dict(rate_bps=2 ** 26, payload_bytes=984,
+                                start=t - 3 * interval + 17 * 2 ** -17,
+                                stop=t + 2 * interval))]
+        script, seq, shift = [(t, "burst", 20, 984)], 17, 2 ** -11
+    elif case == "vbr_tick":
+        sources = [("vbr", dict(frame_sizes=[984], frame_rate=512,
+                                start=t - 4 * 2 ** -9, stop=t + 0.01))]
+        script, seq, shift = [(t, "burst", 1, 984)], 0, 2 ** -11
+    else:
+        sources = [("cbr", dict(rate_bps=2 ** 23, payload_bytes=984,
+                                start=t - 4 * GRID, stop=t + 0.01))]
+        script = [(t, "burst", 1, 984), (t, "set_delay", 2 ** -8)]
+        seq, shift = 0, -2 ** -11
+    kw = dict(until=0.1, queue_pkts=100, **dyadic)
+    _, fired, *_ = world(script, sources, read=False, **kw)
+    _, read, *_ = world(script, sources, read=True, **kw)
+    swapped = [(a, b) for a, b in zip(fired, read) if a != b]
+    assert [a[2] for a, _ in swapped] == [seq]
+    ((t_fired, *_), (t_read, *_)), = swapped
+    assert t_read == t_fired + shift

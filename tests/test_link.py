@@ -515,6 +515,39 @@ def test_mutation_with_a_backlog_planned_matches_two_event_chain(
         assert fired == len(arrivals)
 
 
+@pytest.mark.parametrize("op,arg", _MUTATIONS,
+                         ids=[f"{op}-{arg}" for op, arg in _MUTATIONS])
+def test_a_plain_link_again_plans_a_backlog_that_never_drains(op, arg):
+    """Every mutation, undone a moment later, while traffic arrives faster
+    than the link serves it: the backlog never drains, so the chain the
+    mutation started used to run to the end of the traffic.  Now the first
+    completion that finds the link plain and up plans what is queued, and
+    every packet after it is planned as it arrives."""
+    script = [(0.0, "burst", [_wire(seq=i) for i in range(4)])]
+    script += [(0.75 * k, "send", _wire(seq=10 + k)) for k in range(1, 120)]
+    script += [(3.5, op, arg), (3.75, "recover", None),
+               (4.25, "plain", None), (4.25, "calm", None),
+               (60.0, "read", None), (60.5, "read", None)]
+    script.sort(key=lambda row: row[0])
+    done = []
+    tx_done = Link._tx_done
+
+    def counted(link):
+        done.append(link.sim.now)
+        tx_done(link)
+
+    Link._tx_done = counted
+    try:
+        new, old = _same_as_reference(script, mid_instant=False,
+                                      sane=op != "queue",
+                                      queue_bytes=64 * 1000)
+    finally:
+        Link._tx_done = tx_done
+    # The chain ends at the first completion after the link is plain again.
+    assert all(t < 6.0 for t in done), done
+    assert len(done) <= 3 and new < old / 2 + 3
+
+
 def test_mutation_after_serialisation_leaves_the_packet_alone():
     # At t=1.125 packet 0 is on the wire (arrives 1.25): failing the link
     # or moving its delay must not touch it.
@@ -628,8 +661,8 @@ def test_pickled_link_drops_transit_state_but_not_its_books():
 
 def test_unpickled_result_reports_the_same_wire_counters():
     """A scenario cut off mid-transfer (time cap) leaves packets on the
-    serialisers and a CBR train event pending; the detached, pickled result
-    still reads the same, cross-traffic books included."""
+    serialisers and a CBR train pending; the detached, pickled result still
+    reads the same, cross-traffic books included."""
     from repro.experiments.common import ScenarioConfig, run_scenario
     from repro.traffic.cbr import CbrSource
 
@@ -654,11 +687,11 @@ def test_unpickled_result_reports_the_same_wire_counters():
                                       n_frames=5000, cbr_bps=16e6, seed=1,
                                       time_cap=0.7))
     assert any(l.sim.now < l._free_at for l in links(res))   # mid-flight
-    # The source lives on the heap only: its train event, pending at the cut.
-    (cbr,) = {ev.fn.__self__ for *_, ev in res.sim._heap
-              if ev.alive and isinstance(getattr(ev.fn, "__self__", None),
-                                         CbrSource)}
-    assert cbr._event.alive and cbr._event.time > res.sim.now
+    # The source lives in the bottleneck only: it reads the train, whose
+    # next packet is still to arrive at the cut.
+    (cbr,) = [train for *_, train in res.net.forward._trains]
+    assert isinstance(cbr, CbrSource) and cbr._event is None
+    assert cbr._at > res.sim.now
     before, cross_before = books(res), cross_books(res, cbr)
     assert 0 < cross_before[0] < cross_before[4] == 973
     clone, cbr_clone = pickle.loads(pickle.dumps((res.detach(), cbr)))
