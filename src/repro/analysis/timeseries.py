@@ -10,21 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bin_series", "ascii_chart", "running_mean", "series_xy",
-           "first_divergence"]
-
-
-def series_xy(series) -> tuple[np.ndarray, np.ndarray]:
-    """(times, means) arrays for a telemetry :class:`~repro.obs.telemetry
-    .Series` -- adapter so the figure benches' charting works on sampled
-    telemetry as well as raw delivery logs.  Empty buckets are dropped."""
-    times, means = [], []
-    for t, m in zip(series.times(), series.means()):
-        if m is not None:
-            times.append(t)
-            means.append(m)
-    return np.asarray(times, dtype=np.float64), np.asarray(means,
-                                                           dtype=np.float64)
+__all__ = ["bin_series", "ascii_chart", "first_divergence"]
 
 
 def first_divergence(a, b, *, eps: float = 0.0) -> dict | None:
@@ -49,15 +35,6 @@ def first_divergence(a, b, *, eps: float = 0.0) -> dict | None:
             return {"bucket": i, "time_s": (i + 0.5) * a.bucket_s,
                     "a": va, "b": vb}
     return None
-
-
-def running_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Simple moving average (edge-truncated) for smoothing noisy series."""
-    v = np.asarray(values, dtype=np.float64)
-    if window <= 1 or v.size == 0:
-        return v
-    kernel = np.ones(min(window, v.size)) / min(window, v.size)
-    return np.convolve(v, kernel, mode="same")
 
 
 def bin_series(x: np.ndarray, y: np.ndarray, bins: int

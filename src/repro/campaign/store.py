@@ -51,6 +51,7 @@ and re-run.
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import pickle
@@ -87,8 +88,9 @@ class CampaignStore:
         self.root = pathlib.Path(root)
         self._host = socket.gethostname()
         self.worker = worker or f"{self._host}-{os.getpid()}"
-        if lease_s <= 0:
-            raise ValueError(f"lease_s must be positive, got {lease_s!r}")
+        if not 0 < lease_s < math.inf:     # also refuses NaN
+            raise ValueError(
+                f"lease_s must be positive and finite, got {lease_s!r}")
         self.lease_s = float(lease_s)
         self.cells_dir = self.root / "cells"
         self.claims_dir = self.root / "claims"

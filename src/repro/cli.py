@@ -645,7 +645,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -12,14 +12,14 @@ distributed service."  Attributes flow in both directions:
   the send call (``cmwritev_attr``) or as connection state.
 
 :class:`AttributeSet` is the lightweight tuple-set used on individual calls;
-:class:`AttributeService` is the registration/update/query service with
-watcher support (the "distributed service" collapsed to one process, which
-is also how the paper's library-based implementation behaves).
+:class:`AttributeService` is the registration/update/query service (the
+"distributed service" collapsed to one process, which is also how the
+paper's library-based implementation behaves).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = [
     "ADAPT_FREQ", "ADAPT_MARK", "ADAPT_PKTSIZE", "ADAPT_WHEN", "ADAPT_COND",
@@ -61,8 +61,8 @@ RELIABILITY_TOLERANCE = "RELIABILITY_TOLERANCE"
 class AttributeSet:
     """An immutable-ish bag of ``<name, value>`` tuples.
 
-    Cheap enough to build per send call; supports merge and dict-style
-    access.  ``None`` values are treated as absent.
+    Cheap enough to build per send call; supports dict-style access.
+    ``None`` values are treated as absent.
     """
 
     __slots__ = ("_d",)
@@ -92,15 +92,6 @@ class AttributeSet:
     def __bool__(self) -> bool:
         return bool(self._d)
 
-    def merged(self, other: "AttributeSet | Mapping[str, Any] | None"
-               ) -> "AttributeSet":
-        """New set with ``other``'s entries overriding this one's."""
-        if not other:
-            return self
-        d = dict(self._d)
-        d.update(dict(other) if isinstance(other, AttributeSet) else other)
-        return AttributeSet(d)
-
     def as_dict(self) -> dict[str, Any]:
         return dict(self._d)
 
@@ -118,19 +109,18 @@ class AttributeSet:
 
 
 class AttributeService:
-    """Registration/update/query service with change watchers.
+    """Registration/update/query service.
 
     The transport publishes its exported metrics here; applications can
-    query "anytime during a connection's lifetime" (section 2.1) or register
-    a watcher to be notified on update.  Updating and querying are plain
-    dict operations -- matching the paper's observation that for the
-    library-based implementation "the costs of updating and querying
-    attributes are negligible even when done frequently".
+    query "anytime during a connection's lifetime" (section 2.1).  Updating
+    and querying are plain dict operations -- matching the paper's
+    observation that for the library-based implementation "the costs of
+    updating and querying attributes are negligible even when done
+    frequently".
     """
 
     def __init__(self) -> None:
         self._values: dict[str, Any] = {}
-        self._watchers: dict[str, list[Callable[[str, Any], None]]] = {}
         self.updates = 0
         self.queries = 0
 
@@ -141,26 +131,7 @@ class AttributeService:
     def update(self, name: str, value: Any) -> None:
         self._values[name] = value
         self.updates += 1
-        for fn in self._watchers.get(name, ()):
-            fn(name, value)
-
-    def update_many(self, mapping: Mapping[str, Any]) -> None:
-        for k, v in mapping.items():
-            self.update(k, v)
 
     def query(self, name: str, default: Any = None) -> Any:
         self.queries += 1
         return self._values.get(name, default)
-
-    def watch(self, name: str, fn: Callable[[str, Any], None]) -> None:
-        """Call ``fn(name, value)`` on every update of ``name``."""
-        self._watchers.setdefault(name, []).append(fn)
-
-    def unwatch(self, name: str, fn: Callable[[str, Any], None]) -> None:
-        fns = self._watchers.get(name)
-        if fns and fn in fns:
-            fns.remove(fn)
-
-    def snapshot(self) -> dict[str, Any]:
-        """Point-in-time copy of all attributes (for logging/tests)."""
-        return dict(self._values)

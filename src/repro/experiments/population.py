@@ -162,6 +162,8 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
         retrans += st.retransmissions
         timeouts += st.timeouts
     qstats = net.bottleneck_queue.stats
+    # The fluid's bytes cross the bottleneck too, as capacity they take.
+    fluid_bytes = fluid.served_bytes if fluid is not None else 0.0
     summary: dict[str, float] = {
         "flows": float(n_flows),
         "completed": float(len(finished)),
@@ -176,7 +178,9 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
         "retransmissions": float(retrans),
         "timeouts": float(timeouts),
         "bottleneck_drops": float(qstats.drops),
-        "bottleneck_util": net.utilization(sim.now) if sim.now > 0 else 0.0,
+        "bottleneck_util": ((net.forward.bytes_sent + fluid_bytes) * 8.0
+                            / (net.bottleneck_bps * sim.now)
+                            if sim.now > 0 else 0.0),
         "events": float(events),
     }
     if fluid is not None:

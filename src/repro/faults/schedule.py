@@ -31,6 +31,7 @@ Phase vocabulary (all times in simulation seconds from t=0):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterator, Tuple, Union
 
 __all__ = ["Blackout", "LinkFlap", "BurstyLoss", "BandwidthRamp",
@@ -42,10 +43,18 @@ DIRECTIONS = ("fwd", "bwd", "both")
 
 
 def _check_window(start: float, stop: float) -> None:
-    if start < 0:
-        raise ValueError(f"phase start {start} < 0")
-    if stop <= start:
+    """A finite ``start >= 0`` and a ``stop`` after it; ``stop`` may be
+    ``inf`` (a permanent fault).  NaN fails every comparison, so each
+    check is written as a condition NaN does not meet."""
+    if not (isfinite(start) and start >= 0):
+        raise ValueError(f"phase start must be finite and >= 0, got {start}")
+    if not stop > start:
         raise ValueError(f"phase stop {stop} must exceed start {start}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _check_direction(direction: str) -> None:
@@ -86,8 +95,8 @@ class LinkFlap:
     def __post_init__(self) -> None:
         _check_window(self.start, self.stop)
         _check_direction(self.direction)
-        if self.down_s <= 0 or self.up_s <= 0:
-            raise ValueError("down_s and up_s must be positive")
+        _check_positive("down_s", self.down_s)
+        _check_positive("up_s", self.up_s)
 
 
 @dataclass(frozen=True)
@@ -133,8 +142,7 @@ class BandwidthRamp:
     def __post_init__(self) -> None:
         _check_window(self.start, self.stop)
         _check_direction(self.direction)
-        if self.to_bps <= 0:
-            raise ValueError("to_bps must be positive")
+        _check_positive("to_bps", self.to_bps)
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -153,8 +161,8 @@ class DelayRamp:
     def __post_init__(self) -> None:
         _check_window(self.start, self.stop)
         _check_direction(self.direction)
-        if self.to_s < 0:
-            raise ValueError("to_s cannot be negative")
+        if not (isfinite(self.to_s) and self.to_s >= 0):
+            raise ValueError(f"to_s must be finite and >= 0, got {self.to_s}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -175,8 +183,7 @@ class Jitter:
     def __post_init__(self) -> None:
         _check_window(self.start, self.stop)
         _check_direction(self.direction)
-        if self.max_extra_s <= 0:
-            raise ValueError("max_extra_s must be positive")
+        _check_positive("max_extra_s", self.max_extra_s)
         _check_prob("p", self.p)
 
 

@@ -75,9 +75,6 @@ class InvariantChecker:
         """Watch a dumbbell's bottleneck links (both directions)."""
         self._links.extend((net.forward, net.backward))
 
-    def watch_link(self, link) -> None:
-        self._links.append(link)
-
     def watch_flow(self, conn, log=None) -> None:
         """Watch a windowed connection and (optionally) its delivery log.
 

@@ -79,9 +79,6 @@ class FlightRecorder:
             (i, sim._now if sim is not None else 0.0, layer, etype, fields))
         return i
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     @property
     def events_noted(self) -> int:
         """Total notes ever taken (>= len(ring); ids run 0..noted-1)."""

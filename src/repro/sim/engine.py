@@ -37,7 +37,7 @@ Design notes
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from ..obs.bus import NULL_BUS
 
@@ -71,21 +71,11 @@ class Event:
 
     Instances are returned by :meth:`Simulator.schedule` /
     :meth:`Simulator.at` and can be cancelled.  A fired or cancelled event is
-    inert; cancelling it again is a no-op.
+    inert; cancelling it again is a no-op.  The simulator builds them
+    through ``__new__`` and slot stores; there is no constructor.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "_alive", "_sim")
-
-    def __init__(self, time: float, priority: int, seq: int,
-                 fn: Callable[..., Any], args: tuple,
-                 sim: "Simulator | None" = None):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self._alive = True
-        self._sim = sim
 
     @property
     def alive(self) -> bool:
@@ -99,10 +89,6 @@ class Event:
             sim = self._sim
             if sim is not None:
                 sim._note_dead()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
 
     def __getstate__(self):
         return (self.time, self.priority, self.seq, self.fn, self.args,
@@ -214,11 +200,6 @@ class Simulator:
         heappush(self._heap, (time, priority, seq, ev))
         return ev
 
-    def call_soon(self, fn: Callable[..., Any], *args: Any,
-                  priority: int = 0) -> Event:
-        """Run ``fn(*args)`` at the current instant, after pending events."""
-        return self.at(self._now, fn, *args, priority=priority)
-
     # ------------------------------------------------------------------
     # Dead-entry accounting / compaction
     # ------------------------------------------------------------------
@@ -312,14 +293,6 @@ class Simulator:
         """Number of live events still queued (O(1))."""
         return len(self._heap) - self._dead
 
-    def peek(self) -> float | None:
-        """Time of the next live event, or None when idle."""
-        heap = self._heap
-        while heap and not heap[0][3]._alive:
-            heappop(heap)
-            self._dead -= 1
-        return heap[0][0] if heap else None
-
     def drain(self) -> None:
         """Discard every queued event (live and dead).
 
@@ -351,7 +324,3 @@ class Simulator:
                 return (f"heap head at t={head_time!r} is in the past "
                         f"(now={self._now!r})")
         return None
-
-    def __iter__(self) -> Iterator[Event]:  # pragma: no cover - debug aid
-        return iter(sorted((entry[3] for entry in self._heap
-                            if entry[3]._alive)))

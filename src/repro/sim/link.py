@@ -9,7 +9,7 @@ between the dumbbell routers.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from math import inf
 from operator import attrgetter
 from typing import Callable, Protocol
@@ -524,12 +524,6 @@ class Link:
         trains, self._trains = sorted(self._trains), []
         for *_, train in trains:
             train._release()
-
-    def _drop_train(self, train) -> None:
-        """``train`` stopped: the link reads it no more."""
-        trains = self._trains
-        trains[:] = [entry for entry in trains if entry[4] is not train]
-        heapify(trains)
 
     def _lost(self, pkt: Packet, kind: str) -> bool:
         """Count and report a packet lost past the queue: on the ``wire``

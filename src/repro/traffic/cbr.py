@@ -38,7 +38,7 @@ class CbrSource:
     rate so "18 Mbps cross traffic on a 20 Mbps link" leaves the 2 Mbps the
     paper's numbers imply).
 
-    On a train, a ``set_rate``, ``stop`` or read of ``datagrams_sent`` at
+    On a train, a ``set_rate`` or read of ``datagrams_sent`` at
     exactly a nominal send time ``t_k`` counts as before it -- what the
     tick chain does for any event scheduled more than one interval ahead
     -- and the sender's own ``packets_sent``/``bytes_sent`` follow one
@@ -87,25 +87,6 @@ class CbrSource:
         if not self._running:
             self._running = True
             self._tick()
-
-    def stop(self) -> None:
-        self._running = False
-        port = self._port
-        if port is not None:
-            port.link._read_trains()    # what has arrived was sent
-        ev, self._event = self._event, None
-        if ev is not None:
-            ev.cancel()
-        if self._at < inf:
-            if self._read:
-                port.link._drop_train(self)
-            if self.sim._now > self._t:
-                # Its packet is already on the access hop: let it arrive.
-                self.sim.post(self._at, -1, port.link.send, (self._packet(),))
-            else:
-                port.withdraw()
-        self._read = False
-        self._t = self._at = inf
 
     def _tick(self) -> None:
         now = self.sim._now

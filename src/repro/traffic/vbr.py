@@ -48,8 +48,7 @@ class VbrSource:
 
     def __init__(self, sim: Simulator, sender: UdpSender, *,
                  frame_sizes: Sequence[int], frame_rate: float,
-                 trace_step_s: float = 1.0,
-                 start: float = 0.0, stop: float | None = None):
+                 trace_step_s: float = 1.0, start: float = 0.0):
         if frame_rate <= 0:
             raise ValueError("frame rate must be positive")
         if trace_step_s <= 0:
@@ -68,7 +67,6 @@ class VbrSource:
         # transports and applications to react -- the regime the paper's
         # coordination schemes are designed for.
         self.trace_step_s = trace_step_s
-        self.stop_time = stop
         self._frames = 0        # frames ticked, and one a read train holds
         self._start_time = start
         self._running = False
@@ -97,27 +95,14 @@ class VbrSource:
         if self._port is not None:
             self._port.link._read_trains()
         # The link may hold the first segment of a frame still to be ticked.
-        return self._frames - (self._read and self._at < inf
-                               and self._seg == 0 and self.sim._now <= self._t)
+        return self._frames - (self._read and self._seg == 0
+                               and self.sim._now <= self._t)
 
     def start(self) -> None:
         if not self._running:
             self._running = True
             self._start_time = self.sim.now
             self._tick()
-
-    def stop(self) -> None:
-        self._running = False
-        port = self._port
-        if port is not None:
-            port.link._read_trains()    # what has arrived was sent
-        if self._event is not None:
-            self._event.cancel()
-        if self._read and self._at < inf:
-            port.link._drop_train(self)
-            self._hand_back()
-        self._read = False
-        self._at = inf
 
     def current_size(self) -> int:
         """Frame size for the current trace step (wraps around)."""
@@ -130,20 +115,14 @@ class VbrSource:
         return self.frame_sizes[step % len(self.frame_sizes)]
 
     def _tick(self) -> None:
-        if self.stop_time is not None and self.sim.now >= self.stop_time:
-            self._running = False
-            return
         self.sender.send(self.current_size(), frame_id=self._frames)
         self._frames += 1
-        t = self.sim._now + self.interval
         port = self._port
-        if (port is not None and (self.stop_time is None or t < self.stop_time)
-                and port.link._reads()):
-            self._frame(t)
+        if port is not None and port.link._reads():
+            self._frame(self.sim._now + self.interval)
             port.link._carry(self)
             self._read = True
-            self._event = (None if self.stop_time is None else
-                           self.sim.post(self._end(), -1, self._last, ()))
+            self._event = None
         else:
             self._event = self.sim.schedule(self.interval, self._tick)
 
@@ -177,14 +156,11 @@ class VbrSource:
 
     def _emit(self) -> Packet:
         """The pending segment, built at its arrival; the train moves on to
-        the next segment, or to the next frame (none past ``stop=``)."""
+        the next segment, or to the next frame."""
         pkt = self._packet()
         if not pkt.last_of_frame:
             self._seg += 1
             self._at = self._port.arrival(self._t, self._wire())
-        elif self.stop_time is not None and (
-                self._t + self.interval >= self.stop_time):
-            self._at = inf
         else:
             self._frame(self._t + self.interval)
         return pkt
@@ -211,28 +187,4 @@ class VbrSource:
         """The link stops reading the train: back to ticks (through ``at``,
         as ``CbrSource._release``)."""
         self._read = False
-        if self._event is not None:
-            self._event.cancel()
         self._event = self.sim.at(self._hand_back(), self._tick)
-
-    def _end(self) -> float:
-        """Where the tick chain leaves a drained run's clock: the tick that
-        finds ``stop=`` passed, or the last segment's arrival if later."""
-        t = self._t
-        while t < self.stop_time:
-            t += self.interval
-        return max(t, self._at, self._port.last_arrival(self._rest()))
-
-    def _rest(self):
-        """``(t_k, wire)`` of each segment after the pending one."""
-        mss = self.sender.mss
-        t, size, seg = self._t, self._size, self._seg + 1
-        while t < self.stop_time:
-            for j in range(seg, (size + mss - 1) // mss):
-                yield t, _cut(size, j, mss) + HEADER_BYTES
-            t += self.interval
-            size, seg = self._size_at(t), 0
-
-    def _last(self) -> None:
-        """The clock has reached the end of the train: the link reads it."""
-        self._port.link._read_trains()

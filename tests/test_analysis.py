@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import flow_summary, improvement, interarrival_stats
 from repro.analysis.tables import fmt, render_comparison, render_table
-from repro.analysis.timeseries import ascii_chart, bin_series, running_mean
+from repro.analysis.timeseries import ascii_chart, bin_series
 from repro.middleware.receiver import DeliveryLog
 from repro.sim.packet import Packet
 
@@ -92,15 +92,6 @@ class TestTables:
 
 
 class TestTimeseries:
-    def test_running_mean_smooths(self):
-        v = np.array([0.0, 10.0, 0.0, 10.0, 0.0, 10.0])
-        sm = running_mean(v, 2)
-        assert sm.std() < v.std()
-
-    def test_running_mean_window_one_identity(self):
-        v = np.arange(5.0)
-        assert np.array_equal(running_mean(v, 1), v)
-
     def test_bin_series_means(self):
         x = np.arange(10, dtype=float)
         y = np.ones(10)

@@ -28,17 +28,6 @@ class TestAttributeSet:
         assert dict(a) == {"x": 1, "y": 2}
         assert a.as_dict() == {"x": 1, "y": 2}
 
-    def test_merged_overrides(self):
-        a = AttributeSet({"x": 1, "y": 2})
-        b = a.merged({"y": 3, "z": 4})
-        assert b.as_dict() == {"x": 1, "y": 3, "z": 4}
-        assert a.as_dict() == {"x": 1, "y": 2}  # original untouched
-
-    def test_merged_with_empty_returns_self(self):
-        a = AttributeSet({"x": 1})
-        assert a.merged(None) is a
-        assert a.merged(AttributeSet()) is a
-
     def test_equality(self):
         assert AttributeSet({"x": 1}) == AttributeSet({"x": 1})
         assert AttributeSet({"x": 1}) != AttributeSet({"x": 2})
@@ -60,31 +49,6 @@ class TestAttributeService:
 
     def test_query_default(self):
         assert AttributeService().query("nope", 42) == 42
-
-    def test_watchers_fire_on_update(self):
-        svc = AttributeService()
-        seen = []
-        svc.watch("a", lambda n, v: seen.append((n, v)))
-        svc.update("a", 1)
-        svc.update("a", 2)
-        assert seen == [("a", 1), ("a", 2)]
-
-    def test_unwatch(self):
-        svc = AttributeService()
-        seen = []
-        fn = lambda n, v: seen.append(v)
-        svc.watch("a", fn)
-        svc.unwatch("a", fn)
-        svc.update("a", 1)
-        assert seen == []
-
-    def test_update_many_and_snapshot(self):
-        svc = AttributeService()
-        svc.update_many({"a": 1, "b": 2})
-        snap = svc.snapshot()
-        assert snap == {"a": 1, "b": 2}
-        svc.update("a", 9)
-        assert snap["a"] == 1  # snapshot is a copy
 
     def test_counters(self):
         svc = AttributeService()

@@ -470,6 +470,14 @@ def test_dead_worker_lease_is_reclaimed(tmp_path):
     assert claim is None  # released after the steal finished the cell
 
 
+@pytest.mark.parametrize("lease_s", [float("nan"), float("inf")])
+def test_a_lease_must_be_a_finite_number_of_seconds(tmp_path, lease_s):
+    """A NaN lease made every claim look expired, so two live workers both
+    took one key; an infinite one left a dead worker's cell stuck."""
+    with pytest.raises(ValueError, match="lease_s"):
+        CampaignStore(tmp_path / "camp", lease_s=lease_s)
+
+
 def test_live_lease_blocks_and_leaves_campaign_incomplete(tmp_path):
     camp = _tiny_campaign()
     cells = camp.cells()

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.analysis.timeseries import first_divergence, series_xy
+from repro.analysis.timeseries import first_divergence
 from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.obs.compare import (compare_artifacts, compare_summaries,
                                compare_telemetry, compare_traces,
@@ -67,14 +67,6 @@ class TestFirstDivergence:
         a.add(3.5, 1.0)
         b.add(0.5, 1.0)
         assert first_divergence(a, b)["bucket"] == 3
-
-    def test_series_xy_drops_empty_buckets(self):
-        s = Series("x", bucket_s=1.0, maxlen=8)
-        s.add(0.5, 2.0)
-        s.add(3.5, 4.0)
-        x, y = series_xy(s)
-        assert list(x) == [0.5, 3.5]
-        assert list(y) == [2.0, 4.0]
 
 
 class TestCompareUnits:

@@ -121,14 +121,6 @@ def test_events_scheduled_during_run_fire():
     assert seen == ["second"] and sim.now == 2.0
 
 
-def test_call_soon_runs_at_current_instant():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: sim.call_soon(seen.append, sim.now))
-    sim.run()
-    assert seen == [1.0]
-
-
 def test_step_fires_one_event():
     sim = Simulator()
     seen = []
@@ -172,20 +164,13 @@ def test_max_events_bound():
 
 def test_pending_and_peek():
     sim = Simulator()
-    assert sim.peek() is None and sim.pending() == 0
+    assert sim.pending() == 0
     ev = sim.schedule(2.0, lambda: None)
     sim.schedule(1.0, lambda: None)
-    assert sim.peek() == 1.0 and sim.pending() == 2
+    assert sim.pending() == 2
     ev.cancel()
     assert sim.pending() == 1
-
-
-def test_peek_skips_cancelled_head():
-    sim = Simulator()
-    ev = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    ev.cancel()
-    assert sim.peek() == 2.0
+    assert sim.run() == 1 and sim.now == 1.0
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -284,7 +269,6 @@ def test_compaction_preserves_peek_and_priorities():
     keep_early = sim.schedule(2.0, lambda: None, priority=-1)
     for ev in doomed:
         ev.cancel()
-    assert sim.peek() == 2.0
     assert sim.pending() == 2
     fired = []
     sim.schedule(2.0, lambda: None)  # priority 0, scheduled last
@@ -292,7 +276,7 @@ def test_compaction_preserves_peek_and_priorities():
     keep_late.fn, keep_late.args = order.append, ("late",)
     keep_early.fn, keep_early.args = order.append, ("early",)
     sim.run()
-    assert order == ["early", "late"]
+    assert order == ["early", "late"] and sim.now == 2.0
     assert fired == []
 
 
@@ -303,5 +287,4 @@ def test_drain_empties_heap_and_counters():
     ev.cancel()
     sim.drain()
     assert sim.pending() == 0
-    assert sim.peek() is None
     assert sim.run() == 0

@@ -83,6 +83,32 @@ def test_phase_validation_rejects_bad_windows_and_directions():
         Jitter(start=0.0, stop=5.0, max_extra_s=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, make", [
+    ("down_s", lambda: LinkFlap(start=1.0, stop=5.0, down_s=NAN, up_s=0.5)),
+    ("start", lambda: LinkFlap(start=NAN, stop=5.0, down_s=0.2, up_s=0.5)),
+    ("max_extra_s", lambda: Jitter(start=0.0, stop=5.0, max_extra_s=NAN)),
+    ("to_bps", lambda: BandwidthRamp(start=0.0, stop=5.0, to_bps=NAN)),
+    ("to_s", lambda: DelayRamp(start=0.0, stop=5.0, to_s=NAN)),
+    ("stop", lambda: Blackout(start=1.0, stop=NAN)),
+], ids=["flap_down_s", "flap_start", "jitter", "bandwidth", "delay",
+        "blackout_stop"])
+def test_a_nan_phase_field_is_refused_by_name(field, make):
+    """Every comparison with NaN is False, so ``<= 0`` and ``stop <=
+    start`` let it through: a flap whose ``down_s`` is NaN never brought
+    the link back, and a phase starting at NaN never fired."""
+    with pytest.raises(ValueError, match=field):
+        make()
+
+
+def test_a_phase_may_last_forever():
+    assert Blackout(start=1.0, stop=INF).stop == INF
+    with pytest.raises(ValueError, match="start"):
+        Blackout(start=INF, stop=INF)
+
+
 def test_schedule_requires_phases_and_rejects_non_phases():
     with pytest.raises(ValueError):
         FaultSchedule()

@@ -45,11 +45,13 @@ def test_population_seed_changes_outcome():
 #: its default ``burst=True`` (``BatchLink`` + ``submit_burst``), the last
 #: commit that had a burst tier: the witness that removing the tier, and
 #: submitting frame by frame, moved no packet.  Keys shared by both seeds
-#: first, then what the seed changes.
+#: first, then what the seed changes.  ``bottleneck_util`` alone has moved
+#: since: it counts the fluid's served bytes beside the packets' (0.09216
+#: before).
 _GOLDEN_COMMON = {
     "flows": 40.0, "completed": 40.0, "completion_ratio": 1.0,
     "duration_s": 1.0, "datagrams": 400.0, "retransmissions": 0.0,
-    "timeouts": 0.0, "bottleneck_drops": 0.0, "bottleneck_util": 0.09216,
+    "timeouts": 0.0, "bottleneck_drops": 0.0, "bottleneck_util": 0.29016,
     "fluid_served_bytes": 1237500.0, "fluid_dropped_bytes": 0.0}
 _GOLDEN = {
     1: {"fct_mean_s": 0.14307939560476465,
@@ -70,6 +72,16 @@ def test_summary_matches_golden_recorded_before_burst_tier_removal(seed):
     summary = run_population(**_SMALL, seed=seed).summary
     del summary["events"]
     assert summary == {**_GOLDEN_COMMON, **_GOLDEN[seed]}
+
+
+def test_bottleneck_util_counts_the_fluid_as_well_as_the_packets():
+    """The fluid serves its bytes on the forward bottleneck: 1 237 500 B
+    over 1 s on 50 Mb/s are 0.198 of it, beside the packets' 0.09216."""
+    res = run_population(**_SMALL, seed=1)
+    served = res.net.forward.bytes_sent + res.fluid.served_bytes
+    assert res.fluid.served_bytes > 0
+    assert res.summary["bottleneck_util"] == pytest.approx(
+        served * 8.0 / (_SMALL["bottleneck_bps"] * res.summary["duration_s"]))
 
 
 def test_mix_validation():
