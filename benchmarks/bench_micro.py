@@ -1,12 +1,14 @@
 """Micro-benchmarks of what the end-to-end benchmark cannot see: the bare
-engine's event rate, timer churn against a bounded heap, worker-count
-determinism of a parallel batch, and trace emit throughput.
+engine's event rate, timer churn against a bounded heap, the bottleneck
+reading a CBR train, worker-count determinism of a parallel batch, and
+trace emit throughput.
 
 Each bench prints its rate and asserts what must hold on any host (the
 event count, the heap bound, equal summaries).  A datagram's full-stack
 cost and a campaign cell's are ``transport_blast`` and
 ``campaign_small_cells`` in ``benchmarks/e2e/``, scaled to a reference
-host there.
+host there; the end-to-end traced split charges a train's datagrams to
+whatever read them, so the train has its own row here.
 """
 
 import os
@@ -19,9 +21,18 @@ from repro.obs.bus import TraceBus
 from repro.obs.sinks import RingBufferSink, write_trace
 from repro.runner import run_batch
 from repro.sim.engine import Simulator
+from repro.sim.topology import Dumbbell
+from repro.traffic.cbr import CbrSource
+from repro.transport.udp import UdpSender
 
 #: The lazy-deletion heap must absorb 100k cancelled timers below this.
 HEAP_BOUND = 4096
+
+#: CBR rates read by the paper's 20 Mb/s bottleneck: half of it (every
+#: datagram finds the link idle) and half again over it (a full queue that
+#: drops a third), each sending for ``TRAIN_S`` seconds.
+TRAIN_RATES = {"idle": 10e6, "backlogged": 30e6}
+TRAIN_S = 5.0
 
 
 def _best_rate(fn, work_units: int, repeats: int = 3) -> float:
@@ -84,6 +95,49 @@ def bench_engine_cancel_churn(benchmark):
     print(f"\ncancel churn: {_best_rate(run, 100_000):,.0f} timers/s, "
           f"heap peak {peak}")
     assert benchmark(run) < HEAP_BOUND
+
+
+def _read_train(rate_bps, seconds):
+    """A CBR train on a cross port of the paper's dumbbell, sending for
+    ``seconds``, read by the forward bottleneck and run until drained.
+    Returns the datagrams sent, counted at the egress and dropped, and the
+    engine events fired."""
+    sim = Simulator()
+    net = Dumbbell(sim)
+    port = net.add_cross_port("x")
+    src = CbrSource(sim, UdpSender(sim, port, port=7,
+                                   peer_addr=port.peer_address, peer_port=7),
+                    rate_bps=rate_bps, stop=seconds)
+    fired = sim.run(until=seconds + 1.0)
+    return (src.datagrams_sent, port.egress.packets,
+            net.forward.queue.stats.drops, fired)
+
+
+def bench_read_cbr_train(benchmark):
+    """The bottleneck reading a CBR train -- iperf's UDP cross traffic, most
+    of ``paper_tables``' packets -- into an idle link and a backlogged one:
+    datagrams read per second.  A read datagram is no engine event (a train
+    twice as long fires as many), and the egress counts every datagram the
+    queue did not drop."""
+    rates, events = {}, {}
+    for name, rate in TRAIN_RATES.items():
+        runs = [_read_train(rate, TRAIN_S), _read_train(rate, 2 * TRAIN_S)]
+        (sent, _, dropped, fired), (sent2, _, _, fired2) = runs
+        assert sent2 > 1.9 * sent, (sent, sent2)
+        assert fired2 == fired, (
+            f"{name}: {fired} events for {sent} datagrams, {fired2} for "
+            f"{sent2}: the engine fires per read datagram")
+        for n, counted, lost, _ in runs:
+            assert counted + lost == n, (name, n, counted, lost)
+        assert (dropped > 0) == (name == "backlogged"), (name, dropped)
+        rates[name] = _best_rate(lambda: _read_train(rate, TRAIN_S), sent)
+        events[name] = fired
+    print("\nread CBR train: " + ", ".join(
+        f"{name} {rates[name]:,.0f} datagrams/s ({events[name]} events)"
+        for name in TRAIN_RATES))
+    sent, counted, dropped, _ = benchmark(
+        lambda: _read_train(TRAIN_RATES["backlogged"], TRAIN_S))
+    assert counted + dropped == sent
 
 
 def bench_parallel_batch_throughput(benchmark):

@@ -46,5 +46,5 @@ def bench_population_scale(benchmark):
     print(f"\npopulation: {s['flows']:.0f} flows in {wall_s:.2f} s wall "
           f"(budget {WALL_BUDGET_S:.0f}), {s['flows'] / wall_s:.0f} flows/s, "
           f"{s['datagrams'] / wall_s:,.0f} datagrams/s, "
-          f"{s['events']:.0f} events, fairness {s['fairness']:.4f}")
+          f"{res.events} events, fairness {s['fairness']:.4f}")
     benchmark.pedantic(run_population, rounds=1, iterations=1)

@@ -156,8 +156,9 @@ def _run_population_cmd(args) -> str:
         fluid_bps=args.fluid, rtt_s=args.rtt, seed=args.seed,
         arrival_window_s=args.window, time_cap=args.time_cap)
     rows = [(k, round(v, 4)) for k, v in sorted(res.summary.items())]
-    return _rt(("metric", "value"), rows,
-               title=f"population: {args.flows} flows")
+    return (_rt(("metric", "value"), rows,
+                title=f"population: {args.flows} flows")
+            + f"\nengine events fired: {res.events}")
 
 
 def _run_profile_cmd(args) -> str:

@@ -39,17 +39,21 @@ DEFAULT_MIX: tuple[tuple[str, float], ...] = (
 class PopulationResult:
     """Aggregate outcome of one population run.
 
-    ``summary`` is the deterministic metric bundle (see keys below);
-    ``fcts`` holds per-flow completion times (None for unfinished flows)
-    and ``transports`` the per-flow transport assignment, both in flow
-    order, for analyses that need the raw distribution.
+    ``summary`` is the deterministic metric bundle of simulated
+    statistics (see keys below); ``fcts`` holds per-flow completion times
+    (None for unfinished flows) and ``transports`` the per-flow transport
+    assignment, both in flow order, for analyses that need the raw
+    distribution.  ``events`` is what the engine fired: a cost of the
+    simulator, not a statistic of the simulation, so it moves with every
+    engine change while the summary does not.
     """
 
     def __init__(self, *, summary: dict[str, float],
                  fcts: list[float | None], transports: list[str],
                  sim: Simulator, net: Dumbbell,
-                 fluid: FluidSource | None):
+                 fluid: FluidSource | None, events: int):
         self.summary = summary
+        self.events = events
         self.fcts = fcts
         self.transports = transports
         self.sim = sim
@@ -181,11 +185,10 @@ def run_population(*, n_flows: int = 1000, frames_per_flow: int = 40,
         "bottleneck_util": ((net.forward.bytes_sent + fluid_bytes) * 8.0
                             / (net.bottleneck_bps * sim.now)
                             if sim.now > 0 else 0.0),
-        "events": float(events),
     }
     if fluid is not None:
         summary["fluid_served_bytes"] = fluid.served_bytes
         summary["fluid_dropped_bytes"] = fluid.dropped_bytes
     return PopulationResult(summary=summary, fcts=fcts,
                             transports=transports, sim=sim, net=net,
-                            fluid=fluid)
+                            fluid=fluid, events=events)

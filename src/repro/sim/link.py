@@ -359,17 +359,31 @@ class Link:
     def _admit(self, pkt: Packet, now: float) -> bool:
         """What a plain link off the chain, up, decides for ``pkt`` arriving
         at ``now`` -- a real arrival's instant or a train packet's: drop or
-        accept, start, finish and far end."""
+        accept, start, finish and far end.  The queue's books are kept in
+        line, per packet: an accepted packet's ``push``, and, when nothing
+        is held, the ``pop`` of each planned start that has passed
+        (:meth:`_books`)."""
         queue = self._queue
         start = self._free_at
         wire = pkt.wire_size
         plan = self._plan
+        st = queue.stats
+        if plan and plan[0][0] < now:
+            if self._held:
+                self._books(now, now <= start)
+            else:
+                q = queue._q
+                while plan and plan[0][0] < now:
+                    self._arrival = plan.popleft()[1]
+                    self._service = started = q.popleft()
+                    queue._bytes -= started.wire_size
+                    st.departures += 1
+                    self._bytes_sent += started.wire_size
+                    self._packets_sent += 1
         # Ties resolve as busy: an arrival (priority -1) at ``_free_at``
         # precedes the completion (priority 0) of the same instant.
         if now > start:
-            if plan:
-                self._books(now)    # all that was planned has started
-            st = queue.stats
+            # All that was planned has started.
             if st.peak_packets and wire <= queue.capacity_bytes:
                 # The queue is empty and the packet leaves it at once: fold
                 # push + pop into their counters (the one-packet occupancy
@@ -389,10 +403,18 @@ class Link:
             start = now
             plan = None             # the plan of length one: ``_arrival``
         else:
-            if plan and plan[0][0] < now:
-                self._books(now, True)
-            if not queue.push(pkt):
-                return False
+            queued = queue._bytes + wire
+            if queued > queue.capacity_bytes:
+                return queue.push(pkt)      # refused: ``push`` reports it
+            st.arrivals += 1
+            q = queue._q
+            q.append(pkt)
+            queue._bytes = queued
+            st.bytes_in += wire
+            if queued > st.peak_bytes:
+                st.peak_bytes = queued
+            if len(q) > st.peak_packets:
+                queue._new_peak()
         # The chain's float additions in the chain's order.
         self._free_at = free_at = start + wire * 8.0 / self.bandwidth_bps
         at = free_at + self.delay_s
@@ -492,7 +514,12 @@ class Link:
     def _read_trains(self) -> None:
         """Admit every train packet that has arrived by now, in instant
         order, each at its instant: the clock reads it while the packet is
-        decided, so a drop is reported then."""
+        decided, so a drop is reported then.  The head train is read in
+        runs: its packets are admitted one after another while its next key
+        sorts before every other train's (the lesser of the root's two
+        children), and the heap is touched once per run.  An admission
+        does not reach the heap (a read it sets off finds ``_reading``),
+        so the head's key may stay stale until its run ends."""
         trains = self._trains
         if not trains or self._reading:
             return
@@ -501,19 +528,32 @@ class Link:
         if trains[0][0] > now:
             return
         self._reading = True
+        admit = self._admit
         try:
-            while trains and trains[0][0] <= now:
+            while trains:
                 at, _, _, _, train = trains[0]
-                sim._now = at
-                pkt = train._emit()
-                nxt = train._at
-                if nxt < inf:
-                    heapreplace(trains, (nxt, train._posted, train._priority,
+                if at > now:
+                    break
+                n = len(trains)
+                rival = (None if n == 1 else trains[1]
+                         if n == 2 or trains[1] < trains[2] else trains[2])
+                rival_at = inf if rival is None else rival[0]
+                while True:
+                    sim._now = at
+                    admit(train._emit(), at)
+                    at = train._at
+                    # A tie with the rival goes to the lesser (posted,
+                    # priority); on equal ones the rival's older counter wins.
+                    if at > now or at > rival_at or at == rival_at and not (
+                            (train._posted, train._priority)
+                            < (rival[1], rival[2])):
+                        break
+                if at < inf:
+                    heapreplace(trains, (at, train._posted, train._priority,
                                          self._tseq, train))
                     self._tseq += 1
                 else:
                     heappop(trains)
-                self._admit(pkt, at)
         finally:
             sim._now = now
             self._reading = False

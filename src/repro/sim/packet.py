@@ -96,14 +96,6 @@ class Packet:
         # stale; 0.0 means no deadline (deadline-aware scheduling off).
         self.deadline = 0.0
 
-    @property
-    def is_data(self) -> bool:
-        return self.kind == PacketKind.DATA
-
-    @property
-    def is_ack(self) -> bool:
-        return self.kind == PacketKind.ACK
-
     def copy(self) -> "Packet":
         """Shallow duplicate used for retransmissions: a fresh wire image
         of the segment (``sent_at``, ``ecn`` and ``sack`` start over, as

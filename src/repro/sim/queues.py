@@ -100,15 +100,19 @@ class DropTailQueue:
         if new_bytes > st.peak_bytes:
             st.peak_bytes = new_bytes
         if len(q) > st.peak_packets:
-            st.peak_packets = len(q)
-            # Emitting only on new occupancy peaks keeps the event count
-            # O(peak) rather than O(packets).
-            tr = self.trace
-            if tr.enabled:
-                tr.emit("net", QUEUE_DEPTH, queue=self.name,
-                        pkts=len(q), bytes=new_bytes,
-                        capacity=self.capacity_bytes)
+            self._new_peak()
         return True
+
+    def _new_peak(self) -> None:
+        """The queue holds more packets than ever: count the peak, and
+        report it.  Emitting only on new occupancy peaks keeps the event
+        count O(peak) rather than O(packets)."""
+        pkts = len(self._q)
+        self.stats.peak_packets = pkts
+        tr = self.trace
+        if tr.enabled:
+            tr.emit("net", QUEUE_DEPTH, queue=self.name, pkts=pkts,
+                    bytes=self._bytes, capacity=self.capacity_bytes)
 
     def _dropped(self, pkt: Packet, kind: str) -> bool:
         """Report a drop once, where it was decided: the lineage's packet

@@ -99,22 +99,20 @@ class CbrSource:
             self._event = self.sim.schedule(self.interval, self._tick)
             return
         # That first packet went the plain way (same-instant starts keep
-        # their order); the train carries the rest.
+        # their order); the train carries the rest, from the one sent at
+        # ``t``: it notes the instant that one meets the bottleneck (inf
+        # past ``stop=``).
         self._posted, self._priority = now, 0
-        self._advance(now + self.interval)
-        self._place()
-
-    def _advance(self, t: float) -> None:
-        """Move the train on to the packet nominally sent at ``t``: note
-        the instant it meets the bottleneck (inf past ``stop=``)."""
-        self._t_after = None
+        t = now + self.interval
         if self.stop_time is not None and t >= self.stop_time:
             # ``_running`` holds until ``t``, as on the tick chain; after
             # it a ``start()`` sends nothing either way.
             self._t = self._at = inf
-            return
-        self._t = t
-        self._at = self._port.arrival(t, self.payload_bytes + HEADER_BYTES)
+        else:
+            self._t = t
+            self._at = self._port.arrival(t, self.payload_bytes
+                                          + HEADER_BYTES)
+        self._place()
 
     def _place(self) -> None:
         """Give the pending packet to the link to read, or post its event."""
@@ -146,28 +144,50 @@ class CbrSource:
         """The clock has reached the last packet: the link reads it."""
         self._port.link._read_trains()
 
-    def _packet(self) -> Packet:
-        """The packet ``UdpSender.send`` would have built at ``_t``."""
+    def _emit(self) -> Packet:
+        """The pending packet, built at its arrival as ``UdpSender.send``
+        would have built it at ``_t`` -- slot by slot, as ``Packet.copy``
+        does -- and the train moved on to the next, whose event this one's
+        arrival would have posted, as :meth:`_tick` moves it on."""
         tx = self.sender
         size = self.payload_bytes
-        pkt = Packet(tx.flow_id, _DATA, tx._seq, -1, size, tx.host.address,
-                     tx.peer_addr, tx.port, tx.peer_port, self._t, True,
-                     False, -1)
+        pkt = object.__new__(Packet)
+        pkt.flow_id = tx.flow_id
+        pkt.kind = _DATA
+        pkt.seq = tx._seq
+        pkt.ack = -1
+        pkt.size = size
+        pkt.wire_size = wire = size + HEADER_BYTES
+        pkt.src = tx.host.address
+        pkt.dst = tx.peer_addr
+        pkt.sport = tx.port
+        pkt.dport = tx.peer_port
+        pkt.created_at = pkt.sent_at = self._t
+        pkt.marked = True
+        pkt.tagged = False
+        pkt.frame_id = -1
+        pkt.retransmit = 0
+        pkt.attrs = None
+        pkt.ecn = False
+        pkt.sack = None
+        pkt.skip = False
+        pkt.last_of_frame = True
+        pkt.fec = None
+        pkt.deadline = 0.0
         tx._seq += 1
         tx.packets_sent += 1
         tx.bytes_sent += size
         self._sent += 1
-        return pkt
-
-    def _emit(self) -> Packet:
-        """The pending packet, built at its arrival; the train moves on to
-        the next, whose event this one's arrival would have posted."""
-        pkt = self._packet()
         t = self._t_after
         if t is None:
             t = self._t + self.interval
+        self._t_after = None
         self._posted, self._priority = self._at, -1
-        self._advance(t)
+        if self.stop_time is not None and t >= self.stop_time:
+            self._t = self._at = inf
+            return pkt
+        self._t = t
+        self._at = self._port.arrival(t, wire)
         return pkt
 
     def _depart(self) -> None:

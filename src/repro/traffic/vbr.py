@@ -21,13 +21,6 @@ __all__ = ["VbrSource"]
 _DATA = PacketKind.DATA
 
 
-def _cut(size: int, seg: int, mss: int) -> int:
-    """Payload bytes of segment ``seg`` of a ``size``-byte frame, cut as
-    ``UdpSender.send`` cuts it."""
-    remaining = size - seg * mss
-    return mss if mss < remaining else remaining
-
-
 class VbrSource:
     """Emits one trace-sized frame every ``1/frame_rate`` seconds.
 
@@ -131,57 +124,73 @@ class VbrSource:
         """Hold frame ``_frames``, nominally sent at ``t``: its first
         segment's arrival."""
         self._t = self._posted = t
-        self._size = self._size_at(t)
+        self._size = size = self._size_at(t)
         self._seg = 0
         self._fid = self._frames
         self._frames += 1
-        self._at = self._port.arrival(t, self._wire())
-
-    def _wire(self) -> int:
-        """The pending segment's wire size."""
-        return _cut(self._size, self._seg, self.sender.mss) + HEADER_BYTES
-
-    def _packet(self) -> Packet:
-        """The pending segment, as ``UdpSender.send`` built it at ``_t``."""
-        tx = self.sender
-        seg = _cut(self._size, self._seg, tx.mss)
-        pkt = Packet(tx.flow_id, _DATA, tx._seq, -1, seg, tx.host.address,
-                     tx.peer_addr, tx.port, tx.peer_port, self._t, True,
-                     False, self._fid)
-        pkt.last_of_frame = (self._seg + 1) * tx.mss >= self._size
-        tx._seq += 1
-        tx.packets_sent += 1
-        tx.bytes_sent += seg
-        return pkt
+        mss = self.sender.mss
+        self._at = self._port.arrival(
+            t, (mss if mss < size else size) + HEADER_BYTES)
 
     def _emit(self) -> Packet:
-        """The pending segment, built at its arrival; the train moves on to
-        the next segment, or to the next frame."""
-        pkt = self._packet()
-        if not pkt.last_of_frame:
-            self._seg += 1
-            self._at = self._port.arrival(self._t, self._wire())
+        """The pending segment, built at its arrival as ``UdpSender.send``
+        built it at ``_t`` -- slot by slot, as ``Packet.copy`` does -- and
+        the train moved on to the next segment, or to the next frame."""
+        tx = self.sender
+        mss = tx.mss
+        size = self._size
+        seg = self._seg
+        remaining = size - seg * mss
+        last = mss >= remaining
+        cut = remaining if last else mss
+        pkt = object.__new__(Packet)
+        pkt.flow_id = tx.flow_id
+        pkt.kind = _DATA
+        pkt.seq = tx._seq
+        pkt.ack = -1
+        pkt.size = cut
+        pkt.wire_size = cut + HEADER_BYTES
+        pkt.src = tx.host.address
+        pkt.dst = tx.peer_addr
+        pkt.sport = tx.port
+        pkt.dport = tx.peer_port
+        pkt.created_at = pkt.sent_at = t = self._t
+        pkt.marked = True
+        pkt.tagged = False
+        pkt.frame_id = self._fid
+        pkt.retransmit = 0
+        pkt.attrs = None
+        pkt.ecn = False
+        pkt.sack = None
+        pkt.skip = False
+        pkt.last_of_frame = last
+        pkt.fec = None
+        pkt.deadline = 0.0
+        tx._seq += 1
+        tx.packets_sent += 1
+        tx.bytes_sent += cut
+        if last:
+            self._frame(t + self.interval)
         else:
-            self._frame(self._t + self.interval)
+            self._seg = seg + 1
+            remaining -= mss
+            self._at = self._port.arrival(
+                t, (mss if mss < remaining else remaining) + HEADER_BYTES)
         return pkt
 
     def _hand_back(self) -> float:
-        """Turn the held segment back into what the tick chain left: a
-        frame not yet ticked is withdrawn, the rest of a ticked one is
-        offered for real.  Returns when the next tick is due."""
+        """Turn the held segment back into what the tick chain left: the
+        rest of a ticked frame is offered for real, and the frame not yet
+        ticked is withdrawn.  Returns when the next tick is due."""
         port = self._port
-        if self._seg == 0 and self.sim._now <= self._t:
-            port.withdraw()
-            self._frames -= 1
-            return self._t
-        link = port.link
-        while True:
-            pkt = self._packet()
-            self.sim.post(self._at, -1, link.send, (pkt,))
-            if pkt.last_of_frame:
-                return self._t + self.interval
-            self._seg += 1
-            self._at = port.arrival(self._t, self._wire())
+        sim = self.sim
+        send = port.link.send
+        while self._seg or sim._now > self._t:
+            at = self._at
+            sim.post(at, -1, send, (self._emit(),))
+        port.withdraw()
+        self._frames -= 1
+        return self._t
 
     def _release(self) -> None:
         """The link stops reading the train: back to ticks (through ``at``,

@@ -21,12 +21,6 @@ def test_ack_constants():
     assert ACK_BYTES == HEADER_BYTES == 40
 
 
-def test_kind_predicates():
-    assert Packet(flow_id=1, kind=PacketKind.DATA).is_data
-    assert Packet(flow_id=1, kind=PacketKind.ACK).is_ack
-    assert not Packet(flow_id=1, kind=PacketKind.ACK).is_data
-
-
 def test_copy_preserves_fields():
     p = Packet(flow_id=3, seq=17, ack=4, size=900, src=1, dst=2, sport=5,
                dport=6, created_at=1.5, marked=False, tagged=True,

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
+from repro.sim.link import Link
 from repro.sim.node import Host
+from repro.sim.packet import Packet
 from repro.sim.topology import Dumbbell
 from repro.traffic.bulk import BulkSource
 from repro.traffic.cbr import CbrSource
@@ -162,6 +164,84 @@ class TestVbr:
             VbrSource(sim, tx, frame_sizes=[], frame_rate=10)
         with pytest.raises(ValueError):
             VbrSource(sim, tx, frame_sizes=[0], frame_rate=10)
+
+
+class _Recorder:
+    """Stands where a host stands for a ``UdpSender``: keeps every slot of
+    each packet it is given, as it is given."""
+
+    def __init__(self, address):
+        self.address = address
+        self.packets = []
+
+    def bind(self, port, endpoint):
+        pass
+
+    def send(self, pkt):
+        self.packets.append(_slots(pkt))
+        return True
+
+
+def _slots(pkt):
+    """Every slot's value; a slot left unset raises AttributeError here."""
+    return {name: getattr(pkt, name) for name in Packet.__slots__}
+
+
+class TestTrainPacket:
+    """A train its link reads builds each packet itself: it must be the
+    packet ``UdpSender.send`` builds at the same nominal instant, every
+    slot of it -- the comparison fails on a slot the train leaves out."""
+
+    def _read_and_sent(self, monkeypatch, source, until, **kw):
+        """Every slot of each packet a train on a cross port leaves to the
+        forward bottleneck, as it is admitted, and of each packet the same
+        source's ``UdpSender`` on a plain host sends."""
+        sim = Simulator()
+        net = Dumbbell(sim)
+        port = net.add_cross_port("x")
+        tx = UdpSender(sim, port, port=7, peer_addr=port.peer_address,
+                       peer_port=7)
+        admitted = []
+        admit = Link._admit
+
+        def spy(link, pkt, now):
+            admitted.append(_slots(pkt))
+            return admit(link, pkt, now)
+
+        monkeypatch.setattr(Link, "_admit", spy)
+        source(sim, tx, **kw)
+        fired = sim.run(until=until)
+        assert net.forward._trains, "the link does not read the train"
+        net.forward._read_trains()      # what has arrived by ``until``
+        assert fired < len(admitted) / 2
+
+        ref_sim = Simulator()
+        host = _Recorder(port.address)
+        source(ref_sim, UdpSender(ref_sim, host, port=7,
+                                  peer_addr=port.peer_address, peer_port=7,
+                                  flow_id=tx.flow_id), **kw)
+        ref_sim.run(until=until)
+        return admitted, host.packets
+
+    def test_a_cbr_datagram(self, monkeypatch):
+        read, sent = self._read_and_sent(monkeypatch, CbrSource, 0.02,
+                                         rate_bps=10e6, payload_bytes=1000)
+        assert len(read) > 10
+        assert len(read) >= len(sent) - 1      # one may be on its hop
+        for k in (1, 2, len(read) - 1):     # packet 0 is the first tick's
+            assert read[k] == sent[k], k
+
+    def test_a_vbr_frame_first_middle_and_last_segment(self, monkeypatch):
+        read, sent = self._read_and_sent(
+            monkeypatch, VbrSource, 0.009, frame_sizes=[5000, 3000],
+            frame_rate=500.0, trace_step_s=0.004)
+        assert len(read) > 12
+        # Frame 0 (segments 0-3) is ticked; frame 1 is read: 1400, 1400,
+        # 1400 and 800 bytes, then frame 2's 3000 as 1400, 1400 and 200.
+        for k in (4, 5, 7, 8, 10):
+            assert read[k] == sent[k], k
+        assert [read[k]["last_of_frame"] for k in range(4, 11)] == [
+            False, False, False, True, False, False, True]
 
 
 class TestUdpSink:
