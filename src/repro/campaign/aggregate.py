@@ -201,8 +201,8 @@ class Aggregator:
         reading only their files; returns how many.  A torn file is left
         for the poll after it heals."""
         fresh = 0
-        for key in (store.done_keys() & self._keys) - self._folded.keys():
-            result = store.load_cell(key)
+        for key in (store.cells.keys() & self._keys) - self._folded.keys():
+            result = store.cells.get(key, (ScenarioResult, FailedResult))
             if result is not None:
                 fresh += self.fold(key, result)
         return fresh

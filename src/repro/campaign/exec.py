@@ -11,8 +11,9 @@ Two modes, one entry point (:func:`run_campaign`):
   (identically-ordered) cell list, skips finished cells, claims one with
   ``O_CREAT|O_EXCL`` whenever the runner's pool has a free slot, and runs
   it there under failure capture (timeout / retries); as a cell lands it
-  is stored atomically (one pickle, one write), its outcome journaled and
-  its claim released.  ``workers=N`` is N cells in flight, each in a
+  is pickled once and those bytes stored atomically (and memoised in the
+  results cache, when one is on), its outcome journaled and its claim
+  released.  ``workers=N`` is N cells in flight, each in a
   worker process of that one pool; running the same command on other
   hosts sharing the filesystem adds claimers the same way.  A killed
   campaign process leaves expiring leases; once they expire any claimer
@@ -30,6 +31,7 @@ any interrupt/resume history.
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from collections.abc import Mapping
 
@@ -40,7 +42,7 @@ from ..runner.progress import SweepProgress
 from ..runner.supervisor import run_supervised
 from .aggregate import CampaignReport, aggregate
 from .spec import Campaign, CampaignCell
-from .store import DEFAULT_LEASE_S, CampaignStore
+from .store import DEFAULT_LEASE_S, RESULT_TYPES, CampaignStore
 
 __all__ = ["run_campaign", "run_rows", "CampaignRun", "worker_loop"]
 
@@ -91,7 +93,8 @@ def worker_loop(store: CampaignStore,
     claimer feeds :func:`~repro.runner.supervisor.run_supervised`, up to
     ``jobs`` cells in flight: a cell is claimed only when a slot is free,
     a ``cache`` hit lands without being dispatched, and each cell that
-    lands is stored, journaled and released.  Returns the number of cells
+    lands is pickled once, stored (a fresh one memoised in ``cache`` from
+    the same bytes), journaled and released.  Returns the number of cells
     this call settled.  ``KeyboardInterrupt`` propagates once every claim
     still held is released: the running cells store nothing.
 
@@ -99,19 +102,19 @@ def worker_loop(store: CampaignStore,
     :func:`repro.obs.live.watch_snapshot` shows of a worker comes from
     those two files, so the loop writes nothing else.
     """
-    cache = _resolve_cache(cache)
-    journal = store.journal()
+    cache = memo = _resolve_cache(cache)  # memo: None once unwritable
     held: set[str] = set()  # cell keys this call has claimed
     executed = 0
 
     def land(i: int, res, fresh: bool = True) -> None:
-        nonlocal executed
+        nonlocal executed, memo
         key, label, _ = cells[i]
+        payload = pickle.dumps(res, protocol=pickle.HIGHEST_PROTOCOL)
+        store.cells.put(key, res, payload)
         if fresh:
-            _cache_put(cache, key, res)
-        store.store_cell(key, res)
+            memo = _cache_put(memo, key, res, payload)
         try:
-            journal.append(key, res.kind if isinstance(
+            store.record(key, res.kind if isinstance(
                 res, FailedResult) else "ok")
         except OSError:
             pass
@@ -128,7 +131,7 @@ def worker_loop(store: CampaignStore,
         while True:
             progressed = False
             retry = False  # a claim vanished or expired: claimable next pass
-            done = store.done_keys()
+            done = store.cells.keys()
             for i, (key, _, cfg) in enumerate(cells):
                 if key in done or key in held:
                     continue
@@ -136,10 +139,10 @@ def worker_loop(store: CampaignStore,
                     expires = (store.read_claim(key) or {}).get("expires_at")
                     retry |= (not (isinstance(expires, (int, float))
                                    and time.time() < expires)
-                              and store.load_cell(key) is None)
+                              and store.cells.get(key, RESULT_TYPES) is None)
                     continue
                 held.add(key)
-                if store.load_cell(key) is not None:
+                if store.cells.get(key, RESULT_TYPES) is not None:
                     store.release_claim(key)
                     held.discard(key)
                     continue
@@ -167,11 +170,11 @@ def _load_results(store: CampaignStore, cells, results: dict) -> list:
     """Load into ``results`` every stored cell it does not hold yet;
     returns the results this call loaded.  Only cells with a result file
     are opened, so a poll over a mostly unfinished campaign stays cheap."""
-    done = store.done_keys()
+    done = store.cells.keys()
     loaded = []
     for cell in cells:
         if cell.key in done and cell.key not in results:
-            res = store.load_cell(cell.key)
+            res = store.cells.get(cell.key, RESULT_TYPES)
             if res is not None:
                 results[cell.key] = res
                 loaded.append(res)
@@ -188,7 +191,7 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
     stored) is read from disk: no cell is unpickled twice, none this
     process wrote.
 
-    Workers skip cells on file *existence* (``done_keys`` -- cheap enough
+    Workers skip cells on file *existence* (``cells.keys()`` -- cheap enough
     to poll every pass), so a cell whose result file exists but does not
     unpickle (torn write, disk hiccup) would otherwise stay pending
     forever.  Rare by construction (results are written atomically), so
@@ -197,11 +200,11 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
     """
     _load_results(store, cells, results)
     torn = [c for c in cells if c.key not in results
-            and os.path.exists(store.cell_path(c.key))]
+            and store.cells.path_for(c.key).exists()]
     if torn:
         for c in torn:
             try:
-                os.unlink(store.cell_path(c.key))
+                os.unlink(store.cells.path_for(c.key))
             except OSError:
                 pass
         worker_loop(store, [(c.key, c.label, c.config) for c in torn],

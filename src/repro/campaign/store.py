@@ -7,28 +7,32 @@ with no sockets, no broker and no leader::
     <dir>/manifest.json          campaign identity: spec + ordered cell list
     <dir>/cells/<key>.pkl        one finished result per cell
     <dir>/claims/<key>.json      lease held by the worker running the cell
-    <dir>/journal/<worker>.pkl   per-worker completion journal (SweepJournal)
+    <dir>/journal/<worker>.pkl   per-worker outcome journal
 
-``<key>`` is the cell config's :func:`~repro.runner.hashing.config_key`,
-the name a results cache stores the same result under, so a cell file and
-a cache entry for one configuration are interchangeable.
+``cells/`` is a :class:`~repro.runner.cache.ResultsCache`
+(:attr:`CampaignStore.cells`) keyed by the cell config's
+:func:`~repro.runner.hashing.config_key`, the name the results cache
+stores the same result under, so a cell file and a cache entry for one
+configuration are interchangeable.  Its ``put`` raises on any failure (a
+cell that cannot be stored must not look finished) and its ``get`` reads
+missing, torn or foreign as "not done".  The store decides no policy:
+what a failed write means is its caller's (``_cache_put`` in
+:mod:`repro.runner.pool` skips a memo; a cell's failure fails the
+campaign).  The store holds the protocol, not the
+views: :meth:`CampaignStore.aggregator` builds the campaign's one fold for
+a directory, and :func:`repro.obs.live.watch_snapshot` alone reads claims
+and journals for display: a worker's liveness is its lease, its counts are
+its journal.
 
-Every file replaced here goes through
-:func:`~repro.runner.cache.atomic_write` (a failure raises: a cell that
-cannot be stored must not look finished) and a cell is read through
-:func:`~repro.runner.cache.read_pickle` (missing, torn or foreign reads as
-"not done").  The store holds the protocol, not
-the views: :meth:`CampaignStore.aggregator` builds the campaign's one fold
-for a directory, and :func:`repro.obs.live.watch_snapshot` alone reads
-claims and journals for display: a worker's liveness is its lease, its
-counts are its journal.
-
-A journal frame is ``(key, "ok" | FailedResult.kind)``, ~50 bytes per cell
-this worker *executed*, flushed as it lands: the zero-duplicate witness
+A journal is the store's own append-only log of pickle frames
+``("v1", key, "ok" | FailedResult.kind)``, ~50 bytes per cell this worker
+*executed*, flushed as it lands: the zero-duplicate witness
 (:meth:`CampaignStore.journal_counts`), not a second copy of the results --
 those live in ``cells/`` only, and healing re-runs a torn cell, it never
-reads a journal.  Older directories' journals carry whole results; they
-still load and count.
+reads a journal.  A crash mid-append leaves a torn tail, which replay
+truncates away (every frame before it still counts); a frame of another
+shape ends the replay like a tear.  Older directories' journals carry
+whole results; they still load and count.
 
 Claim protocol (work stealing)
 ------------------------------
@@ -60,8 +64,7 @@ import tempfile
 import time
 
 from ..experiments.common import ScenarioResult
-from ..runner.cache import atomic_write, read_pickle
-from ..runner.checkpoint import SweepJournal
+from ..runner.cache import ResultsCache, atomic_write
 from ..runner.failures import FailedResult
 from .aggregate import Aggregator
 from .spec import Campaign
@@ -72,8 +75,10 @@ __all__ = ["CampaignStore", "DEFAULT_LEASE_S"]
 #: outlive one *cell*, and expiry merely delays stealing, never loses work.
 DEFAULT_LEASE_S = 300.0
 
-_RESULT_TYPES = (ScenarioResult, FailedResult)
-_JOURNAL_TYPES = (str, *_RESULT_TYPES)  # outcome, or an older dir's result
+#: What a cell file may hold (``store.cells.get(key, expect=...)``).
+RESULT_TYPES = (ScenarioResult, FailedResult)
+_JOURNAL_TYPES = (str, *RESULT_TYPES)  # outcome, or an older dir's result
+_MAGIC = "v1"
 
 
 class CampaignStore:
@@ -92,11 +97,11 @@ class CampaignStore:
             raise ValueError(
                 f"lease_s must be positive and finite, got {lease_s!r}")
         self.lease_s = float(lease_s)
-        self.cells_dir = self.root / "cells"
+        self.cells = ResultsCache(self.root / "cells")
         self.claims_dir = self.root / "claims"
         self.journal_dir = self.root / "journal"
         self.manifest_path = self.root / "manifest.json"
-        self._journal: SweepJournal | None = None
+        self._journal = None  # this worker's journal file, once opened
 
     # -- manifest ----------------------------------------------------------
     def init(self, campaign: Campaign) -> None:
@@ -124,7 +129,7 @@ class CampaignStore:
         }
         atomic_write(self.manifest_path,
                      json.dumps(manifest, indent=1).encode())
-        for d in (self.cells_dir, self.claims_dir, self.journal_dir):
+        for d in (self.cells.root, self.claims_dir, self.journal_dir):
             d.mkdir(parents=True, exist_ok=True)
 
     def read_manifest(self) -> dict | None:
@@ -157,29 +162,6 @@ class CampaignStore:
         return Aggregator(manifest.get("name"),
                           [(c["key"], c["label"], None, {})
                            for c in manifest["cells"]], metrics=metrics)
-
-    # -- results -----------------------------------------------------------
-    def cell_path(self, key: str) -> pathlib.Path:
-        return self.cells_dir / f"{key}.pkl"
-
-    def store_cell(self, key: str, result: ScenarioResult | FailedResult
-                   ) -> None:
-        """Persist one finished cell (atomic; idempotent by construction)."""
-        atomic_write(self.cell_path(key),
-                     pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def load_cell(self, key: str) -> ScenarioResult | FailedResult | None:
-        """The stored result for ``key``, or None when missing/torn."""
-        return read_pickle(self.cell_path(key), _RESULT_TYPES)
-
-    def done_keys(self) -> set[str]:
-        """Keys with a stored result file (existence check only -- cheap
-        enough to poll; torn files are caught at load time)."""
-        try:
-            names = os.listdir(self.cells_dir)
-        except OSError:
-            return set()
-        return {n[:-4] for n in names if n.endswith(".pkl")}
 
     # -- claims (work stealing) -------------------------------------------
     def claim_path(self, key: str) -> pathlib.Path:
@@ -274,14 +256,18 @@ class CampaignStore:
             pass
 
     # -- per-worker journal ------------------------------------------------
-    def journal(self) -> SweepJournal:
-        """This worker's completion journal (successes *and* deterministic
-        failures -- a campaign needs both to know a cell is settled)."""
+    def record(self, key: str, outcome: str) -> None:
+        """Append ``key``'s outcome (``"ok"`` or the failure kind) to this
+        worker's journal, flushed so a later kill cannot lose it -- a
+        campaign needs successes *and* deterministic failures to know a
+        cell is settled."""
         if self._journal is None:
-            self._journal = SweepJournal(
-                self.journal_dir / f"{self.worker}.pkl",
-                expect=_JOURNAL_TYPES)
-        return self._journal
+            self.journal_dir.mkdir(parents=True, exist_ok=True)
+            self._journal = open(self.journal_dir / f"{self.worker}.pkl",
+                                 "ab")
+        pickle.dump((_MAGIC, key, outcome), self._journal,
+                    protocol=pickle.HIGHEST_PROTOCOL)
+        self._journal.flush()
 
     def journals(self) -> dict[str, dict[str, str]]:
         """Every worker journal, read once: ``{worker: {key: outcome}}``
@@ -293,14 +279,8 @@ class CampaignStore:
         except OSError:
             return out
         for name in names:
-            if not name.endswith(".pkl"):
-                continue
-            frames = SweepJournal(self.journal_dir / name,
-                                  expect=_JOURNAL_TYPES).load()
-            out[name[:-4]] = {
-                key: (v if isinstance(v, str)
-                      else getattr(v, "kind", "ok"))
-                for key, v in frames.items()}
+            if name.endswith(".pkl"):
+                out[name[:-4]] = _replay(self.journal_dir / name)
         return out
 
     def journal_counts(self) -> dict[str, int]:
@@ -312,3 +292,35 @@ class CampaignStore:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
+
+
+def _replay(path: pathlib.Path) -> dict[str, str]:
+    """``{key: outcome}`` for every whole frame of the journal at
+    ``path``.  A torn tail (a crash mid-append) or a frame of another
+    shape ends the replay, and a tail past the last whole frame is
+    truncated away so later appends are clean."""
+    done: dict[str, str] = {}
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return done
+    with fh:
+        good_end = 0
+        while True:
+            try:
+                frame = pickle.load(fh)
+            except Exception:
+                break  # end of file, or a torn/corrupt tail
+            if (not isinstance(frame, tuple) or len(frame) != 3
+                    or frame[0] != _MAGIC or not isinstance(frame[1], str)
+                    or not isinstance(frame[2], _JOURNAL_TYPES)):
+                break
+            outcome = frame[2]
+            done[frame[1]] = (outcome if isinstance(outcome, str)
+                              else getattr(outcome, "kind", "ok"))
+            good_end = fh.tell()
+        tail = os.fstat(fh.fileno()).st_size - good_end
+    if tail > 0:
+        with open(path, "ab") as out:
+            out.truncate(good_end)
+    return done

@@ -39,21 +39,15 @@ class CheckedSimulator(Simulator):
         #: Events whose firing time was verified (introspection for tests).
         self.events_checked = 0
 
-    def run(self, until: float | None = None, max_events: int | None = None
-            ) -> int:
+    def run(self, until: float | None = None) -> int:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         heap = self._heap
         pop = heappop
         fired = 0
         try:
             while heap:
-                if self._stopped:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
                 entry = heap[0]
                 ev = entry[3]
                 if not ev._alive:
@@ -79,6 +73,6 @@ class CheckedSimulator(Simulator):
                 self.events_checked += 1
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self._now < until:
             self._now = until
         return fired

@@ -79,12 +79,10 @@ class ProfiledSimulator(Simulator):
         super().__init__()
         self.profile = profile if profile is not None else EngineProfile()
 
-    def run(self, until: float | None = None, max_events: int | None = None
-            ) -> int:
+    def run(self, until: float | None = None) -> int:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         heap = self._heap
         pop = heappop
         fired = 0
@@ -94,10 +92,6 @@ class ProfiledSimulator(Simulator):
         clock = perf_counter
         try:
             while heap:
-                if self._stopped:
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
                 entry = heap[0]
                 ev = entry[3]
                 if not ev._alive:
@@ -119,7 +113,7 @@ class ProfiledSimulator(Simulator):
         finally:
             self._running = False
         prof.events_fired += fired
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self._now < until:
             self._now = until
         return fired
 

@@ -11,13 +11,15 @@ changed.  This package supplies both:
   :mod:`.supervisor`'s pool of ``jobs`` reusable worker processes with
   deterministic per-scenario seeding: results are bit-identical whatever
   the worker count, as each scenario seeds itself from ``cfg.seed``.
-* :class:`ResultsCache` -- pickle each result once, under
-  :func:`config_key`, the hash of the full
-  :class:`~repro.experiments.common.ScenarioConfig` that also names a
-  campaign's cells.  The default cache lives in a subdirectory named by
-  a salt over the package's source code, so editing any ``repro`` module
-  misses every cached result while a parameter-identical rerun is a pure
-  cache hit.
+* :class:`ResultsCache` -- the one keyed pickle store: each result
+  pickled once, under :func:`config_key`, the hash of the full
+  :class:`~repro.experiments.common.ScenarioConfig`.  It is the results
+  cache and a campaign directory's ``cells/``.  It decides no policy (a
+  failed write raises); memoising is best effort in :mod:`.pool`, which
+  warns once per batch on an unwritable cache and stops writing to it.
+  The default cache lives in a subdirectory named by a salt over the
+  package's source code, so editing any ``repro`` module misses every
+  cached result while a parameter-identical rerun is a pure cache hit.
 
 Environment knobs:
 
@@ -37,12 +39,10 @@ Resilient execution (PR 4) rides on :func:`run_batch`'s keywords:
 :class:`FailedResult` rows, ``timeout=S`` kills hung scenarios,
 and ``retries=N`` re-runs transient losses with exponential backoff.  See
 :mod:`.failures` and :mod:`.supervisor`; a batch that must survive a kill
-runs through a campaign directory (:func:`repro.campaign.run_rows`), whose
-per-worker outcome log is :mod:`.checkpoint`'s :class:`SweepJournal`.
+runs through a campaign directory (:func:`repro.campaign.run_rows`).
 """
 
 from .cache import ResultsCache, cache_enabled, default_cache
-from .checkpoint import SweepJournal
 from .failures import BatchExecutionError, FailedResult
 from .hashing import code_salt, config_fingerprint, config_key
 from .pool import run_batch, run_one
@@ -52,5 +52,5 @@ __all__ = [
     "ResultsCache", "cache_enabled", "default_cache",
     "code_salt", "config_fingerprint", "config_key",
     "run_batch", "run_one", "SweepProgress",
-    "FailedResult", "BatchExecutionError", "SweepJournal",
+    "FailedResult", "BatchExecutionError",
 ]

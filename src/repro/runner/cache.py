@@ -1,12 +1,16 @@
-"""Persistent on-disk results cache.
+"""The one keyed pickle store: the results cache and a campaign's cells.
 
 Entries are pickles written atomically (tmp file + rename) under the
-config's key from :mod:`.hashing` -- the same name a campaign stores the
-cell under -- so concurrent workers and interrupted runs can never leave a
-torn entry.  Any unreadable entry is treated as a miss and overwritten --
-the cache is always safe to delete wholesale.  A :class:`ResultsCache` is
-exactly the directory it is given; :func:`default_cache` puts the code
-salt in that directory's name.
+config's key from :mod:`.hashing`, so concurrent workers and interrupted
+runs can never leave a torn entry.  Any unreadable entry is treated as a
+miss and overwritten -- the cache is always safe to delete wholesale.  A
+:class:`ResultsCache` is exactly the directory it is given:
+:func:`default_cache` puts the code salt in that directory's name, and a
+campaign directory's ``cells/`` is one (:mod:`repro.campaign.store`).
+
+The store decides no policy: a write that fails raises.  Memoising is
+best effort, and that is the caller's rule (:mod:`.pool`'s
+``_cache_put``); a campaign cell that cannot be stored fails its run.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import os
 import pathlib
 import pickle
 import tempfile
-import warnings
 from typing import Any
 
 from .hashing import code_salt
@@ -85,10 +88,18 @@ class ResultsCache:
         self.root = pathlib.Path(root)
         self.hits = 0
         self.misses = 0
-        self._write_disabled = False
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.pkl"
+
+    def keys(self) -> set[str]:
+        """Keys with an entry file (one ``listdir``, no unpickling: cheap
+        enough to poll; a torn entry is caught when it is read)."""
+        try:
+            names = os.listdir(self.root)
+        except OSError:
+            return set()
+        return {n[:-4] for n in names if n.endswith(".pkl")}
 
     def get(self, key: str, expect: type | tuple[type, ...] | None = None
             ) -> Any | None:
@@ -101,26 +112,14 @@ class ResultsCache:
             self.hits += 1
         return value
 
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` (atomic replace).
-
-        Storage-level failures (read-only directory, disk full -- any
-        ``OSError``) must not kill the sweep that was merely trying to
-        memoise: the first one degrades this cache to read-only with a
-        single warning and every later ``put`` is a silent no-op.
-        Serialisation errors (unpicklable payloads) still raise -- they
-        are a caller bug, not an environment condition.
-        """
-        if self._write_disabled:
-            return
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            atomic_write(self.path_for(key), payload)
-        except OSError as exc:
-            self._write_disabled = True
-            warnings.warn(
-                f"results cache at {self.root} is not writable ({exc}); "
-                "continuing without caching", RuntimeWarning, stacklevel=3)
+    def put(self, key: str, value: Any, payload: bytes | None = None
+            ) -> None:
+        """Store ``value`` under ``key`` (atomic replace).  ``payload`` is
+        ``value`` already pickled, when the caller has it.  Raises what
+        pickling or writing raises: nothing is stored then."""
+        if payload is None:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        atomic_write(self.path_for(key), payload)
 
 
 def default_cache() -> ResultsCache:

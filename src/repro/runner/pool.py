@@ -44,6 +44,7 @@ through a campaign directory (:func:`repro.campaign.run_rows`,
 from __future__ import annotations
 
 import pickle
+import warnings
 from typing import Any, Mapping, Sequence
 
 from ..experiments.common import ScenarioConfig, ScenarioResult, run_scenario
@@ -129,18 +130,28 @@ def _validate_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def _cache_put(store: ResultsCache | None, key: str | None, res) -> None:
-    """Cache one fresh result (event streams stay out of the cache: they
-    are per-run evidence, not results)."""
-    if store is None or key is None or not isinstance(res, ScenarioResult):
-        return
+def _cache_put(cache: ResultsCache | None, key: str | None, res,
+               payload: bytes | None = None) -> ResultsCache | None:
+    """Memoise one fresh result, best effort (``payload``: its pickle, when
+    the caller has one); returns the cache to keep writing to.  An
+    unpicklable result is skipped; an unwritable cache warns and returns
+    None, so a batch warns once and stops writing.  Failed rows and event
+    streams stay out (per-run evidence, not results)."""
+    if cache is None or key is None or not isinstance(res, ScenarioResult):
+        return cache
     events, res.trace = res.trace, None
     try:
-        store.put(key, res)
+        cache.put(key, res, payload)
     except (pickle.PicklingError, TypeError, AttributeError):
-        pass  # unpicklable payloads just skip persistence
+        pass
+    except OSError as exc:
+        warnings.warn(f"results cache at {cache.root} is not writable "
+                      f"({exc}); continuing without caching",
+                      RuntimeWarning, stacklevel=3)
+        return None
     finally:
         res.trace = events
+    return cache
 
 
 def run_one(cfg: ScenarioConfig, *,
@@ -189,10 +200,6 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
     if on_error not in ("raise", "capture"):
         raise ValueError(f"on_error must be 'raise' or 'capture', "
                          f"got {on_error!r}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout!r}")
-    if retries < 0:
-        raise ValueError(f"retries cannot be negative, got {retries!r}")
 
     keyed = isinstance(configs, Mapping)
     names = list(configs.keys()) if keyed else None
@@ -221,8 +228,9 @@ def run_batch(configs: Mapping[Any, ScenarioConfig] |
 
     def _land(i: int, res: Any) -> None:
         """Keep, cache and count one result as it arrives."""
+        nonlocal store
         results[i] = res
-        _cache_put(store, keys[i], res)
+        store = _cache_put(store, keys[i], res)
         progress.update(failed=isinstance(res, FailedResult))
 
     try:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import multiprocessing as mp
 import pickle
 import signal
@@ -174,8 +175,19 @@ def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
     the worker's own exception is raised -- :class:`BatchExecutionError`
     when it cannot cross the pipe, or for a timeout or a lost worker.
     ``KeyboardInterrupt`` kills the children and propagates; unfinished
-    tasks land nothing.
+    tasks land nothing.  A ``timeout`` that is not positive and finite, a
+    negative ``retries`` or a ``retry_backoff_s`` that is not
+    non-negative and finite raises ``ValueError`` before any task is
+    pulled.
     """
+    if timeout is not None and not 0 < timeout < math.inf:  # refuses NaN
+        raise ValueError(
+            f"timeout must be positive and finite, got {timeout!r}")
+    if retries < 0:
+        raise ValueError(f"retries cannot be negative, got {retries!r}")
+    if not 0 <= retry_backoff_s < math.inf:
+        raise ValueError(f"retry_backoff_s must be non-negative and finite, "
+                         f"got {retry_backoff_s!r}")
     tasks = iter(tasks)
     if jobs == 1 and timeout is None:
         for index, cfg in tasks:

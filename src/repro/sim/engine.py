@@ -29,9 +29,9 @@ Design notes
 * :meth:`Simulator.pending` is O(1): live events are ``len(heap)`` minus a
   dead-entry counter maintained on cancel/pop/compact.
 * The schedule and fire paths are deliberately hand-flattened (inline event
-  construction, module-level heap functions, a specialised drain loop):
-  together these are worth >60% event throughput, which bounds every
-  experiment's wall clock.
+  construction, module-level heap functions, one run loop with its lookups
+  bound to locals): together these are worth >60% event throughput, which
+  bounds every experiment's wall clock.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class Simulator:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self._dead = 0   # cancelled entries not yet popped/compacted
         # Trace bus; components cache this at construction, so replace it
         # (with an enabled repro.obs TraceBus) before building topology.
@@ -221,10 +220,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: float | None = None, max_events: int | None = None
-            ) -> int:
-        """Process events until the heap drains, ``until`` is reached, or
-        ``max_events`` have fired.  Returns the number of events fired.
+    def run(self, until: float | None = None) -> int:
+        """Process events until the heap drains or ``until`` is reached.
+        Returns the number of events fired.
 
         When ``until`` is given the clock is left exactly at ``until`` even if
         the last event fired earlier, so back-to-back ``run`` calls compose.
@@ -232,59 +230,31 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
-        # Local bindings: every lookup in these loops is per-event cost.
+        # Local bindings: every lookup in this loop is per-event cost.
         heap = self._heap
         pop = heappop
         fired = 0
         try:
-            if until is None and max_events is None:
-                # Fast drain: no bound checks, pop unconditionally.
-                while heap:
-                    if self._stopped:
-                        break
-                    entry = pop(heap)
-                    ev = entry[3]
-                    if not ev._alive:
-                        self._dead -= 1
-                        continue
-                    self._now = entry[0]
-                    ev._alive = False
-                    ev.fn(*ev.args)
-                    fired += 1
-            else:
-                while heap:
-                    if self._stopped:
-                        break
-                    if max_events is not None and fired >= max_events:
-                        break
-                    entry = heap[0]
-                    ev = entry[3]
-                    if not ev._alive:
-                        pop(heap)
-                        self._dead -= 1
-                        continue
-                    time = entry[0]
-                    if until is not None and time > until:
-                        break
+            while heap:
+                entry = heap[0]
+                ev = entry[3]
+                if not ev._alive:
                     pop(heap)
-                    self._now = time
-                    ev._alive = False
-                    ev.fn(*ev.args)
-                    fired += 1
+                    self._dead -= 1
+                    continue
+                time = entry[0]
+                if until is not None and time > until:
+                    break
+                pop(heap)
+                self._now = time
+                ev._alive = False
+                ev.fn(*ev.args)
+                fired += 1
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self._now < until:
             self._now = until
         return fired
-
-    def step(self) -> bool:
-        """Fire exactly one event.  Returns False if none are pending."""
-        return self.run(max_events=1) == 1
-
-    def stop(self) -> None:
-        """Stop :meth:`run` after the current event completes."""
-        self._stopped = True
 
     # ------------------------------------------------------------------
     # Introspection

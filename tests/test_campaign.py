@@ -272,9 +272,9 @@ def test_interrupt_then_resume_is_byte_identical(tmp_path):
     store.init(camp)
     from repro.runner.pool import run_one
     for cell in cells[:len(cells) // 2]:
-        store.store_cell(cell.key, run_one(cell.config, cache=False))
-    partial = aggregate(camp, {c.key: store.load_cell(c.key)
-                               for c in cells if store.load_cell(c.key)})
+        store.cells.put(cell.key, run_one(cell.config, cache=False))
+    partial = aggregate(camp, {c.key: store.cells.get(c.key)
+                               for c in cells if store.cells.get(c.key)})
     assert not partial.complete
 
     resumed = run_campaign(camp, dir=tmp_path / "partial", cache=False)
@@ -331,17 +331,17 @@ def test_sigint_mid_campaign_then_resume(tmp_path):
     # Wait until at least one cell result landed, then interrupt.
     store = CampaignStore(camp_dir)
     deadline = time.time() + 60
-    while time.time() < deadline and len(store.done_keys()) < 1:
+    while time.time() < deadline and len(store.cells.keys()) < 1:
         time.sleep(SIGINT_POLL_S)
         if proc.poll() is not None:
             break
-    assert len(store.done_keys()) >= 1, proc.communicate()
+    assert len(store.cells.keys()) >= 1, proc.communicate()
     proc.send_signal(signal.SIGINT)
     proc.wait(timeout=60)
     assert proc.returncode != 0  # interrupted, not finished
 
     camp = campaign(seeds)
-    assert len(store.done_keys()) < len(camp)  # genuinely partial
+    assert len(store.cells.keys()) < len(camp)  # genuinely partial
     resumed = run_campaign(camp, dir=camp_dir, cache=False)
     fresh = run_campaign(camp, dir=tmp_path / "fresh", cache=False)
     assert resumed.complete
@@ -390,8 +390,8 @@ def test_ctrl_c_under_timeout_stores_nothing_and_resume_runs_the_cell(
         finished.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
-    assert not store.cell_path(first).exists()
-    assert store.done_keys() == set()
+    assert not store.cells.path_for(first).exists()
+    assert store.cells.keys() == set()
     assert all(first not in frames for frames in store.journals().values())
     assert store.claimed_keys() == set()
 
@@ -407,7 +407,7 @@ def test_torn_cell_file_is_healed_on_rerun(tmp_path):
     camp = _tiny_campaign()
     cells = camp.cells()
     r1 = run_campaign(camp, dir=tmp_path / "camp", cache=False)
-    victim = CampaignStore(tmp_path / "camp").cell_path(cells[0].key)
+    victim = CampaignStore(tmp_path / "camp").cells.path_for(cells[0].key)
     victim.write_bytes(victim.read_bytes()[:10])
     r2 = run_campaign(camp, dir=tmp_path / "camp", cache=False)
     assert r2.complete
@@ -437,7 +437,7 @@ def test_malformed_cache_entry_and_cell_read_as_missing(tmp_path, capsys,
 
     run_campaign(camp, dir=tmp_path / "camp", cache=False, progress=False)
     store = CampaignStore(tmp_path / "camp")
-    path = store.cell_path(cell.key)
+    path = store.cells.path_for(cell.key)
     path.write_bytes(junk)
     assert main(["report", str(path)]) == 2
     err = capsys.readouterr().err
@@ -447,7 +447,7 @@ def test_malformed_cache_entry_and_cell_read_as_missing(tmp_path, capsys,
                            progress=False)
     assert resumed.complete
     assert resumed.results_by_key[cell.key].summary == res.summary
-    assert store.load_cell(cell.key).summary == res.summary  # re-ran, stored
+    assert store.cells.get(cell.key).summary == res.summary  # re-ran, stored
 
 
 def test_dead_worker_lease_is_reclaimed(tmp_path):
@@ -498,10 +498,11 @@ _RESULTS = (ScenarioResult, FailedResult)
 
 
 class _CountingPickle:
-    """Stands in for the ``pickle`` module as ``campaign.store`` (which
-    serialises a cell), ``runner.cache`` (whose ``read_pickle`` loads one)
-    and ``runner.checkpoint`` see it, counting the results that pass
-    through (bare or inside a journal frame)."""
+    """Stands in for the ``pickle`` module as ``campaign.exec`` (which
+    serialises a cell), ``campaign.store`` (which writes and replays its
+    journal) and ``runner.cache`` (whose ``put`` and ``read_pickle`` write
+    and load an entry) see it, counting the results that pass through
+    (bare or inside a journal frame)."""
 
     def __init__(self):
         self.serialised = self.unpickled = 0
@@ -533,9 +534,9 @@ def counted(monkeypatch):
     """``(pickle counter, list of executed configs)`` for the campaign
     layer of this process."""
     from repro.campaign import exec as exec_mod, store as store_mod
-    from repro.runner import cache as cache_mod, checkpoint as checkpoint_mod
+    from repro.runner import cache as cache_mod
     counter = _CountingPickle()
-    for mod in (store_mod, cache_mod, checkpoint_mod):
+    for mod in (exec_mod, store_mod, cache_mod):
         monkeypatch.setattr(mod, "pickle", counter)
     executed = []
     real_run = exec_mod._run_detached
@@ -564,6 +565,25 @@ def test_cold_pass_serialises_each_result_once_and_reads_none_back(
     journal = sum(len(b) for b in _journal_bytes(tmp_path / "camp").values())
     assert 0 < journal < 1024 * n
     assert sum(CampaignStore(tmp_path / "camp").journal_counts().values()) == n
+
+
+def test_cold_pass_with_a_cache_serialises_each_result_once(tmp_path,
+                                                           counted):
+    """With the results cache on, a fresh cell is pickled once and those
+    bytes land in ``cells/`` and in the cache alike."""
+    counter, executed = counted
+    camp = _tiny_campaign(seeds=2)
+    n = len(camp)
+    cache = ResultsCache(tmp_path / "cache")
+    run = run_campaign(camp, dir=tmp_path / "camp", workers=1, cache=cache)
+    assert run.complete and len(executed) == n
+    assert counter.serialised == n      # one pickle for cells/ and cache
+    assert counter.unpickled == 0
+    cells = CampaignStore(tmp_path / "camp").cells
+    assert cells.keys() == cache.keys() == {c.key for c in camp.cells()}
+    for key in cells.keys():
+        assert (cache.path_for(key).read_bytes()
+                == cells.path_for(key).read_bytes())
 
 
 def test_read_back_unpickles_each_cell_once(tmp_path, counted):
@@ -632,7 +652,7 @@ def test_in_memory_results_equal_read_back(tmp_path):
     store = CampaignStore(tmp_path / "camp")
     assert list(cold.results) == [c.label for c in camp.cells()]
     for cell in camp.cells():
-        stored = store.load_cell(cell.key)
+        stored = store.cells.get(cell.key)
         assert cold.results[cell.label] is not stored
         assert cold.results[cell.label].summary == stored.summary
     reread = run_campaign(camp, dir=tmp_path / "camp", workers=1,
@@ -645,13 +665,16 @@ def test_in_memory_results_equal_read_back(tmp_path):
 
 
 def test_journal_records_the_outcome_of_each_cell(tmp_path):
-    from repro.runner.checkpoint import SweepJournal
     camp = Campaign(Scenario(**TINY), name="mixed",
                     axes={"queue_pkts": [64, 0]}, seeds=2)
     run = run_campaign(camp, dir=tmp_path / "camp", cache=False)
     (name,) = _journal_bytes(tmp_path / "camp")
-    frames = SweepJournal(tmp_path / "camp" / "journal" / name,
-                          expect=str).load()
+    with open(tmp_path / "camp" / "journal" / name, "rb") as fh:
+        frames = {}
+        while fh.peek(1):
+            magic, key, outcome = pickle.load(fh)
+            assert magic == "v1" and isinstance(outcome, str)
+            frames[key] = outcome
     assert frames == {
         c.key: ("error" if c.config.queue_pkts == 0 else "ok")
         for c in camp.cells()}
@@ -663,16 +686,15 @@ def _parent_format_dir(root, camp, *, journaled):
     """A campaign directory as the commit before the outcome frames wrote
     it: the first ``journaled`` cells stored, and worker ``old`` 's journal
     holding the whole result of each."""
-    from repro.runner.checkpoint import SweepJournal
     from repro.runner.pool import run_one
     store = CampaignStore(root, worker="old")
     store.init(camp)
-    with SweepJournal(store.journal_dir / "old.pkl",
-                      expect=_RESULTS) as journal:
+    with open(store.journal_dir / "old.pkl", "ab") as journal:
         for cell in camp.cells()[:journaled]:
             res = run_one(cell.config, cache=False, on_error="capture")
-            store.store_cell(cell.key, res)
-            journal.append(cell.key, res)
+            store.cells.put(cell.key, res)
+            pickle.dump(("v1", cell.key, res), journal,
+                        protocol=pickle.HIGHEST_PROTOCOL)
     return store
 
 
@@ -835,7 +857,7 @@ def test_fold_is_landing_order_independent(tmp_path):
     agg = store.aggregator()
     for step in (landing[:2:-1], [first, *landing[:3]]):
         for key in step:
-            store.store_cell(key, results[key])
+            store.cells.put(key, results[key])
         assert agg.poll(store) == len(step)
     assert _renderings(agg.report()) == want
 
@@ -852,10 +874,10 @@ def test_fold_ignores_unknown_and_repeated_keys_and_waits_for_torn_cells(
     assert not agg.fold(key, results[other])    # repeated
     assert not agg.fold("f" * 20, results[other])   # not a cell
     assert agg.report().to_json() == before and agg.done == 1
-    store.cell_path(other).write_bytes(b"\x80\x05torn")
-    store.cell_path("f" * 20).write_bytes(b"not a cell of this campaign")
+    store.cells.path_for(other).write_bytes(b"\x80\x05torn")
+    store.cells.path_for("f" * 20).write_bytes(b"not a cell of this campaign")
     assert agg.poll(store) == 0 and other not in agg
-    store.store_cell(other, results[other])     # the re-run heals it
+    store.cells.put(other, results[other])     # the re-run heals it
     assert agg.poll(store) == 1 and other in agg
     assert agg.report().done == 2
 

@@ -121,27 +121,6 @@ def test_events_scheduled_during_run_fire():
     assert seen == ["second"] and sim.now == 2.0
 
 
-def test_step_fires_one_event():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, seen.append, 1)
-    sim.schedule(2.0, seen.append, 2)
-    assert sim.step() and seen == [1]
-    assert sim.step() and seen == [1, 2]
-    assert not sim.step()
-
-
-def test_stop_halts_run():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-    sim.schedule(2.0, seen.append, 2)
-    sim.run()
-    assert seen == [1]
-    sim.run()
-    assert seen == [1, 2]
-
-
 def test_run_not_reentrant():
     sim = Simulator()
 
@@ -151,15 +130,6 @@ def test_run_not_reentrant():
 
     sim.schedule(1.0, nested)
     sim.run()
-
-
-def test_max_events_bound():
-    sim = Simulator()
-    seen = []
-    for i in range(5):
-        sim.schedule(float(i + 1), seen.append, i)
-    assert sim.run(max_events=3) == 3
-    assert seen == [0, 1, 2]
 
 
 def test_pending_and_peek():

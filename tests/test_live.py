@@ -22,7 +22,7 @@ from repro.campaign import Campaign, CampaignStore, aggregate, run_campaign
 from repro.experiments.common import ScenarioResult
 from repro.obs.live import (PROM_CONTENT_TYPE, build_metrics_text,
                             make_live_server, render_watch, watch_snapshot)
-from repro.runner.cache import atomic_write
+from repro.runner.cache import ResultsCache, atomic_write
 from repro.runner.failures import FailedResult
 
 TINY = dict(workload="greedy", n_frames=5, time_cap=30.0)
@@ -49,9 +49,9 @@ def _result(summary):
 def _finish(store, cells):
     """Store and journal ``cells`` as ``store.worker`` would."""
     for cell in cells:
-        store.store_cell(cell.key,
-                         _result(SUMMARIES[cell.assignment["transport"]]))
-        store.journal().append(cell.key, "ok")
+        store.cells.put(cell.key,
+                        _result(SUMMARIES[cell.assignment["transport"]]))
+        store.record(cell.key, "ok")
     store.close()
 
 
@@ -202,7 +202,7 @@ def test_streaming_axes_match_batch_aggregate(golden_dir):
     agg = store.aggregator()
     assert agg.poll(store) == 2
     assert agg.poll(store) == 0  # idempotent: nothing new to fold
-    results = {c.key: store.load_cell(c.key) for c in camp.cells()}
+    results = {c.key: store.cells.get(c.key) for c in camp.cells()}
     batch = aggregate(camp, results)
     assert agg.report().to_json() == batch.to_json()
     snap = watch_snapshot(golden_dir, agg=agg, now=1001.0)
@@ -215,17 +215,18 @@ def test_streaming_fold_is_incremental(golden_dir, monkeypatch):
     store = CampaignStore(golden_dir)
     cells = camp.cells()
     agg = store.aggregator()
-    os.unlink(store.cell_path(cells[1].key))
+    os.unlink(store.cells.path_for(cells[1].key))
     assert agg.poll(store) == 1
     assert agg.done == 1
     loaded = []
-    real_load = CampaignStore.load_cell
+    real_get = ResultsCache.get
     monkeypatch.setattr(
-        CampaignStore, "load_cell",
-        lambda self, key: loaded.append(key) or real_load(self, key))
+        ResultsCache, "get",
+        lambda self, key, expect=None: loaded.append(key)
+        or real_get(self, key, expect))
     # The second cell lands later; only it is folded by the next poll.
-    store.store_cell(cells[1].key,
-                     _result(SUMMARIES[cells[1].assignment["transport"]]))
+    store.cells.put(cells[1].key,
+                    _result(SUMMARIES[cells[1].assignment["transport"]]))
     assert agg.poll(store) == 1
     assert agg.done == 2
     assert loaded == [cells[1].key]  # the folded cell is not read again
@@ -290,7 +291,7 @@ def test_watch_shows_stale_claim_warning(golden_dir):
     camp = _golden_campaign()
     store = CampaignStore(golden_dir, lease_s=0.01)
     cells = camp.cells()
-    os.unlink(store.cell_path(cells[0].key))
+    os.unlink(store.cells.path_for(cells[0].key))
     assert store.try_claim(cells[0].key)
     time.sleep(0.02)
     # Claim leases carry wall-clock expiries, so use the real clock here.
@@ -306,7 +307,7 @@ def test_metrics_text_reuses_pinned_report_formatting(golden_dir):
     text = build_metrics_text(golden_dir, now=1001.0)
     camp = _golden_campaign()
     store = CampaignStore(golden_dir)
-    results = {c.key: store.load_cell(c.key) for c in camp.cells()}
+    results = {c.key: store.cells.get(c.key) for c in camp.cells()}
     report_lines = aggregate(camp, results).render_prometheus().rstrip("\n")
     assert text.startswith(report_lines)
     assert 'repro_campaign_workers{state="idle"} 1' in text
@@ -366,8 +367,8 @@ def order_dir(tmp_path):
                              "throughput_kBps": 3 * value,
                              "msg_interarrival_s": 7 * value,
                              "msg_jitter_s": value / 3}))
-        store.store_cell(cell.key, res)
-        store.journal().append(cell.key, getattr(res, "kind", "ok"))
+        store.cells.put(cell.key, res)
+        store.record(cell.key, getattr(res, "kind", "ok"))
     store.close()
     return tmp_path / "camp", camp
 

@@ -242,7 +242,7 @@ class TestParentFixture:
         from repro.campaign import CampaignStore
         (tmp_path / "cells").mkdir()
         shutil.copy(FIXTURE, tmp_path / "cells" / "k.pkl")
-        res = CampaignStore(tmp_path).load_cell("k")
+        res = CampaignStore(tmp_path).cells.get("k")
         assert isinstance(res, ScenarioResult)
 
     def test_loads_through_load_artifact(self):

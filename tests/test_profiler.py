@@ -20,7 +20,7 @@ def _cfg(**kw):
 class TestCallbackLabel:
     def test_bound_method_qualname(self):
         sim = Simulator()
-        assert callback_label(sim.stop) == "Simulator.stop"
+        assert callback_label(sim.pending) == "Simulator.pending"
 
     def test_callable_object_type_name(self):
         class Ticker:
@@ -47,12 +47,12 @@ class TestProfiledSimulator:
     def test_counts_and_wall_recorded(self):
         sim = ProfiledSimulator()
         sim.schedule(0.1, lambda: None)
-        sim.schedule(0.2, sim.stop)
+        sim.schedule(0.2, sim.pending)
         sim.run()
         prof = sim.profile
         assert prof.events_fired == 2
         assert sum(prof.event_counts.values()) == 2
-        assert "Simulator.stop" in prof.event_counts
+        assert "Simulator.pending" in prof.event_counts
         assert all(w >= 0.0 for w in prof.event_wall_s.values())
 
     def test_run_until_leaves_clock_at_until(self):

@@ -22,8 +22,9 @@ import pytest
 
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.middleware.adaptation import MarkingAdaptation
+from repro.campaign import CampaignStore
 from repro.runner import (BatchExecutionError, FailedResult, ResultsCache,
-                          SweepJournal, config_key, run_batch)
+                          config_key, run_batch)
 from repro.runner.failures import TRANSIENT_KINDS
 
 
@@ -286,21 +287,21 @@ def test_crashed_scenario_never_leaves_a_cache_entry(tmp_path):
 # The outcome journal's torn-tail safety
 # ----------------------------------------------------------------------
 def test_journal_truncates_torn_tail(tmp_path):
-    path = tmp_path / "w0.journal"
-    with SweepJournal(path, expect=str) as journal:
-        journal.append("key-a", "ok")
-        journal.append("key-b", "error")
+    store = CampaignStore(tmp_path, worker="w0")
+    path = store.journal_dir / "w0.pkl"
+    store.record("key-a", "ok")
+    store.record("key-b", "error")
+    store.close()
     good_size = path.stat().st_size
     with open(path, "ab") as fh:
         fh.write(b"\x80\x05torn-frame-garbage")
-    loaded = SweepJournal(path, expect=str).load()
-    assert loaded == {"key-a": "ok", "key-b": "error"}
+    loaded = store.journals()
+    assert loaded == {"w0": {"key-a": "ok", "key-b": "error"}}
     assert path.stat().st_size == good_size  # tail truncated on load
     # ... so the next append starts on a frame boundary.
-    with SweepJournal(path, expect=str) as journal:
-        journal.append("key-c", "ok")
-    assert list(SweepJournal(path, expect=str).load()) == \
-        ["key-a", "key-b", "key-c"]
+    store.record("key-c", "ok")
+    store.close()
+    assert list(store.journals()["w0"]) == ["key-a", "key-b", "key-c"]
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ runs, and cache keys react to exactly the config fields and nothing else
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -81,6 +82,46 @@ def test_run_batch_rejects_nonpositive_or_nonint_jobs():
             run_batch(cfgs, jobs=bad, cache=False)
     # jobs=None keeps meaning "serial" for keyword-forwarding callers.
     assert run_batch(cfgs, jobs=None, cache=False)[0].completed
+
+
+@pytest.mark.parametrize("kw", [
+    {"timeout": 0}, {"timeout": -1.0}, {"timeout": math.inf},
+    {"timeout": math.nan}, {"retries": -1},
+    {"retry_backoff_s": -0.1}, {"retry_backoff_s": math.nan},
+    {"retry_backoff_s": math.inf}])
+def test_supervision_knobs_are_refused_by_name_on_both_paths(tmp_path, kw):
+    """``run_batch`` and a campaign directory meet in ``run_supervised``,
+    which refuses these before any scenario runs or any cell is stored."""
+    from repro.campaign import run_campaign
+    from repro.runner.supervisor import run_supervised
+    name = next(iter(kw))
+    with pytest.raises(ValueError, match=name):
+        run_batch([_small(seed=1)], jobs=2, cache=False, **kw)
+    if name != "retry_backoff_s":
+        with pytest.raises(ValueError, match=name):
+            run_campaign({"template": {"workload": "greedy", "n_frames": 5}},
+                         dir=tmp_path / "camp", cache=False, progress=False,
+                         **kw)
+        assert list((tmp_path / "camp" / "cells").iterdir()) == []
+    with pytest.raises(ValueError, match=name):
+        run_supervised(iter(()), _small, on_result=print, **kw)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_campaign_cli_refuses_a_bad_timeout_and_stores_no_cell(
+        tmp_path, capsys, value):
+    from repro.cli import main
+    spec = tmp_path / "spec.toml"
+    spec.write_text('name = "t"\n[template]\nworkload = "greedy"\n'
+                    'n_frames = 5\n')
+    root = tmp_path / "camp"
+    assert main(["campaign", "run", str(spec), "--dir", str(root),
+                 "--timeout", value]) == 2
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("error:")]
+    assert len(err) == 1 and "timeout" in err[0], err
+    assert not list(root.glob("cells/*.pkl"))
+    assert not list(root.glob("journal/*.pkl"))
 
 
 # ----------------------------------------------------------------------
@@ -162,18 +203,36 @@ def test_cache_get_type_mismatch_is_a_miss(tmp_path):
 
 
 def test_cache_put_oserror_degrades_to_one_warning(tmp_path):
+    """The store raises; the memo (``_cache_put``) warns once and hands
+    back no cache, so ``run_batch`` warns once per batch."""
     import warnings as warnings_mod
+    from repro.runner.pool import _cache_put
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file where the cache dir should go")
     # mkdir under a regular file raises NotADirectoryError (an OSError)
     # even for root, unlike permission bits.
     store = ResultsCache(blocker / "cache")
-    with pytest.warns(RuntimeWarning, match="not writable"):
+    with pytest.raises(OSError):
         store.put("a" * 40, {"v": 1})
-    with warnings_mod.catch_warnings():
-        warnings_mod.simplefilter("error")  # a second warning would raise
-        store.put("b" * 40, {"v": 2})  # silent no-op: already degraded
-    assert store.get("a" * 40) is None  # nothing was stored
+    res = run_one(_small(seed=23), cache=False)
+    with pytest.warns(RuntimeWarning, match="not writable"):
+        assert _cache_put(store, "b" * 40, res) is None
+    assert store.get("b" * 40) is None  # nothing was stored
+    with warnings_mod.catch_warnings(record=True) as caught:
+        warnings_mod.simplefilter("always")
+        out = run_batch([_small(seed=24), _small(seed=25)], cache=store)
+    assert all(r.completed for r in out)
+    assert [str(w.message).count("not writable") for w in caught] == [1]
+    from repro.campaign import run_campaign
+    with warnings_mod.catch_warnings(record=True) as caught:
+        warnings_mod.simplefilter("always")
+        run = run_campaign({"template": {"workload": "greedy",
+                                         "n_frames": 5},
+                            "seeds": {"list": [1, 2]}},
+                           dir=tmp_path / "camp", cache=store,
+                           progress=False)
+    assert run.complete and len(run.results) == 2    # cells still stored
+    assert [str(w.message).count("not writable") for w in caught] == [1]
 
 
 def test_unwritable_cache_does_not_kill_the_batch(tmp_path):
@@ -202,25 +261,31 @@ def test_atomic_write_failure_keeps_the_old_file_and_no_tmp(tmp_path,
 
 def test_oserror_degrades_the_cache_but_fails_the_campaign_store(
         tmp_path, monkeypatch):
-    """One writer, two policies: memoising is optional, a cell is not."""
-    import warnings as warnings_mod
-    from repro.campaign import CampaignStore
+    """One store, one policy -- it raises: memoising is optional (the memo
+    warns and stops), a cell is not (its campaign fails)."""
+    from repro.campaign import CampaignStore, load_campaign, run_campaign
+    from repro.runner.pool import _cache_put
     res = run_one(_small(seed=22), cache=False)
+    camp = load_campaign({"template": {"workload": "greedy", "n_frames": 5}})
+    CampaignStore(tmp_path / "run").init(camp)
 
     def replace(src, dst):
         raise OSError(28, "No space left on device")
     monkeypatch.setattr(cache_mod.os, "replace", replace)
     cache = ResultsCache(tmp_path / "cache")
-    with pytest.warns(RuntimeWarning, match="not writable"):
-        cache.put("a" * 40, res)
-    with warnings_mod.catch_warnings():
-        warnings_mod.simplefilter("error")
-        cache.put("b" * 40, res)                # read-only now: silent
     with pytest.raises(OSError, match="No space left"):
-        CampaignStore(tmp_path / "camp").store_cell("c" * 20, res)
+        cache.put("a" * 40, res)
+    with pytest.warns(RuntimeWarning, match="not writable"):
+        assert _cache_put(cache, "a" * 40, res) is None
+    with pytest.raises(OSError, match="No space left"):
+        CampaignStore(tmp_path / "camp").cells.put("c" * 20, res)
+    with pytest.raises(OSError, match="No space left"):
+        run_campaign(camp, dir=tmp_path / "run", cache=False,
+                     progress=False)
     monkeypatch.undo()
-    left = [p for p in tmp_path.rglob("*") if p.is_file()]
-    assert left == []                           # neither entry nor litter
+    left = [p for p in tmp_path.rglob("*")
+            if p.is_file() and p.name != "manifest.json"]
+    assert left == []       # neither entry, cell, claim nor litter
 
 
 def test_cache_put_unpicklable_payload_still_raises(tmp_path):

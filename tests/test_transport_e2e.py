@@ -96,7 +96,7 @@ def test_window_limits_inflight():
         conn.submit(1400, frame_id=i)
     s = conn.sender
     assert s.inflight <= s.window_limit
-    sim.run(max_events=200)
+    sim.run(until=0.05)
     assert s.inflight <= s.window_limit
 
 
