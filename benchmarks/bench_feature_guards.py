@@ -26,6 +26,7 @@ cannot be toggled at runtime.  Each tier is gated at :data:`BUDGET_PCT`.
 """
 
 import time
+from types import FunctionType
 
 from bench_obs_overhead import CountingBus
 
@@ -41,8 +42,9 @@ from repro.transport.udp import UdpSender
 
 #: What each tier's disarmed guards touch: ``(class, attribute)``.  Every
 #: read or store of the attribute counts -- a superset of the guards, since
-#: a few of those reads do real work.  ``WindowedSender.submit`` stands for
-#: its ``deadline > 0.0`` test of a local: one per call.
+#: a few of those reads do real work -- and every call of a method.
+#: ``WindowedSender.submit`` stands for its ``deadline > 0.0`` test of a
+#: local: one per call, however the caller holds the method.
 GUARD_SITES = {
     "fault": [(Link, "_busy"), (Link, "_plain"), (Link, "up"),
               (WindowedSender, "rto_jitter"),
@@ -69,7 +71,8 @@ class Counted:
     """Stands in for one attribute of a class's instances -- a slot, an
     instance attribute, a class default one may shadow, a method or a
     property -- and counts every read and store, keeping the value where
-    the attribute kept it."""
+    the attribute kept it; a method counts its calls instead of its reads
+    (a connection holds its sender's ``submit`` and calls it)."""
 
     def __init__(self, cls, name):
         self.cls, self.name = cls, name
@@ -79,8 +82,15 @@ class Counted:
     def __get__(self, obj, owner):
         if obj is None:
             return self
-        self.touches += 1
         inner = self.inner
+        if isinstance(inner, FunctionType):
+            method = inner.__get__(obj, owner)
+
+            def called(*args, **kw):
+                self.touches += 1
+                return method(*args, **kw)
+            return called
+        self.touches += 1
         if hasattr(inner, "__get__"):
             return inner.__get__(obj, owner)
         if inner is _UNSET:

@@ -1,22 +1,24 @@
 """Micro-benchmarks of what the end-to-end benchmark cannot see: the bare
 engine's event rate, timer churn against a bounded heap, the bottleneck
-reading a CBR train, worker-count determinism of a parallel batch, and
-trace emit throughput.
+reading a CBR train, an acknowledged datagram's round trip on its own,
+worker-count determinism of a parallel batch, and trace emit throughput.
 
 Each bench prints its rate and asserts what must hold on any host (the
-event count, the heap bound, equal summaries).  A datagram's full-stack
-cost and a campaign cell's are ``transport_blast`` and
-``campaign_small_cells`` in ``benchmarks/e2e/``, scaled to a reference
+event count, the heap bound, the calls per datagram, equal summaries).  A
+datagram's full-stack cost and a campaign cell's are ``transport_blast``
+and ``campaign_small_cells`` in ``benchmarks/e2e/``, scaled to a reference
 host there; the end-to-end traced split charges a train's datagrams to
-whatever read them, so the train has its own row here.
+whatever read them, so the train has its own row here, and the
+acknowledged datagram has one that counts its calls.
 """
 
 import os
+import sys
 import time
 
 import pytest
 
-from repro.experiments.common import ScenarioConfig
+from repro.experiments.common import ScenarioConfig, run_scenario
 from repro.obs.bus import TraceBus
 from repro.obs.sinks import RingBufferSink, write_trace
 from repro.runner import run_batch
@@ -33,6 +35,17 @@ HEAP_BOUND = 4096
 #: drops a third), each sending for ``TRAIN_S`` seconds.
 TRAIN_RATES = {"idle": 10e6, "backlogged": 30e6}
 TRAIN_S = 5.0
+
+#: A greedy IQ-RUDP transfer of this many 1 400-byte datagrams on a clean
+#: path: each is one data packet and one ACK across the dumbbell.
+ACKED_TRANSFER = ScenarioConfig(transport="iq", workload="greedy",
+                                n_frames=10_000, base_frame_size=1400,
+                                seed=1)
+
+#: Python calls -- function calls and builtin calls, as ``sys.setprofile``
+#: reports them -- an acknowledged datagram of ``ACKED_TRANSFER`` may cost,
+#: the whole run (set-up and collection included) over its datagrams.
+CALLS_PER_ACKED_DATAGRAM = 60
 
 
 def _best_rate(fn, work_units: int, repeats: int = 3) -> float:
@@ -142,6 +155,46 @@ def bench_read_cbr_train(benchmark):
     sent, counted, dropped, _ = benchmark(
         lambda: _read_train(TRAIN_RATES["backlogged"], TRAIN_S))
     assert counted + dropped == sent
+
+
+def _counted_calls(fn):
+    """``fn()`` and the calls it made, counted by a profile hook (exact:
+    the same code makes the same calls)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def bench_acked_datagram(benchmark):
+    """An acknowledged datagram on its own: ``ACKED_TRANSFER`` end to end,
+    as acknowledged datagrams per second and Python calls per acknowledged
+    datagram.  The count is gated: what the round trip's fused hops and
+    transport paths saved cannot come back unnoticed."""
+    def transfer():
+        return run_scenario(ACKED_TRANSFER)
+
+    transfer()      # imports and compiled patterns are not per datagram
+    res, calls = _counted_calls(transfer)
+    acked = res.conn.sender.stats.acked_packets
+    assert res.completed and acked == ACKED_TRANSFER.n_frames
+    assert res.conn.sender.stats.retransmissions == 0   # a clean path
+    per = calls / acked
+    print(f"\nacked datagram: {_best_rate(transfer, acked, repeats=2):,.0f} "
+          f"datagrams/s, {per:.2f} calls per datagram")
+    assert per <= CALLS_PER_ACKED_DATAGRAM, (
+        f"{per:.2f} Python calls per acknowledged datagram, budget "
+        f"{CALLS_PER_ACKED_DATAGRAM}")
+    assert benchmark(transfer).summary == res.summary
 
 
 def bench_parallel_batch_throughput(benchmark):

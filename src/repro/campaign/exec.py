@@ -39,7 +39,7 @@ from ..experiments.common import ScenarioConfig, ScenarioResult
 from ..runner.failures import BatchExecutionError, FailedResult
 from ..runner.pool import _cache_put, _resolve_cache, _run_detached, run_batch
 from ..runner.progress import SweepProgress
-from ..runner.supervisor import run_supervised
+from ..runner.supervisor import check_supervision, run_supervised
 from .aggregate import CampaignReport, aggregate
 from .spec import Campaign, CampaignCell
 from .store import DEFAULT_LEASE_S, RESULT_TYPES, CampaignStore
@@ -236,6 +236,7 @@ def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
     cells = campaign.cells()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+    check_supervision(timeout, retries)     # before a directory is made
 
     if dir is None:
         batch = run_batch({c.key: c.config for c in cells}, jobs=workers,

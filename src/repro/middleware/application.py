@@ -107,13 +107,9 @@ class AdaptiveSource:
         return self._done
 
     # ------------------------------------------------------------------
-    def _frame_size(self, index: int) -> int:
-        base = (self.frame_sizes[index % len(self.frame_sizes)]
-                if self.frame_sizes is not None else self.base_frame_size)
-        return max(int(base * self.strategy.scale), 1)
-
     def _emit_frame(self, index: int) -> None:
-        attrs = self.strategy.frame_attrs(index)
+        strategy = self.strategy
+        attrs = strategy.frame_attrs(index)
         if attrs is not None:
             # A deferred adaptation executing at this frame boundary.
             tr = self.trace
@@ -123,7 +119,12 @@ class AdaptiveSource:
                         scale=self.strategy.scale,
                         freq_scale=self.strategy.freq_scale,
                         attrs=attrs.as_dict())
-        size = self._frame_size(index)
+        # The frame's base size scaled by the strategy, at least one byte.
+        base = (self.frame_sizes[index % len(self.frame_sizes)]
+                if self.frame_sizes is not None else self.base_frame_size)
+        size = int(base * strategy.scale)
+        if size < 1:
+            size = 1
         # Only mention deadlines to the connection when armed: disarmed
         # sources keep working against any conn exposing the plain
         # ``submit(size, **kw)`` shape (test doubles included).

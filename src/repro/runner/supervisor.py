@@ -42,8 +42,8 @@ from typing import Any, Callable
 from ..invariants import InvariantViolation
 from .failures import BatchExecutionError, FailedResult, TRANSIENT_KINDS
 
-__all__ = ["run_supervised", "describe_config", "classify_exception",
-           "TimeoutKilled"]
+__all__ = ["run_supervised", "check_supervision", "describe_config",
+           "classify_exception", "TimeoutKilled"]
 
 #: Grace period between SIGTERM and SIGKILL on a timed-out worker: long
 #: enough for the child to unwind through ``run_scenario`` and send its
@@ -162,6 +162,22 @@ def _terminate_collect(proc, conn):
     return flight
 
 
+def check_supervision(timeout: float | None, retries: int,
+                      retry_backoff_s: float = 0.05) -> None:
+    """Refuse by name (``ValueError``) a ``timeout`` that is not positive
+    and finite, a negative ``retries`` or a ``retry_backoff_s`` that is not
+    non-negative and finite.  Every path to :func:`run_supervised` is
+    checked by it before it starts or creates anything."""
+    if timeout is not None and not 0 < timeout < math.inf:  # refuses NaN
+        raise ValueError(
+            f"timeout must be positive and finite, got {timeout!r}")
+    if retries < 0:
+        raise ValueError(f"retries cannot be negative, got {retries!r}")
+    if not 0 <= retry_backoff_s < math.inf:
+        raise ValueError(f"retry_backoff_s must be non-negative and finite, "
+                         f"got {retry_backoff_s!r}")
+
+
 def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
                    timeout: float | None = None, retries: int = 0,
                    retry_backoff_s: float = 0.05, capture: bool = True,
@@ -175,19 +191,10 @@ def run_supervised(tasks, worker: Callable, *, jobs: int = 1,
     the worker's own exception is raised -- :class:`BatchExecutionError`
     when it cannot cross the pipe, or for a timeout or a lost worker.
     ``KeyboardInterrupt`` kills the children and propagates; unfinished
-    tasks land nothing.  A ``timeout`` that is not positive and finite, a
-    negative ``retries`` or a ``retry_backoff_s`` that is not
-    non-negative and finite raises ``ValueError`` before any task is
-    pulled.
+    tasks land nothing.  What :func:`check_supervision` refuses raises
+    ``ValueError`` before any task is pulled.
     """
-    if timeout is not None and not 0 < timeout < math.inf:  # refuses NaN
-        raise ValueError(
-            f"timeout must be positive and finite, got {timeout!r}")
-    if retries < 0:
-        raise ValueError(f"retries cannot be negative, got {retries!r}")
-    if not 0 <= retry_backoff_s < math.inf:
-        raise ValueError(f"retry_backoff_s must be non-negative and finite, "
-                         f"got {retry_backoff_s!r}")
+    check_supervision(timeout, retries, retry_backoff_s)
     tasks = iter(tasks)
     if jobs == 1 and timeout is None:
         for index, cfg in tasks:

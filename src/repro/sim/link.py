@@ -144,7 +144,8 @@ class Link:
         ``20e6``).
     delay_s : one-way propagation delay in seconds.
     queue_bytes : drop-tail buffer budget at the egress.
-    ahead : ``sink`` can be asked at departure (``arriving``/``withdraw``).
+    ahead : ``sink``, a router, can be asked at departure: the packet is
+        booked at its route (``book``) and taken back with ``withdraw``.
 
     Planned transit: on a *plain* link (drop-tail queue, base
     :class:`LossModel`, no jitter) :meth:`send` decides an accepted
@@ -210,7 +211,9 @@ class Link:
         self._last = -inf   # a real arrival is known to come until then
         self.feeders = 0    # hops that send into the link
         # A traced run asks nobody: every hop reports where it always did.
-        self._ahead = (sink.arriving if ahead and not self.trace.enabled
+        # Asked, the far end is its router's table of each route's own
+        # ``book``, by destination; a booked packet counts as ``forwarded``.
+        self._ahead = (sink._book if ahead and not self.trace.enabled
                        else None)
         # Trains read lazily, by their next packet's arrival: (instant, and
         # when and at what priority its event would have been posted, a
@@ -419,8 +422,11 @@ class Link:
         self._free_at = free_at = start + wire * 8.0 / self.bandwidth_bps
         at = free_at + self.delay_s
         ahead = self._ahead
-        ev = (None if ahead is not None and ahead(pkt, at)
+        book = None if ahead is None else ahead.get(pkt.dst)
+        ev = (None if book is not None and book(pkt, at)
               else self.sim.post(at, -1, self.sink.receive, (pkt,)))
+        if ev is None:
+            self.sink.forwarded += 1
         if plan is None:
             self._arrival = ev
         else:
@@ -459,8 +465,11 @@ class Link:
                                        + wire * 8.0 / self.bandwidth_bps)
                 far += self.delay_s
                 ahead = self._ahead
-                ev = (None if ahead is not None and ahead(pkt, far)
+                book = None if ahead is None else ahead.get(pkt.dst)
+                ev = (None if book is not None and book(pkt, far)
                       else self.sim.post(far, -1, self.sink.receive, (pkt,)))
+                if ev is None:
+                    self.sink.forwarded += 1
                 held.append((at, pkt, ev, free_at, pkts, queued))
                 return True
         self._last = max(self._last, at)    # no booking until it arrives
@@ -630,8 +639,11 @@ class Link:
         for pkt in (head, *queue._q):
             free_at = start + pkt.wire_size * 8.0 / bw
             at = free_at + delay
-            ev = (None if ahead is not None and ahead(pkt, at)
+            book = None if ahead is None else ahead.get(pkt.dst)
+            ev = (None if book is not None and book(pkt, at)
                   else self.sim.post(at, -1, self.sink.receive, (pkt,)))
+            if ev is None:
+                self.sink.forwarded += 1
             if pkt is head:
                 self._arrival = ev
             else:

@@ -36,8 +36,10 @@ class Host:
 
     # ------------------------------------------------------------------
     def attach_uplink(self, link) -> None:
-        """Set the (single) egress hop toward the network."""
+        """Set the (single) egress hop toward the network.  The host then
+        sends through it directly: ``send`` is the hop's own."""
         self._uplink = link
+        self.send = link.send
 
     def bind(self, port: int, endpoint: Endpoint) -> None:
         """Register ``endpoint`` to receive packets addressed to ``port``."""
@@ -50,30 +52,36 @@ class Host:
 
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
-        """Transmit toward the network; False when there is no uplink or the
-        access queue drops."""
-        if self._uplink is None:
-            self.no_route_drops += 1
-            return False
-        return self._uplink.send(pkt)
+        """Transmit toward the network: a host with an uplink sends through
+        that hop's ``send`` (:meth:`attach_uplink`), False when its queue
+        drops.  This is the host without one: False, a no-route drop."""
+        self.no_route_drops += 1
+        return False
 
     def receive(self, pkt: Packet) -> None:
         """Deliver an arriving packet to the endpoint bound on its port."""
         self.packets_received += 1
-        ep = self._ports.get(pkt.dport)
-        if ep is not None:
-            ep.receive(pkt)
-        # Unbound ports silently sink the packet, like a closed UDP port.
+        try:
+            ep = self._ports[pkt.dport]
+        except KeyError:
+            return      # an unbound port sinks it, like a closed UDP port
+        ep.receive(pkt)
 
 
 class Router:
     """Static-routing store-and-forward router.
 
     A link built with ``ahead=True`` asks at departure instead of sending
-    an arrival event: :meth:`arriving` offers packet and arrival instant to
-    a route that can ``book`` it, :meth:`withdraw` takes that back.  A
-    booked packet counts as ``forwarded`` at once.
+    an arrival event: it offers packet and arrival instant to the route's
+    own ``book`` (``_book``, by destination) and counts a packet booked
+    there as ``forwarded`` at once; :meth:`withdraw` takes that back.
+    Routes are static: an address is routed once, so a hop may hold the
+    answer for its peer.
     """
+
+    #: What a link pickled while it asked its router's ``arriving`` loads
+    #: as its far end: none (a loaded link runs nothing).
+    arriving = None
 
     def __init__(self, sim: Simulator, address: int, name: str = ""):
         self.sim = sim
@@ -87,6 +95,9 @@ class Router:
 
     def add_route(self, dst_address: int, link: Link) -> None:
         """Packets destined to ``dst_address`` leave on ``link``."""
+        if dst_address in self._routes:
+            raise ValueError(f"{self.name}: address {dst_address} is "
+                             f"already routed")
         self._routes[dst_address] = link
         self._book[dst_address] = getattr(link, "book", None)
 
@@ -103,16 +114,8 @@ class Router:
         self.forwarded += 1
         link.send(pkt)
 
-    def arriving(self, pkt: Packet, at: float) -> bool:
-        """``pkt`` will be here at ``at``: True when its route took that
-        as the arrival, False when it has to arrive for real."""
-        book = self._book.get(pkt.dst)
-        if book is None or not book(pkt, at):
-            return False
-        self.forwarded += 1
-        return True
-
     def withdraw(self, pkt: Packet, at: float) -> None:
-        """It will not: undo :meth:`arriving`."""
+        """``pkt``, booked at its route to arrive at ``at``, will not: undo
+        the booking and its count."""
         self.forwarded -= 1
         self._routes[pkt.dst].unbook(pkt, at)

@@ -165,17 +165,21 @@ class AccessHop:
 class UpHop(AccessHop):
     """A flow host's access hop to its router: what the uplink ``Link``
     that stood here did, drops and ``stats`` included (``departures`` counts
-    a packet as it is accepted), but the arrival is booked at ``feeds``,
-    the bottleneck past the router, while this hop alone feeds it."""
+    a packet as it is accepted), but the arrival of a packet for ``peer``
+    is booked at ``feeds``, the bottleneck the router routes ``peer`` to,
+    while this hop alone feeds it.  Routes are static, so that answer is
+    held, not looked up per packet."""
 
-    __slots__ = ("router", "feeds", "stats")
+    __slots__ = ("router", "feeds", "peer", "stats")
 
     def __init__(self, sim: Simulator, host: Host, router: Router,
-                 feeds: Link, *, access_bps: float, access_delay_s: float):
+                 feeds: Link, peer: int, *, access_bps: float,
+                 access_delay_s: float):
         super().__init__(sim, f"{host.name}-up", access_bps, access_delay_s)
         self.router = router
         # A traced run asks nobody: every hop reports where it always did.
         self.feeds = None if sim.bus.enabled else feeds
+        self.peer = peer
         self.stats = QueueStats()
 
     def send(self, pkt: Packet) -> bool:
@@ -213,12 +217,11 @@ class UpHop(AccessHop):
         self._free_at = at = start + wire * 8.0 / self.access_bps
         at += self.access_delay_s
         feeds = self.feeds
-        router = self.router    # ``Router.arriving``, in line
-        if (feeds is not None and feeds.feeders == 1
-                and router._routes.get(pkt.dst) is feeds and feeds.book(pkt, at)):
-            router.forwarded += 1
+        if (pkt.dst == self.peer and feeds is not None
+                and feeds.feeders == 1 and feeds.book(pkt, at)):
+            self.router.forwarded += 1
         else:
-            sim.post(at, -1, router.receive, (pkt,))
+            sim.post(at, -1, self.router.receive, (pkt,))
         return True
 
 
@@ -395,14 +398,14 @@ class Dumbbell:
 
         access = dict(access_bps=self.ACCESS_BPS,
                       access_delay_s=self.ACCESS_DELAY_S)
-        sender.attach_uplink(UpHop(self.sim, sender, self.left, self.forward,
-                                   **access))
-        receiver.attach_uplink(UpHop(self.sim, receiver, self.right,
-                                     self.backward, **access))
-        down = DownHop(self.sim, receiver, **access)
-        s_down = DownHop(self.sim, sender, **access)
         # Left router: traffic to the receiver crosses the bottleneck;
         # traffic back to the sender exits on its access link.
+        sender.attach_uplink(UpHop(self.sim, sender, self.left, self.forward,
+                                   receiver.address, **access))
+        receiver.attach_uplink(UpHop(self.sim, receiver, self.right,
+                                     self.backward, sender.address, **access))
+        down = DownHop(self.sim, receiver, **access)
+        s_down = DownHop(self.sim, sender, **access)
         self.left.add_route(receiver.address, self.forward)
         self.left.add_route(sender.address, s_down)
         self.right.add_route(sender.address, self.backward)

@@ -457,18 +457,20 @@ class WindowedSender:
     # Receive path (ACKs)
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
+        """An ACK.  One that moves the cumulative point acknowledges the
+        packets below it, samples the RTT, re-arms the timer and pumps; the
+        same point again counts toward fast retransmit."""
         if pkt.kind != _ACK or pkt.flow_id != self.flow_id:
             return
         ack = pkt.ack
         if pkt.sack and self.use_eack:
             self._sacked.update(s for s in pkt.sack if s >= ack)
-        if ack > self.snd_una:
-            self._on_new_ack(ack)
-        elif ack == self.snd_una and self.snd_nxt > ack:
-            self._on_dup_ack()
-
-    def _on_new_ack(self, ack: int) -> None:
-        newly = ack - self.snd_una
+        una = self.snd_una
+        if ack <= una:
+            if ack == una and self.snd_nxt > ack:
+                self._on_dup_ack()
+            return
+        newly = ack - una
         tr = self.trace
         if tr.enabled:
             tr.emit("transport", PACKET_ACK, flow=self.flow_id, ack=ack,
@@ -486,7 +488,7 @@ class WindowedSender:
         window = self._window
         stats = self.stats
         metrics = self.metrics
-        for s in range(self.snd_una, ack):
+        for s in range(una, ack):
             entry = window.pop(s, None)
             if entry is not None:
                 size = entry.size
@@ -516,11 +518,10 @@ class WindowedSender:
             else:
                 # NewReno-style partial ACK: the next hole is also lost.
                 self._retransmit(self.snd_una, timeout=False)
-        else:
+        elif self.cc.acks_move_window:
             self.cc.on_ack(newly)
         self._arm_rto()
-        self._pump()
-        self._check_complete()
+        self._pump()    # it ends in ``_check_complete`` once finished
 
     def _on_dup_ack(self) -> None:
         self._dup_acks += 1
@@ -806,22 +807,46 @@ class WindowedReceiver:
                 fx.on_repair(pkt)
             return
         reorder = self.reorder
-        verdict = reorder.offer(pkt.seq, pkt)
+        seq = pkt.seq
+        if seq == reorder.rcv_nxt and not pkt.skip and self.spans is None:
+            # ``offer`` (``rcv_nxt`` is never buffered: "inorder") and
+            # ``_consume`` of a data segment, in line: per packet.
+            verdict = "inorder"
+            stats = self.stats
+            stats.delivered_packets += 1
+            stats.delivered_bytes += pkt.size
+            on_deliver = self.on_deliver
+            if on_deliver is not None:
+                on_deliver(pkt, self.sim._now)
+        else:
+            verdict = reorder.offer(seq, pkt)
+            if verdict == "inorder":
+                self._consume(pkt)
+            elif verdict == "dup":
+                self.stats.duplicates += 1
         if verdict == "inorder":
-            self._consume(pkt)
             reorder.rcv_nxt += 1        # advance()
             if reorder._buf:
                 for _seq, buffered in reorder.drain():
                     self._consume(buffered)  # type: ignore[arg-type]
-        elif verdict == "dup":
-            self.stats.duplicates += 1
         if verdict != "dup":
             fx = self.fec
             if fx is not None:
                 # A new arrival may leave a held stripe one member short
                 # of recovery (compound ARQ+FEC repair).
                 fx.on_progress()
-        self._send_ack()
+        # The cumulative ACK.  Positional: flow_id, kind, seq, ack, size,
+        # src, dst, sport, dport, created_at.
+        host = self.host
+        ack = Packet(self.flow_id, _ACK, 0, reorder.rcv_nxt, 0,
+                     host.address, self.peer_addr, self.port,
+                     self.peer_port, self.sim._now)
+        if reorder._buf and self.use_eack:
+            # RUDP's EACK: advertise out-of-sequence arrivals so the sender
+            # can repair burst losses in one round trip (draft-ietf-sigtran-
+            # reliable-udp, EACK segment).  TCP Reno runs without it.
+            ack.sack = tuple(reorder.buffered_seqs()[:self.EACK_LIMIT])
+        host.send(ack)
 
     def _consume(self, pkt: Packet) -> None:
         sp = self.spans
@@ -838,21 +863,6 @@ class WindowedReceiver:
         on_deliver = self.on_deliver
         if on_deliver is not None:
             on_deliver(pkt, self.sim._now)
-
-    def _send_ack(self) -> None:
-        reorder = self.reorder
-        host = self.host
-        # Positional: flow_id, kind, seq, ack, size, src, dst, sport,
-        # dport, created_at.
-        ack = Packet(self.flow_id, _ACK, 0, reorder.rcv_nxt, 0,
-                     host.address, self.peer_addr, self.port,
-                     self.peer_port, self.sim._now)
-        if reorder._buf and self.use_eack:
-            # RUDP's EACK: advertise out-of-sequence arrivals so the sender
-            # can repair burst losses in one round trip (draft-ietf-sigtran-
-            # reliable-udp, EACK segment).  TCP Reno runs without it.
-            ack.sack = tuple(reorder.buffered_seqs()[:self.EACK_LIMIT])
-        host.send(ack)
 
     def invariant_violations(self) -> list[str]:
         """Receive-side sanity (see :mod:`repro.invariants`): the reorder

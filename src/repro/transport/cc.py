@@ -35,6 +35,10 @@ class CongestionControl(abc.ABC):
     #: Senders only schedule epoch ticks for laws that want them.
     needs_epochs = False
 
+    #: False for a law whose window no ACK moves (``on_ack`` does
+    #: nothing): the sender then skips that call on every new ACK.
+    acks_move_window = True
+
     def __init__(self, *, initial_cwnd: float = 2.0, min_cwnd: float = 1.0,
                  max_cwnd: float = 1 << 14):
         if not (0 < min_cwnd <= initial_cwnd <= max_cwnd):
@@ -170,12 +174,15 @@ class FixedWindowCC(CongestionControl):
     performance metrics to the application"; this law is that switch.
     """
 
+    acks_move_window = False
+
     def __init__(self, window: float = 64.0, **kw):
         super().__init__(initial_cwnd=window, min_cwnd=window,
                          max_cwnd=window, **kw)
 
-    def on_ack(self, newly_acked: int) -> None:  # noqa: D102 - fixed law
-        pass
+    def on_ack(self, newly_acked: int) -> None:
+        """Nothing: no ACK moves a fixed window (``acks_move_window``: a
+        sender never calls this)."""
 
     def scale_window(self, factor: float) -> float:
         return self.cwnd  # immutable by construction

@@ -37,6 +37,7 @@ class LdaCC(CongestionControl):
     """
 
     needs_epochs = True
+    acks_move_window = False    # the window moves at epoch boundaries
 
     #: Epoch floor: LDA adjusts on feedback-report intervals (the original
     #: uses RTCP reports, i.e. a seconds timescale), not per-RTT like TCP's
@@ -70,8 +71,9 @@ class LdaCC(CongestionControl):
 
     # ------------------------------------------------------------------
     def on_ack(self, newly_acked: int) -> None:
-        # Window changes only at epoch boundaries; ACKs just clock data out.
-        pass
+        """Nothing: the window changes only at epoch boundaries and ACKs
+        just clock data out (``acks_move_window``: a sender never calls
+        this)."""
 
     def on_epoch(self, sent: int, lost: int, rtt: float) -> None:
         self.epochs += 1

@@ -16,6 +16,10 @@ class RttEstimator:
     ``min_rto`` defaults to 200 ms (modern-stack flavour; the RFC's 1 s floor
     would dominate the paper's 30 ms-RTT experiments and mask the effects
     being measured).
+
+    ``rto`` -- the timeout clamped to [min_rto, max_rto] -- is a plain
+    attribute, recomputed whenever ``_rto`` or ``_backoff`` changes: the
+    sender reads it on every ACK, a sample or a backoff comes far less.
     """
 
     ALPHA = 0.125
@@ -33,31 +37,43 @@ class RttEstimator:
         self._rto = initial_rto
         self._backoff = 1.0
         self.samples = 0
+        self._clamp()
 
     # ------------------------------------------------------------------
     def sample(self, rtt: float) -> None:
         """Feed one measurement from a never-retransmitted segment (Karn)."""
         if rtt < 0:
             raise ValueError("negative RTT sample")
-        if self.srtt is None:
-            self.srtt = rtt
+        srtt = self.srtt
+        if srtt is None:
+            self.srtt = srtt = rtt
             self.rttvar = rtt / 2.0
         else:
+            dev = srtt - rtt    # ``abs``, in line: per ACK
             self.rttvar = ((1 - self.BETA) * self.rttvar
-                           + self.BETA * abs(self.srtt - rtt))
-            self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self._rto = self.srtt + self.K * self.rttvar
+                           + self.BETA * (-dev if dev < 0 else dev))
+            self.srtt = srtt = (1 - self.ALPHA) * srtt + self.ALPHA * rtt
+        self._rto = rto = srtt + self.K * self.rttvar
         self._backoff = 1.0
         self.samples += 1
+        # ``_clamp``, in line (``rto * 1.0`` is ``rto``): per ACK.
+        self.rto = (self.min_rto if rto < self.min_rto else self.max_rto
+                    if rto > self.max_rto else rto)
 
     def backoff(self) -> None:
         """Exponential backoff after a retransmission timeout."""
         self._backoff = min(self._backoff * 2.0, 16.0)
+        self._clamp()
 
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, clamped to [min_rto, max_rto]."""
-        return min(max(self._rto * self._backoff, self.min_rto), self.max_rto)
+    def _clamp(self) -> None:
+        """``rto``: ``_rto * _backoff`` clamped to [min_rto, max_rto]."""
+        self.rto = min(max(self._rto * self._backoff, self.min_rto),
+                       self.max_rto)
+
+    def __setstate__(self, state: dict) -> None:
+        """One pickled while ``rto`` was computed on each read has none."""
+        self.__dict__.update(state)
+        self._clamp()
 
     @property
     def rtt(self) -> float:

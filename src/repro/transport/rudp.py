@@ -81,6 +81,9 @@ class RudpConnection:
             rto_jitter=rto_jitter, rto_rng=rto_rng,
             stall_threshold=stall_threshold)
         self.coordinator = self.sender.coordinator
+        # Mechanism (3) rides on ``marked=``; attributes ride on ``attrs=``
+        # (this is ``cmwritev_attr``): the sender's own ``submit``.
+        self.submit = self.sender.submit
         self.fec: FecState | None = None
         if fec is not None:
             fec = FecConfig.parse(fec)
@@ -110,11 +113,6 @@ class RudpConnection:
         self.callbacks.register(upper=upper, lower=lower, on_upper=on_upper,
                                 on_lower=on_lower,
                                 edge_triggered=edge_triggered)
-
-    def submit(self, size: int, **kw) -> int:
-        """Mechanism (3) rides on ``marked=``; attributes ride on ``attrs=``
-        (this is ``cmwritev_attr``)."""
-        return self.sender.submit(size, **kw)
 
     def finish(self) -> None:
         self.sender.finish()

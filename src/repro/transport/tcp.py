@@ -50,11 +50,9 @@ class TcpConnection:
             on_complete=on_complete, on_space=on_space,
             rto_jitter=rto_jitter, rto_rng=rto_rng,
             stall_threshold=stall_threshold)
+        self.submit = self.sender.submit
 
-    # Convenience passthroughs -------------------------------------------------
-    def submit(self, size: int, **kw) -> int:
-        return self.sender.submit(size, **kw)
-
+    # Convenience passthroughs (``submit`` is the sender's own) -------------
     def finish(self) -> None:
         self.sender.finish()
 

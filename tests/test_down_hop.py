@@ -1,5 +1,5 @@
-"""The far end is asked at departure (``Link(ahead=True)``, ``Router.arriving``)
-and a bottleneck one up hop alone feeds is booked when its host sends
+"""The far end is asked at departure (``Link(ahead=True)``: the route's own
+``book``) and a bottleneck one up hop alone feeds is booked when its host sends
 (``Link.book``).
 
 The reference is the wiring every flow had before: four access ``Link``\\ s
@@ -12,6 +12,7 @@ bottleneck in between.  Every script runs with one host pair too, where
 both bottlenecks are booked.
 """
 
+import collections
 import pickle
 import random
 
@@ -25,8 +26,9 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.link import DelayJitter, GilbertElliottLoss, Link, LossModel
 from repro.sim.node import Host
 from repro.sim.packet import Packet, PacketKind
-from repro.sim.topology import ACCESS_QUEUE_BYTES, DownHop, Dumbbell
+from repro.sim.topology import ACCESS_QUEUE_BYTES, DownHop, Dumbbell, _Egress
 from repro.traffic.cbr import CbrSource
+from repro.transport.rudp import RudpConnection
 from repro.transport.udp import UdpSender
 
 STATS = ("arrivals", "departures", "drops", "bytes_in", "bytes_dropped",
@@ -621,6 +623,88 @@ def test_a_traced_down_hop_reports_every_peak_its_link_did():
     assert peaks == sorted(peaks) and peaks[-1] > 1
     assert any(ev["event"] == "PACKET_DROP" and ev["link"] == "f0-snd-up"
                for ev in events)
+
+
+# ----------------------------------------------------------------------
+# A link books at the route itself: the counters are the traced run's
+# ----------------------------------------------------------------------
+def greedy_counters(traced, *, flows, cbr_bps=0.0, rates=()):
+    """Drained greedy IQ-RUDP transfers of 300 datagrams on ``flows`` host
+    pairs, with a CBR port and forward capacity steps ``rates`` --
+    ``(time, bps)`` -- if given: every counter a router, host or queue
+    keeps.  A traced run asks no far end and books nothing."""
+    sim = Simulator()
+    if traced:
+        sim.bus = TraceBus(sim, [RingBufferSink()])
+    net = Dumbbell(sim)
+    conns = []
+    for i in range(flows):
+        snd, rcv = net.add_flow_hosts(f"f{i}")
+        conn = RudpConnection(sim, snd, rcv, port=6001 + i, law="iq")
+        for k in range(300):
+            conn.submit(1400, frame_id=k)
+        conn.finish()
+        conns.append(conn)
+    if cbr_bps:
+        port = net.add_cross_port("x")
+        CbrSource(sim, UdpSender(sim, port, port=7, peer_addr=port.peer_address,
+                                 peer_port=7), rate_bps=cbr_bps, stop=0.4)
+    for when, bps in rates:
+        sim.at(when, net.forward.set_bandwidth, bps)
+    sim.run()
+    assert not sim.pending() and all(c.completed for c in conns)
+    return {
+        "forwarded": (net.left.forwarded, net.right.forwarded),
+        "received": [h.packets_received for h in net._hosts],
+        "queues": [{k: getattr(l.queue.stats, k) for k in STATS}
+                   for l in (net.forward, net.backward)],
+        "uplinks": [uplink_stats(h) for h in net._hosts],
+        "wire": [(l.bytes_sent, l.packets_sent)
+                 for l in (net.forward, net.backward)],
+        "egress": [(p.egress.packets, p.egress.bytes)
+                   for p in net.cross_ports],
+    }
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts, by class and method, the far-end bookings and the forward
+    bottleneck's admissions and replans."""
+    counted = collections.Counter()
+    for cls, name in ((DownHop, "book"), (_Egress, "book"),
+                      (Link, "_admit"), (Link, "_replan")):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args, _key=f"{cls.__name__}.{name}",
+                    _method=method):
+            if not isinstance(self, Link) or self.name == "bottleneck-fwd":
+                counted[_key] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+    return counted
+
+
+@pytest.mark.parametrize("feeders", ["one", "many"])
+def test_booking_at_the_route_counts_as_the_traced_run(calls, feeders):
+    """``Router.forwarded``, every host's ``packets_received``, the queue
+    and uplink stats and the wire counters of a run whose links book the
+    far end themselves equal a traced run's, where every packet arrives
+    for real: a greedy transfer on its own (up hops book both
+    bottlenecks), and three with a CBR port and capacity steps, where
+    the forward bottleneck's admissions -- a flow packet's, a read train
+    datagram's -- and its replans after each step ask the route."""
+    kw = (dict(flows=1) if feeders == "one"
+          else dict(flows=3, cbr_bps=16e6,
+                    rates=[(0.1, 8e6), (0.2, 12e6), (0.35, 6e6)]))
+    want = greedy_counters(True, **kw)
+    calls.clear()
+    got = greedy_counters(False, **kw)
+    assert got == want
+    assert calls["DownHop.book"] > 0
+    if feeders == "many":
+        assert calls["_Egress.book"] > 0
+        assert calls["Link._admit"] > 0 and calls["Link._replan"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_supervision_knobs_are_refused_by_name_on_both_paths(tmp_path, kw):
             run_campaign({"template": {"workload": "greedy", "n_frames": 5}},
                          dir=tmp_path / "camp", cache=False, progress=False,
                          **kw)
-        assert list((tmp_path / "camp" / "cells").iterdir()) == []
+        assert not (tmp_path / "camp").exists()
     with pytest.raises(ValueError, match=name):
         run_supervised(iter(()), _small, on_result=print, **kw)
 
@@ -122,6 +122,21 @@ def test_campaign_cli_refuses_a_bad_timeout_and_stores_no_cell(
     assert len(err) == 1 and "timeout" in err[0], err
     assert not list(root.glob("cells/*.pkl"))
     assert not list(root.glob("journal/*.pkl"))
+
+
+@pytest.mark.parametrize("flags", [["--timeout", "nan"], ["--retries", "-1"]])
+def test_a_refused_campaign_run_leaves_no_directory(tmp_path, capsys, flags):
+    """The arguments are checked before the store is made: a typo leaves
+    no directory that would later read as a campaign with no cell done."""
+    from repro.cli import main
+    spec = tmp_path / "spec.toml"
+    spec.write_text('name = "t"\n[template]\nworkload = "greedy"\n'
+                    'n_frames = 5\n')
+    root = tmp_path / "camp"
+    assert main(["campaign", "run", str(spec), "--dir", str(root),
+                 *flags]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not root.exists()
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from repro.middleware.receiver import DeliveryLog
 from repro.sim.engine import Simulator
 from repro.sim.link import BernoulliLoss
+from repro.sim.packet import Packet, PacketKind
 from repro.sim.topology import Dumbbell
+from repro.transport.base import WindowedReceiver
 from repro.transport.rudp import RudpConnection
 from repro.transport.tcp import TcpConnection
 
@@ -100,3 +102,85 @@ def test_loss_tolerant_invariants(tolerance, seed):
     if st_.skips_sent:
         total = st_.skips_sent + st_.acked_packets
         assert st_.skips_sent / total <= tolerance + 0.05
+
+
+# ----------------------------------------------------------------------
+# The receiver's in-order fast path against the path it skips
+# ----------------------------------------------------------------------
+class ReferenceReceiver(WindowedReceiver):
+    """``receive`` without its in-order fast path: every data segment goes
+    through ``ReorderBuffer.offer`` and ``_consume``, then the ACK."""
+
+    def receive(self, pkt):
+        if pkt.flow_id != self.flow_id or pkt.kind != PacketKind.DATA:
+            return
+        reorder = self.reorder
+        verdict = reorder.offer(pkt.seq, pkt)
+        if verdict == "inorder":
+            self._consume(pkt)
+            reorder.advance()
+            for _seq, buffered in reorder.drain():
+                self._consume(buffered)
+        elif verdict == "dup":
+            self.stats.duplicates += 1
+        ack = Packet(self.flow_id, PacketKind.ACK, ack=reorder.rcv_nxt)
+        if reorder._buf and self.use_eack:
+            ack.sack = tuple(reorder.buffered_seqs()[:self.EACK_LIMIT])
+        self.host.send(ack)
+
+
+class _Host:
+    """Binds the receiver and keeps the ACK stream it sends."""
+
+    address = 2
+
+    def __init__(self):
+        self.acks = []
+
+    def bind(self, port, endpoint):
+        pass
+
+    def send(self, pkt):
+        self.acks.append((pkt.ack, pkt.sack))
+        return True
+
+
+class _Spans:
+    def __init__(self):
+        self.calls = []
+
+    def on_deliver(self, pkt):
+        self.calls.append(("deliver", pkt.seq))
+
+    def on_skip(self, pkt):
+        self.calls.append(("skip", pkt.seq))
+
+
+def _receive_all(cls, arrivals, *, spans, eack):
+    sim, host, delivered = Simulator(), _Host(), []
+    rx = cls(sim, host, port=1, peer_addr=1, peer_port=1, flow_id=1,
+             on_deliver=lambda pkt, now: delivered.append((pkt.seq, now)),
+             use_eack=eack)
+    if spans:
+        rx.spans = _Spans()
+    for t, (seq, skip) in enumerate(arrivals):
+        sim._now = float(t)
+        pkt = Packet(1, PacketKind.DATA, seq, size=0 if skip else 100)
+        pkt.skip = skip
+        rx.receive(pkt)
+    return (delivered, rx.stats.as_dict(), rx.reorder.duplicates,
+            rx.reorder.rcv_nxt, rx.reorder.buffered_seqs(), host.acks,
+            rx.spans.calls if spans else None)
+
+
+@given(arrivals=st.lists(st.tuples(st.integers(min_value=0, max_value=24),
+                                   st.booleans()), max_size=80),
+       spans=st.booleans(), eack=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_in_order_receive_equals_offer_and_consume(arrivals, spans, eack):
+    """Reordered, duplicated and skip segments, spans on and off: the
+    deliveries, the duplicate counts and the ACK stream (cumulative point
+    and EACK list) are the reference's, arrival for arrival."""
+    got = _receive_all(WindowedReceiver, arrivals, spans=spans, eack=eack)
+    want = _receive_all(ReferenceReceiver, arrivals, spans=spans, eack=eack)
+    assert got == want
