@@ -23,9 +23,9 @@ keyword-only, validated at construction, frozen afterwards; unknown fields
 fail with a close-match suggestion instead of silently configuring
 nothing.  :func:`run` and :func:`sweep` go through the batch runner, so
 they share its persistent results cache, process-pool fan-out and JSONL
-tracing.  :func:`load_result` reads a pickled result back (the cache's
-``.pkl`` format, or anything ``pickle.dump``-ed from a ``ScenarioResult``)
-through the one artifact loader ``repro report`` uses.
+tracing.  :func:`load_result` reads a stored result back (a cache entry,
+a campaign cell or a ``repro scenario --save`` file, all of one on-disk
+format) through the one artifact loader ``repro report`` uses.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .invariants import InvariantViolation  # noqa: F401  (re-export)
 from .obs.report import load_artifact
 from .obs.telemetry import TelemetryConfig  # noqa: F401  (re-export: config)
 from .runner import run_batch, run_one
+from .runner.cache import FormatError
 from .runner.failures import (  # noqa: F401  (re-export: resilient sweeps)
     BatchExecutionError, FailedResult)
 
@@ -109,17 +110,19 @@ def sweep(scenarios, /, *, jobs: int = 1, cache=None,
 
 
 def load_result(path: str | os.PathLike) -> ScenarioResult:
-    """Load a pickled :class:`ScenarioResult` (e.g. a results-cache
+    """Load a stored :class:`ScenarioResult` (e.g. a results-cache
     ``.pkl`` entry) through :func:`repro.obs.report.load_artifact` and
     type-check it.
 
-    Raises ``FileNotFoundError`` for a missing file and ``TypeError`` when
-    the file holds something other than a scenario result -- loading an
-    arbitrary experiment artifact through this accessor is a bug, not a
-    result.
+    Raises ``FileNotFoundError`` for a missing file, ``FormatError`` for
+    another on-disk format and ``TypeError`` when the file holds something
+    other than a scenario result -- loading an arbitrary experiment
+    artifact through this accessor is a bug, not a result.
     """
     try:
         value = load_artifact(path).get("result")
+    except FormatError:
+        raise
     except ValueError as exc:
         raise TypeError(str(exc)) from None
     if not isinstance(value, ScenarioResult):

@@ -25,14 +25,14 @@ and journals for display: a worker's liveness is its lease, its counts are
 its journal.
 
 A journal is the store's own append-only log of pickle frames
-``("v1", key, "ok" | FailedResult.kind)``, ~50 bytes per cell this worker
+``(FORMAT, key, "ok" | FailedResult.kind)``, ~50 bytes per cell this worker
 *executed*, flushed as it lands: the zero-duplicate witness
 (:meth:`CampaignStore.journal_counts`), not a second copy of the results --
 those live in ``cells/`` only, and healing re-runs a torn cell, it never
 reads a journal.  A crash mid-append leaves a torn tail, which replay
 truncates away (every frame before it still counts); a frame of another
-shape ends the replay like a tear.  Older directories' journals carry
-whole results; they still load and count.
+shape ends the replay like a tear.  A manifest whose ``"version"`` is not
+:data:`~repro.runner.cache.FORMAT` is refused before anything is read.
 
 Claim protocol (work stealing)
 ------------------------------
@@ -64,7 +64,7 @@ import tempfile
 import time
 
 from ..experiments.common import ScenarioResult
-from ..runner.cache import ResultsCache, atomic_write
+from ..runner.cache import FORMAT, ResultsCache, atomic_write
 from ..runner.failures import FailedResult
 from .aggregate import Aggregator
 from .spec import Campaign
@@ -77,8 +77,6 @@ DEFAULT_LEASE_S = 300.0
 
 #: What a cell file may hold (``store.cells.get(key, expect=...)``).
 RESULT_TYPES = (ScenarioResult, FailedResult)
-_JOURNAL_TYPES = (str, *RESULT_TYPES)  # outcome, or an older dir's result
-_MAGIC = "v1"
 
 
 class CampaignStore:
@@ -122,7 +120,7 @@ class CampaignStore:
                     f"use a fresh directory")
             return
         manifest = {
-            "version": 1,
+            "version": FORMAT,
             "name": campaign.name,
             "spec": campaign.to_mapping(),
             "cells": cells,
@@ -133,14 +131,21 @@ class CampaignStore:
             d.mkdir(parents=True, exist_ok=True)
 
     def read_manifest(self) -> dict | None:
+        """The manifest, or None; raises if it is corrupt or not FORMAT."""
         try:
             with open(self.manifest_path) as fh:
-                return json.load(fh)
+                manifest = json.load(fh)
         except OSError:
             return None
         except ValueError as exc:
             raise ValueError(f"corrupt campaign manifest "
                              f"{self.manifest_path}: {exc}") from exc
+        if manifest.get("version") != FORMAT:
+            raise ValueError(
+                f"campaign directory {self.root} is in on-disk format "
+                f"{manifest.get('version')}; this repro reads format "
+                f"{FORMAT} only (re-run the campaign in a fresh directory)")
+        return manifest
 
     def manifest(self) -> dict:
         """The manifest of a directory that must hold a campaign."""
@@ -265,14 +270,15 @@ class CampaignStore:
             self.journal_dir.mkdir(parents=True, exist_ok=True)
             self._journal = open(self.journal_dir / f"{self.worker}.pkl",
                                  "ab")
-        pickle.dump((_MAGIC, key, outcome), self._journal,
+        pickle.dump((FORMAT, key, outcome), self._journal,
                     protocol=pickle.HIGHEST_PROTOCOL)
         self._journal.flush()
 
     def journals(self) -> dict[str, dict[str, str]]:
         """Every worker journal, read once: ``{worker: {key: outcome}}``
-        with outcome ``"ok"`` or the failure kind (an older directory's
-        whole result reads as the outcome it records)."""
+        with outcome ``"ok"`` or the failure kind.  Another format's
+        directory raises first: replay would truncate its frames."""
+        self.read_manifest()
         out: dict[str, dict[str, str]] = {}
         try:
             names = sorted(os.listdir(self.journal_dir))
@@ -312,12 +318,10 @@ def _replay(path: pathlib.Path) -> dict[str, str]:
             except Exception:
                 break  # end of file, or a torn/corrupt tail
             if (not isinstance(frame, tuple) or len(frame) != 3
-                    or frame[0] != _MAGIC or not isinstance(frame[1], str)
-                    or not isinstance(frame[2], _JOURNAL_TYPES)):
+                    or frame[0] != FORMAT or not isinstance(frame[1], str)
+                    or not isinstance(frame[2], str)):
                 break
-            outcome = frame[2]
-            done[frame[1]] = (outcome if isinstance(outcome, str)
-                              else getattr(outcome, "kind", "ok"))
+            done[frame[1]] = frame[2]
             good_end = fh.tell()
         tail = os.fstat(fh.fileno()).st_size - good_end
     if tail > 0:

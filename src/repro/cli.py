@@ -134,9 +134,8 @@ def _run_scenario_cmd(args) -> str:
     res = run(scenario, cache=False if args.trace else None,
               trace=args.trace)
     if args.save:
-        import pickle
-        with open(args.save, "wb") as fh:
-            pickle.dump(res, fh)
+        from .runner.cache import write_pickle
+        write_pickle(args.save, res)
     rows = [(k, round(v, 4)) for k, v in sorted(res.summary.items())]
     out = render_table(("metric", "value"), rows,
                        title=f"scenario: {args.transport}/{args.workload}")
@@ -214,7 +213,9 @@ def _run_report_cmd(args) -> str:
 def _execute_campaign(campaign, args) -> int:
     """Shared run/resume executor: run, report, map outcome to exit code
     (0 clean, 1 failed cells, 130 interrupted with a resume hint)."""
-    from .campaign import run_campaign
+    from .campaign import CampaignStore, run_campaign
+    if args.dir:    # a directory of another format is refused first
+        CampaignStore(args.dir).read_manifest()
     print(campaign.describe(), file=sys.stderr)
     try:
         run = run_campaign(campaign, dir=args.dir, workers=args.workers,

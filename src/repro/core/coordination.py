@@ -78,10 +78,6 @@ class Coordinator:
     over it, and the ``obs_coord_*`` summary keys are such counts.
     """
 
-    #: The record's class defaults: a coordinator pickled before the record
-    #: existed loads with an empty one.
-    exchanges = actions = ()
-
     def __init__(self, law: str = "rudp"):
         if law not in LAWS:
             raise ValueError(f"unknown coordination law {law!r} "

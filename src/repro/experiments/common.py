@@ -250,12 +250,11 @@ class ScenarioResult:
     invariant_checks = 0
     #: Sampled time-series payload (:class:`repro.obs.telemetry.Telemetry`);
     #: populated per instance only when ``ScenarioConfig(telemetry=...)``
-    #: armed the recorder, so disarmed results (and old cached pickles)
-    #: read None from the class.
+    #: armed the recorder, so disarmed results read None from the class.
     telemetry = None
     #: The scenario's :class:`~repro.sim.fluid.FluidSource` (fluid
     #: background traffic), when ``ScenarioConfig(fluid_bps=...)`` armed
-    #: one; class-level None keeps old cached pickles readable.
+    #: one; else None, from the class.
     fluid = None
     #: Causal frame-lineage artifact (:meth:`repro.obs.spans.SpanRecorder.
     #: finalize` output) when ``ScenarioConfig(spans=True)``; else None.

@@ -108,27 +108,18 @@ def _series_stats(values: Iterable[float]) -> dict[str, float]:
             "max": max(xs, default=0.0), "sum": total}
 
 
-#: ``obs_coord_*`` key (without ``obs_``) -> the counter a coordinator
-#: pickled while it kept counters beside its decision record kept for it.
-_KEPT_COUNTERS = {"coord_window_rescales": "window_rescales",
-                  "coord_discard_switches": "discard_switches",
-                  "coord_pending": "pending_adaptations",
-                  "coord_cond_corrections": "cond_corrections",
-                  "coord_freq_adaptations": "freq_adaptations",
-                  "coord_fec_adaptations": "fec_adaptations",
-                  "coord_fec_boosts": "fec_boosts"}
+#: The ``coord_*`` counters, in :func:`coordination_counts`' order.
+_COORD_KEYS = ("coord_window_rescales", "coord_discard_switches",
+               "coord_pending", "coord_cond_corrections",
+               "coord_freq_adaptations", "coord_fec_adaptations",
+               "coord_fec_boosts")
 
 
 def coordination_counts(coord) -> dict[str, int]:
     """The ``coord_*`` counters: counts over the coordinator's decision
-    record, 0 without a coordinator.  A coordinator pickled while it
-    still kept counters reports those, as its record may lack a field
-    the counts read (``cond``)."""
+    record, 0 without a coordinator."""
     if coord is None:
-        return dict.fromkeys(_KEPT_COUNTERS, 0)
-    kept = vars(coord)
-    if "window_rescales" in kept:
-        return {name: kept[attr] for name, attr in _KEPT_COUNTERS.items()}
+        return dict.fromkeys(_COORD_KEYS, 0)
     count = coord.count
     return {"coord_window_rescales": count("window_rescale"),
             "coord_discard_switches": count("discard", changed=True),
@@ -252,14 +243,3 @@ def scenario_prometheus(res) -> str:
          for name, kind, value in _instruments(
              res.conn, res.net, res.strategy, res.source, res.log, None)],
         "repro_")
-
-
-class _Retired:
-    # Results pickled before the metrics became a view of the result carry
-    # a registry built from these four classes; binding the names keeps
-    # those cache entries, campaign cells and saved files readable.
-    def __setstate__(self, state) -> None:
-        pass
-
-
-Counter = Gauge = Histogram = MetricsRegistry = _Retired

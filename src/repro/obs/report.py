@@ -49,12 +49,12 @@ def load_artifact(path: str | os.PathLike) -> dict[str, Any]:
     """Decide what the run artifact at ``path`` is and load it:
     ``{"kind": "trace", "header", "runs"}`` for ``*.jsonl[.gz]``,
     ``{"kind": "fuzz", "payload"}`` for a ``*.json`` fuzz forensics file,
-    else ``{"kind": "result", "result"}`` for a pickled ``ScenarioResult``
+    else ``{"kind": "result", "result"}`` for a stored ``ScenarioResult``
     or ``FailedResult`` (``--save``, a cache entry, a campaign cell); each
-    with its ``"path"``.  Anything else raises ``ValueError`` naming the
-    path and the expected kinds."""
+    with its ``"path"``.  Another on-disk format raises ``FormatError``;
+    anything else ``ValueError`` naming the path and the expected kinds."""
     from ..experiments.common import ScenarioResult
-    from ..runner.cache import read_pickle
+    from ..runner.cache import _UNREADABLE, FormatError, load_pickle
     from ..runner.failures import FailedResult
     shown, name = os.fspath(path), pathlib.Path(path).name
     if not os.path.isfile(path):
@@ -71,16 +71,19 @@ def load_artifact(path: str | os.PathLike) -> dict[str, Any]:
                 return {"kind": "fuzz", "path": shown, "payload": payload}
             what = "JSON without fuzz forensics records"
         else:
-            value = read_pickle(path)
+            value = load_pickle(path)
             if isinstance(value, (ScenarioResult, FailedResult)):
                 return {"kind": "result", "path": shown, "result": value}
-            what = ("unreadable pickle" if value is None
-                    else f"holds {type(value).__name__}")
+            what = f"holds {type(value).__name__}"
+    except FormatError:
+        raise
     except (OSError, ValueError) as exc:
         what = str(exc)
+    except _UNREADABLE:
+        what = "unreadable pickle"
     raise ValueError(f"{shown} is not a run artifact ({what}); expected a "
                      f"trace (*.jsonl[.gz]), a 'repro fuzz --forensics' "
-                     f"file (*.json) or a pickled ScenarioResult/"
+                     f"file (*.json) or a stored ScenarioResult/"
                      f"FailedResult")
 
 

@@ -2,8 +2,9 @@
 
 Entries are pickles written atomically (tmp file + rename) under the
 config's key from :mod:`.hashing`, so concurrent workers and interrupted
-runs can never leave a torn entry.  Any unreadable entry is treated as a
-miss and overwritten -- the cache is always safe to delete wholesale.  A
+runs can never leave a torn entry; each starts with :data:`HEADER`.  Any
+unreadable entry, one of another :data:`FORMAT` too, is treated as a miss
+and overwritten -- the cache is always safe to delete wholesale.  A
 :class:`ResultsCache` is exactly the directory it is given:
 :func:`default_cache` puts the code salt in that directory's name, and a
 campaign directory's ``cells/`` is one (:mod:`repro.campaign.store`).
@@ -23,8 +24,16 @@ from typing import Any
 
 from .hashing import code_salt
 
-__all__ = ["ResultsCache", "atomic_write", "read_pickle", "cache_enabled",
+__all__ = ["ResultsCache", "FORMAT", "FormatError", "atomic_write",
+           "write_pickle", "load_pickle", "read_pickle", "cache_enabled",
            "default_cache"]
+
+#: The on-disk format of every stored pickle (its header), campaign manifest
+#: (``"version"``) and journal frame (its tag).  Changing what a stored
+#: result holds bumps it and adds no shim (DESIGN.md, "On-disk format").
+FORMAT = 2
+_MAGIC = b"repro-iq-rudp format "
+HEADER = _MAGIC + b"%d\n" % FORMAT    # the first bytes of a stored pickle
 
 #: Environment variable naming the cache directory.
 ENV_DIR = "REPRO_CACHE_DIR"
@@ -37,14 +46,22 @@ def cache_enabled() -> bool:
     return not os.environ.get(ENV_OFF)
 
 
-#: What unpickling a missing, torn or foreign file raises (malformed
+#: What reading a missing, torn, foreign or older file raises (malformed
 #: opcodes raise ``ValueError``, ``UnicodeDecodeError`` or ``TypeError``).
 _UNREADABLE = (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                ImportError, IndexError, ValueError, TypeError)
 
 
-def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
-    """Replace ``path`` with ``payload`` so a reader sees the old bytes or
+class FormatError(ValueError):
+    """A stored file of another on-disk format, refused by name."""
+
+
+#: How a pickle stored bare -- format 1, before the header -- starts.
+_BARE = {b"\x80%c" % p for p in range(2, pickle.HIGHEST_PROTOCOL + 1)}
+
+
+def atomic_write(path: str | os.PathLike, *chunks: bytes) -> None:
+    """Replace ``path`` with ``chunks`` so a reader sees the old bytes or
     the new, never a part: a tmp file in the target directory (made if
     missing), then ``os.replace``.  On any failure the tmp file is removed,
     ``path`` is left as it was and the exception propagates."""
@@ -53,7 +70,8 @@ def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -63,14 +81,39 @@ def atomic_write(path: str | os.PathLike, payload: bytes) -> None:
         raise
 
 
+def write_pickle(path: str | os.PathLike, value: Any,
+                 payload: bytes | None = None) -> None:
+    """Store ``value`` at ``path``: :data:`HEADER`, then its pickle
+    (``payload``, when the caller has it), written atomically."""
+    if payload is None:
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(path, HEADER, payload)
+
+
+def load_pickle(path: str | os.PathLike) -> Any:
+    """The object :func:`write_pickle` stored at ``path``; a file without
+    :data:`HEADER` raises :class:`FormatError` or, foreign, ``ValueError``."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(HEADER))
+        if head == HEADER:
+            return pickle.load(fh)
+    stamped = head.startswith(_MAGIC)
+    if not stamped and head[:2] not in _BARE:
+        raise ValueError("no on-disk format header")
+    found = (head[len(_MAGIC):].split(b"\n")[0].decode("ascii", "replace")
+             if stamped else "1")
+    raise FormatError(f"{os.fspath(path)} is in on-disk format {found}; "
+                      f"this repro reads format {FORMAT} only (re-run to "
+                      f"rewrite it)")
+
+
 def read_pickle(path: str | os.PathLike,
                 expect: type | tuple[type, ...] | None = None) -> Any | None:
-    """The object pickled at ``path``, or None when the file is missing,
-    torn, foreign or holds something that is not an ``expect`` -- a stale
-    or hostile file that happens to unpickle is never returned."""
+    """The object stored at ``path``, or None when the file is missing,
+    torn, of another format, foreign or holds something that is not an
+    ``expect`` -- a stale or hostile file is never returned."""
     try:
-        with open(path, "rb") as fh:
-            value = pickle.load(fh)
+        value = load_pickle(path)
     except _UNREADABLE:
         return None
     if expect is not None and not isinstance(value, expect):
@@ -114,12 +157,10 @@ class ResultsCache:
 
     def put(self, key: str, value: Any, payload: bytes | None = None
             ) -> None:
-        """Store ``value`` under ``key`` (atomic replace).  ``payload`` is
-        ``value`` already pickled, when the caller has it.  Raises what
-        pickling or writing raises: nothing is stored then."""
-        if payload is None:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        atomic_write(self.path_for(key), payload)
+        """Store ``value`` under ``key`` (:func:`write_pickle`).
+        ``payload`` is ``value`` already pickled, when the caller has it.
+        Raises what pickling or writing raises: nothing is stored then."""
+        write_pickle(self.path_for(key), value, payload)
 
 
 def default_cache() -> ResultsCache:

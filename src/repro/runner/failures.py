@@ -21,8 +21,7 @@ Failure kinds
     The worker process died without reporting (OOM kill, ``kill -9``,
     interpreter abort).  Transient -- eligible for retry.
 
-Ctrl-C is no scenario's failure: it propagates as ``KeyboardInterrupt``
-(older stores' ``"interrupted"`` rows still load).
+Ctrl-C is no scenario's failure: it propagates as ``KeyboardInterrupt``.
 """
 
 from __future__ import annotations

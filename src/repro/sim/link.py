@@ -777,7 +777,6 @@ class Link:
         self._plan, self._held, self._trains = deque(), deque(), []
         self._tseq = 0
         self._free_at = self._last = -inf
-        self.feeders = 0        # pickled before feeders were counted
         for name, value in state.items():
             setattr(self, _PRIVATE.get(name, name), value)
         self._refresh_plain()

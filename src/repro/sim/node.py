@@ -47,9 +47,6 @@ class Host:
             raise ValueError(f"port {port} already bound on {self.name}")
         self._ports[port] = endpoint
 
-    def unbind(self, port: int) -> None:
-        self._ports.pop(port, None)
-
     # ------------------------------------------------------------------
     def send(self, pkt: Packet) -> bool:
         """Transmit toward the network: a host with an uplink sends through
@@ -78,10 +75,6 @@ class Router:
     Routes are static: an address is routed once, so a hop may hold the
     answer for its peer.
     """
-
-    #: What a link pickled while it asked its router's ``arriving`` loads
-    #: as its far end: none (a loaded link runs nothing).
-    arriving = None
 
     def __init__(self, sim: Simulator, address: int, name: str = ""):
         self.sim = sim

@@ -34,11 +34,6 @@ class QueueStats:
         self.peak_packets = 0
         self.flushed = 0
 
-    @property
-    def drop_ratio(self) -> float:
-        """Fraction of arrivals dropped (0.0 when idle)."""
-        return self.drops / self.arrivals if self.arrivals else 0.0
-
 
 class DropTailQueue:
     """FIFO byte-budget queue with tail drop.

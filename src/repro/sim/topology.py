@@ -54,9 +54,6 @@ class _Egress:
     booked ahead, once a reader's clock has reached its arrival instant.
     It takes every booking, so a link reading trains never posts."""
 
-    link = None     # the bottleneck whose trains are read first (pickles
-                    # written before trains were read have none)
-
     def __init__(self, sim: Simulator, link: Link | None = None) -> None:
         self.sim = sim
         self.link = link
@@ -340,9 +337,8 @@ class DownHop(AccessHop):
         log.pop(i)[1].cancel()
 
     def __getstate__(self):
-        """Promises die with the heap: a pickled hop keeps its books.  (One
-        pickled before ``_peak`` and ``_backlog``'s tuple has an int.)"""
-        return None, {name: None if name == "_log" else getattr(self, name, 0)
+        """Promises die with the heap: a pickled hop keeps its books."""
+        return None, {name: None if name == "_log" else getattr(self, name)
                       for cls in (AccessHop, DownHop) for name in cls.__slots__}
 
 

@@ -70,11 +70,6 @@ class RttEstimator:
         self.rto = min(max(self._rto * self._backoff, self.min_rto),
                        self.max_rto)
 
-    def __setstate__(self, state: dict) -> None:
-        """One pickled while ``rto`` was computed on each read has none."""
-        self.__dict__.update(state)
-        self._clamp()
-
     @property
     def rtt(self) -> float:
         """Best RTT estimate (initial guess 0.1 s before any sample)."""

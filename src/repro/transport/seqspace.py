@@ -72,8 +72,3 @@ class ReorderBuffer:
     def buffered_seqs(self) -> list[int]:
         """Sorted out-of-order sequence numbers currently held (EACK body)."""
         return sorted(self._buf)
-
-    def missing_before(self, seq: int) -> list[int]:
-        """Sequence numbers in [rcv_nxt, seq) not yet buffered -- the holes
-        a loss-tolerant receiver would need filled or skipped."""
-        return [s for s in range(self.rcv_nxt, seq) if s not in self._buf]

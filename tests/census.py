@@ -313,6 +313,8 @@ CLI_STEPS = [
                              ["--trace", "t.jsonl"])),
     ["compare", "a.pkl", "b.pkl"], ["report", "a.pkl", "--prom"],
     ["report", "b.pkl", "--prom"], ["report", "notes.txt"], ["compare", "t.jsonl", "a.pkl"],
+    ["report", os.path.join(HERE, "data", "greedy20_iq.pkl")],
+    ["campaign", "status", "old-camp"],
     *(["scenario", "--frames", "10", "--telemetry", c]
       for c in ("nan", "inf", "1e-300")),
     ["scenario", "--transport", "iq", "--workload", "greedy", "--frames",
@@ -343,6 +345,9 @@ def part_cli() -> None:
     import signal
     with open("notes.txt", "w") as fh:
         fh.write("not a run artifact\n")
+    os.mkdir("old-camp")
+    with open(os.path.join("old-camp", "manifest.json"), "w") as fh:
+        fh.write('{"version": 1, "name": "old", "cells": []}\n')
     os.environ["REPRO_CACHE_DIR"] = os.path.abspath("cache")
     for argv in CLI_STEPS:
         _repro(*argv)

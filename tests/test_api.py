@@ -18,6 +18,7 @@ from repro.cli import parse_overrides
 from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.faults import Blackout
 from repro.runner import config_fingerprint, config_key
+from repro.runner.cache import write_pickle
 
 
 def _small(**kw) -> Scenario:
@@ -112,16 +113,14 @@ def test_run_accepts_raw_config_and_rejects_other_types():
 def test_load_result_round_trip_and_type_check(tmp_path):
     res = run(_small(seed=5), cache=False)
     good = tmp_path / "res.pkl"
-    with open(good, "wb") as fh:
-        pickle.dump(res.detach(), fh)
+    write_pickle(good, res.detach())
     loaded = load_result(good)
     assert isinstance(loaded, ScenarioResult)
     assert loaded.summary == res.summary
 
     bad = tmp_path / "other.pkl"
-    with open(bad, "wb") as fh:
-        pickle.dump({"not": "a result"}, fh)
-    with pytest.raises(TypeError, match="not a\n?.*ScenarioResult|holds"):
+    write_pickle(bad, {"not": "a result"})
+    with pytest.raises(TypeError, match="holds dict"):
         load_result(bad)
     with pytest.raises(FileNotFoundError):
         load_result(tmp_path / "missing.pkl")

@@ -27,7 +27,7 @@ from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.middleware.adaptation import ADAPTATIONS, resolution_default
 from repro.obs.live import watch_snapshot
 from repro.runner import config_key, run_batch
-from repro.runner.cache import ResultsCache
+from repro.runner.cache import FORMAT, ResultsCache
 from repro.runner import progress
 from repro.runner.failures import FailedResult
 
@@ -673,7 +673,7 @@ def test_journal_records_the_outcome_of_each_cell(tmp_path):
         frames = {}
         while fh.peek(1):
             magic, key, outcome = pickle.load(fh)
-            assert magic == "v1" and isinstance(outcome, str)
+            assert magic == FORMAT and isinstance(outcome, str)
             frames[key] = outcome
     assert frames == {
         c.key: ("error" if c.config.queue_pkts == 0 else "ok")
@@ -682,61 +682,67 @@ def test_journal_records_the_outcome_of_each_cell(tmp_path):
             for k, r in run.results_by_key.items()} == frames
 
 
-def _parent_format_dir(root, camp, *, journaled):
-    """A campaign directory as the commit before the outcome frames wrote
-    it: the first ``journaled`` cells stored, and worker ``old`` 's journal
-    holding the whole result of each."""
+def _format1_dir(root, camp):
+    """A finished campaign directory as format 1 wrote it: manifest
+    ``"version": 1``, bare-pickled cells and ``"v1"`` journal frames."""
     from repro.runner.pool import run_one
-    store = CampaignStore(root, worker="old")
-    store.init(camp)
-    with open(store.journal_dir / "old.pkl", "ab") as journal:
-        for cell in camp.cells()[:journaled]:
-            res = run_one(cell.config, cache=False, on_error="capture")
-            store.cells.put(cell.key, res)
-            pickle.dump(("v1", cell.key, res), journal,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-    return store
-
-
-def test_parent_format_journal_still_counts_and_is_left_alone(
-        tmp_path, capsys, monkeypatch):
-    from repro.cli import main
-    camp = _tiny_campaign(seeds=3)
-    n = len(camp)
-    root = tmp_path / "camp"
-    store = _parent_format_dir(root, camp, journaled=n)
-    before = _journal_bytes(root)
-    assert len(before["old.pkl"]) > 1024 * n    # whole results, not outcomes
-    assert store.journal_counts() == {"old": n}
-    assert watch_snapshot(root)["executed"] == {"old": n}
-    resumed = run_campaign(camp, dir=root, cache=False)
-    assert resumed.complete
-    for argv in (["status", str(root)], ["watch", str(root), "--once"],
-                 ["report", str(root)], ["resume", str(root)]):
-        assert main(["campaign", *argv]) == 0
-    capsys.readouterr()
-    # Not truncated as a "torn tail" by a stricter frame check, and nothing
-    # was re-executed into a new journal.
-    assert _journal_bytes(root) == before
-    assert store.journal_counts() == {"old": n}
-
-
-def test_outcome_frames_append_to_a_parent_format_journal(tmp_path):
-    """A worker resuming under the same name appends outcome frames after
-    the full-result frames; both kinds count, once per key."""
-    from repro.campaign import worker_loop
-    camp = _tiny_campaign(seeds=3)
+    (root / "cells").mkdir(parents=True)
+    (root / "claims").mkdir()
+    (root / "journal").mkdir()
     cells = camp.cells()
-    root = tmp_path / "camp"
-    _parent_format_dir(root, camp, journaled=2)
-    old_size = (root / "journal" / "old.pkl").stat().st_size
-    done = worker_loop(CampaignStore(root, worker="old"),
-                       [(c.key, c.label, c.config) for c in cells],
-                       cache=False)
-    assert done == len(cells) - 2
-    assert CampaignStore(root).journal_counts() == {"old": len(cells)}
-    grown = (root / "journal" / "old.pkl").stat().st_size - old_size
-    assert 0 < grown < 128 * done
+    (root / "manifest.json").write_text(json.dumps({
+        "version": 1, "name": camp.name, "spec": camp.to_mapping(),
+        "cells": [{"key": c.key, "label": c.label} for c in cells]}))
+    with open(root / "journal" / "old.pkl", "ab") as journal:
+        for cell in cells:
+            res = run_one(cell.config, cache=False, on_error="capture")
+            (root / "cells" / f"{cell.key}.pkl").write_bytes(
+                pickle.dumps(res, protocol=pickle.HIGHEST_PROTOCOL))
+            pickle.dump(("v1", cell.key, "ok"), journal)
+
+
+def _tree(root) -> dict:
+    """Every directory and file under ``root`` with its bytes."""
+    return {p.relative_to(root).as_posix():
+            None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "SPEC", "--dir", "OLD"], ["resume", "OLD"], ["status", "OLD"],
+    ["status", "OLD", "--json"], ["report", "OLD"],
+    ["watch", "OLD", "--once"]])
+def test_an_older_format_directory_is_refused_by_name_and_left_alone(
+        tmp_path, capsys, monkeypatch, argv):
+    from repro.cli import main
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    spec = _write_spec(tmp_path)
+    old = tmp_path / "old"
+    _format1_dir(old, load_campaign(str(spec)))
+    before = _tree(old)
+    argv = [{"SPEC": str(spec), "OLD": str(old)}.get(a, a) for a in argv]
+    assert main(["campaign", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: campaign directory {old} is in on-disk format "
+                   f"1; this repro reads format {FORMAT} only (re-run the "
+                   f"campaign in a fresh directory)\n")
+    assert _tree(old) == before
+
+
+def test_library_entry_points_refuse_an_older_format_directory(tmp_path):
+    camp = _tiny_campaign()
+    old = tmp_path / "old"
+    _format1_dir(old, camp)
+    before = _tree(old)
+    rows = {c.label: c.config for c in camp.cells()}
+    for call in (lambda: run_campaign(camp, dir=old, cache=False),
+                 lambda: run_rows(rows, name="tiny", dir=old, cache=False),
+                 lambda: watch_snapshot(old),
+                 lambda: CampaignStore(old).journal_counts()):
+        with pytest.raises(ValueError, match="on-disk format 1; "):
+            call()
+    assert _tree(old) == before
 
 
 def test_torn_campaign_journal_tail_is_truncated(tmp_path):

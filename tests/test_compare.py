@@ -1,8 +1,6 @@
 """Run-diff tests: first-divergence location, artifact loading, the
 identical-vs-perturbed contract, and the ``repro compare`` exit codes."""
 
-import pickle
-
 import pytest
 
 from repro.analysis.timeseries import first_divergence
@@ -13,6 +11,7 @@ from repro.obs.compare import (compare_artifacts, compare_summaries,
 from repro.obs.report import load_artifact
 from repro.obs.telemetry import Series, TelemetryConfig
 from repro.runner import run_batch
+from repro.runner.cache import write_pickle
 
 
 def _cfg(**kw):
@@ -25,10 +24,8 @@ def _cfg(**kw):
 
 
 def _save(tmp_path, name, cfg):
-    res = run_scenario(cfg).detach()
     path = tmp_path / name
-    with open(path, "wb") as fh:
-        pickle.dump(res, fh)
+    write_pickle(path, run_scenario(cfg).detach())
     return str(path)
 
 
@@ -133,7 +130,7 @@ class TestCompareArtifacts:
         trace = tmp_path / "t.jsonl"
         [res] = run_batch([cfg], cache=False, trace=str(trace))
         saved = tmp_path / "traced.pkl"
-        saved.write_bytes(pickle.dumps(res.detach()))
+        write_pickle(saved, res.detach())
         for other in (saved, trace):
             report = compare_artifacts(saved, other)
             assert report.identical and report.trace
@@ -147,9 +144,8 @@ class TestCompareArtifacts:
 
     def test_load_artifact_rejects_junk(self, tmp_path):
         p = tmp_path / "junk.pkl"
-        with open(p, "wb") as fh:
-            pickle.dump({"not": "a result"}, fh)
-        with pytest.raises(ValueError, match="junk.pkl"):
+        write_pickle(p, {"not": "a result"})
+        with pytest.raises(ValueError, match="junk.pkl .*holds dict"):
             load_artifact(p)
 
     def test_as_dict_is_json_clean(self, tmp_path):

@@ -21,6 +21,7 @@ from repro.invariants import InvariantViolation
 from repro.obs.flight import (DEFAULT_CAPACITY, FlightRecorder,
                               first_divergence, render_flight)
 from repro.runner import FailedResult, ResultsCache, run_batch, run_one
+from repro.runner.cache import write_pickle
 
 
 def _small(**kw) -> ScenarioConfig:
@@ -180,8 +181,7 @@ class TestForensicsCli:
         [bad] = run_batch([_small(adaptation=boom_adaptation)], jobs=1,
                           cache=False, on_error="capture")
         path = tmp_path / "bad.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump(bad, fh)
+        write_pickle(path, bad)
         assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "FAILED scenario" in out
@@ -193,8 +193,7 @@ class TestForensicsCli:
         from repro.cli import main
         res = run_scenario(_small(spans=True)).detach()
         path = tmp_path / "ok.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump(res, fh)
+        write_pickle(path, res)
         assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "flight recorder: last" in out
@@ -223,7 +222,7 @@ class TestForensicsCli:
     def test_unknown_pickle_type_is_user_error(self, tmp_path, capsys):
         from repro.cli import main
         path = tmp_path / "junk.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump({"not": "a result"}, fh)
+        write_pickle(path, {"not": "a result"})
         assert main(["report", str(path)]) == 2
-        assert "junk.pkl" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "junk.pkl" in err and "holds dict" in err

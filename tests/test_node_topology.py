@@ -37,16 +37,6 @@ def test_host_double_bind_rejected():
         h.bind(10, Recorder())
 
 
-def test_host_unbind():
-    sim = Simulator()
-    h = Host(sim, address=1)
-    r = Recorder()
-    h.bind(10, r)
-    h.unbind(10)
-    h.receive(Packet(flow_id=1, dport=10))
-    assert r.got == []
-
-
 def test_host_send_without_uplink_counts_drop():
     sim = Simulator()
     h = Host(sim, address=1)

@@ -1,10 +1,11 @@
 """Unit tests for the scenario metrics: the bounded deterministic reservoir,
 the ``obs_*`` summary export, the one Prometheus writer, the exposition
-rendered from a result's own state, and results pickled by the registry
-this module used to hold (``tests/data/greedy20_iq.*``: a 20-frame greedy
-IQ-RUDP result saved with ``repro scenario --save`` and its ``repro report
---prom`` text, both written by that earlier code)."""
+rendered from a result's own state, and a result stored before the on-disk
+format was stamped (``tests/data/greedy20_iq.*``: a 20-frame greedy
+IQ-RUDP result saved with ``repro scenario --save``, its summary, and its
+``repro report --prom`` text, all written by that earlier code)."""
 
+import json
 import pathlib
 import pickle
 import shutil
@@ -16,31 +17,21 @@ from repro.experiments.common import ScenarioConfig, ScenarioResult
 from repro.obs.metrics import (_series_stats, collect_scenario_metrics,
                                percentile, render_prometheus, reservoir,
                                scenario_prometheus)
+from repro.runner.cache import FORMAT, write_pickle
 
 DATA = pathlib.Path(__file__).parent / "data"
+#: Stored in format 1, before the format was stamped: every reader
+#: refuses it.
 FIXTURE = DATA / "greedy20_iq.pkl"
+#: ``FIXTURE``'s summary, extracted from it while it still loaded.
+FIXTURE_SUMMARY = DATA / "greedy20_iq.summary.json"
 FIXTURE_PROM = DATA / "greedy20_iq.prom"
 #: The configuration ``FIXTURE`` was run from (``repro scenario
 #: --transport iq --workload greedy --frames 20``).
 FIXTURE_CFG = ScenarioConfig(transport="iq", workload="greedy", n_frames=20)
-
-#: A tuple of the removed ``Counter`` (7 counted), ``Gauge`` (set to 1.25)
-#: and ``Histogram`` (maxlen 4, fed 0..8), pickled with protocol 2 by the
-#: classes themselves.
-OLD_INSTRUMENTS = (
-    b"\x80\x02crepro.obs.metrics\nCounter\nq\x00)\x81q\x01X\x01\x00\x00\x00a"
-    b"q\x02G@\x1c\x00\x00\x00\x00\x00\x00\x86q\x03bcrepro.obs.metrics\nGauge"
-    b"\nq\x04)\x81q\x05X\x01\x00\x00\x00bq\x06G?\xf4\x00\x00\x00\x00\x00\x00"
-    b"\x86q\x07bcrepro.obs.metrics\nHistogram\nq\x08)\x81q\t(X\x01\x00\x00"
-    b"\x00cq\nK\x04K\tG@B\x00\x00\x00\x00\x00\x00G\x00\x00\x00\x00\x00\x00"
-    b"\x00\x00G@ \x00\x00\x00\x00\x00\x00]q\x0b(G\x00\x00\x00\x00\x00\x00"
-    b"\x00\x00G@\x10\x00\x00\x00\x00\x00\x00G@ \x00\x00\x00\x00\x00\x00eK"
-    b"\x04tq\x0cb\x87q\r.")
-
-
-def _load_fixture():
-    with open(FIXTURE, "rb") as fh:
-        return pickle.load(fh)
+#: What refusing ``FIXTURE`` says: its format and this repro's.
+REFUSAL = (f"{FIXTURE} is in on-disk format 1; this repro reads format "
+           f"{FORMAT} only")
 
 
 def _fake_run(history=()):
@@ -56,15 +47,6 @@ def _fake_run(history=()):
                                           peak_packets=9, peak_bytes=9000)))
     return dict(conn=NS(sender=sender), net=net,
                 strategy=NS(scale=0.5, upper_events=2))
-
-
-class TestCounterGauge:
-    def test_pickle_roundtrip(self):
-        """Counter, Gauge and Histogram are gone; pickles holding them
-        still load (their state is dropped) so old results stay readable."""
-        objs = pickle.loads(OLD_INSTRUMENTS)
-        assert len(objs) == 3
-        assert all(vars(o) == {} for o in objs)
 
 
 class TestHistogram:
@@ -135,15 +117,6 @@ class TestRegistry:
         counters = keys[:len(keys) - len(gauges) - len(series)]
         assert counters == sorted(counters)
         assert keys[len(counters):] == gauges + series
-
-    def test_registry_pickle_roundtrip(self):
-        """A result pickled with its MetricsRegistry loads; the registry
-        comes back as an empty stand-in and the result round-trips."""
-        res = _load_fixture()
-        assert vars(res.registry) == {}
-        clone = pickle.loads(pickle.dumps(res))
-        assert clone.summary == res.summary
-        assert scenario_prometheus(clone) == scenario_prometheus(res)
 
 
 def test_scenario_summary_carries_obs_metrics():
@@ -230,72 +203,72 @@ class TestPrometheusRendering:
 
 
 class TestParentFixture:
-    """A result pickled before metrics became a view of the result."""
+    """A result stored before the on-disk format was stamped: each reader
+    refuses it without unpickling it, and the file is left as it was."""
 
-    def test_loads_through_results_cache(self, tmp_path):
-        from repro.runner import ResultsCache
+    def test_loads_through_results_cache(self, tmp_path, monkeypatch):
+        """Through the results cache it is a miss, never unpickled."""
+        from repro.runner import ResultsCache, cache
+
+        def load(fh):
+            raise AssertionError("a file without the header was unpickled")
+        monkeypatch.setattr(cache, "pickle", NS(load=load))
         shutil.copy(FIXTURE, tmp_path / "k.pkl")
-        res = ResultsCache(tmp_path).get("k", expect=ScenarioResult)
-        assert res is not None and res.summary["frames_completed"] == 20
+        cache = ResultsCache(tmp_path)
+        assert cache.get("k", expect=ScenarioResult) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert (tmp_path / "k.pkl").read_bytes() == FIXTURE.read_bytes()
 
     def test_loads_through_campaign_store(self, tmp_path):
+        """As a campaign cell it is not done."""
         from repro.campaign import CampaignStore
         (tmp_path / "cells").mkdir()
         shutil.copy(FIXTURE, tmp_path / "cells" / "k.pkl")
-        res = CampaignStore(tmp_path).cells.get("k")
-        assert isinstance(res, ScenarioResult)
+        assert CampaignStore(tmp_path).cells.get("k") is None
 
     def test_loads_through_load_artifact(self):
+        """As a run artifact it is refused by name."""
         from repro.obs.report import load_artifact
-        art = load_artifact(FIXTURE)
-        assert art["kind"] == "result"
-        assert isinstance(art["result"], ScenarioResult)
+        from repro.runner.cache import FormatError
+        with pytest.raises(FormatError) as info:
+            load_artifact(FIXTURE)
+        assert str(info.value).startswith(REFUSAL)
+
+    @pytest.mark.parametrize("command", [["report"], ["report", "--json"],
+                                         ["compare", str(FIXTURE)]])
+    def test_cli_refuses_it_in_one_line_naming_both_formats(self, capsys,
+                                                           command):
+        from repro.cli import main
+        before = FIXTURE.read_bytes()
+        assert main([command[0], str(FIXTURE), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {REFUSAL} (")
+        assert "unreadable" not in err
+        assert FIXTURE.read_bytes() == before
 
     def test_fresh_run_has_fixture_summary(self):
         from repro.experiments.common import run_scenario
         fresh = run_scenario(FIXTURE_CFG).summary
-        assert list(fresh.items()) == list(_load_fixture().summary.items())
-
-    def test_loads_with_an_empty_decision_record(self):
-        """Its coordinator was pickled before it kept a record; its
-        ``report --prom`` bytes are pinned by :class:`TestMetricsCli`."""
-        coord = _load_fixture().conn.sender.coordinator
-        assert "exchanges" not in vars(coord)
-        assert list(coord.exchanges) == [] == list(coord.actions)
-
-    def test_kept_counters_outrank_the_record(self):
-        """A coordinator pickled while it kept counters beside its record
-        reports its counters: its ``window_rescale`` actions carry no
-        ``cond`` field, yet ADAPT_COND's drift applied in three of them."""
-        from repro.core.coordination import Coordinator
-        coord = Coordinator("iq")
-        vars(coord).update(dict.fromkeys((
-            "discard_switches", "pending_adaptations", "freq_adaptations",
-            "fec_adaptations", "fec_boosts"), 0),
-            window_rescales=3, cond_corrections=3)
-        coord.actions = [{"t": 0.5 * i, "action": "window_rescale",
-                          "episode": i, "drift": 1.0} for i in range(3)]
-        coord = pickle.loads(pickle.dumps(coord))
-        run = _fake_run()
-        run["conn"].sender.coordinator = coord
-        out = collect_scenario_metrics(**run)
-        assert out["obs_coord_cond_corrections"] == 3.0
-        assert out["obs_coord_window_rescales"] == 3.0
-        assert coord.count("window_rescale", cond=True) == 0
+        with open(FIXTURE_SUMMARY) as fh:
+            assert list(fresh.items()) == list(json.load(fh).items())
 
 
 class TestMetricsCli:
     def test_metrics_command_renders_scenario_registry(self, tmp_path,
                                                        capsys):
-        """``report --prom`` of the old pickle prints the text the old
-        code printed, and a fresh save of the same run prints it too."""
+        """``report --prom`` of the old pickle is refused in one line; a
+        fresh save of the same run prints the text the old code printed."""
         from repro.cli import main
         from repro.experiments.common import run_scenario
         expected = FIXTURE_PROM.read_text()
-        assert main(["report", str(FIXTURE), "--prom"]) == 0
-        assert capsys.readouterr().out == expected
+        assert main(["report", str(FIXTURE), "--prom"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {REFUSAL}")
+        assert captured.err.count("\n") == 1
         path = tmp_path / "res.pkl"
-        path.write_bytes(pickle.dumps(run_scenario(FIXTURE_CFG).detach()))
+        write_pickle(path, run_scenario(FIXTURE_CFG).detach())
         assert main(["report", str(path), "--prom"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_packets_sent counter" in out
@@ -311,8 +284,9 @@ class TestMetricsCli:
         failed = FailedResult(kind="error", message="boom")
         for name, res in (("bare.pkl", bare), ("failed.pkl", failed)):
             path = tmp_path / name
-            path.write_bytes(pickle.dumps(res))
+            write_pickle(path, res)
             assert main(["report", str(path), "--prom"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and name in err
+            assert "carries no run state for --prom" in err
             assert err.count("\n") == 1

@@ -291,11 +291,11 @@ def _tiny_trace(tmp_path):
 
 
 def _wrong_artifact(tmp_path, kind):
-    import pickle
+    from repro.runner.cache import write_pickle
     path = tmp_path / {"dict": "d.pkl", "json": "plain.json",
                        "text": "notes.txt", "missing": "gone.pkl"}[kind]
     if kind == "dict":
-        path.write_bytes(pickle.dumps({"not": "a result"}))
+        write_pickle(path, {"not": "a result"})
     elif kind == "json":
         path.write_text('{"not": "fuzz forensics"}')
     elif kind == "text":

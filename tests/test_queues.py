@@ -63,14 +63,6 @@ def test_small_packet_fits_after_large_drop():
     assert q.push(mkpkt(10))     # 50 bytes fits in the remaining 60
 
 
-def test_drop_ratio():
-    q = DropTailQueue(capacity_bytes=1440)
-    q.push(mkpkt())
-    q.push(mkpkt())
-    q.push(mkpkt())
-    assert q.stats.drop_ratio == pytest.approx(2 / 3)
-
-
 def test_peak_tracking():
     q = DropTailQueue(capacity_bytes=10 * 1440)
     for _ in range(4):

@@ -1,7 +1,5 @@
 """Unit tests for RTT estimation and RTO management."""
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,18 +8,6 @@ from repro.sim.engine import Simulator
 from repro.transport.base import WindowedSender
 from repro.transport.lda import LdaCC
 from repro.transport.rtt import RttEstimator
-
-#: An estimator with ``rto`` computed on each read (min_rto 0.2, max_rto 5,
-#: sampled 0.03, 0.05, 0.04 s, then backed off twice: rto 0.35875 s),
-#: pickled with protocol 2 by that class itself.
-OLD_ESTIMATOR = (
-    b"\x80\x02crepro.transport.rtt\nRttEstimator\nq\x00)\x81q\x01}q\x02(X"
-    b"\x07\x00\x00\x00min_rtoq\x03G?\xc9\x99\x99\x99\x99\x99\x9aX\x07\x00"
-    b"\x00\x00max_rtoq\x04G@\x14\x00\x00\x00\x00\x00\x00X\x04\x00\x00\x00"
-    b"srttq\x05G?\xa1\x1e\xb8Q\xeb\x85\x1fX\x06\x00\x00\x00rttvarq\x06G?"
-    b"\x8c\xcc\xcc\xcc\xcc\xcc\xcdX\x04\x00\x00\x00_rtoq\x07G?\xb6\xf5\xc2"
-    b"\x8f\\(\xf6X\x08\x00\x00\x00_backoffq\x08G@\x10\x00\x00\x00\x00\x00"
-    b"\x00X\x07\x00\x00\x00samplesq\tK\x03ub.")
 
 
 def test_validation():
@@ -146,12 +132,3 @@ def test_the_armed_rto_is_the_clamped_product(ops):
     sender.snd_nxt = 1      # one packet in flight: arming sets a deadline
     sender._arm_rto()
     assert sender._rto_deadline == sim.now + _clamped(est)
-
-
-def test_an_estimator_pickled_while_rto_was_computed_on_read_loads():
-    est = pickle.loads(OLD_ESTIMATOR)
-    assert (est._rto, est._backoff, est.samples) == (0.0896875, 4.0, 3)
-    assert est.rto == _clamped(est) == 0.35875
-    est.sample(0.04)
-    assert est.rto == _clamped(est) and est._backoff == 1.0
-    assert pickle.loads(pickle.dumps(est)).rto == est.rto

@@ -35,13 +35,6 @@ def test_duplicate_detection():
     assert rb.duplicates == 2
 
 
-def test_missing_before():
-    rb = ReorderBuffer()
-    rb.offer(3, "d")
-    rb.offer(5, "f")
-    assert rb.missing_before(6) == [0, 1, 2, 4]
-
-
 def test_buffered_seqs_sorted():
     rb = ReorderBuffer()
     for s in (9, 3, 7):

@@ -21,6 +21,7 @@ from repro.core.coordination import Coordinator
 from repro.experiments.common import TRANSPORTS, ScenarioConfig, run_scenario
 from repro.obs.spans import FRAME_OUTCOMES
 from repro.runner import ResultsCache, run_batch
+from repro.runner.cache import write_pickle
 
 
 def _cfg(transport="iq", **kw) -> ScenarioConfig:
@@ -185,8 +186,7 @@ class TestLineageCli:
                                           n_frames=30,
                                           time_cap=15.0)).detach()
         path = tmp_path / "nospans.pkl"
-        with open(path, "wb") as fh:
-            pickle.dump(res, fh)
+        write_pickle(path, res)
         assert main(["report", str(path), "--frame", "0"]) == 2
         assert "no lineage spans" in capsys.readouterr().err
 
