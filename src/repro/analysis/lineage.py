@@ -1,18 +1,19 @@
 """Causal frame-lineage analysis over ``ScenarioResult.spans``.
 
 The span recorder (:mod:`repro.obs.spans`) captures the raw chain --
-frames, datagram attempts, drops, coordination episodes -- and this module
-turns it into the artefacts ``repro report RESULT`` prints:
+frames, datagram attempts, drops -- and this module turns it into the
+artefacts ``repro report RESULT`` prints:
 
 * :func:`frame_accounting` -- outcome counts plus the reconciliation
   anchor (``frames_with_delivery`` must equal the delivery log's frame
   count exactly),
-* :func:`decision_chain` -- every attribute exchange paired with the
-  coordination action(s) it caused, the paper's Table 3 causality made
-  checkable per run,
 * :func:`render_lineage` / :func:`render_frame_lineage` -- the text
   reports, including the per-frame latency decomposition
   (serialization / queueing / propagation / retransmission-wait).
+
+Which exchange caused which coordination action is the report's audit
+(:func:`repro.obs.report.decision_chain`), read from the coordinator's
+own record.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Any, Mapping
 
 from .tables import render_table
 
-__all__ = ["frame_accounting", "decision_chain", "render_lineage",
-           "render_frame_lineage"]
+__all__ = ["frame_accounting", "render_lineage", "render_frame_lineage"]
 
 
 def frame_accounting(spans: Mapping[str, Any]) -> dict[str, Any]:
@@ -44,34 +44,6 @@ def frame_accounting(spans: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def decision_chain(spans: Mapping[str, Any]) -> dict[str, Any]:
-    """Pair each coordination episode (attribute exchange) with the
-    action(s) it caused, plus the spontaneous (transport-initiated)
-    stall degrade/recover actions."""
-    by_ep: dict[int, list[dict[str, Any]]] = {}
-    spontaneous: list[dict[str, Any]] = []
-    for act in spans["actions"]:
-        ep = act.get("episode")
-        if ep is None:
-            spontaneous.append(act)
-        else:
-            by_ep.setdefault(ep, []).append(act)
-    chain = [{"episode": ep, "actions": by_ep.get(ep["id"], [])}
-             for ep in spans["episodes"]]
-    return {"chain": chain, "spontaneous": spontaneous}
-
-
-def _fmt_attrs(attrs: Mapping[str, Any]) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-
-
-def _fmt_action(act: Mapping[str, Any]) -> str:
-    extra = " ".join(f"{k}={round(v, 6) if isinstance(v, float) else v}"
-                     for k, v in sorted(act.items())
-                     if k not in ("t", "action", "episode"))
-    return act["action"] + (f" [{extra}]" if extra else "")
-
-
 def _latency_cells(lat: Mapping[str, float] | None) -> list[str]:
     if lat is None:
         return ["-"] * 5
@@ -82,7 +54,7 @@ def _latency_cells(lat: Mapping[str, float] | None) -> list[str]:
 
 def render_lineage(spans: Mapping[str, Any], *,
                    limit: int | None = 20) -> str:
-    """Full lineage report: accounting, decision chain, frame table.
+    """Full lineage report: accounting, frame table.
 
     The frame table shows every non-delivered frame plus the newest
     ``limit`` frames (where the endgame lives); pass ``limit=None`` for
@@ -99,27 +71,6 @@ def render_lineage(spans: Mapping[str, Any], *,
     fate_txt = " ".join(f"{k}={v}"
                         for k, v in acct["segment_fates"].items())
     parts.append(f"segments: {fate_txt or 'none'}")
-
-    chain = decision_chain(spans)
-    parts.append("")
-    parts.append(f"Decision chain ({len(chain['chain'])} attribute "
-                 f"exchanges, {len(chain['spontaneous'])} "
-                 f"transport-initiated actions)")
-    rows = []
-    for link in chain["chain"]:
-        ep = link["episode"]
-        acts = link["actions"]
-        rows.append([ep["id"], f"{ep['t']:.3f}", _fmt_attrs(ep["attrs"]),
-                     "; ".join(_fmt_action(a) for a in acts)
-                     or "(consumed, no action)"])
-    for act in chain["spontaneous"]:
-        rows.append(["-", f"{act['t']:.3f}", "(transport-initiated)",
-                     _fmt_action(act)])
-    if rows:
-        parts.append(render_table(
-            ["ep", "t", "attributes", "coordination action"], rows))
-    else:
-        parts.append("  (no coordination episodes)")
 
     frames = spans["frames"]
     shown = frames

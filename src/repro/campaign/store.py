@@ -140,6 +140,10 @@ class CampaignStore:
         except ValueError as exc:
             raise ValueError(f"corrupt campaign manifest "
                              f"{self.manifest_path}: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise ValueError(f"corrupt campaign manifest "
+                             f"{self.manifest_path}: a JSON "
+                             f"{type(manifest).__name__}, not an object")
         if manifest.get("version") != FORMAT:
             raise ValueError(
                 f"campaign directory {self.root} is in on-disk format "

@@ -19,7 +19,7 @@ Examples
     python -m repro profile --cbr 16e6     # engine self-profile for one run
     python -m repro compare a.pkl b.pkl    # run diff (exit 1 on divergence)
     python -m repro scenario --set spans=True --save a.pkl   # lineage armed
-    python -m repro report a.pkl           # flight timeline + causal chain
+    python -m repro report a.pkl           # flight timeline + audit
     python -m repro report a.pkl --prom    # Prometheus text exposition
     python -m repro report run.jsonl.gz    # trace timeline + audit
 
@@ -603,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp = _command(sub, "report", _run_report_cmd,
                   help="render a run artifact: a trace (timeline + "
                        "coordination audit), a saved result (flight ring, "
-                       "lineage, failure) or a fuzz forensics file")
+                       "lineage, coordination audit, failure) or a fuzz "
+                       "forensics file")
     rp.add_argument("path", help="--trace output, --save output (or a "
                                  "cache/campaign .pkl), or fuzz --forensics")
     rp.add_argument("--run", help="trace: only this run label")

@@ -71,9 +71,11 @@ class Coordinator:
     per-period redundancy controller.
 
     It writes down what it decided, on every run: ``exchanges`` holds
-    ``{"id", "t", "attrs"}`` per attribute set the law heard, ``actions``
+    ``{"episode", "t", "attrs"}`` per attribute set the law heard,
+    ``episode`` being its index in ``exchanges``; ``actions`` holds
     ``{"t", "action", "episode", **fields}`` per action, ``episode`` being
-    the ``id`` of the exchange that caused it (None: transport-initiated).
+    that of the exchange that caused it (None: transport-initiated).  The
+    trace and the flight ring name an exchange by the same ``episode``.
     The record is the only account of coordination: :meth:`count` counts
     over it, and the ``obs_coord_*`` summary keys are such counts.
     """
@@ -122,22 +124,17 @@ class Coordinator:
         before the sender has one (and a test double may have none)."""
         return getattr(self.sender, "trace", NULL_BUS)
 
-    def _act(self, action: str, cause: tuple[int, int] | None = None,
+    def _act(self, action: str, episode: int | None = None,
              **fields) -> None:
-        """Record one coordination action and report it.  ``cause`` is
-        ``(episode, attr_seq)`` for an attribute-driven action: the index
-        of its exchange in :attr:`exchanges` and the trace ``seq`` of that
-        exchange's ``ATTR_RECEIVED`` (-1 when untraced).  Transport-initiated
-        actions have none."""
+        """Record one coordination action and report it.  ``episode`` is
+        the index in :attr:`exchanges` of the exchange that caused it;
+        transport-initiated actions have none."""
         self.actions.append({"t": self.sender.sim._now, "action": action,
-                             "episode": None if cause is None else cause[0],
-                             **fields})
+                             "episode": episode, **fields})
         tr = self._trace
         if tr.recording:
-            if cause is not None:
-                fields = {"attr_seq": cause[1], **fields}
             tr.cold("coord", COORD_ACTION, flow=self.sender.flow_id,
-                    action=action, **fields)
+                    action=action, episode=episode, **fields)
 
     # ------------------------------------------------------------------
     # Transport-initiated actions: the sender's stall detector declared
@@ -282,52 +279,51 @@ class Coordinator:
         if snd is None:
             raise RuntimeError("coordinator not bound to a sender")
 
-        # Record and report the exchange; every action below cites it, by
-        # index in the record and by trace ``seq`` in the report's audit.
+        # Record and report the exchange; every action below cites its
+        # episode, its index in the record.
         episode = len(self.exchanges)
         heard = attrs.as_dict()
-        self.exchanges.append({"id": episode, "t": snd.sim._now,
+        self.exchanges.append({"episode": episode, "t": snd.sim._now,
                                "attrs": heard})
-        seq = -1
         tr = self._trace
         if tr.recording:
-            seq = tr.cold("coord", ATTR_RECEIVED, flow=snd.flow_id,
-                          attrs=heard)
-        cause = (episode, seq)
+            tr.cold("coord", ATTR_RECEIVED, flow=snd.flow_id,
+                    episode=episode, attrs=heard)
 
         when = attrs.get(ADAPT_WHEN)
         if when == "pending":
             # The application will adapt later (limited granularity).  The
             # transport keeps adapting on its own; nothing to change now.
-            self._act("pending", cause)
+            self._act("pending", episode)
             return
 
         for attr, rule in _BOUND[self.law]:
             if attr in attrs:
-                rule(self, snd, attrs[attr], attrs, cause)
+                rule(self, snd, attrs[attr], attrs, episode)
 
     # ------------------------------------------------------------------
     # The rules' attribute-driven halves, one method each; ``value`` is
-    # ``attrs[RULES[rule]]`` and ``cause`` the exchange, for ``_act``.
+    # ``attrs[RULES[rule]]`` and ``episode`` the exchange's, for ``_act``.
     # ------------------------------------------------------------------
-    def _discard(self, snd, value, attrs, cause) -> None:
+    def _discard(self, snd, value, attrs, episode) -> None:
         p = float(value)
         want = p > 1e-9
         changed = want != snd.discard_unmarked
         snd.discard_unmarked = want
-        self._act("discard", cause, enabled=want, changed=changed, unmark_p=p)
+        self._act("discard", episode, enabled=want, changed=changed,
+                  unmark_p=p)
 
-    def _freq(self, snd, value, attrs, cause) -> None:
+    def _freq(self, snd, value, attrs, episode) -> None:
         # Deliberately no window change (see module docstring).
-        self._act("freq_no_window_change", cause, freq_chg=float(value))
+        self._act("freq_no_window_change", episode, freq_chg=float(value))
 
-    def _fec(self, snd, value, attrs, cause) -> None:
+    def _fec(self, snd, value, attrs, episode) -> None:
         requested = int(value)
         fx = getattr(snd, "fec_tx", None)
         if fx is None:
             # The application asked for coding on a connection with no
             # FEC tier: record the mismatch, change nothing.
-            self._act("fec_unavailable", cause, requested=requested)
+            self._act("fec_unavailable", episode, requested=requested)
             return
         state = fx.state
         r_before = state.r
@@ -335,16 +331,17 @@ class Coordinator:
         changed = r_after != r_before
         if changed:
             self._fec_clean_periods = 0
-        self._act("fec_redundancy", cause, requested=requested,
+        self._act("fec_redundancy", episode, requested=requested,
                   r_before=r_before, r_after=r_after, changed=changed)
 
-    def _reinflate(self, snd, value, attrs, cause) -> None:
+    def _reinflate(self, snd, value, attrs, episode) -> None:
         rate_chg = float(value)
         if rate_chg >= 1.0:
             raise ValueError(f"ADAPT_PKTSIZE rate_chg {rate_chg} >= 1")
         if snd.last_frame_size >= snd.mss:
-            self._act("rescale_skipped_large_frame", cause, rate_chg=rate_chg,
-                      last_frame_size=snd.last_frame_size, mss=snd.mss)
+            self._act("rescale_skipped_large_frame", episode,
+                      rate_chg=rate_chg, last_frame_size=snd.last_frame_size,
+                      mss=snd.mss)
             return
         base_factor = 1.0 / (1.0 - rate_chg)
         factor = base_factor
@@ -360,7 +357,7 @@ class Coordinator:
                 applied = True
         cwnd_before = snd.cc.cwnd
         snd.cc.scale_window(factor)
-        self._act("window_rescale", cause, rate_chg=rate_chg,
+        self._act("window_rescale", episode, rate_chg=rate_chg,
                   base_factor=base_factor, drift=drift, cond=applied,
                   factor=factor, cwnd_before=cwnd_before,
                   cwnd_after=snd.cc.cwnd)

@@ -343,8 +343,8 @@ def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
     so every component caches it.  The trace is not part of
     ``ScenarioConfig``: tracing never changes results, so it must not
     change cache keys.  The coordinator's decision record, on every
-    result, is the one account of coordination; the lineage copies it
-    when the run ends and the telemetry's series share its clock.
+    result, is the one account of coordination: ``repro report`` renders
+    it as the audit, and the telemetry's series share its clock.
 
     ``profile`` (an :class:`~repro.obs.profiler.EngineProfile`) swaps in
     the self-profiling engine and records coarse setup/run/collect phase

@@ -20,9 +20,10 @@ package provides the run-level evidence chain:
   ``obs_coord_*`` keys count over the coordinator's decision record); the
   one Prometheus writer.
 * :mod:`.report` -- the one run-artifact loader and ``repro report``:
-  a trace's adaptation timeline and coordination audit (every ``ADAPT_*``
-  exchange paired with the transport action it produced), a result's
-  flight ring, lineage, failure and metrics, a fuzz forensics file.
+  a trace's adaptation timeline, a result's flight ring, lineage, failure
+  and metrics, a fuzz forensics file; and the coordination audit of a
+  trace and of a result alike (every ``ADAPT_*`` exchange paired, by its
+  ``episode``, with the transport action it produced).
 * :mod:`.telemetry` -- sampled per-flow/queue/link time series
   (``ScenarioConfig(telemetry=...)``) with bounded M4-style downsampling,
   on the same clock as the coordinator's decision record.
@@ -31,8 +32,7 @@ package provides the run-level evidence chain:
 * :mod:`.flight` -- the always-on bounded flight recorder whose dump is
   attached to every result and failure (``repro report RESULT``).
 * :mod:`.spans` -- causal frame-lineage spans linking application frames
-  to datagram attempts, drops and coordination episodes, the last copied
-  from the coordinator's decision record
+  to datagram attempts and drops
   (``ScenarioConfig(spans=True)``, ``repro report RESULT [--frame N]``).
 * :mod:`.live` -- the one campaign-directory snapshot behind
   ``campaign status``, ``campaign watch`` and ``repro serve``; a

@@ -61,8 +61,8 @@ class NullBus:
     enabled = False
     recording = False
 
-    def emit(self, layer: str, etype: str, **fields: Any) -> int:
-        return -1
+    def emit(self, layer: str, etype: str, **fields: Any) -> None:
+        pass
 
     cold = note = emit
 
@@ -90,9 +90,9 @@ class TraceBus:
     None.
 
     ``emit`` stamps the event with the simulation clock and a monotonically
-    increasing sequence number, fans it out to every sink, and returns the
-    sequence number so callers can correlate follow-up events (the
-    ``ATTR_RECEIVED`` -> ``COORD_ACTION`` pairing the audit relies on).
+    increasing sequence number and fans it out to every sink.  It returns
+    nothing: an event that names another carries the name in its fields
+    (a ``COORD_ACTION`` cites its exchange's ``episode``).
     """
 
     def __init__(self, sim, sinks=(), *, ring=None) -> None:
@@ -109,25 +109,23 @@ class TraceBus:
         # instant order (asked while it reads, it does not start again).
         self.settlers: list = []
 
-    def emit(self, layer: str, etype: str, **fields: Any) -> int:
+    def emit(self, layer: str, etype: str, **fields: Any) -> None:
         seq = self._seq
         self._seq = seq + 1
         ev = TraceEvent(seq, self._sim._now, layer, etype, fields)
         for sink in self.sinks:
             sink.append(ev)
-        return seq
 
-    def cold(self, layer: str, etype: str, **fields: Any) -> int:
-        """Report one cold event to the ring and the trace; returns its
-        trace ``seq``, or -1 when no trace sink is attached."""
+    def cold(self, layer: str, etype: str, **fields: Any) -> None:
+        """Report one cold event to the ring and, when a sink is
+        attached, the trace."""
         ring = self.ring
         if ring is not None:
             for settle in self.settlers:
                 settle()
             ring.note(layer, etype, **fields)
         if self.enabled:
-            return self.emit(layer, etype, **fields)
-        return -1
+            self.emit(layer, etype, **fields)
 
     def note(self, layer: str, etype: str, **fields: Any) -> None:
         """Ring-only breadcrumb (a name outside the trace vocabulary)."""

@@ -7,13 +7,14 @@ drop, fault or retransmission: never one per packet) goes through
 ring and -- when a sink is attached -- in the trace.  An **emit** event is
 wanted by a trace alone and goes through ``emit()`` behind ``tr.enabled``.
 
-Each :data:`COORD_ACTION` caused by an :data:`ATTR_RECEIVED` carries
-``attr_seq`` -- that event's trace ``seq``, -1 when no sink is attached --
-so the report's audit pairs every attribute exchange in a trace with the
-transport action it caused; transport-initiated actions (stall
-degrade/recover, the redundancy controller) carry none.  A result needs no
-pairing: the coordinator's own record cites each action's exchange
-(:attr:`~repro.core.coordination.Coordinator.actions`).
+An :data:`ATTR_RECEIVED` carries its ``episode``, the exchange's index in
+the coordinator's record
+(:attr:`~repro.core.coordination.Coordinator.exchanges`), and a
+:data:`COORD_ACTION` the ``episode`` of the exchange that caused it, None
+for a transport-initiated action (stall degrade/recover, the redundancy
+controller).  The key is the record's own, so the flight ring is the same
+traced or not, and the report pairs a trace's events and a result's record
+with one function (:func:`repro.obs.report.decision_chain`).
 """
 
 from __future__ import annotations

@@ -3,22 +3,23 @@
 :func:`load_artifact` is the one reader (``compare`` and
 ``api.load_result`` use it too): a trace, a fuzz forensics file or a
 pickled result.  For a result, :func:`render_artifact` shows the flight
-timeline, the causal lineage and a failure's traceback, one frame's
-story (``frame``) or its metrics as Prometheus text (``prom``); for a
-fuzz file, each record's two flight dumps.  For a trace it renders, per run:
+timeline, the causal lineage, the coordination audit and a failure's
+traceback, one frame's story (``frame``) or its metrics as Prometheus text
+(``prom``); for a fuzz file, each record's two flight dumps.  For a trace
+it renders, per run, a **timeline** of the control-loop events (callback
+firings, attribute exchanges, coordination actions, window changes, period
+rolls, ...) in emission order, then the audit.
 
-* a **timeline** of the control-loop events (callback firings, attribute
-  exchanges, coordination actions, window changes, period rolls, ...) in
-  emission order, and
-* a **coordination audit**: every attribute exchange the coordinator saw
-  (``ATTR_RECEIVED``) paired -- via the ``attr_seq`` back-reference each
-  ``COORD_ACTION`` carries -- with the transport action(s) it produced,
-  including the over-reaction base factor ``1/(1-rate_chg)`` and the Eq. 1
-  drift correction ``(1-e_new)/(1-e_old)`` when ``ADAPT_COND`` was applied.
-
-The audit is the report's point: it turns the paper's causal claim
-("application adaptation X made the transport do Y") into a checkable
-table for any given run.
+The **coordination audit** is the report's point: it turns the paper's
+causal claim ("application adaptation X made the transport do Y") into a
+checkable table for any given run.  :func:`decision_chain` pairs every
+attribute exchange with the transport action(s) it produced, by the
+exchange's ``episode`` -- the coordinator's record of a result, or the
+``ATTR_RECEIVED`` / ``COORD_ACTION`` events of a trace, which carry the
+same key -- and :func:`render_decisions` draws it, with the over-reaction
+base factor ``1/(1-rate_chg)`` and the Eq. 1 drift correction
+``(1-e_new)/(1-e_old)`` when ``ADAPT_COND`` was applied.  A result and a
+trace of the same run render the same audit.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .flight import render_flight
 from .metrics import scenario_prometheus
 from .sinks import read_trace
 
-__all__ = ["load_artifact", "render_artifact", "coordination_audit",
-           "render_timeline", "render_report", "report_json",
-           "failures_by_kind", "TIMELINE_EVENTS", "TRACE_LIMIT"]
+__all__ = ["load_artifact", "render_artifact", "decision_chain",
+           "render_decisions", "render_timeline", "render_report",
+           "report_json", "failures_by_kind", "TIMELINE_EVENTS",
+           "TRACE_LIMIT"]
 
 #: Timeline rows a trace report shows per run unless ``limit`` says.
 TRACE_LIMIT = 60
@@ -110,15 +112,18 @@ TIMELINE_EVENTS = frozenset({
 _RESERVED = ("seq", "t", "layer", "event")
 
 
-def _details(ev: dict[str, Any]) -> str:
-    """Compact ``k=v`` rendering of an event's type-specific fields."""
+def _details(ev: dict[str, Any], omit: Sequence[str] = _RESERVED) -> str:
+    """Compact ``k=v`` rendering of an event's type-specific fields, in
+    key order at every depth."""
     parts = []
     for key in sorted(ev):
-        if key in _RESERVED:
+        if key in omit:
             continue
         value = ev[key]
         if isinstance(value, float):
             value = fmt(value, 4)
+        elif isinstance(value, dict):
+            value = "{" + _details(value, ()) + "}"
         parts.append(f"{key}={value}")
     return " ".join(parts)
 
@@ -148,94 +153,79 @@ def render_timeline(events: Sequence[dict[str, Any]], *,
                         title=title)
 
 
-def coordination_audit(events: Sequence[dict[str, Any]]
-                       ) -> dict[str, list[dict[str, Any]]]:
-    """Pair every ``ATTR_RECEIVED`` with the ``COORD_ACTION`` events that
-    reference it.
+def decision_chain(exchanges: Sequence[dict[str, Any]],
+                   actions: Sequence[dict[str, Any]]
+                   ) -> dict[str, list[dict[str, Any]]]:
+    """Pair every attribute exchange with the coordination actions it
+    caused, by ``(flow, episode)``: a result's record
+    (``Coordinator.exchanges`` / ``.actions``, one flow, no ``flow`` key)
+    or a trace's ``ATTR_RECEIVED`` / ``COORD_ACTION`` events.
 
-    Returns ``{"pairs": [...], "unmatched_attrs": [...], "spontaneous":
-    [...], "unmatched_actions": [...]}`` where each pair is
-    ``{"attr": event, "actions": [event, ...]}``.  ``unmatched_attrs`` are
-    exchanges the coordinator consumed without acting on (legitimately --
-    e.g. an attribute set with nothing the active schemes handle);
-    ``spontaneous`` are transport-initiated actions that carry *no*
-    ``attr_seq`` because no application attribute exchange caused them
-    (the stall detector's graceful degradation / recovery); and
-    ``unmatched_actions`` are actions whose ``attr_seq`` points at no
-    recorded exchange (which would indicate a broken trace).
+    Returns ``{"pairs", "unmatched_exchanges", "spontaneous",
+    "unmatched_actions"}``; a pair is ``{"exchange", "actions"}``.
+    ``unmatched_exchanges`` were consumed without action (legitimately --
+    an attribute set the active law has no rule for); ``spontaneous``
+    actions were transport-initiated (``episode`` None: stall
+    degrade/recover, the redundancy controller); ``unmatched_actions``
+    cite an exchange that is not there (a broken artifact).
     """
-    attrs_by_seq: dict[int, dict[str, Any]] = {}
-    actions_by_attr: dict[int, list[dict[str, Any]]] = {}
+    keys = [(ex.get("flow"), ex["episode"]) for ex in exchanges]
+    caused: dict[tuple, list[dict[str, Any]]] = {key: [] for key in keys}
     spontaneous: list[dict[str, Any]] = []
-    unmatched_actions: list[dict[str, Any]] = []
-    for ev in events:
-        etype = ev.get("event")
-        if etype == ATTR_RECEIVED:
-            attrs_by_seq[ev["seq"]] = ev
-        elif etype == COORD_ACTION:
-            if "attr_seq" in ev:
-                actions_by_attr.setdefault(ev["attr_seq"], []).append(ev)
-            else:
-                spontaneous.append(ev)
-    pairs = []
-    unmatched_attrs = []
-    for seq, attr_ev in attrs_by_seq.items():
-        actions = actions_by_attr.pop(seq, None)
-        if actions:
-            pairs.append({"attr": attr_ev, "actions": actions})
-        else:
-            unmatched_attrs.append(attr_ev)
-    for leftover in actions_by_attr.values():
-        unmatched_actions.extend(leftover)
-    return {"pairs": pairs, "unmatched_attrs": unmatched_attrs,
-            "spontaneous": spontaneous,
-            "unmatched_actions": unmatched_actions}
+    unmatched: list[dict[str, Any]] = []
+    for act in actions:
+        key = (act.get("flow"), act["episode"])
+        bucket = (caused[key] if key in caused
+                  else spontaneous if act["episode"] is None else unmatched)
+        bucket.append(act)
+    return {"pairs": [{"exchange": ex, "actions": caused[key]}
+                      for ex, key in zip(exchanges, keys) if caused[key]],
+            "unmatched_exchanges": [ex for ex, key in zip(exchanges, keys)
+                                    if not caused[key]],
+            "spontaneous": spontaneous, "unmatched_actions": unmatched}
 
 
-def _audit_rows(audit: dict[str, list[dict[str, Any]]]
-                ) -> list[list[Any]]:
-    rows: list[list[Any]] = []
-    for pair in audit["pairs"]:
-        attr_ev = pair["attr"]
-        attr_txt = _details({k: v for k, v in attr_ev.items()
-                             if k not in _RESERVED and k != "via"})
-        for i, act in enumerate(pair["actions"]):
-            act_txt = _details({k: v for k, v in act.items()
-                                if k not in _RESERVED and k != "attr_seq"})
-            rows.append([attr_ev["seq"] if i == 0 else "",
-                         f"{attr_ev.get('t', 0.0):.6f}" if i == 0 else "",
-                         attr_txt if i == 0 else "",
-                         act.get("action", "?"), act_txt])
-    for attr_ev in audit["unmatched_attrs"]:
-        rows.append([attr_ev["seq"], f"{attr_ev.get('t', 0.0):.6f}",
-                     _details({k: v for k, v in attr_ev.items()
-                               if k not in _RESERVED}), "(no action)", ""])
-    for act in audit["spontaneous"]:
-        rows.append(["-", f"{act.get('t', 0.0):.6f}",
-                     "(transport-initiated)", act.get("action", "?"),
-                     _details({k: v for k, v in act.items()
-                               if k not in _RESERVED})])
-    for act in audit["unmatched_actions"]:
-        rows.append(["?", f"{act.get('t', 0.0):.6f}", "(missing exchange)",
-                     act.get("action", "?"),
-                     _details({k: v for k, v in act.items()
-                               if k not in _RESERVED})])
-    return rows
+def _trace_chain(events: Sequence[dict[str, Any]]
+                 ) -> dict[str, list[dict[str, Any]]]:
+    """:func:`decision_chain` over one trace run's events."""
+    return decision_chain([ev for ev in events
+                           if ev.get("event") == ATTR_RECEIVED],
+                          [ev for ev in events
+                           if ev.get("event") == COORD_ACTION])
 
 
-def render_audit(events: Sequence[dict[str, Any]]) -> str:
-    audit = coordination_audit(events)
-    n_pairs = len(audit["pairs"])
-    n_unmatched = len(audit["unmatched_attrs"])
-    title = (f"Coordination audit ({n_pairs} exchanges acted on, "
-             f"{n_unmatched} consumed without action)")
-    n_spont = len(audit["spontaneous"])
-    if n_spont:
-        title = title[:-1] + f", {n_spont} transport-initiated)"
-    rows = _audit_rows(audit)
+#: What an action's detail column leaves out: its own columns, and what
+#: only a trace event carries.
+_ACTION_OWN = (*_RESERVED, "flow", "episode", "action")
+
+
+def render_decisions(chain: dict[str, list[dict[str, Any]]]) -> str:
+    """The coordination audit: one row per action, beside the exchange
+    that caused it, then the exchanges consumed without action and the
+    transport-initiated actions.  A trace and the result of the same run
+    render the same table."""
+    n_spont = len(chain["spontaneous"])
+    title = (f"Coordination audit ({len(chain['pairs'])} exchanges acted "
+             f"on, {len(chain['unmatched_exchanges'])} consumed without "
+             f"action" + (f", {n_spont} transport-initiated" if n_spont
+                          else "") + ")")
+    groups = ([(p["exchange"]["episode"], p["exchange"]["t"],
+                _details(p["exchange"]["attrs"]), p["actions"])
+               for p in chain["pairs"]]
+              + [(ex["episode"], ex["t"], _details(ex["attrs"]), [None])
+                 for ex in chain["unmatched_exchanges"]]
+              + [("-", act["t"], "(transport-initiated)", [act])
+                 for act in chain["spontaneous"]]
+              + [("?", act["t"], "(missing exchange)", [act])
+                 for act in chain["unmatched_actions"]])
+    rows = [([episode, f"{t:.6f}", attrs] if i == 0 else ["", "", ""])
+            + ([act["action"], _details(act, omit=_ACTION_OWN)] if act
+               else ["(no action)", ""])
+            for episode, t, attrs, acts in groups
+            for i, act in enumerate(acts)]
     if not rows:
-        return f"{title}\n  (no attribute exchanges in trace)"
-    return render_table(["attr_seq", "t", "attributes", "action", "detail"],
+        return f"{title}\n  (no attribute exchanges)"
+    return render_table(["episode", "t", "attributes", "action", "detail"],
                         rows, title=title)
 
 
@@ -292,7 +282,7 @@ def render_report(trace: dict[str, Any], *, run: str | None = None,
         parts.append("")
         parts.append(render_timeline(events, types=types, limit=limit))
         parts.append("")
-        parts.append(render_audit(events))
+        parts.append(render_decisions(_trace_chain(events)))
     if n_cached:
         # The results cache stores metrics, not event streams, so a cache
         # hit has nothing to report on.  Say how to get the events back
@@ -351,7 +341,7 @@ def report_json(trace: dict[str, Any], *, run: str | None = None,
             "meta": meta_dict,
             "events_total": len(events),
             "timeline": picked,
-            "audit": coordination_audit(events),
+            "audit": _trace_chain(events),
         })
     return {"path": trace["path"],
             "format": header.get("format"),
@@ -387,7 +377,8 @@ def _render_fuzz(payload: dict[str, Any], *, limit: int | None) -> str:
 
 def _render_result(res, path: str, *, limit: int | None) -> str:
     """A result's last moments: head line, flight timeline, the causal
-    lineage when spans were armed, and a failure's worker traceback."""
+    lineage when spans were armed, then the coordination audit of a
+    completed run or a failure's worker traceback."""
     if res.failed:
         kind = res.kind + (f"/{res.error_type}" if res.error_type else "")
         parts = [f"forensics: FAILED scenario [{kind}] {res.scenario}"]
@@ -399,9 +390,17 @@ def _render_result(res, path: str, *, limit: int | None) -> str:
     parts += ["", render_flight(res.flight, limit=limit)]
     if getattr(res, "spans", None) is not None:
         parts += ["", render_lineage(res.spans, limit=limit)]
+    if not res.failed:
+        parts += ["", render_decisions(_result_chain(res))]
     if getattr(res, "traceback", ""):
         parts += ["", "--- worker traceback ---", res.traceback.rstrip()]
     return "\n".join(parts)
+
+
+def _result_chain(res) -> dict[str, list[dict[str, Any]]]:
+    """:func:`decision_chain` over a result's coordinator record."""
+    coord = res.conn.sender.coordinator
+    return decision_chain(coord.exchanges, coord.actions)
 
 
 def _result_json(res) -> dict[str, Any]:
@@ -413,7 +412,8 @@ def _result_json(res) -> dict[str, Any]:
                    "scenario": res.scenario}
     return {"completed": res.completed, "flight": res.flight,
             "summary": None if res.failed else res.summary,
-            "lineage": getattr(res, "spans", None), "failure": failure}
+            "lineage": getattr(res, "spans", None), "failure": failure,
+            "audit": None if res.failed else _result_chain(res)}
 
 
 def render_artifact(art: dict[str, Any], *, run: str | None = None,

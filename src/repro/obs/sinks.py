@@ -3,8 +3,10 @@
 File format (one JSON object per line, ``sort_keys`` so files are
 byte-stable):
 
-* line 1 -- ``{"type": "header", "format": "repro-trace", "version": 1,
-  "runs": N}``
+* line 1 -- ``{"type": "header", "format": "repro-trace", "version": 2,
+  "runs": N}``; :func:`read_trace` refuses any other version by name
+  (version 1 named an attribute exchange by its trace ``seq``, version 2
+  by its ``episode``)
 * per run, in batch order -- ``{"type": "run", "run": <label>,
   "cached": <bool>, "events": <count>, ...meta}`` followed by that run's
   event lines ``{"type": "event", "run": <label>, "seq": ..., "t": ...,
@@ -33,7 +35,7 @@ from .events import TraceEvent
 __all__ = ["RingBufferSink", "write_trace", "read_trace", "event_obj"]
 
 _FORMAT = "repro-trace"
-_VERSION = 1
+_VERSION = 2
 
 
 def _dumps(obj: dict[str, Any]) -> str:
@@ -120,13 +122,19 @@ def read_trace(path: str | pathlib.Path
 
     Each run is ``{"run": label, "cached": bool, "meta": {...},
     "events": [flat event dict, ...]}``.  Raises ``ValueError`` on files
-    that are not repro traces.
+    that are not repro traces, and its ``FormatError`` on a trace of
+    another version.
     """
     runs: list[dict[str, Any]] = []
     with _open_text(pathlib.Path(path), "rt") as fh:
         header = json.loads(fh.readline() or "{}")
         if header.get("type") != "header" or header.get("format") != _FORMAT:
             raise ValueError(f"not a {_FORMAT} file: {path}")
+        if header.get("version") != _VERSION:
+            from ..runner.cache import FormatError
+            raise FormatError(f"{path} is a {_FORMAT} file of version "
+                              f"{header.get('version')}; this repro reads "
+                              f"version {_VERSION} only (re-record it)")
         for line in fh:
             obj = json.loads(line)
             if obj.get("type") == "run":

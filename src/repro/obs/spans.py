@@ -10,17 +10,17 @@ application frame to:
 * each of its datagram segments and every transmission / retransmission
   attempt (with the skip re-inflation flag),
 * every queue/wire/down drop the segment suffered on the way,
-* the coordination episodes (attribute exchange -> coordination actions,
-  stall degrade/recover) running concurrently -- a copy of the
-  coordinator's own record (:attr:`~repro.core.coordination.Coordinator
-  .exchanges` / ``.actions``),
 * the segment's final fate -- delivered, recovered (rebuilt by the FEC
   repair tier without a retransmission round trip), skipped, locally
   discarded, expired (abandoned unsent past its delivery deadline), or
   still pending at run end,
 
 and derives a per-frame latency decomposition (serialization / queueing /
-propagation / retransmission-wait) against the nominal dumbbell path.
+propagation / retransmission-wait) against the nominal dumbbell path.  The
+coordination episodes running concurrently are not copied here: the
+coordinator's own record
+(:attr:`~repro.core.coordination.Coordinator.exchanges` / ``.actions``)
+rides the result, and ``repro report RESULT`` renders it as the audit.
 
 Design constraints mirror the rest of :mod:`repro.obs`:
 
@@ -30,8 +30,7 @@ Design constraints mirror the rest of :mod:`repro.obs`:
    and cache key, but behaviour does not depend on it).
 2. **Disarmed cost is one attribute check.**  The packet hooks key on
    packet identity and stay typed calls behind ``sp is not None``
-   (``spans`` is a ``None`` class attribute on the sender/receiver); the
-   decision chain costs nothing here, the coordinator records it anyway.
+   (``spans`` is a ``None`` class attribute on the sender/receiver).
 3. **Determinism.**  Everything is keyed on simulation-derived values
    (frame ids, ``(flow_id, seq)``, the sim clock), so :meth:`finalize`'s
    output is a pure function of the ``ScenarioConfig`` -- byte-identical
@@ -63,7 +62,7 @@ class SpanRecorder:
     * :meth:`watch_network` after the topology exists (captures the nominal
       path for the latency decomposition),
     * :meth:`watch_flow` after the connection exists (installs the
-      sender/receiver hooks and keeps the coordinator),
+      sender/receiver hooks),
     * :meth:`finalize` after the run loop.
     """
 
@@ -77,7 +76,6 @@ class SpanRecorder:
         # both the retransmission and the receiver-side hooks resolve.
         self._by_pkt: dict[int, dict[str, Any]] = {}
         self._by_key: dict[tuple[int, int], dict[str, Any]] = {}
-        self._coordinator = None
         self._path_hops: list[tuple[float, float]] = []
         self._flow_id: int | None = None
 
@@ -96,10 +94,8 @@ class SpanRecorder:
         ]
 
     def watch_flow(self, conn) -> None:
-        """Install the sender/receiver hook references on ``conn`` and keep
-        its coordinator, whose record is the lineage's decision chain."""
+        """Install the sender/receiver hook references on ``conn``."""
         self._flow_id = conn.sender.flow_id
-        self._coordinator = conn.sender.coordinator
         conn.sender.spans = self
         conn.receiver.spans = self
 
@@ -264,10 +260,8 @@ class SpanRecorder:
         ``frames_with_delivery`` is the reconciliation anchor: it must
         equal ``DeliveryLog.frames_delivered()`` exactly (a frame counts
         once it has at least one delivered payload segment -- the same
-        predicate the delivery log applies).  ``episodes`` and ``actions``
-        copy the watched coordinator's record.
+        predicate the delivery log applies).
         """
-        coord = self._coordinator
         frames = []
         counts = {k: 0 for k in FRAME_OUTCOMES}
         frames_with_delivery = 0
@@ -295,8 +289,6 @@ class SpanRecorder:
             "flow": self._flow_id,
             "path": {"hops": [[bw, d] for bw, d in self._path_hops]},
             "frames": frames,
-            "episodes": list(coord.exchanges),
-            "actions": list(coord.actions),
             "counts": counts,
             "frames_with_delivery": frames_with_delivery,
         }

@@ -315,6 +315,11 @@ CLI_STEPS = [
     ["report", "b.pkl", "--prom"], ["report", "notes.txt"], ["compare", "t.jsonl", "a.pkl"],
     ["report", os.path.join(HERE, "data", "greedy20_iq.pkl")],
     ["campaign", "status", "old-camp"],
+    ["scenario", "--adaptation", "resolution", "--cbr", "17.5e6", "--vbr",
+     "1e6", "--frame-size", "700", "--seed", "2", "--save", "adapt.pkl",
+     "--trace", "adapt.jsonl"],
+    ["report", "adapt.pkl"], ["report", "adapt.jsonl"],
+    ["report", "v1.jsonl"], ["campaign", "status", "list-camp"],
     *(["scenario", "--frames", "10", "--telemetry", c]
       for c in ("nan", "inf", "1e-300")),
     ["scenario", "--transport", "iq", "--workload", "greedy", "--frames",
@@ -348,6 +353,12 @@ def part_cli() -> None:
     os.mkdir("old-camp")
     with open(os.path.join("old-camp", "manifest.json"), "w") as fh:
         fh.write('{"version": 1, "name": "old", "cells": []}\n')
+    os.mkdir("list-camp")
+    with open(os.path.join("list-camp", "manifest.json"), "w") as fh:
+        fh.write("[]\n")
+    with open("v1.jsonl", "w") as fh:
+        fh.write('{"format": "repro-trace", "runs": 0, "type": "header", '
+                 '"version": 1}\n')
     os.environ["REPRO_CACHE_DIR"] = os.path.abspath("cache")
     for argv in CLI_STEPS:
         _repro(*argv)

@@ -730,6 +730,31 @@ def test_an_older_format_directory_is_refused_by_name_and_left_alone(
     assert _tree(old) == before
 
 
+@pytest.mark.parametrize("held", ["[]", '"x"'])
+@pytest.mark.parametrize("argv", [
+    ["run", "SPEC", "--dir", "BAD"], ["resume", "BAD"], ["status", "BAD"]])
+def test_a_manifest_that_is_no_object_is_refused_as_corrupt(
+        tmp_path, capsys, monkeypatch, argv, held):
+    """Valid JSON that is not an object is a corrupt manifest: one line,
+    exit 2, the directory left as it was (it was an AttributeError
+    traceback)."""
+    from repro.cli import main
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    spec = _write_spec(tmp_path)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "manifest.json").write_text(held + "\n")
+    before = _tree(bad)
+    argv = [{"SPEC": str(spec), "BAD": str(bad)}.get(a, a) for a in argv]
+    assert main(["campaign", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: corrupt campaign manifest "
+                          f"{bad / 'manifest.json'}: a JSON ")
+    assert len(err.splitlines()) == 1
+    assert _tree(bad) == before
+
+
 def test_library_entry_points_refuse_an_older_format_directory(tmp_path):
     camp = _tiny_campaign()
     old = tmp_path / "old"

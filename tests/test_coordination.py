@@ -227,23 +227,15 @@ def drive(*, traced, law="iq", bus=True):
 
 
 def lineage(coord):
-    """The lineage's copy of ``coord``'s record."""
+    """The lineage of a run with ``coord``'s sender and no frames."""
     conn = SimpleNamespace(sender=coord.sender, receiver=SimpleNamespace())
     spans = SpanRecorder(coord.sender.sim)
     spans.watch_flow(conn)
     return spans.finalize()
 
 
-def described(records, *own):
-    """``(action, what the record says about it)`` per record, without
-    the keys that are the surface's own."""
-    drop = {"action", "kind", *own}
-    return [(r.get("action", r.get("kind")),
-             {k: v for k, v in r.items() if k not in drop}) for r in records]
-
-
-#: The keys a ring record adds to what the decision record says.
-RING_KEYS = ("id", "t", "layer", "event", "flow", "attr_seq")
+#: The keys a ring record adds to the decision record's action.
+RING_KEYS = ("id", "layer", "event", "flow")
 
 
 class TestReporting:
@@ -252,16 +244,13 @@ class TestReporting:
             self, traced):
         bus, sink, coord = drive(traced=traced)
         ring = bus.ring.dump()["events"]
-        noted = described([e for e in ring if e["event"] == COORD_ACTION],
-                          *RING_KEYS)
-        assert [name for name, _ in noted] == ACTIONS
+        noted = [{k: v for k, v in e.items() if k not in RING_KEYS}
+                 for e in ring if e["event"] == COORD_ACTION]
+        assert [a["action"] for a in noted] == ACTIONS
         assert len(set(ACTIONS)) == 11
-        assert described(coord.actions, "t", "episode") == noted
-        assert [a["t"] for a in coord.actions] == [
-            e["t"] for e in ring if e["event"] == COORD_ACTION]
-        spans = lineage(coord)
-        assert spans["actions"] == coord.actions
-        assert spans["episodes"] == coord.exchanges
+        assert noted == coord.actions
+        # The record rides the result; the lineage keeps no copy of it.
+        assert not {"episodes", "actions"} & set(lineage(coord))
         # A record is written down once: the ring's copy *is* the trace's.
         if traced:
             events = [ev.as_obj() for ev in sink.events]
@@ -273,24 +262,17 @@ class TestReporting:
 
     @pytest.mark.parametrize("traced", [True, False])
     def test_actions_pair_with_the_exchange_that_caused_them(self, traced):
-        bus, sink, coord = drive(traced=traced)
+        bus, _, coord = drive(traced=traced)
         ring = bus.ring.dump()["events"]
-        assert len(coord.exchanges) == 4 == sum(
-            e["event"] == ATTR_RECEIVED for e in ring)
-        assert [ex["id"] for ex in coord.exchanges] == [0, 1, 2, 3]
-        assert [ex["attrs"] for ex in coord.exchanges] == [
-            e["attrs"] for e in ring if e["event"] == ATTR_RECEIVED]
+        heard = [e for e in ring if e["event"] == ATTR_RECEIVED]
+        assert [ex["episode"] for ex in coord.exchanges] == [0, 1, 2, 3]
+        assert [{k: v for k, v in e.items() if k not in RING_KEYS}
+                for e in heard] == coord.exchanges
         paired = [a["episode"] for a in coord.actions]
         assert paired == [0, 1, 1, 1, 1, 2, None, None, None, None, None, 3]
-        # The trace pairs by value; its value is -1 when nothing numbers
-        # the exchange.
-        seqs = [e["attr_seq"] for e in ring if "attr_seq" in e]
-        if traced:
-            by_seq = [ev.seq for ev in sink.events
-                      if ev.etype == ATTR_RECEIVED]
-            assert seqs == [by_seq[ep] for ep in paired if ep is not None]
-        else:
-            assert set(seqs) == {-1}
+        # The ring names an exchange by the record's key, traced or not.
+        assert [e["episode"] for e in ring
+                if e["event"] == COORD_ACTION] == paired
 
     def test_the_record_needs_no_bus(self):
         """A sender without a bus still gets the record, equal to the one
@@ -458,7 +440,7 @@ class TestIdentities:
             return
         episode = len(coord.exchanges) - 1
         assert coord.exchanges[episode] == {
-            "id": episode, "t": snd.sim._now, "attrs": attrs.as_dict()}
+            "episode": episode, "t": snd.sim._now, "attrs": attrs.as_dict()}
         new = coord.actions[taken:]
         assert all(a["episode"] == episode for a in new)
         for act in new:

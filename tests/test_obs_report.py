@@ -1,6 +1,7 @@
 """Report tests: the coordination audit on the paper's three coordination
 cases (conflict discard, over-reaction re-inflation, limited-granularity
-drift correction), plus timeline/report rendering."""
+drift correction), the same audit from a result and from its trace, plus
+timeline/report rendering."""
 
 import pytest
 
@@ -10,9 +11,10 @@ from repro.core.coordination import Coordinator
 from repro.obs.bus import TraceBus
 from repro.obs.events import (ATTR_RECEIVED, COORD_ACTION, CWND_CHANGE,
                               PACKET_SEND)
-from repro.obs.report import (TIMELINE_EVENTS, coordination_audit,
-                              load_artifact, render_artifact, render_audit,
-                              render_report, render_timeline, report_json)
+from repro.obs.report import (TIMELINE_EVENTS, decision_chain,
+                              load_artifact, render_artifact,
+                              render_decisions, render_report,
+                              render_timeline, report_json)
 from repro.obs.sinks import RingBufferSink
 from repro.sim.engine import Simulator
 from repro.transport.lda import LdaCC
@@ -53,35 +55,50 @@ def action_events(events, action):
             if ev["event"] == COORD_ACTION and ev["action"] == action]
 
 
+def trace_chain(events):
+    """The decision chain of a trace's events."""
+    return decision_chain(
+        [ev for ev in events if ev["event"] == ATTR_RECEIVED],
+        [ev for ev in events if ev["event"] == COORD_ACTION])
+
+
+def assert_record_renders_like_trace(coord, events):
+    """The coordinator's record and the trace pair and render alike."""
+    assert render_decisions(decision_chain(coord.exchanges, coord.actions)
+                            ) == render_decisions(trace_chain(events))
+
+
 class TestAuditPaperCases:
     def test_conflict_marking_pairs_with_discard(self):
         """Section 3.3: an ADAPT_MARK exchange must pair with the discard
         switch it caused."""
         snd = TracedSender()
-        drive(snd, AttributeSet({ADAPT_MARK: 0.4}))
+        coord = drive(snd, AttributeSet({ADAPT_MARK: 0.4}))
         events = snd.events
         (act,) = action_events(events, "discard")
         assert act["enabled"] is True and act["changed"] is True
         assert act["unmark_p"] == pytest.approx(0.4)
-        audit = coordination_audit(events)
-        assert len(audit["pairs"]) == 1
-        assert audit["unmatched_attrs"] == []
-        assert audit["unmatched_actions"] == []
-        pair = audit["pairs"][0]
-        assert pair["attr"]["event"] == ATTR_RECEIVED
-        assert pair["actions"][0]["attr_seq"] == pair["attr"]["seq"]
+        chain = trace_chain(events)
+        assert len(chain["pairs"]) == 1
+        assert chain["unmatched_exchanges"] == []
+        assert chain["unmatched_actions"] == []
+        pair = chain["pairs"][0]
+        assert pair["exchange"]["event"] == ATTR_RECEIVED
+        assert pair["actions"][0]["episode"] == pair["exchange"]["episode"]
+        assert_record_renders_like_trace(coord, events)
 
     def test_overreaction_reinflates_by_paper_factor(self):
         """Section 3.4: rate_chg = 0.5 with a sub-MSS frame re-inflates the
         window by exactly 1/(1-rate_chg) = 2x."""
         snd = TracedSender(cwnd=20.0, frame_size=700)
-        drive(snd, AttributeSet({ADAPT_PKTSIZE: 0.5}))
+        coord = drive(snd, AttributeSet({ADAPT_PKTSIZE: 0.5}))
         (act,) = action_events(snd.events, "window_rescale")
         assert act["base_factor"] == pytest.approx(1.0 / (1.0 - 0.5))
         assert act["drift"] == pytest.approx(1.0)
         assert act["factor"] == pytest.approx(2.0)
         assert act["cwnd_after"] == pytest.approx(act["cwnd_before"] * 2.0)
         assert snd.cc.cwnd == pytest.approx(40.0)
+        assert_record_renders_like_trace(coord, snd.events)
 
     def test_overreaction_skipped_for_large_frames(self):
         """The paper only re-inflates when the frame is smaller than the
@@ -91,7 +108,7 @@ class TestAuditPaperCases:
         (act,) = action_events(snd.events, "rescale_skipped_large_frame")
         assert act["last_frame_size"] == 1400 and act["mss"] == 1400
         assert snd.cc.cwnd == pytest.approx(20.0)
-        assert len(coordination_audit(snd.events)["pairs"]) == 1
+        assert len(trace_chain(snd.events)["pairs"]) == 1
 
     def test_granularity_pending_then_drift_corrected_rescale(self):
         """Section 3.5: a pending adaptation followed by the executed change
@@ -110,28 +127,48 @@ class TestAuditPaperCases:
         assert act["factor"] == pytest.approx(1.0 / (1.0 - 0.2) * drift)
         assert coord.count("pending") == 1
         assert coord.count("window_rescale", cond=True) == 1
-        audit = coordination_audit(events)
-        assert len(audit["pairs"]) == 2  # both exchanges acted on
-        assert audit["unmatched_actions"] == []
+        chain = trace_chain(events)
+        assert len(chain["pairs"]) == 2  # both exchanges acted on
+        assert chain["unmatched_actions"] == []
+        assert_record_renders_like_trace(coord, events)
+        text = render_decisions(chain)
+        assert "ADAPT_COND={error_ratio=0.1}" in text
 
 
 class TestAuditEdges:
     def test_unmatched_attr_and_action(self):
-        events = [
-            {"seq": 0, "t": 0.0, "layer": "coord", "event": ATTR_RECEIVED,
-             "attrs": {}},
+        exchanges = [{"seq": 0, "t": 0.0, "layer": "coord",
+                      "event": ATTR_RECEIVED, "flow": 1, "episode": 0,
+                      "attrs": {}}]
+        actions = [
             {"seq": 5, "t": 0.1, "layer": "coord", "event": COORD_ACTION,
-             "attr_seq": 99, "action": "discard"},
-        ]
-        audit = coordination_audit(events)
-        assert audit["pairs"] == []
-        assert len(audit["unmatched_attrs"]) == 1
-        assert len(audit["unmatched_actions"]) == 1
-        text = render_audit(events)
+             "flow": 1, "episode": 99, "action": "discard"},
+            {"seq": 6, "t": 0.2, "layer": "coord", "event": COORD_ACTION,
+             "flow": 1, "episode": None, "action": "stall_degrade"}]
+        chain = decision_chain(exchanges, actions)
+        assert chain["pairs"] == []
+        assert chain["unmatched_exchanges"] == exchanges
+        assert chain["unmatched_actions"] == actions[:1]
+        assert chain["spontaneous"] == actions[1:]
+        text = render_decisions(chain)
         assert "(no action)" in text and "(missing exchange)" in text
+        assert "(transport-initiated)" in text
+        assert "1 transport-initiated" in text
+
+    def test_pairs_within_a_flow(self):
+        """Two flows each number their exchanges from 0: an action pairs
+        with its own flow's exchange only."""
+        exchanges = [{"t": 0.0, "flow": f, "episode": 0, "attrs": {}}
+                     for f in (1, 2)]
+        actions = [{"t": 0.1, "flow": 2, "episode": 0, "action": "pending"}]
+        chain = decision_chain(exchanges, actions)
+        assert chain["pairs"] == [{"exchange": exchanges[1],
+                                   "actions": actions}]
+        assert chain["unmatched_exchanges"] == exchanges[:1]
 
     def test_render_audit_empty(self):
-        assert "no attribute exchanges" in render_audit([])
+        assert "no attribute exchanges" in render_decisions(
+            decision_chain([], []))
 
 
 class TestTimeline:
@@ -141,7 +178,7 @@ class TestTimeline:
         {"seq": 1, "t": 0.1, "layer": "transport", "event": CWND_CHANGE,
          "reason": "timeout", "old": 8.0, "new": 1.0},
         {"seq": 2, "t": 0.2, "layer": "coord", "event": COORD_ACTION,
-         "attr_seq": 1, "action": "pending"},
+         "flow": 1, "episode": 1, "action": "pending"},
     ]
 
     def test_default_filter_hides_packet_firehose(self):
@@ -208,9 +245,9 @@ def test_render_report_end_to_end(tmp_path):
     # explicitly listed as consumed-without-action; none may dangle.
     from repro.obs.sinks import read_trace
     _, runs = read_trace(path)
-    audit = coordination_audit(runs[0]["events"])
-    assert audit["pairs"], "IQ run produced no attribute->action pairs"
-    assert audit["unmatched_actions"] == []
+    chain = trace_chain(runs[0]["events"])
+    assert chain["pairs"], "IQ run produced no attribute->action pairs"
+    assert chain["unmatched_actions"] == []
 
     with pytest.raises(ValueError):
         render_report(trace, run="nope")
@@ -254,7 +291,7 @@ def test_report_json_matches_render_selection(tmp_path):
     (run,) = data["runs"]
     assert run["run"] == "a"
     assert run["events_total"] > len(run["timeline"])  # firehose filtered
-    assert {"pairs", "unmatched_attrs", "spontaneous",
+    assert {"pairs", "unmatched_exchanges", "spontaneous",
             "unmatched_actions"} == set(run["audit"])
     # limit keeps the tail, types widens the filter
     limited = report_json(trace, limit=3)
@@ -324,3 +361,59 @@ def test_report_trace_rejects_result_flags(tmp_path, capsys, flags):
     from repro.cli import main
     assert main(["report", str(_tiny_trace(tmp_path)), *flags]) == 2
     assert "does not apply" in capsys.readouterr().err
+
+
+def audit_block(text):
+    """The coordination audit's lines of a report: its title to the next
+    blank line."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith("Coordination audit"))
+    end = next((i for i in range(start, len(lines)) if not lines[i]),
+               len(lines))
+    return lines[start:end]
+
+
+def test_result_and_trace_print_the_same_audit(tmp_path, capsys):
+    """One adapting run: ``report RESULT`` renders the coordinator's record
+    and ``report TRACE`` the trace's events, and both print the same audit,
+    without spans armed."""
+    import json
+    from repro.cli import main
+
+    pkl, trace = tmp_path / "a.pkl", tmp_path / "a.jsonl"
+    assert main(["scenario", "--adaptation", "resolution", "--cbr",
+                 "17.5e6", "--vbr", "1e6", "--frame-size", "700", "--seed",
+                 "2", "--save", str(pkl), "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    blocks = []
+    for path in (pkl, trace):
+        assert main(["report", str(path)]) == 0
+        blocks.append(audit_block(capsys.readouterr().out))
+    assert blocks[0] == blocks[1]
+    assert not blocks[0][0].startswith("Coordination audit (0 exchanges")
+    assert main(["report", str(pkl), "--json"]) == 0
+    audit = json.loads(capsys.readouterr().out)["audit"]
+    assert audit["pairs"] and audit["unmatched_actions"] == []
+
+
+@pytest.mark.parametrize("version", [1, 9])
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_a_trace_of_another_version_is_refused_by_name(tmp_path, capsys,
+                                                       version, command):
+    """A version-1 trace named an exchange by another key and would pair
+    nothing: every reader refuses it, and any other version, in one line
+    naming both versions."""
+    from repro.cli import main
+    ok = _tiny_trace(tmp_path)
+    old = tmp_path / "old.jsonl"
+    lines = ok.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace('"version":2', f'"version":{version}')
+    old.write_text("".join(lines))
+    argv = (["report", str(old)] if command == "report"
+            else ["compare", str(ok), str(old)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "old.jsonl" in err
+    assert f"version {version};" in err and "reads version 2" in err

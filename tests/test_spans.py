@@ -3,8 +3,9 @@
 The contract: ``ScenarioConfig(spans=True)`` yields a lineage artifact
 that is a pure function of the config -- byte-identical across worker
 counts and cache hit/miss -- whose frame accounting
-reconciles exactly with the delivery log, and whose decision chain pairs
-every attribute exchange with the coordination action(s) it caused.
+reconciles exactly with the delivery log.  It keeps no copy of the
+coordinator's record, which pairs every attribute exchange with the
+coordination action(s) it caused, armed or not.
 Arming it must not perturb the summary by a single bit.
 """
 
@@ -15,10 +16,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.lineage import (decision_chain, frame_accounting,
+from repro.analysis.lineage import (frame_accounting,
                                     render_frame_lineage, render_lineage)
 from repro.core.coordination import Coordinator
 from repro.experiments.common import TRANSPORTS, ScenarioConfig, run_scenario
+from repro.obs.report import decision_chain
 from repro.obs.spans import FRAME_OUTCOMES
 from repro.runner import ResultsCache, run_batch
 from repro.runner.cache import write_pickle
@@ -107,20 +109,23 @@ def _conflict_cfg(**kw) -> ScenarioConfig:
 
 
 def test_decision_chain_pairs_episodes_with_actions():
-    spans = run_scenario(_conflict_cfg()).spans
-    assert spans["episodes"], "conflict case must produce attr exchanges"
-    chain = decision_chain(spans)
-    assert len(chain["chain"]) == len(spans["episodes"])
+    """The coordinator's record pairs without spans armed, and the lineage
+    of an armed run keeps no copy of it."""
+    coord = run_scenario(_conflict_cfg(spans=False)).conn.sender.coordinator
+    assert coord.exchanges, "conflict case must produce attr exchanges"
+    chain = decision_chain(coord.exchanges, coord.actions)
+    assert len(chain["pairs"]) + len(chain["unmatched_exchanges"]) == len(
+        coord.exchanges)
     # Every recorded action either cites a real episode or is
     # transport-initiated (stall degrade/recover).
-    episode_ids = {ep["id"] for ep in spans["episodes"]}
-    for act in spans["actions"]:
-        ep = act.get("episode")
-        assert ep is None or ep in episode_ids
+    assert chain["unmatched_actions"] == []
+    chained = [a for pair in chain["pairs"] for a in pair["actions"]]
+    assert len(chained) + len(chain["spontaneous"]) == len(coord.actions)
     # The conflict case's point: discards actually happen and are chained
     # to the marking adaptation's attribute exchanges.
-    chained = [a for link in chain["chain"] for a in link["actions"]]
     assert any(a["action"] == "discard" for a in chained)
+    spans = run_scenario(_conflict_cfg()).spans
+    assert not {"episodes", "actions"} & set(spans)
 
 
 def test_latency_decomposition_sums_to_total():
@@ -146,7 +151,7 @@ def test_render_lineage_and_frame_lineage():
     text = render_lineage(res.spans, limit=5)
     assert "Causal lineage: iq/fixed_clocked/seed=1" in text
     assert "frames: 30 submitted" in text
-    assert "Decision chain" in text
+    assert "Decision chain" not in text     # the report's audit shows it
     one = render_frame_lineage(res.spans, 0)
     assert one.startswith("Frame 0 [")
     assert "seg 0" in one
