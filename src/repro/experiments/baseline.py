@@ -81,8 +81,7 @@ TABLE1 = Experiment(
         "TCP(1)": {"transport": "tcp"},
         "IQ-RUDP(2)": {"transport": "iq"},
         "App adaptation only(3)": {
-            "transport": "rudp_nocc", "adaptation": _adaptation,
-            "fixed_window": 64.0},
+            "transport": "rudp_nocc", "adaptation": _adaptation},
         "IQ-RUDP w/ app adaptation(4)": {
             "transport": "iq", "adaptation": _adaptation},
     },

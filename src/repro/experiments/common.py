@@ -44,6 +44,7 @@ from ..traffic.mbone import mbone_trace, trace_frame_sizes
 from ..traffic.vbr import VbrSource
 from ..transport.cc import FixedWindowCC, RenoCC
 from ..transport.fec import FecConfig
+from ..transport.lda import LdaCC
 from ..transport.rudp import RudpConnection
 from ..transport.tcp import TcpConnection
 from ..transport.udp import UdpSender
@@ -51,13 +52,24 @@ from ..transport.udp import UdpSender
 __all__ = ["ScenarioConfig", "ScenarioResult", "run_scenario",
            "TRANSPORTS", "make_transport", "parse_field", "did_you_mean"]
 
-#: Transport-under-test names (CLI choices and the fuzzer's draw order):
-#: ``tcp`` is its own connection, every other name a :class:`RudpConnection`
-#: under a congestion law and the coordination law of that name
-#: (:data:`~repro.core.coordination.LAWS`, else ``"rudp"``); see
-#: :func:`make_transport`.
-TRANSPORTS = ("tcp", "rudp", "rudp_nocc", "rudp_reno", "iq", "iq_nocond",
-              "iq_nodiscard", "iq_noreinflate")
+#: A transport-under-test name is a row of the one windowed connection: its
+#: class (TCP's has no EACK) and congestion law (``rudp_nocc`` is Table 1's
+#: fixed 64-packet window); the coordination law is the name's
+#: :data:`~repro.core.coordination.LAWS` row, else the empty ``"rudp"``.
+_ROWS = {"tcp": (TcpConnection, RenoCC),
+         "rudp": (RudpConnection, LdaCC),
+         "rudp_nocc": (RudpConnection, FixedWindowCC),
+         "rudp_reno": (RudpConnection, RenoCC),
+         "iq": (RudpConnection, LdaCC),
+         "iq_nocond": (RudpConnection, LdaCC),
+         "iq_nodiscard": (RudpConnection, LdaCC),
+         "iq_noreinflate": (RudpConnection, LdaCC)}
+
+#: The names, in the order of the CLI choices and of the fuzzer's draws.
+TRANSPORTS = tuple(_ROWS)
+
+#: The MBone-VBR cross source's frame rate (the paper's 500 fps).
+VBR_FRAME_RATE = 500.0
 
 
 def did_you_mean(name: str, valid: Iterable[str]) -> str:
@@ -101,13 +113,10 @@ class ScenarioConfig:
     cbr_start: float = 0.0
     step_cross: tuple[float, float, float] | None = None
     vbr_mean_bps: float = 0.0
-    vbr_frame_rate: float = 500.0
-    vbr_params: Any = None
     trace_step_s: float = 1.0
     tcp_cross_bytes: int | None = None
     seed: int = 1
     time_cap: float = 600.0
-    fixed_window: float = 64.0
     faults: FaultSchedule | None = None
     invariants: bool = False
     telemetry: TelemetryConfig | None = None
@@ -154,13 +163,15 @@ class ScenarioConfig:
         if v["fluid_bps"] < 0:
             raise ValueError("fluid_bps must be non-negative")
         v["fec"] = FecConfig.parse(v["fec"])
-        if v["fec"] is not None and v["transport"] == "tcp":
-            raise ValueError("TCP has no FEC repair tier (fec requires a "
-                             "rudp-family transport)")
-        if (v["adaptation"] not in (None, NullAdaptation)
-                and v["transport"] == "tcp"):
-            raise ValueError("TCP has no adaptation callbacks (an "
-                             "adaptation requires a rudp-family transport)")
+        for name, what in (("fec", "FEC repair tier"),
+                           ("adaptation", "adaptation callbacks"),
+                           ("loss_tolerance", "loss tolerance")):
+            # TCP's row is fully reliable and uncoordinated: unset (None,
+            # or the null adaptation) is the one value it takes.
+            if (v["transport"] == "tcp"
+                    and v[name] not in (None, NullAdaptation)):
+                raise ValueError(f"TCP has no {what} ({name} requires a "
+                                 f"rudp-family transport)")
         if v["frame_deadline_s"] < 0:
             raise ValueError("frame_deadline_s must be non-negative")
         v["fluid_bps"] = float(v["fluid_bps"])
@@ -300,37 +311,24 @@ class ScenarioResult:
 
 def make_transport(name: str, sim: Simulator, snd_host, rcv_host, *,
                    mss: int, metric_period: float,
-                   loss_tolerance: float | None,
-                   on_deliver, fixed_window: float = 64.0,
+                   loss_tolerance: float | None, on_deliver,
                    hardening: dict[str, Any] | None = None,
                    fec: FecConfig | None = None):
-    """Instantiate a transport-under-test by registry name.
+    """Instantiate a transport-under-test from its row (see ``_ROWS``).
 
     ``hardening`` (rto_jitter/rto_rng/stall_threshold kwargs) is passed
     through to every transport; ``run_scenario`` supplies it only when the
     scenario carries a :class:`~repro.faults.FaultSchedule`, so fault-free
     runs are bit-identical to the pre-dynamics code path.  ``fec`` arms
-    the XOR repair tier on any rudp-family transport (TCP rejects it).
+    the XOR repair tier (:class:`ScenarioConfig` refuses it on TCP).
     """
-    if name not in TRANSPORTS:
+    if name not in _ROWS:
         raise ValueError(f"unknown transport {name!r}")
-    hard = hardening or {}
-    if name == "tcp":
-        if fec is not None:
-            raise ValueError("TCP has no FEC repair tier")
-        return TcpConnection(sim, snd_host, rcv_host, mss=mss,
-                             metric_period=metric_period,
-                             on_deliver=on_deliver, **hard)
-    # The ``rudp_*`` ablations swap the congestion law: Table 1's
-    # CC-disabled row holds a fixed window, ``rudp_reno`` runs TCP's
-    # halving law; every other name runs LDA.
-    cc = (FixedWindowCC(fixed_window) if name == "rudp_nocc"
-          else RenoCC() if name == "rudp_reno" else None)
-    return RudpConnection(sim, snd_host, rcv_host, mss=mss,
-                          metric_period=metric_period,
-                          loss_tolerance=loss_tolerance,
-                          on_deliver=on_deliver, fec=fec, cc=cc,
-                          law=name if name in LAWS else "rudp", **hard)
+    cls, cc = _ROWS[name]
+    return cls(sim, snd_host, rcv_host, mss=mss, metric_period=metric_period,
+               loss_tolerance=loss_tolerance, on_deliver=on_deliver, fec=fec,
+               cc=cc(), law=name if name in LAWS else "rudp",
+               **(hardening or {}))
 
 
 def run_scenario(cfg: ScenarioConfig, *, trace_sink=None,
@@ -439,7 +437,6 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
                           mss=cfg.mss, metric_period=cfg.metric_period,
                           loss_tolerance=cfg.loss_tolerance,
                           on_deliver=log.on_deliver,
-                          fixed_window=cfg.fixed_window,
                           hardening=hardening, fec=cfg.fec)
     if spans is not None:
         spans.watch_flow(conn)
@@ -493,13 +490,13 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
         # original trace's group-size scale is unknown, so we derive the
         # multiplier from the target mean rate instead (see DESIGN.md) --
         # the burstiness still comes from the membership trace.
-        groups = mbone_trace(2000, seed=cfg.seed + 1, params=cfg.vbr_params)
+        groups = mbone_trace(2000, seed=cfg.seed + 1)
         multiplier = max(cfg.vbr_mean_bps
-                         / (8.0 * float(groups.mean()) * cfg.vbr_frame_rate),
+                         / (8.0 * float(groups.mean()) * VBR_FRAME_RATE),
                          1.0)
         vbr_sizes = np.maximum((groups * multiplier).astype(np.int64), 64)
         VbrSource(sim, vbr_tx, frame_sizes=vbr_sizes,
-                  frame_rate=cfg.vbr_frame_rate,
+                  frame_rate=VBR_FRAME_RATE,
                   trace_step_s=cfg.trace_step_s)
     if cfg.step_cross is not None:
         # Deterministic "available bandwidth changes": a second UDP source

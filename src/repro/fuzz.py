@@ -119,6 +119,10 @@ def sample_config(rng: random.Random) -> ScenarioConfig:
         time_cap=CASE_TIME_CAP,
         invariants=True,
     )
+    if transport == "tcp":
+        # Drawn all the same, so every later draw is what it was: TCP is
+        # fully reliable.
+        kw["loss_tolerance"] = None
     if rng.random() < 0.4:
         kw["faults"] = sample_faults(rng)
     if rng.random() < 0.2:

@@ -1,7 +1,7 @@
 """Transport protocols: TCP baseline, RUDP, IQ-RUDP, and plain UDP."""
 
 from .base import (DUP_ACK_THRESHOLD, FlowStats, WindowedReceiver,
-                   WindowedSender, make_flow_id)
+                   WindowedSender)
 from .cc import CongestionControl, FixedWindowCC, RenoCC
 from .fec import FecConfig, FecReceiver, FecSender, FecState
 from .lda import LdaCC
@@ -15,7 +15,6 @@ from .udp import UdpSender, UdpSink
 
 __all__ = [
     "DUP_ACK_THRESHOLD", "FlowStats", "WindowedReceiver", "WindowedSender",
-    "make_flow_id",
     "CongestionControl", "FixedWindowCC", "RenoCC", "LdaCC",
     "FecConfig", "FecReceiver", "FecSender", "FecState",
     "RudpConnection", "TcpConnection",

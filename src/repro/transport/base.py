@@ -9,6 +9,7 @@ Part               TCP                    RUDP / IQ-RUDP
 Congestion law     :class:`RenoCC`        :class:`LdaCC` (epoch based)
 Reliability        full                   loss tolerant (marking/skips)
 Coordination law   ``"rudp"`` (empty)     ``"rudp"`` / ``"iq"`` (+ ablations)
+ACK                cumulative             cumulative + EACK
 =================  =====================  ==============================
 
 The sender is message oriented (the paper's RUDP is datagram based): the
@@ -16,7 +17,9 @@ application submits datagrams/frames of arbitrary size, the transport
 segments them into MSS packets, numbers packets at *first transmission* (so
 locally-discarded unmarked datagrams leave no sequence holes) and provides
 in-order reliable delivery with cumulative ACKs, duplicate-ACK fast
-retransmit and an RFC 6298 retransmission timer.
+retransmit and an RFC 6298 retransmission timer.  Every retransmission
+but a timeout's -- fast retransmit, partial ACK, EACK hole -- is one
+``WindowedSender._repair``; without an EACK that path is NewReno.
 """
 
 from __future__ import annotations
@@ -40,21 +43,12 @@ from .rtt import RttEstimator
 from .seqspace import ReorderBuffer
 
 __all__ = ["FlowStats", "WindowedSender", "WindowedReceiver",
-           "make_flow_id", "DUP_ACK_THRESHOLD"]
+           "DUP_ACK_THRESHOLD"]
 
 DUP_ACK_THRESHOLD = 3
 
 _DATA = PacketKind.DATA
 _ACK = PacketKind.ACK
-
-def make_flow_id(sim) -> int:
-    """Flow identifier unique within ``sim``.
-
-    Ids come from a per-simulator counter, never process-global state:
-    identical configs then produce identical flow ids (and identical trace
-    streams) no matter how many runs the process executed before.
-    """
-    return sim.next_flow_id()
 
 
 class FlowStats:
@@ -126,8 +120,6 @@ class WindowedSender:
                  service: AttributeService | None = None,
                  metric_period: float = 0.5,
                  rwnd: int = 128,
-                 min_rto: float = 0.2,
-                 use_eack: bool = False,
                  flow_id: int | None = None,
                  on_complete: Callable[[float], None] | None = None,
                  on_space: Callable[[], None] | None = None,
@@ -150,14 +142,14 @@ class WindowedSender:
         self.cc = cc
         self.mss = mss
         self.rwnd = rwnd
-        self.flow_id = flow_id if flow_id is not None else make_flow_id(sim)
+        self.flow_id = flow_id if flow_id is not None else sim.next_flow_id()
         self.reliability = reliability or FullReliability()
         self.coordinator = Coordinator(law)
         self.coordinator.bind(self)
         self.callbacks = (callbacks if callbacks is not None
                           else CallbackRegistry())
         self.service = service if service is not None else AttributeService()
-        self.rtt = RttEstimator(min_rto=min_rto)
+        self.rtt = RttEstimator()
         self.metrics = MetricsWindow(metric_period, self.service)
         self.stats = FlowStats()
         self.on_complete = on_complete
@@ -171,9 +163,8 @@ class WindowedSender:
         self._dup_acks = 0
         self._in_recovery = False
         self._recover_point = 0
-        self.use_eack = use_eack
         self._sacked: set[int] = set()
-        # seq -> time of last EACK-driven repair; a hole becomes eligible
+        # seq -> time of its last ``_repair``; a hole becomes eligible
         # again one RTT after its last repair (lost repairs retry without
         # waiting for the RTO backstop).
         self._repaired: dict[int, float] = {}
@@ -198,11 +189,6 @@ class WindowedSender:
         self.discard_unmarked = False
         self.last_frame_size = 0
 
-        # Duplicate-ACK fast-retransmit trigger; per-sender so an armed FEC
-        # tier can raise it (giving an in-flight repair segment the chance
-        # to fill the hole before cwnd-halving ARQ fires).  Defaults to the
-        # module constant, so disarmed behaviour is bit-identical.
-        self.dup_ack_threshold = DUP_ACK_THRESHOLD
         # True once any submitted segment carried a delivery deadline;
         # config-deterministic, read by the metrics collector to keep
         # deadline counters out of disarmed summaries.
@@ -463,7 +449,7 @@ class WindowedSender:
         if pkt.kind != _ACK or pkt.flow_id != self.flow_id:
             return
         ack = pkt.ack
-        if pkt.sack and self.use_eack:
+        if pkt.sack:
             self._sacked.update(s for s in pkt.sack if s >= ack)
         una = self.snd_una
         if ack <= una:
@@ -508,16 +494,10 @@ class WindowedSender:
                 self._in_recovery = False
                 self._repaired.clear()
                 self.cc.on_recovery_exit()
-            elif self.use_eack:
-                # The new head may already have been repaired by the EACK
-                # sweep; retransmitting it again would double-count the loss.
-                if self._repair_eligible(self.snd_una):
-                    self._repaired[self.snd_una] = self.sim.now
-                    self._retransmit(self.snd_una, timeout=False)
-                self._eack_repair(budget=3)
             else:
-                # NewReno-style partial ACK: the next hole is also lost.
-                self._retransmit(self.snd_una, timeout=False)
+                # A partial ACK: the new head is lost too (NewReno).
+                self._repair(ack)
+                self._eack_repair(budget=3)
         elif self.cc.acks_move_window:
             self.cc.on_ack(newly)
         self._arm_rto()
@@ -527,23 +507,29 @@ class WindowedSender:
         self._dup_acks += 1
         if self._in_recovery:
             self.cc.on_dupack_in_recovery()
-            if self.use_eack:
-                self._eack_repair(budget=1)
+            self._eack_repair(budget=1)
             self._pump()
-        elif self._dup_acks == self.dup_ack_threshold:
+        elif self._dup_acks == DUP_ACK_THRESHOLD:
             self.stats.fast_retransmits += 1
             self._in_recovery = True
             self._recover_point = self.snd_nxt
             self.cc.on_fast_retransmit(self.inflight)
-            self._retransmit(self.snd_una, timeout=False)
-            if self.use_eack:
-                self._repaired[self.snd_una] = self.sim.now
-                self._eack_repair(budget=2)
+            self._repair(self.snd_una)
+            self._eack_repair(budget=2)
             self._arm_rto()
 
-    def _repair_eligible(self, seq: int) -> bool:
+    def _repair(self, seq: int) -> bool:
+        """Retransmit ``seq`` on evidence short of a timeout, unless this
+        recovery repaired it within the last RTT (sending it again would
+        double-count the loss; the RTO is the backstop for a repair lost
+        again).  True when it was sent."""
+        now = self.sim.now
         last = self._repaired.get(seq)
-        return last is None or (self.sim.now - last) > self.rtt.rtt
+        if last is not None and now - last <= self.rtt.rtt:
+            return False
+        self._repaired[seq] = now
+        self._retransmit(seq, timeout=False)
+        return True
 
     def _eack_repair(self, budget: int) -> None:
         """Repair up to ``budget`` holes the EACK information proves lost.
@@ -551,27 +537,19 @@ class WindowedSender:
         A sequence number counts as lost once three higher sequence numbers
         have been selectively acknowledged (the standard SACK reordering
         guard).  Repairs are paced -- a small budget per ACK event -- so a
-        burst repair does not re-flood the congested queue, and each hole is
-        repaired at most once per recovery episode (the RTO is the backstop
-        for repairs that are lost again).
+        burst repair does not re-flood the congested queue.  Without an
+        EACK ``_sacked`` stays empty and this returns at once.
         """
-        if not self._sacked or budget <= 0:
+        sacked = self._sacked
+        if len(sacked) < DUP_ACK_THRESHOLD:
             return
-        ordered = sorted(self._sacked)
-        if len(ordered) < self.dup_ack_threshold:
-            return
-        threshold = ordered[-self.dup_ack_threshold]
+        threshold = sorted(sacked)[-DUP_ACK_THRESHOLD]
+        window = self._window
         for seq in range(self.snd_una, threshold + 1):
             if budget <= 0:
                 break
-            if seq in self._sacked or not self._repair_eligible(seq):
-                continue
-            entry = self._window.get(seq)
-            if entry is None:
-                continue
-            self._repaired[seq] = self.sim.now
-            self._retransmit(seq, timeout=False)
-            budget -= 1
+            if seq not in sacked and seq in window and self._repair(seq):
+                budget -= 1
 
     # ------------------------------------------------------------------
     # Timers

@@ -13,7 +13,6 @@ from typing import Callable
 from ..sim.engine import Simulator
 from ..sim.node import Host
 from ..sim.packet import Packet, PacketKind
-from .base import make_flow_id
 
 __all__ = ["UdpSender", "UdpSink"]
 
@@ -32,7 +31,7 @@ class UdpSender:
         self.peer_addr = peer_addr
         self.peer_port = peer_port
         self.mss = mss
-        self.flow_id = flow_id if flow_id is not None else make_flow_id(sim)
+        self.flow_id = flow_id if flow_id is not None else sim.next_flow_id()
         self.packets_sent = 0
         self.bytes_sent = 0
         self._seq = 0

@@ -328,6 +328,7 @@ CLI_STEPS = [
     ["report", "c.pkl", "--limit", "-1"],
     ["table3", "--set", "n_frames=20", "--set", "adaptation=marking"],
     ["scenario", "--frames", "50", "--set", "adaptation=markng"],
+    ["scenario", "--transport", "tcp", "--tolerance", "0.2"],
     ["table3", "--set", "n_frames=20"], ["table3", "--set", "n_frames=20"],
     ["table3", "--set", "n_frames=20", "--campaign-dir", "camp3"],
     ["population", "--flows", "100", "--frames", "20", "--window", "0.5"],

@@ -198,30 +198,33 @@ def test_campaign_facade_round_trip():
 # (when ``ScenarioConfig`` was a hand-written class behind a ``Scenario``
 # wrapper): fingerprints, cell keys, labels, manifest JSON and the repr
 # are what caches, campaign directories and goldens are keyed by, so no
-# later change to how a config is *declared* may move one.
+# later change to how a config is *declared* may move one.  Removing a
+# field does move them all: these were re-recorded when ``vbr_frame_rate``,
+# ``vbr_params`` and ``fixed_window``, each with one value in use, became
+# constants.
 # ----------------------------------------------------------------------
 _FP_DEFAULT = (
     'adaptation=None;base_frame_size=1400;bottleneck_bps=20000000.0;'
-    'cbr_bps=0.0;cbr_start=0.0;faults=None;fec=None;fixed_window=64.0;'
+    'cbr_bps=0.0;cbr_start=0.0;faults=None;fec=None;'
     'fluid_bps=0.0;frame_deadline_s=0.0;frame_multiplier=3000;'
     'frame_rate=10.0;invariants=False;loss_tolerance=None;'
     'metric_period=0.5;mss=1400;n_frames=400;queue_pkts=64;rtt_s=0.03;'
     'seed=1;spans=False;step_cross=None;tcp_cross_bytes=None;'
     "telemetry=None;time_cap=600.0;trace_step_s=1.0;transport='iq';"
-    'vbr_frame_rate=500.0;vbr_mean_bps=0.0;vbr_params=None;'
+    'vbr_mean_bps=0.0;'
     "workload='trace_clocked'")
 _FP_ARMED = (
     'adaptation=repro.middleware.adaptation.resolution_default;'
     'base_frame_size=1400;bottleneck_bps=20000000.0;cbr_bps=0.0;'
     'cbr_start=0.0;faults=FaultSchedule(Blackout(start=1.0, stop=2.0, '
     "direction='both'));fec=FecConfig(k=8, r=2, r_max=2, adaptive=True);"
-    'fixed_window=64.0;fluid_bps=2000000.0;frame_deadline_s=1.0;'
+    'fluid_bps=2000000.0;frame_deadline_s=1.0;'
     'frame_multiplier=3000;frame_rate=10.0;invariants=False;'
     'loss_tolerance=None;metric_period=0.5;mss=1400;n_frames=50;'
     'queue_pkts=64;rtt_s=0.03;seed=7;spans=True;step_cross=None;'
     'tcp_cross_bytes=None;telemetry=None;time_cap=600.0;trace_step_s=1.0;'
-    "transport='rudp';vbr_frame_rate=500.0;vbr_mean_bps=0.0;"
-    "vbr_params=None;workload='greedy'")
+    "transport='rudp';vbr_mean_bps=0.0;"
+    "workload='greedy'")
 _FLAP = ("FaultSchedule(LinkFlap(start=5.0, stop=16.0, down_s=0.7, "
          "up_s=1.3, direction='both'))")
 _CLIFF = ("FaultSchedule(BandwidthRamp(start=4.0, stop=10.0, "
@@ -243,14 +246,13 @@ def _armed_config() -> ScenarioConfig:
 def test_pinned_fingerprints_and_field_order():
     assert config_fingerprint(ScenarioConfig()) == _FP_DEFAULT
     assert config_fingerprint(_armed_config()) == _FP_ARMED
-    assert config_key(_armed_config()) == '51fbbb7ba833e1afe929'
+    assert config_key(_armed_config()) == 'dcf3327a7641d033ca21'
     assert list(vars(ScenarioConfig())) == [
         "transport", "workload", "adaptation", "n_frames", "frame_rate",
         "frame_multiplier", "base_frame_size", "bottleneck_bps", "rtt_s",
         "queue_pkts", "mss", "loss_tolerance", "metric_period", "cbr_bps",
-        "cbr_start", "step_cross", "vbr_mean_bps", "vbr_frame_rate",
-        "vbr_params", "trace_step_s", "tcp_cross_bytes", "seed",
-        "time_cap", "fixed_window", "faults", "invariants", "telemetry",
+        "cbr_start", "step_cross", "vbr_mean_bps", "trace_step_s",
+        "tcp_cross_bytes", "seed", "time_cap", "faults", "invariants", "telemetry",
         "fluid_bps", "spans", "fec", "frame_deadline_s"]
 
 
@@ -265,10 +267,10 @@ def test_pinned_cell_keys_labels_and_manifest_of_a_text_spec():
         "zip": {"faults": ["flap", "cliff"]},
         "seeds": {"list": [3]}})
     assert [(config_key(c.config), c.label) for c in camp.cells()] == [
-        ('b1d7a4b79d37e2713c14', f"transport='iq',faults={_FLAP},seed=3"),
-        ('a5e4af9a9182cc18b749', f"transport='iq',faults={_CLIFF},seed=3"),
-        ('630bfe416c0a1caa9ecc', f"transport='rudp',faults={_FLAP},seed=3"),
-        ('f986c1972fa176097b6d', f"transport='rudp',faults={_CLIFF},seed=3")]
+        ('2d8d3d832371f3c76c87', f"transport='iq',faults={_FLAP},seed=3"),
+        ('a64f02866ffa4df8bdb3', f"transport='iq',faults={_CLIFF},seed=3"),
+        ('cf630f7b211203a929bc', f"transport='rudp',faults={_FLAP},seed=3"),
+        ('381a448833ee8d5e96d2', f"transport='rudp',faults={_CLIFF},seed=3")]
     assert all(c.key == config_key(c.config) for c in camp.cells())
     assert json.dumps(camp.to_mapping(), sort_keys=True) == (
         '{"axes": {"transport": ["iq", "rudp"]}, "name": "pin", '
@@ -287,10 +289,10 @@ def test_pinned_cell_keys_and_manifest_of_a_programmatic_campaign():
         name="prog2", axes={"transport": ["rudp", "iq"]}, seeds=[4, 5],
         metrics=["duration_s"])
     assert [(config_key(c.config), c.label) for c in camp.cells()] == [
-        ('37f8e859757506b7acdd', "transport='rudp',seed=4"),
-        ('0c9470bf9e86a472ae16', "transport='rudp',seed=5"),
-        ('499b6a3378686ba65d26', "transport='iq',seed=4"),
-        ('6bba5b485a3520c05b80', "transport='iq',seed=5")]
+        ('c340e34da87d363dd698', "transport='rudp',seed=4"),
+        ('0cde38fdbf63409bf3b4', "transport='rudp',seed=5"),
+        ('5a37ad627782c3d8edfd', "transport='iq',seed=4"),
+        ('8e09c940c96e828c6c1e', "transport='iq',seed=5")]
     assert all(c.key == config_key(c.config) for c in camp.cells())
     # The non-default fields, adaptation by its registry name.
     assert json.dumps(camp.to_mapping(), sort_keys=True) == (

@@ -98,8 +98,7 @@ class TestCompareArtifacts:
 
     def test_perturbed_cc_param_locates_divergence(self, tmp_path):
         a = _save(tmp_path, "a.pkl", _cfg())
-        b = _save(tmp_path, "b.pkl",
-                  _cfg(transport="rudp_nocc", fixed_window=8.0))
+        b = _save(tmp_path, "b.pkl", _cfg(transport="rudp_nocc"))
         report = compare_artifacts(a, b)
         assert not report.identical
         assert report.exit_code == 1
@@ -160,11 +159,10 @@ class TestCompareCli:
         from repro.cli import main
         a = _save(tmp_path, "a.pkl", _cfg(n_frames=150))
         b = _save(tmp_path, "b.pkl", _cfg(n_frames=150))
-        # Pin the congestion window to a different size -- guaranteed
-        # behavioural divergence from the adaptive default.
+        # Pin the congestion window (Table 1's fixed 64 packets) --
+        # guaranteed behavioural divergence from the adaptive default.
         c = _save(tmp_path, "c.pkl",
-                  _cfg(n_frames=150, transport="rudp_nocc",
-                       fixed_window=8.0))
+                  _cfg(n_frames=150, transport="rudp_nocc"))
         assert main(["compare", a, b]) == 0
         assert main(["compare", a, c]) == 1
         capsys.readouterr()

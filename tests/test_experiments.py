@@ -93,6 +93,25 @@ def test_tcp_with_an_adaptation_is_refused_at_construction():
     assert ScenarioConfig(transport="tcp", adaptation=None).adaptation is None
 
 
+def test_tcp_with_a_loss_tolerance_is_refused_by_name(capsys):
+    """TCP's row is fully reliable: a tolerance it would run without (a
+    summary equal to the untolerant one) is refused like ``fec`` and an
+    adaptation -- in the config, in a campaign, on the command line."""
+    from repro.cli import main
+    refused = pytest.raises(ValueError, match="TCP has no loss tolerance")
+    with refused:
+        ScenarioConfig(transport="tcp", loss_tolerance=0.2)
+    camp = Campaign.from_mapping({"template": {"loss_tolerance": 0.2},
+                                  "axes": {"transport": ["rudp", "tcp"]},
+                                  "seeds": [1]})
+    with refused:
+        camp.cells()
+    assert main(["scenario", "--transport", "tcp", "--tolerance", "0.2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "TCP has no loss tolerance" in err
+    assert ScenarioConfig(transport="tcp").loss_tolerance is None
+
+
 def test_unknown_transport_rejected():
     with pytest.raises(ValueError):
         ScenarioConfig(transport="quic")

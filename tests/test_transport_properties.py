@@ -7,16 +7,22 @@ its skip budget.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.middleware.receiver import DeliveryLog
+from repro.obs.bus import TraceBus
+from repro.obs.events import PACKET_ACK
+from repro.obs.flight import FlightRecorder
 from repro.sim.engine import Simulator
-from repro.sim.link import BernoulliLoss
+from repro.sim.link import BernoulliLoss, GilbertElliottLoss
 from repro.sim.packet import Packet, PacketKind
 from repro.sim.topology import Dumbbell
-from repro.transport.base import WindowedReceiver
+from repro.transport import rudp as rudp_mod
+from repro.transport.base import (DUP_ACK_THRESHOLD, WindowedReceiver,
+                                  WindowedSender)
 from repro.transport.rudp import RudpConnection
 from repro.transport.tcp import TcpConnection
 
@@ -184,3 +190,136 @@ def test_in_order_receive_equals_offer_and_consume(arrivals, spans, eack):
     got = _receive_all(WindowedReceiver, arrivals, spans=spans, eack=eack)
     want = _receive_all(ReferenceReceiver, arrivals, spans=spans, eack=eack)
     assert got == want
+
+
+# ----------------------------------------------------------------------
+# One loss-repair path against NewReno's own branches
+# ----------------------------------------------------------------------
+class NewRenoSender(WindowedSender):
+    """``receive`` and ``_on_dup_ack`` as they were while the sender forked
+    loss repair on an EACK flag, the flag off (TCP's branches), line for
+    line: a partial ACK retransmits the new head unconditionally, and no
+    repair is stamped or swept."""
+
+    def receive(self, pkt):
+        if pkt.kind != PacketKind.ACK or pkt.flow_id != self.flow_id:
+            return
+        ack = pkt.ack
+        una = self.snd_una
+        if ack <= una:
+            if ack == una and self.snd_nxt > ack:
+                self._on_dup_ack()
+            return
+        newly = ack - una
+        tr = self.trace
+        if tr.enabled:
+            tr.emit("transport", PACKET_ACK, flow=self.flow_id, ack=ack,
+                    newly=newly)
+        if self._consec_timeouts:
+            self._consec_timeouts = 0
+            if self._stalled:
+                self._stalled = False
+                self.stats.stall_recoveries += 1
+                tr.note("transport", "RESUME", flow=self.flow_id,
+                        recoveries=self.stats.stall_recoveries)
+                self.coordinator.on_resume(self.sim.now)
+        sample = None
+        now = self.sim._now
+        window = self._window
+        stats = self.stats
+        metrics = self.metrics
+        for s in range(una, ack):
+            entry = window.pop(s, None)
+            if entry is not None:
+                size = entry.size
+                stats.acked_packets += 1
+                stats.acked_bytes += size
+                metrics._acked_bytes += size
+                if entry.retransmit == 0 and not entry.skip:
+                    sample = now - entry.sent_at
+        self.snd_una = ack
+        self._dup_acks = 0
+        if self._sacked:
+            self._sacked = {s for s in self._sacked if s >= ack}
+        if sample is not None:
+            self.rtt.sample(sample)
+        if self._in_recovery:
+            if ack >= self._recover_point:
+                self._in_recovery = False
+                self._repaired.clear()
+                self.cc.on_recovery_exit()
+            else:
+                # NewReno-style partial ACK: the next hole is also lost.
+                self._retransmit(self.snd_una, timeout=False)
+        elif self.cc.acks_move_window:
+            self.cc.on_ack(newly)
+        self._arm_rto()
+        self._pump()
+
+    def _on_dup_ack(self):
+        self._dup_acks += 1
+        if self._in_recovery:
+            self.cc.on_dupack_in_recovery()
+            self._pump()
+        elif self._dup_acks == DUP_ACK_THRESHOLD:
+            self.stats.fast_retransmits += 1
+            self._in_recovery = True
+            self._recover_point = self.snd_nxt
+            self.cc.on_fast_retransmit(self.inflight)
+            self._retransmit(self.snd_una, timeout=False)
+            self._arm_rto()
+
+
+def _tcp_transfer(sender_cls, loss, sizes):
+    """A TCP transfer over a lossy forward link with every ring note kept:
+    the flight dump, the sender's counters and its final window."""
+    with mock.patch.object(rudp_mod, "WindowedSender", sender_cls):
+        sim = Simulator()
+        flight = FlightRecorder(capacity=1 << 20)
+        sim.bus = TraceBus(sim, ring=flight)
+        net = Dumbbell(sim, queue_pkts=16)
+        net.forward.loss = loss
+        snd, rcv = net.add_flow_hosts("p")
+        conn = TcpConnection(sim, snd, rcv)
+    assert type(conn.sender) is sender_cls
+    for i, size in enumerate(sizes):
+        conn.submit(size, frame_id=i)
+    conn.finish()
+    sim.run(until=600.0)
+    sender = conn.sender
+    return flight.dump(), sender.stats.as_dict(), sender.cc.cwnd
+
+
+_LOSSES = {
+    "bernoulli": lambda p, seed: BernoulliLoss(p, random.Random(seed)),
+    "gilbert-elliott": lambda p, seed: GilbertElliottLoss(
+        p_gb=p, p_bg=0.4, rng=random.Random(seed)),
+}
+
+
+@given(sizes=st.lists(st.integers(min_value=1, max_value=6000),
+                      min_size=1, max_size=80),
+       kind=st.sampled_from(sorted(_LOSSES)),
+       p=st.sampled_from([0.01, 0.05, 0.15]),
+       seed=st.integers(min_value=0, max_value=1000))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_merged_repair_path_is_newreno_without_an_eack(sizes, kind, p, seed):
+    """With no EACK the one repair path (``_repair``, the EACK sweep) is
+    NewReno: the same ring, event for event, the same counters and the same
+    final window as the unmerged branches, under IID and bursty loss."""
+    got = _tcp_transfer(WindowedSender, _LOSSES[kind](p, seed), sizes)
+    want = _tcp_transfer(NewRenoSender, _LOSSES[kind](p, seed), sizes)
+    assert got == want
+
+
+def test_the_differential_reaches_fast_retransmit_and_partial_acks():
+    """A burst-loss transfer the differential above draws from enters
+    recovery and repairs heads on partial ACKs, so it compares those
+    branches, not just the clean path."""
+    flight, stats, _ = _tcp_transfer(
+        WindowedSender, _LOSSES["gilbert-elliott"](0.05, 2), [1400] * 80)
+    repairs = sum(e["event"] == "PACKET_RETX" and e["reason"] == "fast"
+                  for e in flight["events"])
+    assert stats["fast_retransmits"] > 0
+    assert repairs > stats["fast_retransmits"]    # partial-ACK repairs too

@@ -18,7 +18,6 @@ from repro.faults import (Blackout, BurstyLoss, DelayRamp, FaultSchedule,
 from repro.obs.flight import FlightRecorder
 from repro.sim.engine import Event, Simulator
 from repro.transport import rudp as rudp_mod
-from repro.transport import tcp as tcp_mod
 from repro.transport.base import WindowedSender
 
 
@@ -92,8 +91,7 @@ def _run(monkeypatch, sender_cls, script, transport, seed, jitter, stall):
     """One scenario on ``sender_cls``; returns what an expiry can touch.
     (Reno without SACK repairs one hole per backed-off RTO after an outage,
     so the TCP rows may end at ``time_cap`` -- on both timers alike.)"""
-    monkeypatch.setattr(rudp_mod, "WindowedSender", sender_cls)
-    monkeypatch.setattr(tcp_mod, "WindowedSender", sender_cls)
+    monkeypatch.setattr(rudp_mod, "WindowedSender", sender_cls)   # TCP's too
     monkeypatch.setattr(common, "FlightRecorder",   # keep every note
                         lambda: FlightRecorder(capacity=100000))
     expiries = []
