@@ -10,10 +10,10 @@ this package is free to keep refactoring):
     print(res.summary["duration_s"])
 
 Campaigns scale the same facade up: :func:`load_campaign` turns a spec
-(TOML/YAML/JSON/dict: template x axes x seeds) into a
-:class:`~repro.campaign.Campaign`, and :func:`run_campaign` executes it --
-in-memory, or across worker processes/hosts splitting a shared campaign
-directory via claim/lease work stealing::
+(a TOML file or its mapping: template x axes x seeds) into a
+:class:`~repro.campaign.Campaign`, and :func:`run_campaign` executes it
+through its campaign directory, which worker processes and hosts split
+via claim/lease work stealing::
 
     run = run_campaign("spec.toml", dir="camp/", workers=4)
     print(run.report().render())

@@ -2,10 +2,10 @@
 
 The layer every future study runs through (ROADMAP item 1): a campaign is
 a scenario template crossed with named parameter axes and seed replicates
-(:mod:`.spec`), executed in-memory or across N worker processes/hosts
-coordinating solely through a shared campaign directory (:mod:`.exec`,
-:mod:`.store`), and reduced to per-axis summary stats with failure rollups
-(:mod:`.aggregate`).  Public names re-export from :mod:`repro.api`::
+(:mod:`.spec`, a TOML file or its mapping), run through its campaign
+directory by N worker processes/hosts coordinating solely through it
+(:mod:`.exec`, :mod:`.store`), and reduced to per-axis summary stats with
+failure rollups (:mod:`.aggregate`); :mod:`repro.api` re-exports them::
 
     from repro import Campaign, run_campaign, load_campaign
 

@@ -1,27 +1,22 @@
-"""Campaign execution: in-memory fan-out or work-stealing over a directory.
+"""Campaign execution: work-stealing over a campaign directory.
 
-Two modes, one entry point (:func:`run_campaign`):
-
-* **In-memory** (``dir=None``): the whole expansion goes through
-  :func:`~repro.runner.run_batch` with failure capture -- fine for small
-  grids inside one process.
-* **Work-stealing** (``dir=PATH``): the campaign directory
-  (:class:`~repro.campaign.store.CampaignStore`) is the only coordination
-  channel.  One claimer (:func:`worker_loop`) walks the
-  (identically-ordered) cell list, skips finished cells, claims one with
-  ``O_CREAT|O_EXCL`` whenever the runner's pool has a free slot, and runs
-  it there under failure capture (timeout / retries); as a cell lands it
-  is pickled once and those bytes stored atomically (and memoised in the
-  results cache, when one is on), its outcome journaled and its claim
-  released.  ``workers=N`` is N cells in flight, each in a
-  worker process of that one pool; running the same command on other
-  hosts sharing the filesystem adds claimers the same way.  A killed
-  campaign process leaves expiring leases; once they expire any claimer
-  (another still passing over the cells, or a later ``resume``) steals
-  the cells and the campaign finishes anyway.  Interrupt with SIGINT and
-  ``resume`` later: the cells that were running store nothing and are
-  released, finished cells are never re-executed, so the completed report
-  is byte-identical to an uninterrupted run.
+A campaign runs through its directory (:func:`run_campaign`): the
+directory (:class:`~repro.campaign.store.CampaignStore`) is the only
+coordination channel.  One claimer (:func:`worker_loop`) walks the
+(identically-ordered) cell list, skips finished cells, claims one with
+``O_CREAT|O_EXCL`` whenever the runner's pool has a free slot, and runs it
+there under failure capture (timeout / retries); as a cell lands it is
+pickled once and those bytes stored atomically (and memoised in the
+results cache, when one is on), its outcome journaled and its claim
+released.  ``workers=N`` is N cells in flight, each in a worker process of
+that one pool; running the same command on other hosts sharing the
+filesystem adds claimers the same way.  A killed campaign process leaves
+expiring leases; once they expire any claimer (another still passing over
+the cells, or a later ``resume``) steals the cells and the campaign
+finishes anyway.  Interrupt with SIGINT and ``resume`` later: the cells
+that were running store nothing and are released, finished cells are
+never re-executed, so the completed report is byte-identical to an
+uninterrupted run.
 
 Determinism: every cell derives all randomness from its own seed, so the
 result set is bit-identical for any worker count, any interleaving, and
@@ -33,7 +28,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from collections.abc import Mapping
 
 from ..experiments.common import ScenarioConfig, ScenarioResult
 from ..runner.failures import BatchExecutionError, FailedResult
@@ -41,7 +35,7 @@ from ..runner.pool import _cache_put, _resolve_cache, _run_detached, run_batch
 from ..runner.progress import SweepProgress
 from ..runner.supervisor import check_supervision, run_supervised
 from .aggregate import CampaignReport, aggregate
-from .spec import Campaign, CampaignCell
+from .spec import Campaign, CampaignCell, load_campaign
 from .store import DEFAULT_LEASE_S, RESULT_TYPES, CampaignStore
 
 __all__ = ["run_campaign", "run_rows", "CampaignRun", "worker_loop"]
@@ -213,36 +207,28 @@ def _collect_and_heal(store: CampaignStore, campaign: Campaign, cells,
     return CampaignRun(campaign, results)
 
 
-def run_campaign(campaign, *, dir: "str | os.PathLike | None" = None,
+def run_campaign(campaign, *, dir: "str | os.PathLike",
                  workers: int = 1, cache=None,
                  timeout: float | None = None, retries: int = 0,
                  lease_s: float = DEFAULT_LEASE_S,
                  progress: bool | None = None) -> CampaignRun:
-    """Execute a campaign; returns a :class:`CampaignRun`.
+    """Execute a campaign in the directory ``dir``; returns a
+    :class:`CampaignRun`.
 
     ``campaign`` is a :class:`~repro.campaign.Campaign`, a spec mapping or
-    a spec-file path (anything :func:`~repro.campaign.load_campaign`
-    takes).  With ``dir=None`` the expansion runs in-memory through
-    ``run_batch`` (``workers`` = its ``jobs``).  With a directory, state
-    lives on disk: one claimer keeps up to ``workers`` cells in flight,
-    each in a worker process (in this one for ``workers=1`` without a
-    ``timeout``), the run survives SIGINT (re-invoke with the same
-    directory to resume) and other hosts pointing at the same directory
-    join the same campaign.  Failures are always captured as
-    :class:`FailedResult` cells -- inspect ``run.report()``.
+    a ``.toml`` spec path (anything :func:`~repro.campaign.load_campaign`
+    takes).  State lives on disk: one claimer keeps up to ``workers``
+    cells in flight, each in a worker process (in this one for
+    ``workers=1`` without a ``timeout``), the run survives SIGINT
+    (re-invoke with the same directory to resume) and other hosts pointing
+    at the same directory join the same campaign.  Failures are always
+    captured as :class:`FailedResult` cells -- inspect ``run.report()``.
     """
-    from .spec import load_campaign
     campaign = load_campaign(campaign)
     cells = campaign.cells()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     check_supervision(timeout, retries)     # before a directory is made
-
-    if dir is None:
-        batch = run_batch({c.key: c.config for c in cells}, jobs=workers,
-                          cache=cache, on_error="capture", timeout=timeout,
-                          retries=retries)
-        return CampaignRun(campaign, dict(batch))
 
     store = CampaignStore(dir, lease_s=lease_s)
     store.init(campaign)
@@ -273,10 +259,10 @@ def run_rows(rows, *, name: str, dir: "str | os.PathLike | None" = None,
     the same rows inherit claim/resume semantics -- interrupt the bench,
     re-run the same command, and only missing rows execute.
 
-    Returns results keyed like ``rows``: a dict for a mapping, a list in
-    row order for any other iterable.  An incomplete campaign-backed
-    run (interrupt before every row finished) raises ``KeyboardInterrupt``
-    after persisting what completed; a failed row raises
+    ``rows`` is a mapping of ``{label: Scenario}`` and the results come
+    back keyed like it.  An incomplete campaign-backed run (interrupt
+    before every row finished) raises ``KeyboardInterrupt`` after
+    persisting what completed; a failed row raises
     :class:`BatchExecutionError` exactly like ``on_error="raise"``.
     """
     if dir is None:
@@ -289,10 +275,10 @@ def run_rows(rows, *, name: str, dir: "str | os.PathLike | None" = None,
     run = run_campaign(campaign, dir=dir, workers=jobs, cache=cache)
     if run.incomplete:
         raise KeyboardInterrupt
-    results = []
-    for cell in campaign.cells():
+    results = {}
+    for label, cell in zip(rows, campaign.cells()):
         res = run.results_by_key[cell.key]
         if isinstance(res, FailedResult):
             raise BatchExecutionError(res)
-        results.append(res)
-    return dict(zip(rows, results)) if isinstance(rows, Mapping) else results
+        results[label] = res
+    return results

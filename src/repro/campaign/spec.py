@@ -8,7 +8,7 @@ byte-for-byte on every cell's identity, which is what lets the
 work-stealing executor (:mod:`.exec`) split one campaign across N workers
 with zero coordination beyond a shared directory.
 
-Spec shape (a plain mapping; TOML/YAML/JSON files parse to it)::
+Spec shape (a plain mapping; a TOML file parses to it)::
 
     name = "table2-grid"
 
@@ -21,27 +21,23 @@ Spec shape (a plain mapping; TOML/YAML/JSON files parse to it)::
     transport = ["tcp", "iq"]
     cbr_bps = [0.0, 8e6]
 
-    [zip]                       # zip-paired axes: advance together
-    rtt_s = [0.03, 0.1]
-    queue_pkts = [64, 256]
-
-    [[cases]]                   # explicit extra cells (crossed with seeds)
-    transport = "rudp"
-    cbr_bps = 16e6
-
     [seeds]
     count = 3                   # or: list = [1, 5, 9]
 
-Cell count = ``len(grid product) * len(zip rows) * len(seeds) +
-len(cases) * len(seeds)``.  String values are the CLI's ``--set`` dialect,
-:func:`repro.experiments.common.parse_field`: Python literals when they
-parse, ``adaptation`` / ``faults`` registry names, ``fec`` spec strings.
+The top-level keys are ``name``, ``template``, ``axes``, ``seeds`` and
+``metrics``; any other is refused with a did-you-mean hint.  Cell count =
+``len(grid product) * len(seeds)``.  String values are the CLI's
+``--set`` dialect, :func:`repro.experiments.common.parse_field`: Python
+literals when they parse, ``adaptation`` / ``faults`` registry names,
+``fec`` spec strings.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import tomllib
 from typing import Any, Iterable, Mapping
 
 from ..experiments.common import ScenarioConfig, did_you_mean, parse_field
@@ -51,7 +47,7 @@ from ..runner.hashing import config_key, field_text
 __all__ = ["Campaign", "CampaignCell", "load_campaign"]
 
 #: Recognised top-level spec keys (anything else is a typo).
-_SPEC_KEYS = ("name", "template", "axes", "zip", "cases", "seeds", "metrics")
+_SPEC_KEYS = ("name", "template", "axes", "seeds", "metrics")
 
 
 def _coerce_fields(fields: Mapping[str, Any]) -> dict[str, Any]:
@@ -124,16 +120,14 @@ class Campaign:
                               "cbr_bps": [0.0, 8e6]},
                         seeds=3)
 
-    or declaratively via :func:`load_campaign` (TOML/YAML/JSON file or a
-    plain mapping).  ``len(camp)`` is the cell count; ``camp.cells()`` the
+    or declaratively via :func:`load_campaign` (a TOML file or a plain
+    mapping).  ``len(camp)`` is the cell count; ``camp.cells()`` the
     expansion; :func:`~repro.campaign.run_campaign` executes it.
     """
 
     def __init__(self, template: ScenarioConfig | None = None, *,
                  name: str = "campaign",
                  axes: Mapping[str, Iterable[Any]] | None = None,
-                 zip_axes: Mapping[str, Iterable[Any]] | None = None,
-                 cases: Iterable[Mapping[str, Any]] | None = None,
                  seeds: int | Iterable[int] | None = None,
                  metrics: Iterable[str] | None = None):
         if template is None:
@@ -144,9 +138,6 @@ class Campaign:
         self.name = str(name)
         self.template = template
         self.axes = {str(k): list(v) for k, v in (axes or {}).items()}
-        self.zip_axes = {str(k): list(v)
-                         for k, v in (zip_axes or {}).items()}
-        self.cases = [dict(c) for c in (cases or [])]
         self.metrics = tuple(metrics) if metrics is not None else None
         self._validate_axes()
         self.seeds = self._resolve_seeds(seeds)
@@ -171,40 +162,21 @@ class Campaign:
         return out
 
     def _validate_axes(self) -> None:
-        overlap = sorted(set(self.axes) & set(self.zip_axes))
-        if overlap:
-            raise ValueError(f"field(s) {', '.join(overlap)} appear in both "
-                             f"'axes' and 'zip'; pick one")
-        for group, axes in (("axes", self.axes), ("zip", self.zip_axes)):
-            for field, values in axes.items():
-                if not values:
-                    raise ValueError(f"{group} field {field!r} has no values")
-                if field == "seed":
-                    raise ValueError("'seed' is not an axis; use the "
-                                     "'seeds' section for replicates")
-                # Unknown-field rejection is ScenarioConfig's, so there is
-                # exactly one error dialect (did-you-mean).
-                self.template.replace(**{field: values[0]})
-        if self.zip_axes:
-            lengths = {field: len(v) for field, v in self.zip_axes.items()}
-            if len(set(lengths.values())) > 1:
-                detail = ", ".join(f"{k}: {n}" for k, n in lengths.items())
-                raise ValueError(
-                    f"zip-paired axes must have equal lengths ({detail})")
-        for i, case in enumerate(self.cases):
-            if not isinstance(case, Mapping) or not case:
-                raise ValueError(f"cases[{i}] must be a non-empty mapping "
-                                 f"of ScenarioConfig overrides")
-            if "seed" in case:
-                raise ValueError(f"cases[{i}] sets 'seed'; seeds come from "
-                                 f"the 'seeds' section")
-            self.template.replace(**case)
+        for field, values in self.axes.items():
+            if not values:
+                raise ValueError(f"axes field {field!r} has no values")
+            if field == "seed":
+                raise ValueError("'seed' is not an axis; use the "
+                                 "'seeds' section for replicates")
+            # Unknown-field rejection is ScenarioConfig's, so there is
+            # exactly one error dialect (did-you-mean).
+            self.template.replace(**{field: values[0]})
 
     # -- construction from a mapping / file --------------------------------
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Any]) -> "Campaign":
         """Build (and fully validate) a campaign from a plain mapping --
-        the parsed form of a TOML/YAML/JSON spec file."""
+        the parsed form of a TOML spec file."""
         if not isinstance(mapping, Mapping):
             raise TypeError(f"campaign spec must be a mapping, "
                             f"got {type(mapping).__name__}")
@@ -217,10 +189,6 @@ class Campaign:
         template = ScenarioConfig(**template_fields)
         axes = {field: [parse_field(field, v) for v in values]
                 for field, values in (mapping.get("axes") or {}).items()}
-        zip_axes = {field: [parse_field(field, v) for v in values]
-                    for field, values in (mapping.get("zip") or {}).items()}
-        cases = [_coerce_fields(case)
-                 for case in (mapping.get("cases") or [])]
         seeds = mapping.get("seeds")
         if isinstance(seeds, Mapping):
             extra = sorted(set(seeds) - {"count", "list"})
@@ -238,8 +206,7 @@ class Campaign:
                                  "'count' or 'list'")
             seeds = seeds.get("count", seeds.get("list"))
         camp = cls(template, name=mapping.get("name", "campaign"),
-                   axes=axes, zip_axes=zip_axes, cases=cases, seeds=seeds,
-                   metrics=mapping.get("metrics"))
+                   axes=axes, seeds=seeds, metrics=mapping.get("metrics"))
         camp._raw = _raw_mapping(mapping)
         return camp
 
@@ -247,15 +214,15 @@ class Campaign:
     def from_scenarios(cls, rows, *, name: str = "batch") -> "Campaign":
         """Wrap an already-expanded collection of scenarios as a campaign.
 
-        ``rows`` is a mapping of ``{label: Scenario}`` (or a plain
-        iterable, labelled by index) -- the shape every experiment's
-        ``configs()`` builds.  Labels become cell labels verbatim, so a bench
-        routed through a campaign directory keys its results exactly as
-        before.  No template/axes structure exists, so the manifest stores
-        no spec and per-axis aggregation is empty.
+        ``rows`` is a mapping of ``{label: Scenario}`` -- the shape every
+        experiment's ``configs()`` builds.  Labels become cell labels
+        verbatim, so a bench routed through a campaign directory keys its
+        results exactly as before.  No template/axes structure exists, so
+        the manifest stores no spec and per-axis aggregation is empty.
         """
         if not isinstance(rows, Mapping):
-            rows = {str(i): sc for i, sc in enumerate(rows)}
+            raise TypeError(f"rows must be a mapping of label to Scenario, "
+                            f"got {type(rows).__name__}")
         cells: list[CampaignCell] = []
         for label, cfg in rows.items():
             if not isinstance(cfg, ScenarioConfig):
@@ -286,9 +253,7 @@ class Campaign:
         if template.get("adaptation") in reverse_adapt:
             template["adaptation"] = reverse_adapt[template["adaptation"]]
         mapping = {"name": self.name, "template": template,
-                   "axes": self.axes, "zip": self.zip_axes,
-                   "cases": self.cases,
-                   "seeds": {"list": list(self.seeds)}}
+                   "axes": self.axes, "seeds": {"list": list(self.seeds)}}
         if self.metrics is not None:
             mapping["metrics"] = list(self.metrics)
         try:
@@ -304,7 +269,6 @@ class Campaign:
         values still win over template values per cell."""
         camp = Campaign(self.template.replace(**_coerce_fields(overrides)),
                         name=self.name, axes=self.axes,
-                        zip_axes=self.zip_axes, cases=self.cases,
                         seeds=self.seeds, metrics=self.metrics)
         if self._raw is not None:
             raw = dict(self._raw)
@@ -318,36 +282,21 @@ class Campaign:
         return camp
 
     # -- expansion ---------------------------------------------------------
-    def _assignments(self):
-        axis_names = list(self.axes)
-        grid = itertools.product(*(self.axes[a] for a in axis_names)) \
-            if axis_names else [()]
-        zip_rows: list[dict[str, Any]] = [{}]
-        if self.zip_axes:
-            names = list(self.zip_axes)
-            zip_rows = [dict(zip(names, row))
-                        for row in zip(*(self.zip_axes[n] for n in names))]
-        for combo in grid:
-            for zrow in zip_rows:
-                assignment = dict(zip(axis_names, combo))
-                assignment.update(zrow)
-                yield assignment
-        for case in self.cases:
-            yield dict(case)
-
     def cells(self) -> tuple[CampaignCell, ...]:
         """Expand (once) to the full cell tuple, in spec order: grid
-        (leftmost axis slowest) x zip row x seed, then explicit cases x
-        seed.  Every cell validates as a ScenarioConfig; duplicate cells
-        (identical resulting configs) are an error."""
+        (leftmost axis slowest) x seed.  Every cell validates as a
+        ScenarioConfig; duplicate cells (identical resulting configs) are
+        an error."""
         if self._cells is None:
+            names = list(self.axes)
+            grid = [dict(zip(names, combo))
+                    for combo in itertools.product(*self.axes.values())]
             self._cells = _unique(
                 [CampaignCell(label=_cell_label(assignment, seed),
                               assignment=assignment, seed=seed,
                               config=self.template.replace(**assignment,
                                                            seed=seed))
-                 for assignment in self._assignments()
-                 for seed in self.seeds],
+                 for assignment in grid for seed in self.seeds],
                 "campaign expands to zero cells")
         return self._cells
 
@@ -356,19 +305,9 @@ class Campaign:
 
     def describe(self) -> str:
         """One-line shape summary for logs and the status command."""
-        parts = []
-        if self.axes:
-            parts.append(" x ".join(f"{a}[{len(v)}]"
-                                    for a, v in self.axes.items()))
-        if self.zip_axes:
-            names = list(self.zip_axes)
-            parts.append(f"zip({','.join(names)})"
-                         f"[{len(self.zip_axes[names[0]])}]")
-        if self.cases:
-            parts.append(f"cases[{len(self.cases)}]")
+        parts = [f"{a}[{len(v)}]" for a, v in self.axes.items()]
         parts.append(f"seeds[{len(self.seeds)}]")
-        return (f"{self.name}: {' x '.join(parts) if parts else 'template'}"
-                f" = {len(self)} cells")
+        return f"{self.name}: {' x '.join(parts)} = {len(self)} cells"
 
     def __repr__(self) -> str:
         return f"<Campaign {self.describe()}>"
@@ -384,39 +323,14 @@ def _raw_mapping(mapping: Mapping[str, Any]) -> dict | None:
 
 
 def load_campaign(source) -> Campaign:
-    """Load a campaign from a mapping or a spec file.
-
-    ``source`` is a plain mapping (returned as a validated
-    :class:`Campaign`), or a path to a ``.toml``, ``.yaml``/``.yml`` or
-    ``.json`` file.  YAML requires PyYAML; the other formats use the
-    standard library.
-    """
+    """A :class:`Campaign` as given, or one built from a plain mapping or
+    from the path of a ``.toml`` spec file (anything else is refused)."""
     if isinstance(source, Campaign):
         return source
     if isinstance(source, Mapping):
         return Campaign.from_mapping(source)
-    path = str(source)
-    lowered = path.lower()
-    if lowered.endswith(".toml"):
-        import tomllib
-        with open(path, "rb") as fh:
-            mapping = tomllib.load(fh)
-    elif lowered.endswith((".yaml", ".yml")):
-        try:
-            import yaml
-        except ImportError as exc:  # pragma: no cover - env-dependent
-            raise ValueError(
-                f"cannot load {path}: YAML specs need PyYAML (use TOML or "
-                f"JSON instead)") from exc
-        with open(path) as fh:
-            mapping = yaml.safe_load(fh)
-    elif lowered.endswith(".json"):
-        with open(path) as fh:
-            mapping = json.load(fh)
-    else:
-        raise ValueError(f"unrecognised campaign spec format {path!r} "
-                         f"(expected .toml, .yaml/.yml or .json)")
-    if not isinstance(mapping, Mapping):
-        raise ValueError(f"campaign spec {path!r} must parse to a mapping, "
-                         f"got {type(mapping).__name__}")
-    return Campaign.from_mapping(mapping)
+    path = os.fspath(source)
+    if not path.lower().endswith(".toml"):
+        raise ValueError(f"campaign spec {path!r} is not a .toml file")
+    with open(path, "rb") as fh:
+        return Campaign.from_mapping(tomllib.load(fh))

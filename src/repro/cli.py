@@ -214,25 +214,20 @@ def _execute_campaign(campaign, args) -> int:
     """Shared run/resume executor: run, report, map outcome to exit code
     (0 clean, 1 failed cells, 130 interrupted with a resume hint)."""
     from .campaign import CampaignStore, run_campaign
-    if args.dir:    # a directory of another format is refused first
-        CampaignStore(args.dir).read_manifest()
+    CampaignStore(args.dir).read_manifest()  # another format is refused first
     print(campaign.describe(), file=sys.stderr)
     try:
         run = run_campaign(campaign, dir=args.dir, workers=args.workers,
                            timeout=args.timeout, retries=args.retries)
     except KeyboardInterrupt:
         print(file=sys.stderr)
-        if args.dir:
-            print(f"interrupted; finished cells are saved -- resume with: "
-                  f"repro campaign resume {args.dir} "
-                  f"--workers {args.workers}", file=sys.stderr)
-        else:
-            print("interrupted (no --dir: nothing persisted)",
-                  file=sys.stderr)
+        print(f"interrupted; finished cells are saved -- resume with: "
+              f"repro campaign resume {args.dir} "
+              f"--workers {args.workers}", file=sys.stderr)
         return 130
     report = run.report()
     print(report.render())
-    if not run.complete and args.dir:
+    if not run.complete:
         print(f"\n{len(run.incomplete)} cell(s) still pending; resume "
               f"with: repro campaign resume {args.dir}", file=sys.stderr)
         return 130
@@ -538,11 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     car = _command(
         casub, "run", _run_campaign_cmd,
         help="expand a campaign spec and run (or resume) it")
-    car.add_argument("spec", help="campaign spec file (.toml/.yaml/.json)")
-    car.add_argument("--dir", metavar="DIR", default=None,
-                     help="campaign directory holding claims and results; "
-                          "required for resume, multi-worker and "
-                          "multi-host execution")
+    car.add_argument("spec", help="campaign spec file (.toml)")
+    car.add_argument("--dir", metavar="DIR", required=True,
+                     help="campaign directory holding claims and results")
     add_campaign_exec_flags(car)
     add_exec_flags(car, set_=True)
 

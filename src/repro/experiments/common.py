@@ -33,7 +33,6 @@ from ..obs.telemetry import TelemetryConfig, TelemetryRecorder
 from ..middleware.application import AdaptiveSource
 from ..middleware.receiver import DeliveryLog
 from ..sim.engine import Simulator
-from ..sim.fluid import FluidSource
 from ..sim.rand import RandomStreams
 from ..sim.topology import PAPER_BOTTLENECK_BPS, PAPER_RTT_S, Dumbbell
 from ..traffic.bulk import BulkSource
@@ -120,10 +119,6 @@ class ScenarioConfig:
     faults: FaultSchedule | None = None
     invariants: bool = False
     telemetry: TelemetryConfig | None = None
-    #: Fluid background traffic on the forward bottleneck
-    #: (repro.sim.fluid): a *model* choice that changes results vs
-    #: per-packet cross traffic.
-    fluid_bps: float = 0.0
     #: Causal frame-lineage spans (repro.obs.spans).  Purely passive --
     #: armed summaries are bit-identical to disarmed ones -- but the flag
     #: is part of the config (and cache key) because the result artifact
@@ -160,8 +155,12 @@ class ScenarioConfig:
             if v[name] is not None and not isinstance(v[name], kind):
                 raise TypeError(f"{name} must be a {kind.__name__} or None, "
                                 f"got {type(v[name]).__name__}")
-        if v["fluid_bps"] < 0:
-            raise ValueError("fluid_bps must be non-negative")
+        tolerance = v["loss_tolerance"]
+        if tolerance is not None and not (isinstance(tolerance, (int, float))
+                                          and 0.0 <= tolerance <= 1.0):
+            # LossTolerantReliability's rule, checked before any run.
+            raise ValueError(f"loss_tolerance must be in [0, 1] or None, "
+                             f"got {tolerance!r}")
         v["fec"] = FecConfig.parse(v["fec"])
         for name, what in (("fec", "FEC repair tier"),
                            ("adaptation", "adaptation callbacks"),
@@ -174,7 +173,6 @@ class ScenarioConfig:
                                  f"rudp-family transport)")
         if v["frame_deadline_s"] < 0:
             raise ValueError("frame_deadline_s must be non-negative")
-        v["fluid_bps"] = float(v["fluid_bps"])
         v["spans"] = bool(v["spans"])
         v["frame_deadline_s"] = float(v["frame_deadline_s"])
         # The instance dict *is* the field set, in declaration order
@@ -263,10 +261,6 @@ class ScenarioResult:
     #: populated per instance only when ``ScenarioConfig(telemetry=...)``
     #: armed the recorder, so disarmed results read None from the class.
     telemetry = None
-    #: The scenario's :class:`~repro.sim.fluid.FluidSource` (fluid
-    #: background traffic), when ``ScenarioConfig(fluid_bps=...)`` armed
-    #: one; else None, from the class.
-    fluid = None
     #: Causal frame-lineage artifact (:meth:`repro.obs.spans.SpanRecorder.
     #: finalize` output) when ``ScenarioConfig(spans=True)``; else None.
     spans = None
@@ -510,12 +504,6 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
             sim.schedule(period_s / 2.0, _toggle, not high)
 
         sim.schedule(period_s / 2.0, _toggle, True)
-    fluid = None
-    if cfg.fluid_bps > 0:
-        # Macro-tier background traffic: no per-packet cost, same mean
-        # congestion pressure (see repro.sim.fluid).
-        fluid = FluidSource(sim, net.forward, rate_bps=cfg.fluid_bps,
-                            start=cfg.cbr_start)
     tcp_cross = None
     if cfg.tcp_cross_bytes is not None:
         t_snd, t_rcv = net.add_flow_hosts("tcpx")
@@ -575,8 +563,6 @@ def _run_scenario(cfg: ScenarioConfig, flight, *, trace_sink=None,
                          strategy=strategy, net=net, sim=sim,
                          completed=conn.completed, tcp_cross=tcp_cross,
                          injector=injector)
-    if fluid is not None:
-        res.fluid = fluid
     if checker is not None:
         # Deliberately an attribute, not a summary key: armed and disarmed
         # summaries must stay bit-identical (the differential fuzz oracle

@@ -31,7 +31,7 @@ __all__ = ["ResultsCache", "FORMAT", "FormatError", "atomic_write",
 #: The on-disk format of every stored pickle (its header), campaign manifest
 #: (``"version"``) and journal frame (its tag).  Changing what a stored
 #: result holds bumps it and adds no shim (DESIGN.md, "On-disk format").
-FORMAT = 4
+FORMAT = 5
 _MAGIC = b"repro-iq-rudp format "
 HEADER = _MAGIC + b"%d\n" % FORMAT    # the first bytes of a stored pickle
 

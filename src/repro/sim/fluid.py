@@ -170,14 +170,6 @@ class FluidSource:
     def backlog_bytes(self) -> float:
         return self.backlog_bits / 8.0
 
-    def telemetry_probe(self) -> dict[str, float]:
-        """Cumulative fluid accounting for the telemetry recorder."""
-        return {"offered_bytes": self.offered_bytes,
-                "served_bytes": self.served_bytes,
-                "dropped_bytes": self.dropped_bytes,
-                "backlog_bytes": self.backlog_bits / 8.0,
-                "rate_bps": self.rate_bps}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FluidSource {self.rate_bps/1e6:.1f}Mbps "
                 f"backlog={self.backlog_bits/8.0:.0f}B "

@@ -329,6 +329,7 @@ CLI_STEPS = [
     ["table3", "--set", "n_frames=20", "--set", "adaptation=marking"],
     ["scenario", "--frames", "50", "--set", "adaptation=markng"],
     ["scenario", "--transport", "tcp", "--tolerance", "0.2"],
+    ["campaign", "run", "spec.json", "--dir", "d"],
     ["table3", "--set", "n_frames=20"], ["table3", "--set", "n_frames=20"],
     ["table3", "--set", "n_frames=20", "--campaign-dir", "camp3"],
     ["population", "--flows", "100", "--frames", "20", "--window", "0.5"],
@@ -357,6 +358,8 @@ def part_cli() -> None:
     os.mkdir("list-camp")
     with open(os.path.join("list-camp", "manifest.json"), "w") as fh:
         fh.write("[]\n")
+    with open("spec.json", "w") as fh:
+        fh.write('{"template": {"workload": "greedy"}}\n')
     with open("v1.jsonl", "w") as fh:
         fh.write('{"format": "repro-trace", "runs": 0, "type": "header", '
                  '"version": 1}\n')

@@ -181,7 +181,7 @@ def test_package_root_reexports_campaign_api():
     assert repro.load_campaign is load_campaign
 
 
-def test_campaign_facade_round_trip():
+def test_campaign_facade_round_trip(tmp_path):
     camp = repro.load_campaign({
         "name": "facade",
         "template": {"workload": "greedy", "n_frames": 5,
@@ -189,7 +189,7 @@ def test_campaign_facade_round_trip():
         "axes": {"transport": ["tcp", "iq"]},
     })
     assert isinstance(camp, repro.Campaign)
-    run_ = repro.run_campaign(camp, cache=False)
+    run_ = repro.run_campaign(camp, dir=tmp_path / "camp", cache=False)
     assert run_.complete and len(run_.results) == 2
 
 
@@ -201,12 +201,12 @@ def test_campaign_facade_round_trip():
 # later change to how a config is *declared* may move one.  Removing a
 # field does move them all: these were re-recorded when ``vbr_frame_rate``,
 # ``vbr_params`` and ``fixed_window``, each with one value in use, became
-# constants.
+# constants, and again when ``fluid_bps`` (only tests set it) went.
 # ----------------------------------------------------------------------
 _FP_DEFAULT = (
     'adaptation=None;base_frame_size=1400;bottleneck_bps=20000000.0;'
     'cbr_bps=0.0;cbr_start=0.0;faults=None;fec=None;'
-    'fluid_bps=0.0;frame_deadline_s=0.0;frame_multiplier=3000;'
+    'frame_deadline_s=0.0;frame_multiplier=3000;'
     'frame_rate=10.0;invariants=False;loss_tolerance=None;'
     'metric_period=0.5;mss=1400;n_frames=400;queue_pkts=64;rtt_s=0.03;'
     'seed=1;spans=False;step_cross=None;tcp_cross_bytes=None;'
@@ -218,7 +218,7 @@ _FP_ARMED = (
     'base_frame_size=1400;bottleneck_bps=20000000.0;cbr_bps=0.0;'
     'cbr_start=0.0;faults=FaultSchedule(Blackout(start=1.0, stop=2.0, '
     "direction='both'));fec=FecConfig(k=8, r=2, r_max=2, adaptive=True);"
-    'fluid_bps=2000000.0;frame_deadline_s=1.0;'
+    'frame_deadline_s=1.0;'
     'frame_multiplier=3000;frame_rate=10.0;invariants=False;'
     'loss_tolerance=None;metric_period=0.5;mss=1400;n_frames=50;'
     'queue_pkts=64;rtt_s=0.03;seed=7;spans=True;step_cross=None;'
@@ -235,10 +235,10 @@ _CLIFF = ("FaultSchedule(BandwidthRamp(start=4.0, stop=10.0, "
 
 def _armed_config() -> ScenarioConfig:
     from repro.middleware.adaptation import resolution_default
-    # spans / fluid_bps / frame_deadline_s / fec arrive un-normalised.
+    # spans / frame_deadline_s / fec arrive un-normalised.
     return ScenarioConfig(
         transport="rudp", workload="greedy", n_frames=50, fec="8/2",
-        spans=1, fluid_bps=2000000, frame_deadline_s=1,
+        spans=1, frame_deadline_s=1,
         faults=FaultSchedule(Blackout(start=1.0, stop=2.0)),
         adaptation=resolution_default, seed=7)
 
@@ -246,14 +246,14 @@ def _armed_config() -> ScenarioConfig:
 def test_pinned_fingerprints_and_field_order():
     assert config_fingerprint(ScenarioConfig()) == _FP_DEFAULT
     assert config_fingerprint(_armed_config()) == _FP_ARMED
-    assert config_key(_armed_config()) == 'dcf3327a7641d033ca21'
+    assert config_key(_armed_config()) == '7b10a0109d03efae001f'
     assert list(vars(ScenarioConfig())) == [
         "transport", "workload", "adaptation", "n_frames", "frame_rate",
         "frame_multiplier", "base_frame_size", "bottleneck_bps", "rtt_s",
         "queue_pkts", "mss", "loss_tolerance", "metric_period", "cbr_bps",
         "cbr_start", "step_cross", "vbr_mean_bps", "trace_step_s",
         "tcp_cross_bytes", "seed", "time_cap", "faults", "invariants", "telemetry",
-        "fluid_bps", "spans", "fec", "frame_deadline_s"]
+        "spans", "fec", "frame_deadline_s"]
 
 
 def test_pinned_cell_keys_labels_and_manifest_of_a_text_spec():
@@ -263,21 +263,19 @@ def test_pinned_cell_keys_labels_and_manifest_of_a_text_spec():
         "template": {"workload": "trace_clocked", "n_frames": "20",
                      "adaptation": "marking", "fec": "8/2",
                      "loss_tolerance": 0.4},
-        "axes": {"transport": ["iq", "rudp"]},
-        "zip": {"faults": ["flap", "cliff"]},
+        "axes": {"transport": ["iq", "rudp"], "faults": ["flap", "cliff"]},
         "seeds": {"list": [3]}})
     assert [(config_key(c.config), c.label) for c in camp.cells()] == [
-        ('2d8d3d832371f3c76c87', f"transport='iq',faults={_FLAP},seed=3"),
-        ('a64f02866ffa4df8bdb3', f"transport='iq',faults={_CLIFF},seed=3"),
-        ('cf630f7b211203a929bc', f"transport='rudp',faults={_FLAP},seed=3"),
-        ('381a448833ee8d5e96d2', f"transport='rudp',faults={_CLIFF},seed=3")]
+        ('f125ed5ad636112e1e7e', f"transport='iq',faults={_FLAP},seed=3"),
+        ('fabbf4798f3dadd88ec3', f"transport='iq',faults={_CLIFF},seed=3"),
+        ('b5bb4b388dcbae84314c', f"transport='rudp',faults={_FLAP},seed=3"),
+        ('01574ed969f2e410dbfe', f"transport='rudp',faults={_CLIFF},seed=3")]
     assert all(c.key == config_key(c.config) for c in camp.cells())
     assert json.dumps(camp.to_mapping(), sort_keys=True) == (
-        '{"axes": {"transport": ["iq", "rudp"]}, "name": "pin", '
-        '"seeds": {"list": [3]}, "template": {"adaptation": "marking", '
-        '"fec": "8/2", "loss_tolerance": 0.4, "n_frames": "20", '
-        '"workload": "trace_clocked"}, "zip": {"faults": ["flap", '
-        '"cliff"]}}')
+        '{"axes": {"faults": ["flap", "cliff"], "transport": ["iq", '
+        '"rudp"]}, "name": "pin", "seeds": {"list": [3]}, "template": '
+        '{"adaptation": "marking", "fec": "8/2", "loss_tolerance": 0.4, '
+        '"n_frames": "20", "workload": "trace_clocked"}}')
 
 
 def test_pinned_cell_keys_and_manifest_of_a_programmatic_campaign():
@@ -289,18 +287,18 @@ def test_pinned_cell_keys_and_manifest_of_a_programmatic_campaign():
         name="prog2", axes={"transport": ["rudp", "iq"]}, seeds=[4, 5],
         metrics=["duration_s"])
     assert [(config_key(c.config), c.label) for c in camp.cells()] == [
-        ('c340e34da87d363dd698', "transport='rudp',seed=4"),
-        ('0cde38fdbf63409bf3b4', "transport='rudp',seed=5"),
-        ('5a37ad627782c3d8edfd', "transport='iq',seed=4"),
-        ('8e09c940c96e828c6c1e', "transport='iq',seed=5")]
+        ('49762df3de86deca4079', "transport='rudp',seed=4"),
+        ('e8fd0e948c29f4277f19', "transport='rudp',seed=5"),
+        ('f2299e8aaa7864cd2621', "transport='iq',seed=4"),
+        ('8ddd253a1693667f20da', "transport='iq',seed=5")]
     assert all(c.key == config_key(c.config) for c in camp.cells())
     # The non-default fields, adaptation by its registry name.
     assert json.dumps(camp.to_mapping(), sort_keys=True) == (
-        '{"axes": {"transport": ["rudp", "iq"]}, "cases": [], '
+        '{"axes": {"transport": ["rudp", "iq"]}, '
         '"metrics": ["duration_s"], "name": "prog2", '
         '"seeds": {"list": [4, 5]}, '
         '"template": {"adaptation": "marking", "cbr_bps": 8000000.0, '
-        '"n_frames": 5, "spans": true, "workload": "greedy"}, "zip": {}}')
+        '"n_frames": 5, "spans": true, "workload": "greedy"}}')
 
 
 def test_pinned_repr():

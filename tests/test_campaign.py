@@ -57,34 +57,15 @@ def test_unknown_top_level_spec_key_fails_with_hint():
                                "axis": {"transport": ["tcp"]}})
 
 
-def test_zip_length_mismatch_fails():
-    with pytest.raises(ValueError, match="equal lengths"):
-        Campaign(Scenario(**TINY),
-                 zip_axes={"rtt_s": [0.03, 0.1], "queue_pkts": [64]})
-
-
-def test_axis_and_zip_overlap_fails():
-    with pytest.raises(ValueError, match="both 'axes' and 'zip'"):
-        Campaign(Scenario(**TINY), axes={"rtt_s": [0.03]},
-                 zip_axes={"rtt_s": [0.1]})
-
-
 def test_seed_cannot_be_an_axis():
     with pytest.raises(ValueError, match="'seeds' section"):
         Campaign(Scenario(**TINY), axes={"seed": [1, 2]})
 
 
-def test_case_with_seed_or_empty_rejected():
-    with pytest.raises(ValueError, match="seeds come from"):
-        Campaign(Scenario(**TINY), cases=[{"seed": 3}])
-    with pytest.raises(ValueError, match="non-empty mapping"):
-        Campaign(Scenario(**TINY), cases=[{}])
-
-
 def test_duplicate_cells_rejected():
     with pytest.raises(ValueError, match="duplicate campaign cell"):
-        Campaign(Scenario(**TINY), axes={"transport": ["tcp"]},
-                 cases=[{"transport": "tcp"}]).cells()
+        Campaign(Scenario(**TINY),
+                 axes={"transport": ["tcp", "iq", "tcp"]}).cells()
 
 
 def test_seeds_forms():
@@ -101,22 +82,6 @@ def test_seeds_forms():
 # ----------------------------------------------------------------------
 # Expansion
 # ----------------------------------------------------------------------
-def test_grid_zip_cases_seed_counts():
-    camp = Campaign(
-        Scenario(**TINY),
-        axes={"transport": ["tcp", "iq"], "cbr_bps": [0.0, 4e6, 8e6]},
-        zip_axes={"rtt_s": [0.03, 0.1], "queue_pkts": [64, 256]},
-        cases=[{"transport": "rudp"}, {"transport": "iq_nocond"}],
-        seeds=3)
-    # grid 2*3 x zip 2 x seeds 3 = 36, plus cases 2 x seeds 3 = 6.
-    assert len(camp) == 42
-    # zip axes advance together: rtt 0.03 always pairs with queue 64.
-    for cell in camp.cells():
-        if "rtt_s" in cell.assignment:
-            pair = (cell.assignment["rtt_s"], cell.assignment["queue_pkts"])
-            assert pair in ((0.03, 64), (0.1, 256))
-
-
 def test_expansion_order_is_deterministic_and_labels_stable():
     a = _tiny_campaign().cells()
     b = _tiny_campaign().cells()
@@ -143,7 +108,7 @@ def test_lambda_adaptation_rejected_for_cell_identity():
     cfg = ScenarioConfig(**TINY).replace(adaptation=lambda: None)
     assert config_key(cfg) is None
     with pytest.raises(ValueError, match="stably hashable"):
-        Campaign.from_scenarios([cfg])
+        Campaign.from_scenarios({"lambda": cfg})
     with pytest.raises(ValueError, match="stably hashable"):
         Campaign(Scenario(**TINY).replace(adaptation=lambda: None),
                  axes={"transport": ["rudp"]}).cells()
@@ -164,14 +129,15 @@ def test_load_campaign_toml_and_json(tmp_path):
     """))
     camp = load_campaign(str(spec))
     assert camp.name == "t" and len(camp) == 4
-    jspec = tmp_path / "spec.json"
-    jspec.write_text(json.dumps({"name": "t", "template": dict(TINY),
-                                 "axes": {"transport": ["tcp", "iq"]},
-                                 "seeds": 2}))
-    assert [c.key for c in load_campaign(str(jspec)).cells()] == \
+    mapping = {"name": "t", "template": dict(TINY),
+               "axes": {"transport": ["tcp", "iq"]}, "seeds": 2}
+    assert [c.key for c in load_campaign(mapping).cells()] == \
         [c.key for c in camp.cells()]
-    with pytest.raises(ValueError, match="unrecognised campaign spec"):
-        load_campaign(str(tmp_path / "spec.txt"))
+    # A TOML file or its mapping: a JSON file of the same spec is refused.
+    jspec = tmp_path / "spec.json"
+    jspec.write_text(json.dumps(mapping))
+    with pytest.raises(ValueError, match=r"is not a \.toml file"):
+        load_campaign(str(jspec))
 
 
 # ----------------------------------------------------------------------
@@ -208,16 +174,8 @@ def test_scenario_repr_renders_callables_deterministically():
 
 
 # ----------------------------------------------------------------------
-# Execution: in-memory and store-backed
+# Execution through a campaign directory
 # ----------------------------------------------------------------------
-def test_run_campaign_in_memory():
-    run = run_campaign(_tiny_campaign(), cache=False)
-    assert run.complete and len(run.results) == 4
-    report = run.report()
-    assert report.done == 4 and report.failed == 0
-    assert "transport" in report.axes
-
-
 def test_two_workers_split_campaign_no_duplicate_executions(tmp_path):
     camp = _tiny_campaign(seeds=3)
     run = run_campaign(camp, dir=tmp_path / "camp", workers=2, cache=False)
@@ -809,19 +767,6 @@ def test_run_rows_with_dir_keys_results_like_legacy(tmp_path):
     assert again["tcp"].summary == got["tcp"].summary
 
 
-def test_run_rows_with_dir_returns_a_list_for_a_sequence(tmp_path):
-    """Like ``run_batch``: a sequence of rows comes back as a list, in row
-    order, with or without a campaign directory."""
-    rows = [ScenarioConfig(**TINY).replace(transport=t)
-            for t in ("tcp", "iq")]
-    got = run_rows(rows, name="t", dir=tmp_path / "camp", cache=False)
-    want = run_rows(rows, name="t", cache=False)
-    assert isinstance(got, list) and isinstance(want, list)
-    assert [r.summary for r in got] == [r.summary for r in want]
-    assert [type(r.conn).__name__ for r in got] == ["TcpConnection",
-                                                    "RudpConnection"]
-
-
 def test_run_rows_rejects_trace_with_dir(tmp_path):
     rows = {"tcp": ScenarioConfig(**TINY)}
     with pytest.raises(ValueError, match="trace"):
@@ -960,7 +905,8 @@ def test_campaign_cli_set_overrides_template(tmp_path, capsys, monkeypatch):
     from repro.cli import main
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     spec = _write_spec(tmp_path)
-    assert main(["campaign", "run", str(spec), "--set", "n_frames=3"]) == 0
+    assert main(["campaign", "run", str(spec), "--set", "n_frames=3",
+                 "--dir", str(tmp_path / "camp")]) == 0
     assert "4/4 cells done" in capsys.readouterr().out
 
 
@@ -968,6 +914,39 @@ def test_campaign_cli_errors_are_exit_2(tmp_path, capsys):
     from repro.cli import main
     assert main(["campaign", "status", str(tmp_path / "nope")]) == 2
     assert "no campaign manifest" in capsys.readouterr().err
+
+
+def test_a_campaign_is_one_toml_grid_run_through_its_directory(
+        tmp_path, capsys):
+    """One shape (template x axes x seeds, a TOML file or its mapping)
+    and one path (a campaign directory): the spec forms and the dir-less
+    mode that were cut are refused by name, as is a format-4 manifest."""
+    from repro.cli import main
+    for key, value in (("zip", {"rtt_s": [0.03, 0.1]}),
+                       ("cases", [{"transport": "rudp"}])):
+        with pytest.raises(ValueError,
+                           match=f"unknown campaign spec key.*'{key}'"):
+            load_campaign({"template": dict(TINY), key: value})
+    for name in ("spec.yaml", "spec.json"):
+        with pytest.raises(ValueError, match=r"\.toml"):
+            load_campaign(str(tmp_path / name))
+    with pytest.raises(TypeError, match="dir"):
+        run_campaign(_tiny_campaign(), cache=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "run", str(_write_spec(tmp_path))])
+    assert exc.value.code == 2 and "--dir" in capsys.readouterr().err
+    old = tmp_path / "v4"
+    old.mkdir()
+    (old / "manifest.json").write_text(json.dumps({
+        "version": 4, "name": "cli",
+        "spec": {**_tiny_campaign().to_mapping(), "zip": {}, "cases": []},
+        "cells": []}))
+    assert main(["campaign", "status", str(old)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: campaign directory {old} is in on-disk format 4; this "
+        f"repro reads format {FORMAT} only (re-run the campaign in a "
+        f"fresh directory)\n")
+    assert [p.name for p in old.iterdir()] == ["manifest.json"]
 
 
 # ----------------------------------------------------------------------

@@ -112,6 +112,35 @@ def test_tcp_with_a_loss_tolerance_is_refused_by_name(capsys):
     assert ScenarioConfig(transport="tcp").loss_tolerance is None
 
 
+@pytest.mark.parametrize("tolerance", [5.0, -0.1, float("nan")])
+def test_a_loss_tolerance_outside_0_1_is_refused_before_a_run(
+        tmp_path, capsys, monkeypatch, tolerance):
+    """The rule ``LossTolerantReliability`` applies at run time, applied
+    at construction: in the config, in a campaign's expansion (before a
+    directory is made or a cell runs) and on the command line."""
+    from repro.campaign import run_campaign
+    from repro.cli import main
+    refused = pytest.raises(ValueError,
+                            match=r"loss_tolerance must be in \[0, 1\]")
+    with refused:
+        ScenarioConfig(transport="rudp", loss_tolerance=tolerance)
+    with refused:   # text that is no number (--set loss_tolerance=abc)
+        ScenarioConfig(loss_tolerance="abc")
+    with refused:
+        run_campaign({"template": {"workload": "greedy", "n_frames": 5},
+                      "axes": {"loss_tolerance": [0.4, tolerance]}},
+                     dir=tmp_path / "camp", cache=False)
+    assert not (tmp_path / "camp").exists()
+
+    def ran(*args, **kw):
+        raise AssertionError("the scenario ran")
+    monkeypatch.setattr("repro.api.run", ran)
+    assert main(["scenario", "--tolerance", repr(tolerance)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "loss_tolerance must be in [0, 1]" in err
+    assert ScenarioConfig(loss_tolerance=1.0).loss_tolerance == 1.0
+
+
 def test_unknown_transport_rejected():
     with pytest.raises(ValueError):
         ScenarioConfig(transport="quic")

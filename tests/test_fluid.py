@@ -128,35 +128,48 @@ def test_deterministic():
                          profile=[(0.5, 25e6), (1.5, 4e6)])
         sim.run(until=3.0)
         return (link.bandwidth_bps, link.queue.capacity_bytes,
-                fl.telemetry_probe())
+                fl.offered_bytes, fl.served_bytes, fl.dropped_bytes,
+                fl.backlog_bits, fl.rate_bps)
 
     assert run() == run()
-
-
-def test_telemetry_probe_keys():
-    sim, link = _rig()
-    fl = FluidSource(sim, link, rate_bps=1e6)
-    sim.run(until=0.5)
-    probe = fl.telemetry_probe()
-    assert set(probe) == {"offered_bytes", "served_bytes", "dropped_bytes",
-                          "backlog_bytes", "rate_bps"}
-    assert probe["rate_bps"] == 1e6
 
 
 def test_pressure_tracks_cbr_direction():
     """Directional sanity vs the packet-level CbrSource it replaces: a
     foreground greedy flow must see *less* goodput as the background rate
     rises, under either background model."""
-    from repro.experiments.common import ScenarioConfig, run_scenario
+    from repro.experiments.common import make_transport
+    from repro.sim.topology import Dumbbell
+    from repro.traffic.cbr import CbrSource
+    from repro.transport.udp import UdpSender
 
     def goodput(fluid_bps, cbr_bps):
         # 8 Mbps bottleneck so 7 Mbps of background genuinely squeezes
-        # the ~0.9 Mbps foreground demand.
-        cfg = ScenarioConfig(transport="rudp", workload="greedy",
-                             n_frames=100, cbr_bps=cbr_bps,
-                             fluid_bps=fluid_bps, time_cap=60.0,
-                             bottleneck_bps=8e6)
-        return run_scenario(cfg).summary["throughput_kBps"]
+        # the ~0.9 Mbps foreground demand: 100 datagrams of 1400 B over
+        # one RUDP connection, against a fluid or a CBR aggregate.
+        sim = Simulator()
+        net = Dumbbell(sim, bottleneck_bps=8e6, rtt_s=0.03, mss=1400,
+                       queue_pkts=64)
+        if fluid_bps > 0:
+            FluidSource(sim, net.forward, rate_bps=fluid_bps)
+        if cbr_bps > 0:
+            port = net.add_cross_port("cbr")
+            CbrSource(sim, UdpSender(sim, port, port=7001,
+                                     peer_addr=port.peer_address,
+                                     peer_port=7001, mss=1400),
+                      rate_bps=cbr_bps, payload_bytes=1400)
+        snd, rcv = net.add_flow_hosts("app")
+        conn = make_transport("rudp", sim, snd, rcv, mss=1400,
+                              metric_period=0.5, loss_tolerance=None,
+                              on_deliver=None)
+        done = []
+        conn.sender.on_complete = done.append
+        for frame_id in range(100):
+            conn.sender.submit(1400, frame_id=frame_id)
+        conn.finish()
+        while not done and sim.now < 60.0:
+            sim.run(until=sim.now + 1.0)
+        return 100 * 1400 / 1e3 / done[0]
 
     fluid_lo, fluid_hi = goodput(1e6, 0.0), goodput(7e6, 0.0)
     cbr_lo, cbr_hi = goodput(0.0, 1e6), goodput(0.0, 7e6)
